@@ -3,9 +3,9 @@ package main
 // Shared machine-readable output for the BENCH_*.json artifacts: every
 // benchmark body passes through writeBenchJSON, which stamps the execution
 // environment before writing. The stamp is what makes a stored result
-// interpretable after the fact — a parallel-kernel speedup measured with
-// GOMAXPROCS=1 is a statement about scheduling overhead, not about the
-// kernel — and what lets CI gates assert they ran on the hardware they
+// interpretable after the fact — a serving-throughput ratio measured with
+// GOMAXPROCS=1 is a statement about scheduling overhead, not about
+// parallelism — and what lets CI gates assert they ran on the hardware they
 // think they did. Schema: results/README.md.
 
 import (

@@ -17,7 +17,6 @@
 //	flosbench -trace-overhead   # span-tracing on/off latency overhead
 //	flosbench -live             # live-graph serving: surgical vs full-flush invalidation
 //	flosbench -modes            # serving modes: exact vs ε-certified paired RWR queries
-//	flosbench -kernel           # bound-solver kernels: serial vs parallel vs staged paired queries
 //	flosbench -cachelens        # cache-analytics lens on/off latency overhead
 //
 // Scales default to laptop-bench sizes; pass -scale 1 -synthscale 1
@@ -44,9 +43,8 @@ func main() {
 		traceOver  = flag.Bool("trace-overhead", false, "benchmark query latency with span tracing on (head rate 1.0) vs off")
 		liveMode   = flag.Bool("live", false, "benchmark live-graph serving: surgical vs full-flush cache invalidation under mutations")
 		modes      = flag.Bool("modes", false, "benchmark serving modes: exact vs ε-certified paired RWR queries")
-		kernels    = flag.Bool("kernel", false, "benchmark bound-solver kernels: serial vs parallel vs staged paired exact queries")
 		lensOver   = flag.Bool("cachelens", false, "benchmark query latency with the cache-analytics lens on vs off")
-		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, -live, -modes, -kernel, or -cachelens: also write the machine-readable result (BENCH_5/7/6/8/9/10.json) to this file")
+		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, -live, -modes, or -cachelens: also write the machine-readable result (BENCH_5/7/6/8/10.json) to this file")
 		profiles   = flag.Bool("profiles", false, "print stand-in structural fingerprints (clustering, diameter)")
 		scale      = flag.Float64("scale", 0, "SNAP stand-in scale (default 1/8; 1 = paper size)")
 		synthScale = flag.Float64("synthscale", 0, "Table 6 synthetic scale (default 1/16)")
@@ -137,12 +135,6 @@ func main() {
 	}
 	if *modes {
 		if err := modesBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *kernels {
-		if err := kernelBench(out, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return

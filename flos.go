@@ -125,33 +125,6 @@ const (
 // ParseMode parses "exact", "epsilon", or "anytime" ("" = exact).
 func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
-// KernelKind selects the bound-solver kernel via Options.Kernel. Every
-// kernel certifies the same top-k sets and flags; serial is the paper's
-// reference schedule, parallel partitions relaxation sweeps across
-// goroutines, staged runs a float32 pre-pass before the float64 finish.
-type KernelKind = core.KernelKind
-
-// The bound-solver kernels.
-const (
-	// KernelAuto (the default) picks serial below a visited-set threshold
-	// and parallel above it, deterministically — the choice depends only on
-	// the local-system size, never on the machine.
-	KernelAuto = core.KernelAuto
-	// KernelSerial is the reference fused Gauss-Seidel pass; results are
-	// byte-identical to the pre-kernel engines.
-	KernelSerial = core.KernelSerial
-	// KernelParallel partitions the local system into cache-sized blocks
-	// and relaxes frontier rounds across goroutines; results are identical
-	// for any worker count.
-	KernelParallel = core.KernelParallel
-	// KernelStaged sweeps in float32 to near-convergence, then finishes and
-	// certifies in float64.
-	KernelStaged = core.KernelStaged
-)
-
-// ParseKernel parses "auto", "serial", "parallel", or "staged" ("" = auto).
-func ParseKernel(s string) (KernelKind, error) { return core.ParseKernel(s) }
-
 // Certification is the proof block attached to every Result: serving mode,
 // whether the answer is certified, the achieved gap and its bounds, and
 // per-node score intervals for the returned top-k.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"flos/internal/core/kernel"
 	"flos/internal/graph"
 	"flos/internal/linalg"
 )
@@ -67,15 +66,6 @@ type phpEngine struct {
 
 	degreeProbes int
 
-	// Bound-solver kernel (PR 9): the engine owns expansion, wiring, dummy
-	// updates, and certification, and delegates the relaxation sweeps to
-	// kern through the kst view (a field, not a local, so the pointer passed
-	// to SolvePHP never escapes to the heap on the warm path). kstats keeps
-	// the last solve's telemetry for IterStats.
-	kern   *kernel.Solver
-	kst    kernel.PHPState
-	kstats kernel.Stats
-
 	// Footprint capture (Options.CaptureFootprint): probed collects the
 	// unvisited nodes whose Degree was read — the memo guarantees each node
 	// appears at most once — and lastGuard records the final w(S̄) ceiling an
@@ -90,9 +80,9 @@ func (e *phpEngine) lbAt(i int32) float64 { return e.bnd[2*i] }
 func (e *phpEngine) ubAt(i int32) float64 { return e.bnd[2*i+1] }
 
 // newPHPEngine builds a cold single-query engine (map-backed indexes).
-func newPHPEngine(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool, kcfg kernel.Config) *phpEngine {
+func newPHPEngine(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool) *phpEngine {
 	e := &phpEngine{}
-	e.reset(g, q, c, tau, maxIter, tighten, false, kcfg)
+	e.reset(g, q, c, tau, maxIter, tighten, false)
 	return e
 }
 
@@ -101,16 +91,11 @@ func newPHPEngine(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, ti
 // cold engines pass false and get maps. A reset engine behaves identically
 // to a freshly constructed one — the expansion schedule, solver sweeps, and
 // results are byte-for-byte the same.
-func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten, dense bool, kcfg kernel.Config) {
+func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten, dense bool) {
 	e.c, e.tau, e.maxIter, e.tighten = c, tau, maxIter, tighten
 
 	e.resetCommon(g, q, dense)
 	e.degCache.init(g.NumNodes(), dense)
-	if e.kern == nil {
-		e.kern = kernel.NewSolver()
-	}
-	e.kern.Configure(kcfg)
-	e.kstats = kernel.Stats{}
 
 	e.bnd = e.bnd[:0]
 	e.queueLB = e.queueLB[:0]
@@ -260,7 +245,7 @@ func (e *phpEngine) refreshTightening() {
 // dummyEntry returns local node i's transition entry into the dummy node for
 // the upper-bound system.
 func (e *phpEngine) dummyEntry(i int32) float64 {
-	if e.nodes[i] == e.q || e.outCnt[i] == 0 {
+	if i == 0 || e.outCnt[i] == 0 { // local index 0 is the query
 		return 0
 	}
 	if e.tighten {
@@ -271,7 +256,7 @@ func (e *phpEngine) dummyEntry(i int32) float64 {
 
 // selfEntry returns local node i's diagonal entry (0 unless tightening).
 func (e *phpEngine) selfEntry(i int32) float64 {
-	if !e.tighten || e.nodes[i] == e.q || e.outCnt[i] == 0 {
+	if !e.tighten || i == 0 || e.outCnt[i] == 0 {
 		return 0
 	}
 	return e.selfLoop[i]
@@ -287,49 +272,135 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 //
 //	r_i ← (c·(Σ_j T_ij·r_j + dummy_i·r_d) + e_i) / (1 − c·self_i)
 //
-// and re-enqueues i's local neighbors when r_i moved by more than τ. It
-// reaches the same fixpoint as Algorithm 7's iteration and keeps the same
-// one-sided monotonicity (a single-coordinate relaxation of a sub-solution
-// stays below the fixpoint, of a super-solution above), so bound validity
-// under truncation is untouched — but its cost tracks the changed region,
-// not |S|, which matters because FLoS re-solves after every expansion.
+// and charges the change to i's local neighbors, which re-enqueue once their
+// accumulated input drift exceeds θ = τ/16. It reaches the same fixpoint as
+// Algorithm 7's iteration and keeps the same one-sided monotonicity (a
+// single-coordinate relaxation of a sub-solution stays below the fixpoint,
+// of a super-solution above), so bound validity under truncation is
+// untouched — but its cost tracks the changed region, not |S|, which matters
+// because FLoS re-solves after every expansion.
 //
-// The relaxation sweeps themselves live in the kernel layer
-// (internal/core/kernel): solveBounds packs the solve-call view — every
-// field aliasing engine storage, local index 0 standing for the query node —
-// and delegates to the configured kernel. The serial reference kernel is the
-// verbatim relocation of the loop that used to live here (byte-identical
-// results and sweep counters, pinned by the golden suite); the parallel and
-// staged kernels trade bit-identity for speed while preserving one-sided
-// bound validity, so the certified top-k sets are unchanged.
+// The Gauss–Seidel order (each relaxation reads its neighbors' latest values
+// in place, FIFO over the worklist) is part of the observable behaviour: an
+// update propagates within the same drain, so where inside the θ band the
+// bounds stop decides at which expansion the stopping rule first separates,
+// and with it the visited, iteration and sweep counters the golden suite
+// pins bit for bit. A synchronous (Jacobi) schedule is equally valid but
+// stops elsewhere in the band and needs more relaxations for the same
+// tightness.
+//
+// The two systems share no mutable state — the lower side reads and writes
+// only bnd[2i]/pendLB/inQLB, the upper only bnd[2i+1]/pendUB/inQUB/rd — so
+// any interleaving of the two relaxation sequences produces bit-identical
+// results to running them back to back. solveBounds interleaves them 1:1:
+// the queues are seeded in lockstep (enqueue adds to both), so the upper
+// relaxation of a node usually runs right after its lower one, while
+// t.Rows[i], ladj[i], and the neighbors' interleaved bound pairs are still
+// in cache — this is the fusion the struct-of-arrays bnd store exists for.
 func (e *phpEngine) solveBounds() {
-	e.kst = kernel.PHPState{
-		Rows:       e.t.Rows,
-		Ladj:       e.ladj,
-		Bnd:        e.bnd,
-		Rd:         e.rd,
-		C:          e.c,
-		Tau:        e.tau,
-		Budget:     int64(e.maxIter) * int64(e.size()),
-		QueueLB:    e.queueLB,
-		QueueUB:    e.queueUB,
-		InQLB:      e.inQLB,
-		InQUB:      e.inQUB,
-		PendLB:     e.pendLB,
-		PendUB:     e.pendUB,
-		Tighten:    e.tighten,
-		Deg:        e.deg,
-		InW:        e.inW,
-		OutCnt:     e.outCnt,
-		SelfLoop:   e.selfLoop,
-		DummyTight: e.dummyTight,
+	// Pop via head indexes rather than q = q[1:]: reslicing the front off
+	// erodes the backing array's capacity one slot per pop, so the queues
+	// (which persist across queries in a warm workspace) would reallocate
+	// on nearly every append instead of amortizing to zero.
+	//
+	// The query is always local index 0 (reset visits it first), so the
+	// loops test i == 0 instead of loading e.nodes[i] per row and neighbor.
+	qlb, qub := e.queueLB, e.queueUB
+	headLB, headUB := 0, 0
+	budget := int64(e.maxIter) * int64(e.size())
+	var processedLB, processedUB int64
+	// The propagation threshold sits a factor 16 below τ so the relaxed
+	// bounds are at least as tight as a Jacobi-to-τ solve — the RWR
+	// termination guard compares quantities near the τ scale, where any
+	// extra slack inflates the visited set.
+	theta := e.tau / 16
+	for {
+		moreLB := headLB < len(qlb) && processedLB < budget
+		moreUB := headUB < len(qub) && processedUB < budget
+		if !moreLB && !moreUB {
+			break
+		}
+		if moreLB {
+			i := qlb[headLB]
+			headLB++
+			e.inQLB[i] = false
+			e.pendLB[i] = 0
+			processedLB++
+			e.sweeps++
+			if i == 0 {
+				e.bnd[2*i] = 1
+			} else {
+				var s float64
+				for _, en := range e.t.Rows[i] {
+					s += en.Val * e.bnd[2*en.Col]
+				}
+				v := e.c * s
+				if self := e.selfEntry(i); self > 0 {
+					v /= 1 - e.c*self
+				}
+				d := abs(v - e.bnd[2*i])
+				e.bnd[2*i] = v
+				if d != 0 {
+					// Charge the change to every dependent row; a row
+					// re-relaxes once its accumulated potential shift
+					// exceeds theta. (c bounds the entry value times decay,
+					// so c·d overestimates the per-row effect.)
+					for _, j := range e.ladj[i] {
+						if j == 0 {
+							continue
+						}
+						e.pendLB[j] += e.c * d
+						if !e.inQLB[j] && e.pendLB[j] > theta {
+							e.inQLB[j] = true
+							qlb = append(qlb, j)
+						}
+					}
+				}
+			}
+		}
+		if moreUB {
+			i := qub[headUB]
+			headUB++
+			e.inQUB[i] = false
+			e.pendUB[i] = 0
+			processedUB++
+			e.sweeps++
+			if i == 0 {
+				e.bnd[2*i+1] = 1
+			} else {
+				var s float64
+				for _, en := range e.t.Rows[i] {
+					s += en.Val * e.bnd[2*en.Col+1]
+				}
+				s += e.dummyEntry(i) * e.rd
+				v := e.c * s
+				if self := e.selfEntry(i); self > 0 {
+					v /= 1 - e.c*self
+				}
+				d := abs(v - e.bnd[2*i+1])
+				e.bnd[2*i+1] = v
+				if d != 0 {
+					for _, j := range e.ladj[i] {
+						if j == 0 {
+							continue
+						}
+						e.pendUB[j] += e.c * d
+						if !e.inQUB[j] && e.pendUB[j] > theta {
+							e.inQUB[j] = true
+							qub = append(qub, j)
+						}
+					}
+				}
+			}
+		}
 	}
-	e.kern.SolvePHP(&e.kst)
-	// Queue slices may have been reallocated by kernel appends; the other
-	// views are mutated in place.
-	e.queueLB, e.queueUB = e.kst.QueueLB, e.kst.QueueUB
-	e.kstats = e.kern.LastStats()
-	e.sweeps += e.kstats.Sweeps
+	// Drained or budget hit: compact the unprocessed tails to the front so
+	// the inQ flags stay consistent with the queue contents and the full
+	// backing capacity survives for the next call.
+	n := copy(qlb, qlb[headLB:])
+	e.queueLB = qlb[:n]
+	n = copy(qub, qub[headUB:])
+	e.queueUB = qub[:n]
 }
 
 // updateDummy lowers rd to max_{i∈δS} ub_i (Algorithm 5 line 7). It must run

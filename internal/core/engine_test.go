@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"flos/internal/core/kernel"
 	"flos/internal/gen"
 	"flos/internal/graph"
 	"flos/internal/linalg"
@@ -16,7 +15,7 @@ import (
 
 func newTestEngine(t *testing.T, g graph.Graph, q graph.NodeID, c float64, tighten bool) *phpEngine {
 	t.Helper()
-	return newPHPEngine(g, q, c, 1e-12, 100000, tighten, kernel.Config{})
+	return newPHPEngine(g, q, c, 1e-12, 100000, tighten)
 }
 
 func TestEngineVisitBookkeeping(t *testing.T) {
@@ -228,7 +227,7 @@ func TestTHTEngineDistances(t *testing.T) {
 	// Ring of 8: expanding around the ring gives distances; a visit closing
 	// the ring must relax the far side.
 	g := gen.Ring(8)
-	e := newTHTEngine(g, 0, 10, kernel.Config{})
+	e := newTHTEngine(g, 0, 10)
 	for e.size() < 8 {
 		us := e.pickExpansion(1)
 		if len(us) == 0 {
@@ -249,7 +248,7 @@ func TestTHTEngineDistances(t *testing.T) {
 // TestTHTEngineFloorGrows: on a path, closing hops advances the floor.
 func TestTHTEngineFloorGrows(t *testing.T) {
 	g := gen.Path(30)
-	e := newTHTEngine(g, 0, 10, kernel.Config{})
+	e := newTHTEngine(g, 0, 10)
 	prevFloor := int32(0)
 	for it := 0; it < 12; it++ {
 		us := e.pickExpansion(1)
@@ -276,7 +275,7 @@ func TestTHTEngineFloorGrows(t *testing.T) {
 func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 	g := gen.PaperExample()
 	L := 6
-	e := newTHTEngine(g, 0, L, kernel.Config{})
+	e := newTHTEngine(g, 0, L)
 	for it := 0; it < 4; it++ {
 		us := e.pickExpansion(1)
 		if len(us) == 0 {
@@ -305,12 +304,12 @@ func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 				}
 				var sLo, sHi float64
 				for _, en := range e.tRows[li] {
-					sLo += en.P * lb[en.Col]
-					sHi += en.P * ub[en.Col]
+					sLo += en.p * lb[en.col]
+					sHi += en.p * ub[en.col]
 				}
 				om := 0.0
 				if e.outCnt[li] > 0 || e.deg[li] == 0 {
-					om = e.outMassOf(li, 1)
+					om = e.outMass(li)
 				}
 				nlb[i] = 1 + sLo + om*fl
 				h := 1 + sHi + om*float64(L)

@@ -33,7 +33,7 @@ func phpFamilyTopK(ctx context.Context, g graph.Graph, q graph.NodeID, opt Optio
 		return nil, err
 	}
 	rwrMode := opt.Measure == measure.RWR
-	e := ws.phpFor(g, q, phpParams.C, phpParams.Tau, phpParams.MaxIter, opt.Tighten, opt.kernelConfig())
+	e := ws.phpFor(g, q, phpParams.C, phpParams.Tau, phpParams.MaxIter, opt.Tighten)
 	e.capProbes = opt.CaptureFootprint
 	// Warm-start seeding: pre-visit the supplied nodes before iteration 1.
 	// The bound systems are valid for any S containing q, and the first
@@ -310,13 +310,6 @@ func iterStats(e *phpEngine, t, batch, added int, certified bool, gap *certGap, 
 		ExpandNS:   expandNS,
 		SolveNS:    solveNS,
 		CertifyNS:  certifyNS,
-	}
-	if e.kstats.Kind != 0 || e.kstats.Sweeps > 0 {
-		s.Kernel = e.kstats.Kind.String()
-		s.KernelBlocks = e.kstats.Blocks
-		s.KernelRounds = e.kstats.Rounds
-		s.KernelWorkers = e.kstats.Workers
-		s.KernelF32Sweeps = e.kstats.F32Sweeps
 	}
 	if gap != nil && gap.valid {
 		s.GapValid = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -396,24 +397,27 @@ func TestTopKInputValidation(t *testing.T) {
 	if _, err := TopK(g, 99, testOptions(measure.PHP, 1)); err == nil {
 		t.Error("out-of-range query accepted")
 	}
-	bad := testOptions(measure.PHP, 0)
-	if _, err := TopK(g, 0, bad); err == nil {
-		t.Error("k=0 accepted")
-	}
-	bad = testOptions(measure.PHP, 1)
-	bad.Params.C = 2
-	if _, err := TopK(g, 0, bad); err == nil {
-		t.Error("C=2 accepted")
-	}
-	bad = testOptions(measure.PHP, 1)
-	bad.TieEps = -1
-	if _, err := TopK(g, 0, bad); err == nil {
-		t.Error("negative TieEps accepted")
-	}
-	bad = testOptions(measure.PHP, 1)
-	bad.MaxVisited = -3
-	if _, err := TopK(g, 0, bad); err == nil {
-		t.Error("negative MaxVisited accepted")
+	for _, c := range []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"K=0", func(o *Options) { o.K = 0 }},
+		{"C=2", func(o *Options) { o.Params.C = 2 }},
+		{"C=NaN", func(o *Options) { o.Params.C = math.NaN() }},
+		{"Tau=NaN", func(o *Options) { o.Params.Tau = math.NaN() }},
+		{"Tau=+Inf", func(o *Options) { o.Params.Tau = math.Inf(1) }},
+		{"TieEps=-1", func(o *Options) { o.TieEps = -1 }},
+		{"TieEps=NaN", func(o *Options) { o.TieEps = math.NaN() }},
+		{"TieEps=+Inf", func(o *Options) { o.TieEps = math.Inf(1) }},
+		{"MaxVisited=-3", func(o *Options) { o.MaxVisited = -3 }},
+		{"Epsilon=NaN", func(o *Options) { o.Mode, o.Epsilon = ModeEpsilon, math.NaN() }},
+		{"Epsilon=+Inf", func(o *Options) { o.Mode, o.Epsilon = ModeEpsilon, math.Inf(1) }},
+	} {
+		bad := testOptions(measure.PHP, 1)
+		c.mutate(&bad)
+		if _, err := TopK(g, 0, bad); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%s: err = %v, want ErrInvalidOptions", c.name, err)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
-	"flos/internal/core/kernel"
 	"flos/internal/graph"
 	"flos/internal/measure"
 )
@@ -87,38 +87,6 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("%w: unknown mode %q (want exact|epsilon|anytime)", ErrInvalidOptions, s)
 }
 
-// KernelKind selects the bound-solver kernel a query's relaxation sweeps run
-// on (see internal/core/kernel). The zero value is KernelAuto.
-type KernelKind = kernel.Kind
-
-const (
-	// KernelAuto picks per solve call by visited-set size: the serial
-	// reference kernel on small searches, the partitioned parallel kernel
-	// once |S| crosses the kernel layer's threshold. The choice depends only
-	// on |S| — never on GOMAXPROCS or machine load — so results stay
-	// deterministic across machines.
-	KernelAuto = kernel.Auto
-	// KernelSerial pins the reference fused Gauss–Seidel pass —
-	// byte-identical to the pre-kernel engines.
-	KernelSerial = kernel.Serial
-	// KernelParallel pins the partitioned block-Jacobi kernel.
-	KernelParallel = kernel.Parallel
-	// KernelStaged pins the two-phase precision kernel (float32 sweeps,
-	// float64 finish; certification always reads float64 bounds).
-	KernelStaged = kernel.Staged
-)
-
-// ParseKernel parses the API spelling of a kernel selection
-// ("auto"|"serial"|"parallel"|"staged"; empty means auto). Failures wrap
-// ErrInvalidOptions.
-func ParseKernel(s string) (KernelKind, error) {
-	k, err := kernel.ParseKind(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
-	return k, nil
-}
-
 // Options configures a FLoS query.
 type Options struct {
 	// K is the number of nearest neighbors to return.
@@ -162,18 +130,6 @@ type Options struct {
 	// skipped silently. Warm-started results are exact but need not be
 	// byte-identical to a cold run: the expansion trajectory differs.
 	WarmStart []graph.NodeID
-	// Kernel selects the bound-solver kernel (auto, serial, parallel,
-	// staged). KernelAuto — the zero value — keeps small queries on the
-	// serial fast path and engages the parallel kernel only above the kernel
-	// layer's visited-set threshold. All kernels return the same certified
-	// top-k sets; KernelSerial is additionally byte-identical to the
-	// pre-kernel engines.
-	Kernel KernelKind
-	// kernelTokens, when non-nil, is the shared intra-query parallelism
-	// budget the kernels draw extra workers from (WithKernelTokens). The
-	// serving pool injects one budget sized to the machine so concurrent
-	// queries degrade to serial sweeps instead of oversubscribing cores.
-	kernelTokens *kernel.TokenBudget
 	// CaptureFootprint asks the result to carry the query's read footprint:
 	// the visited set in visit order, the unvisited nodes whose Degree was
 	// probed (bound tightening, RWR guard), and the w(S̄) guard ceiling.
@@ -233,17 +189,6 @@ type IterStats struct {
 	ExpandNS  int64 `json:"expand_ns"`
 	SolveNS   int64 `json:"solve_ns"`
 	CertifyNS int64 `json:"certify_ns"`
-	// Kernel attributes of this iteration's solve: which kernel variant ran
-	// ("serial"|"parallel"|"staged"), the partition blocks and synchronous
-	// rounds the parallel kernel engaged, the goroutines used, and the
-	// float32 shadow relaxations of the staged kernel's first phase.
-	// Zero-valued (and omitted from JSON) on the serial reference path
-	// except for the variant name itself.
-	Kernel          string `json:"kernel,omitempty"`
-	KernelBlocks    int    `json:"kernel_blocks,omitempty"`
-	KernelRounds    int    `json:"kernel_rounds,omitempty"`
-	KernelWorkers   int    `json:"kernel_workers,omitempty"`
-	KernelF32Sweeps int    `json:"kernel_f32_sweeps,omitempty"`
 }
 
 // TraceCollector is a Tracer that records the full trajectory in order.
@@ -279,42 +224,22 @@ func (o Options) Validate() error {
 	if o.MaxVisited < 0 {
 		return fmt.Errorf("%w: MaxVisited=%d must be non-negative", ErrInvalidOptions, o.MaxVisited)
 	}
-	if o.TieEps < 0 {
-		return fmt.Errorf("%w: TieEps=%g must be non-negative", ErrInvalidOptions, o.TieEps)
+	// Written so that NaN fails: every comparison with NaN is false.
+	if !(o.TieEps >= 0) || math.IsInf(o.TieEps, 1) {
+		return fmt.Errorf("%w: TieEps=%g must be non-negative and finite", ErrInvalidOptions, o.TieEps)
 	}
 	switch o.Mode {
 	case ModeExact, ModeEpsilon, ModeAnytime:
 	default:
 		return fmt.Errorf("%w: unknown Mode %d", ErrInvalidOptions, int(o.Mode))
 	}
-	if o.Epsilon < 0 {
-		return fmt.Errorf("%w: Epsilon=%g must be non-negative", ErrInvalidOptions, o.Epsilon)
+	if !(o.Epsilon >= 0) || math.IsInf(o.Epsilon, 1) {
+		return fmt.Errorf("%w: Epsilon=%g must be non-negative and finite", ErrInvalidOptions, o.Epsilon)
 	}
 	if o.Epsilon > 0 && o.Mode != ModeEpsilon {
 		return fmt.Errorf("%w: Epsilon=%g requires ModeEpsilon (mode is %s)", ErrInvalidOptions, o.Epsilon, o.Mode)
 	}
-	switch o.Kernel {
-	case KernelAuto, KernelSerial, KernelParallel, KernelStaged:
-	default:
-		return fmt.Errorf("%w: unknown Kernel %d", ErrInvalidOptions, int(o.Kernel))
-	}
 	return nil
-}
-
-// kernelConfig assembles the kernel layer's configuration for this query.
-func (o Options) kernelConfig() kernel.Config {
-	return kernel.Config{Kind: o.Kernel, Tokens: o.kernelTokens}
-}
-
-// WithKernelTokens returns opt with the shared intra-query parallelism
-// budget installed: every solve call of a query running under the returned
-// options TryAcquires its extra kernel workers from tb and releases them
-// when the sweep finishes. Serving layers (qserve) size one budget to the
-// machine and install it on every admitted query, which is what keeps batch
-// throughput flat when intra-query parallelism is enabled under full load.
-func WithKernelTokens(opt Options, tb *kernel.TokenBudget) Options {
-	opt.kernelTokens = tb
-	return opt
 }
 
 // slack is the termination slack the stopping rule runs with: TieEps in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"flos/internal/core/kernel"
 	"flos/internal/gen"
 	"flos/internal/graph"
 	"flos/internal/measure"
@@ -24,7 +23,7 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	g := gen.Ring(10)
 
 	t.Run("php", func(t *testing.T) {
-		e := newPHPEngine(g, 0, 0.5, 1e-10, 100000, false, kernel.Config{})
+		e := newPHPEngine(g, 0, 0.5, 1e-10, 100000, false)
 		e.expand(0, nil) // visit 1 and 9; both boundary, both lb=0 ub=1
 		us := e.pickExpansion(false, 2)
 		got := localToGlobal(e.nodes, us)
@@ -34,7 +33,7 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	})
 
 	t.Run("tht", func(t *testing.T) {
-		e := newTHTEngine(g, 0, 6, kernel.Config{})
+		e := newTHTEngine(g, 0, 6)
 		e.expand(0, nil) // visit 1 and 9; both boundary, unsolved bounds equal
 		us := e.pickExpansion(2)
 		got := localToGlobal(e.nodes, us)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"flos/internal/core/kernel"
 	"flos/internal/graph"
 	"flos/internal/measure"
 )
@@ -61,36 +60,27 @@ type thtEngine struct {
 
 	floorBuf []int32
 	distQ    []int32
-
-	// Bound-solver kernel delegation, as in phpEngine.
-	kern   *kernel.Solver
-	kst    kernel.THTState
-	kstats kernel.Stats
 }
 
-// thtEntry is the kernel layer's transition-entry type; the engine wires
-// rows directly in the shape the kernel relaxes.
-type thtEntry = kernel.THTEntry
+type thtEntry struct {
+	col int32
+	p   float64
+}
 
 const distInf = int32(1 << 30)
 
-func newTHTEngine(g graph.Graph, q graph.NodeID, L int, kcfg kernel.Config) *thtEngine {
+func newTHTEngine(g graph.Graph, q graph.NodeID, L int) *thtEngine {
 	e := &thtEngine{}
-	e.reset(g, q, L, false, kcfg)
+	e.reset(g, q, L, false)
 	return e
 }
 
 // reset prepares the engine for a new query (possibly a new horizon L and a
 // new graph), reusing retained storage; see phpEngine.reset.
-func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int, dense bool, kcfg kernel.Config) {
+func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int, dense bool) {
 	e.L = L
 
 	e.resetCommon(g, q, dense)
-	if e.kern == nil {
-		e.kern = kernel.NewSolver()
-	}
-	e.kern.Configure(kcfg)
-	e.kstats = kernel.Stats{}
 
 	e.tRows = e.tRows[:0]
 	e.dist = e.dist[:0]
@@ -151,10 +141,10 @@ func (e *thtEngine) visit(v graph.NodeID) {
 	for idx, lu := range e.ladj[li] {
 		w := e.visitW[idx]
 		if v != e.q && d > 0 {
-			e.tRows[li] = append(e.tRows[li], thtEntry{Col: lu, P: w / d})
+			e.tRows[li] = append(e.tRows[li], thtEntry{col: lu, p: w / d})
 		}
 		if e.nodes[lu] != e.q && e.deg[lu] > 0 {
-			e.tRows[lu] = append(e.tRows[lu], thtEntry{Col: li, P: w / e.deg[lu]})
+			e.tRows[lu] = append(e.tRows[lu], thtEntry{col: li, p: w / e.deg[lu]})
 		}
 		e.markAllLevels(lu)
 		if e.dist[lu]+1 < e.dist[li] {
@@ -199,6 +189,11 @@ func (e *thtEngine) markAllLevels(i int32) {
 	}
 }
 
+func (e *thtEngine) outMass(i int32) float64 {
+	// A degree-0 node's walk goes nowhere: full mass "outside".
+	return e.outMassOf(i, 1)
+}
+
 // unvisitedFloor returns D+1: a sound hop-distance lower bound on every
 // unvisited node's distance from q. The scan walks the incremental boundary
 // list — O(|δS|), not O(|S|).
@@ -215,12 +210,9 @@ func (e *thtEngine) unvisitedFloor() int32 {
 	return minD + 1
 }
 
-// solveBounds updates the distance floor (re-dirtying the boundary when it
-// moved), then delegates the per-level queue drain to the kernel layer. The
-// serial kernel is the verbatim relocation of the drain that used to live
-// here; because the level-l equations read only the frozen l−1 layer, the
-// parallel kernel is bit-identical to it — values, queue orders, and sweep
-// counts — at any worker count.
+// solveBounds drains the per-level dirty queues in level order, recomputing
+// both bounds for each dirty row and propagating changes to the dependents
+// one level up.
 func (e *thtEngine) solveBounds() {
 	floor := e.unvisitedFloor()
 	if floor != e.lastFloor {
@@ -231,22 +223,55 @@ func (e *thtEngine) solveBounds() {
 			}
 		}
 	}
-	e.kst = kernel.THTState{
-		Rows:   e.tRows,
-		Ladj:   e.ladj,
-		LbL:    e.lbL,
-		UbL:    e.ubL,
-		InQ:    e.inQ,
-		Queue:  e.queue,
-		L:      e.L,
-		Floor:  floor,
-		Deg:    e.deg,
-		InW:    e.inW,
-		OutCnt: e.outCnt,
+	for l := 1; l <= e.L; l++ {
+		q := e.queue[l]
+		lbPrev, ubPrev := e.lbL[l-1], e.ubL[l-1]
+		lbCur, ubCur := e.lbL[l], e.ubL[l]
+		// Floor value for unvisited mass at this level: min(l−1, D+1).
+		fl := float64(l - 1)
+		if ff := float64(floor); ff < fl {
+			fl = ff
+		}
+		for len(q) > 0 {
+			i := q[len(q)-1]
+			q = q[:len(q)-1]
+			e.inQ[l][i] = false
+			e.sweeps++
+			var sLo, sHi float64
+			for _, en := range e.tRows[i] {
+				sLo += en.p * lbPrev[en.col]
+				sHi += en.p * ubPrev[en.col]
+			}
+			om := 0.0
+			if e.outCnt[i] > 0 || e.deg[i] == 0 {
+				om = e.outMass(i)
+			}
+			lo := 1 + sLo + om*fl
+			hi := 1 + sHi + om*float64(e.L)
+			if cap := float64(l); hi > cap {
+				hi = cap
+			}
+			if lo > hi {
+				lo = hi // both remain valid; keeps the interval well-formed
+			}
+			if lo == lbCur[i] && hi == ubCur[i] {
+				continue
+			}
+			lbCur[i] = lo
+			ubCur[i] = hi
+			if l < e.L {
+				nq := e.queue[l+1]
+				for _, j := range e.ladj[i] {
+					if !e.inQ[l+1][j] && j != 0 { // local index 0 is the query
+						e.inQ[l+1][j] = true
+						nq = append(nq, j)
+					}
+				}
+				e.queue[l+1] = nq
+			}
+		}
+		e.queue[l] = q[:0]
 	}
-	e.kern.SolveTHT(&e.kst)
-	e.kstats = e.kern.LastStats()
-	e.sweeps += e.kstats.Sweeps
 }
 
 // lb and ub expose the horizon-L bounds.
@@ -408,7 +433,7 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 // thtTopK is the FLoS main loop specialized to THT. ws supplies a reusable
 // engine (nil runs cold).
 func thtTopK(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*Result, error) {
-	e := ws.thtFor(g, q, opt.Params.L, opt.kernelConfig())
+	e := ws.thtFor(g, q, opt.Params.L)
 	// Warm-start seeding (see phpFamilyTopK): the L-level bound systems are
 	// valid for any S containing q, so pre-visiting seeds is safe.
 	for _, v := range opt.WarmStart {
@@ -589,13 +614,6 @@ func thtIterStats(e *thtEngine, t, batch, added int, certified bool, gap *certGa
 		ExpandNS:   expandNS,
 		SolveNS:    solveNS,
 		CertifyNS:  certifyNS,
-	}
-	if e.kstats.Kind != 0 || e.kstats.Sweeps > 0 {
-		s.Kernel = e.kstats.Kind.String()
-		s.KernelBlocks = e.kstats.Blocks
-		s.KernelRounds = e.kstats.Rounds
-		s.KernelWorkers = e.kstats.Workers
-		s.KernelF32Sweeps = e.kstats.F32Sweeps
 	}
 	if gap != nil && gap.valid {
 		s.GapValid = true

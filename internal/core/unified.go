@@ -81,7 +81,7 @@ func unifiedIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, 
 	if q < 0 || int(q) >= g.NumNodes() {
 		return nil, fmt.Errorf("%w: query node %d outside [0,%d)", ErrInvalidQuery, q, g.NumNodes())
 	}
-	e := ws.phpFor(g, q, opt.Params.C, opt.Params.Tau, opt.Params.MaxIter, opt.Tighten, opt.kernelConfig())
+	e := ws.phpFor(g, q, opt.Params.C, opt.Params.Tau, opt.Params.MaxIter, opt.Tighten)
 	e.capProbes = opt.CaptureFootprint
 	// Warm-start seeding, as in phpFamilyTopK.
 	for _, v := range opt.WarmStart {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"flos/internal/core/kernel"
 	"flos/internal/graph"
 )
 
@@ -217,29 +216,26 @@ func (ws *Workspace) Unified(ctx context.Context, g graph.Graph, q graph.NodeID,
 }
 
 // phpFor returns the workspace's PHP-family engine reset for a new query,
-// or a cold engine when ws is nil. kcfg selects the bound-solver kernel; the
-// engine's kernel scratch (per-block FIFOs, the float32 shadow store) is
-// retained across queries like every other engine slice, and reconfigured —
-// including dropping the shadow's live prefix — on every reset.
-func (ws *Workspace) phpFor(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool, kcfg kernel.Config) *phpEngine {
+// or a cold engine when ws is nil.
+func (ws *Workspace) phpFor(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool) *phpEngine {
 	if ws == nil {
-		return newPHPEngine(g, q, c, tau, maxIter, tighten, kcfg)
+		return newPHPEngine(g, q, c, tau, maxIter, tighten)
 	}
 	if ws.php == nil {
 		ws.php = new(phpEngine)
 	}
-	ws.php.reset(g, q, c, tau, maxIter, tighten, true, kcfg)
+	ws.php.reset(g, q, c, tau, maxIter, tighten, true)
 	return ws.php
 }
 
 // thtFor is phpFor for the finite-horizon engine.
-func (ws *Workspace) thtFor(g graph.Graph, q graph.NodeID, L int, kcfg kernel.Config) *thtEngine {
+func (ws *Workspace) thtFor(g graph.Graph, q graph.NodeID, L int) *thtEngine {
 	if ws == nil {
-		return newTHTEngine(g, q, L, kcfg)
+		return newTHTEngine(g, q, L)
 	}
 	if ws.tht == nil {
 		ws.tht = new(thtEngine)
 	}
-	ws.tht.reset(g, q, L, true, kcfg)
+	ws.tht.reset(g, q, L, true)
 	return ws.tht
 }

@@ -1,0 +1,108 @@
+package core
+
+// Workspace reuse across mode switches: one Workspace must serve
+// exact → ε → anytime queries back to back, with every warm answer equal to
+// the same query run cold. The hazards these tests pin:
+//
+//   - the generation-stamped dense index arrays must invalidate across
+//     switches (a stale stamp would leak visited-set membership between
+//     queries that stop at different points under different modes);
+//   - the warm-path allocation ceiling: solver state lives on the engine and
+//     is reused, so a warm query allocates only the Result it returns.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"flos/internal/gen"
+	"flos/internal/graph"
+	"flos/internal/measure"
+)
+
+// requireSameBits holds two results to full bit equality: ranking, score
+// bits, work counters and flags.
+func requireSameBits(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	wn, wb := rankedBits(want.TopK)
+	gn, gb := rankedBits(got.TopK)
+	if fmt.Sprint(wn) != fmt.Sprint(gn) || fmt.Sprint(wb) != fmt.Sprint(gb) {
+		t.Fatalf("%s: ranking/scores differ\nwant %v %v\ngot  %v %v", label, wn, wb, gn, gb)
+	}
+	if want.Visited != got.Visited || want.Iterations != got.Iterations || want.Sweeps != got.Sweeps {
+		t.Fatalf("%s: counters differ: want {v:%d it:%d sw:%d} got {v:%d it:%d sw:%d}",
+			label, want.Visited, want.Iterations, want.Sweeps, got.Visited, got.Iterations, got.Sweeps)
+	}
+	if want.Exact != got.Exact || want.Certification.Certified != got.Certification.Certified {
+		t.Fatalf("%s: flags differ: want exact=%v cert=%v, got exact=%v cert=%v",
+			label, want.Exact, want.Certification.Certified, got.Exact, got.Certification.Certified)
+	}
+}
+
+// TestWorkspaceKernelModeSwitch drives one Workspace through the mode grid
+// twice and requires every warm result to match the cold run of the same
+// options bit for bit.
+func TestWorkspaceKernelModeSwitch(t *testing.T) {
+	g := randomConnected(t, 400, 900, 11)
+	ws := NewWorkspace()
+	ctx := context.Background()
+	modes := []Mode{ModeExact, ModeEpsilon, ModeAnytime}
+
+	// Two passes over the grid: the second pass reuses state the first left
+	// behind in every mode.
+	for pass := 0; pass < 2; pass++ {
+		for mi, mode := range modes {
+			q := graph.NodeID((37*mi + 100*pass) % g.NumNodes())
+			opt := testOptions(measure.RWR, 8)
+			opt.Mode = mode
+			if mode == ModeEpsilon {
+				opt.Epsilon = 1e-4
+			}
+			label := fmt.Sprintf("pass=%d mode=%v q=%d", pass, mode, q)
+
+			warm, err := ws.TopK(ctx, g, q, opt)
+			if err != nil {
+				t.Fatalf("%s warm: %v", label, err)
+			}
+			cold, err := TopKCtx(ctx, g, q, opt)
+			if err != nil {
+				t.Fatalf("%s cold: %v", label, err)
+			}
+			requireSameBits(t, label, cold, warm)
+		}
+	}
+}
+
+// TestWorkspaceKernelAllocCeiling checks the warm allocation ceiling on a
+// bare Workspace (TestWarmPathAllocCeiling covers the Querier's pooled
+// path): once a few queries have grown the engine's slices, a warm query
+// must allocate only the Result it returns.
+func TestWorkspaceKernelAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime inflates allocation counts")
+	}
+	g, err := gen.Community(5000, 25000, gen.CommunityParamsForDensity(10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ctx := context.Background()
+	const q = graph.NodeID(2500)
+	opt := DefaultOptions(measure.PHP, 20)
+
+	for i := 0; i < 3; i++ {
+		if _, err := ws.TopK(ctx, g, q, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ws.TopK(ctx, g, q, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 64
+	if allocs > ceiling {
+		t.Fatalf("warm TopK allocates %.0f objects/op, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("warm TopK: %.1f allocs/op (ceiling %d)", allocs, ceiling)
+}

@@ -9,7 +9,10 @@
 // tested against.
 package measure
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind identifies a proximity measure.
 type Kind int
@@ -92,7 +95,8 @@ func DefaultParams() Params {
 	return Params{C: 0.5, L: 10, Tau: 1e-5, MaxIter: 10000}
 }
 
-// Validate rejects out-of-range parameters.
+// Validate rejects out-of-range and non-finite parameters. The float checks
+// are written so that NaN fails them (every comparison with NaN is false).
 func (p Params) Validate() error {
 	if !(p.C > 0 && p.C < 1) {
 		return fmt.Errorf("measure: C=%g outside (0,1)", p.C)
@@ -100,8 +104,8 @@ func (p Params) Validate() error {
 	if p.L <= 0 {
 		return fmt.Errorf("measure: L=%d must be positive", p.L)
 	}
-	if p.Tau <= 0 {
-		return fmt.Errorf("measure: Tau=%g must be positive", p.Tau)
+	if !(p.Tau > 0) || math.IsInf(p.Tau, 1) {
+		return fmt.Errorf("measure: Tau=%g must be positive and finite", p.Tau)
 	}
 	if p.MaxIter <= 0 {
 		return fmt.Errorf("measure: MaxIter=%d must be positive", p.MaxIter)

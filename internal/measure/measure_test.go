@@ -71,6 +71,10 @@ func TestParamsValidate(t *testing.T) {
 		{C: 0.5, L: 0, Tau: 1e-5, MaxIter: 100},
 		{C: 0.5, L: 10, Tau: 0, MaxIter: 100},
 		{C: 0.5, L: 10, Tau: 1e-5, MaxIter: 0},
+		{C: math.NaN(), L: 10, Tau: 1e-5, MaxIter: 100},
+		{C: math.Inf(1), L: 10, Tau: 1e-5, MaxIter: 100},
+		{C: 0.5, L: 10, Tau: math.NaN(), MaxIter: 100},
+		{C: 0.5, L: 10, Tau: math.Inf(1), MaxIter: 100},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -16,11 +16,7 @@ import (
 // the pool's epoch orphans every earlier entry (they age out by LRU). The
 // serving mode and ε budget are part of the key because they change what
 // the answer certifies; exactKey exposes the deliberate asymmetry that an
-// exact entry may serve ε/anytime requests (see Pool.prepare). The kernel
-// participates because the parallel and staged solvers follow different
-// relaxation orders than serial: all three certify the same top-k sets, but
-// scores can differ in low-order bits, and a cached answer must replay the
-// bits the request's kernel would produce.
+// exact entry may serve ε/anytime requests (see Pool.prepare).
 type cacheKey struct {
 	epoch      uint64
 	q          graph.NodeID
@@ -33,7 +29,6 @@ type cacheKey struct {
 	tieEps     float64
 	mode       core.Mode
 	epsilon    float64
-	kernel     core.KernelKind
 }
 
 func keyOf(epoch uint64, req Request) cacheKey {
@@ -49,7 +44,6 @@ func keyOf(epoch uint64, req Request) cacheKey {
 		tieEps:     req.Opt.TieEps,
 		mode:       req.Opt.Mode,
 		epsilon:    req.Opt.Epsilon,
-		kernel:     req.Opt.Kernel,
 	}
 }
 
@@ -84,7 +78,6 @@ func hashKey(k cacheKey) uint64 {
 	mix(math.Float64bits(k.tieEps))
 	mix(uint64(k.mode))
 	mix(math.Float64bits(k.epsilon))
-	mix(uint64(k.kernel))
 	return h
 }
 

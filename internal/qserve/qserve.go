@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"flos/internal/core"
-	"flos/internal/core/kernel"
 	"flos/internal/graph"
 	"flos/internal/livegraph"
 	"flos/internal/measure"
@@ -170,17 +169,6 @@ type Pool struct {
 	// workers hold it for the duration of each search.
 	serialMu *sync.Mutex
 
-	// tokens coordinates intra-query solver parallelism with inter-query
-	// worker parallelism. The budget is GOMAXPROCS CPU slots shared by the
-	// whole pool: a worker holds one slot while executing a query, and a
-	// query's parallel bound-solver kernel may claim the leftover slots for
-	// extra sweep goroutines. At full pool load the budget is drained, every
-	// kernel degrades to its single-goroutine schedule (results are
-	// identical by construction — tokens change wall clock, never values),
-	// and batch throughput is unaffected; on a lightly loaded pool a lone
-	// parallel query gets the idle cores.
-	tokens *kernel.TokenBudget
-
 	met metrics
 	rec *obs.FlightRecorder
 	slo *obs.SLOTracker
@@ -233,12 +221,11 @@ type outcome struct {
 func New(g graph.Graph, cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
-		cfg:    cfg,
-		jobs:   make(chan *job, cfg.QueueDepth),
-		done:   make(chan struct{}),
-		rec:    cfg.Recorder,
-		slo:    cfg.SLO,
-		tokens: kernel.NewTokenBudget(runtime.GOMAXPROCS(0)),
+		cfg:  cfg,
+		jobs: make(chan *job, cfg.QueueDepth),
+		done: make(chan struct{}),
+		rec:  cfg.Recorder,
+		slo:  cfg.SLO,
 	}
 	if cfg.CacheEntries > 0 {
 		p.cache = newResultCache(cfg.CacheEntries, cfg.CacheLens)
@@ -664,16 +651,6 @@ func (m multiTracer) ObserveIteration(it core.IterStats) {
 type phaseAccum struct {
 	iters                        int64
 	expandNS, solveNS, certifyNS int64
-
-	// Kernel attribution, aggregated the way each statistic is reported per
-	// solve call: rounds and float32 sweeps accumulate, blocks and workers
-	// are per-call peaks (the interesting value is the widest sweep, not a
-	// sum of per-iteration partition counts).
-	kernel        string
-	kernelRounds  int64
-	kernelF32     int64
-	kernelBlocks  int64
-	kernelWorkers int64
 }
 
 func (a *phaseAccum) ObserveIteration(it core.IterStats) {
@@ -681,13 +658,6 @@ func (a *phaseAccum) ObserveIteration(it core.IterStats) {
 	a.expandNS += it.ExpandNS
 	a.solveNS += it.SolveNS
 	a.certifyNS += it.CertifyNS
-	if it.Kernel != "" {
-		a.kernel = it.Kernel
-		a.kernelRounds += int64(it.KernelRounds)
-		a.kernelF32 += int64(it.KernelF32Sweeps)
-		a.kernelBlocks = max(a.kernelBlocks, int64(it.KernelBlocks))
-		a.kernelWorkers = max(a.kernelWorkers, int64(it.KernelWorkers))
-	}
 }
 
 // faultObserved is the structural capability of graph views that can report
@@ -707,14 +677,6 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 	}
 	start := time.Now()
 	opt := j.req.Opt
-	// Claim this worker's own CPU slot for the duration of the query and
-	// hand the shared budget to the solver kernel. The claim may come back
-	// empty when the pool runs more workers than GOMAXPROCS — the query
-	// still runs (a worker never needs a token for itself), it just adds no
-	// capacity for anyone's extra sweep goroutines.
-	held := p.tokens.TryAcquire(1)
-	defer p.tokens.Release(held)
-	opt = core.WithKernelTokens(opt, p.tokens)
 	// Compose the iteration tracers after the cache decision (Do keys bypass
 	// off the user-set tracer, not these) so caching semantics are unchanged
 	// when recording or span tracing is on.
@@ -839,13 +801,6 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 			trace.Int("sweeps", int64(sweeps)))
 		if err != nil && status == "failed" {
 			exec.SetError(err.Error())
-		}
-		if accum != nil && accum.kernel != "" {
-			exec.SetAttrs(trace.Str("kernel", accum.kernel),
-				trace.Int("kernel_rounds", accum.kernelRounds),
-				trace.Int("kernel_f32_sweeps", accum.kernelF32),
-				trace.Int("kernel_blocks", accum.kernelBlocks),
-				trace.Int("kernel_workers", accum.kernelWorkers))
 		}
 		if accum != nil && accum.iters > 0 {
 			t0 := start

@@ -113,6 +113,7 @@ func TestTopKBatchBadRequests(t *testing.T) {
 		{"bad measure", `{"queries":[1],"measure":"nope"}`},
 		{"bad k", `{"queries":[1],"k":-2}`},
 		{"bad params", `{"queries":[1],"measure":"rwr","c":1.5}`},
+		{"non-finite tau", `{"queries":[1],"tau":1e999}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,10 +11,8 @@
 //	                        cache/page-cache counters, runtime gauges);
 //	                        ?format=json returns the JSON snapshot
 //	GET /v1/topk            versioned query API: the legacy parameters plus
-//	                        mode=exact|epsilon|anytime, epsilon=<gap budget>,
-//	                        deadline=<Go duration>, and
-//	                        kernel=auto|serial|parallel|staged (bound-solver
-//	                        selection); the response envelope
+//	                        mode=exact|epsilon|anytime, epsilon=<gap budget>
+//	                        and deadline=<Go duration>; the response envelope
 //	                        carries api_version, the results, and the
 //	                        certification block (mode, certified, achieved
 //	                        gap, per-node score intervals). In anytime mode

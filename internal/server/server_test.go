@@ -139,6 +139,12 @@ func TestBadRequests(t *testing.T) {
 		"/unified?q=1&c=2",
 		"/unified?q=1&tau=0",
 		"/unified?q=999999",
+		// Non-finite values parse as floats but must not reach the engine.
+		"/topk?q=1&tau=NaN",
+		"/topk?q=1&tau=Inf",
+		"/topk?q=1&c=NaN",
+		"/unified?q=1&tau=NaN",
+		"/unified?q=1&tau=Inf",
 	}
 	for _, c := range cases {
 		var e errorBody

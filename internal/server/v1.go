@@ -55,13 +55,11 @@ func (s *Server) deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// servingMode is the parsed mode/epsilon/deadline/kernel tuple of a /v1
-// request.
+// servingMode is the parsed mode/epsilon/deadline tuple of a /v1 request.
 type servingMode struct {
 	mode     core.Mode
 	epsilon  float64
 	deadline time.Duration
-	kernel   core.KernelKind
 }
 
 // parseServingMode validates the /v1 serving-mode parameters. The deadline
@@ -75,9 +73,6 @@ func (s *Server) parseServingMode(get func(string) string) (servingMode, error) 
 		return sm, err
 	}
 	sm.mode = mode
-	if sm.kernel, err = core.ParseKernel(get("kernel")); err != nil {
-		return sm, err
-	}
 	if v := get("epsilon"); v != "" {
 		if sm.epsilon, err = strconv.ParseFloat(v, 64); err != nil {
 			return sm, fmt.Errorf("bad epsilon: %v", err)
@@ -154,7 +149,7 @@ func (s *Server) handleV1TopK(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := core.Options{
 		K: k, Measure: kind, Params: p, Tighten: tighten, TieEps: 1e-9,
-		Mode: sm.mode, Epsilon: sm.epsilon, Kernel: sm.kernel,
+		Mode: sm.mode, Epsilon: sm.epsilon,
 	}
 	if err := opt.Validate(); err != nil {
 		badRequest(w, "%v", err)
@@ -232,7 +227,7 @@ func (s *Server) handleV1Unified(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := core.Options{
 		K: k, Measure: measure.PHP, Params: p, Tighten: tighten, TieEps: 1e-9,
-		Mode: sm.mode, Epsilon: sm.epsilon, Kernel: sm.kernel,
+		Mode: sm.mode, Epsilon: sm.epsilon,
 	}
 	if err := opt.Validate(); err != nil {
 		badRequest(w, "%v", err)
@@ -287,7 +282,6 @@ type v1BatchRequestBody struct {
 	Mode     string         `json:"mode,omitempty"`
 	Epsilon  float64        `json:"epsilon,omitempty"`
 	Deadline string         `json:"deadline,omitempty"`
-	Kernel   string         `json:"kernel,omitempty"`
 	C        *float64       `json:"c,omitempty"`
 	L        *int           `json:"L,omitempty"`
 	Tau      *float64       `json:"tau,omitempty"`
@@ -361,8 +355,6 @@ func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
 			return strconv.FormatFloat(req.Epsilon, 'g', -1, 64)
 		case "deadline":
 			return req.Deadline
-		case "kernel":
-			return req.Kernel
 		}
 		return ""
 	})
@@ -386,7 +378,7 @@ func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := core.Options{
 		K: k, Measure: kind, Params: p, Tighten: tighten, TieEps: 1e-9,
-		Mode: sm.mode, Epsilon: sm.epsilon, Kernel: sm.kernel,
+		Mode: sm.mode, Epsilon: sm.epsilon,
 	}
 	if err := opt.Validate(); err != nil {
 		badRequest(w, "%v", err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -52,33 +51,23 @@ func TestV1TopKEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1TopKKernel checks the bound-solver kernel parameter: every kernel
-// answers 200 with a certified exact result, and the top-k node set is the
-// same across kernels (scores may differ in low-order bits; the set and the
-// flags may not).
+// TestV1TopKKernel checks that the retired kernel= parameter is ignored
+// like any other unknown parameter: ?kernel=parallel answers with the same
+// body as no parameter, and the two requests share one result-cache entry.
 func TestV1TopKKernel(t *testing.T) {
-	ts := newTestServer(t, false)
-	nodeSets := make(map[string][]int64)
-	for _, kk := range []string{"", "auto", "serial", "parallel", "staged"} {
-		var body v1TopKBody
-		url := ts.URL + "/v1/topk?q=100&k=5&measure=php&kernel=" + kk
-		if code := getJSON(t, url, &body); code != 200 {
-			t.Fatalf("kernel=%q: code %d", kk, code)
-		}
-		if !body.Exact || !body.Certification.Certified {
-			t.Fatalf("kernel=%q: not certified exact: %+v", kk, body.Certification)
-		}
-		var nodes []int64
-		for _, r := range body.Results {
-			nodes = append(nodes, int64(r.Node))
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		nodeSets[kk] = nodes
+	ts, _ := newTestServerCfg(t, Config{CacheEntries: 64})
+	var plain, withKernel v1TopKBody
+	url := ts.URL + "/v1/topk?q=100&k=5&measure=php"
+	if code := getJSON(t, url, &plain); code != 200 || plain.Cached {
+		t.Fatalf("plain: code %d cached %v", code, plain.Cached)
 	}
-	for kk, nodes := range nodeSets {
-		if fmt.Sprint(nodes) != fmt.Sprint(nodeSets["serial"]) {
-			t.Fatalf("kernel=%q returned node set %v, serial returned %v", kk, nodes, nodeSets["serial"])
-		}
+	if code := getJSON(t, url+"&kernel=parallel", &withKernel); code != 200 || !withKernel.Cached {
+		t.Fatalf("kernel=parallel: code %d cached %v, want a hit on the plain request's entry", code, withKernel.Cached)
+	}
+	// Only the per-request fields may differ.
+	withKernel.Cached, withKernel.ElapsedUS, withKernel.TraceID = plain.Cached, plain.ElapsedUS, plain.TraceID
+	if got, want := fmt.Sprintf("%+v", withKernel), fmt.Sprintf("%+v", plain); got != want {
+		t.Fatalf("kernel=parallel body differs from the plain body:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -210,11 +199,18 @@ func TestV1BadRequests(t *testing.T) {
 		"/v1/topk?q=1&epsilon=1e-3",               // epsilon without ModeEpsilon
 		"/v1/topk?q=1&mode=anytime&deadline=-1s",  // non-positive deadline
 		"/v1/topk?q=1&mode=anytime&deadline=soon", // unparsable deadline
-		"/v1/topk?q=1&kernel=bogus",               // unknown bound-solver kernel
 		"/v1/unified?q=1&mode=epsilon&epsilon=2",  // same checks on /v1/unified
-		"/v1/unified?q=1&kernel=bogus",
-		"/v1/topk?q=999999", // legacy validation still applies
+		"/v1/topk?q=999999",                       // legacy validation still applies
 		"/v1/topk?q=1&k=0",
+		// Non-finite values parse as floats but must not reach the engine
+		// (an echoed NaN also breaks the JSON envelope after the 200 header).
+		"/v1/topk?q=1&mode=epsilon&epsilon=NaN",
+		"/v1/topk?q=1&mode=epsilon&epsilon=Inf",
+		"/v1/topk?q=1&tau=NaN",
+		"/v1/topk?q=1&tau=Inf",
+		"/v1/topk?q=1&c=NaN",
+		"/v1/unified?q=1&mode=epsilon&epsilon=NaN",
+		"/v1/unified?q=1&tau=NaN",
 	}
 	for _, c := range cases {
 		var e errorBody
