@@ -4,8 +4,9 @@ package flos
 //
 //   - self-loop bound tightening (§5.3): on vs off;
 //   - solver tolerance τ: the α-vs-β tradeoff in the paper's O(α·h²·β²);
-//   - no-precompute queries on a mutating graph: FLoS on a DynamicGraph vs
-//     K-dash, which must re-factor after any edge change (§1's motivation);
+//   - no-precompute queries on a mutating graph: FLoS on a LiveGraph
+//     snapshot vs K-dash, which must re-factor after any edge change (§1's
+//     motivation);
 //   - query throughput: concurrent FLoS queries against one shared graph.
 
 import (
@@ -80,9 +81,9 @@ func BenchmarkAblationTau(b *testing.B) {
 }
 
 // BenchmarkDynamicUpdates is the §1 motivation experiment: after every edge
-// change, answer one exact RWR query. FLoS reads the mutated topology
-// directly; K-dash must redo its factorization first. One op = one
-// mutation + one exact query.
+// change, answer one exact RWR query on the snapshot the batch published.
+// FLoS reads it directly; K-dash must redo its factorization first. One op =
+// one mutation + one exact query.
 func BenchmarkDynamicUpdates(b *testing.B) {
 	base, err := GenerateCommunity(3000, 8100, 7)
 	if err != nil {
@@ -92,19 +93,19 @@ func BenchmarkDynamicUpdates(b *testing.B) {
 	c := DefaultParams().C
 
 	b.Run("FLoS_RWR", func(b *testing.B) {
-		d := graph.NewDynamicGraph(base)
+		lg := NewLiveGraph(base)
 		for i := 0; i < b.N; i++ {
-			mutate(b, d, i)
-			if _, err := TopK(d, queries[i%len(queries)], DefaultOptions(RWR, 10)); err != nil {
+			snap := mutate(b, lg, i)
+			if _, err := TopK(snap, queries[i%len(queries)], DefaultOptions(RWR, 10)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("K-dash", func(b *testing.B) {
-		d := graph.NewDynamicGraph(base)
+		lg := NewLiveGraph(base)
 		for i := 0; i < b.N; i++ {
-			mutate(b, d, i)
-			kd, err := baseline.PrecomputeKDash(d, c, 0) // invalidated by the mutation
+			snap := mutate(b, lg, i)
+			kd, err := baseline.PrecomputeKDash(snap, c, 0) // invalidated by the mutation
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -115,24 +116,27 @@ func BenchmarkDynamicUpdates(b *testing.B) {
 	})
 }
 
-// mutate toggles a pseudo-random edge.
-func mutate(b *testing.B, d *graph.DynamicGraph, i int) {
+// mutate toggles a pseudo-random edge and returns the published snapshot.
+func mutate(b *testing.B, lg *LiveGraph, i int) *GraphSnapshot {
 	b.Helper()
-	n := NodeID(d.NumNodes())
+	n := NodeID(lg.NumNodes())
 	u := NodeID((i*7919 + 13) % int(n))
 	v := NodeID((i*104729 + 512) % int(n))
 	if u == v {
 		v = (v + 1) % n
 	}
-	if d.HasEdge(u, v) {
-		if err := d.RemoveEdge(u, v); err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		if err := d.AddEdge(u, v, 1); err != nil {
-			b.Fatal(err)
+	op := EdgeOp{Op: OpAdd, U: u, V: v, W: 1}
+	nbrs, _ := lg.Neighbors(u)
+	for _, x := range nbrs {
+		if x == v {
+			op.Op = OpRemove
 		}
 	}
+	snap, _, err := lg.Apply([]EdgeOp{op})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snap
 }
 
 // BenchmarkRelabelDiskLocality quantifies graph.RelabelBFS: the same FLoS

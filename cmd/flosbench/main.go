@@ -15,7 +15,6 @@
 //	flosbench -serving          # concurrent disk-resident serving throughput
 //	flosbench -recorder         # flight-recorder on/off latency overhead
 //	flosbench -trace-overhead   # span-tracing on/off latency overhead
-//	flosbench -live             # live-graph serving: surgical vs full-flush invalidation
 //	flosbench -modes            # serving modes: exact vs ε-certified paired RWR queries
 //	flosbench -cachelens        # cache-analytics lens on/off latency overhead
 //
@@ -41,10 +40,9 @@ func main() {
 		batch      = flag.Bool("batch", false, "benchmark the session API: cold TopK vs warm Querier vs Batch (allocs/query)")
 		recorder   = flag.Bool("recorder", false, "benchmark query latency with the flight recorder + SLO tracking on vs off")
 		traceOver  = flag.Bool("trace-overhead", false, "benchmark query latency with span tracing on (head rate 1.0) vs off")
-		liveMode   = flag.Bool("live", false, "benchmark live-graph serving: surgical vs full-flush cache invalidation under mutations")
 		modes      = flag.Bool("modes", false, "benchmark serving modes: exact vs ε-certified paired RWR queries")
 		lensOver   = flag.Bool("cachelens", false, "benchmark query latency with the cache-analytics lens on vs off")
-		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, -live, -modes, or -cachelens: also write the machine-readable result (BENCH_5/7/6/8/10.json) to this file")
+		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, -modes, or -cachelens: also write the machine-readable result (BENCH_5/7/8/10.json) to this file")
 		profiles   = flag.Bool("profiles", false, "print stand-in structural fingerprints (clustering, diameter)")
 		scale      = flag.Float64("scale", 0, "SNAP stand-in scale (default 1/8; 1 = paper size)")
 		synthScale = flag.Float64("synthscale", 0, "Table 6 synthetic scale (default 1/16)")
@@ -123,12 +121,6 @@ func main() {
 	}
 	if *traceOver {
 		if err := traceOverheadBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *liveMode {
-		if err := liveBench(out, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return

@@ -6,11 +6,11 @@
 //	flosd -store big.flos -pagecache 256 -addr :8080
 //	flosd -bin graph.bin -workers 16 -queue 128 -cache 4096 -timeout 2s
 //	flosd -bin graph.bin -log-level debug -pprof :6060
-//	flosd -bin graph.bin -live               # accept POST /graph/edges
+//	flosd -bin graph.bin -live               # accept POST /v1/graph/edges
 //
-//	curl 'localhost:8080/topk?q=42&k=10&measure=rwr'
-//	curl 'localhost:8080/topk?q=42&k=10&measure=rwr&trace=1'
-//	curl 'localhost:8080/unified?q=42&k=10'
+//	curl 'localhost:8080/v1/topk?q=42&k=10&measure=rwr'
+//	curl 'localhost:8080/v1/topk?q=42&k=10&measure=rwr&trace=1'
+//	curl 'localhost:8080/v1/unified?q=42&k=10'
 //	curl 'localhost:8080/stats'
 //	curl 'localhost:8080/metrics'              # Prometheus text
 //	curl 'localhost:8080/metrics?format=json'
@@ -21,7 +21,7 @@
 // stores are served concurrently through the lock-striped page cache.
 //
 // -live wraps an in-memory graph (-graph or -bin) in a live-graph snapshot
-// chain: POST /graph/edges applies atomic mutation batches while queries
+// chain: POST /v1/graph/edges applies atomic mutation batches while queries
 // keep running against their pinned snapshots, and the result cache is
 // invalidated surgically (see internal/livegraph).
 //
@@ -82,14 +82,14 @@ func main() {
 		pageCache = flag.Int64("pagecache", 256, "page-cache budget for -store, MiB")
 		addr      = flag.String("addr", ":8080", "listen address")
 		maxK      = flag.Int("maxk", 1000, "largest accepted k")
-		maxBatch  = flag.Int("maxbatch", 0, "largest accepted /topk/batch query count (0 = 256)")
+		maxBatch  = flag.Int("maxbatch", 0, "largest accepted /v1/topk/batch query count and /v1/graph/edges op count (0 = 256)")
 		workers   = flag.Int("workers", 0, "query worker count (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "admission queue depth; excess requests get 429 (0 = 4x workers)")
 		cache     = flag.Int("cache", 0, "result-cache entries (0 = 1024, negative disables)")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline, e.g. 500ms or 2s (0 = none)")
 		maxEps    = flag.Float64("max-epsilon", 0, "largest accepted /v1 epsilon budget (0 = 1.0, negative disables epsilon mode)")
 		maxDL     = flag.Duration("max-deadline", 0, "cap on client-requested /v1 deadlines; longer ones are clamped (0 = 30s)")
-		live      = flag.Bool("live", false, "serve a mutable live graph: accept POST /graph/edges (requires -graph or -bin)")
+		live      = flag.Bool("live", false, "serve a mutable live graph: accept POST /v1/graph/edges (requires -graph or -bin)")
 		logLevel  = flag.String("log-level", "info", "log level: debug | info | warn | error")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")
 

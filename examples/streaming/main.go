@@ -5,7 +5,7 @@
 // the graph changes". This example drives that point end to end through the
 // serving stack: it boots the flosd server in-process on a live graph, then
 // plays both roles over real HTTP — a writer POSTing batches of edge
-// mutations to /graph/edges while a reader keeps asking /topk for exact
+// mutations to /v1/graph/edges while a reader keeps asking /v1/topk for exact
 // answers. Every mutation batch publishes a new copy-on-write snapshot;
 // queries pin whichever snapshot was current at admission, so writers never
 // stall reads, and the result cache is invalidated surgically — an entry
@@ -89,14 +89,14 @@ func main() {
 
 	postOps := func(ops []edgeOp) mutateResp {
 		body, _ := json.Marshal(map[string]any{"ops": ops})
-		resp, err := http.Post(url+"/graph/edges", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/v1/graph/edges", "application/json", bytes.NewReader(body))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer resp.Body.Close()
 		var out mutateResp
 		if resp.StatusCode != http.StatusOK {
-			log.Fatalf("POST /graph/edges: %s", resp.Status)
+			log.Fatalf("POST /v1/graph/edges: %s", resp.Status)
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			log.Fatal(err)
@@ -104,14 +104,14 @@ func main() {
 		return out
 	}
 	topk := func(q flos.NodeID) topkResp {
-		resp, err := http.Get(fmt.Sprintf("%s/topk?q=%d&k=8&measure=php", url, q))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/topk?q=%d&k=8&measure=php", url, q))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer resp.Body.Close()
 		var out topkResp
 		if resp.StatusCode != http.StatusOK {
-			log.Fatalf("GET /topk: %s", resp.Status)
+			log.Fatalf("GET /v1/topk: %s", resp.Status)
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			log.Fatal(err)

@@ -176,8 +176,8 @@ func (g *MemGraph) buildTopDegrees() {
 // (degree descending, node ascending), truncated to the standard cache
 // length. Sharing one implementation is what keeps TopDegrees — and with it
 // the RWR w(S̄) guard and every downstream query result — byte-identical
-// across MemGraph, DynamicGraph, and live-graph snapshots built over the
-// same degree vector.
+// across MemGraph and live-graph snapshots built over the same degree
+// vector.
 func TopDegreeIndex(degrees []float64) []DegreeEntry {
 	n := len(degrees)
 	k := topDegreeCache

@@ -12,8 +12,8 @@ import (
 )
 
 // cacheKey identifies one answer. Every option that can change the result
-// participates; the epoch ties the entry to a topology snapshot, so bumping
-// the pool's epoch orphans every earlier entry (they age out by LRU). The
+// participates; the epoch ties the entry to a topology snapshot (Mutate
+// re-keys the entries a batch provably cannot change, see invalidate). The
 // serving mode and ε budget are part of the key because they change what
 // the answer certifies; exactKey exposes the deliberate asymmetry that an
 // exact entry may serve ε/anytime requests (see Pool.prepare).
@@ -247,14 +247,6 @@ func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.Node
 	return surgical, retained
 }
 
-// clear drops every entry (the deprecated full-flush path).
-func (c *resultCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.m)
-}
-
 func (c *resultCache) counters() (hits, misses, evictions int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -330,11 +322,4 @@ func (s *staleStore) take(k cacheKey) ([]graph.NodeID, bool) {
 		}
 	}
 	return v, true
-}
-
-func (s *staleStore) clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.order = s.order[:0]
-	clear(s.m)
 }

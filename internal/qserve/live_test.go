@@ -502,34 +502,6 @@ func weightOf(t *testing.T, g graph.Graph, u, v graph.NodeID) float64 {
 	return 0
 }
 
-// TestBumpEpochLiveFullFlush checks the deprecated path on a live pool: the
-// whole cache (and the stale store) drops, counted as a full invalidation.
-func TestBumpEpochLiveFullFlush(t *testing.T) {
-	lg := livegraph.New(liveTestGraph(t, 400, 1200, 4))
-	pool := New(lg, Config{Workers: 1, CacheEntries: 64})
-	defer pool.Close()
-	ctx := context.Background()
-	req := Request{Query: 1, Opt: core.DefaultOptions(measure.PHP, 5)}
-	if _, err := pool.Do(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	pool.BumpEpoch()
-	m := pool.Metrics()
-	if m.InvalidationsFull != 1 {
-		t.Fatalf("InvalidationsFull = %d, want 1", m.InvalidationsFull)
-	}
-	if m.CacheEntries != 0 {
-		t.Fatalf("cache holds %d entries after full flush", m.CacheEntries)
-	}
-	resp, err := pool.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.CacheHit {
-		t.Fatal("hit after full flush")
-	}
-}
-
 // TestLiveResponseEpoch checks that responses carry the pinned snapshot's
 // epoch and that it matches the pool's published epoch in a quiescent pool.
 func TestLiveResponseEpoch(t *testing.T) {

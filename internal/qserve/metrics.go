@@ -65,12 +65,11 @@ type metrics struct {
 	visited    atomic.Int64
 	sweeps     atomic.Int64
 
-	// Invalidation split. invalFull counts whole-cache flushes (BumpEpoch);
-	// invalSurgical counts entries individually evicted because a mutation
-	// batch touched their read footprint; retained counts entries a batch
-	// carried forward untouched; recertHits counts stale entries re-certified
-	// by a warm-started search instead of a cold recompute.
-	invalFull     atomic.Int64
+	// Invalidation split. invalSurgical counts entries individually evicted
+	// because a mutation batch touched their read footprint; retained counts
+	// entries a batch carried forward untouched; recertHits counts stale
+	// entries re-certified by a warm-started search instead of a cold
+	// recompute.
 	invalSurgical atomic.Int64
 	retained      atomic.Int64
 	recertHits    atomic.Int64
@@ -122,7 +121,6 @@ func (m *metrics) snapshot() Metrics {
 		IterationsTotal:       m.iterations.Load(),
 		VisitedTotal:          m.visited.Load(),
 		SweepsTotal:           m.sweeps.Load(),
-		InvalidationsFull:     m.invalFull.Load(),
 		InvalidationsSurgical: m.invalSurgical.Load(),
 		CacheRetained:         m.retained.Load(),
 		RecertifyHits:         m.recertHits.Load(),
@@ -198,14 +196,13 @@ type Metrics struct {
 	// Epoch is the current invalidation epoch. On a live pool it mirrors the
 	// current snapshot's epoch.
 	Epoch uint64
-	// Invalidation split. InvalidationsFull counts whole-cache flushes
-	// (BumpEpoch, the deprecated path); InvalidationsSurgical counts entries
-	// individually invalidated because a mutation batch intersected their
-	// read footprint; CacheRetained counts entries carried forward across a
-	// batch untouched; RecertifyHits counts stale entries answered by a
-	// warm-started re-certification instead of a cold recompute.
-	InvalidationsFull, InvalidationsSurgical int64
-	CacheRetained, RecertifyHits             int64
+	// Invalidation split. InvalidationsSurgical counts entries individually
+	// invalidated because a mutation batch intersected their read footprint;
+	// CacheRetained counts entries carried forward across a batch untouched;
+	// RecertifyHits counts stale entries answered by a warm-started
+	// re-certification instead of a cold recompute.
+	InvalidationsSurgical        int64
+	CacheRetained, RecertifyHits int64
 	// LastBatchSurgical / LastBatchRetained are gauges describing only the
 	// most recent mutation batch: entries it evicted surgically and entries
 	// it carried forward (the per-epoch survivor count).

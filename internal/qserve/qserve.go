@@ -7,9 +7,10 @@
 // the queue is full, so callers can answer 429 instead of stacking up
 // goroutines), every query runs under a context with an optional pool-wide
 // deadline, and completed answers populate an LRU result cache keyed by
-// (graph epoch, query node, measure, params, k). The cache is invalidated
-// wholesale by bumping the epoch — the contract dynamic graphs
-// (internal/graph.DynamicGraph) follow after mutating edges.
+// (graph epoch, query node, measure, params, k). On a live graph
+// (internal/livegraph) Mutate publishes an edge batch as a new epoch and
+// invalidates the cache surgically: only entries whose read footprint the
+// batch touched are evicted.
 //
 // Concurrency over the graph backend rides on the graph.Viewer capability:
 // backends that can mint independent read views (the immutable MemGraph
@@ -275,31 +276,6 @@ func (p *Pool) Close() {
 
 // Epoch returns the current graph epoch the result cache is keyed by.
 func (p *Pool) Epoch() uint64 { return p.epoch.Load() }
-
-// BumpEpoch invalidates every cached result at once.
-//
-// Deprecated: on live pools this full flush is superseded by Mutate, which
-// publishes the topology change AND invalidates surgically — only entries
-// whose read footprint the batch touched are evicted. BumpEpoch remains the
-// contract for external mutation of non-live backends (DynamicGraph): call
-// it after AddEdge/RemoveEdge so queries admitted afterwards read fresh
-// topology and repopulate the cache under the new epoch. Either way the call
-// counts toward Metrics.InvalidationsFull.
-func (p *Pool) BumpEpoch() {
-	p.met.invalFull.Add(1)
-	if p.live != nil {
-		// Epochs are owned by the snapshot chain on live pools; just drop
-		// every entry and every parked warm-start seed.
-		if p.cache != nil {
-			p.cache.clear()
-		}
-		if p.stale != nil {
-			p.stale.clear()
-		}
-		return
-	}
-	p.epoch.Add(1)
-}
 
 // Mutate applies a batch of edge mutations to the live graph, publishing one
 // new snapshot, and surgically invalidates the result cache: an entry is

@@ -13,6 +13,7 @@ import (
 	"flos/internal/diskgraph"
 	"flos/internal/gen"
 	"flos/internal/graph"
+	"flos/internal/livegraph"
 	"flos/internal/measure"
 )
 
@@ -142,14 +143,14 @@ func TestCancellationPrompt(t *testing.T) {
 }
 
 // TestResultCacheEpochInvalidation checks the cache contract: identical
-// requests hit, answers are identical to the cold run, and BumpEpoch
-// invalidates everything at once.
+// requests hit, answers are identical to the cold run, and a mutation
+// batch touching the query node leaves no hit across the epoch.
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	g, err := gen.Community(2000, 5400, gen.DefaultCommunityParams(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := New(g, Config{Workers: 2, CacheEntries: 16})
+	pool := New(livegraph.New(g), Config{Workers: 2, CacheEntries: 16})
 	defer pool.Close()
 	req := Request{Query: 100, Opt: core.DefaultOptions(measure.RWR, 5)}
 
@@ -178,17 +179,19 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("k=7 variant: err=%v hit=%v, want cold miss", err, resp.CacheHit)
 	}
 
-	pool.BumpEpoch()
+	if _, err := pool.Mutate([]livegraph.EdgeOp{{Op: livegraph.OpSet, U: req.Query, V: 1500, W: 2}}); err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := pool.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.CacheHit {
-		t.Fatal("cache hit across an epoch bump")
+		t.Fatal("cache hit across a mutation of the query node")
 	}
 	m := pool.Metrics()
-	if m.CacheHits != 1 || m.Epoch != 1 {
-		t.Errorf("metrics = %+v, want 1 hit at epoch 1", m)
+	if m.CacheHits != 1 || m.Epoch != 2 {
+		t.Errorf("metrics = %+v, want 1 hit at epoch 2", m)
 	}
 
 	// Unified requests cache under their own key.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -36,14 +35,7 @@ func newDiskLensServer(t *testing.T) (*httptest.Server, *Server, *diskgraph.Stor
 	store.AttachLens(cachelens.Config{SampleRate: 1, Seed: 3})
 
 	rl := cachelens.New(cachelens.Config{Capacity: 8, SampleRate: 1, Seed: 5})
-	srv := New(store, Config{
-		CacheEntries: 8,
-		CacheLens:    rl,
-		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts, srv := serveGraph(t, store, Config{CacheEntries: 8, CacheLens: rl})
 	return ts, srv, store
 }
 
@@ -54,7 +46,7 @@ func newDiskLensServer(t *testing.T) (*httptest.Server, *Server, *diskgraph.Stor
 func TestCacheLensEndpoint(t *testing.T) {
 	ts, _, _ := newDiskLensServer(t)
 	for q := 0; q < 24; q++ {
-		if code := getJSON(t, ts.URL+"/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
+		if code := getJSON(t, ts.URL+"/v1/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("query %d: code %d", q, code)
 		}
 	}
@@ -113,7 +105,7 @@ func TestCacheLensEndpoint(t *testing.T) {
 // TestCacheLensDisabled404 pins the debug-endpoint discipline: with no lens
 // attached anywhere the endpoint answers a structured 404, not an empty 200.
 func TestCacheLensDisabled404(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	var e errorBody
 	if code := getJSON(t, ts.URL+"/debug/flos/cache", &e); code != 404 || e.Error == "" {
 		t.Fatalf("code %d, err %q; want structured 404", code, e.Error)
@@ -127,7 +119,7 @@ func TestCacheLensDisabled404(t *testing.T) {
 func TestCacheLensMetrics(t *testing.T) {
 	ts, _, store := newDiskLensServer(t)
 	for q := 0; q < 24; q++ {
-		if code := getJSON(t, ts.URL+"/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
+		if code := getJSON(t, ts.URL+"/v1/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("query %d: code %d", q, code)
 		}
 	}

@@ -24,7 +24,7 @@ func diagConfig(slowLatency time.Duration) Config {
 // TestDebugEndpointsDisabled: without a recorder/SLO tracker, the debug
 // endpoints answer 404 rather than panicking or serving empty data.
 func TestDebugEndpointsDisabled(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	for _, ep := range []string{"/debug/flos/slow", "/debug/flos/flightrec", "/debug/flos/slo"} {
 		var body map[string]any
 		if code := getJSON(t, ts.URL+ep, &body); code != http.StatusNotFound {
@@ -42,7 +42,7 @@ func TestSlowLogJoinsExemplar(t *testing.T) {
 	ts, _ := newTestServerCfg(t, diagConfig(time.Nanosecond)) // everything is slow
 	const reqID = "diag-join-1"
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/topk?q=100&k=5&measure=rwr", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/topk?q=100&k=5&measure=rwr", nil)
 	req.Header.Set("X-Request-ID", reqID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestSlowLogJoinsExemplar(t *testing.T) {
 func TestSLOEndpointAndGauges(t *testing.T) {
 	ts, _ := newTestServerCfg(t, diagConfig(-1))
 	for i := 0; i < 3; i++ {
-		if code := getJSON(t, ts.URL+"/topk?q=10&k=5", nil); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/v1/topk?q=10&k=5", nil); code != http.StatusOK {
 			t.Fatalf("topk = %d", code)
 		}
 	}
@@ -157,7 +157,7 @@ func TestSLOEndpointAndGauges(t *testing.T) {
 // depends on.
 func TestFlightDumpRoundTrips(t *testing.T) {
 	ts, _ := newTestServerCfg(t, diagConfig(time.Nanosecond))
-	if code := getJSON(t, ts.URL+"/topk?q=42&k=5&measure=php", nil); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/topk?q=42&k=5&measure=php", nil); code != http.StatusOK {
 		t.Fatalf("topk = %d", code)
 	}
 	resp, err := http.Get(ts.URL + "/debug/flos/slow")

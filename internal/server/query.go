@@ -1,0 +1,518 @@
+package server
+
+// The /v1 query API — top-k, unified and batch queries behind one envelope
+// that carries the serving mode and the certification block of every answer
+// — and the edge-mutation route of a live graph.
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"flos/internal/core"
+	"flos/internal/graph"
+	"flos/internal/livegraph"
+	"flos/internal/measure"
+	"flos/internal/obs/trace"
+	"flos/internal/qserve"
+)
+
+// rankedBody is one result entry.
+type rankedBody struct {
+	Node  graph.NodeID `json:"node"`
+	Score float64      `json:"score"`
+}
+
+// queryParams is the option set shared by the three query routes, in wire
+// form: the batch route decodes it from its JSON body, the GET routes fill
+// it from the URL. Nil pointers and empty strings mean "omitted"; the routes
+// default an omitted K to 10 themselves (a URL k=0 is an error, a JSON one
+// is "omitted").
+type queryParams struct {
+	K        int      `json:"k"`
+	Measure  string   `json:"measure"`
+	Mode     string   `json:"mode,omitempty"`
+	Epsilon  *float64 `json:"epsilon,omitempty"`
+	Deadline string   `json:"deadline,omitempty"`
+	C        *float64 `json:"c,omitempty"`
+	L        *int     `json:"L,omitempty"`
+	Tau      *float64 `json:"tau,omitempty"`
+	Tighten  *bool    `json:"tighten,omitempty"`
+}
+
+// floatParam parses the optional float URL parameter name, nil when omitted.
+func floatParam(get func(string) string, name string) (*float64, error) {
+	v := get(name)
+	if v == "" {
+		return nil, nil
+	}
+	x, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad %s: %v", name, err)
+	}
+	return &x, nil
+}
+
+// parseQuery reads the URL parameters of a GET query route — q, k, measure,
+// c, L, tau, tighten, trace, mode, epsilon, deadline — so /v1/topk and
+// /v1/unified reject malformed input the same way with a structured 400.
+func (s *Server) parseQuery(r *http.Request) (q graph.NodeID, p queryParams, wantTrace bool, err error) {
+	get := r.URL.Query().Get
+	qi, err := strconv.Atoi(get("q"))
+	if err != nil {
+		return 0, p, false, fmt.Errorf("missing or bad q: %v", err)
+	}
+	if qi < 0 || qi >= s.g.NumNodes() {
+		return 0, p, false, fmt.Errorf("q=%d outside [0,%d)", qi, s.g.NumNodes())
+	}
+	p.K = 10
+	if v := get("k"); v != "" {
+		if p.K, err = strconv.Atoi(v); err != nil {
+			return 0, p, false, fmt.Errorf("bad k: %v", err)
+		}
+	}
+	if p.C, err = floatParam(get, "c"); err != nil {
+		return 0, p, false, err
+	}
+	if v := get("L"); v != "" {
+		l, err := strconv.Atoi(v)
+		if err != nil {
+			return 0, p, false, fmt.Errorf("bad L: %v", err)
+		}
+		p.L = &l
+	}
+	if p.Tau, err = floatParam(get, "tau"); err != nil {
+		return 0, p, false, err
+	}
+	if p.Epsilon, err = floatParam(get, "epsilon"); err != nil {
+		return 0, p, false, err
+	}
+	if v := get("tighten"); v == "0" || strings.EqualFold(v, "false") {
+		p.Tighten = new(bool)
+	}
+	if v := get("trace"); v == "1" || strings.EqualFold(v, "true") {
+		wantTrace = true
+	}
+	p.Measure, p.Mode, p.Deadline = get("measure"), get("mode"), get("deadline")
+	return graph.NodeID(qi), p, wantTrace, nil
+}
+
+// options validates p against the server's caps and builds the engine
+// options plus the client-requested deadline (0 = none). Range validation
+// happens here (not in the engine) so that errors surfacing later map to 5xx
+// statuses. The deadline is clamped (not rejected) at Config.MaxDeadline; an
+// epsilon over Config.MaxEpsilon is the client's error and rejected, because
+// silently shrinking the budget would change what the response certifies.
+func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duration, err error) {
+	if p.K < 1 || p.K > s.maxK {
+		return opt, 0, fmt.Errorf("k=%d outside [1,%d]", p.K, s.maxK)
+	}
+	opt = core.Options{K: p.K, Params: s.defaults, Tighten: true, TieEps: 1e-9}
+	if opt.Measure, err = parseMeasure(p.Measure); err != nil {
+		return opt, 0, err
+	}
+	if p.C != nil {
+		opt.Params.C = *p.C
+	}
+	if p.L != nil {
+		opt.Params.L = *p.L
+	}
+	if p.Tau != nil {
+		opt.Params.Tau = *p.Tau
+	}
+	if p.Tighten != nil {
+		opt.Tighten = *p.Tighten
+	}
+	if opt.Mode, err = core.ParseMode(p.Mode); err != nil {
+		return opt, 0, err
+	}
+	if p.Epsilon != nil {
+		opt.Epsilon = *p.Epsilon
+	}
+	if opt.Epsilon > 0 && opt.Epsilon > s.maxEpsilon {
+		return opt, 0, fmt.Errorf("epsilon=%g exceeds server cap %g", opt.Epsilon, s.maxEpsilon)
+	}
+	if p.Deadline != "" {
+		if deadline, err = time.ParseDuration(p.Deadline); err != nil {
+			return opt, 0, fmt.Errorf("bad deadline: %v", err)
+		}
+		if deadline <= 0 {
+			return opt, 0, fmt.Errorf("deadline=%v must be positive", deadline)
+		}
+	}
+	if deadline > s.maxDeadline {
+		deadline = s.maxDeadline
+	}
+	return opt, deadline, opt.Validate()
+}
+
+func parseMeasure(s string) (measure.Kind, error) {
+	switch strings.ToLower(s) {
+	case "", "php":
+		return measure.PHP, nil
+	case "ei":
+		return measure.EI, nil
+	case "dht":
+		return measure.DHT, nil
+	case "tht":
+		return measure.THT, nil
+	case "rwr", "ppr":
+		return measure.RWR, nil
+	}
+	return 0, fmt.Errorf("unknown measure %q", s)
+}
+
+// withDeadline applies a client-requested deadline to the request context.
+func withDeadline(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, d)
+}
+
+// traceIDOf returns the request's trace ID when it ran under span tracing.
+func traceIDOf(r *http.Request) string {
+	if a, _ := trace.FromContext(r.Context()); a != nil {
+		return a.TraceIDString()
+	}
+	return ""
+}
+
+// v1TopKBody is the GET /v1/topk response envelope. It always carries the
+// certification block — mode, certified flag, the achieved gap, and
+// per-node score intervals for the returned k.
+type v1TopKBody struct {
+	APIVersion    string             `json:"api_version"`
+	Query         graph.NodeID       `json:"query"`
+	Measure       string             `json:"measure"`
+	K             int                `json:"k"`
+	Exact         bool               `json:"exact"`
+	Cached        bool               `json:"cached"`
+	Visited       int                `json:"visited"`
+	Iterations    int                `json:"iterations"`
+	Epoch         uint64             `json:"epoch,omitempty"`
+	TraceID       string             `json:"trace_id,omitempty"`
+	ElapsedUS     int64              `json:"elapsed_us"`
+	Results       []rankedBody       `json:"results"`
+	Certification core.Certification `json:"certification"`
+	Trace         []core.IterStats   `json:"trace,omitempty"`
+}
+
+func (s *Server) handleV1TopK(w http.ResponseWriter, r *http.Request) {
+	q, p, wantTrace, err := s.parseQuery(r)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	opt, deadline, err := s.options(p)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	var tc *core.TraceCollector
+	if wantTrace {
+		tc = &core.TraceCollector{}
+		opt.Tracer = tc
+	}
+	ctx, cancel := withDeadline(r.Context(), deadline)
+	defer cancel()
+	start := time.Now()
+	resp, err := s.pool.Do(ctx, qserve.Request{ID: w.Header().Get("X-Request-ID"), Query: q, Opt: opt})
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
+	res := resp.TopK
+	body := v1TopKBody{
+		APIVersion:    "v1",
+		Query:         q,
+		Measure:       opt.Measure.String(),
+		K:             opt.K,
+		Exact:         res.Exact,
+		Cached:        resp.CacheHit,
+		Visited:       res.Visited,
+		Iterations:    res.Iterations,
+		Epoch:         resp.Epoch,
+		TraceID:       traceIDOf(r),
+		ElapsedUS:     time.Since(start).Microseconds(),
+		Results:       make([]rankedBody, 0, len(res.TopK)),
+		Certification: res.Certification,
+	}
+	if tc != nil {
+		body.Trace = tc.Iters
+	}
+	for _, rk := range res.TopK {
+		body.Results = append(body.Results, rankedBody{Node: rk.Node, Score: rk.Score})
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// v1UnifiedBody is the GET /v1/unified envelope: both family rankings, each
+// with its own certification block (one family can certify before the
+// other, and under anytime interruption they can differ).
+type v1UnifiedBody struct {
+	APIVersion string             `json:"api_version"`
+	Query      graph.NodeID       `json:"query"`
+	K          int                `json:"k"`
+	Exact      bool               `json:"exact"`
+	Cached     bool               `json:"cached"`
+	Visited    int                `json:"visited"`
+	Iterations int                `json:"iterations"`
+	Epoch      uint64             `json:"epoch,omitempty"`
+	TraceID    string             `json:"trace_id,omitempty"`
+	ElapsedUS  int64              `json:"elapsed_us"`
+	PHPFamily  []rankedBody       `json:"php_family"`
+	RWR        []rankedBody       `json:"rwr"`
+	PHPCert    core.Certification `json:"php_certification"`
+	RWRCert    core.Certification `json:"rwr_certification"`
+	Trace      []core.IterStats   `json:"trace,omitempty"`
+}
+
+func (s *Server) handleV1Unified(w http.ResponseWriter, r *http.Request) {
+	q, p, wantTrace, err := s.parseQuery(r)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	// The unified search runs both families; measure= is not one of its
+	// parameters and is ignored like any unknown one.
+	p.Measure = ""
+	opt, deadline, err := s.options(p)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	var tc *core.TraceCollector
+	if wantTrace {
+		tc = &core.TraceCollector{}
+		opt.Tracer = tc
+	}
+	ctx, cancel := withDeadline(r.Context(), deadline)
+	defer cancel()
+	start := time.Now()
+	resp, err := s.pool.Do(ctx, qserve.Request{ID: w.Header().Get("X-Request-ID"), Query: q, Opt: opt, Unified: true})
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
+	res := resp.Unified
+	body := v1UnifiedBody{
+		APIVersion: "v1",
+		Query:      q,
+		K:          opt.K,
+		Exact:      res.Exact,
+		Cached:     resp.CacheHit,
+		Visited:    res.Visited,
+		Iterations: res.Iterations,
+		Epoch:      resp.Epoch,
+		TraceID:    traceIDOf(r),
+		ElapsedUS:  time.Since(start).Microseconds(),
+		PHPCert:    res.PHPCert,
+		RWRCert:    res.RWRCert,
+	}
+	if tc != nil {
+		body.Trace = tc.Iters
+	}
+	for _, rk := range res.PHPFamily {
+		body.PHPFamily = append(body.PHPFamily, rankedBody{Node: rk.Node, Score: rk.Score})
+	}
+	for _, rk := range res.RWR {
+		body.RWR = append(body.RWR, rankedBody{Node: rk.Node, Score: rk.Score})
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// v1BatchRequestBody is the POST /v1/topk/batch payload: the queries plus
+// one option set (serving mode included) shared by every member.
+type v1BatchRequestBody struct {
+	Queries []graph.NodeID `json:"queries"`
+	queryParams
+}
+
+// v1BatchItemBody is one query's slot: results plus its certification, or
+// that query's error.
+type v1BatchItemBody struct {
+	Query         graph.NodeID        `json:"query"`
+	Error         string              `json:"error,omitempty"`
+	Exact         bool                `json:"exact,omitempty"`
+	Cached        bool                `json:"cached,omitempty"`
+	Visited       int                 `json:"visited,omitempty"`
+	Results       []rankedBody        `json:"results,omitempty"`
+	Certification *core.Certification `json:"certification,omitempty"`
+}
+
+type v1BatchBody struct {
+	APIVersion string            `json:"api_version"`
+	Measure    string            `json:"measure"`
+	K          int               `json:"k"`
+	Mode       string            `json:"mode"`
+	Count      int               `json:"count"`
+	Errors     int               `json:"errors"`
+	TraceID    string            `json:"trace_id,omitempty"`
+	ElapsedUS  int64             `json:"elapsed_us"`
+	Results    []v1BatchItemBody `json:"results"`
+}
+
+// decodeBody decodes the JSON body of a POST route into v, reading at most
+// 4096 + 64·MaxBatch bytes — room for any batch or op list within the count
+// limit — so an oversized body is refused with 413 instead of being buffered
+// and decoded just to fail the count check. Malformed JSON is a 400. It
+// reports whether decoding succeeded; on false the response has been written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(4096+64*s.maxBatch))).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+	case err != nil:
+		badRequest(w, "bad JSON body: %v", err)
+	}
+	return err == nil
+}
+
+// handleV1TopKBatch answers many queries sharing one option set in a single
+// round trip. Batch-level mistakes (bad JSON, bad k/measure/params, too
+// many queries) are a 400; everything per-query — including an out-of-range
+// node or the client's deadline firing mid-batch — lands in that query's
+// slot, so one bad query never poisons its neighbors.
+func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+		return
+	}
+	var req v1BatchRequestBody
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Queries) == 0 {
+		badRequest(w, "queries must be non-empty")
+		return
+	}
+	if len(req.Queries) > s.maxBatch {
+		badRequest(w, "batch of %d queries exceeds limit %d", len(req.Queries), s.maxBatch)
+		return
+	}
+	if req.K == 0 {
+		req.K = 10
+	}
+	opt, deadline, err := s.options(req.queryParams)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+
+	// Batch members share the HTTP request's ID with a slot suffix, so each
+	// member's flight record and exemplar still joins back to the access log.
+	id := w.Header().Get("X-Request-ID")
+	reqs := make([]qserve.Request, len(req.Queries))
+	for i, q := range req.Queries {
+		reqs[i] = qserve.Request{ID: fmt.Sprintf("%s-%d", id, i), Query: q, Opt: opt}
+	}
+	ctx, cancel := withDeadline(r.Context(), deadline)
+	defer cancel()
+	start := time.Now()
+	items := s.pool.DoBatch(ctx, reqs)
+	body := v1BatchBody{
+		APIVersion: "v1",
+		Measure:    opt.Measure.String(),
+		K:          opt.K,
+		Mode:       opt.Mode.String(),
+		Count:      len(items),
+		TraceID:    traceIDOf(r),
+		ElapsedUS:  time.Since(start).Microseconds(),
+		Results:    make([]v1BatchItemBody, len(items)),
+	}
+	for i, it := range items {
+		slot := v1BatchItemBody{Query: req.Queries[i]}
+		if it.Err != nil {
+			slot.Error = it.Err.Error()
+			body.Errors++
+		} else {
+			res := it.Resp.TopK
+			slot.Exact = res.Exact
+			slot.Cached = it.Resp.CacheHit
+			slot.Visited = res.Visited
+			cert := res.Certification
+			slot.Certification = &cert
+			for _, rk := range res.TopK {
+				slot.Results = append(slot.Results, rankedBody{Node: rk.Node, Score: rk.Score})
+			}
+		}
+		body.Results[i] = slot
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// edgeOpBody is one mutation of a POST /v1/graph/edges batch.
+type edgeOpBody struct {
+	Op string       `json:"op"` // "add" | "remove" | "set"
+	U  graph.NodeID `json:"u"`
+	V  graph.NodeID `json:"v"`
+	W  float64      `json:"w,omitempty"`
+}
+
+type graphEdgesRequestBody struct {
+	Ops []edgeOpBody `json:"ops"`
+}
+
+type graphEdgesBody struct {
+	Epoch     uint64 `json:"epoch"`
+	Applied   int    `json:"applied"`
+	ElapsedUS int64  `json:"elapsed_us"`
+}
+
+// handleGraphEdges applies one atomic batch of edge mutations to a live
+// graph. The batch publishes a new snapshot and surgically invalidates the
+// result cache; in-flight queries keep running against their pinned
+// snapshots. Not-live servers answer 409; an invalid batch (bad op name,
+// out-of-range node, non-positive weight, add of an existing edge, remove of
+// a missing one) is rejected 400 with nothing applied.
+func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+		return
+	}
+	if !s.pool.Live() {
+		writeJSON(w, http.StatusConflict, errorBody{Error: "graph is not live (start flosd with -live)"})
+		return
+	}
+	var req graphEdgesRequestBody
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Ops) == 0 {
+		badRequest(w, "ops must be non-empty")
+		return
+	}
+	if len(req.Ops) > s.maxBatch {
+		badRequest(w, "batch of %d ops exceeds limit %d", len(req.Ops), s.maxBatch)
+		return
+	}
+	ops := make([]livegraph.EdgeOp, len(req.Ops))
+	for i, ob := range req.Ops {
+		op, err := livegraph.ParseOp(ob.Op)
+		if err != nil {
+			badRequest(w, "op %d: %v", i, err)
+			return
+		}
+		ops[i] = livegraph.EdgeOp{Op: op, U: ob.U, V: ob.V, W: ob.W}
+	}
+	start := time.Now()
+	epoch, err := s.pool.MutateCtx(r.Context(), ops)
+	if err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, graphEdgesBody{
+		Epoch:     epoch,
+		Applied:   len(ops),
+		ElapsedUS: time.Since(start).Microseconds(),
+	})
+}

@@ -16,21 +16,32 @@ import (
 
 	"flos/internal/core"
 	"flos/internal/gen"
+	"flos/internal/graph"
 	"flos/internal/qserve"
 )
 
-func newTestServer(t *testing.T, serialize bool) *httptest.Server {
+func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts, _ := newTestServerCfg(t, Config{Serialize: serialize})
+	ts, _ := newTestServerCfg(t, Config{})
 	return ts
 }
 
-func newTestServerCfg(t *testing.T, cfg Config) (*httptest.Server, *Server) {
+func testGraph(t *testing.T) *graph.MemGraph {
 	t.Helper()
 	g, err := gen.Community(2000, 5400, gen.DefaultCommunityParams(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func newTestServerCfg(t *testing.T, cfg Config) (*httptest.Server, *Server) {
+	t.Helper()
+	return serveGraph(t, testGraph(t), cfg)
+}
+
+func serveGraph(t *testing.T, g graph.Graph, cfg Config) (*httptest.Server, *Server) {
+	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -57,7 +68,7 @@ func getJSON(t *testing.T, url string, out interface{}) int {
 }
 
 func TestHealthAndStats(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	var health map[string]string
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
@@ -72,10 +83,10 @@ func TestHealthAndStats(t *testing.T) {
 }
 
 func TestTopKEndpoint(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	for _, m := range []string{"php", "ei", "dht", "tht", "rwr"} {
-		var body topKBody
-		url := fmt.Sprintf("%s/topk?q=100&k=5&measure=%s", ts.URL, m)
+		var body v1TopKBody
+		url := fmt.Sprintf("%s/v1/topk?q=100&k=5&measure=%s", ts.URL, m)
 		if code := getJSON(t, url, &body); code != 200 {
 			t.Fatalf("%s: code %d", m, code)
 		}
@@ -94,9 +105,9 @@ func TestTopKEndpoint(t *testing.T) {
 }
 
 func TestTopKParameters(t *testing.T) {
-	ts := newTestServer(t, false)
-	var body topKBody
-	url := ts.URL + "/topk?q=100&k=3&measure=php&c=0.8&tau=1e-7&tighten=0"
+	ts := newTestServer(t)
+	var body v1TopKBody
+	url := ts.URL + "/v1/topk?q=100&k=3&measure=php&c=0.8&tau=1e-7&tighten=0"
 	if code := getJSON(t, url, &body); code != 200 {
 		t.Fatalf("code %d", code)
 	}
@@ -106,9 +117,9 @@ func TestTopKParameters(t *testing.T) {
 }
 
 func TestUnifiedEndpoint(t *testing.T) {
-	ts := newTestServer(t, false)
-	var body unifiedBody
-	if code := getJSON(t, ts.URL+"/unified?q=42&k=4", &body); code != 200 {
+	ts := newTestServer(t)
+	var body v1UnifiedBody
+	if code := getJSON(t, ts.URL+"/v1/unified?q=42&k=4", &body); code != 200 {
 		t.Fatalf("code %d", code)
 	}
 	if len(body.PHPFamily) != 4 || len(body.RWR) != 4 || !body.Exact {
@@ -117,34 +128,34 @@ func TestUnifiedEndpoint(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	cases := []string{
-		"/topk",                  // missing q
-		"/topk?q=abc",            // bad q
-		"/topk?q=999999",         // out of range
-		"/topk?q=1&k=0",          // bad k
-		"/topk?q=1&k=99999",      // k over cap
-		"/topk?q=1&k=x",          // unparsable k
-		"/topk?q=1&measure=nope", // unknown measure
-		"/topk?q=1&c=2",          // invalid decay (caught by Validate)
-		"/topk?q=1&c=x",          // unparsable c
-		"/topk?q=1&L=x",          // unparsable L
-		"/topk?q=1&tau=x",        // unparsable tau
-		"/topk?q=1&tau=0",        // out-of-range tau
-		"/topk?q=1&L=-1",         // out-of-range L
-		"/unified?q=zz",          // bad unified q
-		// /unified must validate identically to /topk.
-		"/unified?q=1&k=0",
-		"/unified?q=1&k=99999",
-		"/unified?q=1&c=2",
-		"/unified?q=1&tau=0",
-		"/unified?q=999999",
+		"/v1/topk",                  // missing q
+		"/v1/topk?q=abc",            // bad q
+		"/v1/topk?q=999999",         // out of range
+		"/v1/topk?q=1&k=0",          // bad k
+		"/v1/topk?q=1&k=99999",      // k over cap
+		"/v1/topk?q=1&k=x",          // unparsable k
+		"/v1/topk?q=1&measure=nope", // unknown measure
+		"/v1/topk?q=1&c=2",          // invalid decay (caught by Validate)
+		"/v1/topk?q=1&c=x",          // unparsable c
+		"/v1/topk?q=1&L=x",          // unparsable L
+		"/v1/topk?q=1&tau=x",        // unparsable tau
+		"/v1/topk?q=1&tau=0",        // out-of-range tau
+		"/v1/topk?q=1&L=-1",         // out-of-range L
+		"/v1/unified?q=zz",          // bad unified q
+		// /v1/unified must validate identically to /v1/topk.
+		"/v1/unified?q=1&k=0",
+		"/v1/unified?q=1&k=99999",
+		"/v1/unified?q=1&c=2",
+		"/v1/unified?q=1&tau=0",
+		"/v1/unified?q=999999",
 		// Non-finite values parse as floats but must not reach the engine.
-		"/topk?q=1&tau=NaN",
-		"/topk?q=1&tau=Inf",
-		"/topk?q=1&c=NaN",
-		"/unified?q=1&tau=NaN",
-		"/unified?q=1&tau=Inf",
+		"/v1/topk?q=1&tau=NaN",
+		"/v1/topk?q=1&tau=Inf",
+		"/v1/topk?q=1&c=NaN",
+		"/v1/unified?q=1&tau=NaN",
+		"/v1/unified?q=1&tau=Inf",
 	}
 	for _, c := range cases {
 		var e errorBody
@@ -171,7 +182,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				q := (w*331 + i*17) % 2000
-				url := fmt.Sprintf("%s/topk?q=%d&k=5&measure=rwr", ts.URL, q)
+				url := fmt.Sprintf("%s/v1/topk?q=%d&k=5&measure=rwr", ts.URL, q)
 				resp, err := http.Get(url)
 				if err != nil {
 					errs <- err
@@ -196,8 +207,8 @@ func TestConcurrentQueries(t *testing.T) {
 // repeated query is served from cache (cached:true, identical results).
 func TestCachedResponses(t *testing.T) {
 	ts, _ := newTestServerCfg(t, Config{CacheEntries: 64})
-	var cold, warm topKBody
-	url := ts.URL + "/topk?q=77&k=5&measure=rwr"
+	var cold, warm v1TopKBody
+	url := ts.URL + "/v1/topk?q=77&k=5&measure=rwr"
 	if code := getJSON(t, url, &cold); code != 200 || cold.Cached {
 		t.Fatalf("cold: code %d cached %v", code, cold.Cached)
 	}
@@ -213,7 +224,7 @@ func TestCachedResponses(t *testing.T) {
 // counters (the bare endpoint now serves Prometheus text).
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newTestServerCfg(t, Config{CacheEntries: 64})
-	url := ts.URL + "/topk?q=12&k=5"
+	url := ts.URL + "/v1/topk?q=12&k=5"
 	for i := 0; i < 3; i++ {
 		if code := getJSON(t, url, nil); code != 200 {
 			t.Fatalf("warmup query: code %d", code)
@@ -256,7 +267,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsPrometheus(t *testing.T) {
 	ts, _ := newTestServerCfg(t, Config{CacheEntries: 64})
 	for i := 0; i < 3; i++ {
-		if code := getJSON(t, ts.URL+"/topk?q=12&k=5&measure=rwr", nil); code != 200 {
+		if code := getJSON(t, ts.URL+"/v1/topk?q=12&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("warmup query: code %d", code)
 		}
 	}
@@ -287,7 +298,7 @@ func TestMetricsPrometheus(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if !strings.Contains(text, `flos_http_request_duration_seconds_bucket{endpoint="/topk"`) {
+	if !strings.Contains(text, `flos_http_request_duration_seconds_bucket{endpoint="/v1/topk"`) {
 		t.Errorf("missing per-endpoint http histogram:\n%s", text)
 	}
 	if !strings.Contains(text, "go_goroutines") || !strings.Contains(text, "go_memstats_heap_alloc_bytes") {
@@ -352,16 +363,16 @@ func TestMetricsPrometheus(t *testing.T) {
 func TestTraceEndpoint(t *testing.T) {
 	ts, _ := newTestServerCfg(t, Config{CacheEntries: 64})
 
-	var plain topKBody
-	if code := getJSON(t, ts.URL+"/topk?q=100&k=5&measure=rwr", &plain); code != 200 {
+	var plain v1TopKBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=100&k=5&measure=rwr", &plain); code != 200 {
 		t.Fatalf("plain: code %d", code)
 	}
 	if len(plain.Trace) != 0 {
 		t.Fatalf("trace present without trace=1")
 	}
 
-	var traced topKBody
-	if code := getJSON(t, ts.URL+"/topk?q=100&k=5&measure=rwr&trace=1", &traced); code != 200 {
+	var traced v1TopKBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=100&k=5&measure=rwr&trace=1", &traced); code != 200 {
 		t.Fatalf("traced: code %d", code)
 	}
 	if len(traced.Trace) == 0 {
@@ -391,8 +402,8 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("traced results differ from plain: %v vs %v", traced.Results, plain.Results)
 	}
 
-	var uni unifiedBody
-	if code := getJSON(t, ts.URL+"/unified?q=42&k=4&trace=1", &uni); code != 200 {
+	var uni v1UnifiedBody
+	if code := getJSON(t, ts.URL+"/v1/unified?q=42&k=4&trace=1", &uni); code != 200 {
 		t.Fatalf("unified traced: code %d", code)
 	}
 	if len(uni.Trace) == 0 {
@@ -450,7 +461,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 	}
 	resp1.Body.Close()
 	id1 := resp1.Header.Get("X-Request-ID")
-	resp2, err := http.Get(ts.URL + "/topk?q=1&k=0") // 400 path must log too
+	resp2, err := http.Get(ts.URL + "/v1/topk?q=1&k=0") // 400 path must log too
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +486,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 		switch rec["path"] {
 		case "/healthz":
 			sawHealth = rec["status"] == float64(200) && rec["id"] == id1
-		case "/topk":
+		case "/v1/topk":
 			sawBad = rec["status"] == float64(400) && rec["id"] == id2
 		}
 		if _, ok := rec["latency"]; !ok {
@@ -509,7 +520,7 @@ func (b *syncBuffer) String() string {
 func TestQueryTimeout(t *testing.T) {
 	ts, _ := newTestServerCfg(t, Config{Timeout: time.Nanosecond, CacheEntries: -1})
 	var e errorBody
-	if code := getJSON(t, ts.URL+"/topk?q=5&k=3", &e); code != http.StatusGatewayTimeout {
+	if code := getJSON(t, ts.URL+"/v1/topk?q=5&k=3", &e); code != http.StatusGatewayTimeout {
 		t.Fatalf("code %d, want 504", code)
 	}
 	if e.Error == "" {
@@ -517,10 +528,11 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
-func TestSerializedMode(t *testing.T) {
-	ts := newTestServer(t, true)
-	var body topKBody
-	if code := getJSON(t, ts.URL+"/topk?q=5&k=3", &body); code != 200 {
+// TestSingleWorker checks one-query-at-a-time operation (Workers: 1).
+func TestSingleWorker(t *testing.T) {
+	ts, _ := newTestServerCfg(t, Config{Workers: 1})
+	var body v1TopKBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=5&k=3", &body); code != 200 {
 		t.Fatalf("code %d", code)
 	}
 	if len(body.Results) != 3 {

@@ -49,7 +49,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	clientSID := trace.NewSpanID()
 	inbound := trace.TraceParent{Trace: clientTID, Span: clientSID, Sampled: true}.String()
 
-	resp := doGet(t, ts.URL+"/topk?q=100&k=5&measure=rwr", map[string]string{trace.Header: inbound})
+	resp := doGet(t, ts.URL+"/v1/topk?q=100&k=5&measure=rwr", map[string]string{trace.Header: inbound})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk = %d", resp.StatusCode)
 	}
@@ -77,10 +77,10 @@ func TestTraceparentPropagation(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/debug/flos/traces?id="+clientTID.String(), &detail); code != http.StatusOK {
 		t.Fatalf("traces?id = %d", code)
 	}
-	if detail.Root != "GET /topk" || detail.Sampled != "head" {
+	if detail.Root != "GET /v1/topk" || detail.Sampled != "head" {
 		t.Fatalf("trace = root %q sampled %q", detail.Root, detail.Sampled)
 	}
-	if len(detail.Tree) != 1 || detail.Tree[0].Span.Name != "GET /topk" {
+	if len(detail.Tree) != 1 || detail.Tree[0].Span.Name != "GET /v1/topk" {
 		t.Fatalf("tree roots = %+v, want the boundary span", detail.Tree)
 	}
 	if detail.Tree[0].Span.Parent != clientSID.String() {
@@ -102,7 +102,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 
 	// A no-header request mints a fresh trace and still echoes traceparent.
-	resp2 := doGet(t, ts.URL+"/unified?q=42&k=4", nil)
+	resp2 := doGet(t, ts.URL+"/v1/unified?q=42&k=4", nil)
 	out2, err := trace.ParseTraceparent(resp2.Header.Get(trace.Header))
 	if err != nil || out2.Trace == clientTID {
 		t.Fatalf("fresh request traceparent %q err %v", resp2.Header.Get(trace.Header), err)
@@ -117,7 +117,7 @@ func TestTraceparentPropagation(t *testing.T) {
 func TestTraceparentBatchSlots(t *testing.T) {
 	ts, srv := newTestServerCfg(t, traceConfig(trace.HeadAll, -1))
 	body := `{"queries":[5,9,14],"k":4,"measure":"php"}`
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/topk/batch", strings.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/topk/batch", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -166,7 +166,7 @@ func TestTraceparentMalformed(t *testing.T) {
 			cfg = traceConfig(trace.HeadAll, -1)
 		}
 		ts, _ := newTestServerCfg(t, cfg)
-		for _, ep := range []string{"/topk?q=100&k=5", "/unified?q=42&k=4", "/healthz"} {
+		for _, ep := range []string{"/v1/topk?q=100&k=5", "/v1/unified?q=42&k=4", "/healthz"} {
 			for _, v := range bad {
 				resp := doGet(t, ts.URL+ep, map[string]string{trace.Header: v})
 				if resp.StatusCode != http.StatusBadRequest {
@@ -183,9 +183,9 @@ func TestTraceparentMalformed(t *testing.T) {
 // TestTraceparentEchoTracerOff: with tracing disabled a valid client header
 // still round-trips verbatim, and /debug/flos/traces answers 404.
 func TestTraceparentEchoTracerOff(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	inbound := trace.TraceParent{Trace: trace.NewID(), Span: trace.NewSpanID(), Sampled: true}.String()
-	resp := doGet(t, ts.URL+"/topk?q=100&k=5", map[string]string{trace.Header: inbound})
+	resp := doGet(t, ts.URL+"/v1/topk?q=100&k=5", map[string]string{trace.Header: inbound})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk = %d", resp.StatusCode)
 	}
@@ -193,7 +193,7 @@ func TestTraceparentEchoTracerOff(t *testing.T) {
 		t.Fatalf("echo %q, want the inbound value %q", got, inbound)
 	}
 	// No header in → no header out when the tracer is off.
-	resp2 := doGet(t, ts.URL+"/topk?q=100&k=5", nil)
+	resp2 := doGet(t, ts.URL+"/v1/topk?q=100&k=5", nil)
 	if got := resp2.Header.Get(trace.Header); got != "" {
 		t.Fatalf("tracer off minted a traceparent %q", got)
 	}
@@ -207,7 +207,7 @@ func TestTraceparentEchoTracerOff(t *testing.T) {
 func TestTracesEndpointList(t *testing.T) {
 	ts, _ := newTestServerCfg(t, traceConfig(trace.HeadAll, -1))
 	for i := 0; i < 3; i++ {
-		if resp := doGet(t, fmt.Sprintf("%s/topk?q=%d&k=5", ts.URL, 10+i), nil); resp.StatusCode != http.StatusOK {
+		if resp := doGet(t, fmt.Sprintf("%s/v1/topk?q=%d&k=5", ts.URL, 10+i), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("topk = %d", resp.StatusCode)
 		}
 	}
@@ -245,7 +245,7 @@ func TestTraceTailPromotionJoins(t *testing.T) {
 	ts, _ := newTestServerCfg(t, cfg)
 	const reqID = "trace-join-1"
 
-	resp := doGet(t, ts.URL+"/topk?q=100&k=5&measure=rwr", map[string]string{"X-Request-ID": reqID})
+	resp := doGet(t, ts.URL+"/v1/topk?q=100&k=5&measure=rwr", map[string]string{"X-Request-ID": reqID})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk = %d", resp.StatusCode)
 	}

@@ -4,20 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"flos/internal/core"
+	"flos/internal/livegraph"
 )
 
 // TestV1TopKEnvelope checks the versioned envelope across every measure:
 // api_version, the certification block (certified exact, gap within TieEps,
-// bounds parallel to the results), and the legacy-compatible counters.
+// bounds parallel to the results), and the work counters.
 func TestV1TopKEnvelope(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	for _, m := range []string{"php", "ei", "dht", "tht", "rwr"} {
 		var body v1TopKBody
 		url := fmt.Sprintf("%s/v1/topk?q=100&k=5&measure=%s", ts.URL, m)
@@ -74,7 +76,7 @@ func TestV1TopKKernel(t *testing.T) {
 // TestV1TopKEpsilon checks the ε-certified mode over HTTP: 200 with a
 // certified block whose achieved gap is within the requested budget.
 func TestV1TopKEpsilon(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	var body v1TopKBody
 	url := ts.URL + "/v1/topk?q=100&k=10&measure=rwr&mode=epsilon&epsilon=1e-3"
 	if code := getJSON(t, url, &body); code != 200 {
@@ -93,7 +95,7 @@ func TestV1TopKEpsilon(t *testing.T) {
 // deadline expires mid-search answers HTTP 200 with the partial top-k and
 // Certified=false — not 504.
 func TestV1TopKAnytimeDeadline(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	var body v1TopKBody
 	url := ts.URL + "/v1/topk?q=100&k=10&measure=rwr&mode=anytime&deadline=1ns"
 	if code := getJSON(t, url, &body); code != 200 {
@@ -110,7 +112,7 @@ func TestV1TopKAnytimeDeadline(t *testing.T) {
 		t.Fatalf("deadline-starved anytime answer claims exact")
 	}
 
-	// The same starved request in exact mode keeps the legacy 504 contract.
+	// The same starved request in exact mode is a 504.
 	resp, err := http.Get(ts.URL + "/v1/topk?q=100&k=10&measure=rwr&deadline=1ns")
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestV1DeadlineClamp(t *testing.T) {
 
 // TestV1Unified checks the unified envelope's per-family certifications.
 func TestV1Unified(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	var body v1UnifiedBody
 	if code := getJSON(t, ts.URL+"/v1/unified?q=42&k=4", &body); code != 200 {
 		t.Fatalf("code %d", code)
@@ -157,7 +159,7 @@ func TestV1Unified(t *testing.T) {
 // TestV1Batch checks the batch envelope: shared serving mode, per-slot
 // certifications, and per-slot errors that do not fail the batch.
 func TestV1Batch(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	payload := `{"queries":[1,2,999999],"k":3,"measure":"rwr","mode":"epsilon","epsilon":0.001}`
 	resp, err := http.Post(ts.URL+"/v1/topk/batch", "application/json", bytes.NewReader([]byte(payload)))
 	if err != nil {
@@ -190,7 +192,7 @@ func TestV1Batch(t *testing.T) {
 
 // TestV1BadRequests checks the serving-mode validation surface.
 func TestV1BadRequests(t *testing.T) {
-	ts := newTestServer(t, false)
+	ts := newTestServer(t)
 	cases := []string{
 		"/v1/topk?q=1&mode=bogus",                 // unknown mode
 		"/v1/topk?q=1&mode=epsilon&epsilon=2",     // over the default 1.0 cap
@@ -200,17 +202,11 @@ func TestV1BadRequests(t *testing.T) {
 		"/v1/topk?q=1&mode=anytime&deadline=-1s",  // non-positive deadline
 		"/v1/topk?q=1&mode=anytime&deadline=soon", // unparsable deadline
 		"/v1/unified?q=1&mode=epsilon&epsilon=2",  // same checks on /v1/unified
-		"/v1/topk?q=999999",                       // legacy validation still applies
-		"/v1/topk?q=1&k=0",
 		// Non-finite values parse as floats but must not reach the engine
 		// (an echoed NaN also breaks the JSON envelope after the 200 header).
 		"/v1/topk?q=1&mode=epsilon&epsilon=NaN",
 		"/v1/topk?q=1&mode=epsilon&epsilon=Inf",
-		"/v1/topk?q=1&tau=NaN",
-		"/v1/topk?q=1&tau=Inf",
-		"/v1/topk?q=1&c=NaN",
 		"/v1/unified?q=1&mode=epsilon&epsilon=NaN",
-		"/v1/unified?q=1&tau=NaN",
 	}
 	for _, c := range cases {
 		var e errorBody
@@ -232,74 +228,76 @@ func TestV1BadRequests(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/v1/topk?q=1&k=3", nil); code != 200 {
 		t.Errorf("exact on ε-disabled server: code %d, want 200", code)
 	}
-}
 
-// TestLegacyDeprecation checks the alias contract: the unversioned routes
-// answer exactly as before, but every response carries the Deprecation and
-// successor-version Link headers and the hit lands in
-// flos_legacy_requests_total.
-func TestLegacyDeprecation(t *testing.T) {
-	ts := newTestServer(t, false)
-	resp, err := http.Get(ts.URL + "/topk?q=100&k=5&measure=rwr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy /topk: code %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Fatalf("Deprecation header %q, want \"true\"", got)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/topk") || !strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("Link header %q lacks the successor pointer", link)
-	}
-	// The legacy body is unchanged: no v1-only fields leak in.
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	for _, banned := range []string{"api_version", "certification"} {
-		if _, ok := fields[banned]; ok {
-			t.Fatalf("legacy /topk body grew a %q field: %s", banned, raw)
+	// Mutation bodies: an op count over MaxBatch is a 400, and a 1 MiB body
+	// is refused by size with a 413, not buffered and decoded first.
+	_, live := serveGraph(t, livegraph.New(testGraph(t)), Config{MaxBatch: 4})
+	const bodyLimit = 4096 + 64*4
+	const op = `{"op":"set","u":1,"v":2,"w":2}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"over max batch", `{"ops":[` + strings.Repeat(op+",", 4) + op + `]}`, 400},
+		{"over body limit", `{"ops":[` + strings.Repeat(op+",", 1<<15) + op + `]}`, 413},
+	} {
+		code, eb, read := postCounting(t, live.Handler(), "/v1/graph/edges", tc.body)
+		if code != tc.want || eb.Error == "" {
+			t.Errorf("edges %s: code %d error %q, want %d with an error body", tc.name, code, eb.Error, tc.want)
+		}
+		if read > bodyLimit+1 {
+			t.Errorf("edges %s: handler read %d body bytes, limit is %d", tc.name, read, bodyLimit)
 		}
 	}
-	// /v1 responses carry no deprecation headers.
-	resp, err = http.Get(ts.URL + "/v1/topk?q=100&k=5&measure=rwr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/topk carries a Deprecation header")
+}
+
+// TestRouteTable pins the one-surface contract: the four retired unversioned
+// routes answer the mux's 404, and the route table is the only list of
+// paths — each entry has its latency histogram, and the package comment's
+// endpoint list names exactly the table's paths.
+func TestRouteTable(t *testing.T) {
+	ts, srv := newTestServerCfg(t, Config{})
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/topk?q=1"},
+		{http.MethodGet, "/unified?q=1"},
+		{http.MethodPost, "/topk/batch"},
+		{http.MethodPost, "/graph/edges"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{"queries":[1],"ops":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: code %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
 	}
 
-	// The legacy hit shows up in both metric formats.
-	var mb metricsBody
-	if code := getJSON(t, ts.URL+"/metrics?format=json", &mb); code != 200 {
-		t.Fatalf("metrics code %d", code)
-	}
-	if mb.LegacyRequests["/topk"] != 1 {
-		t.Fatalf("legacy_requests = %v, want /topk: 1", mb.LegacyRequests)
-	}
-	promResp, err := http.Get(ts.URL + "/metrics")
+	src, err := os.ReadFile("routes.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prom, err := io.ReadAll(promResp.Body)
-	promResp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^//\t(?:GET|POST) (/[^ ?]*)`).FindAllSubmatch(src, -1) {
+		documented[string(m[1])] = true
 	}
-	if !strings.Contains(string(prom), `flos_legacy_requests_total{endpoint="/topk"} 1`) {
-		t.Fatalf("prometheus exposition lacks the legacy counter:\n%s", prom)
+	if len(documented) != len(srv.routes) {
+		t.Errorf("package comment lists %d endpoints, route table has %d", len(documented), len(srv.routes))
 	}
-	if !strings.Contains(string(prom), `flos_legacy_requests_total{endpoint="/unified"} 0`) {
-		t.Fatalf("prometheus exposition should emit zero-valued legacy counters")
+	for _, rt := range srv.routes {
+		if srv.httpLat[rt.path] == nil {
+			t.Errorf("route %s has no latency histogram", rt.path)
+		}
+		if !documented[rt.path] {
+			t.Errorf("route %s missing from the package comment's endpoint list", rt.path)
+		}
+	}
+	if len(srv.httpLat) != len(srv.routes) {
+		t.Errorf("%d latency histograms for %d routes", len(srv.httpLat), len(srv.routes))
 	}
 }
 

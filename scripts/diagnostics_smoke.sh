@@ -9,11 +9,10 @@
 # in /metrics?format=json, visible in the flos_slo_* gauges, replayable
 # offline with `flos -replay`, and — despite the 0% head rate — retained as a
 # tail-promoted span tree at /debug/flos/traces and in the OTLP-JSON export
-# file. Along the way it exercises the versioned /v1 API: exact envelope with
-# a certification block, ε-certified query with achieved gap <= ε, anytime
+# file. Along the way it exercises the /v1 API: exact envelope with a
+# certification block, ε-certified query with achieved gap <= ε, anytime
 # under an expiring deadline answering 200 with certified:false, and the
-# legacy routes still answering unchanged but carrying Deprecation headers
-# and the flos_legacy_requests_total counter. The cache-analytics plane
+# retired unversioned /topk answering 404. The cache-analytics plane
 # (on by default) is asserted too: /debug/flos/cache serves the result-cache
 # snapshot (no page plane — this server holds the graph in memory), the
 # flos_result_cache_* lens gauges land in /metrics, and `flos -cachereport`
@@ -67,11 +66,11 @@ done
 echo "== fire 200 queries =="
 for i in $(seq 0 199); do
   q=$(( (i * 37) % 20000 ))
-  curl -fsS "$BASE/topk?q=$q&k=10&measure=php" >/dev/null
+  curl -fsS "$BASE/v1/topk?q=$q&k=10&measure=php" >/dev/null
 done
-curl -fsS "$BASE/unified?q=11&k=5" >/dev/null
-curl -fsS -X POST -d '{"queries":[1,2,3],"k":5,"measure":"rwr"}' "$BASE/topk/batch" >/dev/null
-curl -fsS "$BASE/topk?q=0&k=10&measure=php" >/dev/null # repeat: result-cache hit
+curl -fsS "$BASE/v1/unified?q=11&k=5" >/dev/null
+curl -fsS -X POST -d '{"queries":[1,2,3],"k":5,"measure":"rwr"}' "$BASE/v1/topk/batch" >/dev/null
+curl -fsS "$BASE/v1/topk?q=0&k=10&measure=php" >/dev/null # repeat: result-cache hit
 
 echo "== /v1 envelope carries version and certification =="
 curl -fsS "$BASE/v1/topk?q=11&k=10&measure=php" >"$WORK/v1.json"
@@ -95,17 +94,9 @@ code=$(curl -s -o "$WORK/v1any.json" -w '%{http_code}' \
 grep -q '"mode":"anytime"' "$WORK/v1any.json" || fail "anytime response does not echo its mode"
 grep -q '"certified":false' "$WORK/v1any.json" || fail "anytime partial under 1ns deadline claims certified"
 
-echo "== legacy routes answer unchanged but are marked deprecated =="
-curl -fsS -D "$WORK/legacy.headers" "$BASE/topk?q=11&k=10&measure=php" >"$WORK/legacy.json"
-grep -qi '^deprecation: true' "$WORK/legacy.headers" || fail "legacy /topk carries no Deprecation header"
-grep -qi 'rel="successor-version"' "$WORK/legacy.headers" || fail "legacy /topk Link has no successor-version"
-if grep -q '"api_version"' "$WORK/legacy.json"; then
-  fail "legacy /topk body grew an api_version field"
-fi
-curl -fsS -D "$WORK/v1.headers" -o /dev/null "$BASE/v1/topk?q=11&k=10&measure=php"
-if grep -qi '^deprecation:' "$WORK/v1.headers"; then
-  fail "/v1/topk wrongly carries a Deprecation header"
-fi
+echo "== the unversioned /topk is gone =="
+code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/topk?q=11&k=10&measure=php")
+[ "$code" = "404" ] || fail "unversioned /topk got $code, want 404"
 
 echo "== inject slow query with a known request ID and traceparent =="
 SLOW_ID="smoke-slow-$$"
@@ -115,12 +106,12 @@ TRACE_ID="$(printf '%032x' "$$")"
 curl -fsS -H "X-Request-ID: $SLOW_ID" \
   -H "traceparent: 00-$TRACE_ID-00000000000000aa-00" \
   -D "$WORK/slow.headers" \
-  "$BASE/topk?q=123&k=50&measure=rwr" >/dev/null
+  "$BASE/v1/topk?q=123&k=50&measure=rwr" >/dev/null
 grep -qi "traceparent: 00-$TRACE_ID-" "$WORK/slow.headers" ||
   fail "response did not echo the client's trace in traceparent"
 
 echo "== malformed traceparent is a structured 400 =="
-code=$(curl -s -o /dev/null -w '%{http_code}' -H "traceparent: garbage" "$BASE/topk?q=1&k=5")
+code=$(curl -s -o /dev/null -w '%{http_code}' -H "traceparent: garbage" "$BASE/v1/topk?q=1&k=5")
 [ "$code" = "400" ] || fail "malformed traceparent got $code, want 400"
 
 echo "== slow log captured it =="
@@ -136,7 +127,7 @@ echo "== slow query's trace was tail-promoted at head rate 0 =="
 curl -fsS "$BASE/debug/flos/traces?id=$TRACE_ID" >"$WORK/trace.json"
 grep -q '"sampled":"tail:' "$WORK/trace.json" || fail "trace $TRACE_ID not tail-promoted"
 grep -q '"name":"qserve.execute"' "$WORK/trace.json" || fail "trace has no qserve.execute span"
-grep -q '"name":"GET /topk"' "$WORK/trace.json" || fail "trace has no boundary span"
+grep -q '"name":"GET /v1/topk"' "$WORK/trace.json" || fail "trace has no boundary span"
 grep -q "\"parent_span_id\":\"00000000000000aa\"" "$WORK/trace.json" ||
   fail "boundary span not parented on the client's span"
 curl -fsS "$BASE/debug/flos/traces" | grep -q '"kept_tail":' || fail "trace list has no counters"
@@ -159,8 +150,7 @@ for m in 'flos_slo_availability{window="5m"}' 'flos_slo_availability_burn_rate{w
   'flos_slo_latency_compliance{window="5m"}' 'flos_flightrec_recorded_total' \
   'flos_query_outcomes_total{outcome="hit"}' 'flos_query_outcomes_total{outcome="ok"}' \
   'flos_traces_started_total' 'flos_traces_kept_total{sampled="tail"}' \
-  'flos_traces_kept_total{sampled="head"} 0' \
-  'flos_legacy_requests_total{endpoint="/topk"}'; do
+  'flos_traces_kept_total{sampled="head"} 0'; do
   grep -qF "$m" "$WORK/metrics.prom" || fail "/metrics missing $m"
 done
 curl -fsS "$BASE/debug/flos/slo" | grep -q '"window":"5m"' || fail "/debug/flos/slo has no 5m window"
