@@ -16,7 +16,6 @@
 //	flosbench -recorder         # flight-recorder on/off latency overhead
 //	flosbench -trace-overhead   # span-tracing on/off latency overhead
 //	flosbench -modes            # serving modes: exact vs ε-certified paired RWR queries
-//	flosbench -cachelens        # cache-analytics lens on/off latency overhead
 //
 // Scales default to laptop-bench sizes; pass -scale 1 -synthscale 1
 // -diskscale 1 -queries 1000 to run the paper's full configuration.
@@ -41,8 +40,7 @@ func main() {
 		recorder   = flag.Bool("recorder", false, "benchmark query latency with the flight recorder + SLO tracking on vs off")
 		traceOver  = flag.Bool("trace-overhead", false, "benchmark query latency with span tracing on (head rate 1.0) vs off")
 		modes      = flag.Bool("modes", false, "benchmark serving modes: exact vs ε-certified paired RWR queries")
-		lensOver   = flag.Bool("cachelens", false, "benchmark query latency with the cache-analytics lens on vs off")
-		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, -modes, or -cachelens: also write the machine-readable result (BENCH_5/7/8/10.json) to this file")
+		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, or -modes: also write the machine-readable result (BENCH_5/7/8.json) to this file")
 		profiles   = flag.Bool("profiles", false, "print stand-in structural fingerprints (clustering, diameter)")
 		scale      = flag.Float64("scale", 0, "SNAP stand-in scale (default 1/8; 1 = paper size)")
 		synthScale = flag.Float64("synthscale", 0, "Table 6 synthetic scale (default 1/16)")
@@ -127,12 +125,6 @@ func main() {
 	}
 	if *modes {
 		if err := modesBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *lensOver {
-		if err := cachelensBench(out, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return

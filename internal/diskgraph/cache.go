@@ -13,9 +13,15 @@ import (
 // It is safe for concurrent readers: the page space is striped across
 // independently locked shards (page index mod shard count), each shard runs
 // its own LRU under its own mutex, and concurrent faults on the same cold
-// page are deduplicated singleflight-style so one disk read serves every
-// waiter. Page buffers are immutable once loaded, so a reader may keep
-// copying from a page after another shard operation evicts it.
+// page are deduplicated so one disk read serves every waiter.
+//
+// A shard owns a fixed number of page frames (a page struct and its
+// buffer). A fault that finds the shard full evicts the LRU page and reads
+// into that page's frame, so steady-state faults allocate nothing. That is
+// safe because no reader holds a page buffer outside the shard lock: copyAt
+// copies the requested bytes into the caller's buffer while it holds the
+// lock. Resident plus in-flight buffers stay within the budget, plus one
+// per concurrent fault that found every frame of its shard mid-load.
 //
 // The shard count adapts to the budget (one shard per resident page up to
 // maxCacheShards), which keeps the byte budget meaningful for the tiny
@@ -27,28 +33,39 @@ type pageCache struct {
 	fileSize int64
 	shards   []cacheShard
 
-	// lens, when non-nil, observes every page lookup and eviction for the
-	// cache-analytics plane (MRC, ghost list, heatmap). Recorded outside the
-	// shard locks; nil-safe, so the disabled path costs one nil check.
+	// lens, when non-nil, observes page lookups and evictions for the
+	// cache-analytics plane (MRC, ghost list, heatmap). Misses, evictions
+	// and hits on keys the lens samples reach it one by one, outside the
+	// shard locks; every other hit is counted in its page frame and folded
+	// in lensFold at a time (see foldHits). Nil-safe.
 	lens *cachelens.Lens
 }
 
-// maxCacheShards bounds the stripe count; 64 comfortably exceeds the core
-// counts this serves while keeping per-shard budgets coarse.
-const maxCacheShards = 64
+const (
+	// maxCacheShards bounds the stripe count; 64 comfortably exceeds the
+	// core counts this serves while keeping per-shard budgets coarse.
+	maxCacheShards = 64
+	// lensFold is how many unsampled hits a page counts privately before
+	// they reach the lens in one call.
+	lensFold = 64
+)
 
 type cacheShard struct {
-	mu     sync.Mutex
-	budget int64 // max resident bytes in this shard
+	mu sync.Mutex
+	// loaded is broadcast whenever a fault finishes, for the readers
+	// waiting on a page another reader is loading.
+	loaded sync.Cond
 
-	pages map[int64]*page
-	head  *page // most recently used
-	tail  *page // least recently used
-	bytes int64
+	maxFrames int // page frames the budget allows this shard
+	frames    int // frames it owns: resident pages plus in-flight loads
 
-	// flights tracks pages currently being read from disk; latecomers wait
-	// on the flight instead of issuing a duplicate read.
-	flights map[int64]*flight
+	// pages holds resident pages and pages being loaded; only resident
+	// ones are on the LRU list.
+	pages    map[int64]*page
+	head     *page // most recently used
+	tail     *page // least recently used
+	resident int
+	bytes    int64 // resident bytes
 
 	hits      int64
 	misses    int64
@@ -57,16 +74,15 @@ type cacheShard struct {
 	hwmPages  int // most pages ever resident at once in this shard
 }
 
+// page is one frame. Its fields are guarded by the shard lock, except that
+// the reader loading it owns data until it clears loading.
 type page struct {
 	idx        int64
-	data       []byte
+	data       []byte // page content; capacity is always the page size
 	prev, next *page
-}
-
-type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	loading    bool   // being read from disk: in pages, not on the LRU list
+	sampled    bool   // the lens tracks this key: its hits go to the lens one by one
+	lensHits   uint32 // hits not yet folded into the lens
 }
 
 func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache {
@@ -74,9 +90,6 @@ func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache 
 		budget = pageSize // at least one resident page
 	}
 	n := budget / pageSize
-	if n < 1 {
-		n = 1
-	}
 	if n > maxCacheShards {
 		n = maxCacheShards
 	}
@@ -86,93 +99,151 @@ func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache 
 		fileSize: fileSize,
 		shards:   make([]cacheShard, n),
 	}
-	perShard := budget / n
-	if perShard < pageSize {
-		perShard = pageSize
-	}
 	for i := range c.shards {
-		c.shards[i].budget = perShard
-		c.shards[i].pages = make(map[int64]*page)
-		c.shards[i].flights = make(map[int64]*flight)
+		sh := &c.shards[i]
+		sh.loaded.L = &sh.mu
+		sh.maxFrames = int(budget / n / pageSize)
+		sh.pages = make(map[int64]*page)
 	}
 	return c
 }
 
-// get returns the content of the page with the given index, loading (and
-// possibly evicting within the page's shard) on a miss. The returned slice
-// is immutable and remains valid after eviction. onFault, when non-nil, is
-// called with the stall duration of every cold-path lookup — a disk read on
-// a miss, or the wait on another reader's in-flight load on a dedup; hits
+// copyAt copies the bytes of page idx from inPage on into dst and returns
+// how many it copied (fewer than len(dst) when dst runs past the page),
+// loading the page (and evicting within its shard) on a miss. onFault, when
+// non-nil, is called with the stall duration of every cold-path lookup — a
+// disk read on a miss, or the wait on another reader's in-flight load; hits
 // never invoke it, so the hot path stays observer-free.
-func (c *pageCache) get(idx int64, onFault func(time.Duration)) ([]byte, error) {
+func (c *pageCache) copyAt(dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
 	sh := &c.shards[idx%int64(len(c.shards))]
 	sh.mu.Lock()
-	if p, ok := sh.pages[idx]; ok {
-		sh.hits++
-		sh.touch(p)
-		sh.mu.Unlock()
-		c.lens.RecordGet(uint64(idx), true)
-		return p.data, nil
+	p := sh.pages[idx]
+	switch {
+	case p == nil:
+		return c.fault(sh, dst, idx, inPage, onFault)
+	case p.loading:
+		return c.await(sh, dst, idx, inPage, onFault)
 	}
-	if f, ok := sh.flights[idx]; ok {
-		sh.dedups++
-		sh.mu.Unlock()
-		c.lens.RecordGet(uint64(idx), false)
-		if onFault != nil {
-			start := time.Now()
-			<-f.done
-			onFault(time.Since(start))
-		} else {
-			<-f.done
+	sh.hits++
+	sh.touch(p)
+	n, err := p.copyOut(dst, inPage)
+	sampled, fold := p.sampled, uint32(0)
+	if !sampled {
+		if p.lensHits++; p.lensHits == lensFold {
+			fold, p.lensHits = lensFold, 0
 		}
-		return f.data, f.err
 	}
-	sh.misses++
-	f := &flight{done: make(chan struct{})}
-	sh.flights[idx] = f
 	sh.mu.Unlock()
-	c.lens.RecordGet(uint64(idx), false)
+	if sampled {
+		c.lens.RecordGet(uint64(idx), true)
+	} else if fold != 0 {
+		c.lens.RecordHits(uint64(idx), fold)
+	}
+	return n, err
+}
 
+// fault reads page idx from the file into a frame and copies from it.
+// Called with sh.mu held and idx absent from sh.pages; returns unlocked.
+func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
+	sh.misses++
+	p, victim, victimHits := sh.takeFrame(c.pageSize)
+	p.idx, p.loading, p.sampled = idx, true, c.lens.Sampled(uint64(idx))
+	sh.pages[idx] = p
+	sh.mu.Unlock()
+
+	c.lens.RecordGet(uint64(idx), false)
+	if victim >= 0 {
+		c.recordEvict(victim, victimHits)
+	}
 	var start time.Time
 	if onFault != nil {
 		start = time.Now()
 	}
-	f.data, f.err = c.load(idx) // disk I/O outside every lock
+	err := c.load(p) // disk I/O outside every lock
 	if onFault != nil {
 		onFault(time.Since(start))
 	}
-	close(f.done)
 
-	var evicted []int64
+	var n int
+	var shed []*page
 	sh.mu.Lock()
-	delete(sh.flights, idx)
-	if f.err == nil {
-		evicted = sh.insert(&page{idx: idx, data: f.data})
+	p.loading = false
+	if err != nil {
+		delete(sh.pages, idx)
+		sh.frames--
+	} else {
+		shed = sh.insert(p)
+		n, err = p.copyOut(dst, inPage)
 	}
+	sh.loaded.Broadcast()
 	sh.mu.Unlock()
-	if c.lens != nil {
-		for _, e := range evicted {
-			c.lens.RecordEvict(uint64(e))
-		}
+	for _, v := range shed {
+		c.recordEvict(v.idx, v.lensHits)
 	}
-	return f.data, f.err
+	return n, err
 }
 
-// load reads one page from the underlying file.
-func (c *pageCache) load(idx int64) ([]byte, error) {
-	off := idx * c.pageSize
+// recordEvict tells the lens that page idx was evicted, handing over the
+// hits the page had not yet folded in. Call it outside the shard lock.
+func (c *pageCache) recordEvict(idx int64, lensHits uint32) {
+	c.lens.RecordHits(uint64(idx), lensHits)
+	c.lens.RecordEvict(uint64(idx))
+}
+
+// await waits for the reader that is loading page idx and copies from the
+// page it inserted. Called with sh.mu held; returns unlocked. The page can
+// already be gone when this reader gets the lock back — evicted by a later
+// fault, or never inserted because its load failed — and then it faults the
+// page in itself, as a lookup of its own.
+func (c *pageCache) await(sh *cacheShard, dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
+	sh.dedups++
+	var start time.Time
+	if onFault != nil {
+		start = time.Now()
+	}
+	p := sh.pages[idx]
+	for p != nil && p.loading {
+		sh.loaded.Wait()
+		p = sh.pages[idx]
+	}
+	var n int
+	var err error
+	if p != nil {
+		n, err = p.copyOut(dst, inPage)
+	}
+	sh.mu.Unlock()
+	c.lens.RecordGet(uint64(idx), false)
+	if onFault != nil {
+		onFault(time.Since(start))
+	}
+	if p == nil {
+		return c.copyAt(dst, idx, inPage, onFault)
+	}
+	return n, err
+}
+
+// load reads p's page from the underlying file into p's frame.
+func (c *pageCache) load(p *page) error {
+	off := p.idx * c.pageSize
 	size := c.pageSize
 	if off+size > c.fileSize {
 		size = c.fileSize - off
 	}
 	if size <= 0 {
-		return nil, io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
 	}
-	buf := make([]byte, size)
-	if _, err := c.src.ReadAt(buf, off); err != nil && err != io.EOF {
-		return nil, err
+	p.data = p.data[:size]
+	if n, err := c.src.ReadAt(p.data, off); err != nil && !(err == io.EOF && n == len(p.data)) {
+		return err
 	}
-	return buf, nil
+	return nil
+}
+
+func (p *page) copyOut(dst []byte, inPage int64) (int, error) {
+	if inPage >= int64(len(p.data)) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return copy(dst, p.data[inPage:]), nil
 }
 
 // readAt fills dst from the cached file content starting at off, reporting
@@ -180,40 +251,81 @@ func (c *pageCache) load(idx int64) ([]byte, error) {
 func (c *pageCache) readAt(dst []byte, off int64, onFault func(time.Duration)) error {
 	for len(dst) > 0 {
 		idx := off / c.pageSize
-		data, err := c.get(idx, onFault)
+		n, err := c.copyAt(dst, idx, off-idx*c.pageSize, onFault)
 		if err != nil {
 			return err
 		}
-		inPage := off - idx*c.pageSize
-		if inPage >= int64(len(data)) {
-			return io.ErrUnexpectedEOF
-		}
-		n := copy(dst, data[inPage:])
 		dst = dst[n:]
 		off += int64(n)
 	}
 	return nil
 }
 
-// insert adds a freshly loaded page and evicts LRU pages over budget,
-// returning the evicted page indices so the caller can report them to the
-// lens outside the shard lock. Caller holds sh.mu. A concurrent flight can
-// race another get of the same page only through the flights map, so p.idx
-// is never already resident.
-func (sh *cacheShard) insert(p *page) []int64 {
-	sh.pages[p.idx] = p
+// attachLens starts reporting to lens. Pages already resident were faulted
+// in without one: each learns here whether the lens samples it, and the hits
+// it counted so far, which the lens never saw the misses for, are dropped.
+func (c *pageCache) attachLens(lens *cachelens.Lens) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, p := range sh.pages {
+			p.sampled, p.lensHits = lens.Sampled(uint64(p.idx)), 0
+		}
+		sh.mu.Unlock()
+	}
+	c.lens = lens
+}
+
+// foldHits hands the lens every hit still counted in a page frame, so the
+// lens's access total matches the cache's own counters. The lens calls it
+// before each snapshot.
+func (c *pageCache) foldHits() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for p := sh.head; p != nil; p = p.next {
+			c.lens.RecordHits(uint64(p.idx), p.lensHits)
+			p.lensHits = 0
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// takeFrame returns the frame a fault reads into: a new one while the shard
+// is under budget, otherwise the LRU page's, which it evicts (victim is that
+// page's index, with the hits it had not yet folded into the lens; -1 when
+// nothing was evicted). Only when every frame of the shard is itself
+// mid-load does it allocate past the budget; insert sheds that excess.
+// Caller holds sh.mu.
+func (sh *cacheShard) takeFrame(pageSize int64) (p *page, victim int64, victimHits uint32) {
+	if sh.frames < sh.maxFrames || sh.tail == nil {
+		sh.frames++
+		return &page{data: make([]byte, pageSize)}, -1, 0
+	}
+	p = sh.tail
+	victim, victimHits = p.idx, p.lensHits
+	sh.evict(p)
+	p.lensHits = 0
+	return p, victim, victimHits
+}
+
+// insert makes a freshly loaded page resident and, when concurrent faults
+// pushed the shard past its frame budget, evicts LRU pages and drops their
+// frames until it is back within it; those pages are returned so the caller
+// can report them to the lens outside the shard lock. Caller holds sh.mu.
+func (sh *cacheShard) insert(p *page) (shed []*page) {
+	sh.resident++
 	sh.bytes += int64(len(p.data))
 	sh.pushFront(p)
-	if n := len(sh.pages); n > sh.hwmPages {
-		sh.hwmPages = n
+	if sh.resident > sh.hwmPages {
+		sh.hwmPages = sh.resident
 	}
-	var evicted []int64
-	for sh.bytes > sh.budget && sh.tail != nil && sh.tail != p {
-		evicted = append(evicted, sh.tail.idx)
+	for sh.frames > sh.maxFrames && sh.tail != p {
+		shed = append(shed, sh.tail)
 		sh.evict(sh.tail)
+		sh.frames--
 	}
-	sh.evictions += int64(len(evicted))
-	return evicted
+	return shed
 }
 
 func (sh *cacheShard) touch(p *page) {
@@ -250,10 +362,13 @@ func (sh *cacheShard) unlink(p *page) {
 	p.prev, p.next = nil, nil
 }
 
+// evict removes a resident page from the shard. Its frame is the caller's.
 func (sh *cacheShard) evict(p *page) {
 	sh.unlink(p)
 	delete(sh.pages, p.idx)
+	sh.resident--
 	sh.bytes -= int64(len(p.data))
+	sh.evictions++
 }
 
 // Stats summarizes cache behavior.
@@ -325,7 +440,7 @@ func (c *pageCache) shardStats() []ShardStat {
 			FaultsDeduped:    sh.dedups,
 			Evictions:        sh.evictions,
 			ResidentBytes:    sh.bytes,
-			ResidentPages:    len(sh.pages),
+			ResidentPages:    sh.resident,
 			ResidentPagesHWM: sh.hwmPages,
 		}
 		sh.mu.Unlock()

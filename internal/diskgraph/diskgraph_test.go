@@ -2,9 +2,13 @@ package diskgraph
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,6 +144,143 @@ func TestOpenRejectsTruncated(t *testing.T) {
 	}
 	if _, err := Open(path, 0); err == nil {
 		t.Fatal("truncated store accepted")
+	}
+}
+
+func TestOpenRejectsOldFormat(t *testing.T) {
+	path := writeStore(t, gen.PaperExample(), 4096)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "FLOSDSK1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, 0)
+	if err == nil || !strings.Contains(err.Error(), "rebuild the store") {
+		t.Fatalf("FLOSDSK1 store: got %v, want the rebuild hint", err)
+	}
+}
+
+// TestRowsStraddlePages round-trips a graph whose row records cross page
+// boundaries, at two page sizes and through a cache of two pages, including
+// a zero-degree node in the middle and the last node (whose row ends the
+// file).
+func TestRowsStraddlePages(t *testing.T) {
+	const n, isolated = 300, 250
+	b := graph.NewBuilder(n)
+	for v := 1; v <= 200; v++ { // node 0's row is 2,400 bytes
+		if err := b.AddEdge(0, graph.NodeID(v), float64(v)+0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 201; v < n; v++ {
+		if v == isolated {
+			continue
+		}
+		if err := b.AddEdge(n-1, graph.NodeID(v-200), float64(v)/7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pageSize := range []int{512, 4096} {
+		s, err := Open(writeStore(t, g, pageSize), int64(2*pageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		straddling := 0
+		for v := 0; v < n; v++ {
+			id := graph.NodeID(v)
+			wantN, wantW := g.Neighbors(id)
+			gotN, gotW := s.Neighbors(id)
+			if len(gotN) != len(wantN) {
+				t.Fatalf("page %d node %d: %d neighbors, want %d", pageSize, v, len(gotN), len(wantN))
+			}
+			for i := range wantN {
+				if gotN[i] != wantN[i] || gotW[i] != wantW[i] {
+					t.Fatalf("page %d node %d entry %d: (%d,%g), want (%d,%g)",
+						pageSize, v, i, gotN[i], gotW[i], wantN[i], wantW[i])
+				}
+			}
+			lo := s.l.rowsOff + g.Offsets()[v]*rowEntrySz
+			hi := s.l.rowsOff + g.Offsets()[v+1]*rowEntrySz
+			if hi > lo && lo/int64(pageSize) != (hi-1)/int64(pageSize) {
+				straddling++
+			}
+			if v == n-1 && hi != s.FileSize() {
+				t.Fatalf("page %d: last row ends at %d, file at %d", pageSize, hi, s.FileSize())
+			}
+		}
+		if nb, _ := s.Neighbors(isolated); len(nb) != 0 {
+			t.Fatalf("page %d: isolated node has %d neighbors", pageSize, len(nb))
+		}
+		if straddling == 0 {
+			t.Fatalf("page %d: no row crosses a page boundary; the test graph no longer tests that", pageSize)
+		}
+		s.Close()
+	}
+}
+
+// TestCorruptOffsets flips one entry of a written store's offsets section
+// and wants diskgraph's own complaint, from Open for the last entry and from
+// Neighbors for an inner one, never an index-out-of-range from inside the
+// page cache or a row read from another section's bytes.
+func TestCorruptOffsets(t *testing.T) {
+	g := gen.PaperExample()
+	path := writeStore(t, g, 4096)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := s.l
+	s.Close()
+	corrupt := func(entry int64, val uint64) {
+		t.Helper()
+		data := append([]byte(nil), clean...)
+		putU64(data[l.offsetsOff+entry*8:], val)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	corrupt(l.n, uint64(l.m2+1))
+	if _, err := Open(path, 0); err == nil || !strings.Contains(err.Error(), "corrupt offsets") {
+		t.Fatalf("last offset past m2: Open returned %v", err)
+	}
+
+	// offsets[3] is node 2's end and node 3's start.
+	for _, tc := range []struct {
+		val  uint64
+		node graph.NodeID
+	}{
+		{uint64(l.m2 + 5), 2}, // hi > m2, cnt still within m2
+		{^uint64(0) - 2, 3},   // lo < 0 as int64
+		{uint64(1) << 62, 2},  // hi far past the file
+		{uint64(l.m2 + 5), 3}, // lo > hi
+		{^uint64(0) - 100, 2}, // hi < lo
+	} {
+		corrupt(3, tc.val)
+		s, err := Open(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			s.Neighbors(tc.node)
+			return
+		}()
+		s.Close()
+		if !strings.Contains(msg, fmt.Sprintf("diskgraph: corrupt offsets for node %d", tc.node)) {
+			t.Errorf("offsets[3]=%#x, Neighbors(%d): got %q", tc.val, tc.node, msg)
+		}
 	}
 }
 
@@ -326,6 +467,123 @@ func TestEvictionCountersAndHWM(t *testing.T) {
 	}
 }
 
+// ownedBytes is what the cache holds in page buffers at one instant:
+// resident pages plus loads in flight. It holds every shard lock at once,
+// because faults move between shards faster than it could visit them.
+func (c *pageCache) ownedBytes() int64 {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	var frames int64
+	for i := range c.shards {
+		frames += int64(c.shards[i].frames)
+		c.shards[i].mu.Unlock()
+	}
+	return frames * c.pageSize
+}
+
+// TestFaultPathAllocs: once the cache is full, a fault reads into the frame
+// of the page it evicts, so a scan that faults thousands of times allocates
+// no page buffers and the cache never owns more than its budget.
+func TestFaultPathAllocs(t *testing.T) {
+	g, err := gen.RMAT(3000, 12000, gen.DefaultRMAT(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageSize, budget = 8192, 4 * 8192
+	s, err := Open(writeStore(t, g, pageSize), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.FileSize() < 8*budget {
+		t.Fatalf("file of %d bytes is too small for a %d-byte cache to keep faulting", s.FileSize(), budget)
+	}
+	r := s.NewReader()
+	scan := func() {
+		for v := 0; v < g.NumNodes(); v++ {
+			// Stride across the file so consecutive reads land on different pages.
+			r.Neighbors(graph.NodeID(v * 997 % g.NumNodes()))
+		}
+	}
+	scan() // fills the frames and grows the reader's scratch buffers
+
+	var before, after runtime.MemStats
+	faults := s.CacheStats().Misses
+	runtime.ReadMemStats(&before)
+	scan()
+	runtime.ReadMemStats(&after)
+	faults = s.CacheStats().Misses - faults
+	if faults < 1000 {
+		t.Fatalf("only %d faults in the measured scan", faults)
+	}
+	if perFault := float64(after.TotalAlloc-before.TotalAlloc) / float64(faults); perFault >= 256 {
+		t.Errorf("%.0f bytes allocated per fault over %d faults; a page buffer is %d", perFault, faults, pageSize)
+	}
+	if owned := s.cache.ownedBytes(); owned > budget {
+		t.Errorf("cache owns %d bytes of page buffers, budget %d", owned, budget)
+	}
+	if st := s.CacheStats(); st.ResidentBytes > budget {
+		t.Errorf("%d resident bytes, budget %d", st.ResidentBytes, budget)
+	}
+}
+
+// TestWaiterFindsPageGone: a reader that waited on another reader's load
+// and finds the page no longer in the shard when it gets the lock back (a
+// later fault already evicted it, or the load failed) reads the page itself.
+// The test plays the loading reader by hand to fix that order.
+func TestWaiterFindsPageGone(t *testing.T) {
+	data := make([]byte, 100)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	c := newPageCache(bytes.NewReader(data), 10, 10, 100)
+	sh := &c.shards[0]
+
+	sh.mu.Lock()
+	sh.pages[3] = &page{idx: 3, loading: true}
+	sh.frames++
+	sh.mu.Unlock()
+
+	var wg sync.WaitGroup
+	var got [4]byte
+	var n int
+	var waitErr error
+	var stalls int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		n, waitErr = c.copyAt(got[:], 3, 2, func(time.Duration) { stalls++ })
+	}()
+	for {
+		sh.mu.Lock()
+		waiting := sh.dedups == 1
+		sh.mu.Unlock()
+		if waiting {
+			break
+		}
+		runtime.Gosched()
+	}
+
+	sh.mu.Lock()
+	delete(sh.pages, 3)
+	sh.frames--
+	sh.loaded.Broadcast()
+	sh.mu.Unlock()
+	wg.Wait()
+
+	if waitErr != nil || n != 4 || got != [4]byte{32, 33, 34, 35} {
+		t.Fatalf("waiter read %v (n=%d, err=%v), want bytes 32..35", got, n, waitErr)
+	}
+	st := c.stats()
+	if st.FaultsDeduped != 1 || st.Misses != 1 || stalls != 2 {
+		t.Fatalf("dedups %d, misses %d, observed stalls %d; want 1, 1, 2", st.FaultsDeduped, st.Misses, stalls)
+	}
+	if owned := c.ownedBytes(); owned != 10 {
+		t.Fatalf("cache owns %d bytes after the refault, want one 10-byte page", owned)
+	}
+}
+
 // TestStoreLensIntegration attaches an analytics lens to a store with a
 // deliberately undersized cache and checks the exported snapshot: geometry
 // auto-fill (capacity from budget, dense page blocks), access accounting
@@ -337,47 +595,98 @@ func TestStoreLensIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeStore(t, g, 512)
-	s, err := Open(path, 8<<10) // 16 pages: forces eviction
+	for _, tc := range []struct {
+		cacheBytes int64
+		sampleRate int // 1: every hit takes the lens's full path; 4: three hits in four are batched in the page frames
+		pages      int
+	}{
+		{8 << 10, 1, 16},
+		{32 << 10, 4, 64},
+	} {
+		s, err := Open(path, tc.cacheBytes) // far smaller than the file: forces eviction
+		if err != nil {
+			t.Fatal(err)
+		}
+		lens := s.AttachLens(cachelens.Config{SampleRate: tc.sampleRate, Seed: 3})
+		if s.Lens() != lens {
+			t.Fatal("Lens() does not return the attached lens")
+		}
+		for pass := 0; pass < 2; pass++ {
+			for v := 0; v < s.NumNodes(); v += 3 {
+				s.Neighbors(graph.NodeID(v))
+				s.Degree(graph.NodeID(v))
+			}
+		}
+
+		st := s.CacheStats()
+		snap := lens.Snapshot(10)
+		if snap.SampleRate != tc.sampleRate {
+			t.Fatalf("effective sample rate %d, want %d", snap.SampleRate, tc.sampleRate)
+		}
+		if snap.Accesses != st.Hits+st.Misses+st.FaultsDeduped || snap.Hits != st.Hits {
+			t.Fatalf("rate %d: lens saw %d accesses, %d hits; cache %d lookups, %d hits",
+				tc.sampleRate, snap.Accesses, snap.Hits, st.Hits+st.Misses+st.FaultsDeduped, st.Hits)
+		}
+		if snap.Ghost.Evictions != st.Evictions {
+			t.Fatalf("lens evictions %d != cache evictions %d", snap.Ghost.Evictions, st.Evictions)
+		}
+		if st.Evictions == 0 {
+			t.Fatal("undersized cache evicted nothing")
+		}
+		if !snap.DenseBlocks {
+			t.Fatal("page-cache lens should map blocks densely")
+		}
+		if snap.Capacity != tc.pages {
+			t.Fatalf("auto-filled capacity = %d, want %d pages", snap.Capacity, tc.pages)
+		}
+		var heat float64
+		for _, hb := range lens.Snapshot(1 << 20).HotBlocks {
+			heat += hb.Heat
+		}
+		if int64(heat+0.5) != snap.Accesses {
+			t.Fatalf("rate %d: heat sums to %.1f over all blocks, want one per access (%d)", tc.sampleRate, heat, snap.Accesses)
+		}
+		if len(snap.Curve) != len(cachelens.DefaultScales) {
+			t.Fatalf("curve has %d points", len(snap.Curve))
+		}
+		if snap.Ghost.WouldHaveHits == 0 {
+			t.Fatalf("re-reading the whole file through a %d-page cache produced no ghost hits", tc.pages)
+		}
+		s.Close()
+	}
+}
+
+// TestAttachLensMarksResidentPages attaches the lens to a cache that already
+// holds pages: their later hits must take the path the lens's sampling asks
+// for (here every key is sampled, so each one reaches the stack-distance
+// index), and the hits made before the lens existed must not be handed to it.
+func TestAttachLensMarksResidentPages(t *testing.T) {
+	g, err := gen.RMAT(500, 2000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(writeStore(t, g, 512), 1<<20) // the whole file fits
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	lens := s.AttachLens(cachelens.Config{SampleRate: 1, Seed: 3})
-	if s.Lens() != lens {
-		t.Fatal("Lens() does not return the attached lens")
-	}
-	for pass := 0; pass < 2; pass++ {
-		for v := 0; v < s.NumNodes(); v += 3 {
+	read := func() {
+		for v := 0; v < s.NumNodes(); v++ {
 			s.Neighbors(graph.NodeID(v))
-			s.Degree(graph.NodeID(v))
 		}
 	}
-
-	st := s.CacheStats()
-	snap := lens.Snapshot(10)
-	if snap.Accesses != st.Hits+st.Misses+st.FaultsDeduped {
-		t.Fatalf("lens accesses %d != cache lookups %d", snap.Accesses, st.Hits+st.Misses+st.FaultsDeduped)
+	read()
+	read()
+	before := s.CacheStats()
+	lens := s.AttachLens(cachelens.Config{SampleRate: 1})
+	read()
+	after := s.CacheStats()
+	if after.Misses != before.Misses {
+		t.Fatalf("third pass faulted: %d -> %d misses", before.Misses, after.Misses)
 	}
-	if snap.Ghost.Evictions != st.Evictions {
-		t.Fatalf("lens evictions %d != cache evictions %d", snap.Ghost.Evictions, st.Evictions)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("undersized cache evicted nothing")
-	}
-	if !snap.DenseBlocks {
-		t.Fatal("page-cache lens should map blocks densely")
-	}
-	if snap.Capacity != 16 {
-		t.Fatalf("auto-filled capacity = %d, want 16 pages", snap.Capacity)
-	}
-	if len(snap.HotBlocks) == 0 {
-		t.Fatal("no hot blocks after thousands of reads")
-	}
-	if len(snap.Curve) != len(cachelens.DefaultScales) {
-		t.Fatalf("curve has %d points", len(snap.Curve))
-	}
-	if snap.Ghost.WouldHaveHits == 0 {
-		t.Fatal("re-reading the whole file through a 16-page cache produced no ghost hits")
+	snap := lens.Snapshot(1)
+	if want := after.Hits - before.Hits; snap.Hits != want || snap.SampledAccesses != want {
+		t.Fatalf("lens saw %d hits, %d of them sampled; the cache served %d since it was attached",
+			snap.Hits, snap.SampledAccesses, want)
 	}
 }

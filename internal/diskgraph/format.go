@@ -1,8 +1,8 @@
 // Package diskgraph is the disk-resident graph substrate standing in for
 // the Neo4j 2.0 store the paper uses in Section 6.4. It keeps the entire
-// graph — degrees, CSR offsets, adjacency targets and weights — in a single
-// file and serves reads through an LRU page cache with a hard byte budget,
-// mirroring the paper's "memory usage restricted to 2 GB" setup.
+// graph — degrees, CSR offsets and one adjacency record per node — in a
+// single file and serves reads through an LRU page cache with a hard byte
+// budget, mirroring the paper's "memory usage restricted to 2 GB" setup.
 //
 // The Store satisfies graph.Graph, so FLoS runs on it unmodified: exactly
 // the paper's observation that FLoS "only calls some basic query functions
@@ -16,7 +16,7 @@ import (
 
 // Layout of the store file (little endian):
 //
-//	magic   "FLOSDSK1"                                  8 B
+//	magic   "FLOSDSK2"                                  8 B
 //	n       uint64                                      8 B
 //	m2      uint64  (half-edge count = 2m)              8 B
 //	pageSz  uint32                                      4 B
@@ -25,13 +25,19 @@ import (
 //	-- sections, each 8-byte aligned --
 //	degrees n × float64
 //	offsets (n+1) × int64
-//	targets m2 × uint32
-//	weights m2 × float64
+//	rows    m2 × 12 B
+//
+// Node v's row is one contiguous record at rowsOff + 12·offsets[v]: its cnt
+// targets (uint32 each) followed by its cnt weights (float64 each), so a
+// visit costs one offsets read and one row read.
 
 const (
-	magic       = "FLOSDSK1"
+	magic       = "FLOSDSK2"
 	headerFixed = 8 + 8 + 8 + 4 + 4
 	topEntrySz  = 12
+	// rowEntrySz is one half-edge in a row record: a uint32 target and a
+	// float64 weight.
+	rowEntrySz = 4 + 8
 	// DefaultPageSize is the cache page granularity. 64 KiB approximates a
 	// disk-friendly read unit while keeping small-neighborhood reads cheap.
 	DefaultPageSize = 64 << 10
@@ -49,8 +55,7 @@ type layout struct {
 
 	degreesOff int64
 	offsetsOff int64
-	targetsOff int64
-	weightsOff int64
+	rowsOff    int64
 	totalSize  int64
 }
 
@@ -62,11 +67,8 @@ func newLayout(n, m2, pageSz, topN int64) layout {
 	pos += n * 8
 	l.offsetsOff = pos
 	pos += (n + 1) * 8
-	l.targetsOff = pos
-	pos += m2 * 4
-	pos = align8(pos)
-	l.weightsOff = pos
-	pos += m2 * 8
+	l.rowsOff = pos
+	pos += m2 * rowEntrySz
 	l.totalSize = pos
 	return l
 }

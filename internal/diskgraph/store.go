@@ -75,7 +75,12 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	if string(hdr[:8]) != magic {
+	switch string(hdr[:8]) {
+	case magic:
+	case "FLOSDSK1":
+		f.Close()
+		return nil, fmt.Errorf("diskgraph: %s: FLOSDSK1 store, which this version no longer reads; rebuild the store from its graph (flosgen -format store, or Create)", path)
+	default:
 		f.Close()
 		return nil, fmt.Errorf("diskgraph: %s: bad magic", path)
 	}
@@ -101,6 +106,15 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 	if _, err := io.ReadFull(f, topBuf); err != nil {
 		f.Close()
 		return nil, err
+	}
+	var last [8]byte
+	if _, err := f.ReadAt(last[:], l.offsetsOff+n*8); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if end := int64(getU64(last[:])); end != m2 {
+		f.Close()
+		return nil, fmt.Errorf("diskgraph: %s: corrupt offsets: last offset %d, header says %d half-edges", path, end, m2)
 	}
 	top := make([]graph.DegreeEntry, topN)
 	for i := int64(0); i < topN; i++ {
@@ -186,10 +200,10 @@ func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	}
 	lo := int64(getU64(ob[0:8]))
 	hi := int64(getU64(ob[8:16]))
-	cnt := hi - lo
-	if cnt < 0 || cnt > s.l.m2 {
+	if lo < 0 || hi < lo || hi > s.l.m2 {
 		panic(fmt.Sprintf("diskgraph: corrupt offsets for node %d: [%d,%d)", v, lo, hi))
 	}
+	cnt := hi - lo
 	if int64(cap(r.scratchN)) < cnt {
 		r.scratchN = make([]graph.NodeID, cnt, 2*cnt)
 		r.scratchW = make([]float64, cnt, 2*cnt)
@@ -197,54 +211,46 @@ func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	nbrs := r.scratchN[:cnt]
 	ws := r.scratchW[:cnt]
 
-	// Targets.
-	need := cnt * 4
+	need := cnt * rowEntrySz
 	if int64(cap(r.buf)) < need {
 		r.buf = make([]byte, need, 2*need)
 	}
-	tb := r.buf[:need]
-	if err := s.cache.readAt(tb, s.l.targetsOff+lo*4, r.fault); err != nil {
-		panic(fmt.Sprintf("diskgraph: targets read: %v", err))
+	row := r.buf[:need]
+	if err := s.cache.readAt(row, s.l.rowsOff+lo*rowEntrySz, r.fault); err != nil {
+		panic(fmt.Sprintf("diskgraph: row read: %v", err))
 	}
-	for i := int64(0); i < cnt; i++ {
+	tb, wb := row[:cnt*4], row[cnt*4:]
+	for i := range nbrs {
 		nbrs[i] = graph.NodeID(getU32(tb[i*4:]))
-	}
-	// Weights.
-	need = cnt * 8
-	if int64(cap(r.buf)) < need {
-		r.buf = make([]byte, need, 2*need)
-	}
-	wb := r.buf[:need]
-	if err := s.cache.readAt(wb, s.l.weightsOff+lo*8, r.fault); err != nil {
-		panic(fmt.Sprintf("diskgraph: weights read: %v", err))
-	}
-	for i := int64(0); i < cnt; i++ {
 		ws[i] = math.Float64frombits(getU64(wb[i*8:]))
 	}
 	return nbrs, ws
 }
 
-// AttachLens enables cache analytics on the page cache: every page lookup
-// and eviction feeds a cachelens.Lens whose miss-ratio curve, ghost list,
+// AttachLens enables cache analytics on the page cache: page lookups and
+// evictions feed a cachelens.Lens whose miss-ratio curve, ghost list,
 // heatmap, and working-set windows are exported through the returned handle.
+// Hits on pages the lens does not sample are batched in the cache and reach
+// the lens 64 at a time, on eviction, and before every snapshot.
 // Zero-valued cfg fields are auto-filled from the store's geometry: Capacity
 // becomes the page budget (the 1x point of the MRC) and Blocks the file's
-// page count, so the heatmap indexes real page IDs. Call before serving
-// traffic — attaching is not synchronized with concurrent reads — and Close
-// the returned lens on shutdown when cfg.TickEvery is set.
+// page count, so the heatmap indexes real page IDs. The lens sees the
+// accesses made from here on; pages already resident are kept and marked
+// sampled or not like any other. Call before serving traffic — attaching is
+// not synchronized with concurrent reads — and Close the returned lens on
+// shutdown when cfg.TickEvery is set.
 func (s *Store) AttachLens(cfg cachelens.Config) *cachelens.Lens {
 	if cfg.Capacity <= 0 {
-		budget := int64(0)
 		for i := range s.cache.shards {
-			budget += s.cache.shards[i].budget
+			cfg.Capacity += s.cache.shards[i].maxFrames
 		}
-		cfg.Capacity = int(budget / s.cache.pageSize)
 	}
 	if cfg.Blocks <= 0 {
 		cfg.Blocks = (s.l.totalSize + s.cache.pageSize - 1) / s.cache.pageSize
 	}
 	lens := cachelens.New(cfg)
-	s.cache.lens = lens
+	lens.OnSnapshot(s.cache.foldHits)
+	s.cache.attachLens(lens)
 	return lens
 }
 

@@ -93,21 +93,20 @@ func Create(path string, g *graph.MemGraph, pageSize int) error {
 			return fail(f, err)
 		}
 	}
-	// Targets.
-	for _, t := range targets {
-		putU32(b4[:], uint32(t))
-		if err := emit(b4[:]); err != nil {
-			return fail(f, err)
+	// Rows: each node's targets, then its weights, as one record.
+	for v := int64(0); v < n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		for _, t := range targets[lo:hi] {
+			putU32(b4[:], uint32(t))
+			if err := emit(b4[:]); err != nil {
+				return fail(f, err)
+			}
 		}
-	}
-	if err := pad(emit, l.weightsOff-written); err != nil {
-		return fail(f, err)
-	}
-	// Weights.
-	for _, wt := range weights {
-		putU64(b8[:], math.Float64bits(wt))
-		if err := emit(b8[:]); err != nil {
-			return fail(f, err)
+		for _, wt := range weights[lo:hi] {
+			putU64(b8[:], math.Float64bits(wt))
+			if err := emit(b8[:]); err != nil {
+				return fail(f, err)
+			}
 		}
 	}
 	if written != l.totalSize {

@@ -31,10 +31,13 @@
 //     traffic actually touches, per window, independent of capacity.
 //
 // Cost discipline: the disabled path is one nil check (every method is
-// nil-safe on the receiver, the Tracer/flight-recorder convention). The
-// enabled hot path — a cache hit on an unsampled key — is one 64-bit mix,
-// one mask compare, and two atomic adds; only the 1/SampleRate sampled
-// minority and the (already slow) miss path take the Lens mutex.
+// nil-safe on the receiver, the Tracer/flight-recorder convention). Through
+// RecordGet, a cache hit on an unsampled key is one 64-bit mix, one mask
+// compare, and two atomic adds; only the 1/SampleRate sampled minority and
+// the (already slow) miss path take the Lens mutex. A cache whose hit path is
+// too hot even for that (the page cache: thousands of page hits per query)
+// asks Sampled once when a key enters, counts the unsampled keys' hits under
+// its own lock, and hands them over in batches with RecordHits.
 package cachelens
 
 import (
@@ -183,6 +186,10 @@ type Lens struct {
 	lastDecay  time.Time
 	haveWallT0 bool
 
+	// beforeSnapshot, when set, lets the cache fold in the hits it has
+	// batched for RecordHits before a snapshot reads the totals.
+	beforeSnapshot func()
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -285,16 +292,10 @@ func (l *Lens) RecordGet(key uint64, hit bool) {
 		l.misses.Add(1)
 	}
 	// Heat is counted on every access (not just sampled ones): the heatmap
-	// ranks blocks by true traffic, and an atomic add is cheap enough to
-	// stay under the overhead gate.
-	slot := key
-	if !l.denseHeat {
-		slot = mix64(key ^ l.cfg.Seed)
-	}
-	l.heat[slot%uint64(len(l.heat))].Add(heatOne)
+	// ranks blocks by true traffic.
+	l.heatSlot(key).Add(heatOne)
 
-	h := mix64(key ^ l.cfg.Seed)
-	sampledKey := h&l.mask == 0
+	sampledKey := l.Sampled(key)
 	if !sampledKey && hit {
 		return // the common case: unsampled hit, no lock taken
 	}
@@ -324,6 +325,45 @@ func (l *Lens) RecordGet(key uint64, hit bool) {
 		}
 	}
 	l.mu.Unlock()
+}
+
+// heatSlot returns key's heat counter: its own slot in a dense block space,
+// a hash fold otherwise.
+func (l *Lens) heatSlot(key uint64) *atomic.Int64 {
+	if !l.denseHeat {
+		key = mix64(key ^ l.cfg.Seed)
+	}
+	return &l.heat[key%uint64(len(l.heat))]
+}
+
+// Sampled reports whether key is in the spatially sampled subset whose
+// reuse distances the lens tracks. It is a pure function of the key and the
+// seed, so a cache can ask once when the key enters and remember the answer.
+// False on a nil lens.
+func (l *Lens) Sampled(key uint64) bool {
+	return l != nil && mix64(key^l.cfg.Seed)&l.mask == 0
+}
+
+// RecordHits observes n cache hits on key at once. It is RecordGet(key,
+// true) n times over for a key that is not Sampled — totals and heat only,
+// no lock — and must not be used for a sampled key, whose every access has
+// to reach the stack-distance index in order.
+func (l *Lens) RecordHits(key uint64, n uint32) {
+	if l == nil || n == 0 {
+		return
+	}
+	l.hits.Add(int64(n))
+	l.heatSlot(key).Add(int64(n) * heatOne)
+}
+
+// OnSnapshot registers fn to run at the start of every Snapshot, before any
+// lens state is read: the hook a cache that batches RecordHits uses to fold
+// in what it still holds, so a snapshot's access total matches the cache's
+// own counters. Set it before the lens sees traffic. Safe on nil.
+func (l *Lens) OnSnapshot(fn func()) {
+	if l != nil {
+		l.beforeSnapshot = fn
+	}
 }
 
 func (w *window) add(key uint64) {
@@ -501,6 +541,9 @@ func (l *Lens) Snapshot(topN int) Snapshot {
 	}
 	if topN <= 0 {
 		topN = 20
+	}
+	if l.beforeSnapshot != nil {
+		l.beforeSnapshot()
 	}
 	hits, misses := l.hits.Load(), l.misses.Load()
 	s := Snapshot{

@@ -336,6 +336,10 @@ func TestNilLensIsSafe(t *testing.T) {
 	var lens *Lens
 	lens.RecordGet(1, true)
 	lens.RecordEvict(1)
+	lens.RecordHits(1, 64)
+	if lens.Sampled(1) {
+		t.Fatal("nil lens samples a key")
+	}
 	lens.Tick(time.Now())
 	lens.Close()
 	if got := lens.Snapshot(5); got.Accesses != 0 {
@@ -343,6 +347,48 @@ func TestNilLensIsSafe(t *testing.T) {
 	}
 	if lens.Evictions() != 0 {
 		t.Fatal("nil lens reports evictions")
+	}
+}
+
+// TestBatchedHitsMatchPerAccess plays one trace into two lenses: one sees
+// every access through RecordGet, the other the way the page cache reports —
+// misses, evictions and sampled keys' hits one by one, every other hit
+// counted per key and handed over with RecordHits at eviction and from the
+// OnSnapshot hook. Totals, curve, ghost list, working set and heat must come
+// out identical.
+func TestBatchedHitsMatchPerAccess(t *testing.T) {
+	cfg := Config{Capacity: 200, SampleRate: 8, Seed: 11, Blocks: 4096, HeatSlots: 4096,
+		WindowShort: time.Minute, WindowLong: 10 * time.Minute}
+	each, batched := New(cfg), New(cfg)
+	pending := make(map[uint64]uint32)
+	batched.OnSnapshot(func() {
+		for k, n := range pending {
+			batched.RecordHits(k, n)
+		}
+		clear(pending)
+	})
+	sim := newLRUSim(cfg.Capacity)
+	for _, key := range zipfTrace(5, 50_000, 4096, 1.1, 8) {
+		hit, evicted, didEvict := sim.access(key)
+		each.RecordGet(key, hit)
+		if hit && !batched.Sampled(key) {
+			pending[key]++
+		} else {
+			batched.RecordGet(key, hit)
+		}
+		if didEvict {
+			each.RecordEvict(evicted)
+			batched.RecordHits(evicted, pending[evicted])
+			delete(pending, evicted)
+			batched.RecordEvict(evicted)
+		}
+	}
+	want, got := each.Snapshot(50), batched.Snapshot(50)
+	if want.Hits == 0 || want.SampledAccesses == 0 || want.Ghost.WouldHaveHits == 0 {
+		t.Fatalf("trace exercised too little: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched lens diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
