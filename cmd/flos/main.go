@@ -5,7 +5,6 @@
 //	flos -graph web.txt -q 42 -k 10 -measure rwr
 //	flos -store big.flos -cache 128 -q 42 -k 20 -measure php
 //	flos -replay slow.json [-replay-id req-7]
-//	flos -cachereport cache.json
 //
 // Graph inputs: a SNAP-style text edge list (-graph), the binary CSR format
 // (-bin), or a disk store produced by flosgen/CreateDiskGraph (-store).
@@ -17,11 +16,6 @@
 // snapshot epoch; replay flags records behind -replay-epoch (or the newest
 // epoch in the dump) as stale, since their trajectories describe an older
 // topology.
-//
-// -cachereport renders a cache-analytics snapshot (saved from a flosd
-// instance's /debug/flos/cache endpoint) as capacity-planning tables: the
-// miss-ratio curve at 0.25x..4x capacity with its ghost-list cross-check,
-// working-set window estimates, and the hot/cold block heat ranking.
 package main
 
 import (
@@ -53,18 +47,11 @@ func main() {
 		replay    = flag.String("replay", "", "replay a flight-recorder dump file (JSON from /debug/flos/slow) instead of querying")
 		replayID  = flag.String("replay-id", "", "with -replay: render only the record with this request ID")
 		replayEp  = flag.Uint64("replay-epoch", 0, "with -replay: audit records against this live-graph epoch (0 = newest epoch in the dump)")
-		creport   = flag.String("cachereport", "", "render a cache-analytics snapshot file (JSON from /debug/flos/cache) instead of querying")
 	)
 	flag.Parse()
 
 	if *replay != "" {
 		if err := replayDump(*replay, *replayID, *replayEp); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *creport != "" {
-		if err := cacheReport(*creport); err != nil {
 			fatal(err)
 		}
 		return

@@ -12,10 +12,6 @@
 //	flosbench -fig trace        # Figure 4 / Table 3 worked example
 //	flosbench -fig all          # everything
 //	flosbench -datasets         # Table 4/6/7 dataset statistics
-//	flosbench -serving          # concurrent disk-resident serving throughput
-//	flosbench -recorder         # flight-recorder on/off latency overhead
-//	flosbench -trace-overhead   # span-tracing on/off latency overhead
-//	flosbench -modes            # serving modes: exact vs ε-certified paired RWR queries
 //
 // Scales default to laptop-bench sizes; pass -scale 1 -synthscale 1
 // -diskscale 1 -queries 1000 to run the paper's full configuration.
@@ -35,12 +31,6 @@ func main() {
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 7, 8, 9, 10, 11, 12, 13, trace, all")
 		datasets   = flag.Bool("datasets", false, "print dataset statistics tables")
-		serving    = flag.Bool("serving", false, "benchmark concurrent vs serialized disk-resident query serving")
-		batch      = flag.Bool("batch", false, "benchmark the session API: cold TopK vs warm Querier vs Batch (allocs/query)")
-		recorder   = flag.Bool("recorder", false, "benchmark query latency with the flight recorder + SLO tracking on vs off")
-		traceOver  = flag.Bool("trace-overhead", false, "benchmark query latency with span tracing on (head rate 1.0) vs off")
-		modes      = flag.Bool("modes", false, "benchmark serving modes: exact vs ε-certified paired RWR queries")
-		benchJSON  = flag.String("json", "", "with -recorder, -trace-overhead, or -modes: also write the machine-readable result (BENCH_5/7/8.json) to this file")
 		profiles   = flag.Bool("profiles", false, "print stand-in structural fingerprints (clustering, diameter)")
 		scale      = flag.Float64("scale", 0, "SNAP stand-in scale (default 1/8; 1 = paper size)")
 		synthScale = flag.Float64("synthscale", 0, "Table 6 synthetic scale (default 1/16)")
@@ -99,36 +89,6 @@ func main() {
 	cfg.CSVDir = *csvDir
 
 	out := os.Stdout
-	if *serving {
-		if err := servingBench(out, *tmp); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *batch {
-		if err := batchBench(out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *recorder {
-		if err := recorderBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *traceOver {
-		if err := traceOverheadBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *modes {
-		if err := modesBench(out, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *datasets {
 		if err := harness.Datasets(out, cfg); err != nil {
 			fatal(err)

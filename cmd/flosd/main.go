@@ -32,9 +32,7 @@
 // slow-query log at /debug/flos/slow — dump that to a file and replay it
 // offline with `flos -replay`. /debug/flos/slo reports rolling 5m/1h
 // availability and latency burn rates against -slo-availability /
-// -slo-latency-objective. -profile-dir enables continuous profiling:
-// periodic CPU/heap pprof captures with bounded rotation, tagged -slow when
-// the capture window overlapped a slow query.
+// -slo-latency-objective.
 //
 // Span tracing is on by default (-trace-ring 0 disables): every request runs
 // under a root span with per-phase children, W3C traceparent headers are
@@ -42,16 +40,13 @@
 // (-trace-sample) selects it or when it ends slow/shed/deadline/failed —
 // so the p99 outlier is always retrievable as a span tree from
 // /debug/flos/traces even at -trace-sample 0. The slow threshold is shared
-// with -slow-latency. -trace-export appends every kept trace to a file as
-// OTLP-shaped JSON lines for offline tooling.
+// with -slow-latency.
 //
 // Cache analytics are on by default (-cachelens 0 disables): the page cache
 // (-store) and the result cache each get a lens maintaining online miss-ratio
 // curves at 0.25x..4x capacity via SHARDS-style sampling (-cachelens-sample
-// sets the 1-in-N rate), a ghost list measuring would-have-hits at ~2x, decayed
-// hot/cold block heat, and 1m/10m working-set estimates — exported as
-// flos_pagecache_* / flos_result_cache_* gauges and GET /debug/flos/cache
-// (render a saved snapshot offline with `flos -cachereport`).
+// sets the 1-in-N rate) and 1m/10m working-set estimates — exported as
+// flos_pagecache_* / flos_result_cache_* gauges and GET /debug/flos/cache.
 //
 // Logs are structured (log/slog, text to stderr): one access record per
 // request with its ID, status, and latency, plus per-query debug records at
@@ -101,15 +96,10 @@ func main() {
 		sloAvail    = flag.Float64("slo-availability", 0.999, "availability objective (fraction of non-canceled queries that must succeed)")
 		sloLatObj   = flag.Float64("slo-latency-objective", 0.99, "latency objective (fraction of successes under -slo-latency)")
 
-		profileDir      = flag.String("profile-dir", "", "directory for continuous CPU/heap profiles; empty disables")
-		profileInterval = flag.Duration("profile-interval", time.Minute, "continuous-profiling capture interval")
-		profileKeep     = flag.Int("profile-keep", 10, "profiles retained per kind before rotation")
-
 		traceRing   = flag.Int("trace-ring", 256, "completed-trace ring size (0 disables span tracing)")
 		traceSample = flag.Float64("trace-sample", 1.0, "head-sampling rate in [0,1]; slow/shed/deadline/failed traces are kept regardless")
-		traceExport = flag.String("trace-export", "", "append kept traces to this file as OTLP-shaped JSON lines; empty disables")
 
-		lensOn     = flag.Bool("cachelens", true, "cache analytics: miss-ratio curves, ghost lists, working-set windows, heatmaps on the page and result caches (GET /debug/flos/cache)")
+		lensOn     = flag.Bool("cachelens", true, "cache analytics: miss-ratio curves and working-set windows on the page and result caches (GET /debug/flos/cache)")
 		lensSample = flag.Int("cachelens-sample", 64, "cache-analytics spatial sampling rate: 1 key in N tracked (1 = exact, higher = cheaper)")
 	)
 	flag.Parse()
@@ -186,26 +176,6 @@ func main() {
 			LatencyThreshold:      *sloLatency,
 		})
 	}
-	if *profileDir != "" {
-		pcfg := obs.ProfilerConfig{
-			Dir:      *profileDir,
-			Interval: *profileInterval,
-			Keep:     *profileKeep,
-			Logger:   logger,
-		}
-		if rec != nil {
-			// Tag profile windows that overlapped a slow query, so the
-			// capture to pull for a latency regression is obvious.
-			pcfg.SlowSince = rec.SlowSince
-		}
-		prof, err := obs.StartProfiler(pcfg)
-		if err != nil {
-			fatal(logger, "start continuous profiler", err)
-		}
-		defer prof.Stop()
-		logger.Info("continuous profiling",
-			"dir", *profileDir, "interval", *profileInterval, "keep", *profileKeep)
-	}
 
 	// Span tracing: the tail-promotion latency threshold deliberately reuses
 	// -slow-latency, so the slow-query log and the trace store promote the
@@ -217,22 +187,13 @@ func main() {
 			Ring:        *traceRing,
 			SlowLatency: *slowLatency,
 		}
-		if *traceExport != "" {
-			exp, err := trace.NewFileExporter(*traceExport, "flosd")
-			if err != nil {
-				fatal(logger, "open trace export file", err)
-			}
-			defer exp.Close()
-			tcfg.Exporter = exp
-		}
 		tracer = trace.New(tcfg)
-		logger.Info("span tracing",
-			"ring", *traceRing, "head_rate", *traceSample, "export", *traceExport)
+		logger.Info("span tracing", "ring", *traceRing, "head_rate", *traceSample)
 	}
 
 	// Cache analytics: attach a lens to the page cache (disk stores) and the
-	// result cache before any traffic flows. A 10s tick drives heat decay and
-	// the working-set windows.
+	// result cache before any traffic flows. A 10s tick drives the working-set
+	// windows.
 	var resultLens *cachelens.Lens
 	if *lensOn {
 		const lensTick = 10 * time.Second

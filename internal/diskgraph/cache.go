@@ -33,10 +33,10 @@ type pageCache struct {
 	fileSize int64
 	shards   []cacheShard
 
-	// lens, when non-nil, observes page lookups and evictions for the
-	// cache-analytics plane (MRC, ghost list, heatmap). Misses, evictions
-	// and hits on keys the lens samples reach it one by one, outside the
-	// shard locks; every other hit is counted in its page frame and folded
+	// lens, when non-nil, observes page lookups for the cache-analytics
+	// plane (MRC, working-set windows). Misses and hits on keys the lens
+	// samples reach it one by one, outside the shard locks; every other hit
+	// is counted in its page frame and folded
 	// in lensFold at a time (see foldHits). Nil-safe.
 	lens *cachelens.Lens
 }
@@ -153,7 +153,7 @@ func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault
 
 	c.lens.RecordGet(uint64(idx), false)
 	if victim >= 0 {
-		c.recordEvict(victim, victimHits)
+		c.lens.RecordHits(uint64(victim), victimHits)
 	}
 	var start time.Time
 	if onFault != nil {
@@ -178,16 +178,9 @@ func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault
 	sh.loaded.Broadcast()
 	sh.mu.Unlock()
 	for _, v := range shed {
-		c.recordEvict(v.idx, v.lensHits)
+		c.lens.RecordHits(uint64(v.idx), v.lensHits)
 	}
 	return n, err
-}
-
-// recordEvict tells the lens that page idx was evicted, handing over the
-// hits the page had not yet folded in. Call it outside the shard lock.
-func (c *pageCache) recordEvict(idx int64, lensHits uint32) {
-	c.lens.RecordHits(uint64(idx), lensHits)
-	c.lens.RecordEvict(uint64(idx))
 }
 
 // await waits for the reader that is loading page idx and copies from the

@@ -227,14 +227,13 @@ func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	return nbrs, ws
 }
 
-// AttachLens enables cache analytics on the page cache: page lookups and
-// evictions feed a cachelens.Lens whose miss-ratio curve, ghost list,
-// heatmap, and working-set windows are exported through the returned handle.
+// AttachLens enables cache analytics on the page cache: page lookups feed a
+// cachelens.Lens whose miss-ratio curve and working-set windows are exported
+// through the returned handle.
 // Hits on pages the lens does not sample are batched in the cache and reach
 // the lens 64 at a time, on eviction, and before every snapshot.
-// Zero-valued cfg fields are auto-filled from the store's geometry: Capacity
-// becomes the page budget (the 1x point of the MRC) and Blocks the file's
-// page count, so the heatmap indexes real page IDs. The lens sees the
+// A zero cfg.Capacity is filled from the store's geometry: it becomes the
+// page budget (the 1x point of the MRC). The lens sees the
 // accesses made from here on; pages already resident are kept and marked
 // sampled or not like any other. Call before serving traffic — attaching is
 // not synchronized with concurrent reads — and Close the returned lens on
@@ -244,9 +243,6 @@ func (s *Store) AttachLens(cfg cachelens.Config) *cachelens.Lens {
 		for i := range s.cache.shards {
 			cfg.Capacity += s.cache.shards[i].maxFrames
 		}
-	}
-	if cfg.Blocks <= 0 {
-		cfg.Blocks = (s.l.totalSize + s.cache.pageSize - 1) / s.cache.pageSize
 	}
 	lens := cachelens.New(cfg)
 	lens.OnSnapshot(s.cache.foldHits)

@@ -2,8 +2,10 @@ package cachelens
 
 import (
 	"container/list"
+	"encoding/json"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -64,10 +66,8 @@ func zipfTrace(seed int64, n int, keyspace uint64, skew, v float64) []uint64 {
 
 // TestMRCMatchesExactOnZipf is the acceptance-criterion test: play a pinned
 // Zipf trace through a real LRU at the deployed capacity (feeding the lens
-// its true hits/misses/evictions), simulate exact LRU at every MRC scale,
-// and require the sampled curve within 0.05 absolute error per scale. The
-// ghost list's directly measured 2x ratio must also agree with the exact 2x
-// simulation.
+// its true hits/misses), simulate exact LRU at every MRC scale, and require
+// the sampled curve within 0.05 absolute error per scale.
 func TestMRCMatchesExactOnZipf(t *testing.T) {
 	const (
 		capacity = 2000
@@ -85,17 +85,14 @@ func TestMRCMatchesExactOnZipf(t *testing.T) {
 	}
 
 	for _, key := range trace {
-		hit, evicted, didEvict := deployed.access(key)
+		hit, _, _ := deployed.access(key)
 		lens.RecordGet(key, hit)
-		if didEvict {
-			lens.RecordEvict(evicted)
-		}
 		for _, sim := range exact {
 			sim.access(key)
 		}
 	}
 
-	snap := lens.Snapshot(10)
+	snap := lens.Snapshot()
 	if snap.Accesses != n {
 		t.Fatalf("accesses = %d, want %d", snap.Accesses, n)
 	}
@@ -126,15 +123,6 @@ func TestMRCMatchesExactOnZipf(t *testing.T) {
 	if d := at1x - snap.HitRatio; d > 0.05 || d < -0.05 {
 		t.Errorf("curve 1x %.4f disagrees with measured hit ratio %.4f", at1x, snap.HitRatio)
 	}
-
-	// Ghost cross-check: resident (1x) + ghost (1x deep) ≈ LRU at 2x.
-	exact2x := exact[3].hitRatio()
-	if d := snap.Ghost.HitRatioAt2x - exact2x; d > 0.05 || d < -0.05 {
-		t.Errorf("ghost 2x ratio %.4f disagrees with exact 2x %.4f", snap.Ghost.HitRatioAt2x, exact2x)
-	}
-	if snap.Ghost.Evictions == 0 || snap.Ghost.WouldHaveHits == 0 {
-		t.Errorf("ghost list saw no traffic: %+v", snap.Ghost)
-	}
 }
 
 // TestMRCDeterministicUnderSeed replays the same trace into two identically
@@ -146,13 +134,10 @@ func TestMRCDeterministicUnderSeed(t *testing.T) {
 		lens := New(Config{Capacity: 500, SampleRate: 32, Seed: 1234})
 		sim := newLRUSim(500)
 		for _, key := range trace {
-			hit, evicted, didEvict := sim.access(key)
+			hit, _, _ := sim.access(key)
 			lens.RecordGet(key, hit)
-			if didEvict {
-				lens.RecordEvict(evicted)
-			}
 		}
-		return lens.Snapshot(10)
+		return lens.Snapshot()
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -164,7 +149,7 @@ func TestMRCDeterministicUnderSeed(t *testing.T) {
 	for _, key := range trace {
 		lens.RecordGet(key, true)
 	}
-	if c := lens.Snapshot(10); c.SampledAccesses == a.SampledAccesses {
+	if c := lens.Snapshot(); c.SampledAccesses == a.SampledAccesses {
 		t.Logf("note: different seed sampled the same count (%d) — legal but unlikely", c.SampledAccesses)
 	}
 }
@@ -179,11 +164,8 @@ func TestMRCMonotone(t *testing.T) {
 		for i := 0; i < 50_000; i++ {
 			key := uint64(r.Intn(2000))
 			lens.RecordGet(key, r.Intn(2) == 0)
-			if r.Intn(10) == 0 {
-				lens.RecordEvict(uint64(r.Intn(2000)))
-			}
 		}
-		snap := lens.Snapshot(5)
+		snap := lens.Snapshot()
 		for i := 1; i < len(snap.Curve); i++ {
 			if snap.Curve[i].EstHitRatio < snap.Curve[i-1].EstHitRatio {
 				t.Fatalf("seed %d: curve not monotone: %.4f@%.2fx > %.4f@%.2fx",
@@ -227,7 +209,7 @@ func TestStackDistMatchesNaive(t *testing.T) {
 // TestSamplerRace stresses the lens with concurrent writers, snapshot
 // readers, and epoch ticks — meaningful under -race (the CI Race step).
 func TestSamplerRace(t *testing.T) {
-	lens := New(Config{Capacity: 256, SampleRate: 4, Blocks: 512, HeatSlots: 512})
+	lens := New(Config{Capacity: 256, SampleRate: 4})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
@@ -239,9 +221,6 @@ func TestSamplerRace(t *testing.T) {
 			for i := 0; i < 20_000; i++ {
 				key := uint64(r.Intn(512))
 				lens.RecordGet(key, i%3 != 0)
-				if i%7 == 0 {
-					lens.RecordEvict(key)
-				}
 			}
 		}(w)
 	}
@@ -256,7 +235,7 @@ func TestSamplerRace(t *testing.T) {
 			}
 			now = now.Add(time.Second)
 			lens.Tick(now)
-			snap := lens.Snapshot(10)
+			snap := lens.Snapshot()
 			if snap.Accesses < snap.Hits {
 				t.Errorf("accesses %d < hits %d", snap.Accesses, snap.Hits)
 				return
@@ -266,41 +245,9 @@ func TestSamplerRace(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	snap := lens.Snapshot(10)
+	snap := lens.Snapshot()
 	if snap.Accesses != 4*20_000 {
 		t.Fatalf("accesses = %d, want %d", snap.Accesses, 4*20_000)
-	}
-}
-
-// TestHeatDecayAndRanking checks the heatmap: dense block mapping, top-N
-// ordering hottest-first, and exponential decay by exactly one half-life.
-func TestHeatDecayAndRanking(t *testing.T) {
-	lens := New(Config{Capacity: 16, Blocks: 100, HeatSlots: 128, HeatHalfLife: time.Minute})
-	t0 := time.Unix(1000, 0)
-	lens.Tick(t0) // anchor the clock
-	for i := 0; i < 30; i++ {
-		lens.RecordGet(7, true)
-	}
-	for i := 0; i < 10; i++ {
-		lens.RecordGet(13, true)
-	}
-	lens.RecordGet(99, false)
-
-	snap := lens.Snapshot(2)
-	if !snap.DenseBlocks {
-		t.Fatal("100 blocks in 128 slots should map densely")
-	}
-	if len(snap.HotBlocks) != 2 || snap.HotBlocks[0].Block != 7 || snap.HotBlocks[1].Block != 13 {
-		t.Fatalf("top-2 = %+v, want blocks 7 then 13", snap.HotBlocks)
-	}
-	if snap.HotBlocks[0].Heat != 30 {
-		t.Fatalf("block 7 heat = %v, want 30", snap.HotBlocks[0].Heat)
-	}
-
-	lens.Tick(t0.Add(time.Minute)) // one half-life
-	snap = lens.Snapshot(2)
-	if h := snap.HotBlocks[0].Heat; h < 14.9 || h > 15.1 {
-		t.Fatalf("block 7 heat after one half-life = %v, want ~15", h)
 	}
 }
 
@@ -313,12 +260,12 @@ func TestWSSWindows(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lens.RecordGet(uint64(i%40), true) // 40 distinct keys
 	}
-	snap := lens.Snapshot(1)
+	snap := lens.Snapshot()
 	if snap.WorkingSet[0].CurrentEst != 40 {
 		t.Fatalf("short-window current estimate = %d, want 40", snap.WorkingSet[0].CurrentEst)
 	}
 	lens.Tick(t0.Add(61 * time.Second))
-	snap = lens.Snapshot(1)
+	snap = lens.Snapshot()
 	if snap.WorkingSet[0].DistinctEst != 40 || snap.WorkingSet[0].Rollovers != 1 {
 		t.Fatalf("short window after rollover = %+v, want est 40 rollovers 1", snap.WorkingSet[0])
 	}
@@ -335,29 +282,24 @@ func TestWSSWindows(t *testing.T) {
 func TestNilLensIsSafe(t *testing.T) {
 	var lens *Lens
 	lens.RecordGet(1, true)
-	lens.RecordEvict(1)
 	lens.RecordHits(1, 64)
 	if lens.Sampled(1) {
 		t.Fatal("nil lens samples a key")
 	}
 	lens.Tick(time.Now())
 	lens.Close()
-	if got := lens.Snapshot(5); got.Accesses != 0 {
+	if got := lens.Snapshot(); got.Accesses != 0 {
 		t.Fatalf("nil snapshot = %+v", got)
-	}
-	if lens.Evictions() != 0 {
-		t.Fatal("nil lens reports evictions")
 	}
 }
 
 // TestBatchedHitsMatchPerAccess plays one trace into two lenses: one sees
 // every access through RecordGet, the other the way the page cache reports —
-// misses, evictions and sampled keys' hits one by one, every other hit
-// counted per key and handed over with RecordHits at eviction and from the
-// OnSnapshot hook. Totals, curve, ghost list, working set and heat must come
-// out identical.
+// misses and sampled keys' hits one by one, every other hit counted per key
+// and handed over with RecordHits at eviction and from the OnSnapshot hook.
+// Totals, curve and working set must come out identical.
 func TestBatchedHitsMatchPerAccess(t *testing.T) {
-	cfg := Config{Capacity: 200, SampleRate: 8, Seed: 11, Blocks: 4096, HeatSlots: 4096,
+	cfg := Config{Capacity: 200, SampleRate: 8, Seed: 11,
 		WindowShort: time.Minute, WindowLong: 10 * time.Minute}
 	each, batched := New(cfg), New(cfg)
 	pending := make(map[uint64]uint32)
@@ -377,14 +319,12 @@ func TestBatchedHitsMatchPerAccess(t *testing.T) {
 			batched.RecordGet(key, hit)
 		}
 		if didEvict {
-			each.RecordEvict(evicted)
 			batched.RecordHits(evicted, pending[evicted])
 			delete(pending, evicted)
-			batched.RecordEvict(evicted)
 		}
 	}
-	want, got := each.Snapshot(50), batched.Snapshot(50)
-	if want.Hits == 0 || want.SampledAccesses == 0 || want.Ghost.WouldHaveHits == 0 {
+	want, got := each.Snapshot(), batched.Snapshot()
+	if want.Hits == 0 || want.SampledAccesses == 0 {
 		t.Fatalf("trace exercised too little: %+v", want)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -392,25 +332,27 @@ func TestBatchedHitsMatchPerAccess(t *testing.T) {
 	}
 }
 
-// TestGhostReentry exercises the sequence-number guard: a key that ghost-
-// hits (leaving the list) and is later re-evicted must not be deleted early
-// when its stale FIFO slot reaches the head.
-func TestGhostReentry(t *testing.T) {
-	lens := New(Config{Capacity: 4, GhostEntries: 4, SampleRate: 1})
-	lens.RecordEvict(1)
-	lens.RecordGet(1, false) // ghost hit: key 1 leaves the list
-	lens.RecordEvict(1)      // re-enters with a new sequence
-	for k := uint64(2); k <= 6; k++ {
-		lens.RecordEvict(k) // push the stale slot of key 1 past the head
+// TestSnapshotWireShape pins the JSON keys of a snapshot: the body of
+// /debug/flos/cache carries the totals, the curve and the working-set
+// windows, and nothing else.
+func TestSnapshotWireShape(t *testing.T) {
+	raw, err := json.Marshal(New(Config{Capacity: 16}).Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Keys 3..6 are the live FIFO tail plus key 1's re-entry was displaced;
-	// what matters: no panic and the list stays bounded.
-	snap := lens.Snapshot(1)
-	if snap.Ghost.Entries > 4 {
-		t.Fatalf("ghost list overran its bound: %+v", snap.Ghost)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Ghost.WouldHaveHits != 1 {
-		t.Fatalf("would-have-hits = %d, want 1", snap.Ghost.WouldHaveHits)
+	got := make([]string, 0, len(fields))
+	for k := range fields {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{"accesses", "capacity", "hit_ratio", "hits", "miss_ratio_curve", "misses",
+		"sample_rate", "sampled_accesses", "sampled_cold", "sampled_tracked", "ticks", "working_set"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot keys = %v, want %v", got, want)
 	}
 }
 
@@ -422,7 +364,7 @@ func TestAutoTick(t *testing.T) {
 		lens.RecordGet(uint64(i), false)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for lens.Snapshot(1).Ticks < 2 {
+	for lens.Snapshot().Ticks < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("background ticker never fired twice")
 		}

@@ -112,7 +112,6 @@ type FlightRecorder struct {
 	slow      []*FlightRecord // ring: slowSeq % SlowKeep
 	slowSeq   uint64
 	slowTotal atomic.Uint64
-	lastSlow  atomic.Int64 // unix nanos of the latest promotion
 }
 
 // NewFlightRecorder builds a recorder with cfg (zero value = defaults).
@@ -156,7 +155,6 @@ func (r *FlightRecorder) Record(rec *FlightRecord) {
 		return
 	}
 	r.slowTotal.Add(1)
-	r.lastSlow.Store(rec.Start.Add(time.Duration(rec.LatencyUS) * time.Microsecond).UnixNano())
 	r.slowMu.Lock()
 	r.slow[r.slowSeq%uint64(len(r.slow))] = rec
 	r.slowSeq++
@@ -169,14 +167,6 @@ func (r *FlightRecorder) Recorded() uint64 { return r.seq.Load() }
 // SlowCount returns the total number of promotions (the log retains only
 // the most recent SlowKeep of them).
 func (r *FlightRecorder) SlowCount() uint64 { return r.slowTotal.Load() }
-
-// SlowSince reports whether any query was promoted into the slow-query log
-// at or after t — the hook the continuous profiler uses to tag capture
-// windows that overlap a slow query.
-func (r *FlightRecorder) SlowSince(t time.Time) bool {
-	ns := r.lastSlow.Load()
-	return ns != 0 && ns >= t.UnixNano()
-}
 
 // Last returns up to n of the most recent records, newest first. n <= 0
 // selects the full ring.

@@ -2,8 +2,7 @@
 // stack: a lock-free log-bucketed latency histogram with per-bucket
 // exemplars, a Prometheus text-exposition writer, request-ID generation,
 // log-level parsing, and the production diagnostics plane — a query flight
-// recorder with a slow-query log, a multi-window SLO burn-rate tracker, and
-// a continuous pprof profiler.
+// recorder with a slow-query log and a multi-window SLO burn-rate tracker.
 //
 // Nothing here imports a metrics client library: the package serves the
 // Prometheus text format with its own writer, so the serving stack has no

@@ -18,9 +18,7 @@
 // histogram exemplars, flight-recorder and slow-query-log records, and access
 // logs all carry them.
 //
-// Nothing here imports outside the standard library; the OTLP-shaped JSON
-// file exporter (export.go) keeps offline tooling compatible with the
-// OpenTelemetry ecosystem without taking the dependency.
+// Nothing here imports outside the standard library.
 package trace
 
 import (
@@ -217,8 +215,6 @@ type Config struct {
 	// two planes promote the same requests. 0 selects 250ms; negative
 	// disables latency promotion.
 	SlowLatency time.Duration
-	// Exporter, when non-nil, receives every kept trace (see FileExporter).
-	Exporter Exporter
 }
 
 // HeadAll is the Config.HeadRate that keeps every trace.
@@ -235,12 +231,6 @@ func (c Config) withDefaults() Config {
 		c.SlowLatency = 250 * time.Millisecond
 	}
 	return c
-}
-
-// Exporter receives kept traces; see FileExporter for the OTLP-shaped JSON
-// implementation.
-type Exporter interface {
-	Export(*Trace)
 }
 
 // Tracer owns the retention policy and the lock-free ring of completed
@@ -516,9 +506,6 @@ func (a *Active) Finish(status string) {
 	}
 	idx := t.seq.Add(1) - 1
 	t.ring[idx%uint64(len(t.ring))].Store(tr)
-	if t.cfg.Exporter != nil {
-		t.cfg.Exporter.Export(tr)
-	}
 }
 
 // SpanHandle is one open span. Not safe for concurrent use; a request's

@@ -2,11 +2,7 @@ package trace
 
 import (
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseTraceparentValid(t *testing.T) {
@@ -89,58 +85,4 @@ func TestInject(t *testing.T) {
 	if h2.Get(Header) != "" {
 		t.Fatal("Inject wrote a header for the zero trace ID")
 	}
-}
-
-func TestFileExporterOTLPShape(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traces.jsonl")
-	exp, err := NewFileExporter(path, "flos-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := New(Config{HeadRate: 1, Exporter: exp})
-	a := tr.StartRequest(TraceParent{})
-	root := a.StartSpan(SpanID{}, "GET /topk", Int("k", 10), Str("measure", "php"), Float("alpha", 0.5), Bool("unified", false))
-	root.SetKind("server")
-	child := a.StartSpan(root.ID(), "qserve.execute")
-	child.SetError("boom")
-	child.End()
-	root.End()
-	a.Finish("ok")
-	a2 := tr.StartRequest(TraceParent{})
-	a2.StartSpan(SpanID{}, "GET /topk").End()
-	a2.Finish("ok")
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("exporter wrote %d lines, want 2 (one per kept trace)", len(lines))
-	}
-	first := lines[0]
-	for _, want := range []string{
-		`"resourceSpans"`, `"scopeSpans"`, `"spans"`,
-		`"service.name"`, `"flos-test"`,
-		`"traceId":"` + a.TraceIDString() + `"`,
-		`"kind":2`, // server span
-		`"kind":1`, // internal span
-		`"startTimeUnixNano":"`, `"endTimeUnixNano":"`,
-		`"intValue":"10"`, `"stringValue":"php"`, `"doubleValue":0.5`, `"boolValue":false`,
-		`"code":2`, `"message":"boom"`, // errored child status
-		`"flos.sampled"`,
-	} {
-		if !strings.Contains(first, want) {
-			t.Errorf("OTLP line missing %s:\n%s", want, first)
-		}
-	}
-
-	// End = start + duration, as string nanos.
-	if !strings.Contains(first, `"parentSpanId":"`+root.ID().String()+`"`) {
-		t.Error("child span missing parentSpanId")
-	}
-	_ = time.Now()
 }

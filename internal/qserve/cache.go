@@ -101,11 +101,8 @@ type resultCache struct {
 
 	hits, misses, evictions int64
 
-	// lens, when non-nil, observes lookups and LRU evictions for the cache
-	// analytics plane. Invalidations are deliberately NOT recorded: those
-	// entries die for correctness, not for space, so counting them would
-	// make a bigger cache look better than it could be. Recorded outside
-	// mu; nil-safe.
+	// lens, when non-nil, observes lookups for the cache analytics plane.
+	// Recorded outside mu; nil-safe.
 	lens *cachelens.Lens
 }
 
@@ -165,7 +162,6 @@ func (c *resultCache) put(k cacheKey, resp *Response) {
 // later mutation batches can invalidate it surgically (nil footprint on
 // non-live pools — put delegates here).
 func (c *resultCache) putLive(k cacheKey, resp *Response, fp, visited []graph.NodeID, guard float64, guarded bool) {
-	var evicted []uint64
 	c.mu.Lock()
 	if el, ok := c.m[k]; ok {
 		e := el.Value.(*cacheEntry)
@@ -181,14 +177,8 @@ func (c *resultCache) putLive(k cacheKey, resp *Response, fp, visited []graph.No
 		oldKey := oldest.Value.(*cacheEntry).key
 		delete(c.m, oldKey)
 		c.evictions++
-		if c.lens != nil {
-			evicted = append(evicted, hashKey(oldKey))
-		}
 	}
 	c.mu.Unlock()
-	for _, h := range evicted {
-		c.lens.RecordEvict(h)
-	}
 }
 
 // invalidate walks every entry after a mutation batch moved the graph from

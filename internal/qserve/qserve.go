@@ -81,9 +81,9 @@ type Config struct {
 	// as errors. Client cancellations are excluded — they say nothing about
 	// the server's objectives.
 	SLO *obs.SLOTracker
-	// CacheLens, when non-nil, observes every result-cache lookup and LRU
-	// eviction for the cache analytics plane (miss-ratio curve, ghost list,
-	// working-set windows). Ignored when caching is disabled. Size it with
+	// CacheLens, when non-nil, observes every result-cache lookup for the
+	// cache analytics plane (miss-ratio curve, working-set windows).
+	// Ignored when caching is disabled. Size it with
 	// Capacity = CacheEntries so the curve's 1x point is the deployed bound.
 	CacheLens *cachelens.Lens
 }

@@ -170,28 +170,34 @@ type cacheLensBody struct {
 	ResultCache *cachelens.Snapshot `json:"result_cache,omitempty"`
 }
 
-// handleCacheLens serves the cache-analytics snapshots: miss-ratio curves,
-// ghost-list would-have-hits, working-set windows, and the top-N hot blocks
-// (?n=, default 20) for every cache with a lens attached. 404 when analytics
-// are off everywhere — the same discipline as the other debug endpoints.
-func (s *Server) handleCacheLens(w http.ResponseWriter, r *http.Request) {
+// cacheLens snapshots every cache that has a lens attached; nil when none
+// has.
+func (s *Server) cacheLens() *cacheLensBody {
 	pl, rl := s.pageLens(), s.resultLens
 	if pl == nil && rl == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "cache analytics disabled (-cachelens 0)"})
-		return
+		return nil
 	}
-	n, ok := parseN(w, r, 20)
-	if !ok {
-		return
-	}
-	var body cacheLensBody
+	body := &cacheLensBody{}
 	if pl != nil {
-		snap := pl.Snapshot(n)
+		snap := pl.Snapshot()
 		body.PageCache = &snap
 	}
 	if rl != nil {
-		snap := rl.Snapshot(n)
+		snap := rl.Snapshot()
 		body.ResultCache = &snap
+	}
+	return body
+}
+
+// handleCacheLens serves the cache-analytics snapshots: miss-ratio curves
+// and working-set windows for every cache with a lens attached. 404 when
+// analytics are off everywhere — the same discipline as the other debug
+// endpoints.
+func (s *Server) handleCacheLens(w http.ResponseWriter, r *http.Request) {
+	body := s.cacheLens()
+	if body == nil {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "cache analytics disabled (-cachelens 0)"})
+		return
 	}
 	writeJSON(w, http.StatusOK, body)
 }

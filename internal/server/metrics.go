@@ -65,8 +65,8 @@ type metricsBody struct {
 	// Disk page-cache counters; present only for disk-resident graphs.
 	Disk *diskMetricsBody `json:"disk,omitempty"`
 
-	// CacheAnalytics mirrors GET /debug/flos/cache (top-20 heat ranking);
-	// present when at least one cache has an analytics lens attached.
+	// CacheAnalytics mirrors GET /debug/flos/cache; present when at least
+	// one cache has an analytics lens attached.
 	CacheAnalytics *cacheLensBody `json:"cache_analytics,omitempty"`
 }
 
@@ -274,18 +274,7 @@ func (s *Server) metricsJSON(w http.ResponseWriter) {
 		}
 		body.Disk = disk
 	}
-	if pl, rl := s.pageLens(), s.resultLens; pl != nil || rl != nil {
-		ca := &cacheLensBody{}
-		if pl != nil {
-			snap := pl.Snapshot(20)
-			ca.PageCache = &snap
-		}
-		if rl != nil {
-			snap := rl.Snapshot(20)
-			ca.ResultCache = &snap
-		}
-		body.CacheAnalytics = ca
-	}
+	body.CacheAnalytics = s.cacheLens()
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -357,10 +346,10 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 		}
 	}
 	if pl := s.pageLens(); pl != nil {
-		lensProm(p, "flos_pagecache", "page cache", pl.Snapshot(0))
+		lensProm(p, "flos_pagecache", "page cache", pl.Snapshot())
 	}
 	if s.resultLens != nil {
-		lensProm(p, "flos_result_cache", "result cache", s.resultLens.Snapshot(0))
+		lensProm(p, "flos_result_cache", "result cache", s.resultLens.Snapshot())
 	}
 
 	if s.slo != nil {
@@ -406,8 +395,7 @@ func scaleLabel(s float64) string {
 
 // lensProm writes one cache-analytics lens as Prometheus gauges under the
 // given metric prefix (flos_pagecache / flos_result_cache): the miss-ratio
-// curve by scale, the working-set estimates by window, and the ghost list's
-// directly measured would-have-hit counters.
+// curve by scale and the working-set estimates by window.
 func lensProm(p *obs.PromWriter, prefix, what string, snap cachelens.Snapshot) {
 	for _, pt := range snap.Curve {
 		p.Gauge(prefix+"_mrc_hit_ratio",
@@ -420,7 +408,4 @@ func lensProm(p *obs.PromWriter, prefix, what string, snap cachelens.Snapshot) {
 		win := map[string]string{"window": ws.Window}
 		p.Gauge(prefix+"_wss_estimate", "Estimated distinct "+what+" entries touched in the last completed window (scaled sampled count).", win, float64(ws.DistinctEst))
 	}
-	p.Counter(prefix+"_ghost_evictions_total", "Capacity evictions recorded into the "+what+" ghost list.", nil, snap.Ghost.Evictions)
-	p.Counter(prefix+"_ghost_would_have_hits_total", "Misses that would have hit a ~2x-capacity "+what+" (key still in the ghost list).", nil, snap.Ghost.WouldHaveHits)
-	p.Gauge(prefix+"_ghost_hit_ratio_at_2x", "Directly measured "+what+" hit ratio at ~2x capacity ((hits + ghost hits) / accesses).", nil, snap.Ghost.HitRatioAt2x)
 }

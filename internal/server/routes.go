@@ -46,9 +46,8 @@
 //	                           counters; ?id=<32-hex trace id> returns that
 //	                           trace's full span tree
 //	GET /debug/flos/cache      cache-analytics snapshots (miss-ratio curves,
-//	                           ghost list, working-set windows, top-N hot
-//	                           blocks; ?n= bounds the heat ranking, def. 20)
-//	                           for the page cache and the result cache
+//	                           working-set windows) for the page cache and
+//	                           the result cache
 //
 // trace=1 returns the per-iteration convergence trajectory (visited/
 // boundary/candidate counts, the certification gap, per-phase timings)
@@ -167,8 +166,8 @@ type Config struct {
 	// the flight recorder, slow-query log, exemplars, and access logs.
 	Tracer *trace.Tracer
 	// CacheLens, when non-nil, attaches cache analytics to the result cache:
-	// miss-ratio curves, ghost list, working-set windows, and hot-key heat,
-	// exported as flos_result_cache_* gauges and GET /debug/flos/cache. The
+	// miss-ratio curves and working-set windows, exported as
+	// flos_result_cache_* gauges and GET /debug/flos/cache. The
 	// page cache's lens is attached on the store itself (Store.AttachLens)
 	// before the server is built; the server discovers it there.
 	CacheLens *cachelens.Lens

@@ -1,33 +1,26 @@
 #!/usr/bin/env bash
 # Diagnostics-plane smoke test (the CI diagnostics-smoke job).
 #
-# Boots flosd with the flight recorder, slow-query log, SLO tracking, span
-# tracing (head rate 0 — only tail promotion retains anything), and
-# continuous profiler enabled; fires 200 queries plus an injected slow query
-# carrying a known X-Request-ID and W3C traceparent; asserts the query is
-# captured in /debug/flos/slow, joinable through its latency-bucket exemplar
-# in /metrics?format=json, visible in the flos_slo_* gauges, replayable
-# offline with `flos -replay`, and — despite the 0% head rate — retained as a
-# tail-promoted span tree at /debug/flos/traces and in the OTLP-JSON export
-# file. Along the way it exercises the /v1 API: exact envelope with a
-# certification block, ε-certified query with achieved gap <= ε, anytime
-# under an expiring deadline answering 200 with certified:false, and the
-# retired unversioned /topk answering 404. The cache-analytics plane
-# (on by default) is asserted too: /debug/flos/cache serves the result-cache
-# snapshot (no page plane — this server holds the graph in memory), the
-# flos_result_cache_* lens gauges land in /metrics, and `flos -cachereport`
-# renders the saved snapshot offline. Then it runs the recorder- and
-# tracing-overhead benchmarks and gates
-# both on the <= 2% median target, leaving the machine-readable results in
-# BENCH_5.json / BENCH_7.json (override with BENCH_OUT / TRACE_BENCH_OUT).
+# Boots flosd with the flight recorder, slow-query log, SLO tracking and span
+# tracing (head rate 0 — only tail promotion retains anything) enabled; fires
+# 200 queries plus an injected slow query carrying a known X-Request-ID and
+# W3C traceparent; asserts the query is captured in /debug/flos/slow,
+# joinable through its latency-bucket exemplar in /metrics?format=json,
+# visible in the flos_slo_* gauges, replayable offline with `flos -replay`,
+# and — despite the 0% head rate — retained as a tail-promoted span tree at
+# /debug/flos/traces. Along the way it exercises the /v1 API: exact envelope
+# with a certification block, ε-certified query with achieved gap <= ε,
+# anytime under an expiring deadline answering 200 with certified:false, and
+# the retired unversioned /topk answering 404. The cache-analytics plane (on
+# by default) is asserted too: /debug/flos/cache serves the result-cache
+# snapshot (no page plane — this server holds the graph in memory) and the
+# flos_result_cache_* lens gauges land in /metrics.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="127.0.0.1:18097"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
-OUT="${BENCH_OUT:-BENCH_5.json}"
-TRACE_OUT="${TRACE_BENCH_OUT:-BENCH_7.json}"
 FLOSD_PID=""
 trap '[ -n "$FLOSD_PID" ] && kill "$FLOSD_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
@@ -37,7 +30,6 @@ echo "== build =="
 go build -o "$WORK/flosgen" ./cmd/flosgen
 go build -o "$WORK/flosd" ./cmd/flosd
 go build -o "$WORK/flos" ./cmd/flos
-go build -o "$WORK/flosbench" ./cmd/flosbench
 
 echo "== generate graph =="
 "$WORK/flosgen" -model rmat -n 20000 -m 100000 -seed 1 -format bin -out "$WORK/graph.bin"
@@ -52,8 +44,7 @@ echo "== boot flosd with the diagnostics plane on =="
 "$WORK/flosd" -bin "$WORK/graph.bin" -addr "$ADDR" \
   -flightrec 512 -slow-latency 1ns -slow-keep 64 \
   -slo-latency 100ms -cache 64 \
-  -trace-ring 512 -trace-sample 0 -trace-export "$WORK/traces.jsonl" \
-  -profile-dir "$WORK/profiles" -profile-interval 2s -profile-keep 3 \
+  -trace-ring 512 -trace-sample 0 \
   -log-level warn &
 FLOSD_PID=$!
 up=""
@@ -140,10 +131,6 @@ echo "== slow log record carries the trace ID =="
 curl -fsS "$BASE/debug/flos/slow" | grep -q "\"trace_id\":\"$TRACE_ID\"" ||
   fail "slow-log record has no trace_id join key"
 
-echo "== OTLP export file has the trace =="
-grep -q "\"traceId\":\"$TRACE_ID\"" "$WORK/traces.jsonl" ||
-  fail "trace $TRACE_ID missing from the OTLP export file"
-
 echo "== SLO gauges and recorder counters exposed =="
 curl -fsS "$BASE/metrics" >"$WORK/metrics.prom"
 for m in 'flos_slo_availability{window="5m"}' 'flos_slo_availability_burn_rate{window="1h"}' \
@@ -162,20 +149,12 @@ if grep -q '"page_cache":{' "$WORK/cache.json"; then
   fail "/debug/flos/cache grew a page_cache plane on an in-memory graph"
 fi
 grep -q '"miss_ratio_curve":\[' "$WORK/cache.json" || fail "cache snapshot has no miss-ratio curve"
-grep -q '"ghost":{' "$WORK/cache.json" || fail "cache snapshot has no ghost-list block"
 grep -q '"working_set":\[' "$WORK/cache.json" || fail "cache snapshot has no working-set windows"
 for m in 'flos_result_cache_mrc_hit_ratio{scale="1x"}' 'flos_result_cache_mrc_hit_ratio{scale="4x"}' \
   'flos_result_cache_lens_hit_ratio' 'flos_result_cache_wss_estimate{window="1m0s"}' \
-  'flos_result_cache_ghost_hit_ratio_at_2x' 'flos_result_cache_capacity 64'; do
+  'flos_result_cache_capacity 64'; do
   grep -qF "$m" "$WORK/metrics.prom" || fail "/metrics missing $m"
 done
-
-echo "== offline cache report renders the capacity-planning tables =="
-"$WORK/flos" -cachereport "$WORK/cache.json" >"$WORK/cachereport.txt"
-grep -q "miss-ratio curve" "$WORK/cachereport.txt" ||
-  { cat "$WORK/cachereport.txt" >&2; fail "cache report printed no miss-ratio curve"; }
-grep -q -- "<- deployed" "$WORK/cachereport.txt" || fail "cache report marks no deployed scale"
-grep -q "ghost list:" "$WORK/cachereport.txt" || fail "cache report has no ghost-list line"
 
 echo "== offline replay renders the convergence table =="
 "$WORK/flos" -replay "$WORK/slow.json" -replay-id "$SLOW_ID" >"$WORK/replay.txt"
@@ -184,20 +163,8 @@ grep -q "convergence trace:" "$WORK/replay.txt" ||
 grep -Eq '^\s+[0-9]+\s+[0-9]+' "$WORK/replay.txt" || fail "replay table has no iteration rows"
 grep -q " yes " "$WORK/replay.txt" || fail "replayed trajectory has no certified row"
 
-echo "== continuous profiler wrote captures =="
-ls "$WORK"/profiles/cpu-*.pprof >/dev/null 2>&1 || fail "no CPU profiles in $WORK/profiles"
-ls "$WORK"/profiles/heap-*.pprof >/dev/null 2>&1 || fail "no heap profiles in $WORK/profiles"
-
 kill "$FLOSD_PID"
 wait "$FLOSD_PID" 2>/dev/null || true
 FLOSD_PID=""
 
-echo "== recorder overhead benchmark -> $OUT =="
-"$WORK/flosbench" -recorder -json "$OUT"
-bash scripts/bench_gate.sh "$OUT" median_overhead_pct 2.0 le || fail "recorder overhead gate"
-
-echo "== span-tracing overhead benchmark -> $TRACE_OUT =="
-"$WORK/flosbench" -trace-overhead -json "$TRACE_OUT"
-bash scripts/bench_gate.sh "$TRACE_OUT" median_overhead_pct 2.0 le || fail "tracing overhead gate"
-
-echo "diagnostics smoke: OK (recorder and tracing median overhead within the 2% gate)"
+echo "diagnostics smoke: OK"
