@@ -81,24 +81,37 @@ func TopKCtx(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options) (*
 	return topKIn(ctx, g, q, opt, nil)
 }
 
-// topKIn validates and dispatches one query; ws supplies a reusable engine
-// workspace (nil runs cold).
+// topKIn answers one single-measure query: the shared prologue, the family's
+// engine, the search driver with one goal, the family's result builder. ws
+// supplies a reusable engine workspace (nil runs cold).
 func topKIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*Result, error) {
-	if snapper, ok := g.(graph.Snapshotter); ok {
-		// Live backend: pin one immutable snapshot for the whole search so
-		// concurrent mutation batches cannot tear the topology mid-query.
-		snap, release := snapper.AcquireSnapshot()
-		defer release()
-		g = snap
-	}
-	if err := opt.Validate(); err != nil {
+	g, release, err := pin(g, q, opt)
+	if err != nil {
 		return nil, err
 	}
-	if q < 0 || int(q) >= g.NumNodes() {
-		return nil, fmt.Errorf("%w: query node %d outside [0,%d)", ErrInvalidQuery, q, g.NumNodes())
-	}
+	defer release()
+	goals := [1]goal{{kind: opt.Measure}}
+	var res *Result
+	var out outcome
 	if opt.Measure == measure.THT {
-		return thtTopK(ctx, g, q, opt, ws)
+		e := ws.thtFor(g, q, opt.Params.L)
+		out = search(ctx, e, opt, goals[:])
+		res = e.result(opt, &goals[0], out)
+	} else {
+		// EI, DHT and RWR ride on the PHP engine through Theorems 2 and 6.
+		p, err := measure.EquivalentPHPParams(opt.Measure, opt.Params)
+		if err != nil {
+			return nil, err
+		}
+		e := ws.phpFor(g, q, p, opt)
+		out = search(ctx, e, opt, goals[:])
+		if res, err = e.result(opt, &goals[0], out); err != nil {
+			return nil, err
+		}
 	}
-	return phpFamilyTopK(ctx, g, q, opt, ws)
+	if out.interrupted != nil {
+		out.interrupted.Partial = res
+		return nil, out.interrupted
+	}
+	return res, nil
 }

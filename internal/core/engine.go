@@ -66,6 +66,11 @@ type phpEngine struct {
 
 	degreeProbes int
 
+	// wSbar serves the RWR stopping rule's w(S̄) guard: the largest degree
+	// among unvisited nodes, read off the graph's degree index through a
+	// cursor that persists for the query.
+	wSbar wsbarGuard
+
 	// Footprint capture (Options.CaptureFootprint): probed collects the
 	// unvisited nodes whose Degree was read — the memo guarantees each node
 	// appears at most once — and lastGuard records the final w(S̄) ceiling an
@@ -127,7 +132,7 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 // visit pulls node v into S: the substrate maintains the visited-set and
 // frontier bookkeeping, then this wires the transition entries in both
 // directions and seeds the solver worklists. Precondition: v not visited.
-func (e *phpEngine) visit(v graph.NodeID) int32 {
+func (e *phpEngine) visit(v graph.NodeID) {
 	li := e.visitCommon(v)
 	e.t.AddRow()
 
@@ -158,7 +163,6 @@ func (e *phpEngine) visit(v graph.NodeID) int32 {
 		e.markDirty(lu)
 		e.enqueue(lu)
 	}
-	return li
 }
 
 // markDirty flags node i for a tightening refresh, appending it to the
@@ -503,10 +507,11 @@ func (e *phpEngine) expand(u int32, added []graph.NodeID) []graph.NodeID {
 	return added
 }
 
-// certGap records the observables of one termination test for tracing: the
-// k-th candidate's certified-side bound key and the best competing bound
-// key it must clear. Filled only when the caller passes a non-nil pointer,
-// and only once the test gets far enough to compare bounds (valid).
+// certGap records the observables of one termination test: the k-th
+// candidate's certified-side bound key and the best competing bound key it
+// must clear. Filled only when the caller passes a non-nil pointer, and only
+// once the test gets far enough to compare bounds (valid); until then it is
+// the zero value, which traces and certificates report as it stands.
 type certGap struct {
 	valid bool
 	kth   float64 // certified-side bound key of the k-th selected candidate

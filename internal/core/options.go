@@ -242,17 +242,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// slack is the termination slack the stopping rule runs with: TieEps in
-// exact and anytime modes (byte-identical to the pre-mode engine), widened
-// to Epsilon in ε-certified mode. Centralizing it here keeps the engines'
-// loops mode-oblivious — they compare against one number either way.
-func (o Options) slack() float64 {
-	if o.Mode == ModeEpsilon && o.Epsilon > o.TieEps {
-		return o.Epsilon
-	}
-	return o.TieEps
-}
-
 // SnapshotObserver is an optional extension a Tracer can implement to also
 // receive the full per-iteration snapshot (TraceEvent): the visited set and
 // both bound vectors. Each snapshot copies O(|S|) state, so this is far more
@@ -309,7 +298,8 @@ type Result struct {
 	Visited int
 	// Iterations counts local expansions (paper's t).
 	Iterations int
-	// Sweeps counts Jacobi sweeps across all bound updates (paper's α·β).
+	// Sweeps counts single-row Gauss–Seidel relaxations across all bound
+	// solves: the work the paper's α·β Jacobi sweeps stand for.
 	Sweeps int
 	// DegreeProbes counts Degree() metadata lookups on unvisited nodes
 	// (spent by tightening and by the RWR w(S̄) guard).

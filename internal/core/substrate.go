@@ -289,8 +289,8 @@ func (s *localSearch) clearSel(sel []scored) {
 	}
 }
 
-// postExpandHook, when non-nil, is invoked by every main loop right after an
-// expansion step with the active engine (*phpEngine or *thtEngine). It
+// postExpandHook, when non-nil, is invoked by the search driver right after
+// an expansion step with the active engine (*phpEngine or *thtEngine). It
 // exists for differential tests that cross-check the incremental frontier
 // bookkeeping against brute-force recomputation after every expansion; it
 // must never be set outside tests.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"slices"
-	"time"
 
 	"flos/internal/graph"
 	"flos/internal/measure"
@@ -158,10 +156,12 @@ func (e *thtEngine) visit(v graph.NodeID) {
 // relaxDistFrom propagates shortest-path improvements created by a new or
 // shortened node (unit hops, BFS-style worklist).
 func (e *thtEngine) relaxDistFrom(start int32) {
+	// Pop by head index: queue = queue[1:] erodes the retained capacity one
+	// slot per pop (see phpEngine.solveBounds), and every visit of a warm
+	// query would then reallocate.
 	queue := append(e.distQ[:0], start)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
 		di := e.dist[i]
 		if di == distInf {
 			continue
@@ -173,7 +173,7 @@ func (e *thtEngine) relaxDistFrom(start int32) {
 			}
 		}
 	}
-	e.distQ = queue
+	e.distQ = queue[:0]
 }
 
 // markAllLevels dirties every level of one row.
@@ -430,228 +430,55 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 	return out
 }
 
-// thtTopK is the FLoS main loop specialized to THT. ws supplies a reusable
-// engine (nil runs cold).
-func thtTopK(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*Result, error) {
-	e := ws.thtFor(g, q, opt.Params.L)
-	// Warm-start seeding (see phpFamilyTopK): the L-level bound systems are
-	// valid for any S containing q, so pre-visiting seeds is safe.
-	for _, v := range opt.WarmStart {
-		if v == q || v < 0 || int(v) >= g.NumNodes() || e.local.has(v) {
-			continue
+// The driver-facing steps of the THT engine (see engine in search.go). It
+// certifies one key scale, so kind is ignored, and it has no dummy update:
+// the upper-bound dummy is pinned at the horizon L.
+
+func (e *thtEngine) beginIteration() {}
+
+// pick is the best-first batch plus the hop closure that keeps the distance
+// floor advancing (see pickFloorClosers).
+func (e *thtEngine) pick(_ measure.Kind, batch int) []int32 {
+	us := e.pickExpansion(batch)
+	for _, u := range e.pickFloorClosers() {
+		if !slices.Contains(us, u) {
+			us = append(us, u)
 		}
-		e.visit(v)
 	}
-	maxVisited := opt.MaxVisited
-	if maxVisited == 0 {
-		maxVisited = g.NumNodes()
+	if us != nil {
+		e.pickOut = us // keep the backing array the closers grew
 	}
-	// Termination slack: TieEps exact/anytime, widened to ε in ModeEpsilon
-	// (ε is in hop units here). See phpFamilyTopK.
-	slack := opt.slack()
-	tracing := opt.Tracer != nil
-	snapObs, _ := opt.Tracer.(SnapshotObserver)
-	var phaseAt time.Time
+	return us
+}
+
+func (e *thtEngine) solve() { e.solveBounds() }
+
+func (e *thtEngine) check(_ measure.Kind, dst []int32, k int, slack float64) ([]int32, certGap) {
 	var gap certGap
-	for t := 1; ; t++ {
-		if err := ctx.Err(); err != nil {
-			return thtInterrupted(e, opt, t-1, gap, err)
-		}
-		batch := e.size() / 256
-		if batch < 1 {
-			batch = 1
-		}
-		var expandNS, solveNS, certifyNS int64
-		if tracing {
-			phaseAt = time.Now()
-		}
-		us := e.pickExpansion(batch)
-		// Hop closure: keep the distance floor advancing (see
-		// pickFloorClosers). Traced and untraced runs share this schedule.
-		for _, u := range e.pickFloorClosers() {
-			if !slices.Contains(us, u) {
-				us = append(us, u)
-			}
-		}
-		added := e.addedBuf[:0]
-		var expanded graph.NodeID = -1
-		if len(us) > 0 {
-			expanded = e.nodes[us[0]]
-			for _, u := range us {
-				added = e.expand(u, added)
-			}
-		}
-		e.addedBuf = added
-		if postExpandHook != nil {
-			postExpandHook(e)
-		}
-		if tracing {
-			now := time.Now()
-			expandNS, phaseAt = now.Sub(phaseAt).Nanoseconds(), now
-		}
-		e.solveBounds()
-		if tracing {
-			now := time.Now()
-			solveNS, phaseAt = now.Sub(phaseAt).Nanoseconds(), now
-		}
-		gap = certGap{}
-		sel := e.checkTermination(e.selOut, opt.K, slack, &gap)
-		if sel != nil {
-			e.selOut = sel
-		}
-		if tracing {
-			certifyNS = time.Since(phaseAt).Nanoseconds()
-			opt.Tracer.ObserveIteration(thtIterStats(e, t, len(us), len(added),
-				sel != nil, &gap, expandNS, solveNS, certifyNS))
-		}
-		if snapObs != nil {
-			lbs := make([]float64, e.size())
-			ubs := make([]float64, e.size())
-			for i := range lbs {
-				lbs[i] = e.lb(int32(i))
-				ubs[i] = e.ub(int32(i))
-			}
-			snapObs.ObserveSnapshot(TraceEvent{
-				Iteration:  t,
-				Expanded:   expanded,
-				NewNodes:   append([]graph.NodeID(nil), added...),
-				Nodes:      append([]graph.NodeID(nil), e.nodes...),
-				Lower:      lbs,
-				Upper:      ubs,
-				DummyValue: float64(e.L),
-			})
-		}
-		done := sel != nil
-		exact, certified := true, true
-		if !done && len(us) == 0 {
-			sel = e.forceSelect(e.selOut, opt.K)
-			e.selOut = sel
-			done = true
-		}
-		if !done && e.size() >= maxVisited && opt.MaxVisited > 0 {
-			sel = e.forceSelect(e.selOut, opt.K)
-			e.selOut = sel
-			done, exact, certified = true, false, false
-		}
-		if done {
-			return thtResult(e, sel, opt, t, exact, certified, gap), nil
-		}
-	}
+	return e.checkTermination(dst, k, slack, &gap), gap
 }
 
-// thtResult builds the hop-scale result with its Certification block. THT
-// bounds are native (lower-is-closer hop counts), so the per-node intervals
-// need no scale conversion.
-func thtResult(e *thtEngine, sel []int32, opt Options, iters int, exact, certified bool, gap certGap) *Result {
-	if exact && opt.Mode == ModeEpsilon && gap.valid &&
-		measure.CertGap(measure.THT, gap.kth, gap.rest) > opt.TieEps {
-		exact = false
-	}
-	res := &Result{
-		Visited:    e.size(),
-		Iterations: iters,
-		Sweeps:     e.sweeps,
-		Exact:      exact,
-	}
-	if opt.CaptureFootprint {
-		// THT probes no outside degrees and uses no guard, so its
-		// read footprint is exactly the visited set.
-		res.VisitedNodes = append([]graph.NodeID(nil), e.nodes...)
-	}
-	c := Certification{
-		Mode:       opt.Mode,
-		Certified:  certified,
-		Epsilon:    opt.Epsilon,
-		Iterations: iters,
-	}
-	if gap.valid {
-		c.GapValid = true
-		c.KthBound = gap.kth
-		c.RestBound = gap.rest
-		c.Gap = measure.CertGap(measure.THT, gap.kth, gap.rest)
-	}
-	for _, i := range sel {
-		res.TopK = append(res.TopK, measure.Ranked{
-			Node:  e.nodes[i],
-			Score: (e.lb(i) + e.ub(i)) / 2,
-		})
-		c.Bounds = append(c.Bounds, NodeBounds{Node: e.nodes[i], Lower: e.lb(i), Upper: e.ub(i)})
-	}
-	res.Certification = c
-	return res
-}
+func (e *thtEngine) bounds(i int32) (lb, ub float64) { return e.lb(i), e.ub(i) }
 
-// thtInterrupted mirrors phpInterrupted for the finite-horizon engine:
-// anytime mode returns the uncertified in-flight top-k; other modes attach
-// it to the *Interrupted error.
-func thtInterrupted(e *thtEngine, opt Options, iters int, gap certGap, cause error) (*Result, error) {
-	sel := e.forceSelect(e.selOut, opt.K)
-	partial := thtResult(e, sel, opt, iters, false, false, gap)
-	if opt.Mode == ModeAnytime {
-		return partial, nil
-	}
-	in := interrupted(cause, e.size(), iters, e.sweeps)
-	in.Partial = partial
-	return nil, in
-}
-
-// thtIterStats assembles one IterStats record for the finite-horizon
-// engine. Gap orientation mirrors the PHP engine's because lower is closer:
-// best outsider lower bound minus kth upper bound, non-negative (within
-// TieEps) exactly when certified. DummyValue is the horizon L, the value the
-// upper-bound dummy is pinned at. The boundary/interior sizes come from the
-// substrate's O(1) counters — tracing no longer adds an O(|S|) sweep.
-func thtIterStats(e *thtEngine, t, batch, added int, certified bool, gap *certGap, expandNS, solveNS, certifyNS int64) IterStats {
-	s := IterStats{
-		Iteration:  t,
-		Visited:    e.size(),
-		Boundary:   e.boundaryCount(),
-		Interior:   e.interiorCount(),
-		Batch:      batch,
-		NewNodes:   added,
-		Certified:  certified,
-		DummyValue: float64(e.L),
-		ExpandNS:   expandNS,
-		SolveNS:    solveNS,
-		CertifyNS:  certifyNS,
-	}
-	if gap != nil && gap.valid {
-		s.GapValid = true
-		s.KthBound = gap.kth
-		s.RestBound = gap.rest
-		s.Gap = gap.rest - gap.kth
-	}
-	return s
-}
+func (e *thtEngine) dummy() float64 { return float64(e.L) }
 
 // forceSelect picks the k best visited nodes by upper bound (the safe side
-// for a lower-is-closer measure), appended to dst.
-func (e *thtEngine) forceSelect(dst []int32, k int) []int32 {
-	all := e.candBuf[:0]
-	for i := int32(0); i < int32(e.size()); i++ {
-		if e.nodes[i] != e.q {
-			all = append(all, scored{i, e.ub(i)})
-		}
+// for a lower-is-closer measure).
+func (e *thtEngine) forceSelect(_ measure.Kind, dst []int32, k int) []int32 {
+	return e.bestBy(dst, k, true, e.ub)
+}
+
+// result builds the hop-scale Result. THT bounds are native (lower-is-closer
+// hop counts), so scores and intervals need no scale conversion, and THT
+// probes no outside degrees and uses no guard, so its read footprint is
+// exactly the visited set.
+func (e *thtEngine) result(opt Options, g *goal, out outcome) *Result {
+	res := newResult(&e.localSearch, opt, out)
+	bounds := make([]NodeBounds, 0, len(g.sel))
+	for _, i := range g.sel {
+		res.TopK = append(res.TopK, measure.Ranked{Node: e.nodes[i], Score: (e.lb(i) + e.ub(i)) / 2})
+		bounds = append(bounds, NodeBounds{Node: e.nodes[i], Lower: e.lb(i), Upper: e.ub(i)})
 	}
-	e.candBuf = all
-	slices.SortFunc(all, func(a, b scored) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
-		if e.nodes[a.i] < e.nodes[b.i] {
-			return -1
-		}
-		return 1
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := dst[:0]
-	for i := 0; i < k; i++ {
-		out = append(out, all[i].i)
-	}
-	return out
+	res.Certification = certification(opt, g, bounds)
+	return res
 }

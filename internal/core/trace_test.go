@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -124,5 +125,50 @@ func TestTracerGapConvergesFromViolation(t *testing.T) {
 	}
 	if first.GapValid && first.Gap >= -opt.TieEps {
 		t.Fatalf("first iteration gap %g already non-negative yet search continued", first.Gap)
+	}
+}
+
+// orderObserver records the order its two callbacks fire in.
+type orderObserver struct{ calls []string }
+
+func (o *orderObserver) ObserveIteration(s IterStats) {
+	o.calls = append(o.calls, fmt.Sprintf("stats %d", s.Iteration))
+}
+
+func (o *orderObserver) ObserveSnapshot(ev TraceEvent) {
+	o.calls = append(o.calls, fmt.Sprintf("snapshot %d", ev.Iteration))
+}
+
+// TestSnapshotPrecedesIterStats: every family goes through the one driver,
+// so a SnapshotObserver gets each iteration's snapshot and then its
+// IterStats — for the THT engine and the unified search too.
+func TestSnapshotPrecedesIterStats(t *testing.T) {
+	g := gen.PaperExample()
+	for _, family := range []string{"PHP", "THT", "unified"} {
+		obs := &orderObserver{}
+		opt := DefaultOptions(measure.PHP, 2)
+		opt.Tracer = obs
+		iters := 0
+		if family == "unified" {
+			res, err := UnifiedTopK(g, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		} else {
+			opt.Measure, _ = kindByName(family)
+			res, err := TopK(g, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		}
+		var want []string
+		for i := 1; i <= iters; i++ {
+			want = append(want, fmt.Sprintf("snapshot %d", i), fmt.Sprintf("stats %d", i))
+		}
+		if !reflect.DeepEqual(obs.calls, want) {
+			t.Errorf("%s: callbacks fired as %v, want %v", family, obs.calls, want)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"flos/internal/graph"
 	"flos/internal/measure"
@@ -65,259 +63,42 @@ func UnifiedTopKCtx(ctx context.Context, g graph.Graph, q graph.NodeID, opt Opti
 	return unifiedIn(ctx, g, q, opt, nil)
 }
 
-// unifiedIn is the unified main loop; ws supplies a reusable engine
-// workspace (nil runs cold).
+// unifiedIn is topKIn's search with two goals: one PHP engine, one visited
+// set, the PHP-family and RWR rankings certified independently. ws supplies
+// a reusable engine workspace (nil runs cold).
 func unifiedIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*UnifiedResult, error) {
-	if snapper, ok := g.(graph.Snapshotter); ok {
-		// Live backend: pin one immutable snapshot for the whole search (see
-		// topKIn).
-		snap, release := snapper.AcquireSnapshot()
-		defer release()
-		g = snap
-	}
-	if err := opt.Validate(); err != nil {
+	g, release, err := pin(g, q, opt)
+	if err != nil {
 		return nil, err
 	}
-	if q < 0 || int(q) >= g.NumNodes() {
-		return nil, fmt.Errorf("%w: query node %d outside [0,%d)", ErrInvalidQuery, q, g.NumNodes())
-	}
-	e := ws.phpFor(g, q, opt.Params.C, opt.Params.Tau, opt.Params.MaxIter, opt.Tighten)
-	e.capProbes = opt.CaptureFootprint
-	// Warm-start seeding, as in phpFamilyTopK.
-	for _, v := range opt.WarmStart {
-		if v == q || v < 0 || int(v) >= g.NumNodes() || e.local.has(v) {
-			continue
-		}
-		e.visit(v)
-	}
-	maxVisited := opt.MaxVisited
-	if maxVisited == 0 {
-		maxVisited = g.NumNodes()
-	}
-	// w(S̄) guard for the RWR family, cursor-based as in phpFamilyTopK.
-	wSbar := newWSbarGuard(g)
+	defer release()
+	e := ws.phpFor(g, q, opt.Params, opt)
+	goals := [2]goal{{kind: measure.PHP}, {kind: measure.RWR}}
+	out := search(ctx, e, opt, goals[:])
 
-	slack := opt.slack()
-	tracing := opt.Tracer != nil
-	var phaseAt time.Time
-	// The two selections stay live simultaneously across iterations, so
-	// each gets its own engine buffer. Each family keeps its latest
-	// termination observables (and the iteration it certified at) so the
-	// final result can report both proofs.
-	var selPHP, selRWR []int32
-	var gPHP, gRWR certGap
-	var phpIter, rwrIter int
-	for t := 1; ; t++ {
-		if err := ctx.Err(); err != nil {
-			return unifiedInterrupted(e, opt, t-1, selPHP, selRWR, gPHP, gRWR, phpIter, rwrIter, err)
-		}
-		e.updateDummy()
-
-		batch := e.size() / 256
-		if batch < 1 {
-			batch = 1
-		}
-		// Alternate priorities; once one family is certified, drive the
-		// other exclusively.
-		rwrPriority := t%2 == 0
-		if selPHP != nil {
-			rwrPriority = true
-		}
-		if selRWR != nil {
-			rwrPriority = false
-		}
-		var expandNS, solveNS, certifyNS int64
-		if tracing {
-			phaseAt = time.Now()
-		}
-		sizeBefore := e.size()
-		us := e.pickExpansion(rwrPriority, batch)
-		exhausted := len(us) == 0
-		added := e.addedBuf[:0]
-		for _, u := range us {
-			added = e.expand(u, added)
-		}
-		e.addedBuf = added
-		if postExpandHook != nil {
-			postExpandHook(e)
-		}
-		if tracing {
-			now := time.Now()
-			expandNS, phaseAt = now.Sub(phaseAt).Nanoseconds(), now
-		}
-
-		e.refreshTightening()
-		e.solveBounds()
-		if tracing {
-			now := time.Now()
-			solveNS, phaseAt = now.Sub(phaseAt).Nanoseconds(), now
-		}
-
-		// The trace follows whichever family is still uncertified — PHP
-		// first, then RWR — so the gap trajectory always describes the
-		// binding stopping condition.
-		var itGap *certGap
-		if selPHP == nil {
-			gPHP = certGap{}
-			itGap = &gPHP
-			selPHP = e.checkTermination(e.selOut, opt.K, false, 0, slack, &gPHP)
-			if selPHP != nil {
-				e.selOut = selPHP
-				phpIter = t
-			}
-		}
-		if selRWR == nil {
-			gRWR = certGap{}
-			if itGap == nil {
-				itGap = &gRWR
-			}
-			guard := wSbar.value(&e.localSearch)
-			e.degreeProbes++
-			e.lastGuard = guard
-			selRWR = e.checkTermination(e.selOut2, opt.K, true, guard, slack, &gRWR)
-			if selRWR != nil {
-				e.selOut2 = selRWR
-				rwrIter = t
-			}
-		}
-		if tracing {
-			certifyNS = time.Since(phaseAt).Nanoseconds()
-		}
-
-		done := selPHP != nil && selRWR != nil
-		if tracing {
-			opt.Tracer.ObserveIteration(iterStats(e, t, len(us), e.size()-sizeBefore,
-				done, itGap, expandNS, solveNS, certifyNS))
-		}
-		exact := true
-		phpCertified, rwrCertified := selPHP != nil, selRWR != nil
-		if !done && exhausted {
-			// Component exhausted: the local system is the whole component,
-			// so force-picked rankings are exact too (see phpFamilyTopK).
-			if selPHP == nil {
-				selPHP = e.forceSelect(e.selOut, opt.K, false)
-				e.selOut = selPHP
-				phpIter = t
-			}
-			if selRWR == nil {
-				selRWR = e.forceSelect(e.selOut2, opt.K, true)
-				e.selOut2 = selRWR
-				rwrIter = t
-			}
-			done, phpCertified, rwrCertified = true, true, true
-		}
-		if !done && e.size() >= maxVisited && opt.MaxVisited > 0 {
-			// The safety valve: a family that certified before the cap keeps
-			// its proof; the force-picked one reports Certified=false.
-			if selPHP == nil {
-				selPHP = e.forceSelect(e.selOut, opt.K, false)
-				e.selOut = selPHP
-				phpIter = t
-			}
-			if selRWR == nil {
-				selRWR = e.forceSelect(e.selOut2, opt.K, true)
-				e.selOut2 = selRWR
-				rwrIter = t
-			}
-			done, exact = true, false
-		}
-		if done {
-			return unifiedResult(e, opt, t, selPHP, selRWR, gPHP, gRWR, phpIter, rwrIter, exact, phpCertified, rwrCertified), nil
-		}
-	}
-}
-
-// unifiedResult assembles both rankings with their per-family proofs.
-func unifiedResult(e *phpEngine, opt Options, iters int, selPHP, selRWR []int32, gPHP, gRWR certGap, phpIter, rwrIter int, exact, phpCertified, rwrCertified bool) *UnifiedResult {
-	if exact && opt.Mode == ModeEpsilon {
-		// An ε-stop that left separating work undone is certified-to-ε, not
-		// exact, in whichever family still had a positive residual.
-		if (gPHP.valid && measure.CertGap(measure.PHP, gPHP.kth, gPHP.rest) > opt.TieEps) ||
-			(gRWR.valid && measure.CertGap(measure.RWR, gRWR.kth, gRWR.rest) > opt.TieEps) {
-			exact = false
-		}
-	}
-	out := &UnifiedResult{
+	res := &UnifiedResult{
 		Visited:      e.size(),
-		Iterations:   iters,
+		Iterations:   out.iters,
 		Sweeps:       e.sweeps,
 		DegreeProbes: e.degreeProbes,
-		Exact:        exact,
+		Exact:        out.exact,
 	}
 	if opt.CaptureFootprint {
-		out.VisitedNodes = append([]graph.NodeID(nil), e.nodes...)
-		out.ProbedNodes = append([]graph.NodeID(nil), e.probed...)
-		out.GuardDegree = e.lastGuard
+		res.VisitedNodes = append([]graph.NodeID(nil), e.nodes...)
+		res.ProbedNodes = append([]graph.NodeID(nil), e.probed...)
+		res.GuardDegree = e.lastGuard
 	}
-	for _, i := range selPHP {
-		out.PHPFamily = append(out.PHPFamily, measure.Ranked{
-			Node:  e.nodes[i],
-			Score: (e.lbAt(i) + e.ubAt(i)) / 2,
-		})
+	// Each ranking is listed in selection order, its scores and intervals in
+	// the goal's own key scale: PHP proximity, or degree-weighted PHP.
+	if res.PHPFamily, res.PHPCert, err = e.ranking(opt, &goals[0], false); err != nil {
+		return nil, err
 	}
-	for _, i := range selRWR {
-		out.RWR = append(out.RWR, measure.Ranked{
-			Node:  e.nodes[i],
-			Score: e.deg[i] * (e.lbAt(i) + e.ubAt(i)) / 2,
-		})
+	if res.RWR, res.RWRCert, err = e.ranking(opt, &goals[1], false); err != nil {
+		return nil, err
 	}
-	out.PHPCert = unifiedCert(e, opt, selPHP, false, gPHP, phpIter, phpCertified)
-	out.RWRCert = unifiedCert(e, opt, selRWR, true, gRWR, rwrIter, rwrCertified)
-	return out
-}
-
-// unifiedCert builds one family's certification block. Bound intervals are
-// reported in the family's certification-key scale (PHP proximity, or
-// degree-weighted PHP for rwrMode), matching the family's displayed scores.
-func unifiedCert(e *phpEngine, opt Options, sel []int32, rwrMode bool, gap certGap, iter int, certified bool) Certification {
-	kind := measure.PHP
-	if rwrMode {
-		kind = measure.RWR
+	if out.interrupted != nil {
+		out.interrupted.PartialUnified = res
+		return nil, out.interrupted
 	}
-	c := Certification{
-		Mode:       opt.Mode,
-		Certified:  certified,
-		Epsilon:    opt.Epsilon,
-		Iterations: iter,
-	}
-	if gap.valid {
-		c.GapValid = true
-		c.KthBound = gap.kth
-		c.RestBound = gap.rest
-		c.Gap = measure.CertGap(kind, gap.kth, gap.rest)
-	}
-	for _, i := range sel {
-		lo, hi := e.lbAt(i), e.ubAt(i)
-		if rwrMode {
-			lo *= e.deg[i]
-			hi *= e.deg[i]
-		}
-		c.Bounds = append(c.Bounds, NodeBounds{Node: e.nodes[i], Lower: lo, Upper: hi})
-	}
-	return c
-}
-
-// unifiedInterrupted handles a context interruption mid-search: each family
-// keeps whatever it had certified; an uncertified family gets a force-picked
-// best-effort ranking. Anytime mode returns the partial as the answer;
-// other modes attach it to the *Interrupted error.
-func unifiedInterrupted(e *phpEngine, opt Options, iters int, selPHP, selRWR []int32, gPHP, gRWR certGap, phpIter, rwrIter int, cause error) (*UnifiedResult, error) {
-	phpCertified, rwrCertified := selPHP != nil, selRWR != nil
-	if selPHP == nil {
-		selPHP = e.forceSelect(e.selOut, opt.K, false)
-		e.selOut = selPHP
-		phpIter = iters
-	}
-	if selRWR == nil {
-		selRWR = e.forceSelect(e.selOut2, opt.K, true)
-		e.selOut2 = selRWR
-		rwrIter = iters
-	}
-	partial := unifiedResult(e, opt, iters, selPHP, selRWR, gPHP, gRWR, phpIter, rwrIter, false, phpCertified, rwrCertified)
-	if opt.Mode == ModeAnytime {
-		return partial, nil
-	}
-	in := interrupted(cause, e.size(), iters, e.sweeps)
-	in.PartialUnified = partial
-	return nil, in
+	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"flos/internal/graph"
+	"flos/internal/measure"
 )
 
 // This file holds the engine-workspace machinery behind Querier: the
@@ -168,13 +169,12 @@ type scored struct {
 	key float64
 }
 
-// sortScoredDesc orders candidates by descending key, ties toward the
-// smaller global identifier. The comparator is total, so the unstable sort
-// is deterministic.
-func sortScoredDesc(s []scored, nodes []graph.NodeID) {
+// sortScored orders candidates best first: by descending key, or ascending
+// when asc, ties toward the smaller global identifier.
+func sortScored(s []scored, nodes []graph.NodeID, asc bool) {
 	slices.SortFunc(s, func(a, b scored) int {
 		if a.key != b.key {
-			if a.key > b.key {
+			if (a.key < b.key) == asc {
 				return -1
 			}
 			return 1
@@ -215,17 +215,22 @@ func (ws *Workspace) Unified(ctx context.Context, g graph.Graph, q graph.NodeID,
 	return unifiedIn(ctx, g, q, opt, ws)
 }
 
-// phpFor returns the workspace's PHP-family engine reset for a new query,
-// or a cold engine when ws is nil.
-func (ws *Workspace) phpFor(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool) *phpEngine {
+// phpFor returns the workspace's PHP-family engine reset for a new query
+// with decay parameters p, or a cold engine when ws is nil.
+func (ws *Workspace) phpFor(g graph.Graph, q graph.NodeID, p measure.Params, opt Options) *phpEngine {
+	var e *phpEngine
 	if ws == nil {
-		return newPHPEngine(g, q, c, tau, maxIter, tighten)
+		e = newPHPEngine(g, q, p.C, p.Tau, p.MaxIter, opt.Tighten)
+	} else {
+		if ws.php == nil {
+			ws.php = new(phpEngine)
+		}
+		e = ws.php
+		e.reset(g, q, p.C, p.Tau, p.MaxIter, opt.Tighten, true)
 	}
-	if ws.php == nil {
-		ws.php = new(phpEngine)
-	}
-	ws.php.reset(g, q, c, tau, maxIter, tighten, true)
-	return ws.php
+	e.capProbes = opt.CaptureFootprint
+	e.wSbar = newWSbarGuard(g)
+	return e
 }
 
 // thtFor is phpFor for the finite-horizon engine.
