@@ -80,7 +80,7 @@ func main() {
 		maxBatch  = flag.Int("maxbatch", 0, "largest accepted /v1/topk/batch query count and /v1/graph/edges op count (0 = 256)")
 		workers   = flag.Int("workers", 0, "query worker count (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "admission queue depth; excess requests get 429 (0 = 4x workers)")
-		cache     = flag.Int("cache", 0, "result-cache entries (0 = 1024, negative disables)")
+		cache     = flag.Int("cache", 0, "result-cache capacity, in entries of up to 16 result rows (0 = 1024, negative disables)")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline, e.g. 500ms or 2s (0 = none)")
 		maxEps    = flag.Float64("max-epsilon", 0, "largest accepted /v1 epsilon budget (0 = 1.0, negative disables epsilon mode)")
 		maxDL     = flag.Duration("max-deadline", 0, "cap on client-requested /v1 deadlines; longer ones are clamped (0 = 30s)")

@@ -445,22 +445,11 @@ func (e *phpEngine) updateDummy() {
 	}
 }
 
-// pickExpansion returns up to batch boundary nodes with the largest
-// expansion priority ½(lb+ub), degree-weighted in RWR mode (Section 5.6),
-// best first, ties toward the smaller global identifier. Returns nil when
-// the boundary is empty (component exhausted). The returned slice is engine
-// scratch, valid until the next pickExpansion call.
-//
-// Algorithm 3 expands a single node per iteration; the batch size is an
-// engineering knob (the caller grows it with |S|) that only affects the
-// expansion schedule, never the exactness argument — every expansion is
-// still a legal S^{t-1} → S^t step. The scan walks the boundary list in
-// ascending local index — the same candidates in the same order as the old
-// full-S sweep, at O(|δS|) cost.
-func (e *phpEngine) pickExpansion(rwrMode bool, batch int) []int32 {
-	// Bounded selection: keep the `batch` best seen so far in a small
-	// insertion-sorted slice (batch ≪ |δS|).
-	best := e.pickBuf[:0]
+// pickExpansion returns the boundary nodes to expand under a budget of
+// opened frontier edges (see takeFrontier), by the largest expansion
+// priority ½(lb+ub), degree-weighted in RWR mode (Section 5.6).
+func (e *phpEngine) pickExpansion(rwrMode bool, budget int) []int32 {
+	cands := e.pickBuf[:0]
 	for _, i := range e.bList {
 		if e.outCnt[i] <= 0 {
 			continue
@@ -469,30 +458,10 @@ func (e *phpEngine) pickExpansion(rwrMode bool, batch int) []int32 {
 		if rwrMode {
 			key *= e.deg[i]
 		}
-		if len(best) == batch && key <= best[len(best)-1].key {
-			continue
-		}
-		pos := len(best)
-		for pos > 0 && (best[pos-1].key < key ||
-			(best[pos-1].key == key && e.nodes[best[pos-1].i] > e.nodes[i])) {
-			pos--
-		}
-		if len(best) < batch {
-			best = append(best, scored{})
-		}
-		copy(best[pos+1:], best[pos:len(best)-1])
-		best[pos] = scored{i, key}
+		cands = append(cands, scored{i, key})
 	}
-	e.pickBuf = best
-	if len(best) == 0 {
-		return nil
-	}
-	out := e.pickOut[:0]
-	for _, c := range best {
-		out = append(out, c.i)
-	}
-	e.pickOut = out
-	return out
+	e.pickBuf = cands
+	return e.takeFrontier(cands, budget, false)
 }
 
 // expand visits every unvisited neighbor of local node u, appending the

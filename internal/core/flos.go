@@ -31,8 +31,8 @@ func TopK(g graph.Graph, q graph.NodeID, opt Options) (*Result, error) {
 // against δS^{t-1} and ub^{t-1}, before the expansion mutates the boundary.
 func (e *phpEngine) beginIteration() { e.updateDummy() }
 
-func (e *phpEngine) pick(kind measure.Kind, batch int) []int32 {
-	return e.pickExpansion(kind == measure.RWR, batch)
+func (e *phpEngine) pick(kind measure.Kind, budget int) []int32 {
+	return e.pickExpansion(kind == measure.RWR, budget)
 }
 
 func (e *phpEngine) solve() {

@@ -331,23 +331,43 @@ func TestTHTBeyondHorizon(t *testing.T) {
 	}
 }
 
-// TestMaxVisitedCap: the safety valve returns a best-effort inexact result.
+// TestMaxVisitedCap: the safety valve returns a best-effort inexact result,
+// and at any size one expansion overshoots the cap by at most its own
+// neighborhood: the step that crosses it is budgeted to the room that is left.
 func TestMaxVisitedCap(t *testing.T) {
-	g := randomConnected(t, 500, 1000, 2)
-	opt := testOptions(measure.PHP, 20)
-	opt.MaxVisited = 30
-	res, err := TopK(g, 0, opt)
+	big, err := gen.Erdos(20000, 100000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Exact {
-		t.Error("capped result claims exactness")
-	}
-	if res.Visited > 30+60 { // one expansion may overshoot by a neighborhood
-		t.Errorf("visited %d far beyond cap", res.Visited)
-	}
-	if len(res.TopK) != 20 {
-		t.Errorf("got %d results", len(res.TopK))
+	for _, tc := range []struct {
+		name   string
+		g      *graph.MemGraph
+		k, cap int
+	}{
+		{"n=500", randomConnected(t, 500, 1000, 2), 20, 30},
+		{"n=20000", big, 2000, 5000},
+	} {
+		maxNbrs := 0
+		for v := 0; v < tc.g.NumNodes(); v++ {
+			maxNbrs = max(maxNbrs, tc.g.NumNeighbors(graph.NodeID(v)))
+		}
+		for _, kind := range []measure.Kind{measure.PHP, measure.RWR} {
+			opt := testOptions(kind, tc.k)
+			opt.MaxVisited = tc.cap
+			res, err := TopK(tc.g, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Exact {
+				t.Errorf("%s/%v: capped result claims exactness", tc.name, kind)
+			}
+			if res.Visited < tc.cap || res.Visited >= tc.cap+maxNbrs {
+				t.Errorf("%s/%v: visited %d, want [%d, %d)", tc.name, kind, res.Visited, tc.cap, tc.cap+maxNbrs)
+			}
+			if len(res.TopK) != tc.k {
+				t.Errorf("%s/%v: got %d results", tc.name, kind, len(res.TopK))
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flos/internal/diskgraph"
@@ -15,44 +16,47 @@ import (
 	"flos/internal/measure"
 )
 
-// This file pins the search's observable behavior — result values, ranking,
-// and work counters — to goldens captured from the pre-substrate engines
-// (commit fd82b02). The substrate refactor is required to be byte-identical:
-// same TopK nodes, bit-identical float64 scores, same Visited / Iterations /
-// Sweeps / DegreeProbes, for every measure, on both graph backends, cold and
-// warm. Regenerate (only when a change is MEANT to alter the schedule) with:
+// This file pins what a search answers and what it certifies — ranking,
+// bit-identical float64 scores, Exact, and the certificate (whether the
+// stopping rule passed, its final kth/rest bound keys, each returned node's
+// interval) — for every measure, on both graph backends, cold and warm. How
+// much work the search did is not pinned here: testdata/work_ledger.json is
+// the one place a schedule change moves counts (work_ledger_test.go), and
+// this suite only requires every variant of a scenario to do the same work
+// as its cold in-memory run. Regenerate (only when a change is MEANT to
+// alter the schedule: scores are bound midpoints, so they move with it) with:
 //
 //	FLOS_UPDATE_GOLDEN=1 go test ./internal/core -run TestGolden
 //
-// Scores are stored as IEEE-754 bit patterns so the comparison is exact, not
-// within-epsilon: the refactor may not move a result by even one ulp.
+// The update refuses to write a scenario whose top-k set is not the
+// committed one, unless measure.Exact says the two differ by a tie within
+// 1e-7: a schedule change may move bounds, never an answer.
+
+// goldenRanking is one pinned answer and its certificate. Floats are stored
+// as IEEE-754 bit patterns so the comparison is exact, not within-epsilon.
+type goldenRanking struct {
+	Nodes     []int32     `json:"nodes"`
+	Scores    []uint64    `json:"score_bits"`
+	Certified bool        `json:"certified"`
+	Kth       uint64      `json:"kth_bits"`
+	Rest      uint64      `json:"rest_bits"`
+	Bounds    [][2]uint64 `json:"bound_bits"` // lower, upper; parallel to Nodes
+}
 
 type goldenEntry struct {
-	Graph   string   `json:"graph"`
-	Measure string   `json:"measure"`
-	Query   int32    `json:"query"`
-	Tighten bool     `json:"tighten"`
-	Nodes   []int32  `json:"nodes"`
-	Scores  []uint64 `json:"score_bits"`
-
-	Visited      int  `json:"visited"`
-	Iterations   int  `json:"iterations"`
-	Sweeps       int  `json:"sweeps"`
-	DegreeProbes int  `json:"degree_probes"`
-	Exact        bool `json:"exact"`
+	Graph   string `json:"graph"`
+	Measure string `json:"measure"`
+	Query   int32  `json:"query"`
+	Tighten bool   `json:"tighten"`
+	goldenRanking
+	Exact bool `json:"exact"`
 }
 
 type goldenUnified struct {
-	Graph        string   `json:"graph"`
-	Query        int32    `json:"query"`
-	PHPNodes     []int32  `json:"php_nodes"`
-	PHPScores    []uint64 `json:"php_score_bits"`
-	RWRNodes     []int32  `json:"rwr_nodes"`
-	RWRScores    []uint64 `json:"rwr_score_bits"`
-	Visited      int      `json:"visited"`
-	Iterations   int      `json:"iterations"`
-	Sweeps       int      `json:"sweeps"`
-	DegreeProbes int      `json:"degree_probes"`
+	Graph string        `json:"graph"`
+	Query int32         `json:"query"`
+	PHP   goldenRanking `json:"php"`
+	RWR   goldenRanking `json:"rwr"`
 }
 
 type goldenFile struct {
@@ -111,6 +115,28 @@ func rankedBits(rs []measure.Ranked) ([]int32, []uint64) {
 	return nodes, bits
 }
 
+func rankingOf(rs []measure.Ranked, c Certification) goldenRanking {
+	nodes, bits := rankedBits(rs)
+	r := goldenRanking{
+		Nodes: nodes, Scores: bits,
+		Certified: c.Certified, Kth: math.Float64bits(c.KthBound), Rest: math.Float64bits(c.RestBound),
+		Bounds: make([][2]uint64, len(c.Bounds)),
+	}
+	for i, b := range c.Bounds {
+		r.Bounds[i] = [2]uint64{math.Float64bits(b.Lower), math.Float64bits(b.Upper)}
+	}
+	return r
+}
+
+// work is the counters every variant of a scenario must agree on.
+type work struct{ visited, iterations, sweeps, degreeProbes int }
+
+func workOf(r *Result) work { return work{r.Visited, r.Iterations, r.Sweeps, r.DegreeProbes} }
+
+func unifiedWorkOf(r *UnifiedResult) work {
+	return work{r.Visited, r.Iterations, r.Sweeps, r.DegreeProbes}
+}
+
 func captureGolden(t *testing.T) goldenFile {
 	var gf goldenFile
 	for _, gc := range goldenGraphs(t) {
@@ -124,12 +150,9 @@ func captureGolden(t *testing.T) goldenFile {
 					if err != nil {
 						t.Fatalf("%s/%v/q=%d: %v", gc.name, kind, q, err)
 					}
-					nodes, bits := rankedBits(res.TopK)
 					gf.TopK = append(gf.TopK, goldenEntry{
 						Graph: gc.name, Measure: kind.String(), Query: q, Tighten: tighten,
-						Nodes: nodes, Scores: bits,
-						Visited: res.Visited, Iterations: res.Iterations,
-						Sweeps: res.Sweeps, DegreeProbes: res.DegreeProbes, Exact: res.Exact,
+						goldenRanking: rankingOf(res.TopK, res.Certification), Exact: res.Exact,
 					})
 				}
 			}
@@ -137,45 +160,64 @@ func captureGolden(t *testing.T) goldenFile {
 			if err != nil {
 				t.Fatalf("%s/unified/q=%d: %v", gc.name, q, err)
 			}
-			pn, pb := rankedBits(ur.PHPFamily)
-			rn, rb := rankedBits(ur.RWR)
 			gf.Unified = append(gf.Unified, goldenUnified{
 				Graph: gc.name, Query: q,
-				PHPNodes: pn, PHPScores: pb, RWRNodes: rn, RWRScores: rb,
-				Visited: ur.Visited, Iterations: ur.Iterations,
-				Sweeps: ur.Sweeps, DegreeProbes: ur.DegreeProbes,
+				PHP: rankingOf(ur.PHPFamily, ur.PHPCert), RWR: rankingOf(ur.RWR, ur.RWRCert),
 			})
 		}
 	}
 	return gf
 }
 
-func requireGoldenTopK(t *testing.T, label string, want goldenEntry, got *Result) {
+// requireSameAnswers is the update path's guard: every scenario of next that
+// the committed file old also holds must return the same top-k set, or one
+// that measure.Exact accepts as the top-k up to ties within 1e-7.
+func requireSameAnswers(t *testing.T, old, next goldenFile) {
+	graphs := map[string]*graph.MemGraph{}
+	for _, gc := range goldenGraphs(t) {
+		graphs[gc.name] = gc.g
+	}
+	sameSet := func(label, graphName string, q int32, kind measure.Kind, was, now []int32) {
+		if measure.SameSet(was, now) {
+			return
+		}
+		opt := goldenOptions(kind, true)
+		oracle := exactScores(t, graphs[graphName], q, kind, opt.Params)
+		if !measure.SameSetModuloTies(now, oracle, q, opt.K, kind.HigherIsCloser(), 1e-7) {
+			t.Fatalf("%s: refusing to update: top-k set changed beyond a tie\ncommitted %v\nnew       %v", label, was, now)
+		}
+	}
+	type topkID struct {
+		graph, measure string
+		query          int32
+		tighten        bool
+	}
+	oldTopK := map[topkID][]int32{}
+	for _, e := range old.TopK {
+		oldTopK[topkID{e.Graph, e.Measure, e.Query, e.Tighten}] = e.Nodes
+	}
+	for _, e := range next.TopK {
+		if was, ok := oldTopK[topkID{e.Graph, e.Measure, e.Query, e.Tighten}]; ok {
+			kind, _ := kindByName(e.Measure)
+			sameSet(fmt.Sprintf("%s/%s/q=%d/tighten=%v", e.Graph, e.Measure, e.Query, e.Tighten), e.Graph, e.Query, kind, was, e.Nodes)
+		}
+	}
+	for _, u := range next.Unified {
+		for _, was := range old.Unified {
+			if was.Graph == u.Graph && was.Query == u.Query {
+				label := fmt.Sprintf("%s/unified/q=%d", u.Graph, u.Query)
+				sameSet(label+"/php", u.Graph, u.Query, measure.PHP, was.PHP.Nodes, u.PHP.Nodes)
+				sameSet(label+"/rwr", u.Graph, u.Query, measure.RWR, was.RWR.Nodes, u.RWR.Nodes)
+			}
+		}
+	}
+}
+
+// requireGolden compares one answer and certificate against the pin.
+func requireGolden(t *testing.T, label string, want, got goldenRanking) {
 	t.Helper()
-	nodes, bits := rankedBits(got.TopK)
-	fail := func(field string, want, got any) {
-		t.Fatalf("%s: %s drifted from golden\nwant %v\ngot  %v", label, field, want, got)
-	}
-	if fmt.Sprint(nodes) != fmt.Sprint(want.Nodes) {
-		fail("ranking", want.Nodes, nodes)
-	}
-	if fmt.Sprint(bits) != fmt.Sprint(want.Scores) {
-		fail("score bits", want.Scores, bits)
-	}
-	if got.Visited != want.Visited {
-		fail("visited", want.Visited, got.Visited)
-	}
-	if got.Iterations != want.Iterations {
-		fail("iterations", want.Iterations, got.Iterations)
-	}
-	if got.Sweeps != want.Sweeps {
-		fail("sweeps", want.Sweeps, got.Sweeps)
-	}
-	if got.DegreeProbes != want.DegreeProbes {
-		fail("degree probes", want.DegreeProbes, got.DegreeProbes)
-	}
-	if got.Exact != want.Exact {
-		fail("exact", want.Exact, got.Exact)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: drifted from golden\nwant %+v\ngot  %+v", label, want, got)
 	}
 }
 
@@ -197,10 +239,18 @@ func diskVariant(t *testing.T, g *graph.MemGraph) graph.Graph {
 
 // TestGoldenEquivalence replays every pinned scenario on both backends,
 // cold and through a reused warm Workspace, and requires byte-identical
-// results and work counters against the pre-refactor goldens.
+// answers and certificates against the goldens, and identical work counters
+// across the variants.
 func TestGoldenEquivalence(t *testing.T) {
 	if os.Getenv("FLOS_UPDATE_GOLDEN") != "" {
 		gf := captureGolden(t)
+		if old, err := os.ReadFile(goldenPath); err == nil {
+			var committed goldenFile
+			if err := json.Unmarshal(old, &committed); err != nil {
+				t.Fatal(err)
+			}
+			requireSameAnswers(t, committed, gf)
+		}
 		buf, err := json.MarshalIndent(gf, "", " ")
 		if err != nil {
 			t.Fatal(err)
@@ -247,83 +297,68 @@ func TestGoldenEquivalence(t *testing.T) {
 		}
 		opt := goldenOptions(kind, want.Tighten)
 		label := fmt.Sprintf("%s/%s/q=%d/tighten=%v", want.Graph, want.Measure, want.Query, want.Tighten)
-
-		res, err := TopKCtx(ctx, graphs[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGoldenTopK(t, label+"/mem-cold", want, res)
-
-		res, err = memWS[want.Graph].TopK(ctx, graphs[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGoldenTopK(t, label+"/mem-warm", want, res)
-
-		// With the span-tracing observation hook attached, the schedule and
-		// results must not move by a bit — the tracer observes, never steers.
+		// With the span-tracing observation hook attached, neither results
+		// nor schedule may move by a bit — the tracer observes, never steers.
 		topt := opt
 		topt.Tracer = &TraceCollector{}
-		res, err = memWS[want.Graph].TopK(ctx, graphs[want.Graph], want.Query, topt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGoldenTopK(t, label+"/mem-warm-traced", want, res)
+		mem, disk := graphs[want.Graph], disks[want.Graph]
 
-		res, err = TopKCtx(ctx, disks[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
+		var cold work
+		for i, v := range []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"mem-cold", func() (*Result, error) { return TopKCtx(ctx, mem, want.Query, opt) }},
+			{"mem-warm", func() (*Result, error) { return memWS[want.Graph].TopK(ctx, mem, want.Query, opt) }},
+			{"mem-warm-traced", func() (*Result, error) { return memWS[want.Graph].TopK(ctx, mem, want.Query, topt) }},
+			{"disk-cold", func() (*Result, error) { return TopKCtx(ctx, disk, want.Query, opt) }},
+			{"disk-warm", func() (*Result, error) { return diskWS[want.Graph].TopK(ctx, disk, want.Query, opt) }},
+		} {
+			res, err := v.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireGolden(t, label+"/"+v.name, want.goldenRanking, rankingOf(res.TopK, res.Certification))
+			if res.Exact != want.Exact {
+				t.Fatalf("%s/%s: exact = %v, golden %v", label, v.name, res.Exact, want.Exact)
+			}
+			if i == 0 {
+				cold = workOf(res)
+			} else if got := workOf(res); got != cold {
+				t.Fatalf("%s/%s: work %+v, mem-cold did %+v", label, v.name, got, cold)
+			}
 		}
-		requireGoldenTopK(t, label+"/disk-cold", want, res)
-
-		res, err = diskWS[want.Graph].TopK(ctx, disks[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGoldenTopK(t, label+"/disk-warm", want, res)
 	}
 
 	for _, want := range gf.Unified {
 		opt := goldenOptions(measure.PHP, true)
 		label := fmt.Sprintf("%s/unified/q=%d", want.Graph, want.Query)
-		check := func(label string, ur *UnifiedResult) {
-			pn, pb := rankedBits(ur.PHPFamily)
-			rn, rb := rankedBits(ur.RWR)
-			if fmt.Sprint(pn) != fmt.Sprint(want.PHPNodes) || fmt.Sprint(pb) != fmt.Sprint(want.PHPScores) {
-				t.Fatalf("%s: PHP family drifted\nwant %v %v\ngot  %v %v", label, want.PHPNodes, want.PHPScores, pn, pb)
-			}
-			if fmt.Sprint(rn) != fmt.Sprint(want.RWRNodes) || fmt.Sprint(rb) != fmt.Sprint(want.RWRScores) {
-				t.Fatalf("%s: RWR drifted\nwant %v %v\ngot  %v %v", label, want.RWRNodes, want.RWRScores, rn, rb)
-			}
-			if ur.Visited != want.Visited || ur.Iterations != want.Iterations ||
-				ur.Sweeps != want.Sweeps || ur.DegreeProbes != want.DegreeProbes {
-				t.Fatalf("%s: counters drifted\nwant {v:%d it:%d sw:%d dp:%d}\ngot  {v:%d it:%d sw:%d dp:%d}",
-					label, want.Visited, want.Iterations, want.Sweeps, want.DegreeProbes,
-					ur.Visited, ur.Iterations, ur.Sweeps, ur.DegreeProbes)
-			}
-		}
-		ur, err := UnifiedTopKCtx(ctx, graphs[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+"/mem-cold", ur)
-		ur, err = memWS[want.Graph].Unified(ctx, graphs[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+"/mem-warm", ur)
 		topt := opt
 		topt.Tracer = &TraceCollector{}
-		ur, err = memWS[want.Graph].Unified(ctx, graphs[want.Graph], want.Query, topt)
-		if err != nil {
-			t.Fatal(err)
+		mem, disk := graphs[want.Graph], disks[want.Graph]
+
+		var cold work
+		for i, v := range []struct {
+			name string
+			run  func() (*UnifiedResult, error)
+		}{
+			{"mem-cold", func() (*UnifiedResult, error) { return UnifiedTopKCtx(ctx, mem, want.Query, opt) }},
+			{"mem-warm", func() (*UnifiedResult, error) { return memWS[want.Graph].Unified(ctx, mem, want.Query, opt) }},
+			{"mem-warm-traced", func() (*UnifiedResult, error) { return memWS[want.Graph].Unified(ctx, mem, want.Query, topt) }},
+			{"disk-warm", func() (*UnifiedResult, error) { return diskWS[want.Graph].Unified(ctx, disk, want.Query, opt) }},
+		} {
+			ur, err := v.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireGolden(t, label+"/"+v.name+"/php", want.PHP, rankingOf(ur.PHPFamily, ur.PHPCert))
+			requireGolden(t, label+"/"+v.name+"/rwr", want.RWR, rankingOf(ur.RWR, ur.RWRCert))
+			if i == 0 {
+				cold = unifiedWorkOf(ur)
+			} else if got := unifiedWorkOf(ur); got != cold {
+				t.Fatalf("%s/%s: work %+v, mem-cold did %+v", label, v.name, got, cold)
+			}
 		}
-		check(label+"/mem-warm-traced", ur)
-		ur, err = diskWS[want.Graph].Unified(ctx, disks[want.Graph], want.Query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+"/disk-warm", ur)
 	}
 }
 
@@ -334,62 +369,4 @@ func kindByName(s string) (measure.Kind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// TestSweepCounterBaseline is the CI work-counter smoke: on the committed
-// benchmark graph (a mid-size community graph), the Result work counters
-// (sweeps, visited, iterations) must match testdata/sweep_baseline.json for
-// every measure. A drift means the expansion schedule or the bound solver's
-// relaxation sequence changed — which must never happen by accident.
-// Regenerate with FLOS_UPDATE_GOLDEN=1.
-func TestSweepCounterBaseline(t *testing.T) {
-	const path = "testdata/sweep_baseline.json"
-	g, err := gen.Community(20000, 60000, gen.DefaultCommunityParams(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type row struct {
-		Measure    string `json:"measure"`
-		Query      int32  `json:"query"`
-		Sweeps     int    `json:"sweeps"`
-		Visited    int    `json:"visited"`
-		Iterations int    `json:"iterations"`
-	}
-	var got []row
-	for _, kind := range measure.Kinds() {
-		for _, q := range []graph.NodeID{11, 4096} {
-			res, err := TopKCtx(context.Background(), g, q, DefaultOptions(kind, 10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, row{kind.String(), q, res.Sweeps, res.Visited, res.Iterations})
-		}
-	}
-	if os.Getenv("FLOS_UPDATE_GOLDEN") != "" {
-		buf, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("sweep baseline updated: %d rows", len(got))
-		return
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing baseline (run with FLOS_UPDATE_GOLDEN=1 to capture): %v", err)
-	}
-	var want []row
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("baseline has %d rows, run produced %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("work counters drifted: want %+v, got %+v", want[i], got[i])
-		}
-	}
 }

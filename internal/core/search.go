@@ -21,9 +21,10 @@ type engine interface {
 	visit(v graph.NodeID)
 	// beginIteration runs what must see the previous boundary δS^{t-1}.
 	beginIteration()
-	// pick returns up to batch boundary nodes to expand, best first under
-	// kind's expansion priority; empty means the component is exhausted.
-	pick(kind measure.Kind, batch int) []int32
+	// pick returns the boundary nodes to expand, best first under kind's
+	// expansion priority until the frontier edges they open reach budget;
+	// empty means the component is exhausted.
+	pick(kind measure.Kind, budget int) []int32
 	expand(u int32, added []graph.NodeID) []graph.NodeID
 	// solve re-solves both bound systems over the grown S.
 	solve()
@@ -147,12 +148,19 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 		}
 		e.beginIteration()
 
-		// Single-node expansion while the search is small; grow the batch
-		// with |S| so the expansion schedule stays a vanishing fraction per
-		// step (see pickExpansion for why any batch keeps the answer exact).
-		// Traced and untraced runs share this one schedule.
-		batch := s.size() / 256
-		batch = max(batch, 1)
+		// Frontier budget: a step is sized by the frontier edges it opens
+		// (Σ outCnt of the nodes it expands), not by how many nodes it
+		// expands, so it adds at most |S|/16 edges plus one neighborhood
+		// whether expansions are rich or, in a saturating search, open less
+		// than one new node each. Below |S| = 32 that is Algorithm 3's single
+		// node (see takeFrontier for why any step keeps the answer exact).
+		// Clamped to the room left under MaxVisited, so the cap is overshot
+		// by one neighborhood at any size. Traced and untraced runs share
+		// this one schedule.
+		budget := max(1, s.size()/16)
+		if opt.MaxVisited > 0 {
+			budget = max(1, min(budget, opt.MaxVisited-s.size()))
+		}
 		// Alternate the expansion priority between the goals so neither
 		// criterion starves; once one is certified, drive the other.
 		lead := &goals[(t-1)%len(goals)]
@@ -160,7 +168,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 			lead = &goals[t%len(goals)]
 		}
 		lap()
-		us := e.pick(lead.kind, batch)
+		us := e.pick(lead.kind, budget)
 		exhausted := len(us) == 0
 		added := s.addedBuf[:0]
 		for _, u := range us {

@@ -19,9 +19,9 @@ import (
 //     so the list is append-only with lazy deletion (liveness is just
 //     outCnt > 0) and compaction amortizes removal to O(1). Iterating it
 //     costs O(|δS|) and preserves ascending-local-index order — the order
-//     the old full scans produced — so every consumer (dummy update,
-//     expansion pick, floor scan, worklist re-seeding) keeps a bit-identical
-//     schedule.
+//     the old full scans produced — so every consumer (dummy update, floor
+//     scan, worklist re-seeding) keeps a bit-identical schedule; the
+//     expansion pick selects under a total order and does not depend on it.
 //   - an append-only interior list and O(1) interior/boundary counters, so
 //     the termination test and the tracer stop re-deriving |δS| and
 //     |S \ δS \ {q}| by sweeping S.
@@ -224,40 +224,98 @@ func (s *localSearch) outMassOf(i int32, zeroDegree float64) float64 {
 	return m
 }
 
-// offer feeds one candidate into a k-bounded selection buffer kept sorted
-// under the engines' selection total order: key descending when asc is
-// false (PHP family — the exact order sortScoredDesc imposed when the
-// termination test still sorted every interior candidate), key ascending
-// when asc is true (THT, lower-is-better keys), ties toward the smaller
-// global identifier either way. Because the skip test compares under the
-// full total order, the resulting top-k is independent of offer order.
-func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool) []scored {
-	// before(a, b) is the strict selection order: does (aKey, ai) precede
-	// (bKey, bi)?
-	before := func(aKey float64, ai int32, bKey float64, bi int32) bool {
-		if aKey != bKey {
-			if asc {
-				return aKey < bKey
-			}
-			return aKey > bKey
-		}
-		return s.nodes[ai] < s.nodes[bi]
+// precedes is the engines' strict selection order: key descending when asc
+// is false (PHP family), ascending when asc is true (THT, lower-is-better
+// keys), ties toward the smaller global identifier either way.
+func (s *localSearch) precedes(a, b scored, asc bool) bool {
+	if a.key != b.key {
+		return (a.key < b.key) == asc
 	}
-	if len(best) == k {
-		if w := best[k-1]; !before(key, i, w.key, w.i) {
-			return best
-		}
+	return s.nodes[a.i] < s.nodes[b.i]
+}
+
+// offer feeds one candidate into a k-bounded selection buffer kept sorted
+// under precedes — the exact order sortScored imposed when the termination
+// test still sorted every interior candidate. Because the skip test compares
+// under the full total order, the resulting top-k is independent of offer
+// order.
+func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool) []scored {
+	c := scored{i, key}
+	if len(best) == k && !s.precedes(c, best[k-1], asc) {
+		return best
 	}
 	pos := len(best)
-	for pos > 0 && before(key, i, best[pos-1].key, best[pos-1].i) {
+	for pos > 0 && s.precedes(c, best[pos-1], asc) {
 		pos--
 	}
 	if len(best) < k {
 		best = append(best, scored{})
 	}
 	copy(best[pos+1:], best[pos:len(best)-1])
-	best[pos] = scored{i, key}
+	best[pos] = c
 	return best
+}
+
+// takeFrontier is both engines' expansion pick once they have scored the
+// live boundary into cands: the best-first prefix under precedes — always the
+// first node — whose opened frontier edges, Σ outCnt, reach budget, as local
+// indices in engine scratch valid until the next pick; nil when cands is
+// empty (component exhausted). The first node comes from one scan, which is
+// the whole pick wherever a single expansion fills the budget (Algorithm 3's
+// schedule, and most steps on a high-degree graph); the rest from a heap over
+// the remainder, O(|δS| + b log |δS|) for b nodes taken — O(|δS| + b log b),
+// since b log |δS| only exceeds |δS| once log b is within a factor two of
+// log |δS|. cands is consumed.
+//
+// Algorithm 3 expands one node per iteration; taking more only changes the
+// expansion schedule, never the exactness argument — every expansion is
+// still a legal S^{t-1} → S^t step.
+func (s *localSearch) takeFrontier(cands []scored, budget int, asc bool) []int32 {
+	if len(cands) == 0 {
+		return nil
+	}
+	best := 0
+	for j := 1; j < len(cands); j++ {
+		if s.precedes(cands[j], cands[best], asc) {
+			best = j
+		}
+	}
+	out := append(s.pickOut[:0], cands[best].i)
+	opened := int(s.outCnt[cands[best].i])
+	s.pickOut = out
+	if opened >= budget {
+		return out
+	}
+	cands[best] = cands[len(cands)-1]
+	cands = cands[:len(cands)-1]
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(cands) {
+				return
+			}
+			if c+1 < len(cands) && s.precedes(cands[c+1], cands[c], asc) {
+				c++
+			}
+			if !s.precedes(cands[c], cands[i], asc) {
+				return
+			}
+			cands[i], cands[c] = cands[c], cands[i]
+			i = c
+		}
+	}
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for len(cands) > 0 && opened < budget {
+		out = append(out, cands[0].i)
+		opened += int(s.outCnt[cands[0].i])
+		cands[0] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
+		siftDown(0)
+	}
+	s.pickOut = out
+	return out
 }
 
 // offerDesc and offerAsc name the two selection orders at the call sites.

@@ -278,43 +278,18 @@ func (e *thtEngine) solveBounds() {
 func (e *thtEngine) lb(i int32) float64 { return e.lbL[e.L][i] }
 func (e *thtEngine) ub(i int32) float64 { return e.ubL[e.L][i] }
 
-// pickExpansion returns up to batch boundary nodes with the smallest
-// ½(lb+ub) (closest-first for a lower-is-closer measure), best first, ties
-// toward the smaller global identifier. The returned slice is engine
-// scratch, valid until the next pick call. The scan walks the boundary list
-// in ascending local index — the same candidates in the same order as the
-// old full-S sweep, at O(|δS|) cost.
-func (e *thtEngine) pickExpansion(batch int) []int32 {
-	best := e.pickBuf[:0]
+// pickExpansion returns the boundary nodes to expand under a budget of
+// opened frontier edges (see takeFrontier), by the smallest ½(lb+ub):
+// closest first for a lower-is-closer measure.
+func (e *thtEngine) pickExpansion(budget int) []int32 {
+	cands := e.pickBuf[:0]
 	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 {
-			continue
+		if e.outCnt[i] > 0 {
+			cands = append(cands, scored{i, (e.lb(i) + e.ub(i)) / 2})
 		}
-		key := (e.lb(i) + e.ub(i)) / 2
-		if len(best) == batch && key >= best[len(best)-1].key {
-			continue
-		}
-		pos := len(best)
-		for pos > 0 && (best[pos-1].key > key ||
-			(best[pos-1].key == key && e.nodes[best[pos-1].i] > e.nodes[i])) {
-			pos--
-		}
-		if len(best) < batch {
-			best = append(best, scored{})
-		}
-		copy(best[pos+1:], best[pos:len(best)-1])
-		best[pos] = scored{i, key}
 	}
-	e.pickBuf = best
-	out := e.pickOut[:0]
-	for _, c := range best {
-		out = append(out, c.i)
-	}
-	e.pickOut = out
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	e.pickBuf = cands
+	return e.takeFrontier(cands, budget, true)
 }
 
 // pickFloorClosers returns every boundary node sitting at the minimum hop
@@ -436,10 +411,10 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 
 func (e *thtEngine) beginIteration() {}
 
-// pick is the best-first batch plus the hop closure that keeps the distance
+// pick is the best-first step plus the hop closure that keeps the distance
 // floor advancing (see pickFloorClosers).
-func (e *thtEngine) pick(_ measure.Kind, batch int) []int32 {
-	us := e.pickExpansion(batch)
+func (e *thtEngine) pick(_ measure.Kind, budget int) []int32 {
+	us := e.pickExpansion(budget)
 	for _, u := range e.pickFloorClosers() {
 		if !slices.Contains(us, u) {
 			us = append(us, u)

@@ -1,0 +1,105 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"math/rand"
+	"os"
+	"testing"
+
+	"flos/internal/gen"
+	"flos/internal/graph"
+	"flos/internal/measure"
+)
+
+// The work ledger is the one file that pins how much work a search does:
+// visited nodes, iterations and solver relaxations, which repeat exactly, for
+// fixed queries on two generated graphs. Answers and certificates are pinned
+// elsewhere (golden_test.go, driver_paths_test.go); a change that moves the
+// expansion schedule or the solver's relaxation sequence moves this file and
+// nothing else about them. Zero tolerance: regenerate with
+//
+//	FLOS_UPDATE_GOLDEN=1 go test ./internal/core -run TestWorkLedger
+//
+// and say in CHANGES.md why the counts moved.
+
+const workLedgerPath = "testdata/work_ledger.json"
+
+type ledgerRow struct {
+	Graph       string `json:"graph"`
+	Seed        uint64 `json:"seed"`
+	K           int    `json:"k"`
+	Measure     string `json:"measure"`
+	Query       int32  `json:"query"`
+	Visited     int    `json:"visited"`
+	Iterations  int    `json:"iterations"`
+	Relaxations int    `json:"relaxations"`
+}
+
+func TestWorkLedger(t *testing.T) {
+	var got []ledgerRow
+	record := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int) {
+		res, err := TopKCtx(context.Background(), g, q, DefaultOptions(kind, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ledgerRow{name, seed, k, kind.String(), q, res.Visited, res.Iterations, res.Sweeps})
+	}
+
+	// Short searches on a mid-size community graph, every measure.
+	community, err := gen.Community(20000, 60000, gen.DefaultCommunityParams(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range measure.Kinds() {
+		for _, q := range []graph.NodeID{11, 4096} {
+			record("community(20000,60000)", 42, community, kind, q, 10)
+		}
+	}
+
+	// The mem-exact-heavy shape of go run ./bench: exact top-200 on
+	// G(2000, 10000), where nearly every search saturates the graph and the
+	// cost is re-solving. The first 16 requests of its seed-1 list: a seeded
+	// permutation of the non-isolated nodes dealt to two clients, each
+	// cycling PHP, RWR, THT.
+	heavy, err := gen.Erdos(2000, 10000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := []measure.Kind{measure.PHP, measure.RWR, measure.THT}
+	n := 0
+	for _, v := range rand.New(rand.NewSource(1)).Perm(heavy.NumNodes()) {
+		if n < 16 && heavy.NumNeighbors(graph.NodeID(v)) > 0 {
+			record("erdos(2000,10000)", 11, heavy, cycle[n/2%3], graph.NodeID(v), 200)
+			n++
+		}
+	}
+
+	if os.Getenv("FLOS_UPDATE_GOLDEN") != "" {
+		buf, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(workLedgerPath, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("work ledger updated: %d rows", len(got))
+		return
+	}
+	buf, err := os.ReadFile(workLedgerPath)
+	if err != nil {
+		t.Fatalf("missing ledger (run with FLOS_UPDATE_GOLDEN=1 to capture): %v", err)
+	}
+	var want []ledgerRow
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("ledger has %d rows, run produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("work moved: ledger %+v, run %+v (if meant, regenerate and say why in CHANGES.md)", want[i], got[i])
+		}
+	}
+}

@@ -93,11 +93,18 @@ func exactKey(k cacheKey) cacheKey {
 
 // resultCache is a mutex-guarded LRU of completed responses. Entries are
 // shared, never copied: a Response stored here must not be mutated.
+//
+// Capacity is counted in result rows, not entries: an entry costs one unit
+// per rowsPerUnit rows it holds (at least one), and the least recently used
+// entries go while the total exceeds max. A top-10 answer costs 1 and a
+// top-200 answer 13, so max bounds retained memory whatever k the traffic
+// asks for; with every k ≤ rowsPerUnit it is plain LRU over max entries.
 type resultCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recently used; values are *cacheEntry
-	m   map[cacheKey]*list.Element
+	mu   sync.Mutex
+	max  int
+	cost int        // Σ entry costs, kept exact by every insert and removal
+	ll   *list.List // front = most recently used; values are *cacheEntry
+	m    map[cacheKey]*list.Element
 
 	hits, misses, evictions int64
 
@@ -106,9 +113,26 @@ type resultCache struct {
 	lens *cachelens.Lens
 }
 
+// rowsPerUnit is how many result rows one unit of cache capacity holds.
+const rowsPerUnit = 16
+
+// entryCost is the capacity resp takes: its result rows, both lists of a
+// unified answer, in units of rowsPerUnit rounded up, at least one.
+func entryCost(resp *Response) int {
+	rows := 0
+	if resp.TopK != nil {
+		rows = len(resp.TopK.TopK)
+	}
+	if resp.Unified != nil {
+		rows = len(resp.Unified.PHPFamily) + len(resp.Unified.RWR)
+	}
+	return max(1, (rows+rowsPerUnit-1)/rowsPerUnit)
+}
+
 type cacheEntry struct {
 	key  cacheKey
 	resp *Response
+	cost int
 
 	// Live-mode invalidation state, nil/zero on non-live pools. fp is the
 	// query's full read footprint (visited ∪ degree-probed nodes), sorted;
@@ -162,23 +186,32 @@ func (c *resultCache) put(k cacheKey, resp *Response) {
 // later mutation batches can invalidate it surgically (nil footprint on
 // non-live pools — put delegates here).
 func (c *resultCache) putLive(k cacheKey, resp *Response, fp, visited []graph.NodeID, guard float64, guarded bool) {
+	cost := entryCost(resp)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
 		e := el.Value.(*cacheEntry)
-		e.resp, e.fp, e.visited, e.guard, e.guarded = resp, fp, visited, guard, guarded
+		c.cost += cost - e.cost
+		e.resp, e.cost, e.fp, e.visited, e.guard, e.guarded = resp, cost, fp, visited, guard, guarded
 		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		return
+	} else {
+		c.m[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, cost: cost, fp: fp, visited: visited, guard: guard, guarded: guarded})
+		c.cost += cost
 	}
-	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, fp: fp, visited: visited, guard: guard, guarded: guarded})
-	for c.ll.Len() > c.max {
+	// An answer larger than the whole cache evicts everything, itself last.
+	for c.cost > c.max {
 		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		oldKey := oldest.Value.(*cacheEntry).key
-		delete(c.m, oldKey)
+		delete(c.m, oldest.Value.(*cacheEntry).key)
+		c.unlink(oldest)
 		c.evictions++
 	}
-	c.mu.Unlock()
+}
+
+// unlink takes el off the LRU list and its cost off the total; the caller
+// owns the map entry.
+func (c *resultCache) unlink(el *list.Element) {
+	c.ll.Remove(el)
+	c.cost -= el.Value.(*cacheEntry).cost
 }
 
 // invalidate walks every entry after a mutation batch moved the graph from
@@ -219,7 +252,7 @@ func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.Node
 			// A raced-ahead query may already hold the new key; keep the
 			// fresher entry and drop this one.
 			if _, dup := c.m[e.key]; dup {
-				c.ll.Remove(el)
+				c.unlink(el)
 				surgical++
 				continue
 			}
@@ -228,7 +261,7 @@ func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.Node
 			continue
 		}
 		delete(c.m, e.key)
-		c.ll.Remove(el)
+		c.unlink(el)
 		surgical++
 		if stale != nil && e.key.epoch == oldEpoch && len(e.visited) > 0 {
 			stale.put(e.key, e.visited)

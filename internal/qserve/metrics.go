@@ -190,7 +190,9 @@ type Metrics struct {
 	QueueDepth, QueueCap, Workers int
 	// Cache counters; zero when the cache is disabled. CacheEntries is the
 	// live entry count (occupancy) and CacheCapacity its configured bound,
-	// so CacheEntries/CacheCapacity is the steady-state fill ratio.
+	// so CacheEntries/CacheCapacity is the steady-state fill ratio while
+	// answers hold at most 16 rows (a larger one fills several entries'
+	// worth of the bound).
 	CacheHits, CacheMisses, CacheEvictions int64
 	CacheEntries, CacheCapacity            int
 	// Epoch is the current invalidation epoch. On a live pool it mirrors the

@@ -62,7 +62,8 @@ type Config struct {
 	// QueueDepth bounds the admission queue; 0 selects 4×Workers. Requests
 	// beyond Workers running + QueueDepth waiting are shed.
 	QueueDepth int
-	// CacheEntries bounds the result cache; 0 selects 1024, negative
+	// CacheEntries bounds the result cache, in entries of up to 16 result
+	// rows (a larger answer counts as several); 0 selects 1024, negative
 	// disables caching.
 	CacheEntries int
 	// Timeout is the per-query wall-clock budget covering queue wait and

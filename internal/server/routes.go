@@ -131,7 +131,8 @@ type Config struct {
 	// QueueDepth bounds the admission queue (0 = 4×Workers); requests over
 	// the bound receive 429 with a Retry-After header.
 	QueueDepth int
-	// CacheEntries bounds the result cache (0 = 1024, negative disables).
+	// CacheEntries bounds the result cache, in entries of up to 16 result
+	// rows (0 = 1024, negative disables).
 	CacheEntries int
 	// Timeout is the per-query wall-clock budget (0 = none); queries over
 	// budget receive 504.
