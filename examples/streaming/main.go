@@ -170,7 +170,6 @@ func main() {
 			RowsCoWed      int64 `json:"rows_cowed"`
 			Surgical       int64 `json:"invalidations_surgical"`
 			Retained       int64 `json:"cache_retained"`
-			Recertify      int64 `json:"recertify_hits"`
 		} `json:"live"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
@@ -181,7 +180,7 @@ func main() {
 		queries, mutations, float64(queryTime.Microseconds())/float64(queries)/1000)
 	fmt.Printf("%d snapshots published, %d adjacency rows copy-on-write re-materialized (of %d total)\n",
 		met.Live.SnapshotsTotal, met.Live.RowsCoWed, int64(live.NumNodes())*met.Live.SnapshotsTotal)
-	fmt.Printf("cache entries: %d surgically invalidated, %d retained across epochs, %d re-certified warm\n",
-		met.Live.Surgical, met.Live.Retained, met.Live.Recertify)
+	fmt.Printf("cache entries: %d surgically invalidated, %d retained across epochs\n",
+		met.Live.Surgical, met.Live.Retained)
 	fmt.Println("no index rebuilt, no factorization redone, no clustering refreshed")
 }

@@ -11,6 +11,7 @@ import (
 	"flos/internal/gen"
 	"flos/internal/graph"
 	"flos/internal/linalg"
+	"flos/internal/measure"
 )
 
 func newTestEngine(t *testing.T, g graph.Graph, q graph.NodeID, c float64, tighten bool) *phpEngine {
@@ -245,38 +246,71 @@ func TestTHTEngineDistances(t *testing.T) {
 	}
 }
 
-// TestTHTEngineFloorGrows: on a path, closing hops advances the floor.
-func TestTHTEngineFloorGrows(t *testing.T) {
-	g := gen.Path(30)
-	e := newTHTEngine(g, 0, 10)
-	prevFloor := int32(0)
-	for it := 0; it < 12; it++ {
-		us := e.pickExpansion(1)
-		if len(us) == 0 {
-			break
-		}
-		for _, u := range us {
-			e.expand(u, nil)
-		}
-		e.solveBounds()
-		f := e.unvisitedFloor()
-		if f < prevFloor {
-			t.Fatalf("floor regressed %d -> %d", prevFloor, f)
-		}
-		prevFloor = f
+// TestTHTEngineOutsideFloor: after every expansion the boundary floor G^l
+// dominates the hop floor min(l, D+1) it replaced and stays below the exact
+// h^l of every unvisited node, under the engine's schedule and under pure
+// best-first expansion (no hop closure).
+func TestTHTEngineOutsideFloor(t *testing.T) {
+	const L = 10
+	graphs := []struct {
+		name string
+		g    *graph.MemGraph
+		q    graph.NodeID
+	}{
+		{"path", gen.Path(30), 0},
+		{"path-mid", gen.Path(30), 12},
+		{"star-leaf", gen.Star(8), 1},
+		{"star-center", gen.Star(8), 0},
+		{"fig1", gen.PaperExample(), 0},
 	}
-	if prevFloor < 3 {
-		t.Fatalf("floor only reached %d after 12 path expansions", prevFloor)
+	for _, tc := range graphs {
+		exact := thtLevels(t, tc.g, tc.q, L)
+		for _, closure := range []bool{true, false} {
+			e := newTHTEngine(tc.g, tc.q, L)
+			for it := 1; ; it++ {
+				pick := e.pickExpansion
+				if closure {
+					pick = func(budget int) []int32 { return e.pick(measure.THT, budget) }
+				}
+				us := pick(1)
+				if len(us) == 0 {
+					break
+				}
+				for _, u := range us {
+					e.expand(u, nil)
+				}
+				e.solveBounds()
+				hop := distInf // D+1
+				for _, i := range e.bList {
+					if e.outCnt[i] > 0 && e.dist[i]+1 < hop {
+						hop = e.dist[i] + 1
+					}
+				}
+				for l := 0; l <= L; l++ {
+					G := e.outsideFloor(l)
+					if want := math.Min(float64(l), float64(hop)); G < want {
+						t.Fatalf("%s closure=%v iter %d: G^%d = %g below the hop floor %g", tc.name, closure, it, l, G, want)
+					}
+					for u := 0; l > 0 && u < tc.g.NumNodes(); u++ {
+						if !e.local.has(graph.NodeID(u)) && G > exact[l][u]+1e-12 {
+							t.Fatalf("%s closure=%v iter %d: G^%d = %g above h^%d(%d) = %g", tc.name, closure, it, l, G, l, u, exact[l][u])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestTHTEngineBoundsMatchScratch: the incremental level recursion equals a
-// from-scratch recomputation of the same system.
+// from-scratch dense recomputation of the same two systems: outside mass of
+// the level-l equation at G^{l−1} = 1 + min_{δS} lb^{l−2} below and at l−1
+// above.
 func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 	g := gen.PaperExample()
 	L := 6
 	e := newTHTEngine(g, 0, L)
-	for it := 0; it < 4; it++ {
+	for it := 0; it < 6; it++ {
 		us := e.pickExpansion(1)
 		if len(us) == 0 {
 			break
@@ -284,52 +318,49 @@ func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 		e.expand(us[0], nil)
 		e.solveBounds()
 
-		// From-scratch recomputation.
+		// From-scratch recomputation: lbs[l] / ubs[l] are whole levels.
 		n := e.size()
-		floor := e.unvisitedFloor()
-		lb := make([]float64, n)
-		ub := make([]float64, n)
-		nlb := make([]float64, n)
-		nub := make([]float64, n)
+		lbs := make([][]float64, L+1)
+		ubs := make([][]float64, L+1)
+		lbs[0], ubs[0] = make([]float64, n), make([]float64, n)
 		for l := 1; l <= L; l++ {
-			fl := float64(l - 1)
-			if ff := float64(floor); ff < fl {
-				fl = ff
+			lbs[l], ubs[l] = make([]float64, n), make([]float64, n)
+			fl := 0.0 // G^{l-1}
+			if l >= 2 {
+				fl = float64(l - 2)
+				for i := 0; i < n; i++ {
+					if e.outCnt[i] > 0 {
+						fl = math.Min(fl, lbs[l-2][i])
+					}
+				}
+				fl++
 			}
 			for i := 0; i < n; i++ {
-				li := int32(i)
-				if e.nodes[li] == e.q {
-					nlb[i], nub[i] = 0, 0
+				if e.nodes[i] == e.q {
 					continue
 				}
-				var sLo, sHi float64
-				for _, en := range e.tRows[li] {
-					sLo += en.p * lb[en.col]
-					sHi += en.p * ub[en.col]
+				sLo, sHi := 1.0, 1.0
+				for _, en := range e.tRows[i] {
+					sLo += en.p * lbs[l-1][en.col]
+					sHi += en.p * ubs[l-1][en.col]
 				}
-				om := 0.0
-				if e.outCnt[li] > 0 || e.deg[li] == 0 {
-					om = e.outMass(li)
+				if e.outCnt[i] > 0 {
+					om := e.outMass(int32(i))
+					sLo += om * fl
+					sHi += om * float64(l-1)
 				}
-				nlb[i] = 1 + sLo + om*fl
-				h := 1 + sHi + om*float64(L)
-				if cap := float64(l); h > cap {
-					h = cap
-				}
-				if nlb[i] > h {
-					nlb[i] = h
-				}
-				nub[i] = h
+				ubs[l][i] = math.Min(sHi, float64(l))
+				lbs[l][i] = math.Min(sLo, ubs[l][i])
 			}
-			lb, nlb = nlb, lb
-			ub, nub = nub, ub
 		}
-		for i := 0; i < n; i++ {
-			if math.Abs(e.lb(int32(i))-lb[i]) > 1e-12 {
-				t.Fatalf("iter %d: incremental lb[%d]=%g scratch=%g", it, i, e.lb(int32(i)), lb[i])
-			}
-			if math.Abs(e.ub(int32(i))-ub[i]) > 1e-12 {
-				t.Fatalf("iter %d: incremental ub[%d]=%g scratch=%g", it, i, e.ub(int32(i)), ub[i])
+		for l := 0; l <= L; l++ {
+			for i := 0; i < n; i++ {
+				if math.Abs(e.lbL[l][i]-lbs[l][i]) > 1e-12 {
+					t.Fatalf("iter %d: incremental lb^%d[%d]=%g scratch=%g", it, l, i, e.lbL[l][i], lbs[l][i])
+				}
+				if math.Abs(e.ubL[l][i]-ubs[l][i]) > 1e-12 {
+					t.Fatalf("iter %d: incremental ub^%d[%d]=%g scratch=%g", it, l, i, e.ubL[l][i], ubs[l][i])
+				}
 			}
 		}
 	}

@@ -124,10 +124,8 @@ type Options struct {
 	// The bound systems are valid for ANY visited set containing q, so a
 	// warm-started search is exactly as correct as a cold one — it just
 	// starts closer to termination when the seeds cover the answer's
-	// neighborhood. The live-serving cache uses this to re-certify a stale
-	// result on a new snapshot from its old visited set instead of
-	// recomputing from scratch. Out-of-range, duplicate, and q entries are
-	// skipped silently. Warm-started results are exact but need not be
+	// neighborhood. Out-of-range, duplicate, and q entries are skipped
+	// silently. Warm-started results are exact but need not be
 	// byte-identical to a cold run: the expansion trajectory differs.
 	WarmStart []graph.NodeID
 	// CaptureFootprint asks the result to carry the query's read footprint:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -168,6 +170,140 @@ func TestBatchedStepsMatchOracle(t *testing.T) {
 			// not per search; without it the test could go vacuous silently.
 			if !batched {
 				t.Fatalf("%s/%v: no step of any search expanded more than one node", gc.name, kind)
+			}
+		}
+	}
+}
+
+// thtLevels is the dense oracle of every level: h[l] = h^l, l = 0..L.
+func thtLevels(t *testing.T, g graph.Graph, q graph.NodeID, L int) [][]float64 {
+	t.Helper()
+	h := make([][]float64, L+1)
+	h[0] = make([]float64, g.NumNodes())
+	for l := 1; l <= L; l++ {
+		p := measure.DefaultParams()
+		p.L = l
+		h[l] = exactScores(t, g, q, measure.THT, p)
+	}
+	return h
+}
+
+// requireTHTLevelsValid checks lb^l ≤ h^l ≤ ub^l on every level of every
+// visited node: the induction the boundary floor rests on.
+func requireTHTLevelsValid(t *testing.T, label string, e *thtEngine, h [][]float64) {
+	t.Helper()
+	for l := 0; l <= e.L; l++ {
+		for i, v := range e.nodes {
+			if lo, hi, x := e.lbL[l][i], e.ubL[l][i], h[l][v]; lo > x+1e-9 || hi < x-1e-9 {
+				t.Fatalf("%s: |S|=%d level %d node %d: h=%g outside [%g, %g]", label, e.size(), l, v, x, lo, hi)
+			}
+		}
+	}
+}
+
+// TestTHTBoundaryFloorEdgeCases is the fixed-seed oracle slice for the
+// conditions the boundary floor's edge cases live in, checked at every level
+// after every solve, under the engine's schedule and under pure best-first
+// expansion.
+func TestTHTBoundaryFloorEdgeCases(t *testing.T) {
+	const L = 10
+	shapes := oracleGraphs(t)
+	rmat, star, split := shapes[1].g, shapes[3].g, shapes[4].g
+	// A pendant two hops from q (an isolated neighbor-of-neighbor: its only
+	// way back is the way in), next to a 6-ring that keeps the search going.
+	pendant := graph.MustFromEdges(9, 0, 1, 1, 2, 0, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0)
+
+	drive := func(label string, g graph.Graph, q graph.NodeID, closure bool, seeds ...graph.NodeID) {
+		h := thtLevels(t, g, q, L)
+		e := newTHTEngine(g, q, L)
+		for _, v := range seeds {
+			e.visit(v)
+		}
+		// The first solve runs before any expansion: q has unvisited
+		// neighbors, so it sits on the boundary and pins G^m at 1.
+		e.solveBounds()
+		if !e.isBoundary(0) || e.outsideFloor(L) != 1 {
+			t.Fatalf("%s: q on the boundary must pin the floor at 1, got %g", label, e.outsideFloor(L))
+		}
+		requireTHTLevelsValid(t, label, e, h)
+		pick := e.pickExpansion
+		if closure {
+			pick = func(budget int) []int32 { return e.pick(measure.THT, budget) }
+		}
+		for {
+			us := pick(max(1, e.size()/16))
+			if len(us) == 0 {
+				break
+			}
+			for _, u := range us {
+				e.expand(u, nil)
+			}
+			e.solveBounds()
+			requireTHTLevelsValid(t, label, e, h)
+		}
+		// Boundary exhausted: both systems are the component's own.
+		for i, v := range e.nodes {
+			if abs(e.lb(int32(i))-h[L][v]) > 1e-9 || abs(e.ub(int32(i))-h[L][v]) > 1e-9 {
+				t.Fatalf("%s: exhausted but node %d has [%g, %g] for h=%g", label, v, e.lb(int32(i)), e.ub(int32(i)), h[L][v])
+			}
+		}
+	}
+	for _, closure := range []bool{true, false} {
+		name := fmt.Sprintf("closure=%v/", closure)
+		drive(name+"pendant", pendant, 0, closure)
+		// Seeds two hops out while q itself is unexpanded.
+		drive(name+"pendant-seeded", pendant, 0, closure, 2, 5)
+		// A query beside the hub: best-first order defers the hub's 40-way
+		// expansion while the query's own clique is drained.
+		drive(name+"hub-deferred", star, 2, closure)
+		drive(name+"hub-query", star, 0, closure)
+		drive(name+"rmat", rmat, graph.LargestComponentNodes(rmat)[7], closure)
+	}
+
+	// A query in a component smaller than k+1: the search exhausts the
+	// boundary and returns the whole component with exact scores.
+	small := graph.MustFromEdges(12, 0, 1, 1, 2, 2, 0, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11)
+	res, err := TopK(small, 0, testOptions(measure.THT, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := exactScores(t, small, 0, measure.THT, measure.DefaultParams())
+	if !res.Exact || len(res.TopK) != 3 {
+		t.Fatalf("small component: exact=%v with %d results, want the 3 other members", res.Exact, len(res.TopK))
+	}
+	for _, r := range res.TopK {
+		if abs(r.Score-h[r.Node]) > 1e-9 {
+			t.Fatalf("small component: node %d score %g, exact %g", r.Node, r.Score, h[r.Node])
+		}
+	}
+
+	// One warm engine across horizons: a floor remembered from the previous
+	// query (longer or shorter L) must not survive reset. Each run equals a
+	// cold engine's, bit for bit, and the oracle's top-k.
+	ws := NewWorkspace()
+	qs := graph.LargestComponentNodes(split)
+	for i, L := range []int{10, 4, 12, 4, 7} {
+		q := qs[(i*131)%len(qs)]
+		opt := testOptions(measure.THT, 10)
+		opt.Params.L = L
+		warm, err := ws.TopK(context.Background(), split, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := TopK(split, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("L=%d q=%d: warm engine differs from cold:\n%+v\n%+v", L, q, warm, cold)
+		}
+		oracle := exactScores(t, split, q, measure.THT, opt.Params)
+		if !warm.Exact || !measure.SameSetModuloTies(measure.Nodes(warm.TopK), oracle, q, 10, false, 1e-7) {
+			t.Fatalf("L=%d q=%d: top-k %v differs from the oracle's", L, q, measure.Nodes(warm.TopK))
+		}
+		for _, b := range warm.Certification.Bounds {
+			if oracle[b.Node] < b.Lower-1e-7 || oracle[b.Node] > b.Upper+1e-7 {
+				t.Fatalf("L=%d q=%d: node %d oracle %g outside [%g, %g]", L, q, b.Node, oracle[b.Node], b.Lower, b.Upper)
 			}
 		}
 	}

@@ -12,17 +12,15 @@ import (
 // visited-set machinery applies, with the bound roles mirrored because lower
 // values mean closer:
 //
-//   - lower bound: boundary-crossing mass is sent to a level-aware floor.
-//     The appendix's plain deletion corresponds to floor 0; this engine
-//     uses the sound hop-distance floor min(l−1, D+1), where D is the
-//     minimum within-S hop distance of any boundary node: every unvisited
-//     node is at least D+1 hops from q, and a walk of horizon m from a node
-//     at distance d has truncated hitting time at least min(m, d). This is
-//     the distance floor the GRANCH line of work [17] pioneered, and it is
+//   - lower bound: boundary-crossing mass of the level-l equation is valued
+//     at the boundary floor G^{l−1} (see outsideFloor): the paper's
+//     no-local-optimum rule, Theorem 1's corollary, written per level. The
+//     appendix's plain deletion corresponds to floor 0. This is the
+//     optimistic boundary bound of the GRANCH line of work [17], and it is
 //     what lets the search stop without draining expander-like graphs.
-//   - upper bound: boundary-crossing mass is redirected into a dummy pinned
-//     at the horizon L (the largest possible value), with each sweep-l
-//     value additionally capped at l (r^l ≤ l always holds).
+//   - upper bound: boundary-crossing mass of the level-l equation is
+//     redirected into a dummy pinned at l−1 (h^{l−1} ≤ l−1 everywhere), with
+//     each level-l value additionally capped at l.
 //
 // The L-level recursion is maintained incrementally: level l of a node is
 // recomputed only when level l−1 of a neighbor (or its own boundary terms)
@@ -41,8 +39,7 @@ type thtEngine struct {
 	tRows [][]thtEntry
 
 	// dist is the within-S shortest hop distance from q, maintained to
-	// fixpoint as S grows. For any unvisited node the true distance is
-	// at least min_{i∈δS} dist[i] + 1 (see the lower-bound note above).
+	// fixpoint as S grows; it drives the hop closure (addFloorClosers).
 	dist []int32
 
 	// lbL[l][i] / ubL[l][i] are the level-l bound values, l = 0..L; level 0
@@ -54,10 +51,11 @@ type thtEngine struct {
 	inQ   [][]bool
 	queue [][]int32
 
-	lastFloor int32 // D+1 used in the last solve; change re-dirties the boundary
+	// floorL[m] is the G^m the last solve valued outside mass at; a level
+	// whose floor moved re-dirties the live boundary rows one level up.
+	floorL []float64
 
-	floorBuf []int32
-	distQ    []int32
+	distQ []int32
 }
 
 type thtEntry struct {
@@ -101,7 +99,10 @@ func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int, dense bool) {
 		e.queue[l] = e.queue[l][:0]
 	}
 
-	e.lastFloor = -1
+	e.floorL = slices.Grow(e.floorL[:0], L)[:L]
+	for m := range e.floorL {
+		e.floorL[m] = -1 // no floor is negative: the first solve dirties every level
+	}
 
 	e.visit(q)
 }
@@ -194,44 +195,51 @@ func (e *thtEngine) outMass(i int32) float64 {
 	return e.outMassOf(i, 1)
 }
 
-// unvisitedFloor returns D+1: a sound hop-distance lower bound on every
-// unvisited node's distance from q. The scan walks the incremental boundary
+// outsideFloor returns G^m, a lower bound on h^m(u) for every unvisited u,
+// from the solved level m−1: a walk that starts outside S needs at least one
+// step to enter it, and enters through δS, so h^m(u) ≥ 1 + min_{i∈δS}
+// h^{m−1}(i) ≥ 1 + min_{i∈δS} lb^{m−1}(i) (a walk that stays outside for m
+// steps scores m, which is no smaller). q counts while it is on the boundary
+// (lb(q) = 0), G^0 = 0, and with no live boundary G^m = m, though no row
+// then has outside mass to value. The scan walks the incremental boundary
 // list — O(|δS|), not O(|S|).
-func (e *thtEngine) unvisitedFloor() int32 {
-	minD := distInf
+//
+// The hop floor min(m, D+1) this replaced is subsumed: by induction
+// lb^m(i) ≥ min(m, dist_S(i), D+2), hence G^m ≥ min(m, D+1).
+func (e *thtEngine) outsideFloor(m int) float64 {
+	if m == 0 {
+		return 0
+	}
+	lbPrev := e.lbL[m-1]
+	best := float64(m - 1) // lb^{m−1} ≤ m−1 everywhere
 	for _, i := range e.bList {
-		if e.outCnt[i] > 0 && e.dist[i] < minD {
-			minD = e.dist[i]
+		if e.outCnt[i] > 0 && lbPrev[i] < best {
+			best = lbPrev[i]
 		}
 	}
-	if minD == distInf {
-		return distInf // exhausted: no unvisited mass exists at all
-	}
-	return minD + 1
+	return 1 + best
 }
 
 // solveBounds drains the per-level dirty queues in level order, recomputing
 // both bounds for each dirty row and propagating changes to the dependents
 // one level up.
 func (e *thtEngine) solveBounds() {
-	floor := e.unvisitedFloor()
-	if floor != e.lastFloor {
-		e.lastFloor = floor
-		for _, i := range e.bList {
-			if e.outCnt[i] > 0 {
-				e.markAllLevels(i)
+	for l := 1; l <= e.L; l++ {
+		// Outside mass of the level-l equation sits at level l−1, which is
+		// final by now: level l reads nothing above l−1.
+		fl := e.outsideFloor(l - 1)
+		if fl != e.floorL[l-1] {
+			e.floorL[l-1] = fl
+			for _, i := range e.bList {
+				if e.outCnt[i] > 0 && i != 0 && !e.inQ[l][i] { // local index 0 is the query
+					e.inQ[l][i] = true
+					e.queue[l] = append(e.queue[l], i)
+				}
 			}
 		}
-	}
-	for l := 1; l <= e.L; l++ {
 		q := e.queue[l]
 		lbPrev, ubPrev := e.lbL[l-1], e.ubL[l-1]
 		lbCur, ubCur := e.lbL[l], e.ubL[l]
-		// Floor value for unvisited mass at this level: min(l−1, D+1).
-		fl := float64(l - 1)
-		if ff := float64(floor); ff < fl {
-			fl = ff
-		}
 		for len(q) > 0 {
 			i := q[len(q)-1]
 			q = q[:len(q)-1]
@@ -242,12 +250,14 @@ func (e *thtEngine) solveBounds() {
 				sLo += en.p * lbPrev[en.col]
 				sHi += en.p * ubPrev[en.col]
 			}
-			om := 0.0
-			if e.outCnt[i] > 0 || e.deg[i] == 0 {
+			om, out := 0.0, fl
+			if e.outCnt[i] > 0 {
 				om = e.outMass(i)
+			} else if e.deg[i] == 0 {
+				om, out = 1, float64(l-1) // the walk goes nowhere: h^l = l
 			}
-			lo := 1 + sLo + om*fl
-			hi := 1 + sHi + om*float64(e.L)
+			lo := 1 + sLo + om*out
+			hi := 1 + sHi + om*float64(l-1)
 			if cap := float64(l); hi > cap {
 				hi = cap
 			}
@@ -292,16 +302,16 @@ func (e *thtEngine) pickExpansion(budget int) []int32 {
 	return e.takeFrontier(cands, budget, true)
 }
 
-// pickFloorClosers returns every boundary node sitting at the minimum hop
-// distance, in engine scratch. Expanding them is what advances the distance
-// floor D: the lower-bound contribution of unvisited mass is min(l−1, D+1),
-// and D only grows when no boundary node remains at the old minimum. Pure
-// best-first expansion chases small hitting-time values and can leave a
-// low-hop hub unexpanded forever, pinning D (and with it every far lower
-// bound); mixing in this hop-closure step is the THT analogue of GRANCH's
-// hop-by-hop schedule. Both passes walk the boundary list in ascending
-// local index, preserving the output order of the full scans they replace.
-func (e *thtEngine) pickFloorClosers() []int32 {
+// addFloorClosers appends to the best-first pick us every boundary node at
+// the minimum hop distance that is not in it already. Pure best-first
+// expansion chases small hitting-time values and can leave a low-hop hub
+// unexpanded for many iterations, and the boundary floor (outsideFloor) is a
+// minimum over δS: one loose low-hop node holds it, and every far lower
+// bound, down. Mixing in this hop closure is the THT analogue of GRANCH's
+// hop-by-hop schedule; without it the search visits fewer nodes over several
+// times the iterations. The scans walk the boundary list in ascending local
+// index, so the closers follow us in that order.
+func (e *thtEngine) addFloorClosers(us []int32) []int32 {
 	minD := distInf
 	for _, i := range e.bList {
 		if e.outCnt[i] > 0 && e.dist[i] < minD {
@@ -309,16 +319,22 @@ func (e *thtEngine) pickFloorClosers() []int32 {
 		}
 	}
 	if minD == distInf {
-		return nil
+		return us
 	}
-	out := e.floorBuf[:0]
+	e.markSel(nil) // sizes the scratch
+	for _, u := range us {
+		e.inSel[u] = true
+	}
+	picked := len(us)
 	for _, i := range e.bList {
-		if e.outCnt[i] > 0 && e.dist[i] == minD {
-			out = append(out, i)
+		if e.outCnt[i] > 0 && e.dist[i] == minD && !e.inSel[i] {
+			us = append(us, i)
 		}
 	}
-	e.floorBuf = out
-	return out
+	for _, u := range us[:picked] {
+		e.inSel[u] = false
+	}
+	return us
 }
 
 // expand visits every unvisited neighbor of local node u, appending the new
@@ -407,19 +423,14 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 
 // The driver-facing steps of the THT engine (see engine in search.go). It
 // certifies one key scale, so kind is ignored, and it has no dummy update:
-// the upper-bound dummy is pinned at the horizon L.
+// the upper-bound dummy of level l is pinned at l−1.
 
 func (e *thtEngine) beginIteration() {}
 
-// pick is the best-first step plus the hop closure that keeps the distance
-// floor advancing (see pickFloorClosers).
+// pick is the best-first step plus the hop closure that keeps the boundary
+// floor advancing (see addFloorClosers).
 func (e *thtEngine) pick(_ measure.Kind, budget int) []int32 {
-	us := e.pickExpansion(budget)
-	for _, u := range e.pickFloorClosers() {
-		if !slices.Contains(us, u) {
-			us = append(us, u)
-		}
-	}
+	us := e.addFloorClosers(e.pickExpansion(budget))
 	if us != nil {
 		e.pickOut = us // keep the backing array the closers grew
 	}
@@ -435,7 +446,7 @@ func (e *thtEngine) check(_ measure.Kind, dst []int32, k int, slack float64) ([]
 
 func (e *thtEngine) bounds(i int32) (lb, ub float64) { return e.lb(i), e.ub(i) }
 
-func (e *thtEngine) dummy() float64 { return float64(e.L) }
+func (e *thtEngine) dummy() float64 { return float64(e.L - 1) }
 
 // forceSelect picks the k best visited nodes by upper bound (the safe side
 // for a lower-is-closer measure).

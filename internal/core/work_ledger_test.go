@@ -75,6 +75,23 @@ func TestWorkLedger(t *testing.T) {
 		}
 	}
 
+	// THT where it is served: the first three THT requests of the seed-1
+	// mem-mixed-light (and live-zipf-mutate graph) list of go run ./bench,
+	// dealt as above on its 50,000-node community graph.
+	served, err := gen.Community(50000, 250000, gen.CommunityParamsForDensity(10), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = 0
+	for _, v := range rand.New(rand.NewSource(1)).Perm(served.NumNodes()) {
+		if n < 11 && served.NumNeighbors(graph.NodeID(v)) > 0 { // requests 4, 5 and 10
+			if cycle[n/2%3] == measure.THT {
+				record("community(50000,250000)", 7, served, measure.THT, graph.NodeID(v), 10)
+			}
+			n++
+		}
+	}
+
 	if os.Getenv("FLOS_UPDATE_GOLDEN") != "" {
 		buf, err := json.MarshalIndent(got, "", " ")
 		if err != nil {

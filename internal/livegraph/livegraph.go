@@ -22,6 +22,7 @@ package livegraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,8 +90,9 @@ type Snapshot struct {
 	wts  [][]float64
 	degs []float64
 
-	topOnce sync.Once
-	top     []graph.DegreeEntry
+	// top is the degree index of graph.TopDegreeIndex over degs, carried
+	// forward from the parent snapshot (see patchTopDegrees).
+	top []graph.DegreeEntry
 
 	// refs counts the LiveGraph's "current" reference plus one per pinned
 	// reader. Hitting zero only updates the alive gauge; memory reclamation
@@ -122,12 +124,10 @@ func (s *Snapshot) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 // Degree returns the weighted degree of v.
 func (s *Snapshot) Degree(v graph.NodeID) float64 { return s.degs[v] }
 
-// TopDegrees returns up to k largest-degree nodes, non-increasing. The index
-// is built lazily on first use (most snapshots are short-lived and most
-// measures never call TopDegrees) via the same TopDegreeIndex helper MemGraph
-// uses, keeping the RWR w(S̄) guard byte-identical to a frozen rebuild.
+// TopDegrees returns up to k largest-degree nodes, non-increasing: entry for
+// entry the index MemGraph serves over the same degrees, which keeps the RWR
+// w(S̄) guard byte-identical to a frozen rebuild.
 func (s *Snapshot) TopDegrees(k int) []graph.DegreeEntry {
-	s.topOnce.Do(func() { s.top = graph.TopDegreeIndex(s.degs) })
 	if k > len(s.top) {
 		k = len(s.top)
 	}
@@ -207,6 +207,7 @@ func New(base *graph.MemGraph) *LiveGraph {
 		nbrs:   make([][]graph.NodeID, n),
 		wts:    make([][]float64, n),
 		degs:   make([]float64, n),
+		top:    base.TopDegrees(n),
 	}
 	for v := 0; v < n; v++ {
 		s.nbrs[v], s.wts[v] = base.Neighbors(graph.NodeID(v))
@@ -418,6 +419,7 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 		}
 		next.degs[v] = sum
 	}
+	next.top = patchTopDegrees(parent.top, touched, next.degs)
 
 	next.refs.Store(1) // the LiveGraph's "current" reference
 	lg.mu.Lock()
@@ -431,4 +433,49 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 	parent.Release() // drop the chain's reference; pinned readers keep it alive
 
 	return next, touched, nil
+}
+
+// patchTopDegrees returns graph.TopDegreeIndex(degs) given old, the index
+// before the nodes in touched (ascending) changed degree: old without the
+// touched nodes, merged with each touched node that now ranks at or before
+// old's last entry. Every untouched node outside old ranks after that entry,
+// so as long as the merge fills len(old) places they are exactly the new
+// index; when it does not (a member fell out of range, and which outsider
+// moves up is not known) the index is rebuilt.
+func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degs []float64) []graph.DegreeEntry {
+	before := func(a, b graph.DegreeEntry) bool {
+		if a.Degree != b.Degree {
+			return a.Degree > b.Degree
+		}
+		return a.Node < b.Node
+	}
+	var moved []graph.DegreeEntry
+	for _, v := range touched {
+		e := graph.DegreeEntry{Node: v, Degree: degs[v]}
+		if !before(old[len(old)-1], e) {
+			moved = append(moved, e)
+		}
+	}
+	slices.SortFunc(moved, func(a, b graph.DegreeEntry) int {
+		if before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	out := make([]graph.DegreeEntry, 0, len(old)+len(moved))
+	for _, e := range old {
+		if _, gone := slices.BinarySearch(touched, e.Node); gone {
+			continue
+		}
+		for len(moved) > 0 && before(moved[0], e) {
+			out = append(out, moved[0])
+			moved = moved[1:]
+		}
+		out = append(out, e)
+	}
+	out = append(out, moved...)
+	if len(out) < len(old) {
+		return graph.TopDegreeIndex(degs)
+	}
+	return out[:len(old)]
 }

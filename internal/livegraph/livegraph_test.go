@@ -1,6 +1,8 @@
 package livegraph
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -324,5 +326,104 @@ func TestConcurrentPinnedReadsUnderWrites(t *testing.T) {
 
 	if lg.Stats().SnapshotsAlive != 1 {
 		t.Fatalf("alive = %d after all releases, want 1", lg.Stats().SnapshotsAlive)
+	}
+}
+
+// TestTopDegreesCarriedForward: the degree index a snapshot inherits and
+// patches equals the one a from-scratch rebuild of the same topology serves,
+// entry for entry, after every batch of a seeded add / remove / set stream:
+// unit weights (degree ties), index members stripped to degree 0 (the index
+// runs short and is rebuilt), outsiders raised into it, and a graph small
+// enough that the index holds every node.
+func TestTopDegreesCarriedForward(t *testing.T) {
+	for _, tc := range []struct {
+		n, m, batches int
+	}{
+		{5000, 7500, 500}, // index = the 4,096 largest of 5,000
+		{300, 600, 1500},  // index = every node
+	} {
+		if testing.Short() {
+			tc.batches /= 4
+		}
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		type edge struct{ u, v graph.NodeID }
+		norm := func(u, v graph.NodeID) edge { return edge{min(u, v), max(u, v)} }
+		present := map[edge]bool{}
+		var edges []edge // may hold removed edges; present decides
+		b := graph.NewBuilder(tc.n)
+		for len(present) < tc.m {
+			e := norm(graph.NodeID(rng.Intn(tc.n)), graph.NodeID(rng.Intn(tc.n)))
+			if e.u == e.v || present[e] {
+				continue
+			}
+			present[e] = true
+			edges = append(edges, e)
+			if err := b.AddEdge(e.u, e.v, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg := New(base)
+
+		for batch := 0; batch < tc.batches; batch++ {
+			var ops []EdgeOp
+			switch {
+			case batch%23 == 5:
+				// Strip a node from the upper half of the index of every edge.
+				s := lg.Acquire()
+				top := s.TopDegrees(4096)
+				v := top[rng.Intn(len(top)/2)].Node
+				nbrs, _ := s.Neighbors(v)
+				for _, u := range nbrs {
+					ops = append(ops, EdgeOp{Op: OpRemove, U: v, V: u})
+					present[norm(u, v)] = false
+				}
+				s.Release()
+			default:
+				seen := map[edge]bool{} // one op per edge per batch
+				for len(ops) < 1+rng.Intn(4) {
+					e := norm(graph.NodeID(rng.Intn(tc.n)), graph.NodeID(rng.Intn(tc.n)))
+					if r := rng.Intn(3); r > 0 && len(edges) > 0 {
+						e = edges[rng.Intn(len(edges))] // an edge that exists, or did
+					}
+					if e.u == e.v || seen[e] {
+						continue
+					}
+					seen[e] = true
+					switch {
+					case !present[e]:
+						ops = append(ops, EdgeOp{Op: OpAdd, U: e.u, V: e.v, W: 1})
+						present[e] = true
+						edges = append(edges, e)
+					case rng.Intn(2) == 0:
+						ops = append(ops, EdgeOp{Op: OpRemove, U: e.u, V: e.v})
+						present[e] = false
+					default:
+						ops = append(ops, EdgeOp{Op: OpSet, U: e.v, V: e.u, W: float64(1 + rng.Intn(3))})
+					}
+				}
+			}
+			snap, _, err := lg.Apply(ops)
+			if err != nil {
+				t.Fatalf("n=%d batch %d: %v", tc.n, batch, err)
+			}
+			world, err := snap.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := snap.TopDegrees(4096), world.TopDegrees(4096)
+			if !slices.Equal(got, want) {
+				for i := range want {
+					if i >= len(got) || got[i] != want[i] {
+						t.Fatalf("n=%d batch %d (%d ops): %d entries, want %d; first difference at %d: %+v, want %+v",
+							tc.n, batch, len(ops), len(got), len(want), i, got[min(i, len(got)-1)], want[i])
+					}
+				}
+				t.Fatalf("n=%d batch %d: %d entries, want %d", tc.n, batch, len(got), len(want))
+			}
+		}
 	}
 }

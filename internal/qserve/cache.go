@@ -136,13 +136,11 @@ type cacheEntry struct {
 
 	// Live-mode invalidation state, nil/zero on non-live pools. fp is the
 	// query's full read footprint (visited ∪ degree-probed nodes), sorted;
-	// visited is the visit-order set kept for warm-starting a re-certify run;
 	// guard/guarded implement the RWR w(S̄) rule: a guarded entry also goes
 	// stale when a mutation raises some touched node's degree above the
 	// ceiling the search certified against, because the unvisited-mass bound
 	// quietly leaned on that ceiling even outside the footprint.
 	fp      []graph.NodeID
-	visited []graph.NodeID
 	guard   float64
 	guarded bool
 }
@@ -179,23 +177,23 @@ func (c *resultCache) get(k cacheKey) (*Response, bool) {
 }
 
 func (c *resultCache) put(k cacheKey, resp *Response) {
-	c.putLive(k, resp, nil, nil, 0, false)
+	c.putLive(k, resp, nil, 0, false)
 }
 
 // putLive stores a response, optionally together with its read footprint so
 // later mutation batches can invalidate it surgically (nil footprint on
 // non-live pools — put delegates here).
-func (c *resultCache) putLive(k cacheKey, resp *Response, fp, visited []graph.NodeID, guard float64, guarded bool) {
+func (c *resultCache) putLive(k cacheKey, resp *Response, fp []graph.NodeID, guard float64, guarded bool) {
 	cost := entryCost(resp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
 		e := el.Value.(*cacheEntry)
 		c.cost += cost - e.cost
-		e.resp, e.cost, e.fp, e.visited, e.guard, e.guarded = resp, cost, fp, visited, guard, guarded
+		e.resp, e.cost, e.fp, e.guard, e.guarded = resp, cost, fp, guard, guarded
 		c.ll.MoveToFront(el)
 	} else {
-		c.m[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, cost: cost, fp: fp, visited: visited, guard: guard, guarded: guarded})
+		c.m[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, cost: cost, fp: fp, guard: guard, guarded: guarded})
 		c.cost += cost
 	}
 	// An answer larger than the whole cache evicts everything, itself last.
@@ -226,13 +224,12 @@ func (c *resultCache) unlink(el *list.Element) {
 //     none of the mutated rows, probed none of the mutated degrees, and no
 //     degree rose above the certified w(S̄) ceiling) — re-key to newEpoch so
 //     future lookups keep hitting it (retained).
-//   - epoch == oldEpoch, footprint intersected or guard rule fired: evict,
-//     parking the visited set in the stale store so the recompute can
-//     warm-start (surgical).
+//   - epoch == oldEpoch, footprint intersected or guard rule fired: evict
+//     (surgical).
 //   - anything older: straggler from a pre-batch query that finished after a
 //     later batch's walk; it can never be served again — drop (counted as
 //     surgical, it is the same per-entry invalidation).
-func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.NodeID, maxTouchedDeg float64, stale *staleStore) (surgical, retained int64) {
+func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.NodeID, maxTouchedDeg float64) (surgical, retained int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var next *list.Element
@@ -263,9 +260,6 @@ func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.Node
 		delete(c.m, e.key)
 		c.unlink(el)
 		surgical++
-		if stale != nil && e.key.epoch == oldEpoch && len(e.visited) > 0 {
-			stale.put(e.key, e.visited)
-		}
 	}
 	return surgical, retained
 }
@@ -291,58 +285,4 @@ func intersectsSorted(a, b []graph.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// staleStore parks the visited sets of surgically invalidated entries, keyed
-// by their cache key with the epoch zeroed (the seed is useful on whatever
-// snapshot the recompute lands on). take is one-shot: the first recompute of
-// a stale query consumes the seed and warm-starts from it. Bounded FIFO.
-type staleStore struct {
-	mu    sync.Mutex
-	max   int
-	order []cacheKey
-	m     map[cacheKey][]graph.NodeID
-}
-
-func newStaleStore(max int) *staleStore {
-	return &staleStore{max: max, m: make(map[cacheKey][]graph.NodeID, max)}
-}
-
-// zeroEpoch is the stale store's key normalization.
-func zeroEpoch(k cacheKey) cacheKey {
-	k.epoch = 0
-	return k
-}
-
-func (s *staleStore) put(k cacheKey, visited []graph.NodeID) {
-	k = zeroEpoch(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[k]; !ok {
-		s.order = append(s.order, k)
-		for len(s.order) > s.max {
-			delete(s.m, s.order[0])
-			s.order = s.order[1:]
-		}
-	}
-	s.m[k] = visited
-}
-
-// take removes and returns the parked visited set for k, if any.
-func (s *staleStore) take(k cacheKey) ([]graph.NodeID, bool) {
-	k = zeroEpoch(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[k]
-	if !ok {
-		return nil, false
-	}
-	delete(s.m, k)
-	for i, key := range s.order {
-		if key == k {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	return v, true
 }

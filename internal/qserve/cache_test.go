@@ -93,12 +93,12 @@ func TestResultCacheCountsRows(t *testing.T) {
 	t.Run("invalidation keeps the cost exact", func(t *testing.T) {
 		c := newResultCache(64, nil)
 		fp := func(q int) []graph.NodeID { return []graph.NodeID{graph.NodeID(q)} }
-		c.putLive(key(1, 0), rowsResp(200), fp(0), fp(0), 0, false) // touched: evicted
-		c.putLive(key(1, 1), rowsResp(100), fp(1), fp(1), 0, false) // disjoint: re-keyed
-		c.putLive(key(1, 2), rowsResp(40), fp(2), fp(2), 0, false)  // disjoint, but...
-		c.putLive(key(2, 2), rowsResp(40), fp(2), fp(2), 0, false)  // ...a raced-ahead twin holds the new key
+		c.putLive(key(1, 0), rowsResp(200), fp(0), 0, false) // touched: evicted
+		c.putLive(key(1, 1), rowsResp(100), fp(1), 0, false) // disjoint: re-keyed
+		c.putLive(key(1, 2), rowsResp(40), fp(2), 0, false)  // disjoint, but...
+		c.putLive(key(2, 2), rowsResp(40), fp(2), 0, false)  // ...a raced-ahead twin holds the new key
 		requireCacheBound(t, c)
-		surgical, retained := c.invalidate(1, 2, fp(0), 0, newStaleStore(4))
+		surgical, retained := c.invalidate(1, 2, fp(0), 0)
 		if surgical != 2 || retained != 1 {
 			t.Fatalf("surgical=%d retained=%d, want 2/1", surgical, retained)
 		}

@@ -227,7 +227,7 @@ func TestLiveGoldenEquivalence(t *testing.T) {
 // sample of responses (cache hits included) with a full global-iteration
 // certification against the frozen copy of each response's epoch. This is
 // the -race CI stress: it exercises pinning, surgical invalidation,
-// re-keying, and warm-started re-certification all racing each other.
+// and re-keying all racing each other.
 func TestMutateUnderTrafficStress(t *testing.T) {
 	const n = 1200
 	base := liveTestGraph(t, n, 3600, 9)
@@ -284,8 +284,8 @@ func TestMutateUnderTrafficStress(t *testing.T) {
 			defer wgR.Done()
 			for i := 0; i < iters; i++ {
 				req := Request{
-					// A small hot set so cache hits, invalidations, and
-					// re-certifications all actually happen under race.
+					// A small hot set so cache hits, invalidations and
+					// recomputes all actually happen under race.
 					Query: lget[(c+i)%16],
 					Opt:   core.DefaultOptions(kinds[i%len(kinds)], 8),
 				}
@@ -319,9 +319,7 @@ func TestMutateUnderTrafficStress(t *testing.T) {
 	for _, r := range sampled {
 		world := refs.get(t, r.resp.Epoch)
 		// Certify audits the top-k against a full global-iteration solve on
-		// the frozen world — warm-started re-certifications are exact but not
-		// trajectory-identical, so the audit is against ground truth, not a
-		// replayed search.
+		// the frozen world: ground truth, not a replayed search.
 		if err := core.Certify(world, r.req.Query, r.resp.TopK, r.req.Opt.Measure, r.req.Opt.Params, 1e-7); err != nil {
 			t.Fatalf("epoch %d query %d measure %v: %v", r.resp.Epoch, r.req.Query, r.req.Opt.Measure, err)
 		}
@@ -334,15 +332,15 @@ func TestMutateUnderTrafficStress(t *testing.T) {
 	if m.InvalidationsSurgical+m.CacheRetained == 0 {
 		t.Fatal("no surgical invalidation activity despite mutations under traffic")
 	}
-	t.Logf("snapshots=%d surgical=%d retained=%d recert=%d hits=%d misses=%d",
-		m.SnapshotsTotal, m.InvalidationsSurgical, m.CacheRetained, m.RecertifyHits, m.CacheHits, m.CacheMisses)
+	t.Logf("snapshots=%d surgical=%d retained=%d hits=%d misses=%d",
+		m.SnapshotsTotal, m.InvalidationsSurgical, m.CacheRetained, m.CacheHits, m.CacheMisses)
 }
 
 // TestSurgicalInvalidationDisjointRetains checks the core cache contract: a
 // mutation batch disjoint from every cached footprint retains the entries
 // (re-keyed to the new epoch, still serving hits), while a batch touching a
-// footprint evicts exactly those entries and the recompute warm-starts as a
-// re-certification.
+// footprint evicts exactly those entries and the recompute is a cold search
+// on the new snapshot.
 func TestSurgicalInvalidationDisjointRetains(t *testing.T) {
 	// Community component carries the queries; an isolated ring receives
 	// mutations, provably outside any query footprint.
@@ -419,7 +417,8 @@ func TestSurgicalInvalidationDisjointRetains(t *testing.T) {
 			before.InvalidationsSurgical, after.InvalidationsSurgical)
 	}
 
-	// The recompute of the evicted entry warm-starts (re-certification).
+	// The recompute of the evicted entry carries nothing over from the stale
+	// one: it is byte-identical to a cold search on the same snapshot.
 	resp, err = pool.Do(ctx, reqs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -427,18 +426,24 @@ func TestSurgicalInvalidationDisjointRetains(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatal("evicted entry served a cache hit")
 	}
-	if got := pool.Metrics().RecertifyHits; got != 1 {
-		t.Fatalf("RecertifyHits = %d, want 1", got)
-	}
-	// And the warm-started answer is still exact on the new world.
 	snap := lg.Acquire()
 	defer snap.Release()
+	coldOpt := reqs[0].Opt
+	coldOpt.CaptureFootprint = true // what a live pool asks of every miss
+	cold, err := core.TopK(snap, reqs[0].Query, coldOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.TopK, cold) {
+		t.Fatalf("recompute differs from a cold search on epoch %d:\n%+v\n%+v", resp.Epoch, resp.TopK, cold)
+	}
+	// And it is exact on the new world.
 	world, err := snap.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := core.Certify(world, reqs[0].Query, resp.TopK, measure.PHP, reqs[0].Opt.Params, 1e-7); err != nil {
-		t.Fatalf("re-certified answer wrong: %v", err)
+		t.Fatalf("recomputed answer wrong: %v", err)
 	}
 }
 

@@ -67,12 +67,9 @@ type metrics struct {
 
 	// Invalidation split. invalSurgical counts entries individually evicted
 	// because a mutation batch touched their read footprint; retained counts
-	// entries a batch carried forward untouched; recertHits counts stale
-	// entries re-certified by a warm-started search instead of a cold
-	// recompute.
+	// entries a batch carried forward untouched.
 	invalSurgical atomic.Int64
 	retained      atomic.Int64
-	recertHits    atomic.Int64
 
 	// Last-batch gauges (stored, not accumulated): how the most recent
 	// mutation batch split the cache into surgically evicted entries and
@@ -123,7 +120,6 @@ func (m *metrics) snapshot() Metrics {
 		SweepsTotal:           m.sweeps.Load(),
 		InvalidationsSurgical: m.invalSurgical.Load(),
 		CacheRetained:         m.retained.Load(),
-		RecertifyHits:         m.recertHits.Load(),
 		LastBatchSurgical:     m.lastBatchSurgical.Load(),
 		LastBatchRetained:     m.lastBatchRetained.Load(),
 		P50Micros:             lat.QuantileUS(0.50),
@@ -200,11 +196,9 @@ type Metrics struct {
 	Epoch uint64
 	// Invalidation split. InvalidationsSurgical counts entries individually
 	// invalidated because a mutation batch intersected their read footprint;
-	// CacheRetained counts entries carried forward across a batch untouched;
-	// RecertifyHits counts stale entries answered by a warm-started
-	// re-certification instead of a cold recompute.
-	InvalidationsSurgical        int64
-	CacheRetained, RecertifyHits int64
+	// CacheRetained counts entries carried forward across a batch untouched.
+	InvalidationsSurgical int64
+	CacheRetained         int64
 	// LastBatchSurgical / LastBatchRetained are gauges describing only the
 	// most recent mutation batch: entries it evicted surgically and entries
 	// it carried forward (the per-epoch survivor count).

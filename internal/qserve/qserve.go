@@ -29,7 +29,7 @@ import (
 	"errors"
 	"log/slog"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,11 +162,6 @@ type Pool struct {
 	// mutateMu serializes Mutate's apply→invalidate sequence so the cache
 	// walk of batch N completes before batch N+1 starts retiring epoch N.
 	mutateMu sync.Mutex
-	// stale parks visited sets of surgically invalidated entries for the
-	// re-certification warm start; nil when caching is off or the pool is
-	// not live.
-	stale *staleStore
-
 	// serialMu is non-nil when the graph backend is not concurrent-safe;
 	// workers hold it for the duration of each search.
 	serialMu *sync.Mutex
@@ -185,11 +180,9 @@ type job struct {
 	out    chan outcome
 
 	// Live-mode state: the snapshot pinned at admission (the whole query
-	// runs against it), its epoch, and whether the run warm-starts from a
-	// stale entry's visited set (a re-certification).
-	snap   *livegraph.Snapshot
-	epoch  uint64
-	recert bool
+	// runs against it) and its epoch.
+	snap  *livegraph.Snapshot
+	epoch uint64
 
 	// Span-tracing state, resolved once at prepare: the request's active
 	// trace (nil when untraced — every use below is nil-safe), the span the
@@ -235,9 +228,6 @@ func New(g graph.Graph, cfg Config) *Pool {
 	if lg, ok := g.(*livegraph.LiveGraph); ok {
 		p.live = lg
 		p.epoch.Store(lg.Epoch())
-		if p.cache != nil {
-			p.stale = newStaleStore(cfg.CacheEntries)
-		}
 	}
 
 	views := make([]graph.Graph, cfg.Workers)
@@ -283,8 +273,7 @@ func (p *Pool) Epoch() uint64 { return p.epoch.Load() }
 // evicted only if the batch touched a node in its recorded read footprint
 // (or, for RWR-guarded entries, raised a touched node's degree above the
 // certified w(S̄) ceiling); every other entry is re-keyed to the new epoch
-// and keeps serving hits. Evicted entries park their visited sets so the
-// next recompute warm-starts (re-certification).
+// and keeps serving hits.
 //
 // Returns the new epoch. The batch is atomic: on error nothing is published
 // and the cache is untouched. Returns ErrNotLive on non-live pools.
@@ -325,7 +314,7 @@ func (p *Pool) MutateCtx(ctx context.Context, ops []livegraph.EdgeOp) (uint64, e
 				maxTouchedDeg = d
 			}
 		}
-		surgical, retained := p.cache.invalidate(oldEpoch, newEpoch, touched, maxTouchedDeg, p.stale)
+		surgical, retained := p.cache.invalidate(oldEpoch, newEpoch, touched, maxTouchedDeg)
 		p.met.invalSurgical.Add(surgical)
 		p.met.retained.Add(retained)
 		p.met.lastBatchSurgical.Store(surgical)
@@ -384,8 +373,7 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 // pins the current live snapshot (the query's whole view of the world), and
 // consults the result cache under the pinned epoch. A non-nil Response means
 // the cache answered and no job needs to run. On a live-pool cache miss the
-// job requests footprint capture, and — if a surgically invalidated ancestor
-// parked its visited set — warm-starts from it as a re-certification.
+// job requests footprint capture.
 func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job, *Response) {
 	if p.rec != nil && req.ID == "" {
 		req.ID = obs.NewRequestID()
@@ -420,14 +408,8 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 			// invalidated surgically. Not part of the cache key, so warm
 			// non-live paths are unaffected.
 			j.req.Opt.CaptureFootprint = true
-			if p.stale != nil {
-				if seeds, ok := p.stale.take(j.key); ok {
-					j.req.Opt.WarmStart = seeds
-					j.recert = true
-				}
-			}
 		}
-		lookup.SetAttrs(trace.Bool("hit", false), trace.Bool("recert", j.recert))
+		lookup.SetAttrs(trace.Bool("hit", false))
 		lookup.End()
 	}
 	if p.cfg.Timeout > 0 {
@@ -588,7 +570,8 @@ func interruptedZero(ctxErr error) error {
 func (p *Pool) worker(g graph.Graph) {
 	defer p.wg.Done()
 	// One warm engine workspace per worker: consecutive queries on this
-	// worker reuse all engine state (reset per query, never shared). The
+	// worker reuse all engine state (reset per query, never shared, and
+	// replaced after a search past trimVisited). The
 	// trace sampler is likewise per-worker — run() resets it per query, so
 	// its buffer never crosses workers.
 	ws := core.NewWorkspace()
@@ -603,7 +586,9 @@ func (p *Pool) worker(g graph.Graph) {
 		case <-p.done:
 			return
 		case j := <-p.jobs:
-			p.run(g, ws, j, sampler)
+			if p.run(g, ws, j, sampler) > trimVisited {
+				ws = core.NewWorkspace()
+			}
 		}
 	}
 }
@@ -612,6 +597,13 @@ func (p *Pool) worker(g graph.Graph) {
 // the caller's tracer, the flight recorder's sampler, and the span bridge's
 // phase accumulator — so recording a query never hides its trajectory from
 // the user who asked for it.
+// trimVisited is the search size past which a worker starts over with an
+// empty workspace. A workspace keeps its arrays at the size of the largest
+// search it has run, about half a kilobyte per visited node, so one
+// graph-draining query would otherwise hold tens of megabytes per worker for
+// the life of the process.
+const trimVisited = 1 << 14
+
 type multiTracer []core.Tracer
 
 func (m multiTracer) ObserveIteration(it core.IterStats) {
@@ -644,7 +636,9 @@ type faultObserved interface {
 	SetFaultObserver(func(time.Duration))
 }
 
-func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.TraceSampler) {
+// run executes one admitted job in the worker's workspace and returns how
+// many nodes the search visited.
+func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.TraceSampler) (visited int) {
 	defer j.discard()
 	j.queue.End() // admission wait ends when a worker picks the job up
 	if j.snap != nil {
@@ -674,9 +668,6 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		trace.Int("epoch", int64(j.epoch)))
 	var faults, faultNS int64
 	if j.trace != nil {
-		if j.recert {
-			exec.SetAttrs(trace.Bool("recert", true))
-		}
 		accum = &phaseAccum{}
 		tracers = append(tracers, accum)
 		if fo, ok := g.(faultObserved); ok {
@@ -720,7 +711,7 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 	p.met.served.Add(1)
 	p.met.observe(metricsSlot(j.req), elapsed, j.req.ID, j.traceID)
 	status := "ok"
-	var iters, visited, sweeps int
+	var iters, sweeps int
 	var exact bool
 	certified := true
 	var partialTopK []measure.Ranked
@@ -749,9 +740,6 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		}
 	} else {
 		p.met.ok.Add(1)
-		if j.recert {
-			p.met.recertHits.Add(1)
-		}
 		if j.req.Unified {
 			iters, visited, sweeps = resp.Unified.Iterations, resp.Unified.Visited, resp.Unified.Sweeps
 			exact = resp.Unified.Exact
@@ -841,7 +829,7 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 	}
 	if err != nil {
 		j.out <- outcome{err: err}
-		return
+		return visited
 	}
 	if p.cache != nil && j.cached && (opt.Mode != core.ModeAnytime || certified) {
 		// Results are immutable once returned; the cache shares them. An
@@ -850,22 +838,22 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		// callers (who may have looser deadlines) would serve interrupted
 		// junk as if it were the query's answer.
 		if p.live != nil {
-			fp, visitedSet, guard, guarded := footprintOf(j.req, resp)
-			p.cache.putLive(j.key, resp, fp, visitedSet, guard, guarded)
+			fp, guard, guarded := footprintOf(j.req, resp)
+			p.cache.putLive(j.key, resp, fp, guard, guarded)
 		} else {
 			p.cache.put(j.key, resp)
 		}
 	}
 	j.out <- outcome{resp: resp}
+	return visited
 }
 
 // footprintOf assembles the cache-entry invalidation state from a completed
-// response: the sorted union of visited and degree-probed nodes, the
-// visit-order set (the warm-start seed), and the RWR guard rule inputs. A
-// unified query always certifies an RWR ranking, so it is guarded; a
-// single-measure query is guarded only under measure.RWR.
-func footprintOf(req Request, resp *Response) (fp, visited []graph.NodeID, guard float64, guarded bool) {
-	var probed []graph.NodeID
+// response: the sorted union of visited and degree-probed nodes and the RWR
+// guard rule inputs. A unified query always certifies an RWR ranking, so it
+// is guarded; a single-measure query is guarded only under measure.RWR.
+func footprintOf(req Request, resp *Response) (fp []graph.NodeID, guard float64, guarded bool) {
+	var visited, probed []graph.NodeID
 	if resp.Unified != nil {
 		visited, probed, guard = resp.Unified.VisitedNodes, resp.Unified.ProbedNodes, resp.Unified.GuardDegree
 		guarded = true
@@ -875,8 +863,8 @@ func footprintOf(req Request, resp *Response) (fp, visited []graph.NodeID, guard
 	}
 	fp = make([]graph.NodeID, 0, len(visited)+len(probed))
 	fp = append(append(fp, visited...), probed...)
-	sort.Slice(fp, func(i, j int) bool { return fp[i] < fp[j] })
-	return fp, visited, guard, guarded
+	slices.Sort(fp)
+	return fp, guard, guarded
 }
 
 // Metrics returns a counters snapshot; see the Metrics type.

@@ -118,7 +118,6 @@ type liveMetricsBody struct {
 	OpsApplied            int64 `json:"ops_applied"`
 	InvalidationsSurgical int64 `json:"invalidations_surgical"`
 	CacheRetained         int64 `json:"cache_retained"`
-	RecertifyHits         int64 `json:"recertify_hits"`
 
 	// LastBatchSurgical / LastBatchRetained partition the cache entries the
 	// most recent mutation batch saw: evicted surgically vs carried forward —
@@ -230,7 +229,6 @@ func (s *Server) metricsJSON(w http.ResponseWriter) {
 			OpsApplied:            m.OpsApplied,
 			InvalidationsSurgical: m.InvalidationsSurgical,
 			CacheRetained:         m.CacheRetained,
-			RecertifyHits:         m.RecertifyHits,
 			LastBatchSurgical:     m.LastBatchSurgical,
 			LastBatchRetained:     m.LastBatchRetained,
 		}
@@ -323,7 +321,6 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 	p.Gauge("flos_graph_edges", "Edges in the served graph.", nil, float64(s.g.NumEdges()))
 	p.Counter("flos_cache_invalidations_total", "Result-cache entries evicted because a Mutate batch touched their read footprint.", map[string]string{"kind": "surgical"}, m.InvalidationsSurgical)
 	p.Counter("flos_cache_retained_total", "Cached results carried forward across mutation batches (footprint untouched).", nil, m.CacheRetained)
-	p.Counter("flos_recertify_hits_total", "Stale entries re-certified by warm-started searches.", nil, m.RecertifyHits)
 	if s.pool.Live() {
 		p.Gauge("flos_live_snapshots_alive", "Live-graph snapshots currently referenced (current + pinned).", nil, float64(m.SnapshotsAlive))
 		p.Counter("flos_live_snapshots_total", "Live-graph snapshots ever published.", nil, m.SnapshotsTotal)
