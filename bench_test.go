@@ -83,11 +83,11 @@ func runMethodBench(b *testing.B, e *benchEntry, m harness.Method, k int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := e.queries[i%len(e.queries)]
-		_, v, err := m.Run(e.g, q, k)
+		a, err := m.Run(e.g, q, k)
 		if err != nil {
 			b.Fatal(err)
 		}
-		visited += float64(v)
+		visited += float64(a.Visited)
 	}
 	b.StopTimer()
 	b.ReportMetric(visited/float64(b.N), "visited/op")

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,7 +40,6 @@ func main() {
 		precision  = flag.Bool("precision", false, "score approximate methods against a GI oracle")
 		seed       = flag.Uint64("seed", 1, "workload sampling seed")
 		tmp        = flag.String("tmp", "", "directory for Figure 13 store files (default $TMPDIR)")
-		csvDir     = flag.String("csv", "", "also write machine-readable <fig>.csv files into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -86,7 +86,6 @@ func main() {
 	cfg.WithPrecision = *precision
 	cfg.Seed = *seed
 	cfg.TmpDir = *tmp
-	cfg.CSVDir = *csvDir
 
 	out := os.Stdout
 	if *datasets {
@@ -106,21 +105,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	run := func(name string, f func() error) {
+	run := func(name string, f func(io.Writer, harness.FigureConfig) ([]harness.Row, error)) {
 		fmt.Fprintf(out, "### %s ###\n", name)
-		if err := f(); err != nil {
+		if _, err := f(out, cfg); err != nil {
 			fatal(err)
 		}
 	}
-	figures := map[string]func() error{
-		"7":     func() error { return harness.Fig7(out, cfg) },
-		"8":     func() error { return harness.Fig8(out, cfg) },
-		"9":     func() error { return harness.Fig9(out, cfg) },
-		"10":    func() error { return harness.Fig10(out, cfg) },
-		"11":    func() error { return harness.Fig11(out, cfg) },
-		"12":    func() error { return harness.Fig12(out, cfg) },
-		"13":    func() error { return harness.Fig13(out, cfg) },
-		"trace": func() error { return harness.FigTrace(out) },
+	figures := map[string]func(io.Writer, harness.FigureConfig) ([]harness.Row, error){
+		"7":  harness.Fig7,
+		"8":  harness.Fig8,
+		"9":  harness.Fig9,
+		"10": harness.Fig10,
+		"11": harness.Fig11,
+		"12": harness.Fig12,
+		"13": harness.Fig13,
+		"trace": func(w io.Writer, _ harness.FigureConfig) ([]harness.Row, error) {
+			return nil, harness.FigTrace(w)
+		},
 	}
 	if *fig == "all" {
 		for _, name := range []string{"trace", "7", "8", "9", "10", "11", "12", "13"} {

@@ -16,12 +16,11 @@ import (
 )
 
 // The 150-scenario goldens (golden_test.go) pin exact-mode searches that run
-// to certification. This file pins the search loop's other exits and entry —
-// the ε stop, the MaxVisited valve, a cancellation after exactly N iterations
-// in anytime and in exact mode, and a warm-started visited set — for PHP,
-// RWR, THT and the unified search: rankings, Exact, every Certification
-// field, the work counters, the read footprint and the full IterStats
-// trajectory (minus the wall-clock fields). Floats are stored as IEEE-754
+// to certification. This file pins the search loop's other exits — the ε
+// stop, the MaxVisited valve, a cancellation after exactly N iterations in
+// anytime and in exact mode — for PHP, RWR, THT and the unified search:
+// rankings, Exact, every Certification field, the work counters, the read
+// footprint and the full IterStats trajectory (minus the wall-clock fields). Floats are stored as IEEE-754
 // bit patterns; the comparison is exact. Regenerate, only when a change is
 // meant to alter the schedule, with:
 //
@@ -106,9 +105,9 @@ func (c *recordingCanceler) ObserveIteration(s IterStats) {
 var driverPaths = []struct {
 	name     string
 	cancelAt int
-	apply    func(opt *Options, kind measure.Kind, q graph.NodeID)
+	apply    func(opt *Options, kind measure.Kind)
 }{
-	{"epsilon", 0, func(opt *Options, kind measure.Kind, _ graph.NodeID) {
+	{"epsilon", 0, func(opt *Options, kind measure.Kind) {
 		// Wide enough that RWR (rand500) and THT (grid) stop with separating
 		// work left, so the ε-exactness downgrade is on the record.
 		opt.Mode, opt.Epsilon = ModeEpsilon, 0.05
@@ -119,17 +118,12 @@ var driverPaths = []struct {
 	// The early cap fires in every scenario; the late one fires on rand500
 	// after the unified search's PHP family has certified and before its RWR
 	// family has, and not at all where the search finishes first.
-	{"maxvisited", 0, func(opt *Options, _ measure.Kind, _ graph.NodeID) { opt.MaxVisited = 12 }},
-	{"maxvisited-late", 0, func(opt *Options, _ measure.Kind, _ graph.NodeID) { opt.MaxVisited = 70 }},
-	{"anytime-cancel", 3, func(opt *Options, _ measure.Kind, _ graph.NodeID) { opt.Mode = ModeAnytime }},
-	{"exact-cancel", 3, func(*Options, measure.Kind, graph.NodeID) {}},
+	{"maxvisited", 0, func(opt *Options, _ measure.Kind) { opt.MaxVisited = 12 }},
+	{"maxvisited-late", 0, func(opt *Options, _ measure.Kind) { opt.MaxVisited = 70 }},
+	{"anytime-cancel", 3, func(opt *Options, _ measure.Kind) { opt.Mode = ModeAnytime }},
+	{"exact-cancel", 3, func(*Options, measure.Kind) {}},
 	// Iteration 12 splits the unified families on rand500 the same way.
-	{"exact-cancel-late", 12, func(*Options, measure.Kind, graph.NodeID) {}},
-	{"warmstart", 0, func(opt *Options, _ measure.Kind, q graph.NodeID) {
-		// Valid seeds plus every kind the seeding must skip: q itself, a
-		// duplicate, a negative and an out-of-range identifier.
-		opt.WarmStart = []graph.NodeID{q + 1, q + 2, q, q + 1, -1, 1 << 20, 5, q + 40, 17}
-	}},
+	{"exact-cancel-late", 12, func(*Options, measure.Kind) {}},
 }
 
 func captureDriverPaths(t *testing.T) []pathRecord {
@@ -150,7 +144,7 @@ func captureDriverPaths(t *testing.T) []pathRecord {
 			for _, p := range driverPaths {
 				opt := goldenOptions(kind, true)
 				opt.CaptureFootprint = true
-				p.apply(&opt, kind, q)
+				p.apply(&opt, kind)
 				ctx, cancel := context.WithCancel(context.Background())
 				tr := &recordingCanceler{n: p.cancelAt}
 				if p.cancelAt > 0 {

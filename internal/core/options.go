@@ -119,15 +119,6 @@ type Options struct {
 	// soon as the residual gap is <= max(Epsilon, TieEps). Must be zero in
 	// the other modes.
 	Epsilon float64
-	// WarmStart seeds the visited set with the listed nodes (in order)
-	// before the first expansion, on top of the mandatory query-node seed.
-	// The bound systems are valid for ANY visited set containing q, so a
-	// warm-started search is exactly as correct as a cold one — it just
-	// starts closer to termination when the seeds cover the answer's
-	// neighborhood. Out-of-range, duplicate, and q entries are skipped
-	// silently. Warm-started results are exact but need not be
-	// byte-identical to a cold run: the expansion trajectory differs.
-	WarmStart []graph.NodeID
 	// CaptureFootprint asks the result to carry the query's read footprint:
 	// the visited set in visit order, the unvisited nodes whose Degree was
 	// probed (bound tightening, RWR guard), and the w(S̄) guard ceiling.

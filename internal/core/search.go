@@ -17,8 +17,6 @@ import (
 // goal's measure (see goal); the THT engine serves one and ignores it.
 type engine interface {
 	substrate() *localSearch
-	// visit pulls one unvisited node into S (warm-start seeding).
-	visit(v graph.NodeID)
 	// beginIteration runs what must see the previous boundary δS^{t-1}.
 	beginIteration()
 	// pick returns the boundary nodes to expand, best first under kind's
@@ -97,14 +95,6 @@ func pin(g graph.Graph, q graph.NodeID, opt Options) (graph.Graph, func(), error
 // schedule, the exits and the trace are decided here.
 func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 	s := e.substrate()
-	// Warm-start seeding (Options.WarmStart): the bound systems are valid
-	// for any S containing q and the first solve treats the seeded region
-	// like any other expansion, so only the trajectory changes.
-	for _, v := range opt.WarmStart {
-		if v != s.q && v >= 0 && int(v) < s.g.NumNodes() && !s.local.has(v) {
-			e.visit(v)
-		}
-	}
 	// The selections stay live simultaneously across iterations, so each
 	// goal gets its own substrate buffer.
 	goals[0].buf = &s.selOut

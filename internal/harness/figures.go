@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"flos/internal/core"
 	"flos/internal/diskgraph"
@@ -43,26 +42,6 @@ type FigureConfig struct {
 	Seed uint64
 	// Config tunes the baselines.
 	Config MethodConfig
-	// CSVDir, when set, additionally writes each figure's measurements as
-	// <CSVDir>/<figure>.csv for downstream plotting.
-	CSVDir string
-}
-
-// saveCSV appends a figure's rows to its CSV file when CSVDir is set.
-func (cfg FigureConfig) saveCSV(figure string, rows []Row) error {
-	if cfg.CSVDir == "" {
-		return nil
-	}
-	f, err := os.OpenFile(filepath.Join(cfg.CSVDir, figure+".csv"),
-		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := WriteCSV(f, rows); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // DefaultFigureConfig returns laptop-bench defaults.
@@ -100,13 +79,13 @@ func (cfg FigureConfig) oracleFor(g graph.Graph, kind measure.Kind) func(graph.N
 }
 
 // runKSweep is the shared engine of Figures 7, 8, 10.
-func (cfg FigureConfig) runKSweep(w io.Writer, title, csvName string, kind measure.Kind,
-	registry func(graph.Graph, MethodConfig) []Method) error {
+func (cfg FigureConfig) runKSweep(w io.Writer, title string, kind measure.Kind,
+	registry func(graph.Graph, MethodConfig) []Method) ([]Row, error) {
 	var all []Row
 	for _, ds := range RealStandIns(cfg.Scale) {
 		g, err := ds.Build()
 		if err != nil {
-			return fmt.Errorf("harness: building %s: %w", ds.Name, err)
+			return nil, fmt.Errorf("harness: building %s: %w", ds.Name, err)
 		}
 		methods := registry(g, cfg.Config)
 		queries := Queries(g, cfg.NumQueries, cfg.Seed)
@@ -119,60 +98,62 @@ func (cfg FigureConfig) runKSweep(w io.Writer, title, csvName string, kind measu
 		PrintPrecomputes(w, ds.Name, methods)
 		all = append(all, rows...)
 	}
-	return cfg.saveCSV(csvName, all)
+	return all, nil
 }
 
 // Fig7 regenerates Figure 7: PHP running time vs k on the four stand-ins.
-func Fig7(w io.Writer, cfg FigureConfig) error {
-	return cfg.runKSweep(w, "Figure 7: PHP query time vs k", "fig7", measure.PHP, PHPMethods)
+// Like every figure runner it prints its tables to w and returns the rows
+// behind them, per-query answers included.
+func Fig7(w io.Writer, cfg FigureConfig) ([]Row, error) {
+	return cfg.runKSweep(w, "Figure 7: PHP query time vs k", measure.PHP, PHPMethods)
 }
 
 // Fig8 regenerates Figure 8: RWR running time vs k.
-func Fig8(w io.Writer, cfg FigureConfig) error {
-	return cfg.runKSweep(w, "Figure 8: RWR query time vs k", "fig8", measure.RWR, RWRMethods)
+func Fig8(w io.Writer, cfg FigureConfig) ([]Row, error) {
+	return cfg.runKSweep(w, "Figure 8: RWR query time vs k", measure.RWR, RWRMethods)
 }
 
 // Fig10 regenerates Figure 10: THT running time vs k.
-func Fig10(w io.Writer, cfg FigureConfig) error {
-	return cfg.runKSweep(w, "Figure 10: THT query time vs k", "fig10", measure.THT, THTMethods)
+func Fig10(w io.Writer, cfg FigureConfig) ([]Row, error) {
+	return cfg.runKSweep(w, "Figure 10: THT query time vs k", measure.THT, THTMethods)
+}
+
+// flosPair is the FLoS_PHP / FLoS_RWR registry of Figures 9 and 13.
+func flosPair(cfg MethodConfig) []Method {
+	return []Method{flosMethod(measure.PHP, cfg), flosMethod(measure.RWR, cfg)}
 }
 
 // Fig9 regenerates Figure 9: visited-node ratio of FLoS_PHP and FLoS_RWR on
 // the stand-ins (avg/min/max over the workload).
-func Fig9(w io.Writer, cfg FigureConfig) error {
+func Fig9(w io.Writer, cfg FigureConfig) ([]Row, error) {
 	var rows []Row
 	for _, ds := range RealStandIns(cfg.Scale) {
 		g, err := ds.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		queries := Queries(g, cfg.NumQueries, cfg.Seed)
-		methods := []Method{
-			flosMethod(measure.PHP, cfg.Config, "FLoS_PHP"),
-			flosMethod(measure.RWR, cfg.Config, "FLoS_RWR"),
-		}
-		rows = append(rows, RunSweep(ds.Name, g, methods, SweepConfig{
+		rows = append(rows, RunSweep(ds.Name, g, flosPair(cfg.Config), SweepConfig{
 			Ks:      []int{cfg.KFixed},
-			Queries: queries,
+			Queries: Queries(g, cfg.NumQueries, cfg.Seed),
 		})...)
 	}
 	PrintVisitedRatios(w, "Figure 9: visited-node ratio on real-graph stand-ins", rows)
-	return cfg.saveCSV("fig9", rows)
+	return rows, nil
 }
 
 // Fig11 regenerates Figure 11: PHP on the synthetic grids (varying size and
 // varying density, RAND and R-MAT), k fixed.
-func Fig11(w io.Writer, cfg FigureConfig) error {
-	return cfg.runSynth(w, "Figure 11: PHP on synthetic graphs", "fig11", measure.PHP, PHPMethods)
+func Fig11(w io.Writer, cfg FigureConfig) ([]Row, error) {
+	return cfg.runSynth(w, "Figure 11: PHP on synthetic graphs", measure.PHP, PHPMethods)
 }
 
 // Fig12 regenerates Figure 12: RWR on the synthetic grids.
-func Fig12(w io.Writer, cfg FigureConfig) error {
-	return cfg.runSynth(w, "Figure 12: RWR on synthetic graphs", "fig12", measure.RWR, RWRMethods)
+func Fig12(w io.Writer, cfg FigureConfig) ([]Row, error) {
+	return cfg.runSynth(w, "Figure 12: RWR on synthetic graphs", measure.RWR, RWRMethods)
 }
 
-func (cfg FigureConfig) runSynth(w io.Writer, title, csvName string, kind measure.Kind,
-	registry func(graph.Graph, MethodConfig) []Method) error {
+func (cfg FigureConfig) runSynth(w io.Writer, title string, kind measure.Kind,
+	registry func(graph.Graph, MethodConfig) []Method) ([]Row, error) {
 	var all []Row
 	panels := []struct {
 		name string
@@ -188,7 +169,7 @@ func (cfg FigureConfig) runSynth(w io.Writer, title, csvName string, kind measur
 		for _, ds := range panel.ds {
 			g, err := ds.Build()
 			if err != nil {
-				return fmt.Errorf("harness: building %s: %w", ds.Name, err)
+				return nil, fmt.Errorf("harness: building %s: %w", ds.Name, err)
 			}
 			methods := registry(g, cfg.Config)
 			queries := Queries(g, cfg.NumQueries, cfg.Seed)
@@ -201,12 +182,12 @@ func (cfg FigureConfig) runSynth(w io.Writer, title, csvName string, kind measur
 		PrintRows(w, fmt.Sprintf("%s — %s (k=%d)", title, panel.name, cfg.KFixed), rows)
 		all = append(all, rows...)
 	}
-	return cfg.saveCSV(csvName, all)
+	return all, nil
 }
 
 // Fig13 regenerates Figure 13: FLoS on disk-resident stores under a memory
 // budget — query time (a) and visited ratio (b) as the store grows.
-func Fig13(w io.Writer, cfg FigureConfig) error {
+func Fig13(w io.Writer, cfg FigureConfig) ([]Row, error) {
 	tmp := cfg.TmpDir
 	if tmp == "" {
 		tmp = os.TempDir()
@@ -215,11 +196,11 @@ func Fig13(w io.Writer, cfg FigureConfig) error {
 	for _, ds := range DiskResident(cfg.DiskScale) {
 		g, err := ds.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		path := filepath.Join(tmp, ds.Name+".flos")
 		if err := diskgraph.Create(path, g, 0); err != nil {
-			return err
+			return nil, err
 		}
 		// Sample queries while the in-memory copy exists, then drop it: the
 		// store must serve the search alone.
@@ -235,13 +216,9 @@ func Fig13(w io.Writer, cfg FigureConfig) error {
 		g = nil
 		store, err := diskgraph.Open(path, cacheBudget)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		methods := []Method{
-			flosMethod(measure.PHP, cfg.Config, "FLoS_PHP"),
-			flosMethod(measure.RWR, cfg.Config, "FLoS_RWR"),
-		}
-		dsRows := RunSweep(ds.Name, store, methods, SweepConfig{
+		dsRows := RunSweep(ds.Name, store, flosPair(cfg.Config), SweepConfig{
 			Ks:      []int{cfg.KFixed},
 			Queries: queries,
 		})
@@ -254,7 +231,7 @@ func Fig13(w io.Writer, cfg FigureConfig) error {
 	}
 	PrintRows(w, "Figure 13(a): FLoS on disk-resident graphs (time)", rows)
 	PrintVisitedRatios(w, "Figure 13(b): FLoS on disk-resident graphs (visited ratio)", rows)
-	return cfg.saveCSV("fig13", rows)
+	return rows, nil
 }
 
 // FigTrace replays the paper's running example (Figure 4 bound trajectories
@@ -328,19 +305,6 @@ func Datasets(w io.Writer, cfg FigureConfig) error {
 		return err
 	}
 	return print("Table 7 disk-resident", DiskResident(cfg.DiskScale))
-}
-
-// BuildStats prints full structural statistics for one dataset (used by
-// cmd/flosbench -datasets -verbose).
-func BuildStats(w io.Writer, ds Dataset) error {
-	start := time.Now()
-	g, err := ds.Build()
-	if err != nil {
-		return err
-	}
-	s := graph.ComputeStats(g)
-	fmt.Fprintf(w, "%s: %s (built in %s)\n", ds.Name, s, fmtDur(time.Since(start)))
-	return nil
 }
 
 // Profiles prints the structural fingerprint — clustering coefficient and

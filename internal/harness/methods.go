@@ -10,16 +10,41 @@ import (
 	"flos/internal/measure"
 )
 
-// Method is one competitor in a figure: a named query runner plus metadata.
+// Answer is one query's outcome as a figure reads it: the returned nodes,
+// closest first, how many nodes the method touched, and whether the answer
+// itself certified that it is the exact top-k.
+type Answer struct {
+	Nodes   []graph.NodeID
+	Visited int
+	Exact   bool
+}
+
+// Method is one competitor in a figure: a named query runner plus the
+// offline cost paid at registry construction (clustering, factorization,
+// embedding; zero for methods without one).
 type Method struct {
-	Name  string
-	Exact bool
-	// PrecomputeTime is the offline cost paid at registry construction
-	// (clustering, factorization, embedding); zero for methods without one.
+	Name           string
 	PrecomputeTime time.Duration
-	// Run answers one query, returning the node set and how many nodes the
-	// method touched.
-	Run func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error)
+	Run            func(g graph.Graph, q graph.NodeID, k int) (Answer, error)
+}
+
+// method is the one adapter from a baseline's query call to a Method: the
+// Answer is read from the result's own fields, so a method reports the
+// exactness each answer certified, not a label.
+func method(name string, call func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error)) Method {
+	return Method{Name: name, Run: func(g graph.Graph, q graph.NodeID, k int) (Answer, error) {
+		r, err := call(g, q, k)
+		if err != nil {
+			return Answer{}, err
+		}
+		return Answer{measure.Nodes(r.TopK), r.Visited, r.Exact}, nil
+	}}
+}
+
+// since records the offline cost paid since start on m.
+func since(start time.Time, m Method) Method {
+	m.PrecomputeTime = time.Since(start)
+	return m
 }
 
 // MethodConfig tunes the registries.
@@ -50,78 +75,47 @@ func DefaultMethodConfig() MethodConfig {
 	}
 }
 
-func flosMethod(kind measure.Kind, cfg MethodConfig, name string) Method {
-	return Method{
-		Name:  name,
-		Exact: true,
-		Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-			opt := core.Options{K: k, Measure: kind, Params: cfg.Params, Tighten: true, TieEps: 1e-9}
-			res, err := core.TopK(g, q, opt)
-			if err != nil {
-				return nil, 0, err
-			}
-			return measure.Nodes(res.TopK), res.Visited, nil
-		},
-	}
+// flosMethod is FLoS itself, read from its *core.Result like the baselines.
+func flosMethod(kind measure.Kind, cfg MethodConfig) Method {
+	return Method{Name: "FLoS_" + kind.String(), Run: func(g graph.Graph, q graph.NodeID, k int) (Answer, error) {
+		r, err := core.TopK(g, q, core.Options{K: k, Measure: kind, Params: cfg.Params, Tighten: true, TieEps: 1e-9})
+		if err != nil {
+			return Answer{}, err
+		}
+		return Answer{measure.Nodes(r.TopK), r.Visited, r.Exact}, nil
+	}}
 }
 
-func giMethod(kind measure.Kind, cfg MethodConfig, name string) Method {
-	return Method{
-		Name:  name,
-		Exact: true,
-		Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-			res, err := baseline.GlobalIteration(g, q, kind, cfg.Params, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			return measure.Nodes(res.TopK), res.Visited, nil
-		},
-	}
+func giMethod(kind measure.Kind, cfg MethodConfig) Method {
+	return method("GI_"+kind.String(), func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+		return baseline.GlobalIteration(g, q, kind, cfg.Params, k)
+	})
+}
+
+// clusterMethod is LS_EI / LS_RWR: the clustering precompute runs here.
+func clusterMethod(name string, g graph.Graph, kind measure.Kind, cfg MethodConfig) Method {
+	start := time.Now()
+	cl := baseline.PrecomputeClusters(g, cfg.ClusterSize)
+	return since(start, method(name, func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+		return cl.Query(g, q, kind, cfg.Params, k)
+	}))
 }
 
 // PHPMethods builds the Figure 7 / Figure 11 registry: FLoS_PHP, GI_PHP,
 // DNE, NN_EI, LS_EI. The LS_EI clustering precompute runs here and its cost
 // is recorded on the method.
 func PHPMethods(g graph.Graph, cfg MethodConfig) []Method {
-	methods := []Method{
-		flosMethod(measure.PHP, cfg, "FLoS_PHP"),
-		giMethod(measure.PHP, cfg, "GI_PHP"),
-		{
-			Name: "DNE",
-			Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-				res, err := baseline.DNE(g, q, cfg.Params, k, cfg.DNEBudget)
-				if err != nil {
-					return nil, 0, err
-				}
-				return measure.Nodes(res.TopK), res.Visited, nil
-			},
-		},
-		{
-			Name:  "NN_EI",
-			Exact: true,
-			Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-				res, err := baseline.NNEI(g, q, cfg.Params, k)
-				if err != nil {
-					return nil, 0, err
-				}
-				return measure.Nodes(res.TopK), res.Visited, nil
-			},
-		},
+	return []Method{
+		flosMethod(measure.PHP, cfg),
+		giMethod(measure.PHP, cfg),
+		method("DNE", func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+			return baseline.DNE(g, q, cfg.Params, k, cfg.DNEBudget)
+		}),
+		method("NN_EI", func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+			return baseline.NNEI(g, q, cfg.Params, k)
+		}),
+		clusterMethod("LS_EI", g, measure.PHP, cfg),
 	}
-	start := time.Now()
-	cl := baseline.PrecomputeClusters(g, cfg.ClusterSize)
-	methods = append(methods, Method{
-		Name:           "LS_EI",
-		PrecomputeTime: time.Since(start),
-		Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-			res, err := cl.Query(g, q, measure.PHP, cfg.Params, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			return measure.Nodes(res.TopK), res.Visited, nil
-		},
-	})
-	return methods
 }
 
 // RWRMethods builds the Figure 8 / Figure 12 registry: FLoS_RWR, GI_RWR,
@@ -130,75 +124,33 @@ func PHPMethods(g graph.Graph, cfg MethodConfig) []Method {
 // medium graphs).
 func RWRMethods(g graph.Graph, cfg MethodConfig) []Method {
 	methods := []Method{
-		flosMethod(measure.RWR, cfg, "FLoS_RWR"),
-		giMethod(measure.RWR, cfg, "GI_RWR"),
-		{
-			Name:  "Castanet",
-			Exact: true,
-			Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-				res, err := baseline.Castanet(g, q, cfg.Params, k)
-				if err != nil {
-					return nil, 0, err
-				}
-				return measure.Nodes(res.TopK), res.Visited, nil
-			},
-		},
+		flosMethod(measure.RWR, cfg),
+		giMethod(measure.RWR, cfg),
+		method("Castanet", func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+			return baseline.Castanet(g, q, cfg.Params, k)
+		}),
+		clusterMethod("LS_RWR", g, measure.RWR, cfg),
 	}
-	start := time.Now()
-	cl := baseline.PrecomputeClusters(g, cfg.ClusterSize)
-	methods = append(methods, Method{
-		Name:           "LS_RWR",
-		PrecomputeTime: time.Since(start),
-		Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-			res, err := cl.Query(g, q, measure.RWR, cfg.Params, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			return measure.Nodes(res.TopK), res.Visited, nil
-		},
-	})
 	if cfg.KDashMaxNodes == 0 || g.NumNodes() <= cfg.KDashMaxNodes {
-		start = time.Now()
+		start := time.Now()
 		kd, err := baseline.PrecomputeKDash(g, cfg.Params.C, 0)
-		if err == nil {
-			methods = append(methods, Method{
-				Name:           "K-dash",
-				Exact:          true,
-				PrecomputeTime: time.Since(start),
-				Run: func(_ graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-					res, err := kd.Query(q, k)
-					if err != nil {
-						return nil, 0, err
-					}
-					return measure.Nodes(res.TopK), res.Visited, nil
-				},
-			})
-		} else if !errors.Is(err, baseline.ErrPrecomputeInfeasible) {
-			// Structural failures should surface; infeasibility is expected
-			// and simply drops the method, as in the paper.
-			methods = append(methods, Method{
-				Name: "K-dash",
-				Run: func(graph.Graph, graph.NodeID, int) ([]graph.NodeID, int, error) {
-					return nil, 0, err
-				},
-			})
+		// Infeasibility is expected and simply drops the method, as in the
+		// paper; a structural failure surfaces on every query.
+		if !errors.Is(err, baseline.ErrPrecomputeInfeasible) {
+			methods = append(methods, since(start, method("K-dash", func(_ graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+				if err != nil {
+					return nil, err
+				}
+				return kd.Query(q, k)
+			})))
 		}
 	}
 	if cfg.EmbedMaxNodes == 0 || g.NumNodes() <= cfg.EmbedMaxNodes {
-		start = time.Now()
-		emb, err := baseline.PrecomputeEmbedding(g, cfg.Params, cfg.EmbedDims)
-		if err == nil {
-			methods = append(methods, Method{
-				Name:           "GE_RWR",
-				PrecomputeTime: time.Since(start),
-				Run: func(_ graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-					res, err := emb.Query(q, k)
-					if err != nil {
-						return nil, 0, err
-					}
-					return measure.Nodes(res.TopK), res.Visited, nil
-				},
-			})
+		start := time.Now()
+		if emb, err := baseline.PrecomputeEmbedding(g, cfg.Params, cfg.EmbedDims); err == nil {
+			methods = append(methods, since(start, method("GE_RWR", func(_ graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+				return emb.Query(q, k)
+			})))
 		}
 	}
 	return methods
@@ -209,27 +161,13 @@ func RWRMethods(g graph.Graph, cfg MethodConfig) []Method {
 // Table 5 but the natural third contrast).
 func THTMethods(_ graph.Graph, cfg MethodConfig) []Method {
 	return []Method{
-		flosMethod(measure.THT, cfg, "FLoS_THT"),
-		giMethod(measure.THT, cfg, "GI_THT"),
-		{
-			Name: "LS_THT",
-			Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-				res, err := baseline.LSTHT(g, q, cfg.Params, k, cfg.DNEBudget, 0.05)
-				if err != nil {
-					return nil, 0, err
-				}
-				return measure.Nodes(res.TopK), res.Visited, nil
-			},
-		},
-		{
-			Name: "MC_THT",
-			Run: func(g graph.Graph, q graph.NodeID, k int) ([]graph.NodeID, int, error) {
-				res, err := baseline.MCTHT(g, q, cfg.Params, k, 128, 7)
-				if err != nil {
-					return nil, 0, err
-				}
-				return measure.Nodes(res.TopK), res.Visited, nil
-			},
-		},
+		flosMethod(measure.THT, cfg),
+		giMethod(measure.THT, cfg),
+		method("LS_THT", func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+			return baseline.LSTHT(g, q, cfg.Params, k, cfg.DNEBudget, 0.05)
+		}),
+		method("MC_THT", func(g graph.Graph, q graph.NodeID, k int) (*baseline.Result, error) {
+			return baseline.MCTHT(g, q, cfg.Params, k, 128, 7)
+		}),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -93,31 +92,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
-}
-
-// Sparkline renders a crude log-scale comparison of one method's times
-// across k values — a terminal nod to the paper's log-axis plots.
-func Sparkline(times []time.Duration) string {
-	if len(times) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	minT, maxT := times[0], times[0]
-	for _, t := range times {
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	var sb strings.Builder
-	for _, t := range times {
-		idx := 0
-		if maxT > minT {
-			idx = int(float64(len(blocks)-1) * float64(t-minT) / float64(maxT-minT))
-		}
-		sb.WriteRune(blocks[idx])
-	}
-	return sb.String()
 }

@@ -21,9 +21,12 @@ type Row struct {
 	MinRatio     float64
 	MaxRatio     float64
 	Precision    float64 // vs the exact set; 1.0 for exact methods
-	Exact        bool
-	Queries      int
-	Err          string
+	// Exact holds when every query was answered and every answer certified
+	// itself exact.
+	Exact bool
+	// Answers holds one Answer per answered query, in workload order.
+	Answers []Answer
+	Err     string
 }
 
 // SweepConfig controls a measurement run.
@@ -42,54 +45,46 @@ func RunSweep(name string, g graph.Graph, methods []Method, cfg SweepConfig) []R
 	n := float64(g.NumNodes())
 	for _, m := range methods {
 		for _, k := range cfg.Ks {
-			row := Row{Dataset: name, Method: m.Name, K: k, Exact: m.Exact, Precision: -1}
+			row := Row{Dataset: name, Method: m.Name, K: k, Precision: -1}
 			var totalTime time.Duration
-			var minT, maxT time.Duration
 			var totalVisited float64
-			minRatio, maxRatio := 2.0, -1.0
 			var precSum float64
 			precCount := 0
 			for _, q := range cfg.Queries {
 				start := time.Now()
-				got, visited, err := m.Run(g, q, k)
+				a, err := m.Run(g, q, k)
 				elapsed := time.Since(start)
 				if err != nil {
 					row.Err = err.Error()
 					break
 				}
+				ratio := float64(a.Visited) / n
+				if len(row.Answers) == 0 {
+					row.MinTime, row.MaxTime = elapsed, elapsed
+					row.MinRatio, row.MaxRatio = ratio, ratio
+				}
+				row.Answers = append(row.Answers, a)
 				totalTime += elapsed
-				if row.Queries == 0 || elapsed < minT {
-					minT = elapsed
-				}
-				if elapsed > maxT {
-					maxT = elapsed
-				}
-				totalVisited += float64(visited)
-				ratio := float64(visited) / n
-				if ratio < minRatio {
-					minRatio = ratio
-				}
-				if ratio > maxRatio {
-					maxRatio = ratio
-				}
-				row.Queries++
+				totalVisited += float64(a.Visited)
+				row.MinTime, row.MaxTime = min(row.MinTime, elapsed), max(row.MaxTime, elapsed)
+				row.MinRatio, row.MaxRatio = min(row.MinRatio, ratio), max(row.MaxRatio, ratio)
 				if cfg.Oracle != nil {
 					scores, higher, err := cfg.Oracle(q)
 					if err == nil {
 						want := measure.Nodes(measure.TopK(scores, q, k, higher))
-						precSum += measure.Precision(got, want)
+						precSum += measure.Precision(a.Nodes, want)
 						precCount++
 					}
 				}
 			}
-			if row.Queries > 0 {
-				row.AvgTime = totalTime / time.Duration(row.Queries)
-				row.MinTime = minT
-				row.MaxTime = maxT
-				row.AvgVisited = totalVisited / float64(row.Queries)
+			row.Exact = row.Err == "" && len(row.Answers) > 0
+			for _, a := range row.Answers {
+				row.Exact = row.Exact && a.Exact
+			}
+			if qs := len(row.Answers); qs > 0 {
+				row.AvgTime = totalTime / time.Duration(qs)
+				row.AvgVisited = totalVisited / float64(qs)
 				row.VisitedRatio = row.AvgVisited / n
-				row.MinRatio = minRatio
-				row.MaxRatio = maxRatio
 			}
 			if precCount > 0 {
 				row.Precision = precSum / float64(precCount)

@@ -13,35 +13,6 @@ func Queries(g graph.Graph, count int, seed uint64) []graph.NodeID {
 	return sampleFrom(lc, count, seed)
 }
 
-// QueriesByDegree samples query nodes with positive degree — used for disk
-// stores, where materializing the largest component would defeat the
-// memory-budget experiment. Nodes are probed pseudo-randomly until `count`
-// non-isolated ones are found.
-func QueriesByDegree(g graph.Graph, count int, seed uint64) []graph.NodeID {
-	n := g.NumNodes()
-	out := make([]graph.NodeID, 0, count)
-	state := seed
-	if state == 0 {
-		state = 0x9e3779b97f4a7c15
-	}
-	seen := map[graph.NodeID]bool{}
-	for len(out) < count {
-		state = splitmix(state)
-		v := graph.NodeID(state % uint64(n))
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if g.Degree(v) > 0 {
-			out = append(out, v)
-		}
-		if len(seen) >= n {
-			break
-		}
-	}
-	return out
-}
-
 func sampleFrom(pool []graph.NodeID, count int, seed uint64) []graph.NodeID {
 	if count >= len(pool) {
 		return append([]graph.NodeID(nil), pool...)
