@@ -15,6 +15,9 @@
 //	curl 'localhost:8080/metrics'              # Prometheus text
 //	curl 'localhost:8080/metrics?format=json'
 //
+// Exactly one of -graph, -bin and -store names the graph; flags that
+// contradict each other are refused at start-up.
+//
 // Queries run on a bounded worker pool (internal/qserve): -workers sets its
 // size, -queue the admission queue that sheds overload with 429, -cache the
 // result-cache capacity, and -timeout the per-query deadline. Disk-resident
@@ -25,28 +28,27 @@
 // keep running against their pinned snapshots, and the result cache is
 // invalidated surgically (see internal/livegraph).
 //
-// The diagnostics plane is on by default: a flight recorder keeps the last
-// -flightrec completed queries (outcome, latency, work counters, and a
-// down-sampled convergence trajectory) and promotes queries over
-// -slow-latency (or visiting more than -slow-visited nodes) into a retained
-// slow-query log at /debug/flos/slow — dump that to a file and replay it
-// offline with `flos -replay`. /debug/flos/slo reports rolling 5m/1h
-// availability and latency burn rates against -slo-availability /
-// -slo-latency-objective.
+// The diagnostics plane is on by default (-flightrec 0 turns all of it off):
+// a flight recorder keeps the last -flightrec completed queries (outcome,
+// latency, work counters, and a down-sampled convergence trajectory) and
+// promotes queries over -slow-latency into a retained slow-query log at
+// /debug/flos/slow — dump that to a file and replay it offline with
+// `flos -replay`. /debug/flos/slo reports rolling 5m/1h availability and
+// latency burn rates against -slo-availability / -slo-latency-objective.
 //
-// Span tracing is on by default (-trace-ring 0 disables): every request runs
-// under a root span with per-phase children, W3C traceparent headers are
-// honored and echoed, and a trace is kept when the head sampler
-// (-trace-sample) selects it or when it ends slow/shed/deadline/failed —
-// so the p99 outlier is always retrievable as a span tree from
-// /debug/flos/traces even at -trace-sample 0. The slow threshold is shared
-// with -slow-latency.
+// Span tracing rides the same switch: every request runs under a root span
+// with per-phase children, W3C traceparent headers are honored and echoed,
+// the last -flightrec kept traces are served from /debug/flos/traces, and a
+// trace is kept when the head sampler (-trace-sample) selects it or when it
+// ends slow/shed/deadline/failed — so the p99 outlier is always retrievable
+// as a span tree even at -trace-sample 0. The slow threshold is shared with
+// -slow-latency.
 //
-// Cache analytics are on by default (-cachelens 0 disables): the page cache
-// (-store) and the result cache each get a lens maintaining online miss-ratio
-// curves at 0.25x..4x capacity via SHARDS-style sampling (-cachelens-sample
-// sets the 1-in-N rate) and 1m/10m working-set estimates — exported as
-// flos_pagecache_* / flos_result_cache_* gauges and GET /debug/flos/cache.
+// Cache analytics are on by default (-cachelens=false disables): the page
+// cache (-store) and the result cache each get a lens maintaining online
+// miss-ratio curves at 0.25x..4x capacity via SHARDS-style sampling and
+// 1m/10m working-set estimates — exported as flos_pagecache_* /
+// flos_result_cache_* gauges and GET /debug/flos/cache.
 //
 // Logs are structured (log/slog, text to stderr): one access record per
 // request with its ID, status, and latency, plus per-query debug records at
@@ -55,6 +57,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log/slog"
 	"net/http"
@@ -66,181 +69,172 @@ import (
 	"flos/internal/obs"
 	"flos/internal/obs/cachelens"
 	"flos/internal/obs/trace"
+	"flos/internal/qserve"
 	"flos/internal/server"
 )
 
+// config is flosd's command line: every flag binds one field.
+type config struct {
+	graph, bin, store string
+	pageCacheMiB      int64
+	addr              string
+	live              bool
+	logLevel, pprof   string
+
+	srv         server.Config      // pool shape and /v1 limits
+	rec         obs.RecorderConfig // Size also bounds the completed-trace ring
+	slo         obs.SLOConfig
+	traceSample float64
+	cacheLens   bool
+}
+
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.graph, "graph", "", "text edge-list file")
+	fs.StringVar(&c.bin, "bin", "", "binary CSR graph file")
+	fs.StringVar(&c.store, "store", "", "disk-resident store file")
+	fs.Int64Var(&c.pageCacheMiB, "pagecache", 256, "page-cache budget for -store, MiB")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.BoolVar(&c.live, "live", false, "serve a mutable live graph: accept POST /v1/graph/edges (requires -graph or -bin)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug | info | warn | error")
+	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")
+
+	fs.IntVar(&c.srv.MaxK, "maxk", 1000, "largest accepted k")
+	fs.IntVar(&c.srv.MaxBatch, "maxbatch", 0, "largest accepted /v1/topk/batch query count and /v1/graph/edges op count (0 = 256)")
+	fs.IntVar(&c.srv.Workers, "workers", 0, "query worker count (0 = GOMAXPROCS)")
+	fs.IntVar(&c.srv.QueueDepth, "queue", 0, "admission queue depth; excess requests get 429 (0 = 4x workers)")
+	fs.IntVar(&c.srv.CacheEntries, "cache", 0, "result-cache capacity, in entries of up to 16 result rows (0 = 1024, negative disables)")
+	fs.DurationVar(&c.srv.Timeout, "timeout", 0, "per-query deadline, e.g. 500ms or 2s (0 = none)")
+	fs.Float64Var(&c.srv.MaxEpsilon, "max-epsilon", 0, "largest accepted /v1 epsilon budget (0 = 1.0, negative disables epsilon mode)")
+	fs.DurationVar(&c.srv.MaxDeadline, "max-deadline", 0, "cap on client-requested /v1 deadlines; longer ones are clamped (0 = 30s)")
+
+	fs.IntVar(&c.rec.Size, "flightrec", 256, "flight-recorder and completed-trace ring size (0 disables the diagnostics plane: recorder, SLO tracking and span tracing)")
+	fs.DurationVar(&c.rec.SlowLatency, "slow-latency", 250*time.Millisecond, "promote queries over this latency into the slow-query log and keep their traces (negative disables)")
+	fs.DurationVar(&c.slo.LatencyThreshold, "slo-latency", 100*time.Millisecond, "latency SLO threshold")
+	fs.Float64Var(&c.slo.AvailabilityObjective, "slo-availability", 0.999, "availability objective (fraction of non-canceled queries that must succeed)")
+	fs.Float64Var(&c.slo.LatencyObjective, "slo-latency-objective", 0.99, "latency objective (fraction of successes under -slo-latency)")
+	fs.Float64Var(&c.traceSample, "trace-sample", 1.0, "head-sampling rate in [0,1]; slow/shed/deadline/failed traces are kept regardless")
+	fs.BoolVar(&c.cacheLens, "cachelens", true, "cache analytics: miss-ratio curves and working-set windows on the page and result caches (GET /debug/flos/cache)")
+}
+
+// Validate refuses a command line whose flags contradict each other.
+func (c *config) Validate() error {
+	graphs := 0
+	for _, path := range []string{c.graph, c.bin, c.store} {
+		if path != "" {
+			graphs++
+		}
+	}
+	switch {
+	case graphs != 1:
+		return errors.New("exactly one of -graph, -bin, -store is required")
+	case c.live && c.store != "":
+		return errors.New("-live requires an in-memory graph (-graph or -bin); disk stores are immutable")
+	case c.store != "" && c.pageCacheMiB <= 0:
+		return errors.New("-pagecache must be positive with -store")
+	case !(c.traceSample >= 0 && c.traceSample <= 1): // NaN fails too
+		return errors.New("-trace-sample must be in [0, 1]")
+	}
+	return nil
+}
+
 func main() {
-	var (
-		graphPath = flag.String("graph", "", "text edge-list file")
-		binPath   = flag.String("bin", "", "binary CSR graph file")
-		storePath = flag.String("store", "", "disk-resident store file")
-		pageCache = flag.Int64("pagecache", 256, "page-cache budget for -store, MiB")
-		addr      = flag.String("addr", ":8080", "listen address")
-		maxK      = flag.Int("maxk", 1000, "largest accepted k")
-		maxBatch  = flag.Int("maxbatch", 0, "largest accepted /v1/topk/batch query count and /v1/graph/edges op count (0 = 256)")
-		workers   = flag.Int("workers", 0, "query worker count (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "admission queue depth; excess requests get 429 (0 = 4x workers)")
-		cache     = flag.Int("cache", 0, "result-cache capacity, in entries of up to 16 result rows (0 = 1024, negative disables)")
-		timeout   = flag.Duration("timeout", 0, "per-query deadline, e.g. 500ms or 2s (0 = none)")
-		maxEps    = flag.Float64("max-epsilon", 0, "largest accepted /v1 epsilon budget (0 = 1.0, negative disables epsilon mode)")
-		maxDL     = flag.Duration("max-deadline", 0, "cap on client-requested /v1 deadlines; longer ones are clamped (0 = 30s)")
-		live      = flag.Bool("live", false, "serve a mutable live graph: accept POST /v1/graph/edges (requires -graph or -bin)")
-		logLevel  = flag.String("log-level", "info", "log level: debug | info | warn | error")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")
-
-		flightRec   = flag.Int("flightrec", 256, "flight-recorder ring size (0 disables the diagnostics plane)")
-		slowLatency = flag.Duration("slow-latency", 250*time.Millisecond, "promote queries over this latency into the slow-query log (negative disables)")
-		slowVisited = flag.Int("slow-visited", 0, "promote queries visiting more than this many nodes (0 disables)")
-		slowKeep    = flag.Int("slow-keep", 64, "retained slow-query log entries")
-		sloLatency  = flag.Duration("slo-latency", 100*time.Millisecond, "latency SLO threshold")
-		sloAvail    = flag.Float64("slo-availability", 0.999, "availability objective (fraction of non-canceled queries that must succeed)")
-		sloLatObj   = flag.Float64("slo-latency-objective", 0.99, "latency objective (fraction of successes under -slo-latency)")
-
-		traceRing   = flag.Int("trace-ring", 256, "completed-trace ring size (0 disables span tracing)")
-		traceSample = flag.Float64("trace-sample", 1.0, "head-sampling rate in [0,1]; slow/shed/deadline/failed traces are kept regardless")
-
-		lensOn     = flag.Bool("cachelens", true, "cache analytics: miss-ratio curves and working-set windows on the page and result caches (GET /debug/flos/cache)")
-		lensSample = flag.Int("cachelens-sample", 64, "cache-analytics spatial sampling rate: 1 key in N tracked (1 = exact, higher = cheaper)")
-	)
+	var cfg config
+	cfg.register(flag.CommandLine)
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
-		Level: obs.ParseLogLevel(*logLevel),
+		Level: obs.ParseLogLevel(cfg.logLevel),
 	}))
 	slog.SetDefault(logger)
+	if err := cfg.Validate(); err != nil {
+		logger.Error("invalid flags", "err", err)
+		os.Exit(2)
+	}
 
 	var g flos.Graph
 	var store *flos.DiskGraph
 	start := time.Now()
 	switch {
-	case *graphPath != "":
-		mg, err := flos.LoadEdgeList(*graphPath)
+	case cfg.graph != "":
+		mg, err := flos.LoadEdgeList(cfg.graph)
 		if err != nil {
 			fatal(logger, "load edge list", err)
 		}
 		g = mg
-	case *binPath != "":
-		mg, err := flos.LoadBinary(*binPath)
+	case cfg.bin != "":
+		mg, err := flos.LoadBinary(cfg.bin)
 		if err != nil {
 			fatal(logger, "load binary graph", err)
 		}
 		g = mg
-	case *storePath != "":
-		dg, err := flos.OpenDiskGraph(*storePath, *pageCache<<20)
+	default:
+		dg, err := flos.OpenDiskGraph(cfg.store, cfg.pageCacheMiB<<20)
 		if err != nil {
 			fatal(logger, "open disk store", err)
 		}
 		defer dg.Close()
 		g, store = dg, dg
-	default:
-		logger.Error("one of -graph, -bin, -store is required")
-		os.Exit(1)
 	}
-	if *live {
-		mg, ok := g.(*flos.MemGraph)
-		if !ok {
-			logger.Error("-live requires an in-memory graph (-graph or -bin); disk stores are immutable")
-			os.Exit(1)
-		}
-		g = flos.NewLiveGraph(mg)
+	if cfg.live {
+		g = flos.NewLiveGraph(g.(*flos.MemGraph))
 	}
 	logger.Info("graph loaded",
-		"nodes", g.NumNodes(), "edges", g.NumEdges(), "live", *live, "elapsed", time.Since(start))
+		"nodes", g.NumNodes(), "edges", g.NumEdges(), "live", cfg.live, "elapsed", time.Since(start))
 
-	if *pprofAddr != "" {
+	if cfg.pprof != "" {
 		// The pprof import registers on http.DefaultServeMux; serve that mux
 		// on its own listener so profiling stays off the query port.
 		go func() {
-			logger.Info("pprof listening", "addr", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			logger.Info("pprof listening", "addr", cfg.pprof)
+			if err := http.ListenAndServe(cfg.pprof, nil); err != nil {
 				logger.Error("pprof listener failed", "err", err)
 			}
 		}()
 	}
 
-	// Diagnostics plane: flight recorder + SLO tracker, shared between the
-	// serving pool (which records into them) and the HTTP layer (which
-	// serves /debug/flos/* and the flos_slo_* gauges from them).
-	var rec *obs.FlightRecorder
-	var slo *obs.SLOTracker
-	if *flightRec > 0 {
-		rec = obs.NewFlightRecorder(obs.RecorderConfig{
-			Size:        *flightRec,
-			SlowLatency: *slowLatency,
-			SlowVisited: *slowVisited,
-			SlowKeep:    *slowKeep,
+	// Diagnostics plane: flight recorder, SLO tracker and span tracer, shared
+	// between the serving pool (which records into them) and the HTTP layer
+	// (which serves /debug/flos/* and the flos_slo_* gauges from them). The
+	// tracer's tail-promotion threshold is -slow-latency, so the slow-query
+	// log and the trace store promote the same requests.
+	srvCfg := cfg.srv
+	srvCfg.Logger = logger
+	if cfg.rec.Size > 0 {
+		srvCfg.Recorder = obs.NewFlightRecorder(cfg.rec)
+		srvCfg.SLO = obs.NewSLOTracker(cfg.slo)
+		srvCfg.Tracer = trace.New(trace.Config{
+			HeadRate:    cfg.traceSample,
+			Ring:        cfg.rec.Size,
+			SlowLatency: cfg.rec.SlowLatency,
 		})
-		slo = obs.NewSLOTracker(obs.SLOConfig{
-			AvailabilityObjective: *sloAvail,
-			LatencyObjective:      *sloLatObj,
-			LatencyThreshold:      *sloLatency,
-		})
-	}
-
-	// Span tracing: the tail-promotion latency threshold deliberately reuses
-	// -slow-latency, so the slow-query log and the trace store promote the
-	// same requests.
-	var tracer *trace.Tracer
-	if *traceRing > 0 {
-		tcfg := trace.Config{
-			HeadRate:    *traceSample,
-			Ring:        *traceRing,
-			SlowLatency: *slowLatency,
-		}
-		tracer = trace.New(tcfg)
-		logger.Info("span tracing", "ring", *traceRing, "head_rate", *traceSample)
+		logger.Info("diagnostics", "ring", cfg.rec.Size, "head_rate", cfg.traceSample)
 	}
 
 	// Cache analytics: attach a lens to the page cache (disk stores) and the
 	// result cache before any traffic flows. A 10s tick drives the working-set
 	// windows.
-	var resultLens *cachelens.Lens
-	if *lensOn {
+	if cfg.cacheLens {
 		const lensTick = 10 * time.Second
 		if store != nil {
-			pageLens := store.AttachLens(cachelens.Config{
-				SampleRate: *lensSample,
-				TickEvery:  lensTick,
-			})
-			defer pageLens.Close()
+			defer store.AttachLens(cachelens.Config{TickEvery: lensTick}).Close()
 		}
-		if *cache >= 0 {
-			entries := *cache
+		if entries := cfg.srv.CacheEntries; entries >= 0 {
 			if entries == 0 {
-				entries = 1024 // the pool's own default
+				entries = qserve.DefaultCacheEntries
 			}
-			resultLens = cachelens.New(cachelens.Config{
-				Capacity:   entries,
-				SampleRate: *lensSample,
-				TickEvery:  lensTick,
-			})
-			defer resultLens.Close()
+			srvCfg.CacheLens = cachelens.New(cachelens.Config{Capacity: entries, TickEvery: lensTick})
+			defer srvCfg.CacheLens.Close()
 		}
-		logger.Info("cache analytics",
-			"sample_rate", *lensSample, "page_lens", store != nil, "result_lens", resultLens != nil)
+		logger.Info("cache analytics", "page_lens", store != nil, "result_lens", srvCfg.CacheLens != nil)
 	}
 
-	srv := server.New(g, server.Config{
-		MaxK:         *maxK,
-		MaxBatch:     *maxBatch,
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheEntries: *cache,
-		Timeout:      *timeout,
-		MaxEpsilon:   *maxEps,
-		MaxDeadline:  *maxDL,
-		Logger:       logger,
-		Recorder:     rec,
-		SLO:          slo,
-		Tracer:       tracer,
-		CacheLens:    resultLens,
-	})
+	srv := server.New(g, srvCfg)
 	defer srv.Close()
 	m := srv.Pool().Metrics()
 	logger.Info("serving",
-		"addr", *addr, "workers", m.Workers, "queue_cap", m.QueueCap,
-		"cache_entries", *cache, "timeout", *timeout)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+		"addr", cfg.addr, "workers", m.Workers, "queue_cap", m.QueueCap,
+		"cache_entries", cfg.srv.CacheEntries, "timeout", cfg.srv.Timeout)
+	if err := http.ListenAndServe(cfg.addr, srv.Handler()); err != nil {
 		fatal(logger, "listener failed", err)
 	}
 }

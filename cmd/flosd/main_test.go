@@ -1,0 +1,86 @@
+package main
+
+import (
+	"flag"
+	"go/parser"
+	"go/token"
+	"math"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// parse registers every flag on a fresh set and parses args into a config.
+func parse(t *testing.T, args ...string) (*config, *flag.FlagSet) {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("flosd", flag.ContinueOnError)
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return &c, fs
+}
+
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string // substring; "" = valid
+	}{
+		{[]string{"-bin", "g.bin"}, ""},
+		{[]string{"-graph", "g.txt", "-live"}, ""},
+		{[]string{"-bin", "g.bin", "-live", "-flightrec", "0", "-trace-sample", "0"}, ""},
+		{[]string{"-store", "g.flos", "-pagecache", "1", "-trace-sample", "1"}, ""},
+		{nil, "exactly one of -graph, -bin, -store"},
+		{[]string{"-graph", "g.txt", "-bin", "g.bin"}, "exactly one of -graph, -bin, -store"},
+		{[]string{"-bin", "g.bin", "-store", "g.flos"}, "exactly one of -graph, -bin, -store"},
+		{[]string{"-store", "g.flos", "-live"}, "-live requires an in-memory graph"},
+		{[]string{"-store", "g.flos", "-pagecache", "0"}, "-pagecache must be positive"},
+		{[]string{"-bin", "g.bin", "-pagecache", "0"}, ""}, // only a store has a page cache
+		{[]string{"-bin", "g.bin", "-trace-sample", "1.5"}, "-trace-sample must be in [0, 1]"},
+		{[]string{"-bin", "g.bin", "-trace-sample", "-0.1"}, "-trace-sample must be in [0, 1]"},
+	} {
+		c, _ := parse(t, tc.args...)
+		err := c.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%v: %v, want valid", tc.args, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%v: err %v, want %q", tc.args, err, tc.wantErr)
+		}
+	}
+	c, _ := parse(t, "-bin", "g.bin")
+	c.traceSample = math.NaN()
+	if c.Validate() == nil {
+		t.Error("-trace-sample NaN accepted")
+	}
+}
+
+// TestFlagsInProse checks every flag the docs name is registered: each
+// `-flag` in backticks in README.md (flags of other commands are written
+// with the command, as in `flos -replay`), and each -flag in this package's
+// doc comment.
+func TestFlagsInProse(t *testing.T) {
+	_, fs := parse(t)
+	check := func(where, text string, re *regexp.Regexp) {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			if fs.Lookup(m[1]) == nil {
+				t.Errorf("%s names -%s, which flosd does not register", where, m[1])
+			}
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("README.md", string(readme), regexp.MustCompile("`-([a-z][a-z0-9-]*)"))
+
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Code spans in the comment quote other commands (`flos -replay`).
+	doc := regexp.MustCompile("`[^`]*`").ReplaceAllString(f.Doc.Text(), "")
+	check("the package comment", doc, regexp.MustCompile(`(?:^|[\s(])-([a-z][a-z0-9-]*)`))
+}

@@ -15,18 +15,14 @@ type RecorderConfig struct {
 	// retained; 0 selects 256.
 	Size int
 	// SlowLatency promotes any query at or over this latency into the
-	// slow-query log; 0 selects 250ms, negative disables latency promotion.
+	// slow-query log; 0 selects 250ms, negative disables promotion.
 	SlowLatency time.Duration
-	// SlowVisited promotes any query whose visited set reached this size;
-	// 0 disables visited promotion (locality is graph-dependent, so there
-	// is no universal default).
-	SlowVisited int
 	// SlowKeep bounds the slow-query log; 0 selects 64.
 	SlowKeep int
-	// TracePoints bounds the down-sampled trajectory kept per record;
-	// 0 selects 48, negative disables trajectory capture.
-	TracePoints int
 }
+
+// TracePoints bounds the down-sampled trajectory kept per record.
+const TracePoints = 48
 
 func (c RecorderConfig) withDefaults() RecorderConfig {
 	if c.Size <= 0 {
@@ -38,9 +34,6 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 	if c.SlowKeep <= 0 {
 		c.SlowKeep = 64
 	}
-	if c.TracePoints == 0 {
-		c.TracePoints = 48
-	}
 	return c
 }
 
@@ -48,7 +41,7 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 // counters, outcome, and a down-sampled convergence trajectory. Records are
 // immutable once handed to the recorder.
 type FlightRecord struct {
-	// ID is the request ID — the join key against histogram exemplars and
+	// ID is the request ID — the join key against latency exemplars and
 	// access logs.
 	ID string `json:"id"`
 	// TraceID is the request's hex trace ID when span tracing was on — the
@@ -124,31 +117,16 @@ func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
 	}
 }
 
-// Config returns the recorder's resolved configuration.
-func (r *FlightRecorder) Config() RecorderConfig { return r.cfg }
-
-// TracePoints returns the per-record trajectory budget (0 when trajectory
-// capture is disabled).
-func (r *FlightRecorder) TracePoints() int {
-	if r.cfg.TracePoints < 0 {
-		return 0
-	}
-	return r.cfg.TracePoints
-}
-
-// IsSlow reports whether a query with this latency and visited count meets
-// a promotion threshold.
-func (r *FlightRecorder) IsSlow(latency time.Duration, visited int) bool {
-	if r.cfg.SlowLatency > 0 && latency >= r.cfg.SlowLatency {
-		return true
-	}
-	return r.cfg.SlowVisited > 0 && visited >= r.cfg.SlowVisited
+// IsSlow reports whether a query with this latency meets the promotion
+// threshold.
+func (r *FlightRecorder) IsSlow(latency time.Duration) bool {
+	return r.cfg.SlowLatency > 0 && latency >= r.cfg.SlowLatency
 }
 
 // Record stores one completed query. The recorder sets rec.Slow and owns
 // rec afterwards; callers must not mutate it.
 func (r *FlightRecorder) Record(rec *FlightRecord) {
-	rec.Slow = r.IsSlow(time.Duration(rec.LatencyUS)*time.Microsecond, rec.Visited)
+	rec.Slow = r.IsSlow(time.Duration(rec.LatencyUS) * time.Microsecond)
 	idx := r.seq.Add(1) - 1
 	r.ring[idx%uint64(len(r.ring))].Store(rec)
 	if !rec.Slow {
@@ -204,6 +182,47 @@ func (r *FlightRecorder) Slow() []*FlightRecord {
 	out := make([]*FlightRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, r.slow[(r.slowSeq-1-i)%keep])
+	}
+	return out
+}
+
+// Exemplar ties a latency bucket to one concrete request: the newest
+// executed query whose latency fell in the bucket. Joining a tail bucket's
+// exemplar against the flight recorder, slow-query log, or span store turns
+// "the p99 is high" into "this query made the p99 high".
+type Exemplar struct {
+	// BucketLEUS is the bucket's inclusive upper bound in microseconds.
+	BucketLEUS int64 `json:"bucket_le_us"`
+	// ID is the query's request ID.
+	ID string `json:"id"`
+	// TraceID is the query's hex trace ID, joinable against
+	// /debug/flos/traces; empty when the request was untraced.
+	TraceID string `json:"trace_id,omitempty"`
+	// LatencyUS is the query's latency in microseconds.
+	LatencyUS int64 `json:"latency_us"`
+}
+
+// Exemplars returns, for each latency bucket, the newest executed record
+// (outcome neither "hit" nor "shed") the recorder still holds, in bucket
+// order. The ring is read before the slow log: every slow-log record that
+// has left the ring is older than everything in it.
+func (r *FlightRecorder) Exemplars() []Exemplar {
+	var newest [numBuckets]*FlightRecord
+	for _, recs := range [2][]*FlightRecord{r.Last(0), r.Slow()} {
+		for _, rec := range recs {
+			if rec.Outcome == "hit" || rec.Outcome == "shed" {
+				continue
+			}
+			if i := bucketIndex(max(rec.LatencyUS, 0)); newest[i] == nil {
+				newest[i] = rec
+			}
+		}
+	}
+	var out []Exemplar
+	for i, rec := range newest {
+		if rec != nil {
+			out = append(out, Exemplar{BucketLEUS: bucketBound(i), ID: rec.ID, TraceID: rec.TraceID, LatencyUS: rec.LatencyUS})
+		}
 	}
 	return out
 }

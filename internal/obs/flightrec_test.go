@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +27,6 @@ func TestFlightRecorderRingAndSlowPromotion(t *testing.T) {
 	r := NewFlightRecorder(RecorderConfig{
 		Size:        8,
 		SlowLatency: 100 * time.Millisecond,
-		SlowVisited: 5000,
 		SlowKeep:    4,
 	})
 
@@ -53,10 +53,10 @@ func TestFlightRecorderRingAndSlowPromotion(t *testing.T) {
 		t.Errorf("slow log not empty: %v", r.Slow())
 	}
 
-	// Promotion by latency, by visited, and neither.
-	r.Record(mkRecord(100, 150*time.Millisecond, 10)) // slow by latency
-	r.Record(mkRecord(101, time.Millisecond, 9000))   // slow by visited
-	r.Record(mkRecord(102, 99*time.Millisecond, 4999))
+	// Promotion by latency only: a large visited set is not slow.
+	r.Record(mkRecord(100, 150*time.Millisecond, 10))
+	r.Record(mkRecord(101, 100*time.Millisecond, 10)) // at the threshold
+	r.Record(mkRecord(102, 99*time.Millisecond, 1<<30))
 	slow := r.Slow()
 	if len(slow) != 2 {
 		t.Fatalf("slow log = %d entries, want 2", len(slow))
@@ -90,10 +90,10 @@ func TestFlightRecorderDisabledThresholds(t *testing.T) {
 	r := NewFlightRecorder(RecorderConfig{SlowLatency: -1})
 	r.Record(mkRecord(0, time.Hour, 1<<30))
 	if len(r.Slow()) != 0 {
-		t.Error("latency promotion disabled but record promoted (visited default must be off)")
+		t.Error("latency promotion disabled but record promoted")
 	}
-	if r.IsSlow(time.Hour, 1<<30) {
-		t.Error("IsSlow with both thresholds off")
+	if r.IsSlow(time.Hour) {
+		t.Error("IsSlow with the threshold off")
 	}
 }
 
@@ -133,6 +133,35 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 	if len(r.Last(0)) != 32 {
 		t.Fatalf("ring size = %d, want 32", len(r.Last(0)))
+	}
+}
+
+// TestFlightRecorderExemplars checks the per-bucket exemplar view: the
+// newest executed record of each latency bucket wins, cache hits and shed
+// requests never become exemplars, and a slow-log record keeps its bucket's
+// exemplar after the ring has lapped it.
+func TestFlightRecorderExemplars(t *testing.T) {
+	r := NewFlightRecorder(RecorderConfig{Size: 5, SlowLatency: 10 * time.Millisecond, SlowKeep: 4})
+	rec := func(id, outcome string, lat time.Duration) {
+		r.Record(&FlightRecord{ID: id, TraceID: "t-" + id, Outcome: outcome, LatencyUS: lat.Microseconds()})
+	}
+	rec("slow", "deadline", 50*time.Millisecond) // bucket 16, slow log only once lapped
+	rec("a", "ok", 3*time.Microsecond)           // bucket 2
+	rec("b", "ok", 800*time.Microsecond)         // bucket 10
+	rec("c", "failed", 900*time.Microsecond)     // bucket 10 again: newer, replaces b
+	rec("hit", "hit", 3*time.Microsecond)        // never an exemplar
+	rec("shed", "shed", 700*time.Microsecond)    // never an exemplar
+
+	want := []Exemplar{
+		{BucketLEUS: 4, ID: "a", TraceID: "t-a", LatencyUS: 3},
+		{BucketLEUS: 1024, ID: "c", TraceID: "t-c", LatencyUS: 900},
+		{BucketLEUS: 65536, ID: "slow", TraceID: "t-slow", LatencyUS: 50000},
+	}
+	if got := r.Exemplars(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("exemplars = %+v, want %+v", got, want)
+	}
+	if got := NewFlightRecorder(RecorderConfig{}).Exemplars(); got != nil {
+		t.Fatalf("empty recorder exemplars = %+v, want none", got)
 	}
 }
 

@@ -176,38 +176,6 @@ func TestQuantileExtremes(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplars verifies each bucket remembers the request ID of
-// its most recent sample and that plain Observe never clobbers one.
-func TestHistogramExemplars(t *testing.T) {
-	var h Histogram
-	h.ObserveExemplar(3*time.Microsecond, "req-a", "")            // bucket 2
-	h.ObserveExemplar(800*time.Microsecond, "req-b", "")          // bucket 10
-	h.ObserveExemplar(900*time.Microsecond, "req-c", "trace-c")   // bucket 10 again: replaces
-	h.Observe(600 * time.Microsecond)                             // bucket 10, no ID: keeps req-c
-	h.ObserveExemplar(50*time.Millisecond, "req-slow", "trace-s") // tail bucket
-	s := h.Snapshot()
-
-	if s.Count != 5 {
-		t.Fatalf("count = %d, want 5 (exemplar observations must still count)", s.Count)
-	}
-	byBucket := map[int]string{2: "req-a", 10: "req-c", 16: "req-slow"}
-	for i, ex := range s.Exemplars {
-		want, expect := byBucket[i]
-		switch {
-		case expect && (ex == nil || ex.ID != want):
-			t.Errorf("bucket %d exemplar = %v, want %q", i, ex, want)
-		case !expect && ex != nil:
-			t.Errorf("bucket %d has unexpected exemplar %v", i, ex)
-		}
-	}
-	if ex := s.Exemplars[10]; ex != nil && (ex.LatencyUS != 900 || ex.TraceID != "trace-c") {
-		t.Errorf("bucket 10 exemplar = %+v, want latency 900 trace trace-c", ex)
-	}
-	if ex := s.Exemplars[2]; ex != nil && ex.TraceID != "" {
-		t.Errorf("bucket 2 exemplar trace = %q, want empty for untraced sample", ex.TraceID)
-	}
-}
-
 func TestRequestIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {

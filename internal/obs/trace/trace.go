@@ -15,8 +15,8 @@
 // always reconstructible as a span tree, even at a 0% head rate.
 //
 // Trace IDs are the join key across the rest of the observability plane:
-// histogram exemplars, flight-recorder and slow-query-log records, and access
-// logs all carry them.
+// flight-recorder and slow-query-log records (and so latency exemplars) and
+// access logs all carry them.
 //
 // Nothing here imports outside the standard library.
 package trace

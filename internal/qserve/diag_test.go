@@ -120,15 +120,14 @@ func TestFlightRecorderOutcomePaths(t *testing.T) {
 
 	// The executed record's ID is the exemplar of its latency bucket — the
 	// join key between /metrics and the flight recorder.
-	m := pool.Metrics()
 	found := false
-	for _, ex := range m.Latency.Exemplars {
-		if ex != nil && ex.ID == exec.ID {
+	for _, ex := range rec.Exemplars() {
+		if ex.ID == exec.ID {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("request ID %s not found among histogram exemplars", exec.ID)
+		t.Errorf("request ID %s not found among latency exemplars", exec.ID)
 	}
 
 	// DoBatch members are recorded too.
@@ -198,7 +197,7 @@ func TestFlightRecorderSlowPromotionAndSLOErrors(t *testing.T) {
 // and the record carries the down-sampled one.
 func TestRecorderTeesUserTracer(t *testing.T) {
 	g := diagGraph(t)
-	rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 8, SlowLatency: -1, TracePoints: 4})
+	rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 8, SlowLatency: -1})
 	pool := New(g, Config{Workers: 1, CacheEntries: 64, Recorder: rec})
 	defer pool.Close()
 
@@ -223,7 +222,151 @@ func TestRecorderTeesUserTracer(t *testing.T) {
 	if r.TraceTotal != resp.TopK.Iterations {
 		t.Errorf("record trace total %d, want %d", r.TraceTotal, resp.TopK.Iterations)
 	}
-	if len(r.Trace) == 0 || len(r.Trace) > 4+1 {
-		t.Errorf("down-sampled trajectory has %d points, want 1..5", len(r.Trace))
+	if len(r.Trace) == 0 || len(r.Trace) > obs.TracePoints+1 {
+		t.Errorf("down-sampled trajectory has %d points, want 1..%d", len(r.Trace), obs.TracePoints+1)
+	}
+}
+
+// outcomeCounts is the slice of Metrics one query's outcome moves.
+type outcomeCounts struct {
+	served, shed, interrupted, ok, hit, deadline, canceled, failed, executed int64
+}
+
+func countsOf(m Metrics) outcomeCounts {
+	return outcomeCounts{m.Served, m.Shed, m.Interrupted, m.OK, m.Hit, m.Deadline, m.Canceled, m.Failed, m.Latency.Count}
+}
+
+func (c outcomeCounts) minus(o outcomeCounts) outcomeCounts {
+	return outcomeCounts{c.served - o.served, c.shed - o.shed, c.interrupted - o.interrupted, c.ok - o.ok,
+		c.hit - o.hit, c.deadline - o.deadline, c.canceled - o.canceled, c.failed - o.failed, c.executed - o.executed}
+}
+
+// TestOutcomeAccounting sends each of the six outcomes through Do and checks
+// the three places it is accounted together: the outcome counters (and the
+// executed-latency histogram), the SLO window (a cancellation is no event, a
+// shed is an error), and the flight record.
+func TestOutcomeAccounting(t *testing.T) {
+	g := diagGraph(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := Request{Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}
+	zeroK := req
+	zeroK.Opt.K = 0
+	gate := &gateGraph{base: g, gate: make(chan struct{}), entered: make(chan struct{}, 16)}
+
+	cases := []struct {
+		name     string
+		cfg      Config
+		g        graph.Graph
+		ctx      context.Context
+		req      Request
+		setup    func(t *testing.T, p *Pool) (release func())
+		want     outcomeCounts
+		sloEvent bool
+		sloError bool
+	}{
+		{name: "ok", req: req, want: outcomeCounts{served: 1, ok: 1, executed: 1}, sloEvent: true},
+		{name: "hit", req: req, setup: func(t *testing.T, p *Pool) func() {
+			if _, err := p.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}, want: outcomeCounts{served: 1, hit: 1}, sloEvent: true},
+		{name: "shed", req: req, cfg: Config{QueueDepth: 1}, g: gate, setup: func(t *testing.T, p *Pool) func() {
+			return holdQueue(t, p, gate)
+		}, want: outcomeCounts{shed: 1}, sloEvent: true, sloError: true},
+		{name: "deadline", req: req, cfg: Config{Timeout: time.Nanosecond},
+			want: outcomeCounts{served: 1, interrupted: 1, deadline: 1, executed: 1}, sloEvent: true, sloError: true},
+		{name: "canceled", req: req, ctx: canceled,
+			want: outcomeCounts{served: 1, interrupted: 1, canceled: 1, executed: 1}},
+		{name: "failed", req: zeroK,
+			want: outcomeCounts{served: 1, failed: 1, executed: 1}, sloEvent: true, sloError: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 8, SlowLatency: -1})
+			slo := obs.NewSLOTracker(obs.SLOConfig{})
+			cfg := tc.cfg
+			cfg.Recorder, cfg.SLO = rec, slo
+			if cfg.Workers == 0 {
+				cfg.Workers = 1
+			}
+			var gg graph.Graph = g
+			if tc.g != nil {
+				gg = tc.g
+			}
+			p := New(gg, cfg)
+			defer p.Close()
+			if tc.setup != nil {
+				if release := tc.setup(t, p); release != nil {
+					defer release()
+				}
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			before, sloBefore := countsOf(p.Metrics()), slo.Snapshot().Windows[0]
+
+			resp, err := p.Do(ctx, tc.req)
+
+			if (err == nil) != (tc.name == "ok" || tc.name == "hit") {
+				t.Fatalf("err = %v", err)
+			}
+			if got := countsOf(p.Metrics()).minus(before); got != tc.want {
+				t.Errorf("counters moved by %+v, want %+v", got, tc.want)
+			}
+			w := slo.Snapshot().Windows[0]
+			if events, errs := w.Total-sloBefore.Total, w.Errors-sloBefore.Errors; events != b2i(tc.sloEvent) || errs != b2i(tc.sloError) {
+				t.Errorf("SLO events/errors = %d/%d, want %d/%d", events, errs, b2i(tc.sloEvent), b2i(tc.sloError))
+			}
+			last := rec.Last(1)
+			if len(last) != 1 {
+				t.Fatal("no flight record")
+			}
+			r := last[0]
+			if r.Outcome != tc.name || r.ID == "" || r.Query != int64(tc.req.Query) || r.K != tc.req.Opt.K {
+				t.Errorf("record = %+v, want outcome %q for query %d", r, tc.name, tc.req.Query)
+			}
+			switch tc.name {
+			case "ok":
+				if r.Visited != resp.TopK.Visited || r.Iterations != resp.TopK.Iterations || !r.Exact || r.TraceTotal != r.Iterations {
+					t.Errorf("ok record does not carry the search's work: %+v", r)
+				}
+			case "hit", "shed":
+				if r.Visited != 0 || r.Trace != nil {
+					t.Errorf("%s record carries execution state: %+v", tc.name, r)
+				}
+			}
+		})
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// holdQueue blocks the pool's one worker inside a query on a gateGraph and
+// fills its one-slot queue, so the next Do is shed. release opens the gate
+// and waits for both held queries.
+func holdQueue(t *testing.T, p *Pool, gg *gateGraph) func() {
+	req := Request{Query: 0, Opt: core.DefaultOptions(measure.PHP, 1)}
+	done := make(chan error, 2)
+	go func() { _, err := p.Do(context.Background(), req); done <- err }()
+	<-gg.entered
+	go func() { _, err := p.Do(context.Background(), req); done <- err }()
+	for p.QueueDepth() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		close(gg.gate)
+		for i := 0; i < 2; i++ {
+			if err := <-done; err != nil {
+				t.Errorf("held query: %v", err)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package qserve
 
 import (
 	"sync/atomic"
-	"time"
 
 	"flos/internal/obs"
 )
@@ -83,25 +82,6 @@ type metrics struct {
 	latByMeasure [len(measureLabels)]obs.Histogram
 }
 
-// observe records one executed query's latency, tagging the landed buckets
-// with the request ID and trace ID as their exemplar (either may be empty).
-func (m *metrics) observe(slot int, d time.Duration, id, traceID string) {
-	m.lat.ObserveExemplar(d, id, traceID)
-	m.latByMeasure[slot].ObserveExemplar(d, id, traceID)
-}
-
-// observeHit accounts one result-cache answer.
-func (m *metrics) observeHit(slot int) {
-	m.hit.Add(1)
-	m.hitByMeasure[slot].Add(1)
-}
-
-func (m *metrics) addWork(iterations, visited, sweeps int) {
-	m.iterations.Add(int64(iterations))
-	m.visited.Add(int64(visited))
-	m.sweeps.Add(int64(sweeps))
-}
-
 func (m *metrics) snapshot() Metrics {
 	lat := m.lat.Snapshot()
 	out := Metrics{
@@ -157,7 +137,8 @@ type Metrics struct {
 	Deadline, Canceled, Failed int64
 	// AnytimePartial counts anytime-mode queries whose deadline fired
 	// mid-search and returned an uncertified partial top-k. These are
-	// successes (a subset of OK), not interruptions.
+	// successes (a subset of OK), not interruptions, exported so operators
+	// can see how often deadlines actually bind.
 	AnytimePartial int64
 	// HitByMeasure splits Hit by measure label (cache hits never enter
 	// LatencyByMeasure, so per-measure served = histogram count + this);

@@ -63,8 +63,8 @@ type Config struct {
 	// beyond Workers running + QueueDepth waiting are shed.
 	QueueDepth int
 	// CacheEntries bounds the result cache, in entries of up to 16 result
-	// rows (a larger answer counts as several); 0 selects 1024, negative
-	// disables caching.
+	// rows (a larger answer counts as several); 0 selects
+	// DefaultCacheEntries, negative disables caching.
 	CacheEntries int
 	// Timeout is the per-query wall-clock budget covering queue wait and
 	// execution; 0 means no pool-imposed deadline.
@@ -89,6 +89,10 @@ type Config struct {
 	CacheLens *cachelens.Lens
 }
 
+// DefaultCacheEntries is the result-cache bound a zero Config.CacheEntries
+// selects.
+const DefaultCacheEntries = 1024
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -97,17 +101,17 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 4 * c.Workers
 	}
 	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
+		c.CacheEntries = DefaultCacheEntries
 	}
 	return c
 }
 
 // Request names one query.
 type Request struct {
-	// ID is the request identifier threaded through the flight recorder and
-	// histogram exemplars (the join key between a latency bucket and the
-	// slow-query log). When empty and a recorder is configured, the pool
-	// assigns one at admission.
+	// ID is the request identifier threaded through the flight recorder
+	// (the join key between a latency exemplar, the slow-query log and the
+	// access log). When empty and a recorder is configured, the pool assigns
+	// one at admission.
 	ID string
 	// Query is the query node.
 	Query graph.NodeID
@@ -186,8 +190,8 @@ type job struct {
 
 	// Span-tracing state, resolved once at prepare: the request's active
 	// trace (nil when untraced — every use below is nil-safe), the span the
-	// pool's spans parent under, its hex trace ID (the exemplar /
-	// flight-record join key), and the open admission-wait span.
+	// pool's spans parent under, its hex trace ID (the flight-record join
+	// key), and the open admission-wait span.
 	trace   *trace.Active
 	parent  trace.SpanID
 	traceID string
@@ -354,10 +358,7 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 		j.queue.End()
 		j.trace.Promote("shed")
 		j.discard()
-		p.recordShed(j.req, start, j.traceID)
-		if p.cfg.Logger != nil {
-			p.cfg.Logger.Warn("query shed", "query", req.Query, "queue_cap", p.cfg.QueueDepth)
-		}
+		p.finish(j, finished{status: "shed", start: start, elapsed: time.Since(start)})
 		return nil, ErrOverloaded
 	}
 
@@ -398,7 +399,7 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 			lookup.SetAttrs(trace.Bool("hit", true))
 			lookup.End()
 			j.discard()
-			p.recordHit(j.req, j.epoch, start, j.traceID)
+			p.finish(j, finished{status: "hit", start: start, elapsed: time.Since(start)})
 			hit := *resp
 			hit.CacheHit = true
 			return nil, &hit
@@ -507,54 +508,98 @@ admit:
 	return out
 }
 
-// recordHit accounts one result-cache answer across the counters, the SLO
-// tracker (a good event), and the flight recorder (no trajectory: nothing
-// executed). Hits never enter the executed-latency histograms, so the
-// per-measure parity is histogram count + hitByMeasure.
-func (p *Pool) recordHit(req Request, epoch uint64, start time.Time, traceID string) {
-	p.met.served.Add(1)
-	p.met.observeHit(metricsSlot(req))
-	elapsed := time.Since(start)
-	if p.slo != nil {
-		p.slo.Record(elapsed, true)
-	}
-	if p.rec != nil {
-		p.rec.Record(&obs.FlightRecord{
-			ID:        req.ID,
-			TraceID:   traceID,
-			Start:     start,
-			Measure:   measureLabels[metricsSlot(req)],
-			Query:     int64(req.Query),
-			K:         req.Opt.K,
-			Unified:   req.Unified,
-			Outcome:   "hit",
-			LatencyUS: elapsed.Microseconds(),
-			Epoch:     epoch,
-		})
-	}
+// finished is one query's outcome as finish accounts it. Only executed
+// queries carry work counters; a hit or a shed carries just its status and
+// timing.
+type finished struct {
+	status                 string // ok, hit, shed, deadline, canceled or failed
+	start                  time.Time
+	elapsed                time.Duration
+	iters, visited, sweeps int
+	exact                  bool
+	partial                bool // an anytime answer its deadline left uncertified
+	partialTopK            []measure.Ranked
+	sampler                *obs.TraceSampler
 }
 
-// recordShed accounts one refused admission: an error against the
-// availability objective and a trace-less flight record, never a served
-// count.
-func (p *Pool) recordShed(req Request, start time.Time, traceID string) {
-	p.met.shed.Add(1)
-	elapsed := time.Since(start)
-	if p.slo != nil {
-		p.slo.Record(elapsed, false)
+// finish is the one place a query outcome is accounted: the outcome
+// counters, the executed-latency histograms and work totals, the SLO event,
+// the flight record and the log line.
+func (p *Pool) finish(j *job, f finished) {
+	slot := metricsSlot(j.req)
+	m := &p.met
+	switch f.status {
+	case "shed":
+		m.shed.Add(1)
+	case "hit":
+		// Hits never enter the executed-latency histograms, so the
+		// per-measure parity is histogram count + hitByMeasure.
+		m.served.Add(1)
+		m.hit.Add(1)
+		m.hitByMeasure[slot].Add(1)
+	default:
+		m.served.Add(1)
+		m.lat.Observe(f.elapsed)
+		m.latByMeasure[slot].Observe(f.elapsed)
+		m.iterations.Add(int64(f.iters))
+		m.visited.Add(int64(f.visited))
+		m.sweeps.Add(int64(f.sweeps))
+		switch f.status {
+		case "ok":
+			m.ok.Add(1)
+			if f.partial {
+				m.anytimePartial.Add(1)
+			}
+		case "deadline":
+			m.interrupted.Add(1)
+			m.deadline.Add(1)
+		case "canceled":
+			m.interrupted.Add(1)
+			m.canceled.Add(1)
+		default:
+			m.failed.Add(1)
+		}
+	}
+	// Cancellation is client-initiated and says nothing about the server's
+	// objectives; a shed is an error against availability.
+	if p.slo != nil && f.status != "canceled" {
+		p.slo.Record(f.elapsed, f.status == "ok" || f.status == "hit")
 	}
 	if p.rec != nil {
-		p.rec.Record(&obs.FlightRecord{
-			ID:        req.ID,
-			TraceID:   traceID,
-			Start:     start,
-			Measure:   measureLabels[metricsSlot(req)],
-			Query:     int64(req.Query),
-			K:         req.Opt.K,
-			Unified:   req.Unified,
-			Outcome:   "shed",
-			LatencyUS: elapsed.Microseconds(),
-		})
+		rec := &obs.FlightRecord{
+			ID:          j.req.ID,
+			TraceID:     j.traceID,
+			Start:       f.start,
+			Measure:     measureLabels[slot],
+			Query:       int64(j.req.Query),
+			K:           j.req.Opt.K,
+			Unified:     j.req.Unified,
+			Outcome:     f.status,
+			LatencyUS:   f.elapsed.Microseconds(),
+			Iterations:  f.iters,
+			Visited:     f.visited,
+			Sweeps:      f.sweeps,
+			Exact:       f.exact,
+			PartialTopK: f.partialTopK,
+		}
+		if f.status != "shed" { // a shed query ran against no epoch
+			rec.Epoch = j.epoch
+		}
+		if f.sampler != nil {
+			rec.Trace = f.sampler.Snapshot()
+			rec.TraceTotal = f.sampler.Total()
+		}
+		p.rec.Record(rec)
+	}
+	if l := p.cfg.Logger; l != nil {
+		switch f.status {
+		case "shed":
+			l.Warn("query shed", "query", j.req.Query, "queue_cap", p.cfg.QueueDepth)
+		case "hit": // nothing ran
+		default:
+			l.Debug("query executed", "query", j.req.Query, "measure", measureLabels[slot],
+				"k", j.req.Opt.K, "latency", f.elapsed, "outcome", f.status)
+		}
 	}
 }
 
@@ -577,9 +622,7 @@ func (p *Pool) worker(g graph.Graph) {
 	ws := core.NewWorkspace()
 	var sampler *obs.TraceSampler
 	if p.rec != nil {
-		if tp := p.rec.TracePoints(); tp > 0 {
-			sampler = obs.NewTraceSampler(tp)
-		}
+		sampler = obs.NewTraceSampler(obs.TracePoints)
 	}
 	for {
 		select {
@@ -707,64 +750,48 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 			fo.SetFaultObserver(nil)
 		}
 	}
-	elapsed := time.Since(start)
-	p.met.served.Add(1)
-	p.met.observe(metricsSlot(j.req), elapsed, j.req.ID, j.traceID)
-	status := "ok"
-	var iters, sweeps int
-	var exact bool
-	certified := true
-	var partialTopK []measure.Ranked
+	f := finished{status: "ok", start: start, elapsed: time.Since(start), sampler: sampler}
 	if err != nil {
-		status = "failed"
+		f.status = "failed"
 		var in *core.Interrupted
 		if errors.As(err, &in) {
-			p.met.interrupted.Add(1)
-			iters, visited, sweeps = in.Iterations, in.Visited, in.Sweeps
+			f.iters, f.visited, f.sweeps = in.Iterations, in.Visited, in.Sweeps
 			// Surface the in-flight top-k for the flight record: what the
 			// query had when the context fired (PHP family for unified).
 			if in.Partial != nil {
-				partialTopK = in.Partial.TopK
+				f.partialTopK = in.Partial.TopK
 			} else if in.PartialUnified != nil {
-				partialTopK = in.PartialUnified.PHPFamily
+				f.partialTopK = in.PartialUnified.PHPFamily
 			}
+			f.status = "canceled"
 			if errors.Is(err, core.ErrDeadline) {
-				p.met.deadline.Add(1)
-				status = "deadline"
-			} else {
-				p.met.canceled.Add(1)
-				status = "canceled"
+				f.status = "deadline"
 			}
-		} else {
-			p.met.failed.Add(1)
 		}
 	} else {
-		p.met.ok.Add(1)
+		var certified bool
 		if j.req.Unified {
-			iters, visited, sweeps = resp.Unified.Iterations, resp.Unified.Visited, resp.Unified.Sweeps
-			exact = resp.Unified.Exact
+			f.iters, f.visited, f.sweeps = resp.Unified.Iterations, resp.Unified.Visited, resp.Unified.Sweeps
+			f.exact = resp.Unified.Exact
 			certified = resp.Unified.PHPCert.Certified && resp.Unified.RWRCert.Certified
 		} else {
-			iters, visited, sweeps = resp.TopK.Iterations, resp.TopK.Visited, resp.TopK.Sweeps
-			exact = resp.TopK.Exact
+			f.iters, f.visited, f.sweeps = resp.TopK.Iterations, resp.TopK.Visited, resp.TopK.Sweeps
+			f.exact = resp.TopK.Exact
 			certified = resp.TopK.Certification.Certified
 		}
-		if opt.Mode == core.ModeAnytime && !certified {
-			p.met.anytimePartial.Add(1)
-		}
+		f.partial = opt.Mode == core.ModeAnytime && !certified
 	}
-	p.met.addWork(iters, visited, sweeps)
 	if j.trace != nil {
 		// Close out the execute span: outcome, work counters, then the
 		// synthesized per-phase children. The engines report per-phase wall
 		// times through IterStats; the totals become contiguous aggregate
 		// spans laid end to end from the execution start — real durations,
 		// synthetic placement.
-		exec.SetAttrs(trace.Str("outcome", status),
-			trace.Int("iterations", int64(iters)),
-			trace.Int("visited", int64(visited)),
-			trace.Int("sweeps", int64(sweeps)))
-		if err != nil && status == "failed" {
+		exec.SetAttrs(trace.Str("outcome", f.status),
+			trace.Int("iterations", int64(f.iters)),
+			trace.Int("visited", int64(f.visited)),
+			trace.Int("sweeps", int64(f.sweeps)))
+		if f.status == "failed" {
 			exec.SetError(err.Error())
 		}
 		if accum != nil && accum.iters > 0 {
@@ -789,49 +816,16 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		exec.End()
 		// Anything the slow-query log would promote, the trace store keeps
 		// too — the two planes must agree on what "the slow query" is.
-		if p.rec != nil && p.rec.IsSlow(elapsed, visited) {
+		if p.rec != nil && p.rec.IsSlow(f.elapsed) {
 			j.trace.Promote("slow-query")
 		}
 	}
-	// Cancellation is client-initiated and says nothing about the server's
-	// objectives; every other outcome feeds the SLO windows.
-	if p.slo != nil && status != "canceled" {
-		p.slo.Record(elapsed, status == "ok")
-	}
-	if p.rec != nil {
-		rec := &obs.FlightRecord{
-			ID:         j.req.ID,
-			TraceID:    j.traceID,
-			Start:      start,
-			Measure:    measureLabels[metricsSlot(j.req)],
-			Query:      int64(j.req.Query),
-			K:          j.req.Opt.K,
-			Unified:    j.req.Unified,
-			Outcome:    status,
-			LatencyUS:  elapsed.Microseconds(),
-			Iterations: iters,
-			Visited:    visited,
-			Sweeps:     sweeps,
-			Exact:      exact,
-			Epoch:      j.epoch,
-		}
-		rec.PartialTopK = partialTopK
-		if sampler != nil {
-			rec.Trace = sampler.Snapshot()
-			rec.TraceTotal = sampler.Total()
-		}
-		p.rec.Record(rec)
-	}
-	if p.cfg.Logger != nil {
-		p.cfg.Logger.Debug("query executed",
-			"query", j.req.Query, "measure", measureLabels[metricsSlot(j.req)],
-			"k", j.req.Opt.K, "latency", elapsed, "outcome", status)
-	}
+	p.finish(j, f)
 	if err != nil {
 		j.out <- outcome{err: err}
-		return visited
+		return f.visited
 	}
-	if p.cache != nil && j.cached && (opt.Mode != core.ModeAnytime || certified) {
+	if p.cache != nil && j.cached && !f.partial {
 		// Results are immutable once returned; the cache shares them. An
 		// uncertified anytime partial is never cached: its content depends
 		// on when the deadline happened to fire, so replaying it to later
@@ -845,7 +839,7 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		}
 	}
 	j.out <- outcome{resp: resp}
-	return visited
+	return f.visited
 }
 
 // footprintOf assembles the cache-entry invalidation state from a completed

@@ -198,7 +198,7 @@ func compareResponses(t *testing.T, i int, want, got *Response) {
 // TestTracedSlowQueryJoins is the acceptance contract end to end at the pool
 // level: with a 1ns slow threshold and 0% head sampling, an executed query's
 // trace is tail-promoted and its trace ID appears in the slow-query log, the
-// flight record, and a histogram exemplar.
+// flight record, and a latency exemplar.
 func TestTracedSlowQueryJoins(t *testing.T) {
 	g, err := gen.Community(2000, 5400, gen.DefaultCommunityParams(), 3)
 	if err != nil {
@@ -235,13 +235,13 @@ func TestTracedSlowQueryJoins(t *testing.T) {
 		t.Fatal("flight record missing trace ID")
 	}
 	found := false
-	for _, ex := range p.Metrics().Latency.Exemplars {
-		if ex != nil && ex.TraceID == traceID && ex.ID == "req-join" {
+	for _, ex := range rec.Exemplars() {
+		if ex.TraceID == traceID && ex.ID == "req-join" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("no histogram exemplar carries the trace ID")
+		t.Fatal("no latency exemplar carries the trace ID")
 	}
 }
 

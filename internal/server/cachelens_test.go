@@ -14,10 +14,11 @@ import (
 	"flos/internal/obs/cachelens"
 )
 
-// newDiskLensServer builds a server over a real disk store small enough to
-// evict (8 KiB budget over a 512-byte page file), with analytics lenses on
-// both the page cache and the result cache — the full cache-analytics plane.
-func newDiskLensServer(t *testing.T) (*httptest.Server, *Server, *diskgraph.Store) {
+// newDiskLensServer builds a server with cfg over a real disk store small
+// enough to evict (8 KiB budget over a 512-byte page file), with analytics
+// lenses on both the page cache and the result cache — the full
+// cache-analytics plane.
+func newDiskLensServer(t *testing.T, cfg Config) (*httptest.Server, *Server, *diskgraph.Store) {
 	t.Helper()
 	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
 	if err != nil {
@@ -34,8 +35,9 @@ func newDiskLensServer(t *testing.T) (*httptest.Server, *Server, *diskgraph.Stor
 	t.Cleanup(func() { store.Close() })
 	store.AttachLens(cachelens.Config{SampleRate: 1, Seed: 3})
 
-	rl := cachelens.New(cachelens.Config{Capacity: 8, SampleRate: 1, Seed: 5})
-	ts, srv := serveGraph(t, store, Config{CacheEntries: 8, CacheLens: rl})
+	cfg.CacheEntries = 8
+	cfg.CacheLens = cachelens.New(cachelens.Config{Capacity: 8, SampleRate: 1, Seed: 5})
+	ts, srv := serveGraph(t, store, cfg)
 	return ts, srv, store
 }
 
@@ -43,7 +45,7 @@ func newDiskLensServer(t *testing.T) (*httptest.Server, *Server, *diskgraph.Stor
 // /debug/flos/cache payload shape: both planes present, the page-cache
 // snapshot carrying a full miss-ratio curve and the working-set windows.
 func TestCacheLensEndpoint(t *testing.T) {
-	ts, _, _ := newDiskLensServer(t)
+	ts, _, _ := newDiskLensServer(t, Config{})
 	for q := 0; q < 24; q++ {
 		if code := getJSON(t, ts.URL+"/v1/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("query %d: code %d", q, code)
@@ -106,7 +108,7 @@ func TestCacheLensDisabled404(t *testing.T) {
 // per-shard eviction and HWM series, and the JSON mirror with the extended
 // disk body and cache_analytics section.
 func TestCacheLensMetrics(t *testing.T) {
-	ts, _, store := newDiskLensServer(t)
+	ts, _, store := newDiskLensServer(t, Config{})
 	for q := 0; q < 24; q++ {
 		if code := getJSON(t, ts.URL+"/v1/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("query %d: code %d", q, code)
@@ -144,7 +146,7 @@ func TestCacheLensMetrics(t *testing.T) {
 		}
 	}
 
-	var body metricsBody
+	var body metricsDoc
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &body); code != 200 {
 		t.Fatal("metrics json failed")
 	}

@@ -114,7 +114,7 @@ type traceDetailBody struct {
 // been lapped out of the ring answers 404.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "span tracing disabled (-trace-ring 0)"})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "span tracing disabled (-flightrec 0)"})
 		return
 	}
 	if id := r.URL.Query().Get("id"); id != "" {
@@ -196,7 +196,7 @@ func (s *Server) cacheLens() *cacheLensBody {
 func (s *Server) handleCacheLens(w http.ResponseWriter, r *http.Request) {
 	body := s.cacheLens()
 	if body == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "cache analytics disabled (-cachelens 0)"})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "cache analytics disabled (-cachelens=false)"})
 		return
 	}
 	writeJSON(w, http.StatusOK, body)

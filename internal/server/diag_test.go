@@ -77,7 +77,7 @@ func TestSlowLogJoinsExemplar(t *testing.T) {
 	}
 
 	var met struct {
-		Exemplars []exemplarBody `json:"latency_exemplars"`
+		Exemplars []obs.Exemplar `json:"latency_exemplars"`
 		SLO       *obs.SLOSnapshot
 	}
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &met); code != http.StatusOK {

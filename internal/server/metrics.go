@@ -1,73 +1,203 @@
 package server
 
 // GET /metrics in both formats: the Prometheus text exposition and the
-// ?format=json snapshot.
+// ?format=json snapshot. Every scalar series is one row of metricTable,
+// rendered by both formats; the structured blocks (per-measure latency,
+// exemplars, per-shard page cache, SLO windows, cache analytics) keep their
+// own code below the table.
 
 import (
 	"net/http"
 	"runtime"
 	"strconv"
 
+	"flos/internal/diskgraph"
 	"flos/internal/obs"
 	"flos/internal/obs/cachelens"
+	"flos/internal/obs/trace"
+	"flos/internal/qserve"
 )
 
-// metricsBody is the /metrics?format=json payload.
-type metricsBody struct {
-	QueriesServed  int64   `json:"queries_served"`
-	QueriesShed    int64   `json:"queries_shed"`
-	Interrupted    int64   `json:"queries_interrupted"`
-	Batches        int64   `json:"batches_served"`
-	QueriesOK      int64   `json:"queries_ok"`
-	QueriesHit     int64   `json:"queries_cache_answered"`
-	Deadline       int64   `json:"queries_deadline"`
-	Canceled       int64   `json:"queries_canceled"`
-	Failed         int64   `json:"queries_failed"`
-	Iterations     int64   `json:"engine_iterations"`
-	VisitedNodes   int64   `json:"engine_visited_nodes"`
-	Sweeps         int64   `json:"engine_sweeps"`
-	P50Micros      int64   `json:"latency_p50_us"`
-	P99Micros      int64   `json:"latency_p99_us"`
-	QueueDepth     int     `json:"queue_depth"`
-	QueueCap       int     `json:"queue_cap"`
-	Workers        int     `json:"workers"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheCapacity  int     `json:"cache_capacity"`
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	Epoch          uint64  `json:"epoch"`
+// scrape is what one /metrics request reads, gathered once so that every
+// row of a response reads the same instant.
+type scrape struct {
+	s    *Server
+	m    qserve.Metrics
+	rt   runtime.MemStats
+	tr   trace.Stats
+	disk diskgraph.Stats
+}
 
-	// Measures holds per-measure latency summaries for labels that saw
-	// traffic.
-	Measures map[string]measureLatencyBody `json:"measures,omitempty"`
+func (s *Server) scrape() *scrape {
+	sc := &scrape{s: s, m: s.pool.Metrics()}
+	runtime.ReadMemStats(&sc.rt)
+	if s.tracer != nil {
+		sc.tr = s.tracer.Stats()
+	}
+	if s.store != nil {
+		sc.disk = s.store.CacheStats()
+	}
+	return sc
+}
 
-	// Exemplars lists, for each overall-latency bucket holding one, the
-	// request ID of its most recent sample — the join key into the flight
-	// recorder, slow-query log, and access logs.
-	Exemplars []exemplarBody `json:"latency_exemplars,omitempty"`
+// has reports whether a row group is present on this server. Both formats
+// emit a group's rows only when it is, and JSON nests a named group's keys
+// in an object of that name.
+func (sc *scrape) has(group string) bool {
+	switch group {
+	case "live":
+		return sc.s.pool.Live()
+	case "traces":
+		return sc.s.tracer != nil
+	case "disk":
+		return sc.s.store != nil
+	case "flightrec":
+		return sc.s.rec != nil
+	}
+	return true // the top level and runtime
+}
 
-	// Live holds live-graph serving counters; present only when the server
-	// runs a livegraph.LiveGraph (flosd -live).
-	Live *liveMetricsBody `json:"live,omitempty"`
+type metricKind bool
 
-	// SLO is the burn-rate snapshot; present when SLO tracking is on.
-	SLO *obs.SLOSnapshot `json:"slo,omitempty"`
+const (
+	gauge   metricKind = false
+	counter metricKind = true
+)
 
-	// Traces holds the span tracer's retention counters; present when span
-	// tracing is on.
-	Traces *traceMetricsBody `json:"traces,omitempty"`
+// metricRow declares one scalar series for both formats. An empty key or
+// family is a series only the other format carries.
+type metricRow struct {
+	group  string // presence condition and JSON object; "" is the top level
+	key    string // JSON key
+	family string // Prometheus family
+	labels map[string]string
+	help   string
+	kind   metricKind // the Prometheus type
+	value  func(*scrape) float64
+}
 
-	// Runtime gauges.
-	Runtime runtimeBody `json:"runtime"`
+const (
+	outcomesHelp   = "Served-query outcomes (ok+hit+deadline+canceled+failed = served)."
+	tracesKeptHelp = "Traces retained, by sampling decision (head hash vs tail promotion)."
+)
 
-	// Disk page-cache counters; present only for disk-resident graphs.
-	Disk *diskMetricsBody `json:"disk,omitempty"`
+func label(k, v string) map[string]string { return map[string]string{k: v} }
 
-	// CacheAnalytics mirrors GET /debug/flos/cache; present when at least
-	// one cache has an analytics lens attached.
-	CacheAnalytics *cacheLensBody `json:"cache_analytics,omitempty"`
+// metricTable is every scalar series /metrics serves. JSON renders each
+// value as a number, which keeps integers integers.
+var metricTable = []metricRow{
+	{"", "queries_served", "flos_queries_served_total", nil, "Queries answered, cache hits and interrupted queries included.", counter,
+		func(c *scrape) float64 { return float64(c.m.Served) }},
+	{"", "queries_shed", "flos_queries_shed_total", nil, "Admissions refused with 429 because the queue was full.", counter,
+		func(c *scrape) float64 { return float64(c.m.Shed) }},
+	{"", "queries_interrupted", "flos_queries_interrupted_total", nil, "Queries ended early by context deadline or cancellation.", counter,
+		func(c *scrape) float64 { return float64(c.m.Interrupted) }},
+	{"", "batches_served", "flos_batches_served_total", nil, "DoBatch calls; member queries count in flos_queries_served_total.", counter,
+		func(c *scrape) float64 { return float64(c.m.Batches) }},
+	{"", "queries_ok", "flos_query_outcomes_total", label("outcome", "ok"), outcomesHelp, counter,
+		func(c *scrape) float64 { return float64(c.m.OK) }},
+	{"", "queries_cache_answered", "flos_query_outcomes_total", label("outcome", "hit"), outcomesHelp, counter,
+		func(c *scrape) float64 { return float64(c.m.Hit) }},
+	{"", "queries_deadline", "flos_query_outcomes_total", label("outcome", "deadline"), outcomesHelp, counter,
+		func(c *scrape) float64 { return float64(c.m.Deadline) }},
+	{"", "queries_canceled", "flos_query_outcomes_total", label("outcome", "canceled"), outcomesHelp, counter,
+		func(c *scrape) float64 { return float64(c.m.Canceled) }},
+	{"", "queries_failed", "flos_query_outcomes_total", label("outcome", "failed"), outcomesHelp, counter,
+		func(c *scrape) float64 { return float64(c.m.Failed) }},
+	{"", "queries_anytime_partial", "flos_query_anytime_partial_total", nil, "Anytime queries whose deadline fired mid-search: answered ok with an uncertified partial top-k.", counter,
+		func(c *scrape) float64 { return float64(c.m.AnytimePartial) }},
+	{"", "engine_iterations", "flos_engine_iterations_total", nil, "Local-expansion iterations across all searches.", counter,
+		func(c *scrape) float64 { return float64(c.m.IterationsTotal) }},
+	{"", "engine_visited_nodes", "flos_engine_visited_nodes_total", nil, "Visited-set sizes summed across all searches (the paper's locality metric).", counter,
+		func(c *scrape) float64 { return float64(c.m.VisitedTotal) }},
+	{"", "engine_sweeps", "flos_engine_sweeps_total", nil, "Bound-solver relaxations across all searches.", counter,
+		func(c *scrape) float64 { return float64(c.m.SweepsTotal) }},
+	{"", "latency_p50_us", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.m.P50Micros) }},
+	{"", "latency_p99_us", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.m.P99Micros) }},
+	{"", "queue_depth", "flos_queue_depth", nil, "Admitted queries waiting for a worker.", gauge,
+		func(c *scrape) float64 { return float64(c.m.QueueDepth) }},
+	{"", "queue_cap", "flos_queue_capacity", nil, "Admission queue bound.", gauge,
+		func(c *scrape) float64 { return float64(c.m.QueueCap) }},
+	{"", "workers", "flos_workers", nil, "Query worker count.", gauge,
+		func(c *scrape) float64 { return float64(c.m.Workers) }},
+	{"", "cache_hits", "flos_result_cache_hits_total", nil, "Result-cache hits.", counter,
+		func(c *scrape) float64 { return float64(c.m.CacheHits) }},
+	{"", "cache_misses", "flos_result_cache_misses_total", nil, "Result-cache misses.", counter,
+		func(c *scrape) float64 { return float64(c.m.CacheMisses) }},
+	{"", "cache_evictions", "flos_result_cache_evictions_total", nil, "Result-cache evictions.", counter,
+		func(c *scrape) float64 { return float64(c.m.CacheEvictions) }},
+	{"", "cache_entries", "flos_result_cache_entries", nil, "Resident result-cache entries.", gauge,
+		func(c *scrape) float64 { return float64(c.m.CacheEntries) }},
+	{"", "cache_capacity", "flos_result_cache_capacity", nil, "Result-cache entry bound (entries/capacity = fill ratio).", gauge,
+		func(c *scrape) float64 { return float64(c.m.CacheCapacity) }},
+	{"", "cache_hit_ratio", "", nil, "", gauge,
+		func(c *scrape) float64 { return c.m.CacheHitRatio() }},
+	{"", "epoch", "flos_graph_epoch", nil, "Result-cache invalidation epoch.", gauge,
+		func(c *scrape) float64 { return float64(c.m.Epoch) }},
+	{"", "", "flos_graph_nodes", nil, "Nodes in the served graph.", gauge,
+		func(c *scrape) float64 { return float64(c.s.g.NumNodes()) }},
+	{"", "", "flos_graph_edges", nil, "Edges in the served graph.", gauge,
+		func(c *scrape) float64 { return float64(c.s.g.NumEdges()) }},
+
+	{"live", "snapshots_alive", "flos_live_snapshots_alive", nil, "Live-graph snapshots currently referenced (current + pinned).", gauge,
+		func(c *scrape) float64 { return float64(c.m.SnapshotsAlive) }},
+	{"live", "snapshots_total", "flos_live_snapshots_total", nil, "Live-graph snapshots ever published.", counter,
+		func(c *scrape) float64 { return float64(c.m.SnapshotsTotal) }},
+	{"live", "rows_cowed", "flos_live_rows_cowed_total", nil, "Adjacency rows re-materialized copy-on-write.", counter,
+		func(c *scrape) float64 { return float64(c.m.RowsCoWed) }},
+	{"live", "ops_applied", "flos_live_ops_applied_total", nil, "Edge mutations applied.", counter,
+		func(c *scrape) float64 { return float64(c.m.OpsApplied) }},
+	{"live", "invalidations_surgical", "flos_cache_invalidations_total", label("kind", "surgical"), "Result-cache entries evicted because a Mutate batch touched their read footprint.", counter,
+		func(c *scrape) float64 { return float64(c.m.InvalidationsSurgical) }},
+	{"live", "cache_retained", "flos_cache_retained_total", nil, "Cached results carried forward across mutation batches (footprint untouched).", counter,
+		func(c *scrape) float64 { return float64(c.m.CacheRetained) }},
+	{"live", "last_batch_surgical", "flos_result_cache_last_batch_invalidated", nil, "Entries the most recent mutation batch evicted surgically.", gauge,
+		func(c *scrape) float64 { return float64(c.m.LastBatchSurgical) }},
+	{"live", "last_batch_retained", "flos_result_cache_last_batch_survivors", nil, "Entries the most recent mutation batch carried forward untouched.", gauge,
+		func(c *scrape) float64 { return float64(c.m.LastBatchRetained) }},
+
+	{"traces", "started", "flos_traces_started_total", nil, "Requests that opened a trace.", counter,
+		func(c *scrape) float64 { return float64(c.tr.Started) }},
+	{"traces", "kept_head", "flos_traces_kept_total", label("sampled", "head"), tracesKeptHelp, counter,
+		func(c *scrape) float64 { return float64(c.tr.KeptHead) }},
+	{"traces", "kept_tail", "flos_traces_kept_total", label("sampled", "tail"), tracesKeptHelp, counter,
+		func(c *scrape) float64 { return float64(c.tr.KeptTail) }},
+	{"traces", "dropped", "flos_traces_dropped_total", nil, "Traces recorded but not retained (head-dropped, no tail condition).", counter,
+		func(c *scrape) float64 { return float64(c.tr.Dropped) }},
+
+	{"flightrec", "", "flos_flightrec_recorded_total", nil, "Queries captured by the flight recorder.", counter,
+		func(c *scrape) float64 { return float64(c.s.rec.Recorded()) }},
+	{"flightrec", "", "flos_flightrec_slow_total", nil, "Queries promoted into the slow-query log.", counter,
+		func(c *scrape) float64 { return float64(c.s.rec.SlowCount()) }},
+
+	// The disk sums are JSON-only: Prometheus carries them per shard.
+	{"disk", "page_hits", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.Hits) }},
+	{"disk", "page_faults", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.Misses) }},
+	{"disk", "faults_deduped", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.FaultsDeduped) }},
+	{"disk", "evictions", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.Evictions) }},
+	{"disk", "resident_bytes", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.ResidentBytes) }},
+	{"disk", "resident_pages", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.ResidentPages) }},
+	{"disk", "resident_pages_hwm", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.ResidentPagesHWM) }},
+	{"disk", "shards", "", nil, "", gauge,
+		func(c *scrape) float64 { return float64(c.disk.Shards) }},
+
+	{"runtime", "goroutines", "go_goroutines", nil, "Number of goroutines.", gauge,
+		func(c *scrape) float64 { return float64(runtime.NumGoroutine()) }},
+	{"runtime", "heap_alloc_bytes", "go_memstats_heap_alloc_bytes", nil, "Heap bytes allocated and in use.", gauge,
+		func(c *scrape) float64 { return float64(c.rt.HeapAlloc) }},
+	{"runtime", "heap_sys_bytes", "go_memstats_heap_sys_bytes", nil, "Heap bytes obtained from the OS.", gauge,
+		func(c *scrape) float64 { return float64(c.rt.HeapSys) }},
+	{"runtime", "num_gc", "go_gc_cycles_total", nil, "Completed GC cycles.", counter,
+		func(c *scrape) float64 { return float64(c.rt.NumGC) }},
 }
 
 type measureLatencyBody struct {
@@ -77,77 +207,6 @@ type measureLatencyBody struct {
 	// CacheAnswered counts this measure's result-cache answers, which never
 	// enter the latency histogram above.
 	CacheAnswered int64 `json:"cache_answered,omitempty"`
-}
-
-// exemplarBody is one latency bucket's exemplar. TraceID, when the sampled
-// request ran under span tracing, is the join key into /debug/flos/traces.
-type exemplarBody struct {
-	// BucketLEUS is the bucket's inclusive upper bound in microseconds.
-	BucketLEUS int64  `json:"bucket_le_us"`
-	ID         string `json:"id"`
-	TraceID    string `json:"trace_id,omitempty"`
-	LatencyUS  int64  `json:"latency_us"`
-}
-
-// exemplarBodies flattens a snapshot's per-bucket exemplars.
-func exemplarBodies(snap obs.Snapshot) []exemplarBody {
-	bounds := obs.BucketBoundsUS()
-	var out []exemplarBody
-	for i, ex := range snap.Exemplars {
-		if ex != nil {
-			out = append(out, exemplarBody{BucketLEUS: bounds[i], ID: ex.ID, TraceID: ex.TraceID, LatencyUS: ex.LatencyUS})
-		}
-	}
-	return out
-}
-
-// traceMetricsBody is the metrics view of the tracer's retention counters.
-type traceMetricsBody struct {
-	Started  uint64 `json:"started"`
-	KeptHead uint64 `json:"kept_head"`
-	KeptTail uint64 `json:"kept_tail"`
-	Dropped  uint64 `json:"dropped"`
-}
-
-// liveMetricsBody carries the live-graph serving counters: the snapshot
-// chain gauges and the surgical-invalidation split.
-type liveMetricsBody struct {
-	SnapshotsAlive        int64 `json:"snapshots_alive"`
-	SnapshotsTotal        int64 `json:"snapshots_total"`
-	RowsCoWed             int64 `json:"rows_cowed"`
-	OpsApplied            int64 `json:"ops_applied"`
-	InvalidationsSurgical int64 `json:"invalidations_surgical"`
-	CacheRetained         int64 `json:"cache_retained"`
-
-	// LastBatchSurgical / LastBatchRetained partition the cache entries the
-	// most recent mutation batch saw: evicted surgically vs carried forward —
-	// the per-epoch survivor gauge.
-	LastBatchSurgical int64 `json:"last_batch_surgical"`
-	LastBatchRetained int64 `json:"last_batch_retained"`
-}
-
-type runtimeBody struct {
-	Goroutines     int    `json:"goroutines"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	NumGC          uint32 `json:"num_gc"`
-}
-
-type diskMetricsBody struct {
-	PageHits      int64 `json:"page_hits"`
-	PageFaults    int64 `json:"page_faults"`
-	FaultsDeduped int64 `json:"faults_deduped"`
-	Evictions     int64 `json:"evictions"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	ResidentPages int   `json:"resident_pages"`
-	// ResidentPagesHWM is the all-time occupancy peak (summed over stripes):
-	// well under budget means the budget never bound; at budget with a high
-	// eviction rate means the working set does not fit.
-	ResidentPagesHWM int `json:"resident_pages_hwm"`
-	Shards           int `json:"shards"`
-
-	// PerShard breaks the counters down by lock stripe.
-	PerShard []shardBody `json:"per_shard"`
 }
 
 type shardBody struct {
@@ -161,17 +220,6 @@ type shardBody struct {
 	ResidentPagesHWM int   `json:"resident_pages_hwm"`
 }
 
-func readRuntime() runtimeBody {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runtimeBody{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapSysBytes:   ms.HeapSys,
-		NumGC:          ms.NumGC,
-	}
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
 		s.metricsJSON(w)
@@ -181,122 +229,76 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) metricsJSON(w http.ResponseWriter) {
-	m := s.pool.Metrics()
-	body := metricsBody{
-		QueriesServed:  m.Served,
-		QueriesShed:    m.Shed,
-		Interrupted:    m.Interrupted,
-		Batches:        m.Batches,
-		QueriesOK:      m.OK,
-		QueriesHit:     m.Hit,
-		Deadline:       m.Deadline,
-		Canceled:       m.Canceled,
-		Failed:         m.Failed,
-		Iterations:     m.IterationsTotal,
-		VisitedNodes:   m.VisitedTotal,
-		Sweeps:         m.SweepsTotal,
-		P50Micros:      m.P50Micros,
-		P99Micros:      m.P99Micros,
-		QueueDepth:     m.QueueDepth,
-		QueueCap:       m.QueueCap,
-		Workers:        m.Workers,
-		CacheHits:      m.CacheHits,
-		CacheMisses:    m.CacheMisses,
-		CacheEvictions: m.CacheEvictions,
-		CacheEntries:   m.CacheEntries,
-		CacheCapacity:  m.CacheCapacity,
-		CacheHitRatio:  m.CacheHitRatio(),
-		Epoch:          m.Epoch,
-		Runtime:        readRuntime(),
+	sc := s.scrape()
+	body := map[string]any{}
+	for _, row := range metricTable {
+		if row.key == "" || !sc.has(row.group) {
+			continue
+		}
+		obj := body
+		if row.group != "" {
+			if obj, _ = body[row.group].(map[string]any); obj == nil {
+				obj = map[string]any{}
+				body[row.group] = obj
+			}
+		}
+		obj[row.key] = row.value(sc)
 	}
-	if len(m.LatencyByMeasure) > 0 {
-		body.Measures = make(map[string]measureLatencyBody, len(m.LatencyByMeasure))
-		for label, snap := range m.LatencyByMeasure {
-			body.Measures[label] = measureLatencyBody{
+
+	if len(sc.m.LatencyByMeasure) > 0 {
+		measures := make(map[string]measureLatencyBody, len(sc.m.LatencyByMeasure))
+		for label, snap := range sc.m.LatencyByMeasure {
+			measures[label] = measureLatencyBody{
 				Count:         snap.Count,
 				P50Micros:     snap.QuantileUS(0.50),
 				P99Micros:     snap.QuantileUS(0.99),
-				CacheAnswered: m.HitByMeasure[label],
+				CacheAnswered: sc.m.HitByMeasure[label],
 			}
 		}
+		body["measures"] = measures
 	}
-	body.Exemplars = exemplarBodies(m.Latency)
-	if s.pool.Live() {
-		body.Live = &liveMetricsBody{
-			SnapshotsAlive:        m.SnapshotsAlive,
-			SnapshotsTotal:        m.SnapshotsTotal,
-			RowsCoWed:             m.RowsCoWed,
-			OpsApplied:            m.OpsApplied,
-			InvalidationsSurgical: m.InvalidationsSurgical,
-			CacheRetained:         m.CacheRetained,
-			LastBatchSurgical:     m.LastBatchSurgical,
-			LastBatchRetained:     m.LastBatchRetained,
+	// Each latency bucket's exemplar is the newest executed query the flight
+	// recorder still holds in it: the join key into the recorder, the slow
+	// log, the trace store and the access log.
+	if s.rec != nil {
+		if ex := s.rec.Exemplars(); len(ex) > 0 {
+			body["latency_exemplars"] = ex
 		}
 	}
 	if s.slo != nil {
-		snap := s.slo.Snapshot()
-		body.SLO = &snap
-	}
-	if s.tracer != nil {
-		st := s.tracer.Stats()
-		body.Traces = &traceMetricsBody{
-			Started:  st.Started,
-			KeptHead: st.KeptHead,
-			KeptTail: st.KeptTail,
-			Dropped:  st.Dropped,
-		}
+		body["slo"] = s.slo.Snapshot()
 	}
 	if s.store != nil {
-		st := s.store.CacheStats()
-		disk := &diskMetricsBody{
-			PageHits:         st.Hits,
-			PageFaults:       st.Misses,
-			FaultsDeduped:    st.FaultsDeduped,
-			Evictions:        st.Evictions,
-			ResidentBytes:    st.ResidentBytes,
-			ResidentPages:    st.ResidentPages,
-			ResidentPagesHWM: st.ResidentPagesHWM,
-			Shards:           st.Shards,
-		}
+		var shards []shardBody
 		for _, ss := range s.store.ShardStats() {
-			disk.PerShard = append(disk.PerShard, shardBody{
-				Shard:            ss.Shard,
-				Hits:             ss.Hits,
-				Misses:           ss.Misses,
-				FaultsDeduped:    ss.FaultsDeduped,
-				Evictions:        ss.Evictions,
-				ResidentBytes:    ss.ResidentBytes,
-				ResidentPages:    ss.ResidentPages,
-				ResidentPagesHWM: ss.ResidentPagesHWM,
-			})
+			shards = append(shards, shardBody(ss))
 		}
-		body.Disk = disk
+		body["disk"].(map[string]any)["per_shard"] = shards
 	}
-	body.CacheAnalytics = s.cacheLens()
+	if lens := s.cacheLens(); lens != nil {
+		body["cache_analytics"] = lens
+	}
 	writeJSON(w, http.StatusOK, body)
 }
 
 // metricsProm writes the Prometheus text exposition.
 func (s *Server) metricsProm(w http.ResponseWriter) {
-	m := s.pool.Metrics()
+	sc := s.scrape()
 	w.Header().Set("Content-Type", obs.ContentType)
 	p := obs.NewPromWriter(w)
-
-	p.Counter("flos_queries_served_total", "Queries answered, cache hits and interrupted queries included.", nil, m.Served)
-	p.Counter("flos_queries_shed_total", "Admissions refused with 429 because the queue was full.", nil, m.Shed)
-	p.Counter("flos_queries_interrupted_total", "Queries ended early by context deadline or cancellation.", nil, m.Interrupted)
-	p.Counter("flos_batches_served_total", "DoBatch calls; member queries count in flos_queries_served_total.", nil, m.Batches)
-	p.Counter("flos_query_outcomes_total", "Served-query outcomes (ok+hit+deadline+canceled+failed = served).", map[string]string{"outcome": "ok"}, m.OK)
-	p.Counter("flos_query_outcomes_total", "Served-query outcomes (ok+hit+deadline+canceled+failed = served).", map[string]string{"outcome": "hit"}, m.Hit)
-	p.Counter("flos_query_outcomes_total", "Served-query outcomes (ok+hit+deadline+canceled+failed = served).", map[string]string{"outcome": "deadline"}, m.Deadline)
-	p.Counter("flos_query_outcomes_total", "Served-query outcomes (ok+hit+deadline+canceled+failed = served).", map[string]string{"outcome": "canceled"}, m.Canceled)
-	p.Counter("flos_query_outcomes_total", "Served-query outcomes (ok+hit+deadline+canceled+failed = served).", map[string]string{"outcome": "failed"}, m.Failed)
-	p.Counter("flos_engine_iterations_total", "Local-expansion iterations across all searches.", nil, m.IterationsTotal)
-	p.Counter("flos_engine_visited_nodes_total", "Visited-set sizes summed across all searches (the paper's locality metric).", nil, m.VisitedTotal)
-	p.Counter("flos_engine_sweeps_total", "Bound-solver relaxations across all searches.", nil, m.SweepsTotal)
+	for _, row := range metricTable {
+		if row.family == "" || !sc.has(row.group) {
+			continue
+		}
+		if row.kind == counter {
+			p.Counter(row.family, row.help, row.labels, int64(row.value(sc)))
+		} else {
+			p.Gauge(row.family, row.help, row.labels, row.value(sc))
+		}
+	}
 
 	for _, label := range []string{"php", "ei", "dht", "tht", "rwr", "unified"} {
-		if snap, ok := m.LatencyByMeasure[label]; ok {
+		if snap, ok := sc.m.LatencyByMeasure[label]; ok {
 			p.Histogram("flos_query_latency_seconds", "Executed query latency by proximity measure.",
 				map[string]string{"measure": label}, snap)
 		}
@@ -307,29 +309,6 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 				map[string]string{"endpoint": rt.path}, h.Snapshot())
 		}
 	}
-
-	p.Gauge("flos_queue_depth", "Admitted queries waiting for a worker.", nil, float64(m.QueueDepth))
-	p.Gauge("flos_queue_capacity", "Admission queue bound.", nil, float64(m.QueueCap))
-	p.Gauge("flos_workers", "Query worker count.", nil, float64(m.Workers))
-	p.Counter("flos_result_cache_hits_total", "Result-cache hits.", nil, m.CacheHits)
-	p.Counter("flos_result_cache_misses_total", "Result-cache misses.", nil, m.CacheMisses)
-	p.Counter("flos_result_cache_evictions_total", "Result-cache evictions.", nil, m.CacheEvictions)
-	p.Gauge("flos_result_cache_entries", "Resident result-cache entries.", nil, float64(m.CacheEntries))
-	p.Gauge("flos_result_cache_capacity", "Result-cache entry bound (entries/capacity = fill ratio).", nil, float64(m.CacheCapacity))
-	p.Gauge("flos_graph_epoch", "Result-cache invalidation epoch.", nil, float64(m.Epoch))
-	p.Gauge("flos_graph_nodes", "Nodes in the served graph.", nil, float64(s.g.NumNodes()))
-	p.Gauge("flos_graph_edges", "Edges in the served graph.", nil, float64(s.g.NumEdges()))
-	p.Counter("flos_cache_invalidations_total", "Result-cache entries evicted because a Mutate batch touched their read footprint.", map[string]string{"kind": "surgical"}, m.InvalidationsSurgical)
-	p.Counter("flos_cache_retained_total", "Cached results carried forward across mutation batches (footprint untouched).", nil, m.CacheRetained)
-	if s.pool.Live() {
-		p.Gauge("flos_live_snapshots_alive", "Live-graph snapshots currently referenced (current + pinned).", nil, float64(m.SnapshotsAlive))
-		p.Counter("flos_live_snapshots_total", "Live-graph snapshots ever published.", nil, m.SnapshotsTotal)
-		p.Counter("flos_live_rows_cowed_total", "Adjacency rows re-materialized copy-on-write.", nil, m.RowsCoWed)
-		p.Counter("flos_live_ops_applied_total", "Edge mutations applied.", nil, m.OpsApplied)
-		p.Gauge("flos_result_cache_last_batch_invalidated", "Entries the most recent mutation batch evicted surgically.", nil, float64(m.LastBatchSurgical))
-		p.Gauge("flos_result_cache_last_batch_survivors", "Entries the most recent mutation batch carried forward untouched.", nil, float64(m.LastBatchRetained))
-	}
-
 	if s.store != nil {
 		for _, ss := range s.store.ShardStats() {
 			shard := map[string]string{"shard": strconv.Itoa(ss.Shard)}
@@ -348,7 +327,6 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 	if s.resultLens != nil {
 		lensProm(p, "flos_result_cache", "result cache", s.resultLens.Snapshot())
 	}
-
 	if s.slo != nil {
 		snap := s.slo.Snapshot()
 		p.Gauge("flos_slo_availability_objective", "Configured availability objective.", nil, snap.AvailabilityObjective)
@@ -362,23 +340,6 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 			p.Gauge("flos_slo_latency_burn_rate", "Latency error-budget burn rate (1.0 = sustainable).", lbl, win.LatencyBurnRate)
 		}
 	}
-	if s.rec != nil {
-		p.Counter("flos_flightrec_recorded_total", "Queries captured by the flight recorder.", nil, int64(s.rec.Recorded()))
-		p.Counter("flos_flightrec_slow_total", "Queries promoted into the slow-query log.", nil, int64(s.rec.SlowCount()))
-	}
-	if s.tracer != nil {
-		ts := s.tracer.Stats()
-		p.Counter("flos_traces_started_total", "Requests that opened a trace.", nil, int64(ts.Started))
-		p.Counter("flos_traces_kept_total", "Traces retained, by sampling decision (head hash vs tail promotion).", map[string]string{"sampled": "head"}, int64(ts.KeptHead))
-		p.Counter("flos_traces_kept_total", "Traces retained, by sampling decision (head hash vs tail promotion).", map[string]string{"sampled": "tail"}, int64(ts.KeptTail))
-		p.Counter("flos_traces_dropped_total", "Traces recorded but not retained (head-dropped, no tail condition).", nil, int64(ts.Dropped))
-	}
-
-	rt := readRuntime()
-	p.Gauge("go_goroutines", "Number of goroutines.", nil, float64(rt.Goroutines))
-	p.Gauge("go_memstats_heap_alloc_bytes", "Heap bytes allocated and in use.", nil, float64(rt.HeapAllocBytes))
-	p.Gauge("go_memstats_heap_sys_bytes", "Heap bytes obtained from the OS.", nil, float64(rt.HeapSysBytes))
-	p.Counter("go_gc_cycles_total", "Completed GC cycles.", nil, int64(rt.NumGC))
 	if err := p.Err(); err != nil {
 		s.log.Warn("metrics exposition write failed", "err", err)
 	}

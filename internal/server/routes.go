@@ -64,7 +64,7 @@
 // one is rejected with the same structured 400 every endpoint uses. The
 // response always echoes a traceparent header carrying the trace ID and the
 // boundary span, and the access record carries the trace ID as the join key
-// into /debug/flos/traces, the slow-query log, and histogram exemplars.
+// into /debug/flos/traces, the slow-query log, and latency exemplars.
 // Query execution is delegated to internal/qserve: a bounded worker pool
 // answers queries concurrently on every backend (disk-resident stores
 // included — their page cache is lock-striped and each worker holds its own

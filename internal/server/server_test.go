@@ -230,7 +230,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("warmup query: code %d", code)
 		}
 	}
-	var m metricsBody
+	var m metricsDoc
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &m); code != 200 {
 		t.Fatalf("metrics: code %d", code)
 	}

@@ -237,7 +237,7 @@ func TestTracesEndpointList(t *testing.T) {
 // TestTraceTailPromotionJoins is the acceptance contract over HTTP: at a 0%
 // head rate a slow query's trace is still retrievable as a full span tree,
 // and its trace ID appears in the slow-query log, the flight recorder, a
-// histogram exemplar, the access log, and the tail-kept Prometheus counter.
+// latency exemplar, the access log, and the tail-kept Prometheus counter.
 func TestTraceTailPromotionJoins(t *testing.T) {
 	var buf syncBuffer
 	cfg := traceConfig(0, time.Nanosecond) // keep nothing by hash; everything is slow
@@ -288,7 +288,7 @@ func TestTraceTailPromotionJoins(t *testing.T) {
 		t.Fatal("flight record missing the trace ID")
 	}
 
-	var met metricsBody
+	var met metricsDoc
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &met); code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}

@@ -112,6 +112,15 @@ func TestV1TopKAnytimeDeadline(t *testing.T) {
 		t.Fatalf("deadline-starved anytime answer claims exact")
 	}
 
+	// Both /metrics formats count the partial: deadlines that bind show.
+	var m metricsDoc
+	if code := getJSON(t, ts.URL+"/metrics?format=json", &m); code != 200 || m.AnytimePartial != 1 {
+		t.Fatalf("queries_anytime_partial = %d (code %d), want 1", m.AnytimePartial, code)
+	}
+	if text := promText(t, ts.URL); !strings.Contains(text, "\nflos_query_anytime_partial_total 1\n") {
+		t.Fatalf("exposition lacks flos_query_anytime_partial_total 1:\n%s", text)
+	}
+
 	// The same starved request in exact mode is a 504.
 	resp, err := http.Get(ts.URL + "/v1/topk?q=100&k=10&measure=rwr&deadline=1ns")
 	if err != nil {

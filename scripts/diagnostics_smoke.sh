@@ -10,8 +10,9 @@
 # and — despite the 0% head rate — retained as a tail-promoted span tree at
 # /debug/flos/traces. Along the way it exercises the /v1 API: exact envelope
 # with a certification block, ε-certified query with achieved gap <= ε,
-# anytime under an expiring deadline answering 200 with certified:false, and
-# the retired unversioned /topk answering 404. The cache-analytics plane (on
+# anytime under an expiring deadline answering 200 with certified:false (and
+# counted in flos_query_anytime_partial_total), and the retired unversioned
+# /topk answering 404. flosd must refuse an ambiguous command line. The cache-analytics plane (on
 # by default) is asserted too: /debug/flos/cache serves the result-cache
 # snapshot (no page plane — this server holds the graph in memory) and the
 # flos_result_cache_* lens gauges land in /metrics.
@@ -34,6 +35,14 @@ go build -o "$WORK/flos" ./cmd/flos
 echo "== generate graph =="
 "$WORK/flosgen" -model rmat -n 20000 -m 100000 -seed 1 -format bin -out "$WORK/graph.bin"
 
+echo "== flosd refuses two graph sources =="
+# Refused by flag validation, before either (missing) file is opened.
+if "$WORK/flosd" -graph x -bin y -addr "$ADDR" 2>"$WORK/ambiguous.err"; then
+  fail "flosd -graph x -bin y exited 0"
+fi
+grep -q 'exactly one of -graph, -bin, -store' "$WORK/ambiguous.err" ||
+  fail "flosd -graph x -bin y did not name the conflict: $(cat "$WORK/ambiguous.err")"
+
 echo "== boot flosd with the diagnostics plane on =="
 # -slow-latency 1ns promotes every query, which makes the injected slow query
 # (fired last, with a client-supplied request ID) deterministically retained
@@ -41,10 +50,11 @@ echo "== boot flosd with the diagnostics plane on =="
 # latency bucket.
 # -trace-sample 0 turns the head sampler fully off: a trace can only survive
 # by tail promotion, which is exactly the retention path this smoke asserts.
+# -flightrec 512 sizes both the flight-recorder and the completed-trace ring.
 "$WORK/flosd" -bin "$WORK/graph.bin" -addr "$ADDR" \
-  -flightrec 512 -slow-latency 1ns -slow-keep 64 \
+  -flightrec 512 -slow-latency 1ns \
   -slo-latency 100ms -cache 64 \
-  -trace-ring 512 -trace-sample 0 \
+  -trace-sample 0 \
   -log-level warn &
 FLOSD_PID=$!
 up=""
@@ -141,6 +151,8 @@ for m in 'flos_slo_availability{window="5m"}' 'flos_slo_availability_burn_rate{w
   grep -qF "$m" "$WORK/metrics.prom" || fail "/metrics missing $m"
 done
 curl -fsS "$BASE/debug/flos/slo" | grep -q '"window":"5m"' || fail "/debug/flos/slo has no 5m window"
+partial=$(sed -n 's/^flos_query_anytime_partial_total \([0-9]*\)$/\1/p' "$WORK/metrics.prom")
+[ "${partial:-0}" -ge 1 ] || fail "flos_query_anytime_partial_total = '$partial' after the 1ns anytime request, want >= 1"
 
 echo "== cache analytics: result-cache lens snapshot and gauges =="
 curl -fsS "$BASE/debug/flos/cache" >"$WORK/cache.json"
