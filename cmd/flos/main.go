@@ -22,10 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"flos"
+	"flos/internal/measure"
 )
 
 func main() {
@@ -57,7 +57,7 @@ func main() {
 		return
 	}
 
-	kind, err := parseMeasure(*meas)
+	kind, err := measure.ParseKind(*meas)
 	if err != nil {
 		fatal(err)
 	}
@@ -173,22 +173,6 @@ func printTrace(iters []flos.IterStats) {
 			kth, rest, gap, cert,
 			it.ExpandNS/1000, it.SolveNS/1000, it.CertifyNS/1000)
 	}
-}
-
-func parseMeasure(s string) (flos.Measure, error) {
-	switch strings.ToLower(s) {
-	case "php":
-		return flos.PHP, nil
-	case "ei":
-		return flos.EI, nil
-	case "dht":
-		return flos.DHT, nil
-	case "tht":
-		return flos.THT, nil
-	case "rwr", "ppr":
-		return flos.RWR, nil
-	}
-	return 0, fmt.Errorf("unknown measure %q (want php|ei|dht|tht|rwr)", s)
 }
 
 func fatal(err error) {

@@ -16,7 +16,8 @@
 //	curl 'localhost:8080/metrics?format=json'
 //
 // Exactly one of -graph, -bin and -store names the graph; flags that
-// contradict each other are refused at start-up.
+// contradict each other, and a negative -maxk, -maxbatch or -max-deadline,
+// are refused at start-up.
 //
 // Queries run on a bounded worker pool (internal/qserve): -workers sets its
 // size, -queue the admission queue that sheds overload with 429, -cache the
@@ -133,6 +134,14 @@ func (c *config) Validate() error {
 		return errors.New("-pagecache must be positive with -store")
 	case !(c.traceSample >= 0 && c.traceSample <= 1): // NaN fails too
 		return errors.New("-trace-sample must be in [0, 1]")
+	// The server replaces only a zero limit with its default; a negative one
+	// would refuse every query, every batch, or every client deadline.
+	case c.srv.MaxK < 0:
+		return errors.New("-maxk must not be negative")
+	case c.srv.MaxBatch < 0:
+		return errors.New("-maxbatch must not be negative")
+	case c.srv.MaxDeadline < 0:
+		return errors.New("-max-deadline must not be negative")
 	}
 	return nil
 }

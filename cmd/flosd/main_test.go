@@ -40,6 +40,10 @@ func TestValidate(t *testing.T) {
 		{[]string{"-bin", "g.bin", "-pagecache", "0"}, ""}, // only a store has a page cache
 		{[]string{"-bin", "g.bin", "-trace-sample", "1.5"}, "-trace-sample must be in [0, 1]"},
 		{[]string{"-bin", "g.bin", "-trace-sample", "-0.1"}, "-trace-sample must be in [0, 1]"},
+		{[]string{"-bin", "g.bin", "-maxk", "0", "-maxbatch", "0", "-max-deadline", "0"}, ""}, // zero = default
+		{[]string{"-bin", "g.bin", "-maxk", "-1"}, "-maxk must not be negative"},
+		{[]string{"-bin", "g.bin", "-maxbatch", "-1"}, "-maxbatch must not be negative"},
+		{[]string{"-bin", "g.bin", "-max-deadline", "-1s"}, "-max-deadline must not be negative"},
 	} {
 		c, _ := parse(t, tc.args...)
 		err := c.Validate()

@@ -7,8 +7,8 @@
 // that silently drops the true second-best related product loses revenue.
 //
 // The example generates an AZ-like scale-free co-purchase graph, answers a
-// batch of RWR queries through one reusable flos.Querier session (the
-// serving-shaped hot path: warm engine workspaces, one fan-out call),
+// handful of RWR queries through one reusable flos.Querier session (the
+// serving-shaped hot path: warm engine workspaces between queries),
 // cross-checks one query against brute force, and reports how little of
 // the catalog each query touched.
 //
@@ -48,30 +48,29 @@ func main() {
 	}
 
 	// A recommender answers queries continuously, so hold a session: the
-	// Querier keeps engine workspaces warm between queries, and Batch fans
-	// the whole workload out in one call with per-query error slots.
+	// Querier keeps engine workspaces warm between queries and is safe for
+	// concurrent TopK calls.
 	opt := flos.DefaultOptions(flos.RWR, 10)
 	qr, err := flos.NewQuerier(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	items := qr.Batch(context.Background(), queries)
-	totalTime := time.Since(start)
 	visitedSum := 0
-	for _, it := range items {
-		if it.Err != nil {
-			log.Fatal(it.Err)
+	for _, q := range queries {
+		res, err := qr.TopK(context.Background(), q)
+		if err != nil {
+			log.Fatal(err)
 		}
-		res := it.Result
 		visitedSum += res.Visited
 		fmt.Printf("\nproduct %d — top related products (touched %d/%d = %.3f%% of catalog):\n",
-			it.Query, res.Visited, products,
+			q, res.Visited, products,
 			100*float64(res.Visited)/float64(products))
 		for i, r := range res.TopK {
 			fmt.Printf("  %2d. product %-8d relatedness %.3g\n", i+1, r.Node, r.Score)
 		}
 	}
+	totalTime := time.Since(start)
 
 	// Cross-check the first query against brute force over the whole graph.
 	fmt.Println("\ncross-checking the first query against full-graph iteration...")
@@ -117,7 +116,7 @@ func main() {
 	}
 	fmt.Printf("brute force: %d sweeps over %d edges in %s\n", sweeps, g.NumEdges(), bruteTime)
 	fmt.Printf("agreement: %d/10 (FLoS result is provably exact; disagreements can only be exact score ties)\n", match)
-	fmt.Printf("batch of %d queries: %.2fms/query touching %.3f%% of the catalog\n",
+	fmt.Printf("%d queries: %.2fms/query touching %.3f%% of the catalog\n",
 		len(queries),
 		float64(totalTime.Microseconds())/float64(len(queries))/1000,
 		100*float64(visitedSum)/float64(len(queries))/float64(products))

@@ -171,20 +171,8 @@ var (
 // parallel; others are serialized internally). See NewQuerier.
 type Querier = core.Querier
 
-// BatchItem is one query's slot in a Batch / TopKBatch result.
-type BatchItem = core.BatchItem
-
 // NewQuerier validates opt once and returns a reusable session over g.
 func NewQuerier(g Graph, opt Options) (*Querier, error) { return core.NewQuerier(g, opt) }
-
-// TopKBatch answers a batch of queries sharing one option set, fanning them
-// across a bounded worker pool. The returned slice is parallel to queries;
-// cancellation mid-batch fills the unfinished slots with *Interrupted
-// errors instead of hanging. Callers with recurring batches should hold a
-// Querier and use its Batch method so workspaces stay warm between batches.
-func TopKBatch(ctx context.Context, g Graph, queries []NodeID, opt Options) ([]BatchItem, error) {
-	return core.TopKBatch(ctx, g, queries, opt)
-}
 
 // Interrupted is the error a context-terminated query returns; it carries
 // the partial work counters (Visited, Iterations, Sweeps).

@@ -545,7 +545,7 @@ func (e *phpEngine) checkTermination(dst []int32, k int, rwrMode bool, wSbar flo
 	}
 	maxBoundaryUB := 0.0
 	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 || e.nodes[i] == e.q {
+		if e.outCnt[i] <= 0 {
 			continue
 		}
 		ub := e.bnd[2*i+1]

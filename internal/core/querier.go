@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"flos/internal/graph"
 )
@@ -30,10 +28,6 @@ import (
 // runs; under concurrent use the callbacks will interleave. Use a dedicated
 // Querier (or one-shot TopKCtx) for traced runs.
 type Querier struct {
-	// Parallelism bounds the worker goroutines a Batch call uses; zero or
-	// negative selects GOMAXPROCS. Set it before the Querier is shared.
-	Parallelism int
-
 	g      graph.Graph
 	opt    Options
 	viewer bool
@@ -64,9 +58,6 @@ func NewQuerier(g graph.Graph, opt Options) (*Querier, error) {
 	return qr, nil
 }
 
-// Options returns the option set every query of this session runs with.
-func (qr *Querier) Options() Options { return qr.opt }
-
 // TopK answers one query on the TopKCtx contract, reusing pooled engine
 // state.
 func (qr *Querier) TopK(ctx context.Context, q graph.NodeID) (*Result, error) {
@@ -89,101 +80,4 @@ func (qr *Querier) Unified(ctx context.Context, q graph.NodeID) (*UnifiedResult,
 		defer qr.mu.Unlock()
 	}
 	return unifiedIn(ctx, w.g, q, qr.opt, w.ws)
-}
-
-// BatchItem is one query's slot in a batch: exactly one of Result and Err
-// is set once the batch returns.
-type BatchItem struct {
-	// Query is the query node this slot answers for (queries[i] of the
-	// Batch call).
-	Query graph.NodeID
-	// Result is the completed answer, nil if the query failed.
-	Result *Result
-	// Err is the query's error: validation, or *Interrupted when the batch
-	// context fired before this query finished (or started).
-	Err error
-}
-
-// Batch answers many queries concurrently across the workspace pool,
-// bounded by Parallelism. The result slice is parallel to queries; every
-// slot is filled. Cancellation is per-query: when ctx fires mid-batch,
-// already-completed slots keep their results, the in-flight queries stop
-// promptly, and every unfinished slot gets an *Interrupted error — the call
-// itself always returns, it never hangs.
-func (qr *Querier) Batch(ctx context.Context, queries []graph.NodeID) []BatchItem {
-	return qr.BatchTracers(ctx, queries, nil)
-}
-
-// BatchTracers is Batch with per-slot tracer overrides: tracers[i], when
-// non-nil, observes query i's iterations in place of the session-wide
-// Options.Tracer — the way to trace individual queries of a concurrent
-// batch without the collectors interleaving. tracers may be nil (no
-// overrides) or shorter than queries (missing slots fall back to the
-// session tracer). A slot's tracer is driven only by the worker executing
-// that slot, never shared across the work-stealing workers, so a plain
-// TraceCollector per slot is race-free.
-func (qr *Querier) BatchTracers(ctx context.Context, queries []graph.NodeID, tracers []Tracer) []BatchItem {
-	out := make([]BatchItem, len(queries))
-	for i, q := range queries {
-		out[i].Query = q
-	}
-	if len(queries) == 0 {
-		return out
-	}
-	par := qr.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(queries) {
-		par = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := qr.pool.Get().(*querierWS)
-			defer qr.pool.Put(ws)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					// Not started: zero work counters.
-					out[i].Err = interrupted(err, 0, 0, 0)
-					continue
-				}
-				opt := qr.opt
-				if i < len(tracers) && tracers[i] != nil {
-					opt.Tracer = tracers[i]
-				}
-				out[i].Result, out[i].Err = qr.runOne(ctx, ws, queries[i], opt)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-func (qr *Querier) runOne(ctx context.Context, w *querierWS, q graph.NodeID, opt Options) (*Result, error) {
-	if !qr.viewer {
-		qr.mu.Lock()
-		defer qr.mu.Unlock()
-	}
-	return topKIn(ctx, w.g, q, opt, w.ws)
-}
-
-// TopKBatch answers a one-off batch of queries sharing one option set: it
-// builds a transient Querier and fans the queries across it. Callers with
-// recurring batches should hold their own Querier so the workspaces stay
-// warm between batches. The error is non-nil only for invalid options;
-// per-query failures land in the items.
-func TopKBatch(ctx context.Context, g graph.Graph, queries []graph.NodeID, opt Options) ([]BatchItem, error) {
-	qr, err := NewQuerier(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	return qr.Batch(ctx, queries), nil
 }

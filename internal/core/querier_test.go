@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"flos/internal/gen"
 	"flos/internal/graph"
@@ -190,150 +187,6 @@ func TestQuerierConcurrentStress(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-}
-
-// TestBatchMatchesSequential checks that Batch fills every slot with the
-// same answer sequential calls produce, in query order.
-func TestBatchMatchesSequential(t *testing.T) {
-	g := randomConnected(t, 120, 240, 2)
-	opt := testOptions(measure.EI, 5)
-	queries := make([]graph.NodeID, 40)
-	for i := range queries {
-		queries[i] = graph.NodeID((i * 3) % g.NumNodes())
-	}
-	items, err := TopKBatch(context.Background(), g, queries, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != len(queries) {
-		t.Fatalf("got %d items, want %d", len(items), len(queries))
-	}
-	for i, it := range items {
-		if it.Query != queries[i] {
-			t.Fatalf("slot %d: query %d, want %d", i, it.Query, queries[i])
-		}
-		if it.Err != nil {
-			t.Fatalf("slot %d: %v", i, it.Err)
-		}
-		fresh, err := TopK(g, queries[i], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, fmt.Sprintf("slot %d", i), fresh, it.Result)
-	}
-}
-
-// TestBatchPerQueryErrors: invalid query nodes fail their own slot without
-// poisoning the rest of the batch.
-func TestBatchPerQueryErrors(t *testing.T) {
-	g := gen.PaperExample()
-	opt := testOptions(measure.PHP, 3)
-	queries := []graph.NodeID{0, graph.NodeID(g.NumNodes()), 3, -1}
-	items, err := TopKBatch(context.Background(), g, queries, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{1, 3} {
-		if !errors.Is(items[i].Err, ErrInvalidQuery) {
-			t.Fatalf("slot %d: err = %v, want ErrInvalidQuery", i, items[i].Err)
-		}
-		if items[i].Result != nil {
-			t.Fatalf("slot %d: result set alongside error", i)
-		}
-	}
-	for _, i := range []int{0, 2} {
-		if items[i].Err != nil || items[i].Result == nil {
-			t.Fatalf("slot %d: err=%v result=%v, want clean result", i, items[i].Err, items[i].Result)
-		}
-	}
-}
-
-// gateGraph wraps a graph and, after `fast` Neighbors calls have passed
-// through, blocks every further call until release is closed. It lets the
-// cancellation test freeze a batch mid-flight deterministically.
-type gateGraph struct {
-	g       graph.Graph
-	fast    int64
-	calls   atomic.Int64
-	blocked atomic.Int64
-	release chan struct{}
-}
-
-func (gg *gateGraph) NumNodes() int                        { return gg.g.NumNodes() }
-func (gg *gateGraph) NumEdges() int64                      { return gg.g.NumEdges() }
-func (gg *gateGraph) Degree(v graph.NodeID) float64        { return gg.g.Degree(v) }
-func (gg *gateGraph) TopDegrees(k int) []graph.DegreeEntry { return gg.g.TopDegrees(k) }
-func (gg *gateGraph) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
-	if gg.calls.Add(1) > gg.fast {
-		gg.blocked.Add(1)
-		<-gg.release
-	}
-	return gg.g.Neighbors(v)
-}
-
-// TestBatchCancellationPartial cancels a batch while queries are in flight.
-// The call must return promptly with every slot filled: finished queries
-// keep their results, everything else carries *Interrupted wrapping
-// ErrCanceled.
-func TestBatchCancellationPartial(t *testing.T) {
-	base := randomConnected(t, 80, 150, 4)
-	// Let roughly two queries' worth of expansions through before gating.
-	gg := &gateGraph{g: base, fast: 200, release: make(chan struct{})}
-	opt := testOptions(measure.PHP, 5)
-	qr, err := NewQuerier(gg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qr.Parallelism = 2
-	queries := make([]graph.NodeID, 30)
-	for i := range queries {
-		queries[i] = graph.NodeID(i % base.NumNodes())
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	itemsCh := make(chan []BatchItem, 1)
-	go func() { itemsCh <- qr.Batch(ctx, queries) }()
-
-	// Wait until a worker is parked on the gate, then cancel and release.
-	deadline := time.After(10 * time.Second)
-	for gg.blocked.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("no query ever reached the gate")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	cancel()
-	close(gg.release)
-
-	var items []BatchItem
-	select {
-	case items = <-itemsCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Batch hung after cancellation")
-	}
-
-	var done, interruptedN int
-	for i, it := range items {
-		switch {
-		case it.Err == nil && it.Result != nil:
-			done++
-		case it.Err != nil:
-			var in *Interrupted
-			if !errors.As(it.Err, &in) {
-				t.Fatalf("slot %d: err %v is not *Interrupted", i, it.Err)
-			}
-			if !errors.Is(it.Err, ErrCanceled) {
-				t.Fatalf("slot %d: err %v does not wrap ErrCanceled", i, it.Err)
-			}
-			interruptedN++
-		default:
-			t.Fatalf("slot %d: neither result nor error", i)
-		}
-	}
-	if interruptedN == 0 {
-		t.Fatal("cancellation mid-flight produced no interrupted slots")
-	}
-	t.Logf("batch after cancel: %d done, %d interrupted", done, interruptedN)
 }
 
 // TestWarmPathAllocCeiling is the allocation-regression smoke: a warm

@@ -222,6 +222,36 @@ func TestSubstrateDifferential(t *testing.T) {
 	})
 }
 
+// TestQueryNodeNeverLiveBoundary pins the invariant that lets the boundary
+// loops of checkTermination skip nodes by outCnt alone: the first step picks
+// q, the only node of S, and expands it fully, so after every expansion
+// local index 0 is q and has no neighbor outside S.
+func TestQueryNodeNeverLiveBoundary(t *testing.T) {
+	for _, gc := range goldenGraphs(t) {
+		for _, q := range goldenQueries(gc.g.NumNodes()) {
+			for _, kind := range measure.Kinds() {
+				checks := 0
+				postExpandHook = func(engine any) {
+					checks++
+					s := engine.(interface{ substrate() *localSearch }).substrate()
+					if s.nodes[0] != q || s.outCnt[0] != 0 {
+						t.Fatalf("%s q=%d %v: local 0 is node %d with %d neighbors outside S",
+							gc.name, q, kind, s.nodes[0], s.outCnt[0])
+					}
+				}
+				_, err := TopK(gc.g, q, goldenOptions(kind, true))
+				postExpandHook = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				if checks == 0 {
+					t.Fatalf("%s q=%d %v: hook never fired", gc.name, q, kind)
+				}
+			}
+		}
+	}
+}
+
 // TestSubstrateDifferentialWarm repeats the cross-check through a reused
 // workspace, covering the generation-stamped reset path.
 func TestSubstrateDifferentialWarm(t *testing.T) {

@@ -395,7 +395,7 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 		}
 	}
 	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 || e.nodes[i] == e.q {
+		if e.outCnt[i] <= 0 {
 			continue
 		}
 		if lb := e.lb(i); lb < minRest {

@@ -12,6 +12,7 @@ package measure
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Kind identifies a proximity measure.
@@ -56,6 +57,20 @@ func (k Kind) String() string {
 		return "RWR"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// ParseKind parses a measure name case-insensitively: php, ei, dht, tht or
+// rwr, with ppr (personalized PageRank) accepted for rwr.
+func ParseKind(s string) (Kind, error) {
+	if strings.EqualFold(s, "ppr") {
+		return RWR, nil
+	}
+	for k := PHP; k <= RWR; k++ {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown measure %q (want php|ei|dht|tht|rwr)", s)
 }
 
 // HigherIsCloser reports the ranking direction: true when larger proximity

@@ -3,6 +3,7 @@ package measure
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,32 @@ func TestKindMetadata(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still print")
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Kind
+	}{
+		{"php", PHP}, {"PHP", PHP}, {"ei", EI}, {"Dht", DHT}, {"tht", THT},
+		{"rwr", RWR}, {"ppr", RWR}, {"PPR", RWR},
+	} {
+		got, err := ParseKind(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, k := range Kinds() { // every name String prints parses back
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "nope", "rw", "php "} {
+		_, err := ParseKind(bad)
+		if err == nil || !strings.Contains(err.Error(), "php|ei|dht|tht|rwr") {
+			t.Errorf("ParseKind(%q): err %v, want one listing the accepted names", bad, err)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func TestOutcomeParityWithCacheHits(t *testing.T) {
 // TestFlightRecorderOutcomePaths wires a recorder into the pool and checks
 // every outcome path emits a record: executed queries carry a down-sampled
 // trajectory and a request ID, cache hits carry outcome "hit" with the same
-// ID threading, and DoBatch members are recorded like Do calls.
+// ID threading, and batch members keep the IDs the caller gave them.
 func TestFlightRecorderOutcomePaths(t *testing.T) {
 	g := diagGraph(t)
 	rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 64, SlowLatency: -1})
@@ -130,18 +130,24 @@ func TestFlightRecorderOutcomePaths(t *testing.T) {
 		t.Errorf("request ID %s not found among latency exemplars", exec.ID)
 	}
 
-	// DoBatch members are recorded too.
+	// Batch members arrive as Do calls with slot-suffixed IDs; each is
+	// recorded under its own ID, executed or cached.
 	batch := []Request{
-		{Query: 400, Opt: core.DefaultOptions(measure.RWR, 5)},
-		{Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}, // cached
+		{ID: "batch-0", Query: 400, Opt: core.DefaultOptions(measure.RWR, 5)},
+		{ID: "batch-1", Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}, // cached
 	}
-	for i, r := range pool.DoBatch(context.Background(), batch) {
-		if r.Err != nil {
-			t.Fatalf("batch slot %d: %v", i, r.Err)
+	for i, r := range batch {
+		if _, err := pool.Do(context.Background(), r); err != nil {
+			t.Fatalf("batch member %d: %v", i, err)
 		}
 	}
 	if got := rec.Recorded(); got != 4 {
 		t.Fatalf("recorded %d records after batch, want 4", got)
+	}
+	if last := rec.Last(2); last[0].ID != "batch-1" || last[0].Outcome != "hit" ||
+		last[1].ID != "batch-0" || last[1].Outcome != "ok" {
+		t.Fatalf("batch members recorded as %s/%s, %s/%s; want batch-1/hit, batch-0/ok",
+			last[0].ID, last[0].Outcome, last[1].ID, last[1].Outcome)
 	}
 
 	// SLO saw only good events so both windows are fully compliant.

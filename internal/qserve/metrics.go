@@ -34,7 +34,6 @@ type metrics struct {
 	served      atomic.Int64
 	shed        atomic.Int64
 	interrupted atomic.Int64
-	batches     atomic.Int64
 
 	// Outcome split of served queries. ok counts executed successes and hit
 	// counts result-cache answers, so ok + hit + deadline + canceled +
@@ -88,7 +87,6 @@ func (m *metrics) snapshot() Metrics {
 		Served:                m.served.Load(),
 		Shed:                  m.shed.Load(),
 		Interrupted:           m.interrupted.Load(),
-		Batches:               m.batches.Load(),
 		OK:                    m.ok.Load(),
 		Hit:                   m.hit.Load(),
 		Deadline:              m.deadline.Load(),
@@ -144,9 +142,6 @@ type Metrics struct {
 	// LatencyByMeasure, so per-measure served = histogram count + this);
 	// labels with no hits are omitted and the map is nil when empty.
 	HitByMeasure map[string]int64
-	// Batches counts DoBatch calls; their member queries are accounted in
-	// the per-query counters above.
-	Batches int64
 	// IterationsTotal / VisitedTotal / SweepsTotal accumulate the engine
 	// work counters over every executed search, interrupted ones included —
 	// visited-per-query is the paper's locality metric, so the ratio

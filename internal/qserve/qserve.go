@@ -422,92 +422,6 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 // QueueDepth returns the number of admitted queries waiting for a worker.
 func (p *Pool) QueueDepth() int { return len(p.jobs) }
 
-// BatchResult is one request's slot in a DoBatch answer: exactly one of
-// Resp and Err is set.
-type BatchResult struct {
-	Resp *Response
-	Err  error
-}
-
-// DoBatch executes a batch of queries as one admitted unit and returns a
-// slice parallel to reqs with every slot filled. Unlike Do, admission
-// blocks instead of shedding — a batch the caller already holds is cheaper
-// to queue than to retry — but it stays cancelable: when ctx (or the pool's
-// per-query Timeout) fires mid-batch, finished slots keep their results,
-// running queries stop promptly, and every unstarted slot gets a
-// *core.Interrupted error. The call never hangs; after Close every
-// remaining slot reports ErrClosed.
-func (p *Pool) DoBatch(ctx context.Context, reqs []Request) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	start := time.Now()
-	p.met.batches.Add(1)
-
-	jobs := make([]*job, len(reqs))
-	// One span per batch slot: each slot's pin/cache/queue/execute spans nest
-	// under its own "qserve.slot", so the fan-out reads as parallel branches
-	// of the request's span tree.
-	slots := make([]*trace.SpanHandle, len(reqs))
-	submitted := 0
-admit:
-	for i, req := range reqs {
-		select {
-		case <-p.done:
-			out[i].Err = ErrClosed
-			continue
-		default:
-		}
-		slotCtx, slot := trace.StartSpan(ctx, "qserve.slot",
-			trace.Int("slot", int64(i)), trace.Int("query", int64(req.Query)))
-		slots[i] = slot
-		j, hit := p.prepare(slotCtx, req, start)
-		if hit != nil {
-			out[i].Resp = hit
-			slot.End()
-			continue
-		}
-		j.queue = j.trace.StartSpan(j.parent, "qserve.queue.wait")
-		select {
-		case p.jobs <- j:
-			jobs[i] = j
-			submitted++
-		case <-ctx.Done():
-			j.queue.SetAttrs(trace.Str("outcome", "canceled"))
-			j.queue.End()
-			j.discard()
-			// Mark this and every remaining slot unstarted and stop
-			// admitting; slots already submitted still drain below.
-			for r := i; r < len(reqs); r++ {
-				if jobs[r] == nil && out[r].Resp == nil && out[r].Err == nil {
-					out[r].Err = interruptedZero(ctx.Err())
-				}
-			}
-			slot.End()
-			break admit
-		case <-p.done:
-			j.queue.End()
-			j.discard()
-			out[i].Err = ErrClosed
-			slot.End()
-		}
-	}
-	for i, j := range jobs {
-		if j == nil {
-			continue
-		}
-		select {
-		case o := <-j.out:
-			out[i].Resp, out[i].Err = o.resp, o.err
-		case <-p.done:
-			out[i].Err = ErrClosed
-		}
-		slots[i].End()
-	}
-	return out
-}
-
 // finished is one query's outcome as finish accounts it. Only executed
 // queries carry work counters; a hit or a shed carries just its status and
 // timing.
@@ -601,15 +515,6 @@ func (p *Pool) finish(j *job, f finished) {
 				"k", j.req.Opt.K, "latency", f.elapsed, "outcome", f.status)
 		}
 	}
-}
-
-// interruptedZero wraps a context error for a query that never started.
-func interruptedZero(ctxErr error) error {
-	cause := core.ErrCanceled
-	if errors.Is(ctxErr, context.DeadlineExceeded) {
-		cause = core.ErrDeadline
-	}
-	return &core.Interrupted{Cause: cause}
 }
 
 func (p *Pool) worker(g graph.Graph) {

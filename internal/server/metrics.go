@@ -92,8 +92,6 @@ var metricTable = []metricRow{
 		func(c *scrape) float64 { return float64(c.m.Shed) }},
 	{"", "queries_interrupted", "flos_queries_interrupted_total", nil, "Queries ended early by context deadline or cancellation.", counter,
 		func(c *scrape) float64 { return float64(c.m.Interrupted) }},
-	{"", "batches_served", "flos_batches_served_total", nil, "DoBatch calls; member queries count in flos_queries_served_total.", counter,
-		func(c *scrape) float64 { return float64(c.m.Batches) }},
 	{"", "queries_ok", "flos_query_outcomes_total", label("outcome", "ok"), outcomesHelp, counter,
 		func(c *scrape) float64 { return float64(c.m.OK) }},
 	{"", "queries_cache_answered", "flos_query_outcomes_total", label("outcome", "hit"), outcomesHelp, counter,

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"flos/internal/core"
@@ -113,8 +114,10 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 		return opt, 0, fmt.Errorf("k=%d outside [1,%d]", p.K, s.maxK)
 	}
 	opt = core.Options{K: p.K, Params: s.defaults, Tighten: true, TieEps: 1e-9}
-	if opt.Measure, err = parseMeasure(p.Measure); err != nil {
-		return opt, 0, err
+	if p.Measure != "" { // an omitted measure is PHP, the zero Kind
+		if opt.Measure, err = measure.ParseKind(p.Measure); err != nil {
+			return opt, 0, err
+		}
 	}
 	if p.C != nil {
 		opt.Params.C = *p.C
@@ -149,22 +152,6 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 		deadline = s.maxDeadline
 	}
 	return opt, deadline, opt.Validate()
-}
-
-func parseMeasure(s string) (measure.Kind, error) {
-	switch strings.ToLower(s) {
-	case "", "php":
-		return measure.PHP, nil
-	case "ei":
-		return measure.EI, nil
-	case "dht":
-		return measure.DHT, nil
-	case "tht":
-		return measure.THT, nil
-	case "rwr", "ppr":
-		return measure.RWR, nil
-	}
-	return 0, fmt.Errorf("unknown measure %q", s)
 }
 
 // withDeadline applies a client-requested deadline to the request context.
@@ -334,9 +321,9 @@ type v1BatchRequestBody struct {
 	queryParams
 }
 
-// v1BatchItemBody is one query's slot: results plus its certification, or
+// v1BatchSlotBody is one query's slot: results plus its certification, or
 // that query's error.
-type v1BatchItemBody struct {
+type v1BatchSlotBody struct {
 	Query         graph.NodeID        `json:"query"`
 	Error         string              `json:"error,omitempty"`
 	Exact         bool                `json:"exact,omitempty"`
@@ -355,7 +342,7 @@ type v1BatchBody struct {
 	Errors     int               `json:"errors"`
 	TraceID    string            `json:"trace_id,omitempty"`
 	ElapsedUS  int64             `json:"elapsed_us"`
-	Results    []v1BatchItemBody `json:"results"`
+	Results    []v1BatchSlotBody `json:"results"`
 }
 
 // decodeBody decodes the JSON body of a POST route into v, reading at most
@@ -375,12 +362,12 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return err == nil
 }
 
-// handleV1TopKBatch answers many queries sharing one option set in a single
+// handleV1Batch answers many queries sharing one option set in a single
 // round trip. Batch-level mistakes (bad JSON, bad k/measure/params, too
 // many queries) are a 400; everything per-query — including an out-of-range
-// node or the client's deadline firing mid-batch — lands in that query's
-// slot, so one bad query never poisons its neighbors.
-func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
+// node, a shed admission, or the client's deadline firing mid-batch — lands
+// in that query's slot, so one bad query never poisons its neighbors.
+func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
@@ -407,36 +394,29 @@ func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Batch members share the HTTP request's ID with a slot suffix, so each
-	// member's flight record and exemplar still joins back to the access log.
-	id := w.Header().Get("X-Request-ID")
-	reqs := make([]qserve.Request, len(req.Queries))
-	for i, q := range req.Queries {
-		reqs[i] = qserve.Request{ID: fmt.Sprintf("%s-%d", id, i), Query: q, Opt: opt}
-	}
 	ctx, cancel := withDeadline(r.Context(), deadline)
 	defer cancel()
 	start := time.Now()
-	items := s.pool.DoBatch(ctx, reqs)
+	resps, errs := s.doBatch(ctx, w.Header().Get("X-Request-ID"), req.Queries, opt)
 	body := v1BatchBody{
 		APIVersion: "v1",
 		Measure:    opt.Measure.String(),
 		K:          opt.K,
 		Mode:       opt.Mode.String(),
-		Count:      len(items),
+		Count:      len(req.Queries),
 		TraceID:    traceIDOf(r),
 		ElapsedUS:  time.Since(start).Microseconds(),
-		Results:    make([]v1BatchItemBody, len(items)),
+		Results:    make([]v1BatchSlotBody, len(req.Queries)),
 	}
-	for i, it := range items {
-		slot := v1BatchItemBody{Query: req.Queries[i]}
-		if it.Err != nil {
-			slot.Error = it.Err.Error()
+	for i, q := range req.Queries {
+		slot := v1BatchSlotBody{Query: q}
+		if errs[i] != nil {
+			slot.Error = errs[i].Error()
 			body.Errors++
 		} else {
-			res := it.Resp.TopK
+			res := resps[i].TopK
 			slot.Exact = res.Exact
-			slot.Cached = it.Resp.CacheHit
+			slot.Cached = resps[i].CacheHit
 			slot.Visited = res.Visited
 			cert := res.Certification
 			slot.Certification = &cert
@@ -447,6 +427,46 @@ func (s *Server) handleV1TopKBatch(w http.ResponseWriter, r *http.Request) {
 		body.Results[i] = slot
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// doBatch answers each query as its own pool.Do call, keeping at most
+// s.batchInFlight of them in flight, so a batch alone never fills the
+// admission queue. Member i runs under ID "<id>-<i>" (its flight record
+// joins back to the access log) and under its own "qserve.slot" span. A
+// member shed by other clients' load carries ErrOverloaded; once ctx fires,
+// members not yet submitted get a zero-work *core.Interrupted. Every slot
+// of the result is filled before it returns.
+func (s *Server) doBatch(ctx context.Context, id string, queries []graph.NodeID, opt core.Options) ([]*qserve.Response, []error) {
+	resps := make([]*qserve.Response, len(queries))
+	errs := make([]error, len(queries))
+	sem := make(chan struct{}, s.batchInFlight)
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if err := ctx.Err(); err != nil {
+			cause := core.ErrCanceled
+			if errors.Is(err, context.DeadlineExceeded) {
+				cause = core.ErrDeadline
+			}
+			for r := i; r < len(queries); r++ {
+				errs[r] = &core.Interrupted{Cause: cause}
+			}
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			slotCtx, slot := trace.StartSpan(ctx, "qserve.slot",
+				trace.Int("slot", int64(i)), trace.Int("query", int64(q)))
+			defer slot.End()
+			resps[i], errs[i] = s.pool.Do(slotCtx, qserve.Request{ID: fmt.Sprintf("%s-%d", id, i), Query: q, Opt: opt})
+		}()
+	}
+	wg.Wait()
+	return resps, errs
 }
 
 // edgeOpBody is one mutation of a POST /v1/graph/edges batch.

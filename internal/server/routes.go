@@ -28,9 +28,11 @@
 //	                        single round trip; mode/epsilon/deadline in the
 //	                        body apply to every member. The response carries
 //	                        one slot per query with either results and their
-//	                        certification or that query's error, and
-//	                        cancellation mid-batch fills the unfinished slots
-//	                        instead of failing the call
+//	                        certification or that query's error. Members run
+//	                        as single queries, at most min(workers, queue) at
+//	                        a time; a member shed by other clients' load and
+//	                        the unstarted members of a canceled batch fail
+//	                        in their slots instead of failing the call
 //	POST /v1/graph/edges    {"ops":[{"op":"add","u":1,"v":5,"w":1.0},...]}
 //	                        applies one atomic batch of edge mutations to a
 //	                        live graph (flosd -live): a new snapshot is
@@ -118,6 +120,9 @@ type Server struct {
 	defaults measure.Params
 	maxK     int
 	maxBatch int
+	// batchInFlight bounds the members of one /v1/topk/batch request in
+	// flight at once: min(Workers, QueueDepth) of the pool.
+	batchInFlight int
 
 	// Serving-mode guardrails for the /v1 endpoints.
 	maxEpsilon  float64
@@ -205,7 +210,7 @@ func New(g graph.Graph, cfg Config) *Server {
 		{"/stats", s.handleStats},
 		{"/metrics", s.handleMetrics},
 		{"/v1/topk", s.handleV1TopK},
-		{"/v1/topk/batch", s.handleV1TopKBatch},
+		{"/v1/topk/batch", s.handleV1Batch},
 		{"/v1/unified", s.handleV1Unified},
 		{"/v1/graph/edges", s.handleGraphEdges},
 		{"/debug/flos/slow", s.handleSlow},
@@ -232,6 +237,8 @@ func New(g graph.Graph, cfg Config) *Server {
 		SLO:          cfg.SLO,
 		CacheLens:    cfg.CacheLens,
 	})
+	pm := s.pool.Metrics()
+	s.batchInFlight = min(pm.Workers, pm.QueueCap)
 	return s
 }
 

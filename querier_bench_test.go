@@ -2,13 +2,11 @@ package flos
 
 // Benchmarks for the session API: the cold/warm pair quantifies what a
 // reusable Querier saves over one-shot TopK on the same workload (run with
-// -benchmem; the allocs/op column is the headline), and the batch pair
-// compares per-query round trips against one Batch call. results/batch.md
+// -benchmem; the allocs/op column is the headline). results/batch.md
 // records a reference run.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"flos/internal/gen"
@@ -69,48 +67,4 @@ func BenchmarkQuerierReuse(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkQuerierBatch compares answering a 64-query workload with
-// sequential warm calls against one Batch fan-out, at several parallelism
-// levels. Each iteration answers the whole workload; divide ns/op by 64 for
-// per-query time.
-func BenchmarkQuerierBatch(b *testing.B) {
-	g := benchCommunity(b)
-	opt := DefaultOptions(PHP, 20)
-	queries := benchWorkload(g, 64)
-	ctx := context.Background()
-
-	b.Run("sequential", func(b *testing.B) {
-		qr, err := NewQuerier(g, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, err := qr.TopK(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	for _, par := range []int{2, 4, 8} {
-		par := par
-		b.Run(fmt.Sprintf("batch-par=%d", par), func(b *testing.B) {
-			qr, err := NewQuerier(g, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			qr.Parallelism = par
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, item := range qr.Batch(ctx, queries) {
-					if item.Err != nil {
-						b.Fatal(item.Err)
-					}
-				}
-			}
-		})
-	}
 }

@@ -12,7 +12,9 @@
 # with a certification block, ε-certified query with achieved gap <= ε,
 # anytime under an expiring deadline answering 200 with certified:false (and
 # counted in flos_query_anytime_partial_total), and the retired unversioned
-# /topk answering 404. flosd must refuse an ambiguous command line. The cache-analytics plane (on
+# /topk answering 404, and a three-query batch answered whole and counted
+# once, under its endpoint's latency histogram. flosd must refuse an
+# ambiguous command line. The cache-analytics plane (on
 # by default) is asserted too: /debug/flos/cache serves the result-cache
 # snapshot (no page plane — this server holds the graph in memory) and the
 # flos_result_cache_* lens gauges land in /metrics.
@@ -70,7 +72,9 @@ for i in $(seq 0 199); do
   curl -fsS "$BASE/v1/topk?q=$q&k=10&measure=php" >/dev/null
 done
 curl -fsS "$BASE/v1/unified?q=11&k=5" >/dev/null
-curl -fsS -X POST -d '{"queries":[1,2,3],"k":5,"measure":"rwr"}' "$BASE/v1/topk/batch" >/dev/null
+curl -fsS -X POST -d '{"queries":[1,2,3],"k":5,"measure":"rwr"}' "$BASE/v1/topk/batch" >"$WORK/batch.json"
+grep -q '"count":3' "$WORK/batch.json" || fail "batch response does not count 3 members: $(cat "$WORK/batch.json")"
+grep -q '"errors":0' "$WORK/batch.json" || fail "batch response reports failed members: $(cat "$WORK/batch.json")"
 curl -fsS "$BASE/v1/topk?q=0&k=10&measure=php" >/dev/null # repeat: result-cache hit
 
 echo "== /v1 envelope carries version and certification =="
@@ -151,6 +155,12 @@ for m in 'flos_slo_availability{window="5m"}' 'flos_slo_availability_burn_rate{w
   grep -qF "$m" "$WORK/metrics.prom" || fail "/metrics missing $m"
 done
 curl -fsS "$BASE/debug/flos/slo" | grep -q '"window":"5m"' || fail "/debug/flos/slo has no 5m window"
+# A batch is counted once, by its endpoint's latency histogram.
+grep -qF 'flos_http_request_duration_seconds_count{endpoint="/v1/topk/batch"} 1' "$WORK/metrics.prom" ||
+  fail "/metrics does not count the one batch request under its endpoint"
+if grep -q 'flos_batches_served_total' "$WORK/metrics.prom"; then
+  fail "/metrics still serves the retired flos_batches_served_total"
+fi
 partial=$(sed -n 's/^flos_query_anytime_partial_total \([0-9]*\)$/\1/p' "$WORK/metrics.prom")
 [ "${partial:-0}" -ge 1 ] || fail "flos_query_anytime_partial_total = '$partial' after the 1ns anytime request, want >= 1"
 
