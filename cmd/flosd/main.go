@@ -22,7 +22,9 @@
 // Queries run on a bounded worker pool (internal/qserve): -workers sets its
 // size, -queue the admission queue that sheds overload with 429, -cache the
 // result-cache capacity, and -timeout the per-query deadline. Disk-resident
-// stores are served concurrently through the lock-striped page cache.
+// stores are served concurrently through the lock-striped page cache;
+// -pagecache bounds its page buffers, and the store's node table (16 B per
+// node) is read at start-up outside that budget.
 //
 // -live wraps an in-memory graph (-graph or -bin) in a live-graph snapshot
 // chain: POST /v1/graph/edges applies atomic mutation batches while queries
@@ -93,7 +95,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.graph, "graph", "", "text edge-list file")
 	fs.StringVar(&c.bin, "bin", "", "binary CSR graph file")
 	fs.StringVar(&c.store, "store", "", "disk-resident store file")
-	fs.Int64Var(&c.pageCacheMiB, "pagecache", 256, "page-cache budget for -store, MiB")
+	fs.Int64Var(&c.pageCacheMiB, "pagecache", 256, "page-cache budget for -store, MiB; the store's node table, 16 B per node, is held outside it")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.BoolVar(&c.live, "live", false, "serve a mutable live graph: accept POST /v1/graph/edges (requires -graph or -bin)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug | info | warn | error")

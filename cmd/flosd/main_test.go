@@ -1,14 +1,23 @@
 package main
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"go/parser"
 	"go/token"
 	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"flos/internal/diskgraph"
+	"flos/internal/gen"
 )
 
 // parse registers every flag on a fresh set and parses args into a config.
@@ -87,4 +96,46 @@ func TestFlagsInProse(t *testing.T) {
 	// Code spans in the comment quote other commands (`flos -replay`).
 	doc := regexp.MustCompile("`[^`]*`").ReplaceAllString(f.Doc.Text(), "")
 	check("the package comment", doc, regexp.MustCompile(`(?:^|[\s(])-([a-z][a-z0-9-]*)`))
+}
+
+// TestCorruptStoreFailsStartup runs flosd on a store whose offsets section
+// is corrupt: start-up must exit 1 naming the bad node, instead of serving
+// and panicking on the first query that visits it. The test binary re-runs
+// itself as flosd.
+func TestCorruptStoreFailsStartup(t *testing.T) {
+	if store := os.Getenv("FLOSD_TEST_STORE"); store != "" {
+		os.Args = []string{"flosd", "-store", store, "-pagecache", "1", "-addr", "127.0.0.1:0"}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.flos")
+	if err := diskgraph.Create(path, gen.PaperExample(), 4096); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// FLOSDSK2 layout: a 32-byte header, topN 12-byte entries, then the
+	// 8-byte aligned degrees (n words) and offsets (n+1 words) sections.
+	le := binary.LittleEndian
+	n, m2, topN := le.Uint64(data[8:]), le.Uint64(data[16:]), uint64(le.Uint32(data[28:]))
+	offsetsOff := (32+12*topN+7)&^7 + 8*n
+	le.PutUint64(data[offsetsOff+3*8:], m2+5) // node 2's row now ends past the rows section
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCorruptStoreFailsStartup$")
+	cmd.Env = append(os.Environ(), "FLOSD_TEST_STORE="+path)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("flosd on a corrupt store: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "corrupt offsets: node 2 ") || strings.Contains(string(out), "panic") {
+		t.Fatalf("flosd on a corrupt store printed:\n%s", out)
+	}
 }

@@ -288,7 +288,8 @@ func CreateDiskGraph(path string, g *MemGraph) error {
 }
 
 // OpenDiskGraph opens a disk store with the given page-cache budget in
-// bytes (0 = 64 MiB).
+// bytes (0 = 64 MiB). The store's node table, 16 bytes per node, is read
+// into memory at open, outside that budget.
 func OpenDiskGraph(path string, cacheBytes int64) (*DiskGraph, error) {
 	return diskgraph.Open(path, cacheBytes)
 }

@@ -225,10 +225,10 @@ func TestRowsStraddlePages(t *testing.T) {
 	}
 }
 
-// TestCorruptOffsets flips one entry of a written store's offsets section
-// and wants diskgraph's own complaint, from Open for the last entry and from
-// Neighbors for an inner one, never an index-out-of-range from inside the
-// page cache or a row read from another section's bytes.
+// TestCorruptOffsets writes one bad entry into a written store's offsets
+// section and wants Open to refuse the file with diskgraph's own complaint
+// naming the first node whose row the offsets no longer describe, never a
+// store that panics, or reads another section's bytes, on a later visit.
 func TestCorruptOffsets(t *testing.T) {
 	g := gen.PaperExample()
 	path := writeStore(t, g, 4096)
@@ -242,44 +242,89 @@ func TestCorruptOffsets(t *testing.T) {
 	}
 	l := s.l
 	s.Close()
-	corrupt := func(entry int64, val uint64) {
-		t.Helper()
-		data := append([]byte(nil), clean...)
-		putU64(data[l.offsetsOff+entry*8:], val)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	corrupt(l.n, uint64(l.m2+1))
-	if _, err := Open(path, 0); err == nil || !strings.Contains(err.Error(), "corrupt offsets") {
-		t.Fatalf("last offset past m2: Open returned %v", err)
+	n, m2 := l.n, l.m2
+	if end := g.Offsets()[4]; end >= m2 {
+		t.Fatalf("node 4 starts at %d of %d half-edges; the test needs rows after it", end, m2)
 	}
 
 	// offsets[3] is node 2's end and node 3's start.
 	for _, tc := range []struct {
-		val  uint64
-		node graph.NodeID
+		entry int64
+		val   uint64
+		node  int64
 	}{
-		{uint64(l.m2 + 5), 2}, // hi > m2, cnt still within m2
-		{^uint64(0) - 2, 3},   // lo < 0 as int64
-		{uint64(1) << 62, 2},  // hi far past the file
-		{uint64(l.m2 + 5), 3}, // lo > hi
-		{^uint64(0) - 100, 2}, // hi < lo
+		{0, 1, 0},                  // the first row does not start at 0
+		{n, uint64(m2 + 1), n - 1}, // last row ends past m2
+		{n, uint64(m2 - 1), n - 1}, // last row ends short of m2
+		{3, uint64(m2 + 5), 2},     // hi > m2
+		{3, ^uint64(0) - 2, 2},     // hi < 0 as int64
+		{3, uint64(1) << 62, 2},    // hi far past the file
+		{3, ^uint64(0) - 100, 2},   // hi < lo
+		{3, uint64(m2), 3},         // node 2 ends at m2, so node 3 starts past its end
 	} {
-		corrupt(3, tc.val)
-		s, err := Open(path, 0)
-		if err != nil {
+		data := append([]byte(nil), clean...)
+		putU64(data[l.offsetsOff+tc.entry*8:], tc.val)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			s.Neighbors(tc.node)
-			return
-		}()
-		s.Close()
-		if !strings.Contains(msg, fmt.Sprintf("diskgraph: corrupt offsets for node %d", tc.node)) {
-			t.Errorf("offsets[3]=%#x, Neighbors(%d): got %q", tc.val, tc.node, msg)
+		s, err := Open(path, 0)
+		if err == nil {
+			s.Close()
+			t.Errorf("offsets[%d]=%#x: Open accepted the store", tc.entry, tc.val)
+			continue
+		}
+		if want := fmt.Sprintf("corrupt offsets: node %d ", tc.node); !strings.Contains(err.Error(), want) {
+			t.Errorf("offsets[%d]=%#x: Open returned %q, want %q", tc.entry, tc.val, err, want)
+		}
+	}
+}
+
+// TestNodeTableTouchesNoPage: degrees and offsets are read into memory at
+// Open, so a degree probe never reaches the page cache or the fault
+// observer, and a visit costs exactly the page lookups its row spans.
+func TestNodeTableTouchesNoPage(t *testing.T) {
+	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageSize = 512
+	s, err := Open(writeStore(t, g, pageSize), pageSize) // a one-page budget
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.NewReader()
+	faults := 0
+	r.SetFaultObserver(func(time.Duration) { faults++ })
+	for v := 0; v < g.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if s.Degree(id) != g.Degree(id) || r.Degree(id) != g.Degree(id) {
+			t.Fatalf("degree mismatch at %d", v)
+		}
+	}
+	if st := s.CacheStats(); st != (Stats{Shards: st.Shards}) {
+		t.Fatalf("degree probes reached the page cache: %+v", st)
+	}
+	if faults != 0 {
+		t.Fatalf("degree probes invoked the fault observer %d times", faults)
+	}
+
+	lookups := func() int64 {
+		st := s.CacheStats()
+		return st.Hits + st.Misses + st.FaultsDeduped
+	}
+	off := g.Offsets()
+	for v := 0; v < g.NumNodes(); v++ {
+		lo := s.l.rowsOff + off[v]*rowEntrySz
+		hi := s.l.rowsOff + off[v+1]*rowEntrySz
+		var want int64
+		if hi > lo {
+			want = (hi-1)/pageSize - lo/pageSize + 1
+		}
+		before := lookups()
+		r.Neighbors(graph.NodeID(v))
+		if got := lookups() - before; got != want {
+			t.Fatalf("node %d: row [%d,%d) cost %d page lookups, want %d", v, lo, hi, got, want)
 		}
 	}
 }

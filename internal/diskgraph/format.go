@@ -1,8 +1,11 @@
 // Package diskgraph is the disk-resident graph substrate standing in for
 // the Neo4j 2.0 store the paper uses in Section 6.4. It keeps the entire
 // graph — degrees, CSR offsets and one adjacency record per node — in a
-// single file and serves reads through an LRU page cache with a hard byte
-// budget, mirroring the paper's "memory usage restricted to 2 GB" setup.
+// single file. Open reads the node table (degrees and offsets, 16 bytes per
+// node) into memory; the adjacency records, which are what does not fit,
+// are served through an LRU page cache with a hard byte budget, mirroring
+// the paper's "memory usage restricted to 2 GB" setup. The budget bounds
+// page buffers only, so a store holds the budget plus 16 bytes per node.
 //
 // The Store satisfies graph.Graph, so FLoS runs on it unmodified: exactly
 // the paper's observation that FLoS "only calls some basic query functions
@@ -28,8 +31,9 @@ import (
 //	rows    m2 × 12 B
 //
 // Node v's row is one contiguous record at rowsOff + 12·offsets[v]: its cnt
-// targets (uint32 each) followed by its cnt weights (float64 each), so a
-// visit costs one offsets read and one row read.
+// targets (uint32 each) followed by its cnt weights (float64 each). Open
+// reads the degrees and offsets sections into memory, so a degree probe
+// touches no page and a visit costs one row read.
 
 const (
 	magic       = "FLOSDSK2"

@@ -11,8 +11,10 @@ import (
 	"flos/internal/obs/cachelens"
 )
 
-// Store is a read-only disk-resident graph served through a byte-budgeted,
-// lock-striped page cache. It implements graph.Graph. Neighbors returns
+// Store is a read-only disk-resident graph. Its node table (every degree
+// and CSR offset, 16 bytes per node) is read into memory at Open; the
+// adjacency rows are served through a byte-budgeted, lock-striped page
+// cache. It implements graph.Graph. Neighbors returns
 // scratch slices that are overwritten by the next Neighbors call — the same
 // contract the interface documents — so the Store itself serves one reader
 // at a time; concurrent queries each take their own view via NewReader,
@@ -24,6 +26,12 @@ type Store struct {
 	cache *pageCache
 	top   []graph.DegreeEntry
 
+	// deg and off are the node table: deg[v] is v's weighted degree and v's
+	// row is half-edges [off[v], off[v+1]). Open validated off; every Reader
+	// shares both read-only.
+	deg []float64
+	off []int64
+
 	// def is the Store's own reader view, backing the graph.Graph methods
 	// for single-goroutine use.
 	def Reader
@@ -32,7 +40,7 @@ type Store struct {
 var _ graph.Graph = (*Store)(nil)
 
 // Reader is an independent view of a Store for one goroutine: it shares the
-// store's page cache and metadata but owns the scratch buffers Neighbors
+// store's page cache and node table but owns the scratch buffers Neighbors
 // returns. Concurrent queries against one Store should each hold their own
 // Reader; the Readers' combined page traffic shares one byte budget.
 type Reader struct {
@@ -60,8 +68,10 @@ func (s *Store) NewView() graph.Graph { return s.NewReader() }
 func (r *Reader) NewView() graph.Graph { return r.s.NewReader() }
 
 // Open maps the store at path with the given cache budget in bytes
-// (0 selects 64 MiB). The header — including the top-degree index — is read
-// eagerly; everything else is paged on demand.
+// (0 selects 64 MiB). The header, the top-degree index and the node table
+// are read eagerly, and a node table whose offsets do not describe the rows
+// section is refused; the rows are paged on demand. The budget bounds page
+// buffers only: the node table's 16 bytes per node sit outside it.
 func Open(path string, cacheBytes int64) (*Store, error) {
 	if cacheBytes <= 0 {
 		cacheBytes = 64 << 20
@@ -107,14 +117,10 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	var last [8]byte
-	if _, err := f.ReadAt(last[:], l.offsetsOff+n*8); err != nil {
+	deg, off, err := readNodeTable(f, l)
+	if err != nil {
 		f.Close()
-		return nil, err
-	}
-	if end := int64(getU64(last[:])); end != m2 {
-		f.Close()
-		return nil, fmt.Errorf("diskgraph: %s: corrupt offsets: last offset %d, header says %d half-edges", path, end, m2)
+		return nil, fmt.Errorf("diskgraph: %s: %w", path, err)
 	}
 	top := make([]graph.DegreeEntry, topN)
 	for i := int64(0); i < topN; i++ {
@@ -129,6 +135,8 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 		l:     l,
 		cache: newPageCache(f, pageSz, cacheBytes, l.totalSize),
 		top:   top,
+		deg:   deg,
+		off:   off,
 	}
 	s.def.s = s
 	return s, nil
@@ -151,18 +159,9 @@ func (s *Store) TopDegrees(k int) []graph.DegreeEntry {
 	return s.top[:k]
 }
 
-// Degree reads one float64 from the degrees section via the cache. It uses
-// no scratch state and is safe for concurrent use.
-func (s *Store) Degree(v graph.NodeID) float64 { return s.degree(v, nil) }
-
-// degree is Degree with a fault observer threaded through to the page cache.
-func (s *Store) degree(v graph.NodeID, onFault func(time.Duration)) float64 {
-	var b [8]byte
-	if err := s.cache.readAt(b[:], s.l.degreesOff+int64(v)*8, onFault); err != nil {
-		panic(fmt.Sprintf("diskgraph: degree read: %v", err))
-	}
-	return math.Float64frombits(getU64(b[:]))
-}
+// Degree returns the weighted degree of v from the in-memory node table: it
+// touches no page and is safe for concurrent use.
+func (s *Store) Degree(v graph.NodeID) float64 { return s.deg[v] }
 
 // Neighbors reads the CSR row of v through the store's default reader. The
 // returned slices are valid until the next Neighbors call on this Store;
@@ -177,8 +176,9 @@ func (r *Reader) NumNodes() int { return r.s.NumNodes() }
 // NumEdges returns the undirected edge count.
 func (r *Reader) NumEdges() int64 { return r.s.NumEdges() }
 
-// Degree reads the weighted degree of v.
-func (r *Reader) Degree(v graph.NodeID) float64 { return r.s.degree(v, r.fault) }
+// Degree returns the weighted degree of v from the store's node table; it
+// never reaches the page cache or the fault observer.
+func (r *Reader) Degree(v graph.NodeID) float64 { return r.s.deg[v] }
 
 // SetFaultObserver installs (or clears, with nil) a callback invoked with
 // the stall duration of every page fault this Reader's reads incur — the
@@ -190,19 +190,12 @@ func (r *Reader) SetFaultObserver(fn func(time.Duration)) { r.fault = fn }
 // TopDegrees serves the header's degree index.
 func (r *Reader) TopDegrees(k int) []graph.DegreeEntry { return r.s.TopDegrees(k) }
 
-// Neighbors reads the CSR row of v. The returned slices are valid until the
-// next Neighbors call on this Reader.
+// Neighbors reads the CSR row of v, one page-cache read of the bounds the
+// node table gives. The returned slices are valid until the next Neighbors
+// call on this Reader.
 func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	s := r.s
-	var ob [16]byte
-	if err := s.cache.readAt(ob[:], s.l.offsetsOff+int64(v)*8, r.fault); err != nil {
-		panic(fmt.Sprintf("diskgraph: offset read: %v", err))
-	}
-	lo := int64(getU64(ob[0:8]))
-	hi := int64(getU64(ob[8:16]))
-	if lo < 0 || hi < lo || hi > s.l.m2 {
-		panic(fmt.Sprintf("diskgraph: corrupt offsets for node %d: [%d,%d)", v, lo, hi))
-	}
+	lo, hi := s.off[v], s.off[v+1]
 	cnt := hi - lo
 	if int64(cap(r.scratchN)) < cnt {
 		r.scratchN = make([]graph.NodeID, cnt, 2*cnt)
@@ -263,3 +256,52 @@ func (s *Store) ShardStats() []ShardStat { return s.cache.shardStats() }
 // FileSize returns the store's on-disk size in bytes (the paper's Table 7
 // "disk size" column).
 func (s *Store) FileSize() int64 { return s.l.totalSize }
+
+// tableChunk bounds the buffer Open decodes the node table through, so
+// opening a store never holds a second copy of the table.
+const tableChunk = 64 << 10
+
+// readNodeTable reads the degrees and offsets sections of the store behind
+// f and checks that the offsets cut the rows section into one row per node:
+// offsets[0] is 0, no row ends before it starts or past the m2 half-edges,
+// and the last row ends at m2. A violation names the first bad node.
+func readNodeTable(f io.ReaderAt, l layout) ([]float64, []int64, error) {
+	r := io.NewSectionReader(f, l.degreesOff, l.rowsOff-l.degreesOff)
+	buf := make([]byte, tableChunk)
+	deg := make([]float64, l.n)
+	if err := readWords(r, buf, deg, math.Float64frombits); err != nil {
+		return nil, nil, fmt.Errorf("read degrees: %w", err)
+	}
+	off := make([]int64, l.n+1)
+	if err := readWords(r, buf, off, func(u uint64) int64 { return int64(u) }); err != nil {
+		return nil, nil, fmt.Errorf("read offsets: %w", err)
+	}
+	if off[0] != 0 {
+		return nil, nil, fmt.Errorf("corrupt offsets: node 0 starts at %d, want 0", off[0])
+	}
+	for v := int64(0); v < l.n; v++ {
+		if lo, hi := off[v], off[v+1]; hi < lo || hi > l.m2 {
+			return nil, nil, fmt.Errorf("corrupt offsets: node %d has row [%d,%d), which is reversed or ends past the %d half-edges", v, lo, hi, l.m2)
+		}
+	}
+	if end := off[l.n]; end != l.m2 {
+		return nil, nil, fmt.Errorf("corrupt offsets: node %d ends at %d, header says %d half-edges", l.n-1, end, l.m2)
+	}
+	return deg, off, nil
+}
+
+// readWords fills dst with consecutive little-endian 64-bit words from r,
+// decoding them through buf.
+func readWords[T float64 | int64](r io.Reader, buf []byte, dst []T, conv func(uint64) T) error {
+	for len(dst) > 0 {
+		c := min(len(dst), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
+			return err
+		}
+		for i := range dst[:c] {
+			dst[i] = conv(getU64(buf[i*8:]))
+		}
+		dst = dst[c:]
+	}
+	return nil
+}
