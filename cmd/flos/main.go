@@ -9,6 +9,10 @@
 // Graph inputs: a SNAP-style text edge list (-graph), the binary CSR format
 // (-bin), or a disk store produced by flosgen/CreateDiskGraph (-store).
 //
+// -certify audits the answer against a full global-iteration solve and
+// exits 1 when it is not an exact top-k; with -unified it audits both
+// rankings and names the one that failed.
+//
 // -replay renders a flight-recorder dump (saved from a flosd instance's
 // /debug/flos/slow or /debug/flos/flightrec endpoint) as the convergence
 // table a live -trace run prints — offline slow-query analysis without the
@@ -25,6 +29,8 @@ import (
 	"time"
 
 	"flos"
+	"flos/internal/core"
+	"flos/internal/graph"
 	"flos/internal/measure"
 )
 
@@ -120,6 +126,13 @@ func main() {
 		if tc != nil {
 			printTrace(tc.Iters)
 		}
+		if *certify {
+			start = time.Now()
+			if err := certifyUnified(g, flos.NodeID(*q), res, opt.Params, 1e-7); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("both rankings certified exact against global iteration in %s\n", time.Since(start))
+		}
 		return
 	}
 
@@ -146,6 +159,29 @@ func main() {
 		}
 		fmt.Printf("certified exact against global iteration in %s\n", time.Since(start))
 	}
+}
+
+// certifyUnified audits both rankings of a unified answer against a full
+// global-iteration solve: PHPFamily as PHP at decay p.C, and RWR as RWR at
+// restart 1 − p.C, the pairing Theorem 6 gives the one PHP engine that
+// ranked both. The error names the family that failed.
+func certifyUnified(g graph.Graph, q graph.NodeID, res *core.UnifiedResult, p measure.Params, eps float64) error {
+	rwr := p
+	rwr.C = 1 - p.C
+	for _, fam := range []struct {
+		name string
+		kind measure.Kind
+		p    measure.Params
+		topK []measure.Ranked
+	}{
+		{"PHP-family", measure.PHP, p, res.PHPFamily},
+		{"RWR", measure.RWR, rwr, res.RWR},
+	} {
+		if err := core.Certify(g, q, &core.Result{TopK: fam.topK}, fam.kind, fam.p, eps); err != nil {
+			return fmt.Errorf("%s ranking: %w", fam.name, err)
+		}
+	}
+	return nil
 }
 
 // printTrace renders the Tracer trajectory as a convergence table: one row

@@ -33,22 +33,15 @@ type pageCache struct {
 	fileSize int64
 	shards   []cacheShard
 
-	// lens, when non-nil, observes page lookups for the cache-analytics
-	// plane (MRC, working-set windows). Misses and hits on keys the lens
-	// samples reach it one by one, outside the shard locks; every other hit
-	// is counted in its page frame and folded
-	// in lensFold at a time (see foldHits). Nil-safe.
+	// lens, when non-nil, samples page lookups for the cache-analytics
+	// plane (MRC, working-set windows): every lookup reaches it once,
+	// outside the shard lock. Nil-safe.
 	lens *cachelens.Lens
 }
 
-const (
-	// maxCacheShards bounds the stripe count; 64 comfortably exceeds the
-	// core counts this serves while keeping per-shard budgets coarse.
-	maxCacheShards = 64
-	// lensFold is how many unsampled hits a page counts privately before
-	// they reach the lens in one call.
-	lensFold = 64
-)
+// maxCacheShards bounds the stripe count; 64 comfortably exceeds the core
+// counts this serves while keeping per-shard budgets coarse.
+const maxCacheShards = 64
 
 type cacheShard struct {
 	mu sync.Mutex
@@ -71,7 +64,6 @@ type cacheShard struct {
 	misses    int64
 	dedups    int64
 	evictions int64
-	hwmPages  int // most pages ever resident at once in this shard
 }
 
 // page is one frame. Its fields are guarded by the shard lock, except that
@@ -80,9 +72,7 @@ type page struct {
 	idx        int64
 	data       []byte // page content; capacity is always the page size
 	prev, next *page
-	loading    bool   // being read from disk: in pages, not on the LRU list
-	sampled    bool   // the lens tracks this key: its hits go to the lens one by one
-	lensHits   uint32 // hits not yet folded into the lens
+	loading    bool // being read from disk: in pages, not on the LRU list
 }
 
 func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache {
@@ -127,18 +117,8 @@ func (c *pageCache) copyAt(dst []byte, idx, inPage int64, onFault func(time.Dura
 	sh.hits++
 	sh.touch(p)
 	n, err := p.copyOut(dst, inPage)
-	sampled, fold := p.sampled, uint32(0)
-	if !sampled {
-		if p.lensHits++; p.lensHits == lensFold {
-			fold, p.lensHits = lensFold, 0
-		}
-	}
 	sh.mu.Unlock()
-	if sampled {
-		c.lens.RecordGet(uint64(idx), true)
-	} else if fold != 0 {
-		c.lens.RecordHits(uint64(idx), fold)
-	}
+	c.lens.RecordGet(uint64(idx))
 	return n, err
 }
 
@@ -146,15 +126,12 @@ func (c *pageCache) copyAt(dst []byte, idx, inPage int64, onFault func(time.Dura
 // Called with sh.mu held and idx absent from sh.pages; returns unlocked.
 func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
 	sh.misses++
-	p, victim, victimHits := sh.takeFrame(c.pageSize)
-	p.idx, p.loading, p.sampled = idx, true, c.lens.Sampled(uint64(idx))
+	p := sh.takeFrame(c.pageSize)
+	p.idx, p.loading = idx, true
 	sh.pages[idx] = p
 	sh.mu.Unlock()
 
-	c.lens.RecordGet(uint64(idx), false)
-	if victim >= 0 {
-		c.lens.RecordHits(uint64(victim), victimHits)
-	}
+	c.lens.RecordGet(uint64(idx))
 	var start time.Time
 	if onFault != nil {
 		start = time.Now()
@@ -165,21 +142,17 @@ func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault
 	}
 
 	var n int
-	var shed []*page
 	sh.mu.Lock()
 	p.loading = false
 	if err != nil {
 		delete(sh.pages, idx)
 		sh.frames--
 	} else {
-		shed = sh.insert(p)
+		sh.insert(p)
 		n, err = p.copyOut(dst, inPage)
 	}
 	sh.loaded.Broadcast()
 	sh.mu.Unlock()
-	for _, v := range shed {
-		c.lens.RecordHits(uint64(v.idx), v.lensHits)
-	}
 	return n, err
 }
 
@@ -205,7 +178,7 @@ func (c *pageCache) await(sh *cacheShard, dst []byte, idx, inPage int64, onFault
 		n, err = p.copyOut(dst, inPage)
 	}
 	sh.mu.Unlock()
-	c.lens.RecordGet(uint64(idx), false)
+	c.lens.RecordGet(uint64(idx))
 	if onFault != nil {
 		onFault(time.Since(start))
 	}
@@ -254,71 +227,31 @@ func (c *pageCache) readAt(dst []byte, off int64, onFault func(time.Duration)) e
 	return nil
 }
 
-// attachLens starts reporting to lens. Pages already resident were faulted
-// in without one: each learns here whether the lens samples it, and the hits
-// it counted so far, which the lens never saw the misses for, are dropped.
-func (c *pageCache) attachLens(lens *cachelens.Lens) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.pages {
-			p.sampled, p.lensHits = lens.Sampled(uint64(p.idx)), 0
-		}
-		sh.mu.Unlock()
-	}
-	c.lens = lens
-}
-
-// foldHits hands the lens every hit still counted in a page frame, so the
-// lens's access total matches the cache's own counters. The lens calls it
-// before each snapshot.
-func (c *pageCache) foldHits() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for p := sh.head; p != nil; p = p.next {
-			c.lens.RecordHits(uint64(p.idx), p.lensHits)
-			p.lensHits = 0
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // takeFrame returns the frame a fault reads into: a new one while the shard
-// is under budget, otherwise the LRU page's, which it evicts (victim is that
-// page's index, with the hits it had not yet folded into the lens; -1 when
-// nothing was evicted). Only when every frame of the shard is itself
-// mid-load does it allocate past the budget; insert sheds that excess.
-// Caller holds sh.mu.
-func (sh *cacheShard) takeFrame(pageSize int64) (p *page, victim int64, victimHits uint32) {
+// is under budget, otherwise the LRU page's, which it evicts. Only when
+// every frame of the shard is itself mid-load does it allocate past the
+// budget; insert sheds that excess. Caller holds sh.mu.
+func (sh *cacheShard) takeFrame(pageSize int64) *page {
 	if sh.frames < sh.maxFrames || sh.tail == nil {
 		sh.frames++
-		return &page{data: make([]byte, pageSize)}, -1, 0
+		return &page{data: make([]byte, pageSize)}
 	}
-	p = sh.tail
-	victim, victimHits = p.idx, p.lensHits
+	p := sh.tail
 	sh.evict(p)
-	p.lensHits = 0
-	return p, victim, victimHits
+	return p
 }
 
 // insert makes a freshly loaded page resident and, when concurrent faults
 // pushed the shard past its frame budget, evicts LRU pages and drops their
-// frames until it is back within it; those pages are returned so the caller
-// can report them to the lens outside the shard lock. Caller holds sh.mu.
-func (sh *cacheShard) insert(p *page) (shed []*page) {
+// frames until it is back within it. Caller holds sh.mu.
+func (sh *cacheShard) insert(p *page) {
 	sh.resident++
 	sh.bytes += int64(len(p.data))
 	sh.pushFront(p)
-	if sh.resident > sh.hwmPages {
-		sh.hwmPages = sh.resident
-	}
 	for sh.frames > sh.maxFrames && sh.tail != p {
-		shed = append(shed, sh.tail)
 		sh.evict(sh.tail)
 		sh.frames--
 	}
-	return shed
 }
 
 func (sh *cacheShard) touch(p *page) {
@@ -377,66 +310,22 @@ type Stats struct {
 	// ResidentBytes / ResidentPages describe current occupancy.
 	ResidentBytes int64
 	ResidentPages int
-	// ResidentPagesHWM is the high-water mark of resident pages — the most
-	// the cache ever held at once. HWM well under budget means the budget
-	// was never the constraint; HWM at budget with a high eviction rate
-	// means the working set does not fit.
-	ResidentPagesHWM int
-	// Shards is the lock-stripe count.
-	Shards int
 }
 
+// stats sums the shards, each read under its own lock: per-shard
+// consistent, not one global instant.
 func (c *pageCache) stats() Stats {
-	st := Stats{Shards: len(c.shards)}
-	for _, ss := range c.shardStats() {
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-		st.FaultsDeduped += ss.FaultsDeduped
-		st.Evictions += ss.Evictions
-		st.ResidentBytes += ss.ResidentBytes
-		st.ResidentPages += ss.ResidentPages
-		st.ResidentPagesHWM += ss.ResidentPagesHWM
-	}
-	return st
-}
-
-// ShardStat is one lock stripe's view of the page cache: its own
-// hit/miss/dedup counters and resident set. Uneven hit ratios across shards
-// expose skewed page access (hot adjacency regions) that the aggregate
-// Stats averages away.
-type ShardStat struct {
-	// Shard is the stripe index (page index mod shard count).
-	Shard int
-	// Hits, Misses, FaultsDeduped as in Stats, per stripe.
-	Hits, Misses, FaultsDeduped int64
-	// Evictions counts LRU evictions in this stripe.
-	Evictions int64
-	// ResidentBytes / ResidentPages describe the stripe's occupancy;
-	// ResidentPagesHWM is the stripe's all-time occupancy peak.
-	ResidentBytes    int64
-	ResidentPages    int
-	ResidentPagesHWM int
-}
-
-// shardStats snapshots each stripe under its own lock. Stripes are read
-// sequentially, so the slice is per-shard consistent, not a global atomic
-// snapshot — the same contract concurrent readers already get from stats.
-func (c *pageCache) shardStats() []ShardStat {
-	out := make([]ShardStat, len(c.shards))
+	var st Stats
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		out[i] = ShardStat{
-			Shard:            i,
-			Hits:             sh.hits,
-			Misses:           sh.misses,
-			FaultsDeduped:    sh.dedups,
-			Evictions:        sh.evictions,
-			ResidentBytes:    sh.bytes,
-			ResidentPages:    sh.resident,
-			ResidentPagesHWM: sh.hwmPages,
-		}
+		st.Hits += sh.hits
+		st.Misses += sh.misses
+		st.FaultsDeduped += sh.dedups
+		st.Evictions += sh.evictions
+		st.ResidentBytes += sh.bytes
+		st.ResidentPages += sh.resident
 		sh.mu.Unlock()
 	}
-	return out
+	return st
 }

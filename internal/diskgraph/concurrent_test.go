@@ -7,6 +7,7 @@ import (
 
 	"flos/internal/gen"
 	"flos/internal/graph"
+	"flos/internal/obs/cachelens"
 )
 
 // TestConcurrentReaders drives many Reader views over one store at once —
@@ -38,6 +39,7 @@ func TestConcurrentReaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			lens := s.AttachLens(cachelens.Config{SampleRate: 1})
 
 			// The budget bounds page buffers at every instant, not just at rest.
 			limit := tc.budget + int64(tc.readers)*pageSize
@@ -102,77 +104,14 @@ func TestConcurrentReaders(t *testing.T) {
 			if st.Hits+st.Misses == 0 {
 				t.Fatal("cache recorded no traffic")
 			}
+			if lookups, sampled := st.Hits+st.Misses+st.FaultsDeduped, lens.Snapshot().SampledAccesses; sampled != lookups {
+				t.Errorf("lens sampled %d accesses, shards counted %d lookups", sampled, lookups)
+			}
 			if st.ResidentBytes > tc.budget || s.cache.ownedBytes() > tc.budget {
 				t.Errorf("at rest: %d resident bytes, %d owned, budget %d", st.ResidentBytes, s.cache.ownedBytes(), tc.budget)
 			}
-			t.Logf("cache: %d hits, %d misses, %d deduped, %d evictions, %d shards, %d resident",
-				st.Hits, st.Misses, st.FaultsDeduped, st.Evictions, st.Shards, st.ResidentBytes)
+			t.Logf("cache: %d hits, %d misses, %d deduped, %d evictions, %d resident",
+				st.Hits, st.Misses, st.FaultsDeduped, st.Evictions, st.ResidentBytes)
 		})
-	}
-}
-
-// TestShardStatsUnderConcurrentReaders drives concurrent readers and checks
-// the per-shard counters: they move, they stay consistent with the
-// aggregate Stats, and every fault is accounted to exactly one stripe.
-func TestShardStatsUnderConcurrentReaders(t *testing.T) {
-	g, err := gen.RMAT(3000, 12000, gen.DefaultRMAT(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeStore(t, g, 1024)
-	s, err := Open(path, 16<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const readers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := s.NewReader()
-			for off := 0; off < g.NumNodes(); off++ {
-				v := graph.NodeID((off*(w+1) + w*131) % g.NumNodes())
-				r.Neighbors(v)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	agg := s.CacheStats()
-	shards := s.ShardStats()
-	if len(shards) != agg.Shards {
-		t.Fatalf("ShardStats returned %d entries, aggregate says %d shards", len(shards), agg.Shards)
-	}
-	var hits, misses, dedups, bytes int64
-	var pages, moved int
-	for i, ss := range shards {
-		if ss.Shard != i {
-			t.Errorf("entry %d labeled shard %d", i, ss.Shard)
-		}
-		if ss.Hits > 0 || ss.Misses > 0 {
-			moved++
-		}
-		hits += ss.Hits
-		misses += ss.Misses
-		dedups += ss.FaultsDeduped
-		bytes += ss.ResidentBytes
-		pages += ss.ResidentPages
-	}
-	if moved < 2 {
-		t.Errorf("only %d of %d shards saw traffic under concurrent readers", moved, len(shards))
-	}
-	if hits != agg.Hits || misses != agg.Misses || dedups != agg.FaultsDeduped {
-		t.Errorf("shard sums (h=%d m=%d d=%d) != aggregate (h=%d m=%d d=%d)",
-			hits, misses, dedups, agg.Hits, agg.Misses, agg.FaultsDeduped)
-	}
-	if bytes != agg.ResidentBytes || pages != agg.ResidentPages {
-		t.Errorf("shard residency (%dB/%dp) != aggregate (%dB/%dp)",
-			bytes, pages, agg.ResidentBytes, agg.ResidentPages)
-	}
-	if misses == 0 {
-		t.Error("no faults recorded at all")
 	}
 }

@@ -70,7 +70,8 @@ func (r *Reader) NewView() graph.Graph { return r.s.NewReader() }
 // Open maps the store at path with the given cache budget in bytes
 // (0 selects 64 MiB). The header, the top-degree index and the node table
 // are read eagerly, and a node table whose offsets do not describe the rows
-// section is refused; the rows are paged on demand. The budget bounds page
+// section, or a top-degree index that disagrees with the node table, is
+// refused; the rows are paged on demand. The budget bounds page
 // buffers only: the node table's 16 bytes per node sit outside it.
 func Open(path string, cacheBytes int64) (*Store, error) {
 	if cacheBytes <= 0 {
@@ -129,6 +130,10 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 			Node:   graph.NodeID(getU32(b[0:4])),
 			Degree: math.Float64frombits(getU64(b[4:12])),
 		}
+	}
+	if err := checkTopDegrees(top, deg); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("diskgraph: %s: %w", path, err)
 	}
 	s := &Store{
 		f:     f,
@@ -220,38 +225,28 @@ func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	return nbrs, ws
 }
 
-// AttachLens enables cache analytics on the page cache: page lookups feed a
-// cachelens.Lens whose miss-ratio curve and working-set windows are exported
-// through the returned handle.
-// Hits on pages the lens does not sample are batched in the cache and reach
-// the lens 64 at a time, on eviction, and before every snapshot.
-// A zero cfg.Capacity is filled from the store's geometry: it becomes the
-// page budget (the 1x point of the MRC). The lens sees the
-// accesses made from here on; pages already resident are kept and marked
-// sampled or not like any other. Call before serving traffic — attaching is
-// not synchronized with concurrent reads — and Close the returned lens on
-// shutdown when cfg.TickEvery is set.
+// AttachLens enables cache analytics on the page cache: every page lookup
+// from here on (hit, fault or deduplicated wait) reaches a cachelens.Lens
+// once, whose miss-ratio curve and working-set windows are exported through
+// the returned handle. A zero cfg.Capacity is filled from the store's
+// geometry: it becomes the page budget (the 1x point of the MRC). Call
+// before serving traffic — attaching is not synchronized with concurrent
+// reads — and Close the returned lens on shutdown when cfg.TickEvery is set.
 func (s *Store) AttachLens(cfg cachelens.Config) *cachelens.Lens {
 	if cfg.Capacity <= 0 {
 		for i := range s.cache.shards {
 			cfg.Capacity += s.cache.shards[i].maxFrames
 		}
 	}
-	lens := cachelens.New(cfg)
-	lens.OnSnapshot(s.cache.foldHits)
-	s.cache.attachLens(lens)
-	return lens
+	s.cache.lens = cachelens.New(cfg)
+	return s.cache.lens
 }
 
 // Lens returns the attached analytics lens, or nil when analytics are off.
 func (s *Store) Lens() *cachelens.Lens { return s.cache.lens }
 
-// CacheStats reports aggregate page-cache behavior since Open.
+// CacheStats reports page-cache behavior since Open.
 func (s *Store) CacheStats() Stats { return s.cache.stats() }
-
-// ShardStats reports per-stripe page-cache behavior since Open, one entry
-// per lock shard in stripe order.
-func (s *Store) ShardStats() []ShardStat { return s.cache.shardStats() }
 
 // FileSize returns the store's on-disk size in bytes (the paper's Table 7
 // "disk size" column).
@@ -288,6 +283,39 @@ func readNodeTable(f io.ReaderAt, l layout) ([]float64, []int64, error) {
 		return nil, nil, fmt.Errorf("corrupt offsets: node %d ends at %d, header says %d half-edges", l.n-1, end, l.m2)
 	}
 	return deg, off, nil
+}
+
+// checkTopDegrees checks the header's top-degree index against the node
+// table. The RWR w(S̄) guard reads the first unvisited entry as the largest
+// unvisited degree, so every entry must name a node in range, once, with its
+// table degree, in non-increasing order, and no node heavier than the last
+// entry may be missing: any of these broken either indexes out of range or
+// lets the guard undercount the mass the certificate rests on.
+func checkTopDegrees(top []graph.DegreeEntry, deg []float64) error {
+	listed := make(map[graph.NodeID]bool, len(top))
+	for i, e := range top {
+		switch {
+		case e.Node < 0 || int(e.Node) >= len(deg):
+			return fmt.Errorf("corrupt top-degree index: entry %d names node %d of %d", i, e.Node, len(deg))
+		case e.Degree != deg[e.Node]:
+			return fmt.Errorf("corrupt top-degree index: entry %d gives node %d degree %g, the node table %g", i, e.Node, e.Degree, deg[e.Node])
+		case i > 0 && e.Degree > top[i-1].Degree:
+			return fmt.Errorf("corrupt top-degree index: entry %d (degree %g) is heavier than entry %d (degree %g)", i, e.Degree, i-1, top[i-1].Degree)
+		case listed[e.Node]:
+			return fmt.Errorf("corrupt top-degree index: entry %d lists node %d again", i, e.Node)
+		}
+		listed[e.Node] = true
+	}
+	floor := math.Inf(-1)
+	if len(top) > 0 {
+		floor = top[len(top)-1].Degree
+	}
+	for v, d := range deg {
+		if d > floor && !listed[graph.NodeID(v)] {
+			return fmt.Errorf("corrupt top-degree index: node %d of degree %g is heavier than its last entry but not listed", v, d)
+		}
+	}
+	return nil
 }
 
 // readWords fills dst with consecutive little-endian 64-bit words from r,

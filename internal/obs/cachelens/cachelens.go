@@ -1,9 +1,9 @@
 // Package cachelens is the cache-analytics plane shared by the diskgraph
-// page cache and the qserve result cache: it turns raw hit/miss totals into
-// numbers an operator can size and tier a cache with.
+// page cache and the qserve result cache: it turns a cache's access stream
+// into numbers an operator can size and tier a cache with.
 //
 // A Lens observes the access stream of one cache through one nil-safe hook
-// — RecordGet(key, hit) on every lookup — and maintains, online:
+// — RecordGet(key) on every lookup — and maintains, online:
 //
 //   - A miss-ratio curve (MRC): the estimated hit ratio the same traffic
 //     would see at 0.25x/0.5x/1x/2x/4x of the current capacity, via
@@ -18,14 +18,15 @@
 //     (1m and 10m by default), scaled by SampleRate — how much cache the
 //     traffic actually touches, per window, independent of capacity.
 //
+// The lens only samples. The hit, miss and eviction totals belong to the
+// cache, which counts them under its own lock; the lens keeps no second
+// copy.
+//
 // Cost discipline: the disabled path is one nil check (every method is
 // nil-safe on the receiver, the Tracer/flight-recorder convention). Through
-// RecordGet, a cache hit on an unsampled key is one 64-bit mix, one mask
-// compare, and one atomic add; only the 1/SampleRate sampled minority takes
-// the Lens mutex. A cache whose hit path is too hot even for that (the page
-// cache: thousands of page hits per query)
-// asks Sampled once when a key enters, counts the unsampled keys' hits under
-// its own lock, and hands them over in batches with RecordHits.
+// RecordGet, a lookup of an unsampled key is one 64-bit mix and one mask
+// compare, with no shared write; only the 1/SampleRate sampled minority
+// takes the Lens mutex.
 package cachelens
 
 import (
@@ -117,10 +118,6 @@ type Lens struct {
 	mask      uint64 // hash & mask == 0 selects a sampled key
 	scaleCaps []int  // capacity at each cfg.Scales entry, >= 1
 
-	// Full-stream counters: every RecordGet lands here, atomically.
-	hits   atomic.Int64
-	misses atomic.Int64
-
 	ticks atomic.Int64
 
 	// mu guards the sampled-population state: the stack-distance index, the
@@ -134,10 +131,6 @@ type Lens struct {
 	winShort   window
 	winLong    window
 	haveWallT0 bool
-
-	// beforeSnapshot, when set, lets the cache fold in the hits it has
-	// batched for RecordHits before a snapshot reads the totals.
-	beforeSnapshot func()
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -216,20 +209,13 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// RecordGet observes one cache lookup for key (a page index or a key hash)
-// and whether it hit. Call it outside the cache's own locks: the Lens has
+// RecordGet observes one cache lookup for key (a page index or a key
+// hash), hit or miss alike: the MRC is built from reuse distances, not from
+// the cache's verdicts. Call it outside the cache's own locks: the Lens has
 // its own mutex and never calls back into the cache.
-func (l *Lens) RecordGet(key uint64, hit bool) {
-	if l == nil {
-		return
-	}
-	if hit {
-		l.hits.Add(1)
-	} else {
-		l.misses.Add(1)
-	}
-	if !l.Sampled(key) {
-		return // the common case: unsampled key, no lock taken
+func (l *Lens) RecordGet(key uint64) {
+	if l == nil || mix64(key^l.cfg.Seed)&l.mask != 0 {
+		return // the common case: unsampled key, no shared write
 	}
 
 	l.mu.Lock()
@@ -248,35 +234,6 @@ func (l *Lens) RecordGet(key uint64, hit bool) {
 	l.winShort.add(key)
 	l.winLong.add(key)
 	l.mu.Unlock()
-}
-
-// Sampled reports whether key is in the spatially sampled subset whose
-// reuse distances the lens tracks. It is a pure function of the key and the
-// seed, so a cache can ask once when the key enters and remember the answer.
-// False on a nil lens.
-func (l *Lens) Sampled(key uint64) bool {
-	return l != nil && mix64(key^l.cfg.Seed)&l.mask == 0
-}
-
-// RecordHits observes n cache hits on key at once. It is RecordGet(key,
-// true) n times over for a key that is not Sampled — the hit total only,
-// no lock — and must not be used for a sampled key, whose every access has
-// to reach the stack-distance index in order.
-func (l *Lens) RecordHits(key uint64, n uint32) {
-	if l == nil || n == 0 {
-		return
-	}
-	l.hits.Add(int64(n))
-}
-
-// OnSnapshot registers fn to run at the start of every Snapshot, before any
-// lens state is read: the hook a cache that batches RecordHits uses to fold
-// in what it still holds, so a snapshot's access total matches the cache's
-// own counters. Set it before the lens sees traffic. Safe on nil.
-func (l *Lens) OnSnapshot(fn func()) {
-	if l != nil {
-		l.beforeSnapshot = fn
-	}
 }
 
 func (w *window) add(key uint64) {
@@ -344,14 +301,8 @@ type WSSWindow struct {
 // Snapshot is a point-in-time export of everything the lens knows — the
 // body of GET /debug/flos/cache.
 type Snapshot struct {
-	SampleRate int   `json:"sample_rate"`
-	Capacity   int   `json:"capacity"`
-	Accesses   int64 `json:"accesses"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	// HitRatio is the measured hit ratio at the deployed capacity; compare
-	// with the curve's 1x point to judge the sampler's calibration.
-	HitRatio float64 `json:"hit_ratio"`
+	SampleRate int `json:"sample_rate"`
+	Capacity   int `json:"capacity"`
 	// SampledAccesses / SampledTracked / SampledCold describe the sampled
 	// subpopulation behind the curve.
 	SampledAccesses int64        `json:"sampled_accesses"`
@@ -368,20 +319,10 @@ func (l *Lens) Snapshot() Snapshot {
 	if l == nil {
 		return Snapshot{}
 	}
-	if l.beforeSnapshot != nil {
-		l.beforeSnapshot()
-	}
-	hits, misses := l.hits.Load(), l.misses.Load()
 	s := Snapshot{
 		SampleRate: l.cfg.SampleRate,
 		Capacity:   l.cfg.Capacity,
-		Accesses:   hits + misses,
-		Hits:       hits,
-		Misses:     misses,
 		Ticks:      l.ticks.Load(),
-	}
-	if s.Accesses > 0 {
-		s.HitRatio = float64(hits) / float64(s.Accesses)
 	}
 
 	l.mu.Lock()

@@ -25,25 +25,20 @@ func newLRUSim(capacity int) *lruSim {
 	return &lruSim{cap: capacity, ll: list.New(), pos: make(map[uint64]*list.Element)}
 }
 
-// access plays one key and reports (hit, evictedKey, evicted).
-func (s *lruSim) access(key uint64) (bool, uint64, bool) {
+// access plays one key.
+func (s *lruSim) access(key uint64) {
 	s.n++
 	if e, ok := s.pos[key]; ok {
 		s.hits++
 		s.ll.MoveToFront(e)
-		return true, 0, false
+		return
 	}
-	var evicted uint64
-	var didEvict bool
 	if s.ll.Len() >= s.cap {
 		back := s.ll.Back()
-		evicted = back.Value.(uint64)
-		delete(s.pos, evicted)
+		delete(s.pos, back.Value.(uint64))
 		s.ll.Remove(back)
-		didEvict = true
 	}
 	s.pos[key] = s.ll.PushFront(key)
-	return false, evicted, didEvict
 }
 
 func (s *lruSim) hitRatio() float64 { return float64(s.hits) / float64(s.n) }
@@ -65,9 +60,8 @@ func zipfTrace(seed int64, n int, keyspace uint64, skew, v float64) []uint64 {
 }
 
 // TestMRCMatchesExactOnZipf is the acceptance-criterion test: play a pinned
-// Zipf trace through a real LRU at the deployed capacity (feeding the lens
-// its true hits/misses), simulate exact LRU at every MRC scale, and require
-// the sampled curve within 0.05 absolute error per scale.
+// Zipf trace into the lens, simulate exact LRU at every MRC scale, and
+// require the sampled curve within 0.05 absolute error per scale.
 func TestMRCMatchesExactOnZipf(t *testing.T) {
 	const (
 		capacity = 2000
@@ -77,7 +71,6 @@ func TestMRCMatchesExactOnZipf(t *testing.T) {
 	trace := zipfTrace(42, n, keyspace, 1.2, 256)
 
 	lens := New(Config{Capacity: capacity, SampleRate: 64, Seed: 7})
-	deployed := newLRUSim(capacity)
 	scales := DefaultScales
 	exact := make([]*lruSim, len(scales))
 	for i, s := range scales {
@@ -85,17 +78,13 @@ func TestMRCMatchesExactOnZipf(t *testing.T) {
 	}
 
 	for _, key := range trace {
-		hit, _, _ := deployed.access(key)
-		lens.RecordGet(key, hit)
+		lens.RecordGet(key)
 		for _, sim := range exact {
 			sim.access(key)
 		}
 	}
 
 	snap := lens.Snapshot()
-	if snap.Accesses != n {
-		t.Fatalf("accesses = %d, want %d", snap.Accesses, n)
-	}
 	if snap.SampledAccesses < n/(64*2) {
 		t.Fatalf("sampled only %d of %d accesses at rate 64", snap.SampledAccesses, n)
 	}
@@ -111,17 +100,27 @@ func TestMRCMatchesExactOnZipf(t *testing.T) {
 				p.Scale, p.EstHitRatio, want, diff)
 		}
 	}
+}
 
-	// The measured hit ratio at 1x and the curve's 1x estimate describe the
-	// same cache; they must agree within the same tolerance.
-	var at1x float64
-	for _, p := range snap.Curve {
-		if p.Scale == 1 {
-			at1x = p.EstHitRatio
-		}
+// TestSampleRateOneSeesEveryLookup: at SampleRate 1 every key is sampled,
+// so the lens's sampled access count is the lookup count and its curve is
+// exact LRU.
+func TestSampleRateOneSeesEveryLookup(t *testing.T) {
+	trace := zipfTrace(3, 20_000, 2_000, 1.1, 8)
+	lens := New(Config{Capacity: 100, SampleRate: 1, Seed: 9})
+	sim := newLRUSim(100)
+	for _, key := range trace {
+		lens.RecordGet(key)
+		sim.access(key)
 	}
-	if d := at1x - snap.HitRatio; d > 0.05 || d < -0.05 {
-		t.Errorf("curve 1x %.4f disagrees with measured hit ratio %.4f", at1x, snap.HitRatio)
+	snap := lens.Snapshot()
+	if snap.SampleRate != 1 || snap.SampledAccesses != int64(len(trace)) {
+		t.Fatalf("rate %d sampled %d accesses, want rate 1 and %d", snap.SampleRate, snap.SampledAccesses, len(trace))
+	}
+	for _, p := range snap.Curve {
+		if p.Scale == 1 && p.EstHitRatio != sim.hitRatio() {
+			t.Fatalf("1x point %.6f, exact LRU %.6f", p.EstHitRatio, sim.hitRatio())
+		}
 	}
 }
 
@@ -132,10 +131,8 @@ func TestMRCDeterministicUnderSeed(t *testing.T) {
 	trace := zipfTrace(99, 200_000, 50_000, 1.2, 64)
 	run := func() Snapshot {
 		lens := New(Config{Capacity: 500, SampleRate: 32, Seed: 1234})
-		sim := newLRUSim(500)
 		for _, key := range trace {
-			hit, _, _ := sim.access(key)
-			lens.RecordGet(key, hit)
+			lens.RecordGet(key)
 		}
 		return lens.Snapshot()
 	}
@@ -147,7 +144,7 @@ func TestMRCDeterministicUnderSeed(t *testing.T) {
 	// little, but the sampled population itself must differ.
 	lens := New(Config{Capacity: 500, SampleRate: 32, Seed: 4321})
 	for _, key := range trace {
-		lens.RecordGet(key, true)
+		lens.RecordGet(key)
 	}
 	if c := lens.Snapshot(); c.SampledAccesses == a.SampledAccesses {
 		t.Logf("note: different seed sampled the same count (%d) — legal but unlikely", c.SampledAccesses)
@@ -162,8 +159,7 @@ func TestMRCMonotone(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		lens := New(Config{Capacity: 100 + int(seed)*37, SampleRate: 8, Seed: uint64(seed)})
 		for i := 0; i < 50_000; i++ {
-			key := uint64(r.Intn(2000))
-			lens.RecordGet(key, r.Intn(2) == 0)
+			lens.RecordGet(uint64(r.Intn(2000)))
 		}
 		snap := lens.Snapshot()
 		for i := 1; i < len(snap.Curve); i++ {
@@ -210,6 +206,15 @@ func TestStackDistMatchesNaive(t *testing.T) {
 // readers, and epoch ticks — meaningful under -race (the CI Race step).
 func TestSamplerRace(t *testing.T) {
 	lens := New(Config{Capacity: 256, SampleRate: 4})
+	var sampledKeys int64 // accesses the writers make to sampled keys
+	for w := 0; w < 4; w++ {
+		r := rand.New(rand.NewSource(int64(w)))
+		for i := 0; i < 20_000; i++ {
+			if mix64(uint64(r.Intn(512))^lens.cfg.Seed)&lens.mask == 0 {
+				sampledKeys++
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
@@ -219,14 +224,14 @@ func TestSamplerRace(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 20_000; i++ {
-				key := uint64(r.Intn(512))
-				lens.RecordGet(key, i%3 != 0)
+				lens.RecordGet(uint64(r.Intn(512)))
 			}
 		}(w)
 	}
 	go func() {
 		defer close(readerDone)
 		now := time.Unix(0, 0)
+		var last int64
 		for {
 			select {
 			case <-stop:
@@ -236,18 +241,18 @@ func TestSamplerRace(t *testing.T) {
 			now = now.Add(time.Second)
 			lens.Tick(now)
 			snap := lens.Snapshot()
-			if snap.Accesses < snap.Hits {
-				t.Errorf("accesses %d < hits %d", snap.Accesses, snap.Hits)
+			if snap.SampledAccesses < last {
+				t.Errorf("sampled accesses went back from %d to %d", last, snap.SampledAccesses)
 				return
 			}
+			last = snap.SampledAccesses
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	snap := lens.Snapshot()
-	if snap.Accesses != 4*20_000 {
-		t.Fatalf("accesses = %d, want %d", snap.Accesses, 4*20_000)
+	if got := lens.Snapshot().SampledAccesses; got != sampledKeys || got == 0 {
+		t.Fatalf("sampled accesses = %d, want %d", got, sampledKeys)
 	}
 }
 
@@ -258,7 +263,7 @@ func TestWSSWindows(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	lens.Tick(t0)
 	for i := 0; i < 500; i++ {
-		lens.RecordGet(uint64(i%40), true) // 40 distinct keys
+		lens.RecordGet(uint64(i % 40)) // 40 distinct keys
 	}
 	snap := lens.Snapshot()
 	if snap.WorkingSet[0].CurrentEst != 40 {
@@ -281,60 +286,17 @@ func TestWSSWindows(t *testing.T) {
 // nil lens is a no-op, so callers guard with nothing but the nil receiver.
 func TestNilLensIsSafe(t *testing.T) {
 	var lens *Lens
-	lens.RecordGet(1, true)
-	lens.RecordHits(1, 64)
-	if lens.Sampled(1) {
-		t.Fatal("nil lens samples a key")
-	}
+	lens.RecordGet(1)
 	lens.Tick(time.Now())
 	lens.Close()
-	if got := lens.Snapshot(); got.Accesses != 0 {
+	if got := lens.Snapshot(); !reflect.DeepEqual(got, Snapshot{}) {
 		t.Fatalf("nil snapshot = %+v", got)
 	}
 }
 
-// TestBatchedHitsMatchPerAccess plays one trace into two lenses: one sees
-// every access through RecordGet, the other the way the page cache reports —
-// misses and sampled keys' hits one by one, every other hit counted per key
-// and handed over with RecordHits at eviction and from the OnSnapshot hook.
-// Totals, curve and working set must come out identical.
-func TestBatchedHitsMatchPerAccess(t *testing.T) {
-	cfg := Config{Capacity: 200, SampleRate: 8, Seed: 11,
-		WindowShort: time.Minute, WindowLong: 10 * time.Minute}
-	each, batched := New(cfg), New(cfg)
-	pending := make(map[uint64]uint32)
-	batched.OnSnapshot(func() {
-		for k, n := range pending {
-			batched.RecordHits(k, n)
-		}
-		clear(pending)
-	})
-	sim := newLRUSim(cfg.Capacity)
-	for _, key := range zipfTrace(5, 50_000, 4096, 1.1, 8) {
-		hit, evicted, didEvict := sim.access(key)
-		each.RecordGet(key, hit)
-		if hit && !batched.Sampled(key) {
-			pending[key]++
-		} else {
-			batched.RecordGet(key, hit)
-		}
-		if didEvict {
-			batched.RecordHits(evicted, pending[evicted])
-			delete(pending, evicted)
-		}
-	}
-	want, got := each.Snapshot(), batched.Snapshot()
-	if want.Hits == 0 || want.SampledAccesses == 0 {
-		t.Fatalf("trace exercised too little: %+v", want)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched lens diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestSnapshotWireShape pins the JSON keys of a snapshot: the body of
-// /debug/flos/cache carries the totals, the curve and the working-set
-// windows, and nothing else.
+// /debug/flos/cache carries the sampler's own counts, the curve and the
+// working-set windows, and no hit/miss totals: those are the cache's.
 func TestSnapshotWireShape(t *testing.T) {
 	raw, err := json.Marshal(New(Config{Capacity: 16}).Snapshot())
 	if err != nil {
@@ -349,8 +311,8 @@ func TestSnapshotWireShape(t *testing.T) {
 		got = append(got, k)
 	}
 	sort.Strings(got)
-	want := []string{"accesses", "capacity", "hit_ratio", "hits", "miss_ratio_curve", "misses",
-		"sample_rate", "sampled_accesses", "sampled_cold", "sampled_tracked", "ticks", "working_set"}
+	want := []string{"capacity", "miss_ratio_curve", "sample_rate", "sampled_accesses", "sampled_cold",
+		"sampled_tracked", "ticks", "working_set"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot keys = %v, want %v", got, want)
 	}
@@ -361,7 +323,7 @@ func TestAutoTick(t *testing.T) {
 	lens := New(Config{Capacity: 16, TickEvery: time.Millisecond})
 	defer lens.Close()
 	for i := 0; i < 100; i++ {
-		lens.RecordGet(uint64(i), false)
+		lens.RecordGet(uint64(i))
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for lens.Snapshot().Ticks < 2 {

@@ -75,9 +75,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	return &SLOTracker{cfg: cfg.withDefaults(), now: time.Now}
 }
 
-// Config returns the tracker's resolved objectives.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
-
 // Record accounts one query outcome: ok=false is an availability error;
 // ok=true additionally checks latency against the threshold. Cancellations
 // initiated by the client belong in neither bucket — don't Record them.

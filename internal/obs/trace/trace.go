@@ -147,12 +147,11 @@ func putU64(b []byte, v uint64) {
 // the value; the constructors below keep the pairing correct.
 type Attr struct {
 	Key  string `json:"key"`
-	Type string `json:"type"` // "string" | "int" | "float" | "bool"
+	Type string `json:"type"` // "string" | "int" | "bool"
 
-	Str   string  `json:"str,omitempty"`
-	Int   int64   `json:"int,omitempty"`
-	Float float64 `json:"float,omitempty"`
-	Bool  bool    `json:"bool,omitempty"`
+	Str  string `json:"str,omitempty"`
+	Int  int64  `json:"int,omitempty"`
+	Bool bool   `json:"bool,omitempty"`
 }
 
 // Str builds a string attribute.
@@ -160,9 +159,6 @@ func Str(key, v string) Attr { return Attr{Key: key, Type: "string", Str: v} }
 
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, Type: "int", Int: v} }
-
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Type: "float", Float: v} }
 
 // Bool builds a boolean attribute.
 func Bool(key string, v bool) Attr { return Attr{Key: key, Type: "bool", Bool: v} }
@@ -254,9 +250,6 @@ func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	return &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Trace], cfg.Ring)}
 }
-
-// Config returns the tracer's resolved configuration.
-func (t *Tracer) Config() Config { return t.cfg }
 
 // headKeep is the deterministic head-sampling verdict: the trace ID's first
 // 8 bytes, read as a uniform uint64, land under the rate threshold. Every
@@ -528,14 +521,6 @@ func (h *SpanHandle) ID() SpanID {
 		return SpanID{}
 	}
 	return h.id
-}
-
-// Start returns the span's start time (zero on nil).
-func (h *SpanHandle) Start() time.Time {
-	if h == nil {
-		return time.Time{}
-	}
-	return h.start
 }
 
 // SetKind overrides the span kind ("server" at the boundary).

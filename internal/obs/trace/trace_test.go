@@ -165,11 +165,12 @@ func TestSpanTreeStructure(t *testing.T) {
 	root.SetKind("server")
 	child1 := a.StartSpan(root.ID(), "qserve.queue.wait")
 	child1.End()
+	expandStart := time.Now()
 	child2 := a.StartSpan(root.ID(), "qserve.execute", Int("k", 10))
 	grand := a.StartSpan(child2.ID(), "solver.solve")
 	grand.End()
 	child2.End()
-	a.AddSpan(child2.ID(), "solver.expand", child2.Start(), time.Microsecond, Bool("aggregate", true))
+	a.AddSpan(child2.ID(), "solver.expand", expandStart, time.Microsecond, Bool("aggregate", true))
 	root.End()
 	a.Finish("ok")
 

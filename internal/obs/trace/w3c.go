@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 )
 
@@ -79,14 +78,4 @@ func ParseTraceparent(s string) (TraceParent, error) {
 		return TraceParent{}, fmt.Errorf("trace: traceparent %q: flags: %v", s, err)
 	}
 	return TraceParent{Trace: tid, Span: sid, Sampled: fb[0]&0x01 != 0}, nil
-}
-
-// Inject writes the traceparent header for an outbound request whose parent
-// is the given span — the helper the future router→replica RPC path calls so
-// replicas inherit context for free. No-op when the trace ID is zero.
-func Inject(h http.Header, trace ID, span SpanID, sampled bool) {
-	if trace.IsZero() {
-		return
-	}
-	h.Set(Header, TraceParent{Trace: trace, Span: span, Sampled: sampled}.String())
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"net/http"
 	"testing"
 )
 
@@ -62,27 +61,24 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
-func TestInject(t *testing.T) {
-	h := make(http.Header)
-	id, span := NewID(), NewSpanID()
-	Inject(h, id, span, true)
-	got := h.Get(Header)
-	want := "00-" + id.String() + "-" + span.String() + "-01"
-	if got != want {
-		t.Fatalf("Inject wrote %q, want %q", got, want)
-	}
-	parsed, err := ParseTraceparent(got)
-	if err != nil {
-		t.Fatalf("injected header does not parse: %v", err)
-	}
-	if parsed.Trace != id || parsed.Span != span || !parsed.Sampled {
-		t.Fatal("injected header round-trip mismatch")
-	}
-
-	// Zero trace: no header.
-	h2 := make(http.Header)
-	Inject(h2, ID{}, span, true)
-	if h2.Get(Header) != "" {
-		t.Fatal("Inject wrote a header for the zero trace ID")
+// TestTraceparentRoundTrip: the header the server writes back (String)
+// parses to the same trace, span and sampled flag.
+func TestTraceparentRoundTrip(t *testing.T) {
+	for _, sampled := range []bool{true, false} {
+		tp := TraceParent{Trace: NewID(), Span: NewSpanID(), Sampled: sampled}
+		flags := "-00"
+		if sampled {
+			flags = "-01"
+		}
+		if got, want := tp.String(), "00-"+tp.Trace.String()+"-"+tp.Span.String()+flags; got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		parsed, err := ParseTraceparent(tp.String())
+		if err != nil {
+			t.Fatalf("written header does not parse: %v", err)
+		}
+		if parsed != tp {
+			t.Fatalf("round trip %+v, want %+v", parsed, tp)
+		}
 	}
 }

@@ -108,8 +108,8 @@ type resultCache struct {
 
 	hits, misses, evictions int64
 
-	// lens, when non-nil, observes lookups for the cache analytics plane.
-	// Recorded outside mu; nil-safe.
+	// lens, when non-nil, samples lookups for the cache analytics plane:
+	// every get reaches it once, outside mu. Nil-safe.
 	lens *cachelens.Lens
 }
 
@@ -172,7 +172,7 @@ func (c *resultCache) get(k cacheKey) (*Response, bool) {
 		c.misses++
 	}
 	c.mu.Unlock()
-	c.lens.RecordGet(hashKey(k), ok)
+	c.lens.RecordGet(hashKey(k))
 	return resp, ok
 }
 

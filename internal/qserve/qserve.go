@@ -541,10 +541,6 @@ func (p *Pool) worker(g graph.Graph) {
 	}
 }
 
-// multiTracer fans iteration records out to every attached core.Tracer —
-// the caller's tracer, the flight recorder's sampler, and the span bridge's
-// phase accumulator — so recording a query never hides its trajectory from
-// the user who asked for it.
 // trimVisited is the search size past which a worker starts over with an
 // empty workspace. A workspace keeps its arrays at the size of the largest
 // search it has run, about half a kilobyte per visited node, so one
@@ -552,6 +548,10 @@ func (p *Pool) worker(g graph.Graph) {
 // the life of the process.
 const trimVisited = 1 << 14
 
+// multiTracer fans iteration records out to every attached core.Tracer —
+// the caller's tracer, the flight recorder's sampler, and the span bridge's
+// phase accumulator — so recording a query never hides its trajectory from
+// the user who asked for it.
 type multiTracer []core.Tracer
 
 func (m multiTracer) ObserveIteration(it core.IterStats) {

@@ -89,8 +89,8 @@ func TestConcurrentDiskStressMatchesSerial(t *testing.T) {
 		}
 	}
 	st := store.CacheStats()
-	t.Logf("page cache after stress: %d hits, %d faults, %d deduped, %d shards",
-		st.Hits, st.Misses, st.FaultsDeduped, st.Shards)
+	t.Logf("page cache after stress: %d hits, %d faults, %d deduped",
+		st.Hits, st.Misses, st.FaultsDeduped)
 }
 
 // TestCancellationPrompt proves TopKCtx abandons work as soon as the

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
@@ -60,7 +58,7 @@ func TestCacheLensEndpoint(t *testing.T) {
 	if pc == nil || rc == nil {
 		t.Fatalf("missing planes: page=%v result=%v", pc != nil, rc != nil)
 	}
-	if pc.Accesses == 0 || pc.Hits == 0 {
+	if pc.SampledAccesses == 0 {
 		t.Fatalf("page lens saw no traffic: %+v", pc)
 	}
 	if len(pc.Curve) != len(cachelens.DefaultScales) {
@@ -77,7 +75,7 @@ func TestCacheLensEndpoint(t *testing.T) {
 	if len(pc.WorkingSet) != 2 || len(rc.WorkingSet) != 2 {
 		t.Fatalf("working-set windows: page %d, result %d, want 2 each", len(pc.WorkingSet), len(rc.WorkingSet))
 	}
-	if rc.Accesses == 0 {
+	if rc.SampledAccesses == 0 {
 		t.Fatal("result lens saw no lookups")
 	}
 
@@ -103,10 +101,10 @@ func TestCacheLensDisabled404(t *testing.T) {
 	}
 }
 
-// TestCacheLensMetrics checks both exposition formats carry the analytics
-// plane: the Prometheus gauges for MRC/WSS under both prefixes, the
-// per-shard eviction and HWM series, and the JSON mirror with the extended
-// disk body and cache_analytics section.
+// TestCacheLensMetrics is the page cache's parity test: after traffic on a
+// store-backed server, every disk row's JSON key, its Prometheus family and
+// Store.CacheStats() read the same number, no series carries a shard label,
+// and the analytics gauges render under both cache prefixes beside them.
 func TestCacheLensMetrics(t *testing.T) {
 	ts, _, store := newDiskLensServer(t, Config{})
 	for q := 0; q < 24; q++ {
@@ -115,57 +113,62 @@ func TestCacheLensMetrics(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	text := promText(t, ts.URL)
+	var body metricsDoc
+	if code := getJSON(t, ts.URL+"/metrics?format=json", &body); code != 200 {
+		t.Fatal("metrics json failed")
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	st := store.CacheStats()
+	want := map[string]int64{
+		"page_hits":      st.Hits,
+		"page_faults":    st.Misses,
+		"faults_deduped": st.FaultsDeduped,
+		"evictions":      st.Evictions,
+		"resident_bytes": st.ResidentBytes,
+		"resident_pages": int64(st.ResidentPages),
 	}
-	text := string(raw)
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
+		t.Fatalf("traffic exercised too little of the cache: %+v", st)
+	}
+	rows := 0
+	for _, r := range metricTable {
+		if r.group != "disk" {
+			continue
+		}
+		rows++
+		w, ok := want[r.key]
+		if !ok {
+			t.Fatalf("disk row %s has no CacheStats field in this test", r.key)
+		}
+		if got, ok := body.Disk[r.key]; !ok || got != w {
+			t.Errorf("JSON disk.%s = %d (present %v), CacheStats says %d", r.key, got, ok, w)
+		}
+		if line := r.family + " " + strconv.FormatInt(w, 10) + "\n"; !strings.Contains(text, "\n"+line) {
+			t.Errorf("exposition has no line %q", strings.TrimSpace(line))
+		}
+	}
+	if rows != len(want) || len(body.Disk) != len(want) {
+		t.Fatalf("%d disk rows, %d JSON disk keys; want %d", rows, len(body.Disk), len(want))
+	}
+	if strings.Contains(text, "shard=") {
+		t.Error("a series carries a shard label")
+	}
+
 	for _, want := range []string{
 		`flos_pagecache_mrc_hit_ratio{scale="0.25x"}`,
 		`flos_pagecache_mrc_hit_ratio{scale="1x"}`,
 		`flos_pagecache_mrc_hit_ratio{scale="4x"}`,
 		`flos_pagecache_wss_estimate{window="1m0s"}`,
 		`flos_pagecache_wss_estimate{window="10m0s"}`,
-		"flos_pagecache_lens_hit_ratio",
 		"flos_pagecache_lens_sample_rate",
 		`flos_result_cache_mrc_hit_ratio{scale="2x"}`,
 		`flos_result_cache_wss_estimate{window="1m0s"}`,
-		"flos_result_cache_lens_hit_ratio",
 		"flos_result_cache_lens_sample_rate",
 		"flos_result_cache_capacity 8",
-		`flos_page_cache_evictions_total{shard="0"}`,
-		`flos_page_cache_resident_pages_hwm{shard="0"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-
-	var body metricsDoc
-	if code := getJSON(t, ts.URL+"/metrics?format=json", &body); code != 200 {
-		t.Fatal("metrics json failed")
-	}
-	if body.Disk == nil {
-		t.Fatal("no disk section for a disk-resident graph")
-	}
-	st := store.CacheStats()
-	if body.Disk.Evictions == 0 || body.Disk.Evictions != st.Evictions {
-		t.Fatalf("disk evictions %d, store says %d", body.Disk.Evictions, st.Evictions)
-	}
-	if body.Disk.ResidentPagesHWM == 0 || body.Disk.ResidentPagesHWM != st.ResidentPagesHWM {
-		t.Fatalf("disk HWM %d, store says %d", body.Disk.ResidentPagesHWM, st.ResidentPagesHWM)
-	}
-	var perShardEvictions int64
-	for _, sh := range body.Disk.PerShard {
-		perShardEvictions += sh.Evictions
-	}
-	if perShardEvictions != body.Disk.Evictions {
-		t.Fatalf("per-shard evictions sum %d != aggregate %d", perShardEvictions, body.Disk.Evictions)
 	}
 	if body.CacheCapacity != 8 {
 		t.Fatalf("cache_capacity %d, want 8", body.CacheCapacity)
@@ -173,7 +176,7 @@ func TestCacheLensMetrics(t *testing.T) {
 	if body.CacheAnalytics == nil || body.CacheAnalytics.PageCache == nil || body.CacheAnalytics.ResultCache == nil {
 		t.Fatalf("cache_analytics incomplete: %+v", body.CacheAnalytics)
 	}
-	if got, want := body.CacheAnalytics.PageCache.Accesses, st.Hits+st.Misses+st.FaultsDeduped; got != want {
-		t.Fatalf("lens accesses %d != page-cache lookups %d", got, want)
+	if got, want := body.CacheAnalytics.PageCache.SampledAccesses, st.Hits+st.Misses+st.FaultsDeduped; got != want {
+		t.Fatalf("page lens sampled %d accesses at rate 1, page cache counted %d lookups", got, want)
 	}
 }

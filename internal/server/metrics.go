@@ -3,8 +3,8 @@ package server
 // GET /metrics in both formats: the Prometheus text exposition and the
 // ?format=json snapshot. Every scalar series is one row of metricTable,
 // rendered by both formats; the structured blocks (per-measure latency,
-// exemplars, per-shard page cache, SLO windows, cache analytics) keep their
-// own code below the table.
+// exemplars, SLO windows, cache analytics) keep their own code below the
+// table.
 
 import (
 	"net/http"
@@ -170,23 +170,18 @@ var metricTable = []metricRow{
 	{"flightrec", "", "flos_flightrec_slow_total", nil, "Queries promoted into the slow-query log.", counter,
 		func(c *scrape) float64 { return float64(c.s.rec.SlowCount()) }},
 
-	// The disk sums are JSON-only: Prometheus carries them per shard.
-	{"disk", "page_hits", "", nil, "", gauge,
+	{"disk", "page_hits", "flos_page_cache_hits_total", nil, "Page-cache hits.", counter,
 		func(c *scrape) float64 { return float64(c.disk.Hits) }},
-	{"disk", "page_faults", "", nil, "", gauge,
+	{"disk", "page_faults", "flos_page_cache_faults_total", nil, "Page faults (disk reads).", counter,
 		func(c *scrape) float64 { return float64(c.disk.Misses) }},
-	{"disk", "faults_deduped", "", nil, "", gauge,
+	{"disk", "faults_deduped", "flos_page_cache_faults_deduped_total", nil, "Lookups that waited on a concurrent fault of the same page instead of reading it again.", counter,
 		func(c *scrape) float64 { return float64(c.disk.FaultsDeduped) }},
-	{"disk", "evictions", "", nil, "", gauge,
+	{"disk", "evictions", "flos_page_cache_evictions_total", nil, "Pages evicted by LRU to stay under budget.", counter,
 		func(c *scrape) float64 { return float64(c.disk.Evictions) }},
-	{"disk", "resident_bytes", "", nil, "", gauge,
+	{"disk", "resident_bytes", "flos_page_cache_resident_bytes", nil, "Resident page bytes.", gauge,
 		func(c *scrape) float64 { return float64(c.disk.ResidentBytes) }},
-	{"disk", "resident_pages", "", nil, "", gauge,
+	{"disk", "resident_pages", "flos_page_cache_resident_pages", nil, "Resident pages.", gauge,
 		func(c *scrape) float64 { return float64(c.disk.ResidentPages) }},
-	{"disk", "resident_pages_hwm", "", nil, "", gauge,
-		func(c *scrape) float64 { return float64(c.disk.ResidentPagesHWM) }},
-	{"disk", "shards", "", nil, "", gauge,
-		func(c *scrape) float64 { return float64(c.disk.Shards) }},
 
 	{"runtime", "goroutines", "go_goroutines", nil, "Number of goroutines.", gauge,
 		func(c *scrape) float64 { return float64(runtime.NumGoroutine()) }},
@@ -205,17 +200,6 @@ type measureLatencyBody struct {
 	// CacheAnswered counts this measure's result-cache answers, which never
 	// enter the latency histogram above.
 	CacheAnswered int64 `json:"cache_answered,omitempty"`
-}
-
-type shardBody struct {
-	Shard            int   `json:"shard"`
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	FaultsDeduped    int64 `json:"faults_deduped"`
-	Evictions        int64 `json:"evictions"`
-	ResidentBytes    int64 `json:"resident_bytes"`
-	ResidentPages    int   `json:"resident_pages"`
-	ResidentPagesHWM int   `json:"resident_pages_hwm"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -266,13 +250,6 @@ func (s *Server) metricsJSON(w http.ResponseWriter) {
 	if s.slo != nil {
 		body["slo"] = s.slo.Snapshot()
 	}
-	if s.store != nil {
-		var shards []shardBody
-		for _, ss := range s.store.ShardStats() {
-			shards = append(shards, shardBody(ss))
-		}
-		body["disk"].(map[string]any)["per_shard"] = shards
-	}
 	if lens := s.cacheLens(); lens != nil {
 		body["cache_analytics"] = lens
 	}
@@ -305,18 +282,6 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 		if h := s.httpLat[rt.path]; h.Count() > 0 {
 			p.Histogram("flos_http_request_duration_seconds", "HTTP request latency by endpoint.",
 				map[string]string{"endpoint": rt.path}, h.Snapshot())
-		}
-	}
-	if s.store != nil {
-		for _, ss := range s.store.ShardStats() {
-			shard := map[string]string{"shard": strconv.Itoa(ss.Shard)}
-			p.Counter("flos_page_cache_hits_total", "Page-cache hits by lock shard.", shard, ss.Hits)
-			p.Counter("flos_page_cache_faults_total", "Page faults (disk reads) by lock shard.", shard, ss.Misses)
-			p.Counter("flos_page_cache_faults_deduped_total", "Faults deduplicated singleflight-style by lock shard.", shard, ss.FaultsDeduped)
-			p.Counter("flos_page_cache_evictions_total", "Pages evicted by LRU to stay under budget, by lock shard.", shard, ss.Evictions)
-			p.Gauge("flos_page_cache_resident_bytes", "Resident page bytes by lock shard.", shard, float64(ss.ResidentBytes))
-			p.Gauge("flos_page_cache_resident_pages", "Resident pages by lock shard.", shard, float64(ss.ResidentPages))
-			p.Gauge("flos_page_cache_resident_pages_hwm", "All-time resident-page peak by lock shard.", shard, float64(ss.ResidentPagesHWM))
 		}
 	}
 	if pl := s.pageLens(); pl != nil {
@@ -358,7 +323,6 @@ func lensProm(p *obs.PromWriter, prefix, what string, snap cachelens.Snapshot) {
 			"Estimated "+what+" hit ratio at a multiple of deployed capacity (SHARDS-sampled miss-ratio curve).",
 			map[string]string{"scale": scaleLabel(pt.Scale)}, pt.EstHitRatio)
 	}
-	p.Gauge(prefix+"_lens_hit_ratio", "Measured "+what+" hit ratio over the lens's lifetime (calibration for the curve's 1x point).", nil, snap.HitRatio)
 	p.Gauge(prefix+"_lens_sample_rate", "Lens spatial sampling rate (1 in N keys tracked).", nil, float64(snap.SampleRate))
 	for _, ws := range snap.WorkingSet {
 		win := map[string]string{"window": ws.Window}

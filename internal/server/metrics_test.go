@@ -42,31 +42,23 @@ type metricsDoc struct {
 		KeptHead uint64 `json:"kept_head"`
 		KeptTail uint64 `json:"kept_tail"`
 	} `json:"traces"`
-	Disk *struct {
-		Evictions        int64       `json:"evictions"`
-		ResidentPagesHWM int         `json:"resident_pages_hwm"`
-		PerShard         []shardBody `json:"per_shard"`
-	} `json:"disk"`
-	CacheAnalytics *cacheLensBody `json:"cache_analytics"`
+	Disk           map[string]int64 `json:"disk"`
+	CacheAnalytics *cacheLensBody   `json:"cache_analytics"`
 }
 
 // structuredFamilies are the Prometheus families the structured blocks of
-// metricsProm write (histograms, per-shard page cache, cache lenses, SLO
-// windows); every other family is a metricTable row.
+// metricsProm write (histograms, cache lenses, SLO windows); every other
+// family is a metricTable row.
 var structuredFamilies = []string{
 	"flos_query_latency_seconds", "flos_http_request_duration_seconds",
-	"flos_page_cache_hits_total", "flos_page_cache_faults_total", "flos_page_cache_faults_deduped_total",
-	"flos_page_cache_evictions_total", "flos_page_cache_resident_bytes", "flos_page_cache_resident_pages",
-	"flos_page_cache_resident_pages_hwm",
-	"flos_pagecache_mrc_hit_ratio", "flos_pagecache_lens_hit_ratio", "flos_pagecache_lens_sample_rate", "flos_pagecache_wss_estimate",
-	"flos_result_cache_mrc_hit_ratio", "flos_result_cache_lens_hit_ratio", "flos_result_cache_lens_sample_rate", "flos_result_cache_wss_estimate",
+	"flos_pagecache_mrc_hit_ratio", "flos_pagecache_lens_sample_rate", "flos_pagecache_wss_estimate",
+	"flos_result_cache_mrc_hit_ratio", "flos_result_cache_lens_sample_rate", "flos_result_cache_wss_estimate",
 	"flos_slo_availability_objective", "flos_slo_latency_objective", "flos_slo_latency_threshold_seconds",
 	"flos_slo_availability", "flos_slo_availability_burn_rate", "flos_slo_latency_compliance", "flos_slo_latency_burn_rate",
 }
 
-// structuredKeys are the JSON keys the structured blocks write: top-level
-// objects and the disk group's per-shard list.
-var structuredKeys = map[string]bool{"measures": true, "latency_exemplars": true, "slo": true, "cache_analytics": true, "disk.per_shard": true}
+// structuredKeys are the top-level JSON objects the structured blocks write.
+var structuredKeys = map[string]bool{"measures": true, "latency_exemplars": true, "slo": true, "cache_analytics": true}
 
 // promLabels renders labels the way obs.PromWriter does.
 func promLabels(labels map[string]string) string {
@@ -168,9 +160,6 @@ func TestMetricNames(t *testing.T) {
 				leaves, k = map[string]any{k: v}, ""
 			}
 			for kk, v := range leaves {
-				if structuredKeys[k+"."+kk] {
-					continue
-				}
 				gotJSON[k+"."+kk] = true
 				// The table renders float64s; counters and gauges must
 				// still print as the integers bench/ decodes them into.

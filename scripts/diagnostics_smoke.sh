@@ -17,7 +17,10 @@
 # ambiguous command line. The cache-analytics plane (on
 # by default) is asserted too: /debug/flos/cache serves the result-cache
 # snapshot (no page plane — this server holds the graph in memory) and the
-# flos_result_cache_* lens gauges land in /metrics.
+# flos_result_cache_* lens gauges land in /metrics. A second, short leg
+# serves the same graph from a disk store and reads the page cache over
+# HTTP: its counters render once, without a shard label, in both /metrics
+# formats, and /debug/flos/cache gains the page_cache plane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +39,7 @@ go build -o "$WORK/flos" ./cmd/flos
 
 echo "== generate graph =="
 "$WORK/flosgen" -model rmat -n 20000 -m 100000 -seed 1 -format bin -out "$WORK/graph.bin"
+"$WORK/flosgen" -model rmat -n 20000 -m 100000 -seed 1 -format store -out "$WORK/graph.store"
 
 echo "== flosd refuses two graph sources =="
 # Refused by flag validation, before either (missing) file is opened.
@@ -59,12 +63,14 @@ echo "== boot flosd with the diagnostics plane on =="
   -trace-sample 0 \
   -log-level warn &
 FLOSD_PID=$!
-up=""
-for _ in $(seq 1 50); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then up=1; break; fi
-  sleep 0.2
-done
-[ -n "$up" ] || fail "flosd did not come up on $ADDR"
+wait_up() {
+  for _ in $(seq 1 50); do
+    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    sleep 0.2
+  done
+  fail "flosd did not come up on $ADDR"
+}
+wait_up
 
 echo "== fire 200 queries =="
 for i in $(seq 0 199); do
@@ -173,7 +179,7 @@ fi
 grep -q '"miss_ratio_curve":\[' "$WORK/cache.json" || fail "cache snapshot has no miss-ratio curve"
 grep -q '"working_set":\[' "$WORK/cache.json" || fail "cache snapshot has no working-set windows"
 for m in 'flos_result_cache_mrc_hit_ratio{scale="1x"}' 'flos_result_cache_mrc_hit_ratio{scale="4x"}' \
-  'flos_result_cache_lens_hit_ratio' 'flos_result_cache_wss_estimate{window="1m0s"}' \
+  'flos_result_cache_hits_total' 'flos_result_cache_wss_estimate{window="1m0s"}' \
   'flos_result_cache_capacity 64'; do
   grep -qF "$m" "$WORK/metrics.prom" || fail "/metrics missing $m"
 done
@@ -184,6 +190,34 @@ grep -q "convergence trace:" "$WORK/replay.txt" ||
   { cat "$WORK/replay.txt" >&2; fail "replay printed no convergence table"; }
 grep -Eq '^\s+[0-9]+\s+[0-9]+' "$WORK/replay.txt" || fail "replay table has no iteration rows"
 grep -q " yes " "$WORK/replay.txt" || fail "replayed trajectory has no certified row"
+
+kill "$FLOSD_PID"
+wait "$FLOSD_PID" 2>/dev/null || true
+FLOSD_PID=""
+
+echo "== disk store: the page cache over HTTP =="
+# A 1 MiB page budget is far smaller than the store, so the queries below
+# both hit and fault.
+"$WORK/flosd" -store "$WORK/graph.store" -pagecache 1 -addr "$ADDR" -log-level warn &
+FLOSD_PID=$!
+wait_up
+for i in $(seq 0 19); do
+  curl -fsS "$BASE/v1/topk?q=$(( (i * 37) % 20000 ))&k=10&measure=php" >/dev/null
+done
+curl -fsS "$BASE/metrics" >"$WORK/store.prom"
+for m in flos_page_cache_hits_total flos_page_cache_faults_total; do
+  grep -Eq "^$m [0-9]+$" "$WORK/store.prom" || fail "/metrics has no unlabeled $m series"
+done
+if grep -q 'shard=' "$WORK/store.prom"; then
+  fail "/metrics still labels a series by page-cache shard"
+fi
+curl -fsS "$BASE/metrics?format=json" >"$WORK/store.json"
+grep -q '"page_hits":' "$WORK/store.json" || fail "JSON disk block has no page_hits"
+grep -q '"page_faults":' "$WORK/store.json" || fail "JSON disk block has no page_faults"
+if grep -q '"per_shard"' "$WORK/store.json"; then
+  fail "JSON disk block still carries per_shard"
+fi
+curl -fsS "$BASE/debug/flos/cache" | grep -q '"page_cache":{' || fail "/debug/flos/cache has no page_cache plane on a store"
 
 kill "$FLOSD_PID"
 wait "$FLOSD_PID" 2>/dev/null || true
