@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"flos/internal/graph"
 	"flos/internal/linalg"
 )
@@ -24,11 +26,18 @@ import (
 // the row entries and its neighbors' bound pair already in cache instead of
 // re-traversing t.Rows[i] cold.
 //
+// A newly visited node's upper bound starts at r_d: the node was unvisited
+// when updateDummy last set r_d, so no-local-optimum gives PHP(v) ≤ r_d.
+// Any start at or above PHP is valid, because every coordinate relaxation
+// of the monotone upper-bound map F keeps x ≥ PHP (PHP ≤ F(PHP) by Lemmas
+// 3–4). The trivial start, 1, would set off a relaxation cascade through
+// the neighborhood on every visit.
+//
 // An engine is reusable: reset prepares it for a new query while keeping
 // every slice's backing storage and logically clearing the global→local
-// index and degree memo with a generation bump (see workspace.go). A cold
-// engine (newPHPEngine) uses maps for the two indexes; a warm one uses
-// dense stamped arrays sized to the graph.
+// index with a generation bump (see workspace.go). A cold engine
+// (newPHPEngine) uses a map for the index; a warm one uses dense stamped
+// arrays sized to the graph.
 type phpEngine struct {
 	localSearch
 
@@ -54,17 +63,12 @@ type phpEngine struct {
 	inQLB, inQUB     []bool
 	pendLB, pendUB   []float64
 
-	// Tightening state, valid only for boundary nodes and refreshed lazily.
-	// dirtyList holds the nodes whose dirty flag is set (each at most once:
-	// nodes are appended only on a false→true flip), so the refresh visits
-	// the changed region instead of scanning all of S for set flags.
+	// Tightening state (Section 5.3), meaningful only for boundary nodes and
+	// kept per edge at visit time: see visit.
 	selfLoop   []float64 // diagonal entry c·Σ_{j∉S} p_ij·p_ji
 	dummyTight []float64 // tightened dummy entry c·Σ_{j∉S} p_ij·(1−p_ji)
-	dirty      []bool    // outside-neighborhood changed since last refresh
-	dirtyList  []int32
-	degCache   degMemo
 
-	degreeProbes int
+	degreeProbes int // Degree reads, repeats included
 
 	// wSbar serves the RWR stopping rule's w(S̄) guard: the largest degree
 	// among unvisited nodes, read off the graph's degree index through a
@@ -72,9 +76,9 @@ type phpEngine struct {
 	wSbar wsbarGuard
 
 	// Footprint capture (Options.CaptureFootprint): probed collects the
-	// unvisited nodes whose Degree was read — the memo guarantees each node
-	// appears at most once — and lastGuard records the final w(S̄) ceiling an
-	// RWR search certified against. Both feed surgical cache invalidation.
+	// unvisited nodes whose Degree was read, once per read (probedNodes
+	// makes it a set), and lastGuard records the final w(S̄) ceiling an RWR
+	// search certified against. Both feed surgical cache invalidation.
 	capProbes bool
 	probed    []graph.NodeID
 	lastGuard float64
@@ -100,7 +104,6 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 	e.c, e.tau, e.maxIter, e.tighten = c, tau, maxIter, tighten
 
 	e.resetCommon(g, q, dense)
-	e.degCache.init(g.NumNodes(), dense)
 
 	e.bnd = e.bnd[:0]
 	e.queueLB = e.queueLB[:0]
@@ -111,8 +114,6 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 	e.pendUB = e.pendUB[:0]
 	e.selfLoop = e.selfLoop[:0]
 	e.dummyTight = e.dummyTight[:0]
-	e.dirty = e.dirty[:0]
-	e.dirtyList = e.dirtyList[:0]
 	if e.t == nil {
 		e.t = linalg.NewRowMatrix(0)
 	} else {
@@ -131,46 +132,81 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 
 // visit pulls node v into S: the substrate maintains the visited-set and
 // frontier bookkeeping, then this wires the transition entries in both
-// directions and seeds the solver worklists. Precondition: v not visited.
+// directions, keeps the Section 5.3 tightening entries and seeds the solver
+// worklists. v's upper bound starts at r_d (see phpEngine). Precondition: v
+// not visited.
+//
+// With tightening on, v's own entries
+//
+//	selfLoop_v   = c·Σ_{j∈N_v∩S̄} p_vj·p_jv
+//	dummyTight_v = c·Σ_{j∈N_v∩S̄} p_vj·(1−p_jv)
+//
+// are summed once from its unvisited neighbors, with one Degree read per
+// edge, and each visited neighbor u drops the edge (u, v) from its sums.
+// Both carry one factor of c inside the entry (the star-to-mesh edge stands
+// for a two-step walk); the solver applies the second factor.
 func (e *phpEngine) visit(v graph.NodeID) {
 	li := e.visitCommon(v)
 	e.t.AddRow()
 
-	e.bnd = append(e.bnd, 0, 1)
+	e.bnd = append(e.bnd, 0, e.rd)
 	e.selfLoop = append(e.selfLoop, 0)
 	e.dummyTight = append(e.dummyTight, 0)
-	e.dirty = append(e.dirty, false)
 	e.inQLB = append(e.inQLB, false)
 	e.inQUB = append(e.inQUB, false)
 	e.pendLB = append(e.pendLB, 0)
 	e.pendUB = append(e.pendUB, 0)
-	e.markDirty(li)
 	e.enqueue(li)
+
+	d := e.deg[li]
+	if e.tighten && v != e.q && d > 0 {
+		var self, dum float64
+		for k, lu := range e.visitL {
+			if lu >= 0 {
+				continue
+			}
+			u := e.adjN[li][k]
+			du := e.g.Degree(u)
+			e.degreeProbes++
+			if e.capProbes {
+				e.probed = append(e.probed, u)
+			}
+			var puv float64
+			if du > 0 {
+				puv = e.adjW[li][k] / du
+			}
+			pvu := e.adjW[li][k] / d
+			self += pvu * puv
+			dum += pvu * (1 - puv)
+		}
+		e.selfLoop[li] = e.c * self
+		e.dummyTight[li] = e.c * dum
+	}
 
 	// Wire transition entries to/from the already-visited neighbors the
 	// substrate just linked (ladj[li] / visitW). Touched neighbors join the
 	// relaxation worklists: their rows gained an entry.
-	d := e.deg[li]
 	for idx, lu := range e.ladj[li] {
 		w := e.visitW[idx]
 		if v != e.q && d > 0 {
 			e.t.Append(li, lu, w/d)
 		}
 		// Reverse direction u -> v, unless u is the query (zeroed row).
-		if e.nodes[lu] != e.q && e.deg[lu] > 0 {
-			e.t.Append(lu, li, w/e.deg[lu])
+		if du := e.deg[lu]; e.nodes[lu] != e.q && du > 0 {
+			e.t.Append(lu, li, w/du)
+			if e.tighten {
+				// v left S̄: retract (u, v) from u's sums, clamped at 0
+				// against cancellation.
+				puv := w / du
+				var pvu float64
+				if d > 0 {
+					pvu = w / d
+				}
+				e.selfLoop[lu] = max(0, e.selfLoop[lu]-e.c*(puv*pvu))
+				e.dummyTight[lu] = max(0, e.dummyTight[lu]-e.c*(puv*(1-pvu)))
+			}
 		}
-		e.markDirty(lu)
 		e.enqueue(lu)
-	}
-}
-
-// markDirty flags node i for a tightening refresh, appending it to the
-// dirty worklist on a false→true flip (so the list holds each node once).
-func (e *phpEngine) markDirty(i int32) {
-	if !e.dirty[i] {
-		e.dirty[i] = true
-		e.dirtyList = append(e.dirtyList, i)
 	}
 }
 
@@ -190,60 +226,12 @@ func (e *phpEngine) enqueue(i int32) {
 // untightened upper bound redirects to the dummy node.
 func (e *phpEngine) outMass(i int32) float64 { return e.outMassOf(i, 0) }
 
-// degreeOf fetches (and memoizes) the full degree of an unvisited node —
-// the only information Section 5.3's tightening needs from outside S.
-func (e *phpEngine) degreeOf(v graph.NodeID) float64 {
-	if d, ok := e.degCache.get(v); ok {
-		return d
-	}
-	d := e.g.Degree(v)
-	e.degreeProbes++
-	if e.capProbes {
-		e.probed = append(e.probed, v)
-	}
-	e.degCache.put(v, d)
-	return d
-}
-
-// refreshTightening recomputes the self-loop and tightened-dummy entries of
-// Lemmas 3 and 4 for boundary nodes whose outside neighborhood changed:
-//
-//	selfLoop_i   = c·Σ_{j∈N_i∩S̄} p_ij·p_ji
-//	dummyTight_i = c·Σ_{j∈N_i∩S̄} p_ij·(1−p_ji)
-//
-// Both carry one factor of c inside the entry (the star-to-mesh edge stands
-// for a two-step walk); the solver applies the second factor. Only the
-// dirty worklist is visited — each expansion dirties the new node and its
-// visited neighbors, so the refresh cost tracks the changed region, not S.
-func (e *phpEngine) refreshTightening() {
-	if !e.tighten {
-		return
-	}
-	for _, i := range e.dirtyList {
-		e.dirty[i] = false
-		e.selfLoop[i] = 0
-		e.dummyTight[i] = 0
-		if e.outCnt[i] == 0 || e.deg[i] == 0 || e.nodes[i] == e.q {
-			continue
-		}
-		var self, dum float64
-		for k, u := range e.adjN[i] {
-			if e.local.has(u) {
-				continue
-			}
-			pij := e.adjW[i][k] / e.deg[i]
-			dj := e.degreeOf(u)
-			var pji float64
-			if dj > 0 {
-				pji = e.adjW[i][k] / dj
-			}
-			self += pij * pji
-			dum += pij * (1 - pji)
-		}
-		e.selfLoop[i] = e.c * self
-		e.dummyTight[i] = e.c * dum
-	}
-	e.dirtyList = e.dirtyList[:0]
+// probedNodes returns the captured Degree probes as a sorted set, the form
+// ProbedNodes documents.
+func (e *phpEngine) probedNodes() []graph.NodeID {
+	slices.Sort(e.probed)
+	e.probed = slices.Compact(e.probed)
+	return append([]graph.NodeID(nil), e.probed...)
 }
 
 // dummyEntry returns local node i's transition entry into the dummy node for
@@ -267,8 +255,13 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 }
 
 // solveBounds re-solves both bound systems to tolerance, warm-started from
-// the previous bounds (the lower a sub-solution, the upper a
-// super-solution, so truncation keeps validity on both sides).
+// the previous bounds and the new nodes' start values (0 below, r_d above).
+// Validity under truncation rests on the true PHP vector, not on the start
+// being a sub- or super-solution of the grown system: both maps are
+// monotone, G(PHP) ≤ PHP ≤ F(PHP) (Theorem 3, Lemmas 3–4), so a coordinate
+// relaxation keeps lb ≤ PHP below and ub ≥ PHP above from any start on the
+// right side. A new node's r_d start is not a super-solution: its own row
+// may relax above r_d when it borders nodes with larger upper bounds.
 //
 // The solver is a residual-driven Gauss–Seidel relaxation over worklists
 // rather than full Jacobi sweeps: expansion enqueues exactly the rows whose
@@ -278,11 +271,9 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 //
 // and charges the change to i's local neighbors, which re-enqueue once their
 // accumulated input drift exceeds θ = τ/16. It reaches the same fixpoint as
-// Algorithm 7's iteration and keeps the same one-sided monotonicity (a
-// single-coordinate relaxation of a sub-solution stays below the fixpoint,
-// of a super-solution above), so bound validity under truncation is
-// untouched — but its cost tracks the changed region, not |S|, which matters
-// because FLoS re-solves after every expansion.
+// Algorithm 7's iteration with the same validity argument — but its cost
+// tracks the changed region, not |S|, which matters because FLoS re-solves
+// after every expansion.
 //
 // The Gauss–Seidel order (each relaxation reads its neighbors' latest values
 // in place, FIFO over the worklist) is part of the observable behaviour: an

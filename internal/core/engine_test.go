@@ -130,8 +130,7 @@ func TestEngineTighteningTerms(t *testing.T) {
 	e := newTestEngine(t, g, 0, c, true)
 	e.expand(0, nil) // adds 2,3 (paper)
 	l1, _ := e.local.get(1)
-	e.expand(l1, nil) // expanding paper-2 adds paper-4
-	e.refreshTightening()
+	e.expand(l1, nil) // expanding paper-2 adds paper-4; visits keep the entries
 
 	// Paper node 3 (local of id 2): one outside neighbor, node 5 (degree 2).
 	// selfLoop = c·p(3→5)·p(5→3) = c·(1/3)·(1/2); dummy = c·(1/3)·(1/2).

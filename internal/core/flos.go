@@ -35,10 +35,7 @@ func (e *phpEngine) pick(kind measure.Kind, budget int) []int32 {
 	return e.pickExpansion(kind == measure.RWR, budget)
 }
 
-func (e *phpEngine) solve() {
-	e.refreshTightening()
-	e.solveBounds()
-}
+func (e *phpEngine) solve() { e.solveBounds() }
 
 func (e *phpEngine) check(kind measure.Kind, dst []int32, k int, slack float64) ([]int32, certGap) {
 	rwrMode := kind == measure.RWR
@@ -110,7 +107,7 @@ func (e *phpEngine) result(opt Options, g *goal, out outcome) (*Result, error) {
 	res := newResult(&e.localSearch, opt, out)
 	res.DegreeProbes = e.degreeProbes
 	if opt.CaptureFootprint {
-		res.ProbedNodes = append([]graph.NodeID(nil), e.probed...)
+		res.ProbedNodes = e.probedNodes()
 		res.GuardDegree = e.lastGuard
 	}
 	var err error

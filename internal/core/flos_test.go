@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,51 +167,185 @@ func TestPaperExampleTable3(t *testing.T) {
 	}
 }
 
-// TestBoundsMonotoneAndValid asserts the Section 5.2 monotonicity and the
-// bound validity lb ≤ r ≤ ub on every trace snapshot.
+// starOfCliques builds a hub joined to `cliques` complete blocks of `size`
+// nodes, with parallel edges (every block's first pair is joined twice) and
+// 1e-9-weight edges (hub to each block's second member, and each block's
+// last member to the next block's first). FromCSR keeps the parallel
+// entries the Builder would merge.
+func starOfCliques(t testing.TB, cliques, size int) *graph.MemGraph {
+	t.Helper()
+	n := 1 + cliques*size
+	type half struct {
+		v graph.NodeID
+		w float64
+	}
+	adj := make([][]half, n)
+	edge := func(u, v int, w float64) {
+		adj[u] = append(adj[u], half{graph.NodeID(v), w})
+		adj[v] = append(adj[v], half{graph.NodeID(u), w})
+	}
+	for c := 0; c < cliques; c++ {
+		base := 1 + c*size
+		edge(0, base, 1)
+		edge(0, base+1, 1e-9)
+		edge(base, base+1, 0.5)
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				edge(base+i, base+j, 1+float64((i+j)%3))
+			}
+		}
+		if c+1 < cliques {
+			edge(base+size-1, base+size, 1e-9)
+		}
+	}
+	offsets := make([]int64, n+1)
+	var targets []graph.NodeID
+	var weights []float64
+	for v := range adj {
+		slices.SortStableFunc(adj[v], func(a, b half) int { return int(a.v - b.v) })
+		for _, h := range adj[v] {
+			targets = append(targets, h.v)
+			weights = append(weights, h.w)
+		}
+		offsets[v+1] = int64(len(targets))
+	}
+	g, err := graph.FromCSR(offsets, targets, weights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// boundGraph is one graph of the bound-premise tables: a large enough
+// search that a step expands more than one node.
+type boundGraph struct {
+	name string
+	g    *graph.MemGraph
+	q    graph.NodeID
+}
+
+func boundGraphs(t testing.TB) []boundGraph {
+	t.Helper()
+	erdos, err := gen.Erdos(500, 2500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := gen.Community(2000, 6000, gen.CommunityParamsForDensity(6), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stars := starOfCliques(t, 24, 9)
+	return []boundGraph{
+		{"erdos(500,2500)", erdos, graph.LargestComponentNodes(erdos)[0]},
+		{"community(2000,6000)", comm, graph.LargestComponentNodes(comm)[0]},
+		{"star-of-cliques", stars, 1 + 3*9 + 4},
+	}
+}
+
+// batchCollector keeps every snapshot and the largest step taken.
+type batchCollector struct {
+	SnapshotCollector
+	maxBatch int
+}
+
+func (c *batchCollector) ObserveIteration(st IterStats) { c.maxBatch = max(c.maxBatch, st.Batch) }
+
+// TestBoundsMonotoneAndValid asserts, on every trace snapshot of PHP, RWR
+// and unified searches (tightened or not, exact or ε, in memory or on a
+// disk store), the premises the PHP engine's start values rest on: lb ≤ PHP
+// ≤ ub for every visited node, Section 5.2's monotonicity of both bounds and
+// of r_d, and r_d ≥ PHP of every unvisited node (Theorem 5), which is what
+// lets a newly visited node's upper bound start at r_d.
 func TestBoundsMonotoneAndValid(t *testing.T) {
-	for _, tighten := range []bool{false, true} {
-		g := randomConnected(t, 60, 90, 11)
-		q := graph.NodeID(5)
-		exact := exactScores(t, g, q, measure.PHP, measure.DefaultParams())
-		sc := &SnapshotCollector{}
-		opt := testOptions(measure.PHP, 5)
-		opt.Tighten = tighten
-		opt.Tracer = sc
-		if _, err := TopK(g, q, opt); err != nil {
-			t.Fatal(err)
-		}
-		events := sc.Events
-		prevLB := map[graph.NodeID]float64{}
-		prevUB := map[graph.NodeID]float64{}
-		prevRD := 1.0
-		for _, ev := range events {
-			if ev.DummyValue > prevRD+1e-12 {
-				t.Fatalf("tighten=%v iter %d: rd rose %g -> %g", tighten, ev.Iteration, prevRD, ev.DummyValue)
+	for _, bg := range boundGraphs(t) {
+		disk := diskVariant(t, bg.g)
+		batched := false
+		for _, search := range []string{"PHP", "RWR", "unified"} {
+			kind := measure.PHP
+			if search == "RWR" {
+				kind = measure.RWR
 			}
-			prevRD = ev.DummyValue
-			for i, v := range ev.Nodes {
-				lb, ub := ev.Lower[i], ev.Upper[i]
-				if lb > ub+1e-9 {
-					t.Fatalf("tighten=%v iter %d node %d: lb %g > ub %g", tighten, ev.Iteration, v, lb, ub)
+			// The engine's bounds are PHP at the kind's equivalent decay.
+			p, err := measure.EquivalentPHPParams(kind, testOptions(kind, 10).Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := exactScores(t, bg.g, bg.q, measure.PHP, p)
+			for _, tighten := range []bool{false, true} {
+				for _, eps := range []float64{0, 1e-3} {
+					for _, backend := range []string{"mem", "disk"} {
+						var g graph.Graph = bg.g
+						if backend == "disk" {
+							g = disk
+						}
+						name := fmt.Sprintf("%s/%s/tighten=%v/eps=%g/%s", bg.name, search, tighten, eps, backend)
+						sc := &batchCollector{}
+						opt := testOptions(kind, 10)
+						opt.Tighten = tighten
+						opt.Tracer = sc
+						if eps > 0 {
+							opt.Mode, opt.Epsilon = ModeEpsilon, eps
+						}
+						if search == "unified" {
+							_, err = UnifiedTopK(g, bg.q, opt)
+						} else {
+							_, err = TopK(g, bg.q, opt)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						checkBoundEvents(t, name, sc.Events, exact)
+						batched = batched || sc.maxBatch > 1
+					}
 				}
-				if lb > exact[v]+1e-7 {
-					t.Fatalf("tighten=%v iter %d node %d: lb %g > exact %g", tighten, ev.Iteration, v, lb, exact[v])
-				}
-				if ub < exact[v]-1e-7 {
-					t.Fatalf("tighten=%v iter %d node %d: ub %g < exact %g", tighten, ev.Iteration, v, ub, exact[v])
-				}
-				if p, ok := prevLB[v]; ok && lb < p-1e-9 {
-					t.Fatalf("tighten=%v iter %d node %d: lb regressed %g -> %g", tighten, ev.Iteration, v, p, lb)
-				}
-				if p, ok := prevUB[v]; ok && ub > p+1e-9 {
-					t.Fatalf("tighten=%v iter %d node %d: ub regressed %g -> %g", tighten, ev.Iteration, v, p, ub)
-				}
-				prevLB[v], prevUB[v] = lb, ub
 			}
 		}
-		if len(events) == 0 {
-			t.Fatal("no trace events")
+		if !batched {
+			t.Fatalf("%s: no step expanded more than one node, so the table no longer covers batched steps", bg.name)
+		}
+	}
+}
+
+func checkBoundEvents(t *testing.T, name string, events []TraceEvent, exact []float64) {
+	t.Helper()
+	if len(events) == 0 {
+		t.Fatalf("%s: no trace events", name)
+	}
+	prevLB := map[graph.NodeID]float64{}
+	prevUB := map[graph.NodeID]float64{}
+	prevRD := 1.0
+	visited := make([]bool, len(exact))
+	for _, ev := range events {
+		if ev.DummyValue > prevRD+1e-12 {
+			t.Fatalf("%s iter %d: rd rose %g -> %g", name, ev.Iteration, prevRD, ev.DummyValue)
+		}
+		prevRD = ev.DummyValue
+		for _, v := range ev.Nodes {
+			visited[v] = true
+		}
+		for v, x := range exact {
+			if !visited[v] && ev.DummyValue < x-1e-12 {
+				t.Fatalf("%s iter %d: rd %g below PHP %g of unvisited node %d", name, ev.Iteration, ev.DummyValue, x, v)
+			}
+		}
+		for i, v := range ev.Nodes {
+			lb, ub := ev.Lower[i], ev.Upper[i]
+			if lb > ub+1e-9 {
+				t.Fatalf("%s iter %d node %d: lb %g > ub %g", name, ev.Iteration, v, lb, ub)
+			}
+			if lb > exact[v]+1e-7 {
+				t.Fatalf("%s iter %d node %d: lb %g > exact %g", name, ev.Iteration, v, lb, exact[v])
+			}
+			if ub < exact[v]-1e-7 {
+				t.Fatalf("%s iter %d node %d: ub %g < exact %g", name, ev.Iteration, v, ub, exact[v])
+			}
+			if p, ok := prevLB[v]; ok && lb < p-1e-9 {
+				t.Fatalf("%s iter %d node %d: lb regressed %g -> %g", name, ev.Iteration, v, p, lb)
+			}
+			if p, ok := prevUB[v]; ok && ub > p+1e-9 {
+				t.Fatalf("%s iter %d node %d: ub regressed %g -> %g", name, ev.Iteration, v, p, ub)
+			}
+			prevLB[v], prevUB[v] = lb, ub
 		}
 	}
 }

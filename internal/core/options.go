@@ -98,7 +98,8 @@ type Options struct {
 	Params measure.Params
 	// Tighten enables the self-loop bound tightening of Section 5.3
 	// (star-to-mesh transformation). It spends one Degree lookup per
-	// boundary-crossing edge to shrink the gap between the bounds.
+	// boundary-crossing edge, read when the edge's visited end is visited,
+	// to shrink the gap between the bounds.
 	Tighten bool
 	// MaxVisited caps |S| as a safety valve; 0 means no cap. When the cap
 	// fires the result carries Exact=false.
@@ -290,8 +291,9 @@ type Result struct {
 	// Sweeps counts single-row Gauss–Seidel relaxations across all bound
 	// solves: the work the paper's α·β Jacobi sweeps stand for.
 	Sweeps int
-	// DegreeProbes counts Degree() metadata lookups on unvisited nodes
-	// (spent by tightening and by the RWR w(S̄) guard).
+	// DegreeProbes counts Degree() reads of unvisited nodes, repeats
+	// included: one per boundary-crossing edge of each visited node under
+	// tightening, plus one per RWR w(S̄) guard evaluation.
 	DegreeProbes int
 	// Exact is false if MaxVisited aborted the search early, if ModeEpsilon
 	// stopped on its ε budget before full separation, or if ModeAnytime was
@@ -304,12 +306,12 @@ type Result struct {
 
 	// VisitedNodes, ProbedNodes, and GuardDegree are populated only when
 	// Options.CaptureFootprint is set. VisitedNodes is S in visit order;
-	// ProbedNodes lists the unvisited nodes whose Degree the search read
-	// (each at most once); GuardDegree is the last w(S̄) guard value an RWR
-	// search certified against (0 when no guard was used). Together they are
-	// the query's entire read footprint: a mutation that touches none of
-	// these nodes and does not raise any endpoint's degree above GuardDegree
-	// cannot change this result.
+	// ProbedNodes lists the unvisited nodes whose Degree the search read,
+	// sorted, each at most once; GuardDegree is the last w(S̄) guard value
+	// an RWR search certified against (0 when no guard was used). Together
+	// they are the query's entire read footprint: a mutation that touches
+	// none of these nodes and does not raise any endpoint's degree above
+	// GuardDegree cannot change this result.
 	VisitedNodes []graph.NodeID
 	ProbedNodes  []graph.NodeID
 	GuardDegree  float64

@@ -65,8 +65,12 @@ type localSearch struct {
 
 	// visitW holds, after visitCommon(v), the edge weights parallel to the
 	// ladj entries the visit just created — the engine-specific wiring pass
-	// consumes them without re-scanning v's adjacency.
+	// consumes them without re-scanning v's adjacency. visitL is parallel
+	// to v's adjacency row: the local index of each entry's far end as it
+	// stood before v joined, or -1 if it was unvisited — the one index
+	// lookup each entry costs, kept for every later pass over the row.
 	visitW []float64
+	visitL []int32
 
 	// Scratch reused across iterations (and, warm, across queries): the
 	// expansion/termination scans would otherwise allocate per iteration.
@@ -136,13 +140,17 @@ func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 	// probabilities) and the in/out split.
 	var d, in float64
 	var out int32
+	s.visitL = s.visitL[:0]
 	for i, u := range cn {
 		d += cw[i]
-		if s.local.has(u) {
+		lu, ok := s.local.get(u)
+		if ok {
 			in += cw[i]
 		} else {
+			lu = -1
 			out++
 		}
+		s.visitL = append(s.visitL, lu)
 	}
 	s.deg = append(s.deg, d)
 	s.inW = append(s.inW, in)
@@ -159,9 +167,8 @@ func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 	// and update their boundary bookkeeping. The weights are recorded in
 	// visitW so the caller's wiring pass needs no re-scan.
 	s.visitW = s.visitW[:0]
-	for i, u := range cn {
-		lu, ok := s.local.get(u)
-		if !ok {
+	for i, lu := range s.visitL {
+		if lu < 0 {
 			continue
 		}
 		s.ladj[li] = append(s.ladj[li], lu)

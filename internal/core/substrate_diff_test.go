@@ -222,6 +222,99 @@ func TestSubstrateDifferential(t *testing.T) {
 	})
 }
 
+// checkTightening recomputes every live boundary node's Section 5.3 entries
+// from scratch,
+//
+//	selfLoop_i   = c·Σ_{j∈N_i∩S̄} p_ij·p_ji
+//	dummyTight_i = c·Σ_{j∈N_i∩S̄} p_ij·(1−p_ji)
+//
+// and requires the per-edge entries the visits keep to agree within 1e-12
+// relative. The scale is the entry summed over all of i's edges, the
+// magnitude the kept value was built from: retracting an edge cancels its
+// term only to within its rounding. Returns how many nodes it checked.
+func checkTightening(t *testing.T, e *phpEngine) int {
+	t.Helper()
+	checked := 0
+	for _, i := range e.bList {
+		if e.outCnt[i] == 0 || i == 0 || e.deg[i] == 0 {
+			continue
+		}
+		checked++
+		var self, dum, selfAll, dumAll float64
+		for k, u := range e.adjN[i] {
+			pij := e.adjW[i][k] / e.deg[i]
+			var pji float64
+			if dj := e.g.Degree(u); dj > 0 {
+				pji = e.adjW[i][k] / dj
+			}
+			selfAll += pij * pji
+			dumAll += pij * (1 - pji)
+			if !e.local.has(u) {
+				self += pij * pji
+				dum += pij * (1 - pji)
+			}
+		}
+		for _, c := range []struct {
+			name           string
+			got, want, all float64
+		}{
+			{"selfLoop", e.selfLoop[i], e.c * self, e.c * selfAll},
+			{"dummyTight", e.dummyTight[i], e.c * dum, e.c * dumAll},
+		} {
+			if math.Abs(c.got-c.want) > 1e-12*c.all {
+				t.Fatalf("node %d (local %d): kept %s %g, from scratch %g", e.nodes[i], i, c.name, c.got, c.want)
+			}
+		}
+	}
+	return checked
+}
+
+// TestTighteningMatchesScratch: after every step of tightened PHP, RWR and
+// unified searches, exact and ε, on both backends, the Section 5.3 entries
+// the visits keep per edge equal a from-scratch recomputation over the
+// live boundary.
+func TestTighteningMatchesScratch(t *testing.T) {
+	for _, bg := range boundGraphs(t) {
+		disk := diskVariant(t, bg.g)
+		for _, search := range []string{"PHP", "RWR", "unified"} {
+			for _, eps := range []float64{0, 1e-3} {
+				for _, backend := range []string{"mem", "disk"} {
+					var g graph.Graph = bg.g
+					if backend == "disk" {
+						g = disk
+					}
+					kind := measure.PHP
+					if search == "RWR" {
+						kind = measure.RWR
+					}
+					opt := testOptions(kind, 10)
+					opt.Tighten = true
+					if eps > 0 {
+						opt.Mode, opt.Epsilon = ModeEpsilon, eps
+					}
+					checked := 0
+					postExpandHook = func(engine any) {
+						checked += checkTightening(t, engine.(*phpEngine))
+					}
+					var err error
+					if search == "unified" {
+						_, err = UnifiedTopK(g, bg.q, opt)
+					} else {
+						_, err = TopK(g, bg.q, opt)
+					}
+					postExpandHook = nil
+					if err != nil {
+						t.Fatal(err)
+					}
+					if checked == 0 {
+						t.Fatalf("%s/%s/eps=%g/%s: no boundary node checked", bg.name, search, eps, backend)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQueryNodeNeverLiveBoundary pins the invariant that lets the boundary
 // loops of checkTermination skip nodes by outCnt alone: the first step picks
 // q, the only node of S, and expands it fully, so after every expansion

@@ -85,7 +85,7 @@ func unifiedIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, 
 	}
 	if opt.CaptureFootprint {
 		res.VisitedNodes = append([]graph.NodeID(nil), e.nodes...)
-		res.ProbedNodes = append([]graph.NodeID(nil), e.probed...)
+		res.ProbedNodes = e.probedNodes()
 		res.GuardDegree = e.lastGuard
 	}
 	// Each ranking is listed in selection order, its scores and intervals in

@@ -16,10 +16,10 @@ import (
 // The design target is the high-QPS serving path. FLoS queries touch only a
 // small visited set S, so on short queries the dominant cost of the seed
 // implementation was not the bound solver but the allocator: every TopK
-// rebuilt ~15 bookkeeping slices, a global→local map, and a degree-memo map
-// from zero. A warm Workspace keeps all of that across queries; "clearing"
-// the two maps is a single generation bump (O(1), no rehash), and every
-// slice is truncated in place keeping its backing storage.
+// rebuilt ~15 bookkeeping slices and a global→local map from zero. A warm
+// Workspace keeps all of that across queries; "clearing" the map is a
+// single generation bump (O(1), no rehash), and every slice is truncated in
+// place keeping its backing storage.
 
 // nodeIndex maps global node identifiers to local engine indices. A cold
 // (one-shot) engine uses a Go map sized by the visited set; a warm
@@ -86,62 +86,6 @@ func (x *nodeIndex) put(v graph.NodeID, li int32) {
 func (x *nodeIndex) has(v graph.NodeID) bool {
 	_, ok := x.get(v)
 	return ok
-}
-
-// degMemo memoizes Degree lookups of unvisited nodes (spent by the Section
-// 5.3 tightening and the RWR w(S̄) guard), with the same two modes as
-// nodeIndex.
-type degMemo struct {
-	m   map[graph.NodeID]float64
-	val []float64
-	gen []uint32
-	cur uint32
-}
-
-func (x *degMemo) init(n int, dense bool) {
-	if !dense {
-		x.val, x.gen = nil, nil
-		if x.m == nil {
-			x.m = make(map[graph.NodeID]float64)
-		} else {
-			clear(x.m)
-		}
-		return
-	}
-	x.m = nil
-	if len(x.gen) < n {
-		x.val = make([]float64, n)
-		x.gen = make([]uint32, n)
-		x.cur = 1
-		return
-	}
-	x.cur++
-	if x.cur == 0 {
-		for i := range x.gen {
-			x.gen[i] = 0
-		}
-		x.cur = 1
-	}
-}
-
-func (x *degMemo) get(v graph.NodeID) (float64, bool) {
-	if x.m != nil {
-		d, ok := x.m[v]
-		return d, ok
-	}
-	if x.gen[v] != x.cur {
-		return 0, false
-	}
-	return x.val[v], true
-}
-
-func (x *degMemo) put(v graph.NodeID, d float64) {
-	if x.m != nil {
-		x.m[v] = d
-		return
-	}
-	x.gen[v] = x.cur
-	x.val[v] = d
 }
 
 // appendRow appends one empty row to a slice-of-slices, reusing the spare

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -444,6 +445,53 @@ func TestSurgicalInvalidationDisjointRetains(t *testing.T) {
 	}
 	if err := core.Certify(world, reqs[0].Query, resp.TopK, measure.PHP, reqs[0].Opt.Params, 1e-7); err != nil {
 		t.Fatalf("recomputed answer wrong: %v", err)
+	}
+}
+
+// TestFootprintIsASet: a cached answer's footprint is strictly increasing —
+// a node that was degree-probed and later visited is stored once — and
+// covers every visited and probed node, and core's ProbedNodes is a sorted
+// set, for the single-measure and the unified search, under both guard
+// rules.
+func TestFootprintIsASet(t *testing.T) {
+	g := liveTestGraph(t, 2000, 6000, 4)
+	lget := graph.LargestComponentNodes(g)
+	for _, unified := range []bool{false, true} {
+		for _, kind := range []measure.Kind{measure.PHP, measure.RWR} {
+			for i := 0; i < 6; i++ {
+				req := Request{Query: lget[i*97%len(lget)], Opt: core.DefaultOptions(kind, 10), Unified: unified}
+				req.Opt.CaptureFootprint = true
+				resp := &Response{}
+				var visited, probed []graph.NodeID
+				if unified {
+					res, err := core.UnifiedTopK(g, req.Query, req.Opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Unified, visited, probed = res, res.VisitedNodes, res.ProbedNodes
+				} else {
+					res, err := core.TopK(g, req.Query, req.Opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.TopK, visited, probed = res, res.VisitedNodes, res.ProbedNodes
+				}
+				fp, _, _ := footprintOf(req, resp)
+				for what, s := range map[string][]graph.NodeID{"footprint": fp, "ProbedNodes": probed} {
+					for j := 1; j < len(s); j++ {
+						if s[j] <= s[j-1] {
+							t.Fatalf("unified=%v %v q=%d: %s not strictly increasing at %d: %d then %d",
+								unified, kind, req.Query, what, j, s[j-1], s[j])
+						}
+					}
+				}
+				for _, v := range append(append([]graph.NodeID(nil), visited...), probed...) {
+					if _, ok := slices.BinarySearch(fp, v); !ok {
+						t.Fatalf("unified=%v %v q=%d: node %d missing from the footprint", unified, kind, req.Query, v)
+					}
+				}
+			}
+		}
 	}
 }
 

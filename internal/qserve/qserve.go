@@ -543,9 +543,10 @@ func (p *Pool) worker(g graph.Graph) {
 
 // trimVisited is the search size past which a worker starts over with an
 // empty workspace. A workspace keeps its arrays at the size of the largest
-// search it has run, about half a kilobyte per visited node, so one
-// graph-draining query would otherwise hold tens of megabytes per worker for
-// the life of the process.
+// search it has run, about half a kilobyte per visited node on top of its
+// dense node indexes (8 B per graph node per engine), so one graph-draining
+// query would otherwise hold tens of megabytes per worker for the life of
+// the process.
 const trimVisited = 1 << 14
 
 // multiTracer fans iteration records out to every attached core.Tracer —
@@ -748,9 +749,10 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 }
 
 // footprintOf assembles the cache-entry invalidation state from a completed
-// response: the sorted union of visited and degree-probed nodes and the RWR
-// guard rule inputs. A unified query always certifies an RWR ranking, so it
-// is guarded; a single-measure query is guarded only under measure.RWR.
+// response: the sorted set union of visited and degree-probed nodes (a node
+// probed and then visited appears once) and the RWR guard rule inputs. A
+// unified query always certifies an RWR ranking, so it is guarded; a
+// single-measure query is guarded only under measure.RWR.
 func footprintOf(req Request, resp *Response) (fp []graph.NodeID, guard float64, guarded bool) {
 	var visited, probed []graph.NodeID
 	if resp.Unified != nil {
@@ -763,7 +765,7 @@ func footprintOf(req Request, resp *Response) (fp []graph.NodeID, guard float64,
 	fp = make([]graph.NodeID, 0, len(visited)+len(probed))
 	fp = append(append(fp, visited...), probed...)
 	slices.Sort(fp)
-	return fp, guard, guarded
+	return slices.Compact(fp), guard, guarded
 }
 
 // Metrics returns a counters snapshot; see the Metrics type.
