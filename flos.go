@@ -142,7 +142,8 @@ func DefaultParams() Params { return measure.DefaultParams() }
 
 // TopK answers an exact k-nearest-neighbor query with FLoS. It is a thin
 // wrapper over TopKCtx with a background context, building all engine state
-// per call; callers issuing more than one query should hold a Querier.
+// per call, an index sized to the graph included; callers issuing more than
+// one query should hold a Querier.
 func TopK(g Graph, q NodeID, opt Options) (*Result, error) { return core.TopK(g, q, opt) }
 
 // TopKCtx is TopK with cancellation: the search checks ctx at every local

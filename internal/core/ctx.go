@@ -75,16 +75,16 @@ func interrupted(ctxErr error, visited, iterations, sweeps int) *Interrupted {
 // boundary-batch expansion plus an incremental bound re-solve — so the
 // response to cancellation is prompt even on large graphs.
 //
-// Each call builds engine state from scratch; hold a Querier to reuse it
-// across queries.
+// Each call runs in a fresh Workspace; hold a Querier or a Workspace to
+// reuse engine state across queries.
 func TopKCtx(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options) (*Result, error) {
-	return topKIn(ctx, g, q, opt, nil)
+	return NewWorkspace().TopK(ctx, g, q, opt)
 }
 
-// topKIn answers one single-measure query: the shared prologue, the family's
-// engine, the search driver with one goal, the family's result builder. ws
-// supplies a reusable engine workspace (nil runs cold).
-func topKIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*Result, error) {
+// TopK answers one single-measure query inside the workspace, on the
+// TopKCtx contract: the shared prologue, the family's engine, the search
+// driver with one goal, the family's result builder.
+func (ws *Workspace) TopK(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options) (*Result, error) {
 	g, release, err := pin(g, q, opt)
 	if err != nil {
 		return nil, err

@@ -4,12 +4,13 @@ import (
 	"slices"
 
 	"flos/internal/graph"
-	"flos/internal/linalg"
+	"flos/internal/measure"
 )
 
 // phpEngine is the native FLoS bound engine for PHP-shaped systems
 // (r = c·T·r + e_q with the query row zeroed). On top of the shared
-// localSearch substrate it maintains, over the visited set S:
+// localSearch substrate and its transition rows it maintains, over the
+// visited set S:
 //
 //   - the lower-bound system: every transition probability touching an
 //     unvisited node deleted (Theorem 3 / Section 4.2);
@@ -24,7 +25,7 @@ import (
 // store: bnd[2i] is the lower bound, bnd[2i+1] the upper. The fused solver
 // (solveBounds) relaxes both systems in one pass, so the second system finds
 // the row entries and its neighbors' bound pair already in cache instead of
-// re-traversing t.Rows[i] cold.
+// re-traversing rows[i] cold.
 //
 // A newly visited node's upper bound starts at r_d: the node was unvisited
 // when updateDummy last set r_d, so no-local-optimum gives PHP(v) ≤ r_d.
@@ -33,11 +34,10 @@ import (
 // 3–4). The trivial start, 1, would set off a relaxation cascade through
 // the neighborhood on every visit.
 //
-// An engine is reusable: reset prepares it for a new query while keeping
-// every slice's backing storage and logically clearing the global→local
-// index with a generation bump (see workspace.go). A cold engine
-// (newPHPEngine) uses a map for the index; a warm one uses dense stamped
-// arrays sized to the graph.
+// An engine lives in a Workspace and is reusable: reset prepares it for a
+// new query while keeping every slice's backing storage and logically
+// clearing the global→local index with a generation bump (see
+// workspace.go).
 type phpEngine struct {
 	localSearch
 
@@ -45,8 +45,6 @@ type phpEngine struct {
 	tau     float64
 	maxIter int
 	tighten bool
-
-	t *linalg.RowMatrix // off-diagonal local transition entries (row q empty)
 
 	// bnd is the interleaved bound store: lower bound of local node i at
 	// bnd[2i], upper bound at bnd[2i+1]. Use lbAt/ubAt outside hot loops.
@@ -88,22 +86,14 @@ type phpEngine struct {
 func (e *phpEngine) lbAt(i int32) float64 { return e.bnd[2*i] }
 func (e *phpEngine) ubAt(i int32) float64 { return e.bnd[2*i+1] }
 
-// newPHPEngine builds a cold single-query engine (map-backed indexes).
-func newPHPEngine(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten bool) *phpEngine {
-	e := &phpEngine{}
-	e.reset(g, q, c, tau, maxIter, tighten, false)
-	return e
-}
+// reset prepares the engine for a new query with decay parameters p,
+// reusing all retained storage. A reset engine behaves identically to a
+// fresh one — the expansion schedule, solver sweeps, and results are
+// byte-for-byte the same.
+func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, p measure.Params, opt Options) {
+	e.c, e.tau, e.maxIter, e.tighten = p.C, p.Tau, p.MaxIter, opt.Tighten
 
-// reset prepares the engine for a new query, reusing all retained storage.
-// dense selects the generation-stamped array indexes (warm workspaces);
-// cold engines pass false and get maps. A reset engine behaves identically
-// to a freshly constructed one — the expansion schedule, solver sweeps, and
-// results are byte-for-byte the same.
-func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter int, tighten, dense bool) {
-	e.c, e.tau, e.maxIter, e.tighten = c, tau, maxIter, tighten
-
-	e.resetCommon(g, q, dense)
+	e.resetCommon(g, q)
 
 	e.bnd = e.bnd[:0]
 	e.queueLB = e.queueLB[:0]
@@ -114,25 +104,21 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 	e.pendUB = e.pendUB[:0]
 	e.selfLoop = e.selfLoop[:0]
 	e.dummyTight = e.dummyTight[:0]
-	if e.t == nil {
-		e.t = linalg.NewRowMatrix(0)
-	} else {
-		e.t.Reset()
-	}
 	e.rd = 1
 	e.degreeProbes = 0
-	e.capProbes = false
+	e.capProbes = opt.CaptureFootprint
 	e.probed = e.probed[:0]
 	e.lastGuard = 0
 
 	e.visit(q)
 	e.bnd[0] = 1 // lb_q
 	e.bnd[1] = 1 // ub_q
+	e.wSbar = newWSbarGuard(g)
 }
 
 // visit pulls node v into S: the substrate maintains the visited-set and
-// frontier bookkeeping, then this wires the transition entries in both
-// directions, keeps the Section 5.3 tightening entries and seeds the solver
+// frontier bookkeeping and wires the transition entries in both directions,
+// then this keeps the Section 5.3 tightening entries and seeds the solver
 // worklists. v's upper bound starts at r_d (see phpEngine). Precondition: v
 // not visited.
 //
@@ -147,7 +133,6 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, c, tau float64, maxIter
 // for a two-step walk); the solver applies the second factor.
 func (e *phpEngine) visit(v graph.NodeID) {
 	li := e.visitCommon(v)
-	e.t.AddRow()
 
 	e.bnd = append(e.bnd, 0, e.rd)
 	e.selfLoop = append(e.selfLoop, 0)
@@ -183,28 +168,20 @@ func (e *phpEngine) visit(v graph.NodeID) {
 		e.dummyTight[li] = e.c * dum
 	}
 
-	// Wire transition entries to/from the already-visited neighbors the
-	// substrate just linked (ladj[li] / visitW). Touched neighbors join the
-	// relaxation worklists: their rows gained an entry.
-	for idx, lu := range e.ladj[li] {
-		w := e.visitW[idx]
-		if v != e.q && d > 0 {
-			e.t.Append(li, lu, w/d)
+	// Every already-visited neighbor u gained an entry toward v, so it joins
+	// the relaxation worklists; with tightening on, v left S̄ for u, so
+	// (u, v) is retracted from u's sums, clamped at 0 against cancellation.
+	// The weight is read per adjacency entry: a parallel edge retracts once
+	// per edge.
+	for k, lu := range e.visitL {
+		if lu < 0 {
+			continue
 		}
-		// Reverse direction u -> v, unless u is the query (zeroed row).
-		if du := e.deg[lu]; e.nodes[lu] != e.q && du > 0 {
-			e.t.Append(lu, li, w/du)
-			if e.tighten {
-				// v left S̄: retract (u, v) from u's sums, clamped at 0
-				// against cancellation.
-				puv := w / du
-				var pvu float64
-				if d > 0 {
-					pvu = w / d
-				}
-				e.selfLoop[lu] = max(0, e.selfLoop[lu]-e.c*(puv*pvu))
-				e.dummyTight[lu] = max(0, e.dummyTight[lu]-e.c*(puv*(1-pvu)))
-			}
+		if e.tighten && e.nodes[lu] != e.q {
+			puv := e.adjW[li][k] / e.deg[lu]
+			pvu := e.adjW[li][k] / d
+			e.selfLoop[lu] = max(0, e.selfLoop[lu]-e.c*(puv*pvu))
+			e.dummyTight[lu] = max(0, e.dummyTight[lu]-e.c*(puv*(1-pvu)))
 		}
 		e.enqueue(lu)
 	}
@@ -290,8 +267,8 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 // results to running them back to back. solveBounds interleaves them 1:1:
 // the queues are seeded in lockstep (enqueue adds to both), so the upper
 // relaxation of a node usually runs right after its lower one, while
-// t.Rows[i], ladj[i], and the neighbors' interleaved bound pairs are still
-// in cache — this is the fusion the struct-of-arrays bnd store exists for.
+// rows[i] and the neighbors' interleaved bound pairs are still in cache —
+// this is the fusion the struct-of-arrays bnd store exists for.
 func (e *phpEngine) solveBounds() {
 	// Pop via head indexes rather than q = q[1:]: reslicing the front off
 	// erodes the backing array's capacity one slot per pop, so the queues
@@ -326,8 +303,8 @@ func (e *phpEngine) solveBounds() {
 				e.bnd[2*i] = 1
 			} else {
 				var s float64
-				for _, en := range e.t.Rows[i] {
-					s += en.Val * e.bnd[2*en.Col]
+				for _, en := range e.rows[i] {
+					s += en.p * e.bnd[2*en.j]
 				}
 				v := e.c * s
 				if self := e.selfEntry(i); self > 0 {
@@ -340,7 +317,8 @@ func (e *phpEngine) solveBounds() {
 					// re-relaxes once its accumulated potential shift
 					// exceeds theta. (c bounds the entry value times decay,
 					// so c·d overestimates the per-row effect.)
-					for _, j := range e.ladj[i] {
+					for _, en := range e.rows[i] {
+						j := en.j
 						if j == 0 {
 							continue
 						}
@@ -364,8 +342,8 @@ func (e *phpEngine) solveBounds() {
 				e.bnd[2*i+1] = 1
 			} else {
 				var s float64
-				for _, en := range e.t.Rows[i] {
-					s += en.Val * e.bnd[2*en.Col+1]
+				for _, en := range e.rows[i] {
+					s += en.p * e.bnd[2*en.j+1]
 				}
 				s += e.dummyEntry(i) * e.rd
 				v := e.c * s
@@ -375,7 +353,8 @@ func (e *phpEngine) solveBounds() {
 				d := abs(v - e.bnd[2*i+1])
 				e.bnd[2*i+1] = v
 				if d != 0 {
-					for _, j := range e.ladj[i] {
+					for _, en := range e.rows[i] {
+						j := en.j
 						if j == 0 {
 							continue
 						}
@@ -455,47 +434,41 @@ func (e *phpEngine) pickExpansion(rwrMode bool, budget int) []int32 {
 	return e.takeFrontier(cands, budget, false)
 }
 
-// expand visits every unvisited neighbor of local node u, appending the
-// newly visited global identifiers to added (Algorithm 3 line 2).
-func (e *phpEngine) expand(u int32, added []graph.NodeID) []graph.NodeID {
-	for _, v := range e.adjN[u] {
-		if !e.local.has(v) {
-			e.visit(v)
-			added = append(added, v)
-		}
-	}
-	return added
-}
-
 // certGap records the observables of one termination test: the k-th
 // candidate's certified-side bound key and the best competing bound key it
-// must clear. Filled only when the caller passes a non-nil pointer, and only
-// once the test gets far enough to compare bounds (valid); until then it is
-// the zero value, which traces and certificates report as it stands.
+// must clear. check fills it only once the test gets far enough to compare
+// bounds (valid); until then it is the zero value, which traces and
+// certificates report as it stands.
 type certGap struct {
 	valid bool
 	kth   float64 // certified-side bound key of the k-th selected candidate
 	rest  float64 // best competing bound key over everything else
 }
 
-// checkTermination implements Algorithm 6 (and its RWR variant from
-// Section 5.6). key(lb_i) and key(ub_i) are lb/ub themselves for PHP-family
-// queries, and deg_i·lb_i / deg_i·ub_i for RWR. wSbar is the w(S̄) guard
-// value (0 when not in RWR mode). When the bounds separate it returns the
-// selected top-k local indices appended to dst (possibly empty but non-nil);
-// otherwise nil. A non-nil gap receives the certification-gap observables
-// (tracing only).
+// check implements Algorithm 6 (and its RWR variant from Section 5.6) for
+// one ranking of kind. key(lb_i) and key(ub_i) are lb/ub themselves for
+// PHP-family queries, and deg_i·lb_i / deg_i·ub_i for RWR, where the w(S̄)
+// guard is read first. When the bounds separate it returns the selected
+// top-k local indices appended to dst (possibly empty but non-nil);
+// otherwise nil. The test's observables are returned either way.
 //
 // The candidate selection walks the incremental interior list through a
 // k-bounded buffer ordered under the same total order the old full sort
 // used, so no O(|S| log |S|) re-sort happens; the competing-bound scan
 // splits into one pass over the interior list and one over the boundary
 // list.
-func (e *phpEngine) checkTermination(dst []int32, k int, rwrMode bool, wSbar float64, tieEps float64, gap *certGap) []int32 {
+func (e *phpEngine) check(kind measure.Kind, dst []int32, k int, tieEps float64) ([]int32, certGap) {
+	rwrMode := kind == measure.RWR
+	wSbar := 0.0
+	if rwrMode {
+		wSbar = e.wSbar.value(&e.localSearch)
+		e.degreeProbes++ // the index scan stands in for one metadata probe
+		e.lastGuard = wSbar
+	}
 	exhausted := e.bLive == 0
 	nCand := len(e.iList)
 	if nCand < k && !exhausted {
-		return nil
+		return nil, certGap{}
 	}
 	if k > nCand {
 		// nCand < k and exhausted: the component is smaller than k+1;
@@ -504,9 +477,9 @@ func (e *phpEngine) checkTermination(dst []int32, k int, rwrMode bool, wSbar flo
 	}
 	if k == 0 {
 		if dst != nil {
-			return dst[:0]
+			return dst[:0], certGap{}
 		}
-		return []int32{}
+		return []int32{}, certGap{}
 	}
 	sel := e.candBuf[:0]
 	for _, i := range e.iList {
@@ -514,7 +487,7 @@ func (e *phpEngine) checkTermination(dst []int32, k int, rwrMode bool, wSbar flo
 		if rwrMode {
 			key *= e.deg[i]
 		}
-		sel = e.offerDesc(sel, k, i, key)
+		sel = e.offer(sel, k, i, key, false)
 	}
 	e.candBuf = sel
 	e.markSel(sel)
@@ -561,19 +534,15 @@ func (e *phpEngine) checkTermination(dst []int32, k int, rwrMode bool, wSbar flo
 	if rwrMode && !exhausted && wSbar*maxBoundaryUB > rest {
 		rest = wSbar * maxBoundaryUB
 	}
-	if gap != nil {
-		gap.valid = true
-		gap.kth = minK
-		gap.rest = rest
-	}
+	gap := certGap{valid: true, kth: minK, rest: rest}
 	if minK < rest-tieEps {
-		return nil
+		return nil, gap
 	}
 	out := dst[:0]
 	for _, c := range sel {
 		out = append(out, c.i)
 	}
-	return out
+	return out, gap
 }
 
 func abs(x float64) float64 {

@@ -16,7 +16,19 @@ import (
 
 func newTestEngine(t *testing.T, g graph.Graph, q graph.NodeID, c float64, tighten bool) *phpEngine {
 	t.Helper()
-	return newPHPEngine(g, q, c, 1e-12, 100000, tighten)
+	return NewWorkspace().phpFor(g, q, measure.Params{C: c, Tau: 1e-12, MaxIter: 100000}, Options{Tighten: tighten})
+}
+
+// rowAt returns the transition entry of local row i toward j (summed over
+// parallel edges), 0 if none.
+func rowAt(s *localSearch, i, j int32) float64 {
+	var p float64
+	for _, en := range s.rows[i] {
+		if en.j == j {
+			p += en.p
+		}
+	}
+	return p
 }
 
 func TestEngineVisitBookkeeping(t *testing.T) {
@@ -32,7 +44,7 @@ func TestEngineVisitBookkeeping(t *testing.T) {
 	if e.outCnt[0] != 2 {
 		t.Fatalf("outCnt(q) = %d, want 2 (nodes 2,3 unvisited)", e.outCnt[0])
 	}
-	added := e.expand(0, nil)
+	added := expand(e, 0, nil)
 	if len(added) != 2 {
 		t.Fatalf("expanding q added %v", added)
 	}
@@ -48,12 +60,12 @@ func TestEngineVisitBookkeeping(t *testing.T) {
 		t.Fatalf("outMass(node 2) = %g, want 0.5", got)
 	}
 	// Transition rows: node 1's row must hold p(2→1) = 1/2 toward q.
-	if got := e.t.At(li, 0); math.Abs(got-0.5) > 1e-12 {
+	if got := rowAt(&e.localSearch, li, 0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("T[2→1] = %g, want 0.5", got)
 	}
 	// The query's row stays empty.
-	if len(e.t.Rows[0]) != 0 {
-		t.Fatalf("query row non-empty: %v", e.t.Rows[0])
+	if len(e.rows[0]) != 0 {
+		t.Fatalf("query row non-empty: %v", e.rows[0])
 	}
 }
 
@@ -64,17 +76,17 @@ func TestEngineLowerBoundMatchesDeletedSystem(t *testing.T) {
 	g := gen.PaperExample()
 	c := 0.8
 	e := newTestEngine(t, g, 0, c, false)
-	e.expand(0, nil) // S = {1,2,3} (paper numbering)
+	expand(e, 0, nil) // S = {1,2,3} (paper numbering)
 	l1, _ := e.local.get(1)
-	e.expand(l1, nil) // + node 4
+	expand(e, l1, nil) // + node 4
 	e.solveBounds()
 
 	// Dense solve on the same local system.
 	n := e.size()
 	a := linalg.Identity(n)
 	for i := 0; i < n; i++ {
-		for _, en := range e.t.Rows[i] {
-			a.Add(i, int(en.Col), -c*en.Val)
+		for _, en := range e.rows[i] {
+			a.Add(i, int(en.j), -c*en.p)
 		}
 	}
 	rhs := make([]float64, n)
@@ -97,7 +109,7 @@ func TestEngineUpperBoundMatchesDummySystem(t *testing.T) {
 	c := 0.8
 	e := newTestEngine(t, g, 0, c, false)
 	e.updateDummy()
-	e.expand(0, nil)
+	expand(e, 0, nil)
 	e.solveBounds()
 
 	n := e.size()
@@ -106,8 +118,8 @@ func TestEngineUpperBoundMatchesDummySystem(t *testing.T) {
 	rhs[0] = 1
 	for i := 0; i < n; i++ {
 		li := int32(i)
-		for _, en := range e.t.Rows[li] {
-			a.Add(i, int(en.Col), -c*en.Val)
+		for _, en := range e.rows[li] {
+			a.Add(i, int(en.j), -c*en.p)
 		}
 		rhs[i] += c * e.dummyEntry(li) * e.rd
 	}
@@ -128,9 +140,9 @@ func TestEngineTighteningTerms(t *testing.T) {
 	g := gen.PaperExample()
 	c := 0.8
 	e := newTestEngine(t, g, 0, c, true)
-	e.expand(0, nil) // adds 2,3 (paper)
+	expand(e, 0, nil) // adds 2,3 (paper)
 	l1, _ := e.local.get(1)
-	e.expand(l1, nil) // expanding paper-2 adds paper-4; visits keep the entries
+	expand(e, l1, nil) // expanding paper-2 adds paper-4; visits keep the entries
 
 	// Paper node 3 (local of id 2): one outside neighbor, node 5 (degree 2).
 	// selfLoop = c·p(3→5)·p(5→3) = c·(1/3)·(1/2); dummy = c·(1/3)·(1/2).
@@ -179,7 +191,7 @@ func TestEngineDummyMonotone(t *testing.T) {
 		if len(us) == 0 {
 			break
 		}
-		e.expand(us[0], nil)
+		expand(e, us[0], nil)
 		e.solveBounds()
 	}
 	// Exhausted: rd drops to 0.
@@ -194,7 +206,7 @@ func TestEngineDummyMonotone(t *testing.T) {
 func TestEnginePickExpansionBatch(t *testing.T) {
 	g := gen.Star(8)
 	e := newTestEngine(t, g, 1, 0.5, false) // query = a leaf
-	e.expand(0, nil)                        // visit the center, exposing 7 leaves... via expansion of q
+	expand(e, 0, nil)                       // visit the center, exposing 7 leaves... via expansion of q
 	// Expand q (local 0) first: adds center.
 	// (constructor already visited q; local 0 = q)
 	e.solveBounds()
@@ -227,13 +239,13 @@ func TestTHTEngineDistances(t *testing.T) {
 	// Ring of 8: expanding around the ring gives distances; a visit closing
 	// the ring must relax the far side.
 	g := gen.Ring(8)
-	e := newTHTEngine(g, 0, 10)
+	e := NewWorkspace().thtFor(g, 0, 10)
 	for e.size() < 8 {
 		us := e.pickExpansion(1)
 		if len(us) == 0 {
 			break
 		}
-		e.expand(us[0], nil)
+		expand(e, us[0], nil)
 		e.solveBounds()
 	}
 	want := []int32{0, 1, 2, 3, 4, 3, 2, 1}
@@ -265,7 +277,7 @@ func TestTHTEngineOutsideFloor(t *testing.T) {
 	for _, tc := range graphs {
 		exact := thtLevels(t, tc.g, tc.q, L)
 		for _, closure := range []bool{true, false} {
-			e := newTHTEngine(tc.g, tc.q, L)
+			e := NewWorkspace().thtFor(tc.g, tc.q, L)
 			for it := 1; ; it++ {
 				pick := e.pickExpansion
 				if closure {
@@ -276,7 +288,7 @@ func TestTHTEngineOutsideFloor(t *testing.T) {
 					break
 				}
 				for _, u := range us {
-					e.expand(u, nil)
+					expand(e, u, nil)
 				}
 				e.solveBounds()
 				hop := distInf // D+1
@@ -308,13 +320,13 @@ func TestTHTEngineOutsideFloor(t *testing.T) {
 func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 	g := gen.PaperExample()
 	L := 6
-	e := newTHTEngine(g, 0, L)
+	e := NewWorkspace().thtFor(g, 0, L)
 	for it := 0; it < 6; it++ {
 		us := e.pickExpansion(1)
 		if len(us) == 0 {
 			break
 		}
-		e.expand(us[0], nil)
+		expand(e, us[0], nil)
 		e.solveBounds()
 
 		// From-scratch recomputation: lbs[l] / ubs[l] are whole levels.
@@ -339,9 +351,9 @@ func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 					continue
 				}
 				sLo, sHi := 1.0, 1.0
-				for _, en := range e.tRows[i] {
-					sLo += en.p * lbs[l-1][en.col]
-					sHi += en.p * ubs[l-1][en.col]
+				for _, en := range e.rows[i] {
+					sLo += en.p * lbs[l-1][en.j]
+					sHi += en.p * ubs[l-1][en.j]
 				}
 				if e.outCnt[i] > 0 {
 					om := e.outMass(int32(i))

@@ -16,10 +16,11 @@ import (
 // Theorems 2 and 6; THT uses the finite-horizon engine. The returned set is
 // exact (up to Options.TieEps at score ties) unless MaxVisited fired.
 //
-// TopK is a thin wrapper over TopKCtx with a background context; it builds
-// all engine state from scratch per call. Callers issuing more than one
-// query should hold a Querier, whose pooled workspaces amortize that setup
-// and make the hot path allocation-light.
+// TopK is a thin wrapper over TopKCtx with a background context; it runs in
+// a fresh Workspace, building all engine state (including an index sized
+// to the graph) per call. Callers issuing more than one query should hold a
+// Querier or a Workspace, which amortize that setup and make the hot path
+// allocation-light.
 func TopK(g graph.Graph, q graph.NodeID, opt Options) (*Result, error) {
 	return TopKCtx(context.Background(), g, q, opt)
 }
@@ -36,18 +37,6 @@ func (e *phpEngine) pick(kind measure.Kind, budget int) []int32 {
 }
 
 func (e *phpEngine) solve() { e.solveBounds() }
-
-func (e *phpEngine) check(kind measure.Kind, dst []int32, k int, slack float64) ([]int32, certGap) {
-	rwrMode := kind == measure.RWR
-	guard := 0.0
-	if rwrMode {
-		guard = e.wSbar.value(&e.localSearch)
-		e.degreeProbes++ // the index scan stands in for one metadata probe
-		e.lastGuard = guard
-	}
-	var gap certGap
-	return e.checkTermination(dst, k, rwrMode, guard, slack, &gap), gap
-}
 
 func (e *phpEngine) bounds(i int32) (lb, ub float64) { return e.lbAt(i), e.ubAt(i) }
 

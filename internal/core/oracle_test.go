@@ -215,7 +215,7 @@ func TestTHTBoundaryFloorEdgeCases(t *testing.T) {
 
 	drive := func(label string, g graph.Graph, q graph.NodeID, closure bool, seeds ...graph.NodeID) {
 		h := thtLevels(t, g, q, L)
-		e := newTHTEngine(g, q, L)
+		e := NewWorkspace().thtFor(g, q, L)
 		for _, v := range seeds {
 			e.visit(v)
 		}
@@ -236,7 +236,7 @@ func TestTHTBoundaryFloorEdgeCases(t *testing.T) {
 				break
 			}
 			for _, u := range us {
-				e.expand(u, nil)
+				expand(e, u, nil)
 			}
 			e.solveBounds()
 			requireTHTLevelsValid(t, label, e, h)

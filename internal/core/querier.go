@@ -11,9 +11,9 @@ import (
 // the recommended entry point for any caller issuing more than one query.
 // It owns a pool of engine workspaces, so repeated queries skip nearly all
 // of the per-call allocation a bare TopK pays (the bookkeeping slices, the
-// global→local index, the degree memo), and it holds per-workspace graph
-// views, so concurrent queries against view-capable backends (MemGraph,
-// DiskGraph) run genuinely in parallel.
+// transition rows, the global→local index sized to the graph), and it
+// holds per-workspace graph views, so concurrent queries against
+// view-capable backends (MemGraph, DiskGraph) run genuinely in parallel.
 //
 // A Querier is safe for concurrent use. Each in-flight query checks out one
 // workspace (plus its graph view) from an internal sync.Pool and returns it
@@ -24,9 +24,9 @@ import (
 // equivalent one-shot TopKCtx / UnifiedTopKCtx calls, including the work
 // counters; only the allocation profile differs.
 //
-// Options.Trace and Options.Tracer are shared by every query the Querier
-// runs; under concurrent use the callbacks will interleave. Use a dedicated
-// Querier (or one-shot TopKCtx) for traced runs.
+// Options.Tracer is shared by every query the Querier runs; under
+// concurrent use its callbacks will interleave. Use a dedicated Querier (or
+// one-shot TopKCtx) for traced runs.
 type Querier struct {
 	g      graph.Graph
 	opt    Options
@@ -67,7 +67,7 @@ func (qr *Querier) TopK(ctx context.Context, q graph.NodeID) (*Result, error) {
 		qr.mu.Lock()
 		defer qr.mu.Unlock()
 	}
-	return topKIn(ctx, w.g, q, qr.opt, w.ws)
+	return w.ws.TopK(ctx, w.g, q, qr.opt)
 }
 
 // Unified answers one unified query on the UnifiedTopKCtx contract, reusing
@@ -79,5 +79,5 @@ func (qr *Querier) Unified(ctx context.Context, q graph.NodeID) (*UnifiedResult,
 		qr.mu.Lock()
 		defer qr.mu.Unlock()
 	}
-	return unifiedIn(ctx, w.g, q, qr.opt, w.ws)
+	return w.ws.Unified(ctx, w.g, q, qr.opt)
 }

@@ -12,9 +12,11 @@ import (
 // engine is one bound family as the search driver sees it: the steps of one
 // iteration of the paper's expand → bound → certify loop (Algorithms 1–3, 6).
 // There are exactly two, *phpEngine (PHP, EI, DHT, RWR and the unified
-// search) and *thtEngine. Every method is called once per phase, never per
-// relaxation, so each engine's solver loop stays monomorphic. kind is the
-// goal's measure (see goal); the THT engine serves one and ignores it.
+// search) and *thtEngine, both over the substrate's one local transition
+// matrix. Every method is called once per phase, or once per visited node
+// (visit), never per relaxation, so each engine's solver loop stays
+// monomorphic. kind is the goal's measure (see goal); the THT engine serves
+// one and ignores it.
 type engine interface {
 	substrate() *localSearch
 	// beginIteration runs what must see the previous boundary δS^{t-1}.
@@ -23,7 +25,8 @@ type engine interface {
 	// expansion priority until the frontier edges they open reach budget;
 	// empty means the component is exhausted.
 	pick(kind measure.Kind, budget int) []int32
-	expand(u int32, added []graph.NodeID) []graph.NodeID
+	// visit pulls one unvisited node into S (see expand).
+	visit(v graph.NodeID)
 	// solve re-solves both bound systems over the grown S.
 	solve()
 	// check runs the stopping rule for one ranking: the certified top-k
@@ -162,7 +165,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 		exhausted := len(us) == 0
 		added := s.addedBuf[:0]
 		for _, u := range us {
-			added = e.expand(u, added)
+			added = expand(e, u, added)
 		}
 		s.addedBuf = added
 		if postExpandHook != nil {
@@ -227,6 +230,19 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 	}
 }
 
+// expand visits every unvisited neighbor of local node u, appending the
+// newly visited global identifiers to added (Algorithm 3 line 2).
+func expand(e engine, u int32, added []graph.NodeID) []graph.NodeID {
+	s := e.substrate()
+	for _, v := range s.adjN[u] {
+		if !s.local.has(v) {
+			e.visit(v)
+			added = append(added, v)
+		}
+	}
+	return added
+}
+
 // forceOpen gives every goal without a selection a forced one.
 func forceOpen(e engine, goals []goal, k, iter int, certified bool) {
 	for i := range goals {
@@ -236,20 +252,18 @@ func forceOpen(e engine, goals []goal, k, iter int, certified bool) {
 	}
 }
 
-// bestBy is the engines' forceSelect: every visited node but q scored by
-// key, sorted best first — key descending, or ascending when asc, ties
-// toward the smaller global identifier — and the best k appended to dst.
+// bestBy is the engines' forceSelect: every visited node but q (local 0)
+// offered by key, and the best k under precedes — key descending, or
+// ascending when asc, ties toward the smaller global identifier — appended
+// to dst best first.
 func (s *localSearch) bestBy(dst []int32, k int, asc bool, key func(i int32) float64) []int32 {
-	all := s.candBuf[:0]
-	for i := int32(0); i < int32(s.size()); i++ {
-		if s.nodes[i] != s.q {
-			all = append(all, scored{i, key(i)})
-		}
+	best := s.candBuf[:0]
+	for i := int32(1); i < int32(s.size()); i++ {
+		best = s.offer(best, k, i, key(i), asc)
 	}
-	s.candBuf = all
-	sortScored(all, s.nodes, asc)
+	s.candBuf = best
 	out := dst[:0]
-	for _, c := range all[:min(k, len(all))] {
+	for _, c := range best {
 		out = append(out, c.i)
 	}
 	return out

@@ -25,13 +25,15 @@ import (
 //   - an append-only interior list and O(1) interior/boundary counters, so
 //     the termination test and the tracer stop re-deriving |δS| and
 //     |S \ δS \ {q}| by sweeping S.
-//   - bounded top-k selection helpers (offerDesc/offerAsc) that maintain the
+//   - a bounded top-k selection helper (offer) that maintains the
 //     candidate buffer under the same total order the old sort used
 //     (key, then smaller global identifier), which is what lets the
-//     termination test drop its O(|S| log |S|) re-sort of all candidates.
+//     termination test and the forced selection drop their
+//     O(|S| log |S|) re-sort of all candidates.
 //
-// localSearch is bookkeeping only; each engine supplies its own bound
-// systems and solver on top.
+// localSearch also owns S's local transition matrix (rows), the one set of
+// entries both engines' bound systems share; each engine supplies its own
+// bound values, boundary treatment and solver on top.
 type localSearch struct {
 	g graph.Graph
 	q graph.NodeID
@@ -49,7 +51,14 @@ type localSearch struct {
 	deg    []float64 // full-graph weighted degree
 	inW    []float64 // Σ weights of incident edges whose far end is in S
 	outCnt []int32   // # neighbors outside S; >0 ⇔ boundary
-	ladj   [][]int32 // local undirected adjacency (dependency graph)
+
+	// rows is S's local transition matrix, the one both engines solve
+	// over: rows[i] holds (j, w_ij/deg_i) for each visited neighbor j, in
+	// the order the edges joined S (parallel edges once per edge). The
+	// query's row stays empty (walks stop at q). Every other row's columns
+	// are also the rows that read i, so the solvers take their dependents
+	// from it too.
+	rows [][]entry
 
 	// Incremental frontier bookkeeping. bList holds every node that ever
 	// joined the boundary, in ascending local index (nodes join only at
@@ -63,13 +72,10 @@ type localSearch struct {
 	bLive int
 	iList []int32
 
-	// visitW holds, after visitCommon(v), the edge weights parallel to the
-	// ladj entries the visit just created — the engine-specific wiring pass
-	// consumes them without re-scanning v's adjacency. visitL is parallel
-	// to v's adjacency row: the local index of each entry's far end as it
-	// stood before v joined, or -1 if it was unvisited — the one index
-	// lookup each entry costs, kept for every later pass over the row.
-	visitW []float64
+	// visitL is parallel to the adjacency row of the node visitCommon
+	// last pulled in: the local index of each entry's far end as it stood
+	// before the node joined, or -1 if it was unvisited — the one index
+	// lookup each entry costs, kept for the engine's pass over the row.
 	visitL []int32
 
 	// Scratch reused across iterations (and, warm, across queries): the
@@ -85,10 +91,16 @@ type localSearch struct {
 	sweeps int // node relaxations performed by the bound solver
 }
 
+// entry is one off-diagonal entry of the local transition matrix: p = p_ij
+// toward local node j.
+type entry struct {
+	j int32
+	p float64
+}
+
 // resetCommon prepares the substrate for a new query, reusing all retained
-// storage. dense selects the generation-stamped array index (warm
-// workspaces); cold engines pass false and get a map.
-func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID, dense bool) {
+// storage and clearing the global→local index with a generation bump.
+func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID) {
 	s.g, s.q = g, q
 
 	stable := graph.HasStableNeighbors(g)
@@ -99,7 +111,7 @@ func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID, dense bool) {
 	}
 	s.stable = stable
 
-	s.local.init(g.NumNodes(), dense)
+	s.local.init(g.NumNodes())
 
 	s.nodes = s.nodes[:0]
 	s.adjN = s.adjN[:0]
@@ -107,7 +119,7 @@ func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID, dense bool) {
 	s.deg = s.deg[:0]
 	s.inW = s.inW[:0]
 	s.outCnt = s.outCnt[:0]
-	s.ladj = s.ladj[:0]
+	s.rows = s.rows[:0]
 	s.bList = s.bList[:0]
 	s.bLive = 0
 	s.iList = s.iList[:0]
@@ -115,10 +127,9 @@ func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID, dense bool) {
 }
 
 // visitCommon pulls node v into S: queries its adjacency, computes the
-// degree split, wires the local dependency edges, and maintains the
-// boundary/interior bookkeeping. The engine-specific transition wiring runs
-// afterwards over ladj[li] (the freshly created local neighbors) and visitW
-// (the matching edge weights). Precondition: v not yet visited.
+// degree split, wires v's transition entries in both directions, and
+// maintains the boundary/interior bookkeeping. The engine's own pass runs
+// afterwards over visitL. Precondition: v not yet visited.
 func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 	li := int32(len(s.nodes))
 	s.nodes = append(s.nodes, v)
@@ -155,7 +166,7 @@ func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 	s.deg = append(s.deg, d)
 	s.inW = append(s.inW, in)
 	s.outCnt = append(s.outCnt, out)
-	s.ladj = appendRow(s.ladj)
+	s.rows = appendRow(s.rows)
 	if out > 0 {
 		s.bList = append(s.bList, li)
 		s.bLive++
@@ -163,17 +174,18 @@ func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 		s.iList = append(s.iList, li)
 	}
 
-	// Second pass: wire the dependency edges to already-visited neighbors
-	// and update their boundary bookkeeping. The weights are recorded in
-	// visitW so the caller's wiring pass needs no re-scan.
-	s.visitW = s.visitW[:0]
+	// Second pass: the transition entries to and from already-visited
+	// neighbors (none out of q's row), and their boundary bookkeeping.
 	for i, lu := range s.visitL {
 		if lu < 0 {
 			continue
 		}
-		s.ladj[li] = append(s.ladj[li], lu)
-		s.ladj[lu] = append(s.ladj[lu], li)
-		s.visitW = append(s.visitW, cw[i])
+		if v != s.q {
+			s.rows[li] = append(s.rows[li], entry{lu, cw[i] / d})
+		}
+		if s.nodes[lu] != s.q {
+			s.rows[lu] = append(s.rows[lu], entry{li, cw[i] / s.deg[lu]})
+		}
 		s.inW[lu] += cw[i]
 		s.outCnt[lu]--
 		if s.outCnt[lu] == 0 {
@@ -242,10 +254,9 @@ func (s *localSearch) precedes(a, b scored, asc bool) bool {
 }
 
 // offer feeds one candidate into a k-bounded selection buffer kept sorted
-// under precedes — the exact order sortScored imposed when the termination
-// test still sorted every interior candidate. Because the skip test compares
-// under the full total order, the resulting top-k is independent of offer
-// order.
+// under precedes — the exact order a full sort of every candidate would
+// give. Because the skip test compares under the full total order, the
+// resulting top-k is independent of offer order.
 func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool) []scored {
 	c := scored{i, key}
 	if len(best) == k && !s.precedes(c, best[k-1], asc) {
@@ -323,15 +334,6 @@ func (s *localSearch) takeFrontier(cands []scored, budget int, asc bool) []int32
 	}
 	s.pickOut = out
 	return out
-}
-
-// offerDesc and offerAsc name the two selection orders at the call sites.
-func (s *localSearch) offerDesc(best []scored, k int, i int32, key float64) []scored {
-	return s.offer(best, k, i, key, false)
-}
-
-func (s *localSearch) offerAsc(best []scored, k int, i int32, key float64) []scored {
-	return s.offer(best, k, i, key, true)
 }
 
 // markSel ensures the inSel scratch covers the current size and marks the

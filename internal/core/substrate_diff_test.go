@@ -21,9 +21,10 @@ import (
 // introduced it.
 
 // checkSubstrate cross-checks the localSearch bookkeeping against a from-
-// scratch recomputation.
+// scratch recomputation, the local transition matrix included.
 func checkSubstrate(t *testing.T, s *localSearch) {
 	t.Helper()
+	checkRows(t, s)
 	n := int32(s.size())
 
 	// Per-node degree split and boundary membership from the cached
@@ -104,17 +105,53 @@ func checkSubstrate(t *testing.T, s *localSearch) {
 	}
 }
 
-// checkSelection cross-checks the k-bounded offer helpers against a full
+// checkRows rebuilds S's local transition matrix from scratch and requires
+// the substrate's rows to equal it entry for entry, bit for bit. Edge (i, j)
+// joined S when the later of its two endpoints was visited, so row i lists
+// first its entries toward nodes visited before it, in i's adjacency order,
+// then, per later-visited node v in visit order, its entries from v's
+// adjacency row — one per adjacency entry, so parallel edges appear once per
+// edge. Each entry holds w/deg_i with w read from the joining node's row;
+// row q stays empty.
+func checkRows(t *testing.T, s *localSearch) {
+	t.Helper()
+	n := int32(s.size())
+	if len(s.rows) != int(n) {
+		t.Fatalf("%d rows for %d visited nodes", len(s.rows), n)
+	}
+	want := make([][]entry, n)
+	for v := int32(0); v < n; v++ { // visit order is local-index order
+		for k, u := range s.adjN[v] {
+			lu, ok := s.local.get(u)
+			if !ok || lu > v {
+				continue // unvisited, or the edge joins when u is visited
+			}
+			w := s.adjW[v][k]
+			if s.nodes[v] != s.q {
+				want[v] = append(want[v], entry{lu, w / s.deg[v]})
+			}
+			if s.nodes[lu] != s.q {
+				want[lu] = append(want[lu], entry{v, w / s.deg[lu]})
+			}
+		}
+	}
+	if len(s.rows[0]) != 0 {
+		t.Fatalf("query row holds %v, want empty", s.rows[0])
+	}
+	for i := range want {
+		if !slices.Equal(s.rows[i], want[i]) {
+			t.Fatalf("row %d (node %d) = %v, rebuilt from scratch %v", i, s.nodes[i], s.rows[i], want[i])
+		}
+	}
+}
+
+// checkSelection cross-checks the k-bounded offer helper against a full
 // sort under the same total order, on the live interior candidates.
 func checkSelection(t *testing.T, s *localSearch, k int, key func(int32) float64, desc bool) {
 	t.Helper()
 	var got []scored
 	for _, i := range s.iList {
-		if desc {
-			got = s.offerDesc(got, k, i, key(i))
-		} else {
-			got = s.offerAsc(got, k, i, key(i))
-		}
+		got = s.offer(got, k, i, key(i), !desc)
 	}
 	want := make([]scored, 0, len(s.iList))
 	for _, i := range s.iList {
@@ -148,12 +185,14 @@ func checkSelection(t *testing.T, s *localSearch, k int, key func(int32) float64
 }
 
 // TestSubstrateDifferential drives full queries for all five measures on
-// randomized graphs over both backends with the per-expansion cross-check
-// installed.
+// randomized graphs and a graph with parallel edges, over both backends,
+// with the per-expansion cross-check installed.
 func TestSubstrateDifferential(t *testing.T) {
 	graphs := map[string]*graph.MemGraph{
 		"rand150": randomConnected(t, 150, 320, 11),
 		"rand80":  randomConnected(t, 80, 120, 5),
+		// Parallel edges: each clique's first two members are joined twice.
+		"stars": starOfCliques(t, 6, 5),
 	}
 	kinds := []measure.Kind{measure.PHP, measure.EI, measure.DHT, measure.RWR, measure.THT}
 
@@ -316,7 +355,7 @@ func TestTighteningMatchesScratch(t *testing.T) {
 }
 
 // TestQueryNodeNeverLiveBoundary pins the invariant that lets the boundary
-// loops of checkTermination skip nodes by outCnt alone: the first step picks
+// loops of check skip nodes by outCnt alone: the first step picks
 // q, the only node of S, and expands it fully, so after every expansion
 // local index 0 is q and has no neighbor outside S.
 func TestQueryNodeNeverLiveBoundary(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // Regression tests pinning the deterministic expansion schedule: both
 // engines break expansion-priority ties toward the smaller global
-// identifier, and the schedule is identical cold (fresh engine) and warm
+// identifier, and the schedule is identical cold (fresh Workspace) and warm
 // (workspace reused after unrelated queries). The boundary list refactor
 // must never change which node expands when.
 
@@ -23,8 +23,8 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	g := gen.Ring(10)
 
 	t.Run("php", func(t *testing.T) {
-		e := newPHPEngine(g, 0, 0.5, 1e-10, 100000, false)
-		e.expand(0, nil) // visit 1 and 9; both boundary, both lb=0 ub=1
+		e := NewWorkspace().phpFor(g, 0, measure.Params{C: 0.5, Tau: 1e-10, MaxIter: 100000}, Options{})
+		expand(e, 0, nil) // visit 1 and 9; both boundary, both lb=0 ub=1
 		us := e.pickExpansion(false, 2)
 		got := localToGlobal(e.nodes, us)
 		if len(got) != 2 || got[0] != 1 || got[1] != 9 {
@@ -33,8 +33,8 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	})
 
 	t.Run("tht", func(t *testing.T) {
-		e := newTHTEngine(g, 0, 6)
-		e.expand(0, nil) // visit 1 and 9; both boundary, unsolved bounds equal
+		e := NewWorkspace().thtFor(g, 0, 6)
+		expand(e, 0, nil) // visit 1 and 9; both boundary, unsolved bounds equal
 		us := e.pickExpansion(2)
 		got := localToGlobal(e.nodes, us)
 		if len(got) != 2 || got[0] != 1 || got[1] != 9 {

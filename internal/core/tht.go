@@ -27,16 +27,13 @@ import (
 // changed, so per-iteration cost tracks the changed region rather than
 // |S|·L.
 //
-// Like phpEngine, a thtEngine is reusable via reset: slices truncate in
-// place and the global→local index clears by generation bump.
+// Like phpEngine, a thtEngine lives in a Workspace and is reusable via
+// reset: slices truncate in place and the global→local index clears by
+// generation bump. Both bound systems solve over the substrate's rows.
 type thtEngine struct {
 	localSearch
 
 	L int
-
-	// tRows[i] holds (local col, p_ij) for j ∈ N_i ∩ S; the query row is
-	// zeroed (walks stop at q).
-	tRows [][]thtEntry
 
 	// dist is the within-S shortest hop distance from q, maintained to
 	// fixpoint as S grows; it drives the hop closure (addFloorClosers).
@@ -58,27 +55,15 @@ type thtEngine struct {
 	distQ []int32
 }
 
-type thtEntry struct {
-	col int32
-	p   float64
-}
-
 const distInf = int32(1 << 30)
-
-func newTHTEngine(g graph.Graph, q graph.NodeID, L int) *thtEngine {
-	e := &thtEngine{}
-	e.reset(g, q, L, false)
-	return e
-}
 
 // reset prepares the engine for a new query (possibly a new horizon L and a
 // new graph), reusing retained storage; see phpEngine.reset.
-func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int, dense bool) {
+func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int) {
 	e.L = L
 
-	e.resetCommon(g, q, dense)
+	e.resetCommon(g, q)
 
-	e.tRows = e.tRows[:0]
 	e.dist = e.dist[:0]
 
 	if cap(e.lbL) < L+1 {
@@ -108,12 +93,11 @@ func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int, dense bool) {
 }
 
 // visit pulls node v into S: the substrate maintains the visited-set and
-// frontier bookkeeping, then this appends the level-bound rows, wires the
-// transition entries in both directions, and maintains the within-S
-// distance. Precondition: v not yet visited.
+// frontier bookkeeping and wires the transition entries in both
+// directions, then this appends the level-bound rows and maintains the
+// within-S distance. Precondition: v not yet visited.
 func (e *thtEngine) visit(v graph.NodeID) {
 	li := e.visitCommon(v)
-	e.tRows = appendRow(e.tRows)
 	for l := 0; l <= e.L; l++ {
 		e.lbL[l] = append(e.lbL[l], 0)
 		// Initial upper value min(l, L) = l is always valid: r^l ≤ l.
@@ -133,17 +117,11 @@ func (e *thtEngine) visit(v graph.NodeID) {
 	}
 	e.dist = append(e.dist, nd)
 
-	// Wire transition entries to/from the already-visited neighbors the
-	// substrate just linked (ladj[li] / visitW); their equations changed
-	// (new entry and smaller outside mass), so every level is re-dirtied.
-	d := e.deg[li]
-	for idx, lu := range e.ladj[li] {
-		w := e.visitW[idx]
-		if v != e.q && d > 0 {
-			e.tRows[li] = append(e.tRows[li], thtEntry{col: lu, p: w / d})
-		}
-		if e.nodes[lu] != e.q && e.deg[lu] > 0 {
-			e.tRows[lu] = append(e.tRows[lu], thtEntry{col: li, p: w / e.deg[lu]})
+	// The already-visited neighbors' equations changed (a new entry toward
+	// v and smaller outside mass), so every level is re-dirtied.
+	for _, lu := range e.visitL {
+		if lu < 0 {
+			continue
 		}
 		e.markAllLevels(lu)
 		if e.dist[lu]+1 < e.dist[li] {
@@ -167,8 +145,8 @@ func (e *thtEngine) relaxDistFrom(start int32) {
 		if di == distInf {
 			continue
 		}
-		for _, j := range e.ladj[i] {
-			if e.dist[j] > di+1 {
+		for _, en := range e.rows[i] {
+			if j := en.j; e.dist[j] > di+1 {
 				e.dist[j] = di + 1
 				queue = append(queue, j)
 			}
@@ -246,9 +224,9 @@ func (e *thtEngine) solveBounds() {
 			e.inQ[l][i] = false
 			e.sweeps++
 			var sLo, sHi float64
-			for _, en := range e.tRows[i] {
-				sLo += en.p * lbPrev[en.col]
-				sHi += en.p * ubPrev[en.col]
+			for _, en := range e.rows[i] {
+				sLo += en.p * lbPrev[en.j]
+				sHi += en.p * ubPrev[en.j]
 			}
 			om, out := 0.0, fl
 			if e.outCnt[i] > 0 {
@@ -271,8 +249,8 @@ func (e *thtEngine) solveBounds() {
 			ubCur[i] = hi
 			if l < e.L {
 				nq := e.queue[l+1]
-				for _, j := range e.ladj[i] {
-					if !e.inQ[l+1][j] && j != 0 { // local index 0 is the query
+				for _, en := range e.rows[i] {
+					if j := en.j; !e.inQ[l+1][j] && j != 0 { // local index 0 is the query
 						e.inQ[l+1][j] = true
 						nq = append(nq, j)
 					}
@@ -337,25 +315,13 @@ func (e *thtEngine) addFloorClosers(us []int32) []int32 {
 	return us
 }
 
-// expand visits every unvisited neighbor of local node u, appending the new
-// global identifiers to added.
-func (e *thtEngine) expand(u int32, added []graph.NodeID) []graph.NodeID {
-	for _, v := range e.adjN[u] {
-		if !e.local.has(v) {
-			e.visit(v)
-			added = append(added, v)
-		}
-	}
-	return added
-}
-
-// checkTermination mirrors Algorithm 6 for a lower-is-closer measure: pick
-// the k interior nodes with smallest upper bounds; they are the exact top-k
-// once max_K ub ≤ min over every other candidate of lb (the unvisited
-// region is covered because min_{δS} lb lower-bounds it by the
-// no-local-minimum property). Returns the selected local indices appended
-// to dst, or nil. A non-nil gap receives the certification-gap observables
-// (tracing only): kth is the k-th candidate's upper bound, rest the best
+// check mirrors Algorithm 6 for a lower-is-closer measure: pick the k
+// interior nodes with smallest upper bounds; they are the exact top-k once
+// max_K ub ≤ min over every other candidate of lb (the unvisited region is
+// covered because min_{δS} lb lower-bounds it by the no-local-minimum
+// property). It certifies one key scale, so kind is ignored. Returns the
+// selected local indices appended to dst, or nil, and the test's
+// observables: kth is the k-th candidate's upper bound, rest the best
 // outsider lower bound — the roles mirror the PHP engine because lower is
 // closer.
 //
@@ -363,24 +329,24 @@ func (e *thtEngine) expand(u int32, added []graph.NodeID) []graph.NodeID {
 // k-bounded buffer ordered under the same total order the old full sort
 // used, so no O(|S| log |S|) re-sort happens; the outsider scan splits into
 // one pass over the interior list and one over the boundary list.
-func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *certGap) []int32 {
+func (e *thtEngine) check(_ measure.Kind, dst []int32, k int, tieEps float64) ([]int32, certGap) {
 	exhausted := e.bLive == 0
 	nCand := len(e.iList)
 	if nCand < k && !exhausted {
-		return nil
+		return nil, certGap{}
 	}
 	if k > nCand {
 		k = nCand // component smaller than k+1: return what exists
 	}
 	if k == 0 {
 		if dst != nil {
-			return dst[:0]
+			return dst[:0], certGap{}
 		}
-		return []int32{}
+		return []int32{}, certGap{}
 	}
 	sel := e.candBuf[:0]
 	for _, i := range e.iList {
-		sel = e.offerAsc(sel, k, i, e.ub(i))
+		sel = e.offer(sel, k, i, e.ub(i), true)
 	}
 	e.candBuf = sel
 	e.markSel(sel)
@@ -406,19 +372,15 @@ func (e *thtEngine) checkTermination(dst []int32, k int, tieEps float64, gap *ce
 	// node, so an outsider exists iff the selection plus q don't cover S.
 	restSeen := e.size()-1-len(sel) > 0
 	e.clearSel(sel)
-	if gap != nil {
-		gap.valid = true
-		gap.kth = maxK
-		gap.rest = minRest
-	}
+	gap := certGap{valid: true, kth: maxK, rest: minRest}
 	if (restSeen || !exhausted) && maxK > minRest+tieEps {
-		return nil
+		return nil, gap
 	}
 	out := dst[:0]
 	for _, c := range sel {
 		out = append(out, c.i)
 	}
-	return out
+	return out, gap
 }
 
 // The driver-facing steps of the THT engine (see engine in search.go). It
@@ -438,11 +400,6 @@ func (e *thtEngine) pick(_ measure.Kind, budget int) []int32 {
 }
 
 func (e *thtEngine) solve() { e.solveBounds() }
-
-func (e *thtEngine) check(_ measure.Kind, dst []int32, k int, slack float64) ([]int32, certGap) {
-	var gap certGap
-	return e.checkTermination(dst, k, slack, &gap), gap
-}
 
 func (e *thtEngine) bounds(i int32) (lb, ub float64) { return e.lb(i), e.ub(i) }
 

@@ -60,13 +60,14 @@ func UnifiedTopK(g graph.Graph, q graph.NodeID, opt Options) (*UnifiedResult, er
 // TopKCtx: ctx is checked every local expansion and an *Interrupted
 // (wrapping ErrCanceled or ErrDeadline) is returned as soon as it fires.
 func UnifiedTopKCtx(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options) (*UnifiedResult, error) {
-	return unifiedIn(ctx, g, q, opt, nil)
+	return NewWorkspace().Unified(ctx, g, q, opt)
 }
 
-// unifiedIn is topKIn's search with two goals: one PHP engine, one visited
-// set, the PHP-family and RWR rankings certified independently. ws supplies
-// a reusable engine workspace (nil runs cold).
-func unifiedIn(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options, ws *Workspace) (*UnifiedResult, error) {
+// Unified answers one unified query inside the workspace, on the
+// UnifiedTopKCtx contract: Workspace.TopK's search with two goals, one PHP
+// engine, one visited set, the PHP-family and RWR rankings certified
+// independently.
+func (ws *Workspace) Unified(ctx context.Context, g graph.Graph, q graph.NodeID, opt Options) (*UnifiedResult, error) {
 	g, release, err := pin(g, q, opt)
 	if err != nil {
 		return nil, err

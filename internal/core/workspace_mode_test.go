@@ -6,13 +6,17 @@ package core
 //
 //   - the generation-stamped dense index arrays must invalidate across
 //     switches (a stale stamp would leak visited-set membership between
-//     queries that stop at different points under different modes);
+//     queries that stop at different points under different modes), across
+//     the generation counter's wraparound, and across graphs of different
+//     sizes;
 //   - the warm-path allocation ceiling: solver state lives on the engine and
 //     is reused, so a warm query allocates only the Result it returns.
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"flos/internal/gen"
@@ -105,4 +109,82 @@ func TestWorkspaceKernelAllocCeiling(t *testing.T) {
 		t.Fatalf("warm TopK allocates %.0f objects/op, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("warm TopK: %.1f allocs/op (ceiling %d)", allocs, ceiling)
+}
+
+// requireSameAsFresh runs one query of kind (or a unified one) in ws and in a
+// fresh Workspace and requires the two answers to be deep-equal: rankings,
+// score bits, certificates, work counters and read footprints.
+func requireSameAsFresh(t *testing.T, label string, ws *Workspace, g graph.Graph, q graph.NodeID, kind measure.Kind, unified bool) {
+	t.Helper()
+	ctx := context.Background()
+	opt := testOptions(kind, 6)
+	opt.CaptureFootprint = true
+	var got, want any
+	var err1, err2 error
+	if unified {
+		got, err1 = ws.Unified(ctx, g, q, opt)
+		want, err2 = NewWorkspace().Unified(ctx, g, q, opt)
+	} else {
+		got, err1 = ws.TopK(ctx, g, q, opt)
+		want, err2 = NewWorkspace().TopK(ctx, g, q, opt)
+	}
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: reused %v, fresh %v", label, err1, err2)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: reused workspace diverged from a fresh one\nfresh:  %+v\nreused: %+v", label, want, got)
+	}
+}
+
+// TestWorkspaceGenerationWrap: with the dense index the only index, the
+// wraparound of its generation counter is its only full clear. A used
+// Workspace whose PHP and THT counters sit at the last generation must wrap
+// on their next queries, re-zero the stamps its first queries left at
+// generation 1, and answer PHP, RWR, THT and unified queries bit-identically
+// to a fresh Workspace; so must one that moves to a larger graph and back.
+func TestWorkspaceGenerationWrap(t *testing.T) {
+	small := randomConnected(t, 150, 320, 5)
+	large := randomConnected(t, 400, 900, 9)
+	type query struct {
+		kind    measure.Kind
+		unified bool
+	}
+	queries := []query{{measure.PHP, false}, {measure.RWR, false}, {measure.THT, false}, {measure.PHP, true}}
+
+	t.Run("wrap", func(t *testing.T) {
+		ws := NewWorkspace()
+		// Generation 1 of both engines stamps the nodes these queries visit.
+		for _, kind := range []measure.Kind{measure.PHP, measure.THT} {
+			if _, err := ws.TopK(context.Background(), small, 3, testOptions(kind, 6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ws.php.local.cur != 1 || ws.tht.local.cur != 1 {
+			t.Fatalf("first queries ran at generations %d/%d, want 1/1", ws.php.local.cur, ws.tht.local.cur)
+		}
+		ws.php.local.cur = math.MaxUint32
+		ws.tht.local.cur = math.MaxUint32
+		for pass, q := range []graph.NodeID{3, 70, 149} {
+			for _, qu := range queries {
+				requireSameAsFresh(t, fmt.Sprintf("q=%d %v unified=%v", q, qu.kind, qu.unified), ws, small, q, qu.kind, qu.unified)
+			}
+			if pass == 0 && (ws.php.local.cur != 3 || ws.tht.local.cur != 1) {
+				t.Fatalf("after the wrap the generations are %d/%d, want 3/1", ws.php.local.cur, ws.tht.local.cur)
+			}
+		}
+	})
+
+	t.Run("resize", func(t *testing.T) {
+		ws := NewWorkspace()
+		for step, g := range []*graph.MemGraph{small, large, small, large} {
+			for _, q := range []graph.NodeID{3, 149} {
+				for _, qu := range queries {
+					requireSameAsFresh(t, fmt.Sprintf("step %d n=%d q=%d %v unified=%v", step, g.NumNodes(), q, qu.kind, qu.unified), ws, g, q, qu.kind, qu.unified)
+				}
+			}
+		}
+		if n := len(ws.php.local.gen); n != large.NumNodes() {
+			t.Fatalf("PHP index sized to %d nodes, want %d", n, large.NumNodes())
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -76,9 +77,15 @@ func DefaultMethodConfig() MethodConfig {
 }
 
 // flosMethod is FLoS itself, read from its *core.Result like the baselines.
+// It answers every query in one Workspace, as a serving caller would: a
+// fresh one per query would charge FLoS an index sized to the graph on
+// every call, a dependence on |V| the method does not have. RunSweep runs
+// a registry's methods one after another, so no two queries use the
+// Workspace at once.
 func flosMethod(kind measure.Kind, cfg MethodConfig) Method {
+	ws := core.NewWorkspace()
 	return Method{Name: "FLoS_" + kind.String(), Run: func(g graph.Graph, q graph.NodeID, k int) (Answer, error) {
-		r, err := core.TopK(g, q, core.Options{K: k, Measure: kind, Params: cfg.Params, Tighten: true, TieEps: 1e-9})
+		r, err := ws.TopK(context.Background(), g, q, core.Options{K: k, Measure: kind, Params: cfg.Params, Tighten: true, TieEps: 1e-9})
 		if err != nil {
 			return Answer{}, err
 		}
