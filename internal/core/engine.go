@@ -23,7 +23,7 @@ import (
 //
 // The two bound values of a node live interleaved in one struct-of-arrays
 // store: bnd[2i] is the lower bound, bnd[2i+1] the upper. The fused solver
-// (solveBounds) relaxes both systems in one pass, so the second system finds
+// (solve) relaxes both systems in one pass, so the second system finds
 // the row entries and its neighbors' bound pair already in cache instead of
 // re-traversing rows[i] cold.
 //
@@ -231,7 +231,7 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 	return e.selfLoop[i]
 }
 
-// solveBounds re-solves both bound systems to tolerance, warm-started from
+// solve re-solves both bound systems to tolerance, warm-started from
 // the previous bounds and the new nodes' start values (0 below, r_d above).
 // Validity under truncation rests on the true PHP vector, not on the start
 // being a sub- or super-solution of the grown system: both maps are
@@ -264,12 +264,12 @@ func (e *phpEngine) selfEntry(i int32) float64 {
 // The two systems share no mutable state — the lower side reads and writes
 // only bnd[2i]/pendLB/inQLB, the upper only bnd[2i+1]/pendUB/inQUB/rd — so
 // any interleaving of the two relaxation sequences produces bit-identical
-// results to running them back to back. solveBounds interleaves them 1:1:
+// results to running them back to back. solve interleaves them 1:1:
 // the queues are seeded in lockstep (enqueue adds to both), so the upper
 // relaxation of a node usually runs right after its lower one, while
 // rows[i] and the neighbors' interleaved bound pairs are still in cache —
 // this is the fusion the struct-of-arrays bnd store exists for.
-func (e *phpEngine) solveBounds() {
+func (e *phpEngine) solve() {
 	// Pop via head indexes rather than q = q[1:]: reslicing the front off
 	// erodes the backing array's capacity one slot per pop, so the queues
 	// (which persist across queries in a warm workspace) would reallocate
@@ -413,136 +413,6 @@ func (e *phpEngine) updateDummy() {
 			e.queueUB = append(e.queueUB, i)
 		}
 	}
-}
-
-// pickExpansion returns the boundary nodes to expand under a budget of
-// opened frontier edges (see takeFrontier), by the largest expansion
-// priority ½(lb+ub), degree-weighted in RWR mode (Section 5.6).
-func (e *phpEngine) pickExpansion(rwrMode bool, budget int) []int32 {
-	cands := e.pickBuf[:0]
-	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 {
-			continue
-		}
-		key := (e.bnd[2*i] + e.bnd[2*i+1]) / 2
-		if rwrMode {
-			key *= e.deg[i]
-		}
-		cands = append(cands, scored{i, key})
-	}
-	e.pickBuf = cands
-	return e.takeFrontier(cands, budget, false)
-}
-
-// certGap records the observables of one termination test: the k-th
-// candidate's certified-side bound key and the best competing bound key it
-// must clear. check fills it only once the test gets far enough to compare
-// bounds (valid); until then it is the zero value, which traces and
-// certificates report as it stands.
-type certGap struct {
-	valid bool
-	kth   float64 // certified-side bound key of the k-th selected candidate
-	rest  float64 // best competing bound key over everything else
-}
-
-// check implements Algorithm 6 (and its RWR variant from Section 5.6) for
-// one ranking of kind. key(lb_i) and key(ub_i) are lb/ub themselves for
-// PHP-family queries, and deg_i·lb_i / deg_i·ub_i for RWR, where the w(S̄)
-// guard is read first. When the bounds separate it returns the selected
-// top-k local indices appended to dst (possibly empty but non-nil);
-// otherwise nil. The test's observables are returned either way.
-//
-// The candidate selection walks the incremental interior list through a
-// k-bounded buffer ordered under the same total order the old full sort
-// used, so no O(|S| log |S|) re-sort happens; the competing-bound scan
-// splits into one pass over the interior list and one over the boundary
-// list.
-func (e *phpEngine) check(kind measure.Kind, dst []int32, k int, tieEps float64) ([]int32, certGap) {
-	rwrMode := kind == measure.RWR
-	wSbar := 0.0
-	if rwrMode {
-		wSbar = e.wSbar.value(&e.localSearch)
-		e.degreeProbes++ // the index scan stands in for one metadata probe
-		e.lastGuard = wSbar
-	}
-	exhausted := e.bLive == 0
-	nCand := len(e.iList)
-	if nCand < k && !exhausted {
-		return nil, certGap{}
-	}
-	if k > nCand {
-		// nCand < k and exhausted: the component is smaller than k+1;
-		// return what exists.
-		k = nCand
-	}
-	if k == 0 {
-		if dst != nil {
-			return dst[:0], certGap{}
-		}
-		return []int32{}, certGap{}
-	}
-	sel := e.candBuf[:0]
-	for _, i := range e.iList {
-		key := e.bnd[2*i]
-		if rwrMode {
-			key *= e.deg[i]
-		}
-		sel = e.offer(sel, k, i, key, false)
-	}
-	e.candBuf = sel
-	e.markSel(sel)
-	minK := sel[len(sel)-1].key // buffer is sorted descending
-	// max over S \ K \ {q} of the upper-bound key: interior candidates not
-	// selected, plus every boundary node.
-	maxRest := 0.0
-	for _, i := range e.iList {
-		if e.inSel[i] {
-			continue
-		}
-		key := e.bnd[2*i+1]
-		if rwrMode {
-			key *= e.deg[i]
-		}
-		if key > maxRest {
-			maxRest = key
-		}
-	}
-	maxBoundaryUB := 0.0
-	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 {
-			continue
-		}
-		ub := e.bnd[2*i+1]
-		key := ub
-		if rwrMode {
-			key *= e.deg[i]
-		}
-		if key > maxRest {
-			maxRest = key
-		}
-		if ub > maxBoundaryUB {
-			maxBoundaryUB = ub
-		}
-	}
-	e.clearSel(sel)
-	// In RWR mode the best unvisited node scores at most
-	// w(S̄)·max_{i∈δS} ub_i (second condition of Section 5.6; K is
-	// interior-only, so the boundary pass saw every boundary node). Folding
-	// it into rest makes the test one comparison and gives the trace the
-	// true competing bound.
-	rest := maxRest
-	if rwrMode && !exhausted && wSbar*maxBoundaryUB > rest {
-		rest = wSbar * maxBoundaryUB
-	}
-	gap := certGap{valid: true, kth: minK, rest: rest}
-	if minK < rest-tieEps {
-		return nil, gap
-	}
-	out := dst[:0]
-	for _, c := range sel {
-		out = append(out, c.i)
-	}
-	return out, gap
 }
 
 func abs(x float64) float64 {

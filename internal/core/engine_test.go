@@ -38,7 +38,7 @@ func TestEngineVisitBookkeeping(t *testing.T) {
 	if e.size() != 1 || e.nodes[0] != 0 {
 		t.Fatalf("initial S wrong: %v", e.nodes)
 	}
-	if !e.isBoundary(0) {
+	if e.outCnt[0] <= 0 {
 		t.Fatal("query with neighbors must start as boundary")
 	}
 	if e.outCnt[0] != 2 {
@@ -48,7 +48,7 @@ func TestEngineVisitBookkeeping(t *testing.T) {
 	if len(added) != 2 {
 		t.Fatalf("expanding q added %v", added)
 	}
-	if e.isBoundary(0) {
+	if e.outCnt[0] > 0 {
 		t.Fatal("q still boundary after expanding both neighbors")
 	}
 	// Node 1 (paper 2) has neighbors {0, 3}: one unvisited.
@@ -79,7 +79,7 @@ func TestEngineLowerBoundMatchesDeletedSystem(t *testing.T) {
 	expand(e, 0, nil) // S = {1,2,3} (paper numbering)
 	l1, _ := e.local.get(1)
 	expand(e, l1, nil) // + node 4
-	e.solveBounds()
+	e.solve()
 
 	// Dense solve on the same local system.
 	n := e.size()
@@ -110,7 +110,7 @@ func TestEngineUpperBoundMatchesDummySystem(t *testing.T) {
 	e := newTestEngine(t, g, 0, c, false)
 	e.updateDummy()
 	expand(e, 0, nil)
-	e.solveBounds()
+	e.solve()
 
 	n := e.size()
 	a := linalg.Identity(n)
@@ -187,12 +187,12 @@ func TestEngineDummyMonotone(t *testing.T) {
 			t.Fatalf("rd rose %g -> %g", prev, e.rd)
 		}
 		prev = e.rd
-		us := e.pickExpansion(false, 1)
+		us := pick(e.keys(measure.PHP), 1)
 		if len(us) == 0 {
 			break
 		}
 		expand(e, us[0], nil)
-		e.solveBounds()
+		e.solve()
 	}
 	// Exhausted: rd drops to 0.
 	e.updateDummy()
@@ -209,8 +209,8 @@ func TestEnginePickExpansionBatch(t *testing.T) {
 	expand(e, 0, nil)                       // visit the center, exposing 7 leaves... via expansion of q
 	// Expand q (local 0) first: adds center.
 	// (constructor already visited q; local 0 = q)
-	e.solveBounds()
-	us := e.pickExpansion(false, 3)
+	e.solve()
+	us := pick(e.keys(measure.PHP), 3)
 	if len(us) == 0 {
 		t.Fatal("no expansion candidates")
 	}
@@ -220,7 +220,7 @@ func TestEnginePickExpansionBatch(t *testing.T) {
 			t.Fatal("duplicate in batch")
 		}
 		seen[u] = true
-		if !e.isBoundary(u) {
+		if e.outCnt[u] <= 0 {
 			t.Fatal("non-boundary node picked")
 		}
 	}
@@ -241,12 +241,12 @@ func TestTHTEngineDistances(t *testing.T) {
 	g := gen.Ring(8)
 	e := NewWorkspace().thtFor(g, 0, 10)
 	for e.size() < 8 {
-		us := e.pickExpansion(1)
+		us := pick(e.keys(measure.THT), 1)
 		if len(us) == 0 {
 			break
 		}
 		expand(e, us[0], nil)
-		e.solveBounds()
+		e.solve()
 	}
 	want := []int32{0, 1, 2, 3, 4, 3, 2, 1}
 	for v := 0; v < 8; v++ {
@@ -279,18 +279,19 @@ func TestTHTEngineOutsideFloor(t *testing.T) {
 		for _, closure := range []bool{true, false} {
 			e := NewWorkspace().thtFor(tc.g, tc.q, L)
 			for it := 1; ; it++ {
-				pick := e.pickExpansion
-				if closure {
-					pick = func(budget int) []int32 { return e.pick(measure.THT, budget) }
+				// The view without hop distances is pure best-first.
+				v := e.keys(measure.THT)
+				if !closure {
+					v.dist = nil
 				}
-				us := pick(1)
+				us := pick(v, 1)
 				if len(us) == 0 {
 					break
 				}
 				for _, u := range us {
 					expand(e, u, nil)
 				}
-				e.solveBounds()
+				e.solve()
 				hop := distInf // D+1
 				for _, i := range e.bList {
 					if e.outCnt[i] > 0 && e.dist[i]+1 < hop {
@@ -322,12 +323,12 @@ func TestTHTEngineBoundsMatchScratch(t *testing.T) {
 	L := 6
 	e := NewWorkspace().thtFor(g, 0, L)
 	for it := 0; it < 6; it++ {
-		us := e.pickExpansion(1)
+		us := pick(e.keys(measure.THT), 1)
 		if len(us) == 0 {
 			break
 		}
 		expand(e, us[0], nil)
-		e.solveBounds()
+		e.solve()
 
 		// From-scratch recomputation: lbs[l] / ubs[l] are whole levels.
 		n := e.size()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"flos/internal/graph"
@@ -32,26 +33,38 @@ func TopK(g graph.Graph, q graph.NodeID, opt Options) (*Result, error) {
 // against δS^{t-1} and ub^{t-1}, before the expansion mutates the boundary.
 func (e *phpEngine) beginIteration() { e.updateDummy() }
 
-func (e *phpEngine) pick(kind measure.Kind, budget int) []int32 {
-	return e.pickExpansion(kind == measure.RWR, budget)
+// keys views the interleaved bound store as it stands: lower bounds are the
+// certified side, upper bounds the competing one.
+func (e *phpEngine) keys(kind measure.Kind) keyView {
+	v := keyView{s: &e.localSearch, lo: e.bnd, hi: e.bnd[1:], stride: 2, sign: 1, dummy: e.rd}
+	if kind == measure.RWR {
+		v.deg = e.deg
+	}
+	return v
 }
 
-func (e *phpEngine) solve() { e.solveBounds() }
-
-func (e *phpEngine) bounds(i int32) (lb, ub float64) { return e.lbAt(i), e.ubAt(i) }
-
-func (e *phpEngine) dummy() float64 { return e.rd }
-
-// forceSelect picks the best-k visited nodes by lower bound regardless of
-// separation — used at exhaustion, at the MaxVisited safety valve and at an
-// interruption.
-func (e *phpEngine) forceSelect(kind measure.Kind, dst []int32, k int) []int32 {
-	return e.bestBy(dst, k, false, func(i int32) float64 {
-		if kind == measure.RWR {
-			return e.lbAt(i) * e.deg[i]
+// outside is the RWR guard of Section 5.6: an unvisited node's key is at
+// most w(S̄)·max_{i∈δS} ub_i, with w(S̄) read off the degree index (one
+// degree probe per read). For PHP, EI and DHT the boundary's upper bounds
+// already cover S̄ (no local optimum), and with the boundary exhausted
+// nothing is unvisited.
+func (e *phpEngine) outside(kind measure.Kind) float64 {
+	if kind != measure.RWR {
+		return math.Inf(-1)
+	}
+	w := e.wSbar.value(&e.localSearch)
+	e.degreeProbes++
+	e.lastGuard = w
+	if e.bLive == 0 {
+		return math.Inf(-1)
+	}
+	maxUB := 0.0
+	for _, i := range e.bList {
+		if ub := e.ubAt(i); e.outCnt[i] > 0 && ub > maxUB {
+			maxUB = ub
 		}
-		return e.lbAt(i)
-	})
+	}
+	return w * maxUB
 }
 
 // ranking converts a goal's selection into its measure's displayed scores —
@@ -102,46 +115,4 @@ func (e *phpEngine) result(opt Options, g *goal, out outcome) (*Result, error) {
 	var err error
 	res.TopK, res.Certification, err = e.ranking(opt, g, true)
 	return res, err
-}
-
-// BasicTopK is Algorithm 1: the oracle-assisted local search that assumes
-// the exact proximity vector r is already known. It exists to demonstrate
-// the no-local-optimum machinery (Theorem 1 / Corollary 1) in isolation and
-// as the reference expansion order in tests: it visits exactly k nodes
-// beyond the query, pulling the closest remaining node from δS̄ at each
-// step.
-func BasicTopK(g graph.Graph, q graph.NodeID, r []float64, k int, higherIsCloser bool) []graph.NodeID {
-	inS := map[graph.NodeID]bool{q: true}
-	frontier := map[graph.NodeID]bool{}
-	addFrontier := func(v graph.NodeID) {
-		nbrs, _ := g.Neighbors(v)
-		for _, u := range nbrs {
-			if !inS[u] {
-				frontier[u] = true
-			}
-		}
-	}
-	addFrontier(q)
-	var out []graph.NodeID
-	for len(out) < k && len(frontier) > 0 {
-		best := graph.NodeID(-1)
-		for v := range frontier {
-			if best < 0 {
-				best = v
-				continue
-			}
-			better := r[v] > r[best] || (r[v] == r[best] && v < best)
-			if !higherIsCloser {
-				better = r[v] < r[best] || (r[v] == r[best] && v < best)
-			}
-			if better {
-				best = v
-			}
-		}
-		delete(frontier, best)
-		inS[best] = true
-		out = append(out, best)
-		addFrontier(best)
-	}
-	return out
 }

@@ -577,34 +577,6 @@ func TestTopKInputValidation(t *testing.T) {
 	}
 }
 
-// TestBasicTopKOracle: Algorithm 1 with the exact vector returns the true
-// top-k for every no-local-optimum measure.
-func TestBasicTopKOracle(t *testing.T) {
-	g := randomConnected(t, 70, 120, 4)
-	q := graph.NodeID(9)
-	for _, kind := range []measure.Kind{measure.PHP, measure.EI, measure.DHT, measure.THT} {
-		r := exactScores(t, g, q, kind, measure.DefaultParams())
-		for _, k := range []int{1, 5, 15} {
-			got := BasicTopK(g, q, r, k, kind.HigherIsCloser())
-			if !measure.SameSetModuloTies(got, r, q, k, kind.HigherIsCloser(), 1e-9) {
-				want := measure.Nodes(measure.TopK(r, q, k, kind.HigherIsCloser()))
-				t.Errorf("%v k=%d: basic %v, want %v", kind, k, got, want)
-			}
-		}
-	}
-}
-
-// TestBasicTopKSmallComponent: Algorithm 1 stops gracefully when the
-// frontier empties.
-func TestBasicTopKSmallComponent(t *testing.T) {
-	g := graph.MustFromEdges(5, 0, 1, 1, 2, 3, 4)
-	r := []float64{1, 0.5, 0.25, 0, 0}
-	got := BasicTopK(g, 0, r, 10, true)
-	if !measure.SameSet(got, []graph.NodeID{1, 2}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
 // TestPropertyFLoSMatchesOracle: randomized cross-check over seeds and
 // query nodes for PHP and RWR.
 func TestPropertyFLoSMatchesOracle(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package core implements FLoS — Fast Local Search — the paper's
-// contribution (Algorithms 1–6): exact top-k proximity queries answered by
+// contribution (Algorithms 2–6): exact top-k proximity queries answered by
 // expanding a visited set S around the query node while maintaining lower
 // and upper proximity bounds whose validity rests on the no-local-optimum
 // property.

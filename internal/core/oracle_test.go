@@ -221,24 +221,25 @@ func TestTHTBoundaryFloorEdgeCases(t *testing.T) {
 		}
 		// The first solve runs before any expansion: q has unvisited
 		// neighbors, so it sits on the boundary and pins G^m at 1.
-		e.solveBounds()
-		if !e.isBoundary(0) || e.outsideFloor(L) != 1 {
+		e.solve()
+		if e.outCnt[0] <= 0 || e.outsideFloor(L) != 1 {
 			t.Fatalf("%s: q on the boundary must pin the floor at 1, got %g", label, e.outsideFloor(L))
 		}
 		requireTHTLevelsValid(t, label, e, h)
-		pick := e.pickExpansion
-		if closure {
-			pick = func(budget int) []int32 { return e.pick(measure.THT, budget) }
-		}
 		for {
-			us := pick(max(1, e.size()/16))
+			// The view without hop distances is pure best-first.
+			v := e.keys(measure.THT)
+			if !closure {
+				v.dist = nil
+			}
+			us := pick(v, max(1, e.size()/16))
 			if len(us) == 0 {
 				break
 			}
 			for _, u := range us {
 				expand(e, u, nil)
 			}
-			e.solveBounds()
+			e.solve()
 			requireTHTLevelsValid(t, label, e, h)
 		}
 		// Boundary exhausted: both systems are the component's own.

@@ -10,43 +10,66 @@ import (
 )
 
 // engine is one bound family as the search driver sees it: the steps of one
-// iteration of the paper's expand → bound → certify loop (Algorithms 1–3, 6).
-// There are exactly two, *phpEngine (PHP, EI, DHT, RWR and the unified
-// search) and *thtEngine, both over the substrate's one local transition
-// matrix. Every method is called once per phase, or once per visited node
-// (visit), never per relaxation, so each engine's solver loop stays
-// monomorphic. kind is the goal's measure (see goal); the THT engine serves
-// one and ignores it.
+// iteration of the paper's expand → bound → certify loop (Algorithms 2–3),
+// and the keys the driver's one stopping rule (Algorithm 6), expansion pick
+// and forced selection read. There are exactly two, *phpEngine (PHP, EI,
+// DHT, RWR and the unified search) and *thtEngine, both over the
+// substrate's one local transition matrix. Every method is called once per
+// phase, or once per visited node (visit), never per relaxation, so each
+// engine's solver loop stays monomorphic. kind is the goal's measure (see
+// goal); the THT engine serves one and ignores it.
 type engine interface {
 	substrate() *localSearch
 	// beginIteration runs what must see the previous boundary δS^{t-1}.
 	beginIteration()
-	// pick returns the boundary nodes to expand, best first under kind's
-	// expansion priority until the frontier edges they open reach budget;
-	// empty means the component is exhausted.
-	pick(kind measure.Kind, budget int) []int32
 	// visit pulls one unvisited node into S (see expand).
 	visit(v graph.NodeID)
 	// solve re-solves both bound systems over the grown S.
 	solve()
-	// check runs the stopping rule for one ranking: the certified top-k
-	// appended to dst, or nil, and the test's observables either way.
-	check(kind measure.Kind, dst []int32, k int, slack float64) ([]int32, certGap)
-	// forceSelect is the best-effort top-k by the safe-side bound,
-	// regardless of separation.
-	forceSelect(kind measure.Kind, dst []int32, k int) []int32
-	// bounds and dummy are the trace observables.
-	bounds(i int32) (lb, ub float64)
-	dummy() float64
+	// keys is kind's view of the current bounds; it is valid until the
+	// next visit.
+	keys(kind measure.Kind) keyView
+	// outside is the unvisited region's competing key for kind's stopping
+	// test, −Inf when the boundary's own keys cover it. It is read once per
+	// test, before the test can exit early.
+	outside(kind measure.Kind) float64
 }
+
+// keyView is one goal's bounds as the driver's selection routines read
+// them, oriented so that higher is closer: lo is the certified side, hi the
+// competing side. PHP, EI and DHT keys are the PHP bounds (Theorem 2), RWR
+// keys the PHP bounds times degree (Theorem 6), and THT keys its hop bounds
+// negated and swapped, since lower is closer there. Negation is exact in
+// floating point and ties still go to the smaller global identifier, so one
+// descending selection serves all five measures bit for bit.
+type keyView struct {
+	s *localSearch
+	// lo and hi hold the certified- and competing-side bounds in the
+	// measure's own scale, local node i's at [stride*i].
+	lo, hi []float64
+	stride int
+	sign   float64   // +1, or −1 when lower is closer
+	deg    []float64 // per-node key weight; nil for none
+	none   float64   // the competing key when nothing competes
+	dummy  float64   // the dummy-node value, a trace observable
+	dist   []int32   // within-S hop distance from q: non-nil adds closeHops to pick
+}
+
+// key orients one native bound of local node i.
+func (v *keyView) key(i int32, x float64) float64 {
+	if v.deg != nil {
+		x *= v.deg[i]
+	}
+	return v.sign * x
+}
+
+func (v *keyView) loKey(i int32) float64 { return v.key(i, v.lo[v.stride*int(i)]) }
+func (v *keyView) hiKey(i int32) float64 { return v.key(i, v.hi[v.stride*int(i)]) }
 
 // goal is one ranking the search must certify. A single-measure query has
 // one; the unified search has two over the same engine and visited set.
 type goal struct {
-	// kind is the measure ranked. It fixes the certification-key scale: PHP
-	// bounds as they are for PHP, EI and DHT (Theorem 2), weighted by degree
-	// for RWR (Theorem 6), and THT's own, where lower is closer and the bound
-	// roles mirror.
+	// kind is the measure ranked; it picks the engine's key view.
 	kind measure.Kind
 	buf  *[]int32 // the substrate buffer sel lives in, kept across queries
 	// sel is nil until the stopping rule passes or a selection is forced;
@@ -94,8 +117,8 @@ func pin(g graph.Graph, q graph.NodeID, opt Options) (graph.Graph, func(), error
 
 // search is the FLoS main loop, written once for every family: it drives e
 // until each goal holds a selection and reports how the search ended. The
-// stopping rule, the solver and the expansion priority are the engine's; the
-// schedule, the exits and the trace are decided here.
+// solver and the keys are the engine's; the schedule, the expansion pick,
+// the stopping rule, the exits and the trace are decided here.
 func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 	s := e.substrate()
 	// The selections stay live simultaneously across iterations, so each
@@ -161,7 +184,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 			lead = &goals[t%len(goals)]
 		}
 		lap()
-		us := e.pick(lead.kind, budget)
+		us := pick(e.keys(lead.kind), budget)
 		exhausted := len(us) == 0
 		added := s.addedBuf[:0]
 		for _, u := range us {
@@ -190,7 +213,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 				traced = g
 			}
 			var sel []int32
-			if sel, g.gap = e.check(g.kind, *g.buf, opt.K, slack); sel != nil {
+			if sel, g.gap = check(e.keys(g.kind), e.outside(g.kind), *g.buf, opt.K, slack); sel != nil {
 				g.settle(sel, t, true)
 			} else {
 				done = false
@@ -199,10 +222,10 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 		certifyNS := lap()
 
 		if snapObs != nil {
-			snapObs.ObserveSnapshot(traceSnapshot(e, t, us, added))
+			snapObs.ObserveSnapshot(traceSnapshot(e.keys(traced.kind), t, us, added))
 		}
 		if tracing {
-			opt.Tracer.ObserveIteration(iterStats(e, t, len(us), len(added), done, traced, expandNS, solveNS, certifyNS))
+			opt.Tracer.ObserveIteration(iterStats(e.keys(traced.kind), t, len(us), len(added), done, traced, expandNS, solveNS, certifyNS))
 		}
 
 		// Exhausted without bound separation (ties beyond TieEps, or k
@@ -247,19 +270,157 @@ func expand(e engine, u int32, added []graph.NodeID) []graph.NodeID {
 func forceOpen(e engine, goals []goal, k, iter int, certified bool) {
 	for i := range goals {
 		if g := &goals[i]; g.sel == nil {
-			g.settle(e.forceSelect(g.kind, *g.buf, k), iter, certified)
+			g.settle(forceSelect(e.keys(g.kind), *g.buf, k), iter, certified)
 		}
 	}
 }
 
-// bestBy is the engines' forceSelect: every visited node but q (local 0)
-// offered by key, and the best k under precedes — key descending, or
-// ascending when asc, ties toward the smaller global identifier — appended
-// to dst best first.
-func (s *localSearch) bestBy(dst []int32, k int, asc bool, key func(i int32) float64) []int32 {
+// pick returns the live boundary nodes to expand, best first by the
+// expansion priority ½(lb+ub), oriented (Section 5.6 weights it by degree
+// for RWR), until the frontier edges they open reach budget (see
+// takeFrontier), followed by the hop closure when v carries hop distances;
+// empty means the component is exhausted. The result lives in substrate
+// scratch valid until the next pick.
+func pick(v keyView, budget int) []int32 {
+	s := v.s
+	cands := s.pickBuf[:0]
+	for _, i := range s.bList {
+		if s.outCnt[i] > 0 {
+			mid := (v.lo[v.stride*int(i)] + v.hi[v.stride*int(i)]) / 2
+			cands = append(cands, scored{i, v.key(i, mid)})
+		}
+	}
+	s.pickBuf = cands
+	us := s.takeFrontier(cands, budget)
+	if v.dist != nil && us != nil {
+		us = s.closeHops(v.dist, us)
+		s.pickOut = us // keep the backing array the closers grew
+	}
+	return us
+}
+
+// closeHops appends to the best-first pick us every live boundary node at
+// the minimum hop distance that is not in it already. Pure best-first
+// expansion chases small hitting-time values and can leave a low-hop hub
+// unexpanded for many iterations, and THT's boundary floor
+// (thtEngine.outsideFloor) is a minimum over δS: one loose low-hop node
+// holds it, and every far lower bound, down. Mixing in this hop closure is
+// the THT analogue of GRANCH's hop-by-hop schedule; without it the search
+// visits fewer nodes over several times the iterations. The scans walk the
+// boundary list in ascending local index, so the closers follow us in that
+// order.
+func (s *localSearch) closeHops(dist []int32, us []int32) []int32 {
+	minD := distInf
+	for _, i := range s.bList {
+		if s.outCnt[i] > 0 && dist[i] < minD {
+			minD = dist[i]
+		}
+	}
+	if minD == distInf {
+		return us
+	}
+	s.markSel(nil) // sizes the scratch
+	for _, u := range us {
+		s.inSel[u] = true
+	}
+	picked := len(us)
+	for _, i := range s.bList {
+		if s.outCnt[i] > 0 && dist[i] == minD && !s.inSel[i] {
+			us = append(us, i)
+		}
+	}
+	for _, u := range us[:picked] {
+		s.inSel[u] = false
+	}
+	return us
+}
+
+// certGap records the observables of one termination test in the measure's
+// own scale: the k-th candidate's certified-side bound key and the best
+// competing bound key it must clear. check fills it only once the test gets
+// far enough to compare bounds (valid); until then it is the zero value,
+// which traces and certificates report as it stands.
+type certGap struct {
+	valid bool
+	kth   float64 // certified-side bound key of the k-th selected candidate
+	rest  float64 // best competing bound key over everything else
+}
+
+// check is the stopping rule, Algorithm 6 with Section 5.6's RWR guard, for
+// one ranking: the k interior candidates with the highest certified keys
+// are the exact top-k once the k-th of them clears, within slack, every
+// competing key — each other visited node's, and outside, the unvisited
+// region's. With fewer than k candidates it waits for more, unless the
+// boundary is exhausted: the component then has fewer than k+1 nodes and
+// all of them are returned. It returns the selected local indices appended
+// to dst (possibly empty but non-nil), or nil, and the test's observables
+// either way.
+//
+// The candidate selection walks the incremental interior list through a
+// k-bounded buffer ordered under the same total order a full sort would
+// use, so no O(|S| log |S|) re-sort happens; the competing-key scan splits
+// into one pass over the interior list and one over the boundary list.
+func check(v keyView, outside float64, dst []int32, k int, slack float64) ([]int32, certGap) {
+	s := v.s
+	nCand := len(s.iList)
+	if nCand < k && s.bLive > 0 {
+		return nil, certGap{}
+	}
+	k = min(k, nCand)
+	if k == 0 {
+		if dst != nil {
+			return dst[:0], certGap{}
+		}
+		return []int32{}, certGap{}
+	}
+	sel := s.candBuf[:0]
+	for _, i := range s.iList {
+		sel = s.offer(sel, k, i, v.loKey(i))
+	}
+	s.candBuf = sel
+	s.markSel(sel)
+	kth := sel[len(sel)-1].key
+	rest := v.none
+	for _, i := range s.iList {
+		if s.inSel[i] {
+			continue
+		}
+		if key := v.hiKey(i); key > rest {
+			rest = key
+		}
+	}
+	for _, i := range s.bList {
+		if s.outCnt[i] <= 0 {
+			continue
+		}
+		if key := v.hiKey(i); key > rest {
+			rest = key
+		}
+	}
+	s.clearSel(sel)
+	if outside > rest {
+		rest = outside
+	}
+	gap := certGap{valid: true, kth: v.sign * kth, rest: v.sign * rest}
+	if kth < rest-slack {
+		return nil, gap
+	}
+	out := dst[:0]
+	for _, c := range sel {
+		out = append(out, c.i)
+	}
+	return out, gap
+}
+
+// forceSelect is the best-effort top-k by the certified-side key regardless
+// of separation — at exhaustion, at the MaxVisited safety valve and at an
+// interruption: every visited node but q (local 0) offered, the best k
+// appended to dst best first.
+func forceSelect(v keyView, dst []int32, k int) []int32 {
+	s := v.s
 	best := s.candBuf[:0]
 	for i := int32(1); i < int32(s.size()); i++ {
-		best = s.offer(best, k, i, key(i), asc)
+		best = s.offer(best, k, i, v.loKey(i))
 	}
 	s.candBuf = best
 	out := dst[:0]
@@ -303,14 +464,18 @@ func newResult(s *localSearch, opt Options, out outcome) *Result {
 }
 
 // iterStats assembles one IterStats record from the engine state right
-// after an iteration's stopping tests; g is the goal the trace follows. Gap
-// is oriented so it is non-negative (within TieEps) exactly when certified:
-// kth lower-bound key minus best competing upper-bound key for the
-// higher-is-closer scales, the mirror image for THT. The boundary and
-// interior sizes come from the substrate's O(1) counters.
-func iterStats(e engine, t, batch, added int, certified bool, g *goal, expandNS, solveNS, certifyNS int64) IterStats {
-	s := e.substrate()
-	st := IterStats{
+// after an iteration's stopping tests; g is the goal the trace follows and v
+// its keys. Gap is oriented so it is non-negative (within TieEps) exactly
+// when certified: kth minus rest for the higher-is-closer scales, rest minus
+// kth for THT. The boundary and interior sizes come from the substrate's
+// O(1) counters.
+func iterStats(v keyView, t, batch, added int, certified bool, g *goal, expandNS, solveNS, certifyNS int64) IterStats {
+	s := v.s
+	gap := g.gap.kth - g.gap.rest
+	if v.sign < 0 {
+		gap = g.gap.rest - g.gap.kth // not −(kth − rest), which is −0 at a tie
+	}
+	return IterStats{
 		Iteration:  t,
 		Visited:    s.size(),
 		Boundary:   s.boundaryCount(),
@@ -320,21 +485,17 @@ func iterStats(e engine, t, batch, added int, certified bool, g *goal, expandNS,
 		GapValid:   g.gap.valid,
 		KthBound:   g.gap.kth,
 		RestBound:  g.gap.rest,
-		Gap:        g.gap.kth - g.gap.rest,
+		Gap:        gap,
 		Certified:  certified,
-		DummyValue: e.dummy(),
+		DummyValue: v.dummy,
 		ExpandNS:   expandNS,
 		SolveNS:    solveNS,
 		CertifyNS:  certifyNS,
 	}
-	if g.kind == measure.THT {
-		st.Gap = g.gap.rest - g.gap.kth
-	}
-	return st
 }
 
-func traceSnapshot(e engine, t int, us []int32, added []graph.NodeID) TraceEvent {
-	s := e.substrate()
+func traceSnapshot(v keyView, t int, us []int32, added []graph.NodeID) TraceEvent {
+	s := v.s
 	ev := TraceEvent{
 		Iteration:  t,
 		Expanded:   -1,
@@ -342,13 +503,18 @@ func traceSnapshot(e engine, t int, us []int32, added []graph.NodeID) TraceEvent
 		Nodes:      append([]graph.NodeID(nil), s.nodes...),
 		Lower:      make([]float64, s.size()),
 		Upper:      make([]float64, s.size()),
-		DummyValue: e.dummy(),
+		DummyValue: v.dummy,
 	}
 	if len(us) > 0 {
 		ev.Expanded = s.nodes[us[0]]
 	}
-	for i := range ev.Lower {
-		ev.Lower[i], ev.Upper[i] = e.bounds(int32(i))
+	// Native bounds: lo and hi swap back when lower is closer.
+	lo, hi := ev.Lower, ev.Upper
+	if v.sign < 0 {
+		lo, hi = hi, lo
+	}
+	for i := range lo {
+		lo[i], hi[i] = v.lo[v.stride*i], v.hi[v.stride*i]
 	}
 	return ev
 }

@@ -6,30 +6,23 @@ import (
 
 // This file is the shared local-search substrate both bound engines build
 // on: the visited-set bookkeeping FLoS's Algorithm 3 grows one expansion at
-// a time. Before ISSUE 4 the PHP and THT engines each carried a private copy
-// of this machinery and re-derived the boundary, the interior candidate
-// count, and the expansion frontier by scanning all of S every iteration —
-// O(|S|) per iteration against the paper's "work proportional to the changed
-// region" cost model (Section 5.5). The substrate makes that bookkeeping
-// incremental:
+// a time, kept incremental so an iteration's work tracks the changed region
+// (Section 5.5), not |S|:
 //
 //   - an explicit boundary list, maintained on visit: a node enters δS when
 //     it is visited with unvisited neighbors and leaves exactly once, when
 //     its last outside neighbor is pulled in. Both transitions are monotone,
 //     so the list is append-only with lazy deletion (liveness is just
 //     outCnt > 0) and compaction amortizes removal to O(1). Iterating it
-//     costs O(|δS|) and preserves ascending-local-index order — the order
-//     the old full scans produced — so every consumer (dummy update, floor
-//     scan, worklist re-seeding) keeps a bit-identical schedule; the
-//     expansion pick selects under a total order and does not depend on it.
-//   - an append-only interior list and O(1) interior/boundary counters, so
-//     the termination test and the tracer stop re-deriving |δS| and
-//     |S \ δS \ {q}| by sweeping S.
-//   - a bounded top-k selection helper (offer) that maintains the
-//     candidate buffer under the same total order the old sort used
-//     (key, then smaller global identifier), which is what lets the
-//     termination test and the forced selection drop their
-//     O(|S| log |S|) re-sort of all candidates.
+//     costs O(|δS|) in ascending local index, the order every consumer's
+//     schedule (dummy update, floor scan, worklist re-seeding, hop closure)
+//     is pinned to; the expansion pick selects under a total order and does
+//     not depend on it.
+//   - an append-only interior list and O(1) interior/boundary counters.
+//   - a bounded top-k selection helper (offer) that keeps the candidate
+//     buffer in the order a full sort would give (key descending, then
+//     smaller global identifier), so the stopping rule and the forced
+//     selection never sort all of S.
 //
 // localSearch also owns S's local transition matrix (rows), the one set of
 // entries both engines' bound systems share; each engine supplies its own
@@ -220,9 +213,6 @@ func (s *localSearch) compactBoundary() {
 // size returns |S|.
 func (s *localSearch) size() int { return len(s.nodes) }
 
-// isBoundary reports whether local node i has unvisited neighbors.
-func (s *localSearch) isBoundary(i int32) bool { return s.outCnt[i] > 0 }
-
 // boundaryCount returns |δS| in O(1).
 func (s *localSearch) boundaryCount() int { return s.bLive }
 
@@ -243,12 +233,12 @@ func (s *localSearch) outMassOf(i int32, zeroDegree float64) float64 {
 	return m
 }
 
-// precedes is the engines' strict selection order: key descending when asc
-// is false (PHP family), ascending when asc is true (THT, lower-is-better
-// keys), ties toward the smaller global identifier either way.
-func (s *localSearch) precedes(a, b scored, asc bool) bool {
+// precedes is the driver's strict selection order: key descending (keys
+// are oriented so higher is closer, see keyView), ties toward the smaller
+// global identifier.
+func (s *localSearch) precedes(a, b scored) bool {
 	if a.key != b.key {
-		return (a.key < b.key) == asc
+		return a.key > b.key
 	}
 	return s.nodes[a.i] < s.nodes[b.i]
 }
@@ -257,13 +247,13 @@ func (s *localSearch) precedes(a, b scored, asc bool) bool {
 // under precedes — the exact order a full sort of every candidate would
 // give. Because the skip test compares under the full total order, the
 // resulting top-k is independent of offer order.
-func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool) []scored {
+func (s *localSearch) offer(best []scored, k int, i int32, key float64) []scored {
 	c := scored{i, key}
-	if len(best) == k && !s.precedes(c, best[k-1], asc) {
+	if len(best) == k && !s.precedes(c, best[k-1]) {
 		return best
 	}
 	pos := len(best)
-	for pos > 0 && s.precedes(c, best[pos-1], asc) {
+	for pos > 0 && s.precedes(c, best[pos-1]) {
 		pos--
 	}
 	if len(best) < k {
@@ -274,8 +264,8 @@ func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool
 	return best
 }
 
-// takeFrontier is both engines' expansion pick once they have scored the
-// live boundary into cands: the best-first prefix under precedes — always the
+// takeFrontier is the expansion pick once it has scored the live boundary
+// into cands: the best-first prefix under precedes — always the
 // first node — whose opened frontier edges, Σ outCnt, reach budget, as local
 // indices in engine scratch valid until the next pick; nil when cands is
 // empty (component exhausted). The first node comes from one scan, which is
@@ -288,13 +278,13 @@ func (s *localSearch) offer(best []scored, k int, i int32, key float64, asc bool
 // Algorithm 3 expands one node per iteration; taking more only changes the
 // expansion schedule, never the exactness argument — every expansion is
 // still a legal S^{t-1} → S^t step.
-func (s *localSearch) takeFrontier(cands []scored, budget int, asc bool) []int32 {
+func (s *localSearch) takeFrontier(cands []scored, budget int) []int32 {
 	if len(cands) == 0 {
 		return nil
 	}
 	best := 0
 	for j := 1; j < len(cands); j++ {
-		if s.precedes(cands[j], cands[best], asc) {
+		if s.precedes(cands[j], cands[best]) {
 			best = j
 		}
 	}
@@ -312,10 +302,10 @@ func (s *localSearch) takeFrontier(cands []scored, budget int, asc bool) []int32
 			if c >= len(cands) {
 				return
 			}
-			if c+1 < len(cands) && s.precedes(cands[c+1], cands[c], asc) {
+			if c+1 < len(cands) && s.precedes(cands[c+1], cands[c]) {
 				c++
 			}
-			if !s.precedes(cands[c], cands[i], asc) {
+			if !s.precedes(cands[c], cands[i]) {
 				return
 			}
 			cands[i], cands[c] = cands[c], cands[i]

@@ -146,12 +146,13 @@ func checkRows(t *testing.T, s *localSearch) {
 }
 
 // checkSelection cross-checks the k-bounded offer helper against a full
-// sort under the same total order, on the live interior candidates.
-func checkSelection(t *testing.T, s *localSearch, k int, key func(int32) float64, desc bool) {
+// sort under the same total order (key descending, ties toward the smaller
+// global identifier), on the live interior candidates.
+func checkSelection(t *testing.T, s *localSearch, k int, key func(int32) float64) {
 	t.Helper()
 	var got []scored
 	for _, i := range s.iList {
-		got = s.offer(got, k, i, key(i), !desc)
+		got = s.offer(got, k, i, key(i))
 	}
 	want := make([]scored, 0, len(s.iList))
 	for _, i := range s.iList {
@@ -159,7 +160,7 @@ func checkSelection(t *testing.T, s *localSearch, k int, key func(int32) float64
 	}
 	slices.SortFunc(want, func(a, b scored) int {
 		if a.key != b.key {
-			if (a.key > b.key) == desc {
+			if a.key > b.key {
 				return -1
 			}
 			return 1
@@ -218,10 +219,11 @@ func TestSubstrateDifferential(t *testing.T) {
 									key *= e.deg[i]
 								}
 								return key
-							}, true)
+							})
 						case *thtEngine:
 							checkSubstrate(t, &e.localSearch)
-							checkSelection(t, &e.localSearch, opt.K, e.ub, false)
+							// Lower is closer: the driver selects by −ub.
+							checkSelection(t, &e.localSearch, opt.K, func(i int32) float64 { return -e.ub(i) })
 						default:
 							t.Fatalf("unexpected engine %T", engine)
 						}

@@ -25,7 +25,7 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	t.Run("php", func(t *testing.T) {
 		e := NewWorkspace().phpFor(g, 0, measure.Params{C: 0.5, Tau: 1e-10, MaxIter: 100000}, Options{})
 		expand(e, 0, nil) // visit 1 and 9; both boundary, both lb=0 ub=1
-		us := e.pickExpansion(false, 2)
+		us := pick(e.keys(measure.PHP), 2)
 		got := localToGlobal(e.nodes, us)
 		if len(got) != 2 || got[0] != 1 || got[1] != 9 {
 			t.Fatalf("tied pick order = %v, want [1 9]", got)
@@ -35,7 +35,7 @@ func TestPickExpansionTieBreakSmallerID(t *testing.T) {
 	t.Run("tht", func(t *testing.T) {
 		e := NewWorkspace().thtFor(g, 0, 6)
 		expand(e, 0, nil) // visit 1 and 9; both boundary, unsolved bounds equal
-		us := e.pickExpansion(2)
+		us := pick(e.keys(measure.THT), 2)
 		got := localToGlobal(e.nodes, us)
 		if len(got) != 2 || got[0] != 1 || got[1] != 9 {
 			t.Fatalf("THT tied pick order = %v, want [1 9]", got)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"flos/internal/graph"
@@ -36,7 +37,7 @@ type thtEngine struct {
 	L int
 
 	// dist is the within-S shortest hop distance from q, maintained to
-	// fixpoint as S grows; it drives the hop closure (addFloorClosers).
+	// fixpoint as S grows; it drives the hop closure (closeHops).
 	dist []int32
 
 	// lbL[l][i] / ubL[l][i] are the level-l bound values, l = 0..L; level 0
@@ -136,7 +137,7 @@ func (e *thtEngine) visit(v graph.NodeID) {
 // shortened node (unit hops, BFS-style worklist).
 func (e *thtEngine) relaxDistFrom(start int32) {
 	// Pop by head index: queue = queue[1:] erodes the retained capacity one
-	// slot per pop (see phpEngine.solveBounds), and every visit of a warm
+	// slot per pop (see phpEngine.solve), and every visit of a warm
 	// query would then reallocate.
 	queue := append(e.distQ[:0], start)
 	for head := 0; head < len(queue); head++ {
@@ -198,10 +199,10 @@ func (e *thtEngine) outsideFloor(m int) float64 {
 	return 1 + best
 }
 
-// solveBounds drains the per-level dirty queues in level order, recomputing
+// solve drains the per-level dirty queues in level order, recomputing
 // both bounds for each dirty row and propagating changes to the dependents
 // one level up.
-func (e *thtEngine) solveBounds() {
+func (e *thtEngine) solve() {
 	for l := 1; l <= e.L; l++ {
 		// Outside mass of the level-l equation sits at level l−1, which is
 		// final by now: level l reads nothing above l−1.
@@ -266,150 +267,27 @@ func (e *thtEngine) solveBounds() {
 func (e *thtEngine) lb(i int32) float64 { return e.lbL[e.L][i] }
 func (e *thtEngine) ub(i int32) float64 { return e.ubL[e.L][i] }
 
-// pickExpansion returns the boundary nodes to expand under a budget of
-// opened frontier edges (see takeFrontier), by the smallest ½(lb+ub):
-// closest first for a lower-is-closer measure.
-func (e *thtEngine) pickExpansion(budget int) []int32 {
-	cands := e.pickBuf[:0]
-	for _, i := range e.bList {
-		if e.outCnt[i] > 0 {
-			cands = append(cands, scored{i, (e.lb(i) + e.ub(i)) / 2})
-		}
-	}
-	e.pickBuf = cands
-	return e.takeFrontier(cands, budget, true)
-}
-
-// addFloorClosers appends to the best-first pick us every boundary node at
-// the minimum hop distance that is not in it already. Pure best-first
-// expansion chases small hitting-time values and can leave a low-hop hub
-// unexpanded for many iterations, and the boundary floor (outsideFloor) is a
-// minimum over δS: one loose low-hop node holds it, and every far lower
-// bound, down. Mixing in this hop closure is the THT analogue of GRANCH's
-// hop-by-hop schedule; without it the search visits fewer nodes over several
-// times the iterations. The scans walk the boundary list in ascending local
-// index, so the closers follow us in that order.
-func (e *thtEngine) addFloorClosers(us []int32) []int32 {
-	minD := distInf
-	for _, i := range e.bList {
-		if e.outCnt[i] > 0 && e.dist[i] < minD {
-			minD = e.dist[i]
-		}
-	}
-	if minD == distInf {
-		return us
-	}
-	e.markSel(nil) // sizes the scratch
-	for _, u := range us {
-		e.inSel[u] = true
-	}
-	picked := len(us)
-	for _, i := range e.bList {
-		if e.outCnt[i] > 0 && e.dist[i] == minD && !e.inSel[i] {
-			us = append(us, i)
-		}
-	}
-	for _, u := range us[:picked] {
-		e.inSel[u] = false
-	}
-	return us
-}
-
-// check mirrors Algorithm 6 for a lower-is-closer measure: pick the k
-// interior nodes with smallest upper bounds; they are the exact top-k once
-// max_K ub ≤ min over every other candidate of lb (the unvisited region is
-// covered because min_{δS} lb lower-bounds it by the no-local-minimum
-// property). It certifies one key scale, so kind is ignored. Returns the
-// selected local indices appended to dst, or nil, and the test's
-// observables: kth is the k-th candidate's upper bound, rest the best
-// outsider lower bound — the roles mirror the PHP engine because lower is
-// closer.
-//
-// The candidate selection walks the incremental interior list through a
-// k-bounded buffer ordered under the same total order the old full sort
-// used, so no O(|S| log |S|) re-sort happens; the outsider scan splits into
-// one pass over the interior list and one over the boundary list.
-func (e *thtEngine) check(_ measure.Kind, dst []int32, k int, tieEps float64) ([]int32, certGap) {
-	exhausted := e.bLive == 0
-	nCand := len(e.iList)
-	if nCand < k && !exhausted {
-		return nil, certGap{}
-	}
-	if k > nCand {
-		k = nCand // component smaller than k+1: return what exists
-	}
-	if k == 0 {
-		if dst != nil {
-			return dst[:0], certGap{}
-		}
-		return []int32{}, certGap{}
-	}
-	sel := e.candBuf[:0]
-	for _, i := range e.iList {
-		sel = e.offer(sel, k, i, e.ub(i), true)
-	}
-	e.candBuf = sel
-	e.markSel(sel)
-	maxK := sel[len(sel)-1].key // buffer is sorted ascending
-	minRest := float64(e.L) + 1
-	for _, i := range e.iList {
-		if e.inSel[i] {
-			continue
-		}
-		if lb := e.lb(i); lb < minRest {
-			minRest = lb
-		}
-	}
-	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 {
-			continue
-		}
-		if lb := e.lb(i); lb < minRest {
-			minRest = lb
-		}
-	}
-	// Every non-q node is either an interior candidate or a live boundary
-	// node, so an outsider exists iff the selection plus q don't cover S.
-	restSeen := e.size()-1-len(sel) > 0
-	e.clearSel(sel)
-	gap := certGap{valid: true, kth: maxK, rest: minRest}
-	if (restSeen || !exhausted) && maxK > minRest+tieEps {
-		return nil, gap
-	}
-	out := dst[:0]
-	for _, c := range sel {
-		out = append(out, c.i)
-	}
-	return out, gap
-}
-
 // The driver-facing steps of the THT engine (see engine in search.go). It
 // certifies one key scale, so kind is ignored, and it has no dummy update:
 // the upper-bound dummy of level l is pinned at l−1.
 
 func (e *thtEngine) beginIteration() {}
 
-// pick is the best-first step plus the hop closure that keeps the boundary
-// floor advancing (see addFloorClosers).
-func (e *thtEngine) pick(_ measure.Kind, budget int) []int32 {
-	us := e.addFloorClosers(e.pickExpansion(budget))
-	if us != nil {
-		e.pickOut = us // keep the backing array the closers grew
+// keys views the horizon-L bounds negated and swapped, since lower is
+// closer: upper bounds are the certified side. When nothing competes the
+// rest reads L+1, above every bound. The hop distances add the closure to
+// the pick (see closeHops).
+func (e *thtEngine) keys(measure.Kind) keyView {
+	return keyView{
+		s: &e.localSearch, lo: e.ubL[e.L], hi: e.lbL[e.L], stride: 1, sign: -1,
+		none: -float64(e.L + 1), dummy: float64(e.L - 1), dist: e.dist,
 	}
-	return us
 }
 
-func (e *thtEngine) solve() { e.solveBounds() }
-
-func (e *thtEngine) bounds(i int32) (lb, ub float64) { return e.lb(i), e.ub(i) }
-
-func (e *thtEngine) dummy() float64 { return float64(e.L - 1) }
-
-// forceSelect picks the k best visited nodes by upper bound (the safe side
-// for a lower-is-closer measure).
-func (e *thtEngine) forceSelect(_ measure.Kind, dst []int32, k int) []int32 {
-	return e.bestBy(dst, k, true, e.ub)
-}
+// outside is −Inf: every unvisited node's hitting time is at least the
+// boundary floor min_{δS} lb (no local minimum), which the boundary's own
+// keys already carry.
+func (e *thtEngine) outside(measure.Kind) float64 { return math.Inf(-1) }
 
 // result builds the hop-scale Result. THT bounds are native (lower-is-closer
 // hop counts), so scores and intervals need no scale conversion, and THT

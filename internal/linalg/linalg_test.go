@@ -3,48 +3,30 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestRowMatrixBasics(t *testing.T) {
 	m := NewRowMatrix(2)
-	if m.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", m.NumRows())
+	if len(m.Rows) != 2 {
+		t.Fatalf("NewRowMatrix(2) has %d rows", len(m.Rows))
 	}
 	m.Append(0, 1, 0.5)
 	if r := m.AddRow(); r != 2 {
 		t.Fatalf("AddRow = %d, want 2", r)
 	}
-	m.Set(0, 1, 0.25)
-	m.Set(0, 0, 0.75)
-	if got := m.At(0, 1); got != 0.25 {
-		t.Errorf("At(0,1) = %g", got)
+	m.Append(0, 0, 0.25)
+	m.Append(2, 1, 1)
+	want := [][]Entry{{{Col: 1, Val: 0.5}, {Col: 0, Val: 0.25}}, nil, {{Col: 1, Val: 1}}}
+	if !reflect.DeepEqual(m.Rows, want) {
+		t.Fatalf("rows = %v, want %v", m.Rows, want)
 	}
-	if got := m.At(1, 1); got != 0 {
-		t.Errorf("At(1,1) = %g, want 0", got)
-	}
-	if got := m.RowSum(0); got != 1 {
-		t.Errorf("RowSum(0) = %g", got)
-	}
-	if got := m.NumNonZero(); got != 2 {
-		t.Errorf("NumNonZero = %g", float64(got))
-	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Error("Clone aliases original")
-	}
-	if err := m.CheckSubStochastic(1e-12); err != nil {
-		t.Errorf("CheckSubStochastic: %v", err)
-	}
-	m.Set(1, 0, 2)
-	if err := m.CheckSubStochastic(1e-12); err == nil {
-		t.Error("row sum 2 passed CheckSubStochastic")
-	}
-	m.Set(1, 0, -1)
-	if err := m.CheckSubStochastic(1e-12); err == nil {
-		t.Error("negative entry passed CheckSubStochastic")
+	out := make([]float64, 3)
+	m.MulVecAdd(2, []float64{1, 2, 3}, []float64{1, 0, 0}, out)
+	if want := []float64{1 + 2*(0.5*2+0.25*1), 0, 2 * 2}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("MulVecAdd = %v, want %v", out, want)
 	}
 }
 
@@ -65,7 +47,7 @@ func TestFixedPointAgainstDense(t *testing.T) {
 				col := int32(rng.Intn(n))
 				v := rem * rng.Float64() * 0.9
 				rem -= v
-				m.Set(int32(i), col, m.At(int32(i), col)+v)
+				m.Append(int32(i), col, v)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -90,14 +72,21 @@ func TestFixedPointAgainstDense(t *testing.T) {
 	}
 }
 
+// jacobiStep applies one Jacobi sweep r ← c·M·r + e.
+func jacobiStep(m *RowMatrix, c float64, e, r []float64) {
+	next := make([]float64, len(r))
+	m.MulVecAdd(c, r, e, next)
+	copy(r, next)
+}
+
 // TestFixedPointMonotoneFromBelow: starting at a sub-solution, every sweep
 // stays below the fixpoint — the property that lets FLoS truncate bound
 // updates without breaking bound validity.
 func TestFixedPointMonotoneFromBelow(t *testing.T) {
 	m := NewRowMatrix(3)
-	m.Set(1, 0, 0.5)
-	m.Set(1, 2, 0.5)
-	m.Set(2, 1, 1)
+	m.Append(1, 0, 0.5)
+	m.Append(1, 2, 0.5)
+	m.Append(2, 1, 1)
 	c := 0.5
 	e := []float64{1, 0, 0}
 	exact := make([]float64, 3)
@@ -105,7 +94,7 @@ func TestFixedPointMonotoneFromBelow(t *testing.T) {
 	// From zero (a sub-solution), each single sweep must not exceed exact.
 	r := make([]float64, 3)
 	for sweep := 0; sweep < 50; sweep++ {
-		m.Sweeps(c, e, r, 1)
+		jacobiStep(m, c, e, r)
 		for i := range r {
 			if r[i] > exact[i]+1e-12 {
 				t.Fatalf("sweep %d: r[%d]=%g exceeds fixpoint %g", sweep, i, r[i], exact[i])
@@ -115,7 +104,7 @@ func TestFixedPointMonotoneFromBelow(t *testing.T) {
 	// From above (a super-solution), iterates must never drop below.
 	r = []float64{1, 1, 1}
 	for sweep := 0; sweep < 50; sweep++ {
-		m.Sweeps(c, e, r, 1)
+		jacobiStep(m, c, e, r)
 		for i := range r {
 			if r[i] < exact[i]-1e-12 {
 				t.Fatalf("sweep %d: r[%d]=%g below fixpoint %g", sweep, i, r[i], exact[i])
@@ -130,9 +119,9 @@ func TestFixedPointPaperExample(t *testing.T) {
 	m := NewRowMatrix(3)
 	// Row of node 2 (index 1): p21 = p23 = 0.5. Row of node 3: p32 = 1.
 	// Query row (node 1) zeroed.
-	m.Set(1, 0, 0.5)
-	m.Set(1, 2, 0.5)
-	m.Set(2, 1, 1)
+	m.Append(1, 0, 0.5)
+	m.Append(1, 2, 0.5)
+	m.Append(2, 1, 1)
 	e := []float64{1, 0, 0}
 	r := make([]float64, 3)
 	m.FixedPoint(0.5, e, r, 1e-14, 100000)
@@ -144,23 +133,25 @@ func TestFixedPointPaperExample(t *testing.T) {
 	}
 }
 
-// TestSweepsTruncatedHorizon: L sweeps from zero of r = Mr + e compute the
+// TestSweepsTruncatedHorizon: L sweeps from zero of r ← Mr + e compute the
 // L-truncated hitting time exactly; unreachable-within-L nodes sit at L.
 func TestSweepsTruncatedHorizon(t *testing.T) {
 	// Path 0-1-2-3-4, query 0. THT: r_i = 1 + avg of neighbors, r_0 = 0.
 	n := 5
 	m := NewRowMatrix(n)
-	m.Set(1, 0, 0.5)
-	m.Set(1, 2, 0.5)
-	m.Set(2, 1, 0.5)
-	m.Set(2, 3, 0.5)
-	m.Set(3, 2, 0.5)
-	m.Set(3, 4, 0.5)
-	m.Set(4, 3, 1)
+	m.Append(1, 0, 0.5)
+	m.Append(1, 2, 0.5)
+	m.Append(2, 1, 0.5)
+	m.Append(2, 3, 0.5)
+	m.Append(3, 2, 0.5)
+	m.Append(3, 4, 0.5)
+	m.Append(4, 3, 1)
 	e := []float64{0, 1, 1, 1, 1}
 	r := make([]float64, n)
 	L := 3
-	m.Sweeps(1, e, r, L)
+	for range L {
+		jacobiStep(m, 1, e, r)
+	}
 	if r[0] != 0 {
 		t.Fatalf("query THT = %g", r[0])
 	}

@@ -1,14 +1,12 @@
-// Package linalg provides the small linear-algebra kernel the proximity
-// algorithms are built on: a dynamic sparse row matrix, the Jacobi-style
-// fixed-point solver of the paper's Algorithm 7, finite-horizon sweeps for
-// truncated hitting time, dense LU for small systems, and an RCM-ordered
-// sparse LU used by the K-dash baseline's precompute step.
+// Package linalg provides the small linear-algebra kernel the baselines and
+// the tests are built on: a growable sparse row matrix with the Jacobi-style
+// fixed-point solver of the paper's Algorithm 7 (the DNE baseline's local
+// solve), dense LU (the reference the engine and measure tests compare
+// against), and an RCM-ordered sparse LU used by the K-dash baseline's
+// precompute step.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Entry is one non-zero of a sparse row: value Val in column Col.
 type Entry struct {
@@ -17,9 +15,9 @@ type Entry struct {
 }
 
 // RowMatrix is a growable sparse matrix stored as one slice of entries per
-// row. FLoS uses it for the |S|×|S| local transition matrix that grows as
-// the search expands (paper Algorithms 4 and 5): appending rows and entries
-// is O(1), exactly the two mutations local expansion performs.
+// row: the |S|×|S| local transition matrix of a search that grows as it
+// expands (paper Algorithms 4 and 5). Appending rows and entries is O(1),
+// exactly the two mutations local expansion performs.
 type RowMatrix struct {
 	Rows [][]Entry
 }
@@ -29,75 +27,16 @@ func NewRowMatrix(n int) *RowMatrix {
 	return &RowMatrix{Rows: make([][]Entry, n)}
 }
 
-// NumRows returns the current row count.
-func (m *RowMatrix) NumRows() int { return len(m.Rows) }
-
-// AddRow appends an empty row and returns its index. Spare capacity left
-// behind by Reset is reused: the row slot and its entry slice come back
-// without allocating.
+// AddRow appends an empty row and returns its index.
 func (m *RowMatrix) AddRow() int32 {
-	if len(m.Rows) < cap(m.Rows) {
-		m.Rows = m.Rows[:len(m.Rows)+1]
-		m.Rows[len(m.Rows)-1] = m.Rows[len(m.Rows)-1][:0]
-	} else {
-		m.Rows = append(m.Rows, nil)
-	}
+	m.Rows = append(m.Rows, nil)
 	return int32(len(m.Rows) - 1)
 }
 
-// Reset empties the matrix while keeping every row's backing storage, so a
-// reused matrix regrows without re-allocating. The entries beyond the new
-// length stay reachable from the backing array until overwritten; callers
-// must not rely on them.
-func (m *RowMatrix) Reset() {
-	m.Rows = m.Rows[:0]
-}
-
-// Append adds entry (row, col, val) without checking for duplicates. The
-// caller owns dedup; FLoS's expansion never inserts the same coordinate
-// twice.
+// Append adds entry (row, col, val) without checking for duplicates: a
+// duplicate coordinate adds to the first, which is what MulVecAdd computes.
 func (m *RowMatrix) Append(row, col int32, val float64) {
 	m.Rows[row] = append(m.Rows[row], Entry{Col: col, Val: val})
-}
-
-// Set replaces the value at (row, col) if present, else appends it.
-func (m *RowMatrix) Set(row, col int32, val float64) {
-	for i := range m.Rows[row] {
-		if m.Rows[row][i].Col == col {
-			m.Rows[row][i].Val = val
-			return
-		}
-	}
-	m.Append(row, col, val)
-}
-
-// At returns the value at (row, col), zero if absent.
-func (m *RowMatrix) At(row, col int32) float64 {
-	for _, e := range m.Rows[row] {
-		if e.Col == col {
-			return e.Val
-		}
-	}
-	return 0
-}
-
-// RowSum returns the sum of the entries of a row — for transition matrices,
-// the retained probability mass.
-func (m *RowMatrix) RowSum(row int32) float64 {
-	var s float64
-	for _, e := range m.Rows[row] {
-		s += e.Val
-	}
-	return s
-}
-
-// NumNonZero returns the total entry count.
-func (m *RowMatrix) NumNonZero() int {
-	var n int
-	for _, r := range m.Rows {
-		n += len(r)
-	}
-	return n
 }
 
 // MulVecAdd computes out = c*M*x + e for the leading len(out) rows.
@@ -142,44 +81,6 @@ func (m *RowMatrix) FixedPoint(c float64, e, r []float64, tau float64, maxIter i
 		}
 	}
 	return maxIter
-}
-
-// Sweeps applies r ← c·M·r + e exactly l times — the finite-horizon
-// recursion of truncated hitting time (L sweeps from zero yield exactly the
-// L-truncated values).
-func (m *RowMatrix) Sweeps(c float64, e, r []float64, l int) {
-	next := make([]float64, len(r))
-	for s := 0; s < l; s++ {
-		m.MulVecAdd(c, r, e, next)
-		copy(r, next)
-	}
-}
-
-// Clone deep-copies the matrix.
-func (m *RowMatrix) Clone() *RowMatrix {
-	out := NewRowMatrix(len(m.Rows))
-	for i, row := range m.Rows {
-		out.Rows[i] = append([]Entry(nil), row...)
-	}
-	return out
-}
-
-// CheckSubStochastic verifies every row sums to at most 1+eps and entries
-// are non-negative — the invariant of all transition matrices here.
-func (m *RowMatrix) CheckSubStochastic(eps float64) error {
-	for i := range m.Rows {
-		var s float64
-		for _, e := range m.Rows[i] {
-			if e.Val < 0 {
-				return fmt.Errorf("linalg: negative entry %g at (%d,%d)", e.Val, i, e.Col)
-			}
-			s += e.Val
-		}
-		if s > 1+eps {
-			return fmt.Errorf("linalg: row %d sums to %g > 1", i, s)
-		}
-	}
-	return nil
 }
 
 // InfNorm returns max_i |a_i - b_i|.
