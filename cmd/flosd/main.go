@@ -19,12 +19,14 @@
 // contradict each other, and a negative -maxk, -maxbatch or -max-deadline,
 // are refused at start-up.
 //
-// Queries run on a bounded worker pool (internal/qserve): -workers sets its
-// size, -queue the admission queue that sheds overload with 429, -cache the
-// result-cache capacity, and -timeout the per-query deadline. Disk-resident
-// stores are served concurrently through the lock-striped page cache;
-// -pagecache bounds its page buffers, and the store's node table (16 B per
-// node) is read at start-up outside that budget.
+// Each query runs on its request's goroutine while it holds one of the
+// query pool's slots (internal/qserve): -workers sets how many queries run
+// at once, -queue how many may wait to run before overload is shed with
+// 429, -cache the result-cache capacity, and -timeout the per-query
+// deadline. Disk-resident stores are served concurrently through the
+// lock-striped page cache; -pagecache bounds its page buffers, and the
+// store's node table (16 B per node) is read at start-up outside that
+// budget.
 //
 // -live wraps an in-memory graph (-graph or -bin) in a live-graph snapshot
 // chain: POST /v1/graph/edges applies atomic mutation batches while queries
@@ -53,6 +55,9 @@
 // 1m/10m working-set estimates — exported as flos_pagecache_* /
 // flos_result_cache_* gauges and GET /debug/flos/cache.
 //
+// SIGTERM or SIGINT drains the server: it stops accepting connections,
+// lets running requests answer, closes the store and exits 0.
+//
 // Logs are structured (log/slog, text to stderr): one access record per
 // request with its ID, status, and latency, plus per-query debug records at
 // -log-level debug. -pprof exposes net/http/pprof on a separate listener so
@@ -60,12 +65,15 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"flos"
@@ -103,8 +111,8 @@ func (c *config) register(fs *flag.FlagSet) {
 
 	fs.IntVar(&c.srv.MaxK, "maxk", 1000, "largest accepted k")
 	fs.IntVar(&c.srv.MaxBatch, "maxbatch", 0, "largest accepted /v1/topk/batch query count and /v1/graph/edges op count (0 = 256)")
-	fs.IntVar(&c.srv.Workers, "workers", 0, "query worker count (0 = GOMAXPROCS)")
-	fs.IntVar(&c.srv.QueueDepth, "queue", 0, "admission queue depth; excess requests get 429 (0 = 4x workers)")
+	fs.IntVar(&c.srv.Workers, "workers", 0, "queries run at once (0 = GOMAXPROCS)")
+	fs.IntVar(&c.srv.QueueDepth, "queue", 0, "queries waiting to run; excess requests get 429 (0 = 4x workers)")
 	fs.IntVar(&c.srv.CacheEntries, "cache", 0, "result-cache capacity, in entries of up to 16 result rows (0 = 1024, negative disables)")
 	fs.DurationVar(&c.srv.Timeout, "timeout", 0, "per-query deadline, e.g. 500ms or 2s (0 = none)")
 	fs.Float64Var(&c.srv.MaxEpsilon, "max-epsilon", 0, "largest accepted /v1 epsilon budget (0 = 1.0, negative disables epsilon mode)")
@@ -240,14 +248,30 @@ func main() {
 	}
 
 	srv := server.New(g, srvCfg)
-	defer srv.Close()
 	m := srv.Pool().Metrics()
 	logger.Info("serving",
 		"addr", cfg.addr, "workers", m.Workers, "queue_cap", m.QueueCap,
 		"cache_entries", cfg.srv.CacheEntries, "timeout", cfg.srv.Timeout)
-	if err := http.ListenAndServe(cfg.addr, srv.Handler()); err != nil {
+
+	// SIGTERM or SIGINT drains: the listener stops accepting, running
+	// requests answer, and main returns so the deferred store and lens
+	// Close calls run. A second signal kills the process the default way.
+	sig, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	hs := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
 		fatal(logger, "listener failed", err)
+	case <-sig.Done():
 	}
+	stop()
+	logger.Info("draining")
+	if err := hs.Shutdown(context.Background()); err != nil {
+		logger.Error("shutdown", "err", err)
+	}
+	srv.Close()
+	logger.Info("stopped")
 }
 
 func fatal(logger *slog.Logger, msg string, err error) {

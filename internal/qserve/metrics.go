@@ -31,16 +31,12 @@ func metricsSlot(req Request) int {
 // ring under a mutex on every snapshot and its truncating percentile index
 // under-reported p99 on small windows.
 type metrics struct {
-	served      atomic.Int64
-	shed        atomic.Int64
-	interrupted atomic.Int64
+	shed atomic.Int64
 
-	// Outcome split of served queries. ok counts executed successes and hit
-	// counts result-cache answers, so ok + hit + deadline + canceled +
-	// failed == served (the parity the SLO availability math relies on —
-	// before the hit counter, cache answers vanished from the outcome
-	// breakdown entirely). deadline + canceled = interrupted; failed counts
-	// non-context errors.
+	// Outcome split of served queries: ok counts executed successes, hit
+	// result-cache answers, failed non-context errors. Served and
+	// Interrupted are sums taken in snapshot, so ok + hit + deadline +
+	// canceled + failed == served holds by construction.
 	ok       atomic.Int64
 	hit      atomic.Int64
 	deadline atomic.Int64
@@ -84,9 +80,7 @@ type metrics struct {
 func (m *metrics) snapshot() Metrics {
 	lat := m.lat.Snapshot()
 	out := Metrics{
-		Served:                m.served.Load(),
 		Shed:                  m.shed.Load(),
-		Interrupted:           m.interrupted.Load(),
 		OK:                    m.ok.Load(),
 		Hit:                   m.hit.Load(),
 		Deadline:              m.deadline.Load(),
@@ -105,6 +99,8 @@ func (m *metrics) snapshot() Metrics {
 		Latency:               lat,
 		LatencyByMeasure:      make(map[string]obs.Snapshot),
 	}
+	out.Interrupted = out.Deadline + out.Canceled
+	out.Served = out.OK + out.Hit + out.Interrupted + out.Failed
 	for i := range m.latByMeasure {
 		if s := m.latByMeasure[i].Snapshot(); s.Count > 0 {
 			out.LatencyByMeasure[measureLabels[i]] = s
@@ -157,8 +153,9 @@ type Metrics struct {
 	// "unified"), omitting labels with no observations.
 	Latency          obs.Snapshot
 	LatencyByMeasure map[string]obs.Snapshot
-	// QueueDepth is the current number of admitted-but-waiting queries;
-	// QueueCap its bound; Workers the worker count.
+	// QueueDepth is the current number of queries waiting for a slot;
+	// QueueCap its bound; Workers the slot count (1 on a backend without
+	// graph.Viewer).
 	QueueDepth, QueueCap, Workers int
 	// Cache counters; zero when the cache is disabled. CacheEntries is the
 	// live entry count (occupancy) and CacheCapacity its configured bound,

@@ -2,25 +2,26 @@
 // execution end to end, between the HTTP layer (internal/server) and the
 // search engine (internal/core).
 //
-// A Pool runs a bounded set of workers over a shared graph. Admission is a
-// bounded queue that sheds load (Do returns ErrOverloaded immediately when
-// the queue is full, so callers can answer 429 instead of stacking up
-// goroutines), every query runs under a context with an optional pool-wide
-// deadline, and completed answers populate an LRU result cache keyed by
-// (graph epoch, query node, measure, params, k). On a live graph
-// (internal/livegraph) Mutate publishes an edge batch as a new epoch and
-// invalidates the cache surgically: only entries whose read footprint the
-// batch touched are evicted.
+// A Pool is a counting semaphore of Workers slots over a shared graph: a
+// query runs on its caller's goroutine while it holds a slot. Admission
+// sheds load (Do returns ErrOverloaded immediately when every slot is busy
+// and QueueDepth callers already wait, so callers can answer 429 instead of
+// stacking up goroutines), every query runs under a context with an
+// optional pool-wide deadline, and completed answers populate an LRU result
+// cache keyed by (graph epoch, query node, measure, params, k). On a live
+// graph (internal/livegraph) Mutate publishes an edge batch as a new epoch
+// and invalidates the cache surgically: only entries whose read footprint
+// the batch touched are evicted.
 //
 // Concurrency over the graph backend rides on the graph.Viewer capability:
 // backends that can mint independent read views (the immutable MemGraph
-// returns itself; the disk store returns per-worker Readers sharing its
-// lock-striped page cache) get one view per worker and queries proceed
-// fully in parallel. Any other Graph implementation is assumed
-// non-concurrent-safe and the pool serializes query execution around it
-// (admission, caching and shedding still apply).
+// returns itself; the disk store returns per-slot Readers sharing its
+// lock-striped page cache) get one view per slot and queries proceed fully
+// in parallel. Any other Graph implementation is assumed
+// non-concurrent-safe and gets one slot (admission, caching and shedding
+// still apply).
 //
-// Each worker owns one core engine workspace, so steady-state queries reuse
+// Each slot owns one core engine workspace, so steady-state queries reuse
 // the engine's slices and indexes instead of rebuilding them per request.
 package qserve
 
@@ -57,10 +58,12 @@ var (
 
 // Config tunes a Pool. The zero value selects sensible defaults.
 type Config struct {
-	// Workers is the number of query workers; 0 selects GOMAXPROCS.
+	// Workers is the number of queries that run at once; 0 selects
+	// GOMAXPROCS. A backend without graph.Viewer runs one at a time.
 	Workers int
-	// QueueDepth bounds the admission queue; 0 selects 4×Workers. Requests
-	// beyond Workers running + QueueDepth waiting are shed.
+	// QueueDepth bounds the callers waiting for a slot; 0 selects
+	// 4×Workers. Requests beyond Workers running + QueueDepth waiting are
+	// shed.
 	QueueDepth int
 	// CacheEntries bounds the result cache, in entries of up to 16 result
 	// rows (a larger answer counts as several); 0 selects
@@ -144,13 +147,16 @@ type Response struct {
 	Epoch uint64
 }
 
-// Pool executes queries on a bounded worker set.
+// Pool executes queries on a bounded set of slots.
 type Pool struct {
-	cfg   Config
-	jobs  chan *job
-	done  chan struct{}
-	wg    sync.WaitGroup
-	close sync.Once
+	cfg Config
+	// slots is the semaphore: a query runs only while it holds one.
+	slots chan *slot
+	// waiting counts the callers blocked for a slot; admission sheds past
+	// cfg.QueueDepth of them.
+	waiting atomic.Int64
+	done    chan struct{}
+	close   sync.Once
 
 	cache *resultCache
 	epoch atomic.Uint64
@@ -166,13 +172,19 @@ type Pool struct {
 	// mutateMu serializes Mutate's apply→invalidate sequence so the cache
 	// walk of batch N completes before batch N+1 starts retiring epoch N.
 	mutateMu sync.Mutex
-	// serialMu is non-nil when the graph backend is not concurrent-safe;
-	// workers hold it for the duration of each search.
-	serialMu *sync.Mutex
 
 	met metrics
 	rec *obs.FlightRecorder
 	slo *obs.SLOTracker
+}
+
+// slot is what one running query owns: a graph view, a warm engine
+// workspace (reset per query, never shared) and, when a recorder is set, a
+// trace sampler (run resets it per query).
+type slot struct {
+	g       graph.Graph
+	ws      *core.Workspace
+	sampler *obs.TraceSampler
 }
 
 type job struct {
@@ -181,7 +193,6 @@ type job struct {
 	req    Request
 	key    cacheKey
 	cached bool // key is valid and the answer should be cached
-	out    chan outcome
 
 	// Live-mode state: the snapshot pinned at admission (the whole query
 	// runs against it) and its epoch.
@@ -190,16 +201,15 @@ type job struct {
 
 	// Span-tracing state, resolved once at prepare: the request's active
 	// trace (nil when untraced — every use below is nil-safe), the span the
-	// pool's spans parent under, its hex trace ID (the flight-record join
-	// key), and the open admission-wait span.
+	// pool's spans parent under, and its hex trace ID (the flight-record
+	// join key).
 	trace   *trace.Active
 	parent  trace.SpanID
 	traceID string
-	queue   *trace.SpanHandle
 }
 
-// discard releases the job's resources without running it: the deadline
-// context (if any) and the pinned snapshot. Safe to call more than once.
+// discard releases the job's resources: the deadline context (if any) and
+// the pinned snapshot. Safe to call more than once.
 func (j *job) discard() {
 	if j.cancel != nil {
 		j.cancel()
@@ -210,18 +220,11 @@ func (j *job) discard() {
 	}
 }
 
-type outcome struct {
-	resp *Response
-	err  error
-}
-
-// New builds a Pool serving queries against g and starts its workers. Call
-// Close to release them.
+// New builds a Pool serving queries against g. Call Close to shut it.
 func New(g graph.Graph, cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
 		cfg:  cfg,
-		jobs: make(chan *job, cfg.QueueDepth),
 		done: make(chan struct{}),
 		rec:  cfg.Recorder,
 		slo:  cfg.SLO,
@@ -234,39 +237,34 @@ func New(g graph.Graph, cfg Config) *Pool {
 		p.epoch.Store(lg.Epoch())
 	}
 
-	views := make([]graph.Graph, cfg.Workers)
-	if v, ok := g.(graph.Viewer); ok {
-		for i := range views {
-			views[i] = v.NewView()
-		}
-	} else {
-		p.serialMu = &sync.Mutex{}
-		for i := range views {
-			views[i] = g
-		}
+	v, concurrent := g.(graph.Viewer)
+	n := 1
+	if concurrent {
+		n = cfg.Workers
 	}
-	p.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go p.worker(views[i])
+	p.slots = make(chan *slot, n)
+	for range n {
+		s := &slot{g: g, ws: core.NewWorkspace()}
+		if concurrent {
+			s.g = v.NewView()
+		}
+		if p.rec != nil {
+			s.sampler = obs.NewTraceSampler(obs.TracePoints)
+		}
+		p.slots <- s
 	}
 	return p
 }
 
-// Close stops the workers. In-flight queries finish; queued and future Do
-// calls return ErrClosed.
+// Close shuts the pool: waiting callers and later Do calls get ErrClosed,
+// and Close returns once every running query has answered its caller.
 func (p *Pool) Close() {
-	p.close.Do(func() { close(p.done) })
-	p.wg.Wait()
-	// Workers are gone; drain abandoned queue entries so their pinned
-	// snapshots are released.
-	for {
-		select {
-		case j := <-p.jobs:
-			j.discard()
-		default:
-			return
+	p.close.Do(func() {
+		close(p.done)
+		for range cap(p.slots) {
+			<-p.slots
 		}
-	}
+	})
 }
 
 // Epoch returns the current graph epoch the result cache is keyed by.
@@ -330,10 +328,12 @@ func (p *Pool) MutateCtx(ctx context.Context, ops []livegraph.EdgeOp) (uint64, e
 	return newEpoch, nil
 }
 
-// Do executes one query, waiting for a worker. It returns ErrOverloaded
-// when the admission queue is full, ErrClosed after Close, and passes
-// through core's typed errors (core.ErrCanceled / core.ErrDeadline wrapped
-// in *core.Interrupted) when ctx — or the pool's Timeout — fires first.
+// Do executes one query on the caller's goroutine, waiting for a slot. It
+// returns ErrOverloaded when every slot is busy and the wait is full,
+// ErrClosed after Close, and passes through core's typed errors
+// (core.ErrCanceled / core.ErrDeadline wrapped in *core.Interrupted) when
+// ctx — or the pool's Timeout — fires first. A panicking search panics
+// here, in the caller, and its slot goes back to the pool.
 func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 	select {
 	case <-p.done:
@@ -346,25 +346,55 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 	if hit != nil {
 		return hit, nil
 	}
+	defer j.discard()
 
-	// The admission-wait span opens before the enqueue attempt and is ended
-	// by the worker at dequeue (or right here on a shed), so it covers the
-	// whole time the request spent waiting rather than computing.
-	j.queue = j.trace.StartSpan(j.parent, "qserve.queue.wait")
-	select {
-	case p.jobs <- j:
-	default:
-		j.queue.SetAttrs(trace.Str("outcome", "shed"), trace.Int("queue_cap", int64(p.cfg.QueueDepth)))
-		j.queue.End()
+	// The admission-wait span covers the whole time the request spent
+	// waiting for a slot rather than computing.
+	wait := j.trace.StartSpan(j.parent, "qserve.queue.wait")
+	s, err := p.acquire()
+	if err == ErrOverloaded {
+		wait.SetAttrs(trace.Str("outcome", "shed"), trace.Int("queue_cap", int64(p.cfg.QueueDepth)))
 		j.trace.Promote("shed")
-		j.discard()
 		p.finish(j, finished{status: "shed", start: start, elapsed: time.Since(start)})
-		return nil, ErrOverloaded
+	}
+	wait.End()
+	if err != nil {
+		return nil, err
 	}
 
+	visited := -1 // stays -1 when the search panics
+	defer func() {
+		// A search that panicked may have left the workspace mid-update, and
+		// one past trimVisited left it holding arrays of that size: either
+		// way the slot starts over with an empty workspace.
+		if visited < 0 || visited > trimVisited {
+			s.ws = core.NewWorkspace()
+		}
+		p.slots <- s
+	}()
+	var resp *Response
+	resp, visited, err = p.run(s, j)
+	return resp, err
+}
+
+// acquire takes a free slot, or waits for one when fewer than QueueDepth
+// callers already wait. A returned slot goes straight to the longest
+// waiter (a Go channel serves blocked receivers in arrival order), so the
+// non-blocking first try cannot overtake them.
+func (p *Pool) acquire() (*slot, error) {
 	select {
-	case o := <-j.out:
-		return o.resp, o.err
+	case s := <-p.slots:
+		return s, nil
+	default:
+	}
+	if p.waiting.Add(1) > int64(p.cfg.QueueDepth) {
+		p.waiting.Add(-1)
+		return nil, ErrOverloaded
+	}
+	defer p.waiting.Add(-1)
+	select {
+	case s := <-p.slots:
+		return s, nil
 	case <-p.done:
 		return nil, ErrClosed
 	}
@@ -379,7 +409,7 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 	if p.rec != nil && req.ID == "" {
 		req.ID = obs.NewRequestID()
 	}
-	j := &job{ctx: ctx, req: req, out: make(chan outcome, 1)}
+	j := &job{ctx: ctx, req: req}
 	j.trace, j.parent = trace.FromContext(ctx)
 	j.traceID = j.trace.TraceIDString()
 	if p.live != nil {
@@ -419,8 +449,8 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 	return j, nil
 }
 
-// QueueDepth returns the number of admitted queries waiting for a worker.
-func (p *Pool) QueueDepth() int { return len(p.jobs) }
+// QueueDepth returns the number of admitted queries waiting for a slot.
+func (p *Pool) QueueDepth() int { return int(p.waiting.Load()) }
 
 // finished is one query's outcome as finish accounts it. Only executed
 // queries carry work counters; a hit or a shed carries just its status and
@@ -448,11 +478,9 @@ func (p *Pool) finish(j *job, f finished) {
 	case "hit":
 		// Hits never enter the executed-latency histograms, so the
 		// per-measure parity is histogram count + hitByMeasure.
-		m.served.Add(1)
 		m.hit.Add(1)
 		m.hitByMeasure[slot].Add(1)
 	default:
-		m.served.Add(1)
 		m.lat.Observe(f.elapsed)
 		m.latByMeasure[slot].Observe(f.elapsed)
 		m.iterations.Add(int64(f.iters))
@@ -465,10 +493,8 @@ func (p *Pool) finish(j *job, f finished) {
 				m.anytimePartial.Add(1)
 			}
 		case "deadline":
-			m.interrupted.Add(1)
 			m.deadline.Add(1)
 		case "canceled":
-			m.interrupted.Add(1)
 			m.canceled.Add(1)
 		default:
 			m.failed.Add(1)
@@ -517,35 +543,11 @@ func (p *Pool) finish(j *job, f finished) {
 	}
 }
 
-func (p *Pool) worker(g graph.Graph) {
-	defer p.wg.Done()
-	// One warm engine workspace per worker: consecutive queries on this
-	// worker reuse all engine state (reset per query, never shared, and
-	// replaced after a search past trimVisited). The
-	// trace sampler is likewise per-worker — run() resets it per query, so
-	// its buffer never crosses workers.
-	ws := core.NewWorkspace()
-	var sampler *obs.TraceSampler
-	if p.rec != nil {
-		sampler = obs.NewTraceSampler(obs.TracePoints)
-	}
-	for {
-		select {
-		case <-p.done:
-			return
-		case j := <-p.jobs:
-			if p.run(g, ws, j, sampler) > trimVisited {
-				ws = core.NewWorkspace()
-			}
-		}
-	}
-}
-
-// trimVisited is the search size past which a worker starts over with an
+// trimVisited is the search size past which a slot starts over with an
 // empty workspace. A workspace keeps its arrays at the size of the largest
 // search it has run, about half a kilobyte per visited node on top of its
 // dense node indexes (8 B per graph node per engine), so one graph-draining
-// query would otherwise hold tens of megabytes per worker for the life of
+// query would otherwise hold tens of megabytes per slot for the life of
 // the process.
 const trimVisited = 1 << 14
 
@@ -585,14 +587,13 @@ type faultObserved interface {
 	SetFaultObserver(func(time.Duration))
 }
 
-// run executes one admitted job in the worker's workspace and returns how
+// run executes one admitted job on slot s and returns its answer and how
 // many nodes the search visited.
-func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.TraceSampler) (visited int) {
-	defer j.discard()
-	j.queue.End() // admission wait ends when a worker picks the job up
+func (p *Pool) run(s *slot, j *job) (*Response, int, error) {
+	g := s.g
 	if j.snap != nil {
 		// Live pool: the whole query runs against the snapshot pinned at
-		// admission, not whatever is current by the time a worker frees up.
+		// admission, not whatever is current by the time a slot frees up.
 		g = j.snap
 	}
 	start := time.Now()
@@ -605,9 +606,9 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 	if opt.Tracer != nil {
 		tracers = append(tracers, opt.Tracer)
 	}
-	if sampler != nil {
-		sampler.Reset()
-		tracers = append(tracers, sampler)
+	if s.sampler != nil {
+		s.sampler.Reset()
+		tracers = append(tracers, s.sampler)
 	}
 	exec := j.trace.StartSpan(j.parent, "qserve.execute",
 		trace.Str("measure", measureLabels[metricsSlot(j.req)]),
@@ -621,12 +622,13 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		tracers = append(tracers, accum)
 		if fo, ok := g.(faultObserved); ok {
 			// Attribute cold-path disk stalls to this query's trace. The
-			// worker owns this view exclusively, and the observer is cleared
-			// below before the job completes.
+			// slot owns this view exclusively, and the observer is cleared
+			// before the slot is returned, even when the search panics.
 			fo.SetFaultObserver(func(d time.Duration) {
 				faults++
 				faultNS += int64(d)
 			})
+			defer fo.SetFaultObserver(nil)
 		}
 	}
 	switch len(tracers) {
@@ -640,23 +642,12 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 		resp = &Response{Epoch: j.epoch}
 		err  error
 	)
-	if p.serialMu != nil {
-		p.serialMu.Lock()
-	}
 	if j.req.Unified {
-		resp.Unified, err = ws.Unified(j.ctx, g, j.req.Query, opt)
+		resp.Unified, err = s.ws.Unified(j.ctx, g, j.req.Query, opt)
 	} else {
-		resp.TopK, err = ws.TopK(j.ctx, g, j.req.Query, opt)
+		resp.TopK, err = s.ws.TopK(j.ctx, g, j.req.Query, opt)
 	}
-	if p.serialMu != nil {
-		p.serialMu.Unlock()
-	}
-	if j.trace != nil {
-		if fo, ok := g.(faultObserved); ok {
-			fo.SetFaultObserver(nil)
-		}
-	}
-	f := finished{status: "ok", start: start, elapsed: time.Since(start), sampler: sampler}
+	f := finished{status: "ok", start: start, elapsed: time.Since(start), sampler: s.sampler}
 	if err != nil {
 		f.status = "failed"
 		var in *core.Interrupted
@@ -728,8 +719,7 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 	}
 	p.finish(j, f)
 	if err != nil {
-		j.out <- outcome{err: err}
-		return f.visited
+		return nil, f.visited, err
 	}
 	if p.cache != nil && j.cached && !f.partial {
 		// Results are immutable once returned; the cache shares them. An
@@ -744,8 +734,7 @@ func (p *Pool) run(g graph.Graph, ws *core.Workspace, j *job, sampler *obs.Trace
 			p.cache.put(j.key, resp)
 		}
 	}
-	j.out <- outcome{resp: resp}
-	return f.visited
+	return resp, f.visited, nil
 }
 
 // footprintOf assembles the cache-entry invalidation state from a completed
@@ -771,9 +760,9 @@ func footprintOf(req Request, resp *Response) (fp []graph.NodeID, guard float64,
 // Metrics returns a counters snapshot; see the Metrics type.
 func (p *Pool) Metrics() Metrics {
 	m := p.met.snapshot()
-	m.Workers = p.cfg.Workers
+	m.Workers = cap(p.slots)
 	m.QueueCap = p.cfg.QueueDepth
-	m.QueueDepth = len(p.jobs)
+	m.QueueDepth = p.QueueDepth()
 	m.Epoch = p.epoch.Load()
 	if p.cache != nil {
 		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheEntries = p.cache.counters()

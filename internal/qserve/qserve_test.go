@@ -15,6 +15,7 @@ import (
 	"flos/internal/graph"
 	"flos/internal/livegraph"
 	"flos/internal/measure"
+	"flos/internal/obs"
 )
 
 func buildStore(t *testing.T, g *graph.MemGraph, pageSize int, cacheBytes int64) *diskgraph.Store {
@@ -290,6 +291,119 @@ func TestClosedPool(t *testing.T) {
 	pool.Close()
 	if _, err := pool.Do(context.Background(), Request{Query: 0, Opt: core.DefaultOptions(measure.PHP, 3)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseLetsRunningQueriesAnswer holds one query inside its search and
+// one waiting for the pool's only slot, then closes the pool: the waiting
+// caller gets ErrClosed at once, Close waits, and the running query answers
+// its caller and is accounted ok exactly once.
+func TestCloseLetsRunningQueriesAnswer(t *testing.T) {
+	g := diagGraph(t)
+	gg := &gateGraph{base: g, gate: make(chan struct{}), entered: make(chan struct{}, 16)}
+	rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 8, SlowLatency: -1})
+	pool := New(gg, Config{Workers: 1, QueueDepth: 1, CacheEntries: -1, Recorder: rec})
+
+	type result struct {
+		resp *Response
+		err  error
+	}
+	req := Request{Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}
+	do := func(out chan<- result) {
+		resp, err := pool.Do(context.Background(), req)
+		out <- result{resp, err}
+	}
+	held, waiting := make(chan result, 1), make(chan result, 1)
+	go do(held)
+	<-gg.entered
+	go do(waiting)
+	for pool.QueueDepth() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() { pool.Close(); close(closed) }()
+	if r := <-waiting; !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("waiting query: err = %v, want ErrClosed", r.err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a query was running")
+	default:
+	}
+	close(gg.gate)
+	r := <-held
+	if r.err != nil {
+		t.Fatalf("running query: err = %v, want its answer", r.err)
+	}
+	<-closed
+	want, err := core.TopK(g, req.Query, req.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.resp.TopK, want) {
+		t.Errorf("running query answered %+v, want %+v", r.resp.TopK, want)
+	}
+	if m := pool.Metrics(); m.OK != 1 || m.Served != 1 {
+		t.Errorf("OK = %d, Served = %d, want 1 and 1", m.OK, m.Served)
+	}
+	if last := rec.Last(8); len(last) != 1 || last[0].Outcome != "ok" {
+		t.Errorf("flight records = %+v, want one ok", last)
+	}
+	if _, err := pool.Do(context.Background(), req); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// panicGraph panics on the n-th Neighbors read after it is armed, once: a
+// search that dies mid-expansion, as on a failed disk row read. It is not a
+// graph.Viewer, so a pool over it has one slot.
+type panicGraph struct {
+	graph.Graph
+	left int // reads until the panic; 0 is disarmed
+}
+
+func (g *panicGraph) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
+	if g.left > 0 {
+		if g.left--; g.left == 0 {
+			panic("panicGraph: row read failed")
+		}
+	}
+	return g.Graph.Neighbors(v)
+}
+
+// TestPanickingSearchCostsOneQuery: a search that panics panics in Do's
+// caller, and the pool's one slot comes back with a workspace that answers
+// the next queries exactly like a fresh search.
+func TestPanickingSearchCostsOneQuery(t *testing.T) {
+	g := diagGraph(t)
+	pg := &panicGraph{Graph: g}
+	pool := New(pg, Config{Workers: 1, CacheEntries: -1})
+	defer pool.Close()
+
+	x := Request{Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}
+	pg.left = 10
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Do(x) did not panic")
+			}
+		}()
+		_, _ = pool.Do(context.Background(), x)
+	}()
+	for _, q := range []graph.NodeID{200, 100} {
+		req := Request{Query: q, Opt: x.Opt}
+		resp, err := pool.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("Do(%d) after the panic: %v", q, err)
+		}
+		want, err := core.TopK(g, q, req.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.TopK, want) {
+			t.Errorf("Do(%d) after the panic = %+v, want %+v", q, resp.TopK, want)
+		}
 	}
 }
 

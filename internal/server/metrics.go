@@ -114,11 +114,11 @@ var metricTable = []metricRow{
 		func(c *scrape) float64 { return float64(c.m.P50Micros) }},
 	{"", "latency_p99_us", "", nil, "", gauge,
 		func(c *scrape) float64 { return float64(c.m.P99Micros) }},
-	{"", "queue_depth", "flos_queue_depth", nil, "Admitted queries waiting for a worker.", gauge,
+	{"", "queue_depth", "flos_queue_depth", nil, "Admitted queries waiting for a slot.", gauge,
 		func(c *scrape) float64 { return float64(c.m.QueueDepth) }},
 	{"", "queue_cap", "flos_queue_capacity", nil, "Admission queue bound.", gauge,
 		func(c *scrape) float64 { return float64(c.m.QueueCap) }},
-	{"", "workers", "flos_workers", nil, "Query worker count.", gauge,
+	{"", "workers", "flos_workers", nil, "Queries that run at once (pool slots).", gauge,
 		func(c *scrape) float64 { return float64(c.m.Workers) }},
 	{"", "cache_hits", "flos_result_cache_hits_total", nil, "Result-cache hits.", counter,
 		func(c *scrape) float64 { return float64(c.m.CacheHits) }},

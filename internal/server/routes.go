@@ -67,12 +67,16 @@
 // response always echoes a traceparent header carrying the trace ID and the
 // boundary span, and the access record carries the trace ID as the join key
 // into /debug/flos/traces, the slow-query log, and latency exemplars.
-// Query execution is delegated to internal/qserve: a bounded worker pool
-// answers queries concurrently on every backend (disk-resident stores
-// included — their page cache is lock-striped and each worker holds its own
-// reader view), requests beyond the admission queue are shed with
+// Query execution is delegated to internal/qserve: each query runs on its
+// handler's goroutine while it holds one of the pool's slots, so queries
+// run concurrently on every backend (disk-resident stores included — their
+// page cache is lock-striped and each slot holds its own reader view),
+// requests beyond the slots and the admission wait are shed with
 // 429 + Retry-After, and each query runs under the pool's deadline as well
-// as the client's connection context.
+// as the client's connection context. A single query whose search panics
+// fails only its own request: net/http recovers the handler's panic and the
+// slot goes back to the pool. A batch member runs on a goroutine doBatch
+// starts, where a panic still ends the process.
 package server
 
 import (
@@ -131,10 +135,10 @@ type Server struct {
 
 // Config tunes the server.
 type Config struct {
-	// Workers is the query worker count (0 = GOMAXPROCS).
+	// Workers is the number of queries that run at once (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue (0 = 4×Workers); requests over
-	// the bound receive 429 with a Retry-After header.
+	// QueueDepth bounds the queries waiting to run (0 = 4×Workers); requests
+	// over the bound receive 429 with a Retry-After header.
 	QueueDepth int
 	// CacheEntries bounds the result cache, in entries of up to 16 result
 	// rows (0 = 1024, negative disables).
@@ -179,7 +183,7 @@ type Config struct {
 	CacheLens *cachelens.Lens
 }
 
-// New builds a Server for g and starts its worker pool; Close releases it.
+// New builds a Server for g and its query pool; Close shuts the pool.
 func New(g graph.Graph, cfg Config) *Server {
 	s := &Server{g: g, defaults: cfg.Defaults, maxK: cfg.MaxK, maxBatch: cfg.MaxBatch, log: cfg.Logger}
 	if s.log == nil {
@@ -251,7 +255,8 @@ type route struct {
 // Pool exposes the serving pool (mutations, metrics).
 func (s *Server) Pool() *qserve.Pool { return s.pool }
 
-// Close stops the worker pool.
+// Close shuts the query pool: waiting queries get ErrClosed (503), and
+// Close returns once the running ones have answered.
 func (s *Server) Close() { s.pool.Close() }
 
 // Handler returns the HTTP routing table wrapped in the observability

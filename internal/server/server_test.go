@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -537,5 +539,59 @@ func TestSingleWorker(t *testing.T) {
 	}
 	if len(body.Results) != 3 {
 		t.Fatalf("results %d", len(body.Results))
+	}
+}
+
+// panicGraph panics on the n-th Neighbors read after it is armed, once: a
+// search that dies mid-expansion, as on a failed disk row read.
+type panicGraph struct {
+	graph.Graph
+	left atomic.Int32 // reads until the panic; 0 is disarmed
+}
+
+func (g *panicGraph) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
+	if g.left.Load() > 0 && g.left.Add(-1) == 0 {
+		panic("panicGraph: row read failed")
+	}
+	return g.Graph.Neighbors(v)
+}
+
+// TestPanickingSearchCostsOneRequest: a search that panics fails its own
+// request at the connection (net/http recovers a handler's panic), and the
+// server keeps answering on the same slot, exactly.
+func TestPanickingSearchCostsOneRequest(t *testing.T) {
+	g := testGraph(t)
+	pg := &panicGraph{Graph: g}
+	srv := New(pg, Config{Workers: 1, CacheEntries: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	pg.left.Store(10)
+	if resp, err := http.Get(ts.URL + "/v1/topk?q=100&k=5"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking request answered %d, want a failed connection", resp.StatusCode)
+	}
+	var body v1TopKBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=200&k=5", &body); code != http.StatusOK {
+		t.Fatalf("next request: code %d, want 200", code)
+	}
+	opt, _, err := srv.options(queryParams{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.TopK(g, 200, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Results) != len(want.TopK) || body.Visited != want.Visited || body.Iterations != want.Iterations {
+		t.Fatalf("next request: %+v, want %+v", body, want)
+	}
+	for i, rk := range want.TopK {
+		if body.Results[i] != (rankedBody{Node: rk.Node, Score: rk.Score}) {
+			t.Errorf("result %d = %+v, want %+v", i, body.Results[i], rk)
+		}
 	}
 }

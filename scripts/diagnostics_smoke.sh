@@ -20,7 +20,8 @@
 # flos_result_cache_* lens gauges land in /metrics. A second, short leg
 # serves the same graph from a disk store and reads the page cache over
 # HTTP: its counters render once, without a shard label, in both /metrics
-# formats, and /debug/flos/cache gains the page_cache plane.
+# formats, and /debug/flos/cache gains the page_cache plane. Each leg ends
+# with SIGTERM, and flosd must drain and exit 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +64,14 @@ echo "== boot flosd with the diagnostics plane on =="
   -trace-sample 0 \
   -log-level warn &
 FLOSD_PID=$!
+# stop_flosd sends SIGTERM and requires a clean drain: flosd exits 0.
+stop_flosd() {
+  kill "$FLOSD_PID"
+  local status=0
+  wait "$FLOSD_PID" || status=$?
+  FLOSD_PID=""
+  [ "$status" -eq 0 ] || fail "flosd exited $status after SIGTERM, want 0"
+}
 wait_up() {
   for _ in $(seq 1 50); do
     if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -191,9 +200,7 @@ grep -q "convergence trace:" "$WORK/replay.txt" ||
 grep -Eq '^\s+[0-9]+\s+[0-9]+' "$WORK/replay.txt" || fail "replay table has no iteration rows"
 grep -q " yes " "$WORK/replay.txt" || fail "replayed trajectory has no certified row"
 
-kill "$FLOSD_PID"
-wait "$FLOSD_PID" 2>/dev/null || true
-FLOSD_PID=""
+stop_flosd
 
 echo "== disk store: the page cache over HTTP =="
 # A 1 MiB page budget is far smaller than the store, so the queries below
@@ -219,8 +226,6 @@ if grep -q '"per_shard"' "$WORK/store.json"; then
 fi
 curl -fsS "$BASE/debug/flos/cache" | grep -q '"page_cache":{' || fail "/debug/flos/cache has no page_cache plane on a store"
 
-kill "$FLOSD_PID"
-wait "$FLOSD_PID" 2>/dev/null || true
-FLOSD_PID=""
+stop_flosd
 
 echo "diagnostics smoke: OK"
