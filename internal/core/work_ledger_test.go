@@ -34,16 +34,25 @@ type ledgerRow struct {
 	Visited     int    `json:"visited"`
 	Iterations  int    `json:"iterations"`
 	Relaxations int    `json:"relaxations"`
+	// Epsilon is the ModeEpsilon budget; 0 (omitted) is an exact search.
+	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
 func TestWorkLedger(t *testing.T) {
 	var got []ledgerRow
-	record := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int) {
-		res, err := TopKCtx(context.Background(), g, q, DefaultOptions(kind, k))
+	recordEps := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int, eps float64) {
+		opt := DefaultOptions(kind, k)
+		if eps > 0 {
+			opt.Mode, opt.Epsilon = ModeEpsilon, eps
+		}
+		res, err := TopKCtx(context.Background(), g, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, ledgerRow{name, seed, k, kind.String(), q, res.Visited, res.Iterations, res.Sweeps})
+		got = append(got, ledgerRow{name, seed, k, kind.String(), q, res.Visited, res.Iterations, res.Sweeps, eps})
+	}
+	record := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int) {
+		recordEps(name, seed, g, kind, q, k, 0)
 	}
 
 	// Short searches on a mid-size community graph, every measure.
@@ -87,6 +96,24 @@ func TestWorkLedger(t *testing.T) {
 		if n < 11 && served.NumNeighbors(graph.NodeID(v)) > 0 { // requests 4, 5 and 10
 			if cycle[n/2%3] == measure.THT {
 				record("community(50000,250000)", 7, served, measure.THT, graph.NodeID(v), 10)
+			}
+			n++
+		}
+	}
+
+	// The disk-eps-paged shape of go run ./bench at a fifth of its size:
+	// ε = 1e-3 PHP and RWR top-10 on a structureless graph of the same mean
+	// degree (20), the first eight non-isolated nodes of a seeded
+	// permutation.
+	eps, err := gen.Erdos(20000, 200000, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = 0
+	for _, v := range rand.New(rand.NewSource(1)).Perm(eps.NumNodes()) {
+		if n < 8 && eps.NumNeighbors(graph.NodeID(v)) > 0 {
+			for _, kind := range []measure.Kind{measure.PHP, measure.RWR} {
+				recordEps("erdos(20000,200000)", 13, eps, kind, graph.NodeID(v), 10, 1e-3)
 			}
 			n++
 		}
