@@ -2,7 +2,6 @@ package flos
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - self-loop bound tightening (§5.3): on vs off;
 //   - solver tolerance τ: the α-vs-β tradeoff in the paper's O(α·h²·β²);
 //   - no-precompute queries on a mutating graph: FLoS on a LiveGraph
 //     snapshot vs K-dash, which must re-factor after any edge change (§1's
@@ -25,34 +24,6 @@ func ablationGraph(b *testing.B) (*MemGraph, []NodeID) {
 	ds := harness.RealStandIns(1.0 / 32)[0] // AZ-shaped
 	e := benchGraph(b, ds)
 	return e.g, e.queries
-}
-
-// BenchmarkAblationTightening quantifies §5.3: tighter bounds should shrink
-// the visited set per query at a small per-node cost (extra Degree probes).
-func BenchmarkAblationTightening(b *testing.B) {
-	g, queries := ablationGraph(b)
-	for _, tighten := range []bool{false, true} {
-		tighten := tighten
-		name := "plain"
-		if tighten {
-			name = "tightened"
-		}
-		b.Run(name, func(b *testing.B) {
-			visited, probes := 0.0, 0.0
-			for i := 0; i < b.N; i++ {
-				opt := DefaultOptions(PHP, 20)
-				opt.Tighten = tighten
-				res, err := TopK(g, queries[i%len(queries)], opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				visited += float64(res.Visited)
-				probes += float64(res.DegreeProbes)
-			}
-			b.ReportMetric(visited/float64(b.N), "visited/op")
-			b.ReportMetric(probes/float64(b.N), "degprobes/op")
-		})
-	}
 }
 
 // BenchmarkAblationTau sweeps the Algorithm 7 tolerance: looser τ means

@@ -46,7 +46,6 @@ func main() {
 		c         = flag.Float64("c", 0.5, "decay factor / restart probability")
 		horizon   = flag.Int("L", 10, "THT horizon")
 		tau       = flag.Float64("tau", 1e-5, "iteration tolerance")
-		tighten   = flag.Bool("tighten", true, "enable self-loop bound tightening")
 		trace     = flag.Bool("trace", false, "print the per-iteration convergence table")
 		unified   = flag.Bool("unified", false, "answer both PHP-family and RWR rankings in one search")
 		certify   = flag.Bool("certify", false, "audit the result against a full global-iteration solve")
@@ -99,7 +98,6 @@ func main() {
 	opt.Params.C = *c
 	opt.Params.L = *horizon
 	opt.Params.Tau = *tau
-	opt.Tighten = *tighten
 	var tc *flos.TraceCollector
 	if *trace {
 		tc = &flos.TraceCollector{}

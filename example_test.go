@@ -26,7 +26,8 @@ func ExampleTopK() {
 }
 
 // ExampleTopK_trace replays the paper's Table 3: which nodes each local
-// expansion visits under PHP with c = 0.8.
+// expansion visits under PHP with c = 0.8. The shell bound certifies the
+// top-2 after the third expansion, one before the paper's trace.
 func ExampleTopK_trace() {
 	g := flos.MustPaperExample()
 	sc := &flos.SnapshotCollector{}
@@ -51,7 +52,6 @@ func ExampleTopK_trace() {
 	// iteration 1 visits: 2 3
 	// iteration 2 visits: 4
 	// iteration 3 visits: 5
-	// iteration 4 visits: 6 7
 }
 
 // ExampleUnifiedTopK certifies the PHP-family and RWR rankings with one

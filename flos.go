@@ -134,7 +134,7 @@ type Certification = core.Certification
 type NodeBounds = core.NodeBounds
 
 // DefaultOptions mirrors the paper's experimental configuration
-// (c = 0.5, τ = 1e−5, L = 10, self-loop tightening on).
+// (c = 0.5, τ = 1e−5, L = 10).
 func DefaultOptions(m Measure, k int) Options { return core.DefaultOptions(m, k) }
 
 // DefaultParams returns the paper's numeric defaults.

@@ -43,7 +43,7 @@ func TestExactCertificationWellFormed(t *testing.T) {
 	for _, gc := range goldenGraphs(t) {
 		for _, kind := range measure.Kinds() {
 			for _, q := range goldenQueries(gc.g.NumNodes()) {
-				opt := goldenOptions(kind, true)
+				opt := goldenOptions(kind)
 				res, err := TopK(gc.g, q, opt)
 				if err != nil {
 					t.Fatalf("%s/%v/q%d: %v", gc.name, kind, q, err)
@@ -111,7 +111,7 @@ func TestCertificationGapMonotone(t *testing.T) {
 	for _, gc := range goldenGraphs(t) {
 		for _, kind := range measure.Kinds() {
 			for _, q := range goldenQueries(gc.g.NumNodes()) {
-				opt := goldenOptions(kind, true)
+				opt := goldenOptions(kind)
 				tc := &TraceCollector{}
 				opt.Tracer = tc
 				if _, err := TopK(gc.g, q, opt); err != nil {
@@ -150,7 +150,7 @@ func TestEpsilonModeCertification(t *testing.T) {
 			eps := certEps(kind)
 			for _, q := range goldenQueries(gc.g.NumNodes()) {
 				label := fmt.Sprintf("%s/%v/q%d", gc.name, kind, q)
-				exOpt := goldenOptions(kind, true)
+				exOpt := goldenOptions(kind)
 				exact, err := TopK(gc.g, q, exOpt)
 				if err != nil {
 					t.Fatalf("%s: exact: %v", label, err)
@@ -239,7 +239,7 @@ func TestAnytimeModeInterruption(t *testing.T) {
 		// Anytime: cancel after 2 iterations — early enough that no measure's
 		// search can have terminated — and expect a 200-shaped result.
 		ctx, cancel := context.WithCancel(context.Background())
-		opt := goldenOptions(kind, true)
+		opt := goldenOptions(kind)
 		opt.Mode = ModeAnytime
 		opt.Tracer = &cancelTracer{n: 2, cancel: cancel}
 		res, err := TopKCtx(ctx, g, q, opt)
@@ -268,7 +268,7 @@ func TestAnytimeModeInterruption(t *testing.T) {
 		// Exact mode under the same interruption: *Interrupted with the
 		// partial attached, not a silent loss.
 		ctx2, cancel2 := context.WithCancel(context.Background())
-		opt2 := goldenOptions(kind, true)
+		opt2 := goldenOptions(kind)
 		opt2.Tracer = &cancelTracer{n: 2, cancel: cancel2}
 		_, err = TopKCtx(ctx2, g, q, opt2)
 		cancel2()
@@ -297,7 +297,7 @@ func TestAnytimeModeInterruption(t *testing.T) {
 // block reports honestly which it was.
 func TestAnytimeModeDeadline(t *testing.T) {
 	g := randomConnected(t, 3000, 9000, 9)
-	opt := goldenOptions(measure.RWR, true)
+	opt := goldenOptions(measure.RWR)
 	opt.Mode = ModeAnytime
 
 	// Already-expired deadline: the search must still answer without error.
@@ -325,7 +325,7 @@ func TestAnytimeModeDeadline(t *testing.T) {
 		t.Fatalf("uninterrupted anytime run not certified exact (certified=%v exact=%v)",
 			res2.Certification.Certified, res2.Exact)
 	}
-	exOpt := goldenOptions(measure.RWR, true)
+	exOpt := goldenOptions(measure.RWR)
 	exact, err := TopK(g, 17, exOpt)
 	if err != nil {
 		t.Fatal(err)

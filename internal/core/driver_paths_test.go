@@ -142,7 +142,7 @@ func captureDriverPaths(t *testing.T) []pathRecord {
 				}
 			}
 			for _, p := range driverPaths {
-				opt := goldenOptions(kind, true)
+				opt := goldenOptions(kind)
 				opt.CaptureFootprint = true
 				p.apply(&opt, kind)
 				ctx, cancel := context.WithCancel(context.Background())

@@ -1,7 +1,7 @@
 package core
 
 // White-box tests of the bound-engine internals: visited-set bookkeeping,
-// transition wiring, tightening terms, dummy-node management, the worklist
+// transition wiring, dummy-node management, the worklist
 // solver, and the THT engine's distance maintenance.
 
 import (
@@ -14,9 +14,9 @@ import (
 	"flos/internal/measure"
 )
 
-func newTestEngine(t *testing.T, g graph.Graph, q graph.NodeID, c float64, tighten bool) *phpEngine {
+func newTestEngine(t *testing.T, g graph.Graph, q graph.NodeID, c float64) *phpEngine {
 	t.Helper()
-	return NewWorkspace().phpFor(g, q, measure.Params{C: c, Tau: 1e-12, MaxIter: 100000}, Options{Tighten: tighten})
+	return NewWorkspace().phpFor(g, q, measure.Params{C: c, Tau: 1e-12, MaxIter: 100000}, Options{})
 }
 
 // rowAt returns the transition entry of local row i toward j (summed over
@@ -33,7 +33,7 @@ func rowAt(s *localSearch, i, j int32) float64 {
 
 func TestEngineVisitBookkeeping(t *testing.T) {
 	g := gen.PaperExample()
-	e := newTestEngine(t, g, 0, 0.8, false)
+	e := newTestEngine(t, g, 0, 0.8)
 	// After construction S = {q}.
 	if e.size() != 1 || e.nodes[0] != 0 {
 		t.Fatalf("initial S wrong: %v", e.nodes)
@@ -75,7 +75,7 @@ func TestEngineVisitBookkeeping(t *testing.T) {
 func TestEngineLowerBoundMatchesDeletedSystem(t *testing.T) {
 	g := gen.PaperExample()
 	c := 0.8
-	e := newTestEngine(t, g, 0, c, false)
+	e := newTestEngine(t, g, 0, c)
 	expand(e, 0, nil) // S = {1,2,3} (paper numbering)
 	l1, _ := e.local.get(1)
 	expand(e, l1, nil) // + node 4
@@ -107,7 +107,7 @@ func TestEngineLowerBoundMatchesDeletedSystem(t *testing.T) {
 func TestEngineUpperBoundMatchesDummySystem(t *testing.T) {
 	g := gen.PaperExample()
 	c := 0.8
-	e := newTestEngine(t, g, 0, c, false)
+	e := newTestEngine(t, g, 0, c)
 	e.updateDummy()
 	expand(e, 0, nil)
 	e.solve()
@@ -134,49 +134,11 @@ func TestEngineUpperBoundMatchesDummySystem(t *testing.T) {
 	}
 }
 
-// TestEngineTighteningTerms checks the §5.3 self-loop and dummy entries on
-// the paper's Figure 3/6 configuration: S = {1,2,3,4}, boundary {3,4}.
-func TestEngineTighteningTerms(t *testing.T) {
-	g := gen.PaperExample()
-	c := 0.8
-	e := newTestEngine(t, g, 0, c, true)
-	expand(e, 0, nil) // adds 2,3 (paper)
-	l1, _ := e.local.get(1)
-	expand(e, l1, nil) // expanding paper-2 adds paper-4; visits keep the entries
-
-	// Paper node 3 (local of id 2): one outside neighbor, node 5 (degree 2).
-	// selfLoop = c·p(3→5)·p(5→3) = c·(1/3)·(1/2); dummy = c·(1/3)·(1/2).
-	l3, _ := e.local.get(2)
-	wantSelf := c * (1.0 / 3) * 0.5
-	if got := e.selfEntry(l3); math.Abs(got-wantSelf) > 1e-12 {
-		t.Fatalf("selfLoop(3) = %g, want %g", got, wantSelf)
-	}
-	if got := e.dummyEntry(l3); math.Abs(got-wantSelf) > 1e-12 {
-		t.Fatalf("dummyTight(3) = %g, want %g", got, wantSelf)
-	}
-	// Paper node 4 (id 3): outside neighbors 6 (deg 2) and 7 (deg 2), each
-	// p(4→·) = 1/4: selfLoop = c·2·(1/4)(1/2) = c/4, dummy = c·2·(1/4)(1/2).
-	l4, _ := e.local.get(3)
-	want4 := c * 2 * 0.25 * 0.5
-	if got := e.selfEntry(l4); math.Abs(got-want4) > 1e-12 {
-		t.Fatalf("selfLoop(4) = %g, want %g", got, want4)
-	}
-	// Interior nodes carry no tightening terms.
-	l1Post, _ := e.local.get(1)
-	if e.selfEntry(l1Post) != 0 || e.dummyEntry(l1Post) != 0 {
-		t.Fatal("interior node has tightening terms")
-	}
-	// The query never carries them either.
-	if e.selfEntry(0) != 0 || e.dummyEntry(0) != 0 {
-		t.Fatal("query has tightening terms")
-	}
-}
-
 // TestEngineDummyMonotone: rd never increases, and committing requires a
 // drop beyond τ/16.
 func TestEngineDummyMonotone(t *testing.T) {
 	g := gen.PaperExample()
-	e := newTestEngine(t, g, 0, 0.8, false)
+	e := newTestEngine(t, g, 0, 0.8)
 	if e.rd != 1 {
 		t.Fatalf("initial rd = %g", e.rd)
 	}
@@ -205,8 +167,8 @@ func TestEngineDummyMonotone(t *testing.T) {
 // nodes in priority order without duplicates.
 func TestEnginePickExpansionBatch(t *testing.T) {
 	g := gen.Star(8)
-	e := newTestEngine(t, g, 1, 0.5, false) // query = a leaf
-	expand(e, 0, nil)                       // visit the center, exposing 7 leaves... via expansion of q
+	e := newTestEngine(t, g, 1, 0.5) // query = a leaf
+	expand(e, 0, nil)                // visit the center, exposing 7 leaves... via expansion of q
 	// Expand q (local 0) first: adds center.
 	// (constructor already visited q; local 0 = q)
 	e.solve()

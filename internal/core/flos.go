@@ -44,10 +44,10 @@ func (e *phpEngine) keys(kind measure.Kind) keyView {
 }
 
 // outside is the RWR guard of Section 5.6: an unvisited node's key is at
-// most w(S̄)·max_{i∈δS} ub_i, with w(S̄) read off the degree index (one
-// degree probe per read). For PHP, EI and DHT the boundary's upper bounds
-// already cover S̄ (no local optimum), and with the boundary exhausted
-// nothing is unvisited.
+// most w(S̄)·r_d, with w(S̄) read off the degree index (one degree probe per
+// read) and r_d ≥ every unvisited PHP. For PHP, EI and DHT the boundary's
+// upper bounds already cover S̄ (no local optimum), and with the boundary
+// exhausted nothing is unvisited.
 func (e *phpEngine) outside(kind measure.Kind) float64 {
 	if kind != measure.RWR {
 		return math.Inf(-1)
@@ -58,13 +58,7 @@ func (e *phpEngine) outside(kind measure.Kind) float64 {
 	if e.bLive == 0 {
 		return math.Inf(-1)
 	}
-	maxUB := 0.0
-	for _, i := range e.bList {
-		if ub := e.ubAt(i); e.outCnt[i] > 0 && ub > maxUB {
-			maxUB = ub
-		}
-	}
-	return w * maxUB
+	return w * e.rd
 }
 
 // ranking converts a goal's selection into its measure's displayed scores —

@@ -47,7 +47,6 @@ type goldenEntry struct {
 	Graph   string `json:"graph"`
 	Measure string `json:"measure"`
 	Query   int32  `json:"query"`
-	Tighten bool   `json:"tighten"`
 	goldenRanking
 	Exact bool `json:"exact"`
 }
@@ -99,11 +98,7 @@ func goldenQueries(n int) []graph.NodeID {
 	return out
 }
 
-func goldenOptions(kind measure.Kind, tighten bool) Options {
-	opt := testOptions(kind, 8)
-	opt.Tighten = tighten
-	return opt
-}
+func goldenOptions(kind measure.Kind) Options { return testOptions(kind, 8) }
 
 func rankedBits(rs []measure.Ranked) ([]int32, []uint64) {
 	nodes := make([]int32, len(rs))
@@ -142,21 +137,16 @@ func captureGolden(t *testing.T) goldenFile {
 	for _, gc := range goldenGraphs(t) {
 		for _, q := range goldenQueries(gc.g.NumNodes()) {
 			for _, kind := range measure.Kinds() {
-				for _, tighten := range []bool{true, false} {
-					if kind == measure.THT && !tighten {
-						continue // THT ignores tightening; avoid duplicate rows
-					}
-					res, err := TopKCtx(context.Background(), gc.g, q, goldenOptions(kind, tighten))
-					if err != nil {
-						t.Fatalf("%s/%v/q=%d: %v", gc.name, kind, q, err)
-					}
-					gf.TopK = append(gf.TopK, goldenEntry{
-						Graph: gc.name, Measure: kind.String(), Query: q, Tighten: tighten,
-						goldenRanking: rankingOf(res.TopK, res.Certification), Exact: res.Exact,
-					})
+				res, err := TopKCtx(context.Background(), gc.g, q, goldenOptions(kind))
+				if err != nil {
+					t.Fatalf("%s/%v/q=%d: %v", gc.name, kind, q, err)
 				}
+				gf.TopK = append(gf.TopK, goldenEntry{
+					Graph: gc.name, Measure: kind.String(), Query: q,
+					goldenRanking: rankingOf(res.TopK, res.Certification), Exact: res.Exact,
+				})
 			}
-			ur, err := UnifiedTopKCtx(context.Background(), gc.g, q, goldenOptions(measure.PHP, true))
+			ur, err := UnifiedTopKCtx(context.Background(), gc.g, q, goldenOptions(measure.PHP))
 			if err != nil {
 				t.Fatalf("%s/unified/q=%d: %v", gc.name, q, err)
 			}
@@ -181,7 +171,7 @@ func requireSameAnswers(t *testing.T, old, next goldenFile) {
 		if measure.SameSet(was, now) {
 			return
 		}
-		opt := goldenOptions(kind, true)
+		opt := goldenOptions(kind)
 		oracle := exactScores(t, graphs[graphName], q, kind, opt.Params)
 		if !measure.SameSetModuloTies(now, oracle, q, opt.K, kind.HigherIsCloser(), 1e-7) {
 			t.Fatalf("%s: refusing to update: top-k set changed beyond a tie\ncommitted %v\nnew       %v", label, was, now)
@@ -190,16 +180,16 @@ func requireSameAnswers(t *testing.T, old, next goldenFile) {
 	type topkID struct {
 		graph, measure string
 		query          int32
-		tighten        bool
 	}
-	oldTopK := map[topkID][]int32{}
+	oldTopK := map[topkID][][]int32{}
 	for _, e := range old.TopK {
-		oldTopK[topkID{e.Graph, e.Measure, e.Query, e.Tighten}] = e.Nodes
+		id := topkID{e.Graph, e.Measure, e.Query}
+		oldTopK[id] = append(oldTopK[id], e.Nodes)
 	}
 	for _, e := range next.TopK {
-		if was, ok := oldTopK[topkID{e.Graph, e.Measure, e.Query, e.Tighten}]; ok {
-			kind, _ := kindByName(e.Measure)
-			sameSet(fmt.Sprintf("%s/%s/q=%d/tighten=%v", e.Graph, e.Measure, e.Query, e.Tighten), e.Graph, e.Query, kind, was, e.Nodes)
+		kind, _ := kindByName(e.Measure)
+		for _, was := range oldTopK[topkID{e.Graph, e.Measure, e.Query}] {
+			sameSet(fmt.Sprintf("%s/%s/q=%d", e.Graph, e.Measure, e.Query), e.Graph, e.Query, kind, was, e.Nodes)
 		}
 	}
 	for _, u := range next.Unified {
@@ -295,8 +285,8 @@ func TestGoldenEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden names unknown measure %q", want.Measure)
 		}
-		opt := goldenOptions(kind, want.Tighten)
-		label := fmt.Sprintf("%s/%s/q=%d/tighten=%v", want.Graph, want.Measure, want.Query, want.Tighten)
+		opt := goldenOptions(kind)
+		label := fmt.Sprintf("%s/%s/q=%d", want.Graph, want.Measure, want.Query)
 		// With the span-tracing observation hook attached, neither results
 		// nor schedule may move by a bit — the tracer observes, never steers.
 		topt := opt
@@ -331,7 +321,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 
 	for _, want := range gf.Unified {
-		opt := goldenOptions(measure.PHP, true)
+		opt := goldenOptions(measure.PHP)
 		label := fmt.Sprintf("%s/unified/q=%d", want.Graph, want.Query)
 		topt := opt
 		topt.Tracer = &TraceCollector{}

@@ -29,21 +29,70 @@ func mirror(v keyView) keyView {
 func negated(a, b float64) bool { return math.Float64bits(-a) == math.Float64bits(b) }
 
 // requireMirrorCheck runs the driver's stopping rule on v and on its mirror
-// with one outside key, and requires the same selection and exactly negated
-// observables (both the zero value when the test exits before comparing
-// bounds). It returns v's outcome.
-func requireMirrorCheck(t *testing.T, label string, v keyView, outside float64, k int) ([]int32, certGap) {
+// with one outside key and one incumbent, and requires the same selection,
+// the same verdict and exactly negated observables (both the zero value when
+// the test exits before comparing bounds). It returns v's outcome.
+func requireMirrorCheck(t *testing.T, label string, v keyView, outside float64, incumbent []int32, k int) ([]int32, certGap, bool) {
 	t.Helper()
-	sel, gap := check(v, outside, nil, k, 1e-9)
-	msel, mgap := check(mirror(v), outside, nil, k, 1e-9)
-	if (sel == nil) != (msel == nil) || !slices.Equal(sel, msel) {
-		t.Fatalf("%s k=%d: selection %v, mirrored %v", label, k, sel, msel)
+	sel, gap, ok := check(v, outside, incumbent, nil, k, 1e-9)
+	msel, mgap, mok := check(mirror(v), outside, incumbent, nil, k, 1e-9)
+	if (sel == nil) != (msel == nil) || !slices.Equal(sel, msel) || ok != mok {
+		t.Fatalf("%s k=%d: selection %v (certified %v), mirrored %v (certified %v)", label, k, sel, ok, msel, mok)
 	}
 	if !gap.valid && (gap != certGap{} || mgap != certGap{}) ||
 		gap.valid && (!mgap.valid || !negated(gap.kth, mgap.kth) || !negated(gap.rest, mgap.rest)) {
 		t.Fatalf("%s k=%d: observables %+v, mirrored %+v are not exact negations", label, k, gap, mgap)
 	}
-	return sel, gap
+	return sel, gap, ok
+}
+
+// remoteHub returns g with a hub of `leaves` pendant neighbors hung off the
+// node farthest from q: a high-degree node the search reaches last, so the
+// RWR guard's w(S̄) stays large while S grows and the guard binds.
+func remoteHub(t *testing.T, g *graph.MemGraph, q graph.NodeID, leaves int) *graph.MemGraph {
+	t.Helper()
+	n := g.NumNodes()
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[q] = 0
+	far := q
+	for queue := []graph.NodeID{q}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		far = u
+		nbrs, _ := g.Neighbors(u)
+		for _, v := range nbrs {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	b := graph.NewBuilder(n + 1 + leaves)
+	add := func(u, v graph.NodeID, w float64) {
+		if err := b.AddEdge(u, v, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u := range graph.NodeID(n) {
+		nbrs, ws := g.Neighbors(u)
+		for k, v := range nbrs {
+			if u < v {
+				add(u, v, ws[k])
+			}
+		}
+	}
+	hub := graph.NodeID(n)
+	add(far, hub, 1)
+	for l := range leaves {
+		add(hub, hub+1+graph.NodeID(l), 1)
+	}
+	hg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hg
 }
 
 // TestKeyViewMirrorIsExact drives real expansions of both engines and, after
@@ -53,10 +102,12 @@ func requireMirrorCheck(t *testing.T, label string, v keyView, outside float64, 
 // lower-is-closer orientation, and THT's view mirrored back. Covered: k = 0,
 // k beyond the candidates, exhaustion, the RWR guard, which is a finite
 // competing key exactly while the boundary is live and counts one degree
-// probe per stopping test, and the PHP engine's pick priority to the bit.
+// probe per stopping test, the incumbent selection each test keeps or
+// replaces, and the PHP engine's pick priority to the bit. A remote hub
+// keeps w(S̄) high, so the guard, which reads r_d, binds.
 func TestKeyViewMirrorIsExact(t *testing.T) {
-	g := randomConnected(t, 60, 90, 7)
 	const q = graph.NodeID(3)
+	g := remoteHub(t, randomConnected(t, 60, 90, 7), q, 200)
 	for _, kind := range []measure.Kind{measure.PHP, measure.RWR, measure.THT} {
 		t.Run(kind.String(), func(t *testing.T) {
 			opt := testOptions(kind, 8)
@@ -73,6 +124,7 @@ func TestKeyViewMirrorIsExact(t *testing.T) {
 			s := e.substrate()
 			e.solve()
 			guardBinding, certified := 0, 0
+			incumbent := map[int][]int32{}
 			for it := 1; ; it++ {
 				v := e.keys(kind)
 				outside := math.Inf(-1)
@@ -89,11 +141,14 @@ func TestKeyViewMirrorIsExact(t *testing.T) {
 					t.Fatalf("iter %d: RWR guard %g with %d live boundary nodes", it, outside, s.bLive)
 				}
 				for _, k := range []int{0, 1, 8, 200} {
-					sel, gap := requireMirrorCheck(t, kind.String(), v, outside, k)
-					if k == 0 && (sel == nil || len(sel) != 0 || gap.valid) {
+					sel, gap, ok := requireMirrorCheck(t, kind.String(), v, outside, incumbent[k], k)
+					if k == 0 && (sel == nil || len(sel) != 0 || gap.valid || !ok) {
 						t.Fatalf("iter %d: k=0 gave %v, %+v; want an empty certified selection", it, sel, gap)
 					}
-					if k == 8 && sel != nil {
+					if sel != nil {
+						incumbent[k] = sel
+					}
+					if k == 8 && ok {
 						certified++
 					}
 					if k == 8 && gap.valid && gap.rest == outside {

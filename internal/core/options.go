@@ -96,11 +96,6 @@ type Options struct {
 	// Params carries decay/restart, THT horizon, and the Algorithm 7
 	// tolerance.
 	Params measure.Params
-	// Tighten enables the self-loop bound tightening of Section 5.3
-	// (star-to-mesh transformation). It spends one Degree lookup per
-	// boundary-crossing edge, read when the edge's visited end is visited,
-	// to shrink the gap between the bounds.
-	Tighten bool
 	// MaxVisited caps |S| as a safety valve; 0 means no cap. When the cap
 	// fires the result carries Exact=false.
 	MaxVisited int
@@ -122,7 +117,7 @@ type Options struct {
 	Epsilon float64
 	// CaptureFootprint asks the result to carry the query's read footprint:
 	// the visited set in visit order, the unvisited nodes whose Degree was
-	// probed (bound tightening, RWR guard), and the w(S̄) guard ceiling.
+	// probed (the shell bound), and the w(S̄) guard ceiling.
 	// This is what surgical cache invalidation intersects mutation batches
 	// against. Off by default — capture allocates two slices per query.
 	CaptureFootprint bool
@@ -175,7 +170,7 @@ type IterStats struct {
 	// DummyValue is r_d after this iteration (the upper-bound anchor).
 	DummyValue float64 `json:"dummy"`
 	// Per-phase wall times: graph expansion (I/O + wiring), the bound
-	// sweeps (tightening + both systems), and the certification test.
+	// sweeps (both systems), and the certification test.
 	ExpandNS  int64 `json:"expand_ns"`
 	SolveNS   int64 `json:"solve_ns"`
 	CertifyNS int64 `json:"certify_ns"`
@@ -191,13 +186,12 @@ type TraceCollector struct {
 func (c *TraceCollector) ObserveIteration(s IterStats) { c.Iters = append(c.Iters, s) }
 
 // DefaultOptions mirrors the paper's experimental configuration for the
-// given measure: c = 0.5, τ = 1e-5, L = 10, tightening on.
+// given measure: c = 0.5, τ = 1e-5, L = 10.
 func DefaultOptions(kind measure.Kind, k int) Options {
 	return Options{
 		K:       k,
 		Measure: kind,
 		Params:  measure.DefaultParams(),
-		Tighten: true,
 		TieEps:  1e-9,
 	}
 }
@@ -291,9 +285,8 @@ type Result struct {
 	// Sweeps counts single-row Gauss–Seidel relaxations across all bound
 	// solves: the work the paper's α·β Jacobi sweeps stand for.
 	Sweeps int
-	// DegreeProbes counts Degree() reads of unvisited nodes, repeats
-	// included: one per boundary-crossing edge of each visited node under
-	// tightening, plus one per RWR w(S̄) guard evaluation.
+	// DegreeProbes counts Degree() reads of unvisited nodes: one per shell
+	// node the shell bound reads, plus one per RWR w(S̄) guard evaluation.
 	DegreeProbes int
 	// Exact is false if MaxVisited aborted the search early, if ModeEpsilon
 	// stopped on its ε budget before full separation, or if ModeAnytime was

@@ -76,6 +76,7 @@ type localSearch struct {
 	pickBuf  []scored
 	pickOut  []int32
 	candBuf  []scored
+	incBuf   []scored // the stopping rule's incumbent selection, rescored
 	selOut   []int32
 	selOut2  []int32 // second selection buffer: unified search keeps two live
 	inSel    []bool  // local-index marks; always cleared after use
@@ -168,13 +169,18 @@ func (s *localSearch) visitCommon(v graph.NodeID) int32 {
 	}
 
 	// Second pass: the transition entries to and from already-visited
-	// neighbors (none out of q's row), and their boundary bookkeeping.
+	// neighbors (none out of q's row), and their boundary bookkeeping. A
+	// self-loop is one entry of v's row, and the first pass already counted
+	// its weight inside S.
 	for i, lu := range s.visitL {
 		if lu < 0 {
 			continue
 		}
 		if v != s.q {
 			s.rows[li] = append(s.rows[li], entry{lu, cw[i] / d})
+		}
+		if lu == li {
+			continue
 		}
 		if s.nodes[lu] != s.q {
 			s.rows[lu] = append(s.rows[lu], entry{li, cw[i] / s.deg[lu]})

@@ -263,58 +263,42 @@ func TestSubstrateDifferential(t *testing.T) {
 	})
 }
 
-// checkTightening recomputes every live boundary node's Section 5.3 entries
-// from scratch,
-//
-//	selfLoop_i   = c·Σ_{j∈N_i∩S̄} p_ij·p_ji
-//	dummyTight_i = c·Σ_{j∈N_i∩S̄} p_ij·(1−p_ji)
-//
-// and requires the per-edge entries the visits keep to agree within 1e-12
-// relative. The scale is the entry summed over all of i's edges, the
-// magnitude the kept value was built from: retracting an edge cancels its
-// term only to within its rounding. Returns how many nodes it checked.
-func checkTightening(t *testing.T, e *phpEngine) int {
+// checkShellBound recomputes the shell bound R from scratch, from every
+// unvisited node's full adjacency and Degree rather than from the boundary's
+// rows and the shell slots, and requires shellBound to agree within 1e-12
+// relative. Returns how many shell nodes it saw.
+func checkShellBound(t *testing.T, e *phpEngine) int {
 	t.Helper()
-	checked := 0
-	for _, i := range e.bList {
-		if e.outCnt[i] == 0 || i == 0 || e.deg[i] == 0 {
+	want, shell := 0.0, 0
+	for u := graph.NodeID(0); int(u) < e.g.NumNodes(); u++ {
+		if e.local.has(u) {
 			continue
 		}
-		checked++
-		var self, dum, selfAll, dumAll float64
-		for k, u := range e.adjN[i] {
-			pij := e.adjW[i][k] / e.deg[i]
-			var pji float64
-			if dj := e.g.Degree(u); dj > 0 {
-				pji = e.adjW[i][k] / dj
-			}
-			selfAll += pij * pji
-			dumAll += pij * (1 - pji)
-			if !e.local.has(u) {
-				self += pij * pji
-				dum += pij * (1 - pji)
+		var w, a float64
+		nbrs, ws := e.g.Neighbors(u)
+		for k, j := range nbrs {
+			if lj, ok := e.local.get(j); ok {
+				w += ws[k]
+				a += ws[k] * e.ubAt(lj)
 			}
 		}
-		for _, c := range []struct {
-			name           string
-			got, want, all float64
-		}{
-			{"selfLoop", e.selfLoop[i], e.c * self, e.c * selfAll},
-			{"dummyTight", e.dummyTight[i], e.c * dum, e.c * dumAll},
-		} {
-			if math.Abs(c.got-c.want) > 1e-12*c.all {
-				t.Fatalf("node %d (local %d): kept %s %g, from scratch %g", e.nodes[i], i, c.name, c.got, c.want)
-			}
+		if w == 0 {
+			continue
 		}
+		shell++
+		d := e.g.Degree(u)
+		want = max(want, e.c*a/((1-e.c)*d+e.c*min(w, d)))
 	}
-	return checked
+	if got := e.shellBound(); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("|S| = %d: shellBound %g, from scratch %g", e.size(), got, want)
+	}
+	return shell
 }
 
-// TestTighteningMatchesScratch: after every step of tightened PHP, RWR and
-// unified searches, exact and ε, on both backends, the Section 5.3 entries
-// the visits keep per edge equal a from-scratch recomputation over the
-// live boundary.
-func TestTighteningMatchesScratch(t *testing.T) {
+// TestShellBoundMatchesScratch: after every step of PHP, RWR and unified
+// searches, exact and ε, on both backends, the shell bound the boundary
+// pass computes equals a from-scratch evaluation over every unvisited node.
+func TestShellBoundMatchesScratch(t *testing.T) {
 	for _, bg := range boundGraphs(t) {
 		disk := diskVariant(t, bg.g)
 		for _, search := range []string{"PHP", "RWR", "unified"} {
@@ -329,13 +313,12 @@ func TestTighteningMatchesScratch(t *testing.T) {
 						kind = measure.RWR
 					}
 					opt := testOptions(kind, 10)
-					opt.Tighten = true
 					if eps > 0 {
 						opt.Mode, opt.Epsilon = ModeEpsilon, eps
 					}
 					checked := 0
 					postExpandHook = func(engine any) {
-						checked += checkTightening(t, engine.(*phpEngine))
+						checked += checkShellBound(t, engine.(*phpEngine))
 					}
 					var err error
 					if search == "unified" {
@@ -348,7 +331,7 @@ func TestTighteningMatchesScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 					if checked == 0 {
-						t.Fatalf("%s/%s/eps=%g/%s: no boundary node checked", bg.name, search, eps, backend)
+						t.Fatalf("%s/%s/eps=%g/%s: no shell node checked", bg.name, search, eps, backend)
 					}
 				}
 			}
@@ -373,7 +356,7 @@ func TestQueryNodeNeverLiveBoundary(t *testing.T) {
 							gc.name, q, kind, s.nodes[0], s.outCnt[0])
 					}
 				}
-				_, err := TopK(gc.g, q, goldenOptions(kind, true))
+				_, err := TopK(gc.g, q, goldenOptions(kind))
 				postExpandHook = nil
 				if err != nil {
 					t.Fatal(err)

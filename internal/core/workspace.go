@@ -22,7 +22,9 @@ import (
 // dense generation-stamped arrays sized to the graph: lookup is one load
 // and compare, insert is two stores, and a logical clear is cur++ — no
 // rehashing, no zeroing. It costs 8 B per graph node, allocated on a
-// Workspace's first query on a graph at least that large.
+// Workspace's first query on a graph at least that large. A stamped
+// negative entry is not a visited node but an engine's shell slot −idx−1
+// (putShell), which visiting the node overwrites.
 type nodeIndex struct {
 	idx []int32 // local index of v, valid iff gen[v] == cur
 	gen []uint32
@@ -47,11 +49,23 @@ func (x *nodeIndex) init(n int) {
 }
 
 func (x *nodeIndex) get(v graph.NodeID) (int32, bool) {
+	if x.gen[v] != x.cur || x.idx[v] < 0 {
+		return 0, false
+	}
+	return x.idx[v], true
+}
+
+// slot returns v's raw entry: a local index, a negative shell slot, or
+// false when v has neither.
+func (x *nodeIndex) slot(v graph.NodeID) (int32, bool) {
 	if x.gen[v] != x.cur {
 		return 0, false
 	}
 	return x.idx[v], true
 }
+
+// putShell records shell slot si for unvisited v.
+func (x *nodeIndex) putShell(v graph.NodeID, si int32) { x.put(v, -si-1) }
 
 func (x *nodeIndex) put(v graph.NodeID, li int32) {
 	x.gen[v] = x.cur

@@ -170,8 +170,7 @@ func TestFigTrace(t *testing.T) {
 		"newly visited [2 3]",
 		"newly visited [4]",
 		"newly visited [5]",
-		"newly visited [6 7]",
-		"top-2 certified after 4 iterations, 7/8 nodes visited: [2 3]",
+		"top-2 certified after 3 iterations, 5/8 nodes visited: [2 3]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q\n%s", want, out)

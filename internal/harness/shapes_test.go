@@ -224,10 +224,13 @@ func TestFig9Mini(t *testing.T) {
 }
 
 // TestFig13Mini: searches served from the paged store return exactly the
-// in-memory answers, and the visited ratio falls across the four stores.
+// in-memory answers, and the visited ratio falls across the four stores. At
+// two queries per store the fall is sampling noise (one query's visited
+// count decides it); at 16 it holds for both FLoS methods.
 func TestFig13Mini(t *testing.T) {
 	figureTest(t)
 	cfg := miniConfig(t)
+	cfg.NumQueries = 16
 	rows := runFigure(t, Fig13, cfg, "Figure 13(a)", "Figure 13(b)", "page hits")
 	cells := byCell(rows)
 	var runs [][]Row
@@ -261,8 +264,9 @@ var synthPanels = []string{"varying size, RAND", "varying size, R-MAT", "varying
 // exact. Figure 12 is the one figure that does not
 // reproduce (EXPERIMENTS.md): FLoS_RWR visits most of these small
 // structureless graphs. Its visited means on the RAND size panel are pinned
-// here; ROADMAP items 13 and 14 are expected to move them, and a change that
-// does updates them. FLoS_PHP's ratio does not fall across that panel at
+// here; the shell bound moved them from 788 / 1,565 / 3,050 / 5,224.5,
+// ROADMAP item 13 is expected to move them again, and a change that does
+// updates them. FLoS_PHP's ratio does not fall across that panel at
 // mini scale, so that is not asserted.
 func TestFig11And12Mini(t *testing.T) {
 	figureTest(t)
@@ -300,7 +304,7 @@ func TestFig11And12Mini(t *testing.T) {
 		t.Error("K-dash ran on no synthetic graph")
 	}
 	for i, ds := range VaryingSize("rand", cfg.SynthScale) {
-		want := []float64{788, 1565, 3050, 5224.5}[i]
+		want := []float64{689.5, 1404.5, 2697.5, 4620.5}[i]
 		if got := cells[cell{ds.Name, "FLoS_RWR", cfg.KFixed}].AvgVisited; got != want {
 			t.Errorf("%s (n=%d): FLoS_RWR visits %g on average, pinned at %g", ds.Name, ds.Nodes, got, want)
 		}

@@ -24,7 +24,6 @@ type cacheKey struct {
 	kind       measure.Kind
 	params     measure.Params
 	k          int
-	tighten    bool
 	maxVisited int
 	tieEps     float64
 	mode       core.Mode
@@ -39,7 +38,6 @@ func keyOf(epoch uint64, req Request) cacheKey {
 		kind:       req.Opt.Measure,
 		params:     req.Opt.Params,
 		k:          req.Opt.K,
-		tighten:    req.Opt.Tighten,
 		maxVisited: req.Opt.MaxVisited,
 		tieEps:     req.Opt.TieEps,
 		mode:       req.Opt.Mode,
@@ -73,7 +71,6 @@ func hashKey(k cacheKey) uint64 {
 	mix(math.Float64bits(k.params.Tau))
 	mix(uint64(k.params.MaxIter))
 	mix(uint64(k.k))
-	mix(b(k.tighten))
 	mix(uint64(k.maxVisited))
 	mix(math.Float64bits(k.tieEps))
 	mix(uint64(k.mode))

@@ -580,3 +580,107 @@ func TestLiveResponseEpoch(t *testing.T) {
 		t.Fatalf("epoch did not advance: %d -> %d", resp.Epoch, resp2.Epoch)
 	}
 }
+
+// TestShellDegreeChangeInvalidates: the shell bound reads the degree of
+// every shell node (an unvisited neighbor of the visited set), so a batch
+// that changes nothing but one such degree — an edge from a shell node to a
+// node far from the visited set — must evict the cached PHP and RWR entries
+// that read it, and their recomputations must equal fresh searches on the
+// new snapshot.
+func TestShellDegreeChangeInvalidates(t *testing.T) {
+	base := liveTestGraph(t, 3000, 9000, 6)
+	lg := livegraph.New(base)
+	pool := New(lg, Config{Workers: 1, QueueDepth: 4, CacheEntries: 64})
+	defer pool.Close()
+	ctx := context.Background()
+
+	lget := graph.LargestComponentNodes(base)
+	q := lget[len(lget)/2]
+	reqs := []Request{
+		{Query: q, Opt: core.DefaultOptions(measure.PHP, 10)},
+		{Query: q, Opt: core.DefaultOptions(measure.RWR, 10)},
+	}
+	// What each search read: its visited set and the shell nodes whose
+	// degree it probed.
+	visited := map[graph.NodeID]bool{}
+	var probed [][]graph.NodeID
+	var guard float64
+	for _, r := range reqs {
+		resp, err := pool.Do(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range resp.TopK.VisitedNodes {
+			visited[v] = true
+		}
+		probed = append(probed, resp.TopK.ProbedNodes)
+		guard = max(guard, resp.TopK.GuardDegree)
+	}
+	// A shell node both searches probed and neither visited.
+	shell := graph.NodeID(-1)
+	for _, u := range probed[0] {
+		if _, both := slices.BinarySearch(probed[1], u); both && !visited[u] {
+			shell = u
+			break
+		}
+	}
+	if shell < 0 {
+		t.Fatal("no shell node common to both searches")
+	}
+	// A node far from S: neither it nor any neighbor was read, and it is
+	// not already joined to the shell node.
+	read := func(v graph.NodeID) bool {
+		if visited[v] {
+			return true
+		}
+		for _, p := range probed {
+			if _, ok := slices.BinarySearch(p, v); ok {
+				return true
+			}
+		}
+		return false
+	}
+	far := graph.NodeID(-1)
+	for _, v := range lget {
+		nbrs, _ := base.Neighbors(v)
+		if read(v) || slices.Contains(nbrs, shell) || slices.ContainsFunc(nbrs, func(u graph.NodeID) bool { return visited[u] }) {
+			continue
+		}
+		if base.Degree(v)+0.5 <= guard && base.Degree(shell)+0.5 <= guard {
+			far = v
+			break
+		}
+	}
+	if far < 0 {
+		t.Fatal("no far node whose new degree stays under the RWR guard")
+	}
+
+	before := pool.Metrics()
+	if _, err := pool.Mutate([]livegraph.EdgeOp{{Op: livegraph.OpAdd, U: shell, V: far, W: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	after := pool.Metrics()
+	if got := after.InvalidationsSurgical - before.InvalidationsSurgical; got != int64(len(reqs)) {
+		t.Fatalf("shell-degree batch evicted %d entries, want %d", got, len(reqs))
+	}
+	snap := lg.Acquire()
+	defer snap.Release()
+	for _, r := range reqs {
+		resp, err := pool.Do(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit {
+			t.Fatalf("%v: evicted entry served a cache hit", r.Opt.Measure)
+		}
+		fresh := r.Opt
+		fresh.CaptureFootprint = true // what a live pool asks of every miss
+		want, err := core.TopK(snap, r.Query, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.TopK, want) {
+			t.Fatalf("%v: recompute differs from a fresh search:\n%+v\n%+v", r.Opt.Measure, resp.TopK, want)
+		}
+	}
+}

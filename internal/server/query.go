@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,7 +44,6 @@ type queryParams struct {
 	C        *float64 `json:"c,omitempty"`
 	L        *int     `json:"L,omitempty"`
 	Tau      *float64 `json:"tau,omitempty"`
-	Tighten  *bool    `json:"tighten,omitempty"`
 }
 
 // floatParam parses the optional float URL parameter name, nil when omitted.
@@ -60,7 +60,7 @@ func floatParam(get func(string) string, name string) (*float64, error) {
 }
 
 // parseQuery reads the URL parameters of a GET query route — q, k, measure,
-// c, L, tau, tighten, trace, mode, epsilon, deadline — so /v1/topk and
+// c, L, tau, trace, mode, epsilon, deadline — so /v1/topk and
 // /v1/unified reject malformed input the same way with a structured 400.
 func (s *Server) parseQuery(r *http.Request) (q graph.NodeID, p queryParams, wantTrace bool, err error) {
 	get := r.URL.Query().Get
@@ -93,9 +93,6 @@ func (s *Server) parseQuery(r *http.Request) (q graph.NodeID, p queryParams, wan
 	if p.Epsilon, err = floatParam(get, "epsilon"); err != nil {
 		return 0, p, false, err
 	}
-	if v := get("tighten"); v == "0" || strings.EqualFold(v, "false") {
-		p.Tighten = new(bool)
-	}
 	if v := get("trace"); v == "1" || strings.EqualFold(v, "true") {
 		wantTrace = true
 	}
@@ -113,7 +110,7 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 	if p.K < 1 || p.K > s.maxK {
 		return opt, 0, fmt.Errorf("k=%d outside [1,%d]", p.K, s.maxK)
 	}
-	opt = core.Options{K: p.K, Params: s.defaults, Tighten: true, TieEps: 1e-9}
+	opt = core.Options{K: p.K, Params: s.defaults, TieEps: 1e-9}
 	if p.Measure != "" { // an omitted measure is PHP, the zero Kind
 		if opt.Measure, err = measure.ParseKind(p.Measure); err != nil {
 			return opt, 0, err
@@ -127,9 +124,6 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 	}
 	if p.Tau != nil {
 		opt.Params.Tau = *p.Tau
-	}
-	if p.Tighten != nil {
-		opt.Tighten = *p.Tighten
 	}
 	if opt.Mode, err = core.ParseMode(p.Mode); err != nil {
 		return opt, 0, err
@@ -434,8 +428,11 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 // admission queue. Member i runs under ID "<id>-<i>" (its flight record
 // joins back to the access log) and under its own "qserve.slot" span. A
 // member shed by other clients' load carries ErrOverloaded; once ctx fires,
-// members not yet submitted get a zero-work *core.Interrupted. Every slot
-// of the result is filled before it returns.
+// members not yet submitted get a zero-work *core.Interrupted. A member whose
+// search panics (a failed row read of a disk store, say) gets the panic as
+// its error, logged with its stack; Pool.Do has given its slot back by then,
+// and the other members and the process carry on. Every slot of the result
+// is filled before it returns.
 func (s *Server) doBatch(ctx context.Context, id string, queries []graph.NodeID, opt core.Options) ([]*qserve.Response, []error) {
 	resps := make([]*qserve.Response, len(queries))
 	errs := make([]error, len(queries))
@@ -459,6 +456,12 @@ func (s *Server) doBatch(ctx context.Context, id string, queries []graph.NodeID,
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("search failed: %v", r)
+					s.log.Error("batch member panicked", "id", fmt.Sprintf("%s-%d", id, i), "query", q, "panic", r, "stack", string(debug.Stack()))
+				}
+			}()
 			slotCtx, slot := trace.StartSpan(ctx, "qserve.slot",
 				trace.Int("slot", int64(i)), trace.Int("query", int64(q)))
 			defer slot.End()

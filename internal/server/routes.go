@@ -11,7 +11,7 @@
 //	                        per endpoint and per measure, query/outcome/
 //	                        cache/page-cache counters, runtime gauges);
 //	                        ?format=json returns the JSON snapshot
-//	GET /v1/topk?q=42&k=10&measure=rwr[&c=0.5][&L=10][&tau=1e-5][&tighten=0][&trace=1]
+//	GET /v1/topk?q=42&k=10&measure=rwr[&c=0.5][&L=10][&tau=1e-5][&trace=1]
 //	                        top-k query; also mode=exact|epsilon|anytime,
 //	                        epsilon=<gap budget> and deadline=<Go duration>.
 //	                        The response envelope carries api_version, the
@@ -76,7 +76,7 @@
 // as the client's connection context. A single query whose search panics
 // fails only its own request: net/http recovers the handler's panic and the
 // slot goes back to the pool. A batch member runs on a goroutine doBatch
-// starts, where a panic still ends the process.
+// starts, which recovers the panic into that member's error.
 package server
 
 import (

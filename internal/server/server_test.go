@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -593,5 +594,82 @@ func TestPanickingSearchCostsOneRequest(t *testing.T) {
 		if body.Results[i] != (rankedBody{Node: rk.Node, Score: rk.Score}) {
 			t.Errorf("result %d = %+v, want %+v", i, body.Results[i], rk)
 		}
+	}
+}
+
+// nodePanicGraph panics on every row read of one node, as a store whose page
+// holding that row cannot be read would.
+type nodePanicGraph struct {
+	graph.Graph
+	bad graph.NodeID
+}
+
+func (g nodePanicGraph) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
+	if v == g.bad {
+		panic("nodePanicGraph: row read failed")
+	}
+	return g.Graph.Neighbors(v)
+}
+
+// TestPanickingBatchMemberCostsOneSlot: a batch member whose search panics
+// fails only its own slot of a 200, with the panic as its error; the other
+// members answer exactly, and the pool's slots all come back, so later
+// batches and single queries on every slot still answer.
+func TestPanickingBatchMemberCostsOneSlot(t *testing.T) {
+	g := testGraph(t)
+	const bad = graph.NodeID(100)
+	srv := New(nodePanicGraph{g, bad}, Config{Workers: 2, CacheEntries: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	opt, _, err := srv.options(queryParams{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.CaptureFootprint = true
+	// Members whose searches never read the bad node's row.
+	var good []graph.NodeID
+	want := map[graph.NodeID]*core.Result{}
+	for q := graph.NodeID(1000); len(good) < 4; q += 37 {
+		res, err := core.TopK(g, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(res.VisitedNodes, bad) {
+			good = append(good, q)
+			want[q] = res
+		}
+	}
+	body := fmt.Sprintf(`{"k":5,"queries":[%d,%d,%d,%d,%d]}`, good[0], bad, good[1], good[2], good[3])
+	for round := range 3 {
+		var out v1BatchBody
+		if code := postJSON(t, ts.URL+"/v1/topk/batch", body, &out); code != http.StatusOK {
+			t.Fatalf("round %d: batch status %d", round, code)
+		}
+		if out.Errors != 1 {
+			t.Fatalf("round %d: %d failed members, want 1", round, out.Errors)
+		}
+		for _, slot := range out.Results {
+			if slot.Query == bad {
+				if !strings.Contains(slot.Error, "nodePanicGraph: row read failed") {
+					t.Fatalf("round %d: panicking member's error %q", round, slot.Error)
+				}
+				continue
+			}
+			w := want[slot.Query]
+			if slot.Error != "" || slot.Visited != w.Visited || len(slot.Results) != len(w.TopK) {
+				t.Fatalf("round %d q=%d: slot %+v, want %+v", round, slot.Query, slot, w)
+			}
+			for i, rk := range w.TopK {
+				if slot.Results[i] != (rankedBody{Node: rk.Node, Score: rk.Score}) {
+					t.Fatalf("round %d q=%d: result %d = %+v, want %+v", round, slot.Query, i, slot.Results[i], rk)
+				}
+			}
+		}
+	}
+	var single v1TopKBody
+	if code := getJSON(t, fmt.Sprintf("%s/v1/topk?q=%d&k=5", ts.URL, good[0]), &single); code != http.StatusOK {
+		t.Fatalf("single query after the batches: status %d", code)
 	}
 }
