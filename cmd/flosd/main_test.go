@@ -116,11 +116,11 @@ func TestCorruptStoreFailsStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FLOSDSK2 layout: a 32-byte header, topN 12-byte entries, then the
-	// 8-byte aligned degrees (n words) and offsets (n+1 words) sections.
+	// FLOSDSK3 layout: a 28-byte header padded to 32, then the degrees (n
+	// words) and offsets (n+1 words) sections.
 	le := binary.LittleEndian
-	n, m2, topN := le.Uint64(data[8:]), le.Uint64(data[16:]), uint64(le.Uint32(data[28:]))
-	offsetsOff := (32+12*topN+7)&^7 + 8*n
+	n, m2 := le.Uint64(data[8:]), le.Uint64(data[16:])
+	offsetsOff := 32 + 8*n
 	le.PutUint64(data[offsetsOff+3*8:], m2+5) // node 2's row now ends past the rows section
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

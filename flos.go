@@ -156,12 +156,14 @@ func TopKCtx(ctx context.Context, g Graph, q NodeID, opt Options) (*Result, erro
 // ErrCanceled and ErrDeadline are the typed causes carried by *Interrupted
 // when a context ends a query early. ErrInvalidOptions and ErrInvalidQuery
 // classify rejected requests (malformed Options, query node out of range).
-// Test with errors.Is.
+// ErrStorage reports a query failed by its graph's storage (a disk store's
+// row that could not be read). Test with errors.Is.
 var (
 	ErrCanceled       = core.ErrCanceled
 	ErrDeadline       = core.ErrDeadline
 	ErrInvalidOptions = core.ErrInvalidOptions
 	ErrInvalidQuery   = core.ErrInvalidQuery
+	ErrStorage        = graph.ErrStorage
 )
 
 // Querier is a reusable query session: one graph, one option set, a pool of

@@ -153,13 +153,15 @@ func TestOpenRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data, "FLOSDSK1")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(path, 0)
-	if err == nil || !strings.Contains(err.Error(), "rebuild the store") {
-		t.Fatalf("FLOSDSK1 store: got %v, want the rebuild hint", err)
+	for _, old := range []string{"FLOSDSK1", "FLOSDSK2"} {
+		copy(data, old)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(path, 0)
+		if err == nil || !strings.Contains(err.Error(), old+" store") || !strings.Contains(err.Error(), "rebuild the store") {
+			t.Errorf("%s store: got %v, want the rebuild hint", old, err)
+		}
 	}
 }
 

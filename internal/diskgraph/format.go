@@ -19,35 +19,30 @@ import (
 
 // Layout of the store file (little endian):
 //
-//	magic   "FLOSDSK2"                                  8 B
-//	n       uint64                                      8 B
-//	m2      uint64  (half-edge count = 2m)              8 B
-//	pageSz  uint32                                      4 B
-//	topN    uint32                                      4 B
-//	top     topN × {node uint32, degree float64}        topN × 12 B
+//	magic   "FLOSDSK3"                          8 B
+//	n       uint64                              8 B
+//	m2      uint64  (half-edge count = 2m)      8 B
+//	pageSz  uint32                              4 B
 //	-- sections, each 8-byte aligned --
-//	degrees n × float64
+//	degrees n × float64                         (from offset 32)
 //	offsets (n+1) × int64
 //	rows    m2 × 12 B
 //
 // Node v's row is one contiguous record at rowsOff + 12·offsets[v]: its cnt
 // targets (uint32 each) followed by its cnt weights (float64 each). Open
 // reads the degrees and offsets sections into memory, so a degree probe
-// touches no page and a visit costs one row read.
+// touches no page and a visit costs one row read, and it builds the
+// top-degree index from the degrees, so the file stores nothing derived.
 
 const (
-	magic       = "FLOSDSK2"
-	headerFixed = 8 + 8 + 8 + 4 + 4
-	topEntrySz  = 12
+	magic       = "FLOSDSK3"
+	headerFixed = 8 + 8 + 8 + 4
 	// rowEntrySz is one half-edge in a row record: a uint32 target and a
 	// float64 weight.
 	rowEntrySz = 4 + 8
 	// DefaultPageSize is the cache page granularity. 64 KiB approximates a
 	// disk-friendly read unit while keeping small-neighborhood reads cheap.
 	DefaultPageSize = 64 << 10
-	// maxTopDegrees caps the degree index stored in the header (used by the
-	// RWR w(S̄) guard).
-	maxTopDegrees = 4096
 )
 
 // layout precomputes the absolute byte offsets of every section.
@@ -55,7 +50,6 @@ type layout struct {
 	n      int64
 	m2     int64
 	pageSz int64
-	topN   int64
 
 	degreesOff int64
 	offsetsOff int64
@@ -63,10 +57,9 @@ type layout struct {
 	totalSize  int64
 }
 
-func newLayout(n, m2, pageSz, topN int64) layout {
-	l := layout{n: n, m2: m2, pageSz: pageSz, topN: topN}
-	pos := int64(headerFixed) + topN*topEntrySz
-	pos = align8(pos)
+func newLayout(n, m2, pageSz int64) layout {
+	l := layout{n: n, m2: m2, pageSz: pageSz}
+	pos := align8(headerFixed)
 	l.degreesOff = pos
 	pos += n * 8
 	l.offsetsOff = pos
@@ -88,9 +81,6 @@ func (l layout) validate() error {
 	}
 	if l.pageSz < 512 || l.pageSz > 1<<26 {
 		return fmt.Errorf("diskgraph: page size %d outside [512, 64Mi]", l.pageSz)
-	}
-	if l.topN < 0 || l.topN > maxTopDegrees {
-		return fmt.Errorf("diskgraph: top-degree count %d outside [0,%d]", l.topN, maxTopDegrees)
 	}
 	return nil
 }

@@ -24,8 +24,7 @@ func Create(path string, g *graph.MemGraph, pageSize int) error {
 	offsets := g.Offsets()
 	m2 := int64(len(targets))
 
-	top := g.TopDegrees(maxTopDegrees)
-	l := newLayout(n, m2, int64(pageSize), int64(len(top)))
+	l := newLayout(n, m2, int64(pageSize))
 	if err := l.validate(); err != nil {
 		return err
 	}
@@ -60,20 +59,6 @@ func Create(path string, g *graph.MemGraph, pageSize int) error {
 	putU32(b4[:], uint32(pageSize))
 	if err := emit(b4[:]); err != nil {
 		return fail(f, err)
-	}
-	putU32(b4[:], uint32(len(top)))
-	if err := emit(b4[:]); err != nil {
-		return fail(f, err)
-	}
-	for _, de := range top {
-		putU32(b4[:], uint32(de.Node))
-		if err := emit(b4[:]); err != nil {
-			return fail(f, err)
-		}
-		putU64(b8[:], math.Float64bits(de.Degree))
-		if err := emit(b8[:]); err != nil {
-			return fail(f, err)
-		}
 	}
 	if err := pad(emit, l.degreesOff-written); err != nil {
 		return fail(f, err)

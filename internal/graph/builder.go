@@ -64,10 +64,6 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 // AddUnitEdge records the undirected edge {u, v} with weight 1.
 func (b *Builder) AddUnitEdge(u, v NodeID) error { return b.AddEdge(u, v, 1) }
 
-// NumPendingEdges returns how many (possibly duplicate) edges have been
-// added so far.
-func (b *Builder) NumPendingEdges() int { return len(b.us) }
-
 // Build produces the immutable CSR graph. Duplicate edges are merged by
 // summing weights. Build may be called once; the builder must be discarded
 // afterwards.

@@ -15,6 +15,10 @@ import (
 	"sort"
 )
 
+// ErrStorage reports that a graph backend could not read what its storage
+// should hold, such as a disk store's row; test with errors.Is.
+var ErrStorage = errors.New("graph: storage read failed")
+
 // NodeID identifies a node. Node identifiers are dense: a graph with n nodes
 // uses identifiers 0..n-1. 32 bits comfortably covers the paper's largest
 // graph (64 * 2^20 nodes).
@@ -43,6 +47,11 @@ type DegreeEntry struct {
 // degree among unvisited nodes (Section 5.6). Implementations may return
 // fewer than k entries; the first entry, if any, carries the global maximum
 // degree.
+//
+// The methods return no errors. A backend whose storage fails to yield a
+// row (the disk store, on a read error) panics with an error wrapping
+// ErrStorage; the search workspace recovers exactly that panic and returns
+// it as the query's error, and re-raises any other.
 type Graph interface {
 	// NumNodes returns the number of nodes n; valid identifiers are 0..n-1.
 	NumNodes() int

@@ -250,12 +250,8 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
-func TestBFSRegionAndKHop(t *testing.T) {
+func TestKHopNeighborhood(t *testing.T) {
 	g := paperGraph(t)
-	region := BFSRegion(g, 0, 4)
-	if len(region) < 4 || region[0] != 0 {
-		t.Fatalf("region = %v", region)
-	}
 	hood := KHopNeighborhood(g, 0, 2)
 	want := map[NodeID]bool{0: true, 1: true, 2: true, 3: true}
 	if len(hood) != len(want) {
@@ -295,18 +291,6 @@ func TestLargestComponentNodes(t *testing.T) {
 	sort.Slice(lc, func(i, j int) bool { return lc[i] < lc[j] })
 	if !reflect.DeepEqual(lc, []NodeID{0, 1, 2}) {
 		t.Fatalf("largest component = %v", lc)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := MustFromEdges(6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5)
-	h := DegreeHistogram(g)
-	// Center has 5 neighbors (bucket 2), leaves have 1 (bucket 0).
-	if h[0] != 5 {
-		t.Errorf("bucket0 = %d, want 5", h[0])
-	}
-	if h[2] != 1 {
-		t.Errorf("bucket2 = %d, want 1", h[2])
 	}
 }
 

@@ -94,29 +94,6 @@ func components(g Graph) (count, largest int) {
 	return count, largest
 }
 
-// DegreeHistogram returns counts of unweighted degrees bucketed by powers of
-// two: bucket i counts nodes whose neighbor count is in [2^i, 2^(i+1)).
-// Bucket 0 additionally includes degree-0 and degree-1 nodes. Used to eyeball
-// that R-MAT stand-ins are skewed and RAND stand-ins are not.
-func DegreeHistogram(g Graph) []int {
-	n := g.NumNodes()
-	var buckets []int
-	for v := 0; v < n; v++ {
-		nbrs, _ := g.Neighbors(NodeID(v))
-		d := len(nbrs)
-		b := 0
-		for d > 1 {
-			d >>= 1
-			b++
-		}
-		for len(buckets) <= b {
-			buckets = append(buckets, 0)
-		}
-		buckets[b]++
-	}
-	return buckets
-}
-
 // LargestComponentNodes returns the node set of the largest connected
 // component. Workload generators sample query nodes from it so every query
 // has a nonempty answer, mirroring the paper's use of connected SNAP cores.

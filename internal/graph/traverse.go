@@ -1,8 +1,8 @@
 package graph
 
 // Traversal helpers shared by the baselines: LS_THT and the embedding
-// baseline need hop distances, the clustering baselines need bounded BFS
-// regions.
+// baseline need hop distances, the Monte Carlo THT baseline a k-hop
+// candidate set.
 
 // BFSDistances returns hop distances from src to every node; unreachable
 // nodes get -1. maxHops < 0 means unlimited.
@@ -31,30 +31,6 @@ func BFSDistances(g Graph, src NodeID, maxHops int) []int32 {
 		frontier = next
 	}
 	return dist
-}
-
-// BFSRegion grows a BFS ball around src until it holds at least limit nodes
-// (or the component is exhausted), completing the frontier hop it stops in so
-// the region is hop-closed. The returned slice is in visit order, src first.
-func BFSRegion(g Graph, src NodeID, limit int) []NodeID {
-	seen := map[NodeID]bool{src: true}
-	order := []NodeID{src}
-	frontier := []NodeID{src}
-	for len(frontier) > 0 && len(order) < limit {
-		var next []NodeID
-		for _, v := range frontier {
-			nbrs, _ := g.Neighbors(v)
-			for _, u := range nbrs {
-				if !seen[u] {
-					seen[u] = true
-					order = append(order, u)
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	return order
 }
 
 // KHopNeighborhood returns all nodes within maxHops hops of src (src

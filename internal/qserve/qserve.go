@@ -332,8 +332,9 @@ func (p *Pool) MutateCtx(ctx context.Context, ops []livegraph.EdgeOp) (uint64, e
 // returns ErrOverloaded when every slot is busy and the wait is full,
 // ErrClosed after Close, and passes through core's typed errors
 // (core.ErrCanceled / core.ErrDeadline wrapped in *core.Interrupted) when
-// ctx — or the pool's Timeout — fires first. A panicking search panics
-// here, in the caller, and its slot goes back to the pool.
+// ctx — or the pool's Timeout — fires first. A failed storage read is an
+// error wrapping graph.ErrStorage, counted as failed; a search that panics
+// (a bug) panics here, in the caller, and its slot goes back to the pool.
 func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 	select {
 	case <-p.done:

@@ -110,7 +110,7 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 	if p.K < 1 || p.K > s.maxK {
 		return opt, 0, fmt.Errorf("k=%d outside [1,%d]", p.K, s.maxK)
 	}
-	opt = core.Options{K: p.K, Params: s.defaults, TieEps: 1e-9}
+	opt = core.Options{K: p.K, Params: measure.DefaultParams(), TieEps: 1e-9}
 	if p.Measure != "" { // an omitted measure is PHP, the zero Kind
 		if opt.Measure, err = measure.ParseKind(p.Measure); err != nil {
 			return opt, 0, err
@@ -428,11 +428,12 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 // admission queue. Member i runs under ID "<id>-<i>" (its flight record
 // joins back to the access log) and under its own "qserve.slot" span. A
 // member shed by other clients' load carries ErrOverloaded; once ctx fires,
-// members not yet submitted get a zero-work *core.Interrupted. A member whose
-// search panics (a failed row read of a disk store, say) gets the panic as
-// its error, logged with its stack; Pool.Do has given its slot back by then,
-// and the other members and the process carry on. Every slot of the result
-// is filled before it returns.
+// members not yet submitted get a zero-work *core.Interrupted, and a member
+// whose storage read fails gets Pool.Do's graph.ErrStorage error like any
+// other. The recover guards only against bugs: a member whose search panics
+// gets the panic as its error, logged with its stack; Pool.Do has given its
+// slot back by then, and the other members and the process carry on. Every
+// slot of the result is filled before it returns.
 func (s *Server) doBatch(ctx context.Context, id string, queries []graph.NodeID, opt core.Options) ([]*qserve.Response, []error) {
 	resps := make([]*qserve.Response, len(queries))
 	errs := make([]error, len(queries))

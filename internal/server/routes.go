@@ -90,7 +90,6 @@ import (
 	"flos/internal/core"
 	"flos/internal/diskgraph"
 	"flos/internal/graph"
-	"flos/internal/measure"
 	"flos/internal/obs"
 	"flos/internal/obs/cachelens"
 	"flos/internal/obs/trace"
@@ -120,8 +119,6 @@ type Server struct {
 	// the page cache's lens, when attached, is reached through s.store.
 	resultLens *cachelens.Lens
 
-	// Defaults applied when a request omits parameters.
-	defaults measure.Params
 	maxK     int
 	maxBatch int
 	// batchInFlight bounds the members of one /v1/topk/batch request in
@@ -146,8 +143,6 @@ type Config struct {
 	// Timeout is the per-query wall-clock budget (0 = none); queries over
 	// budget receive 504.
 	Timeout time.Duration
-	// Defaults for omitted query parameters; zero value = paper defaults.
-	Defaults measure.Params
 	// MaxK caps requested k (0 = 1000).
 	MaxK int
 	// MaxBatch caps the query count of one /v1/topk/batch request and the op
@@ -185,12 +180,9 @@ type Config struct {
 
 // New builds a Server for g and its query pool; Close shuts the pool.
 func New(g graph.Graph, cfg Config) *Server {
-	s := &Server{g: g, defaults: cfg.Defaults, maxK: cfg.MaxK, maxBatch: cfg.MaxBatch, log: cfg.Logger}
+	s := &Server{g: g, maxK: cfg.MaxK, maxBatch: cfg.MaxBatch, log: cfg.Logger}
 	if s.log == nil {
 		s.log = slog.Default()
-	}
-	if s.defaults == (measure.Params{}) {
-		s.defaults = measure.DefaultParams()
 	}
 	if s.maxK == 0 {
 		s.maxK = 1000
@@ -381,8 +373,8 @@ func badRequest(w http.ResponseWriter, format string, args ...interface{}) {
 
 // writeQueryError maps a pool/engine error onto an HTTP status via the
 // typed sentinels (errors.Is): invalid options or query node → 400,
-// overload → 429, deadline → 504, cancellation/shutdown → 503, anything
-// else → 500.
+// overload → 429, deadline → 504, cancellation/shutdown or a failed storage
+// read → 503, anything else → 500.
 func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrInvalidOptions), errors.Is(err, core.ErrInvalidQuery):
@@ -392,7 +384,7 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "server overloaded, retry later"})
 	case errors.Is(err, core.ErrDeadline):
 		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
-	case errors.Is(err, core.ErrCanceled), errors.Is(err, qserve.ErrClosed):
+	case errors.Is(err, core.ErrCanceled), errors.Is(err, qserve.ErrClosed), errors.Is(err, graph.ErrStorage):
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})

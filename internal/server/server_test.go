@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"flos/internal/core"
+	"flos/internal/diskgraph"
 	"flos/internal/gen"
 	"flos/internal/graph"
 	"flos/internal/qserve"
@@ -431,6 +434,7 @@ func TestWriteQueryError(t *testing.T) {
 		{"deadline", &core.Interrupted{Cause: core.ErrDeadline}, http.StatusGatewayTimeout, ""},
 		{"canceled", &core.Interrupted{Cause: core.ErrCanceled}, http.StatusServiceUnavailable, ""},
 		{"closed", qserve.ErrClosed, http.StatusServiceUnavailable, ""},
+		{"storage", fmt.Errorf("%w: diskgraph: row of node 7: EOF", graph.ErrStorage), http.StatusServiceUnavailable, ""},
 		{"other", fmt.Errorf("disk on fire"), http.StatusInternalServerError, ""},
 	}
 	for _, tc := range cases {
@@ -671,5 +675,63 @@ func TestPanickingBatchMemberCostsOneSlot(t *testing.T) {
 	var single v1TopKBody
 	if code := getJSON(t, fmt.Sprintf("%s/v1/topk?q=%d&k=5", ts.URL, good[0]), &single); code != http.StatusOK {
 		t.Fatalf("single query after the batches: status %d", code)
+	}
+}
+
+// TestTruncatedStoreFailsOneQuery: a disk store that loses its last row
+// after Open fails the queries that read the page holding it, each with a
+// 503 naming the storage failure, on /v1/topk and in its /v1/topk/batch
+// slot; a query in the other component still answers, and the failures are
+// counted as failed.
+func TestTruncatedStoreFailsOneQuery(t *testing.T) {
+	// Two disjoint rings, 0..49 and 50..99: the rows of the first lie on
+	// pages the truncation leaves whole.
+	const ring, n = 50, 100
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		next := v + 1
+		if next%ring == 0 {
+			next -= ring
+		}
+		if err := b.AddUnitEdge(graph.NodeID(v), graph.NodeID(next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "graph.flos")
+	if err := diskgraph.Create(path, g, 512); err != nil {
+		t.Fatal(err)
+	}
+	store, err := diskgraph.Open(path, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if err := os.Truncate(path, store.FileSize()-12*int64(len(g.Targets()[g.Offsets()[n-1]:]))); err != nil {
+		t.Fatal(err)
+	}
+	ts, srv := serveGraph(t, store, Config{Workers: 1, CacheEntries: -1})
+
+	var ok v1TopKBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=5&k=5", &ok); code != http.StatusOK || len(ok.Results) != 5 {
+		t.Fatalf("query in the first ring: code %d, %d results", code, len(ok.Results))
+	}
+	const storageErr = "graph: storage read failed: diskgraph: row of node "
+	var e errorBody
+	if code := getJSON(t, ts.URL+"/v1/topk?q=98&k=5", &e); code != http.StatusServiceUnavailable || !strings.Contains(e.Error, storageErr) {
+		t.Fatalf("query reaching the lost row: code %d, error %q, want 503 with %q", code, e.Error, storageErr)
+	}
+	var batch v1BatchBody
+	if code := postJSON(t, ts.URL+"/v1/topk/batch", `{"k":5,"queries":[5,98]}`, &batch); code != http.StatusOK {
+		t.Fatalf("batch status %d", code)
+	}
+	if batch.Errors != 1 || batch.Results[0].Error != "" || !strings.Contains(batch.Results[1].Error, storageErr) {
+		t.Fatalf("batch slots %+v, want the second to carry %q", batch.Results, storageErr)
+	}
+	if m := srv.pool.Metrics(); m.Failed != 2 || m.OK != 2 {
+		t.Fatalf("pool counted %d failed and %d ok, want 2 and 2", m.Failed, m.OK)
 	}
 }
