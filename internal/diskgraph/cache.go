@@ -12,16 +12,16 @@ import (
 // the module's stand-in for the buffer management a graph database performs.
 // It is safe for concurrent readers: the page space is striped across
 // independently locked shards (page index mod shard count), each shard runs
-// its own LRU under its own mutex, and concurrent faults on the same cold
-// page are deduplicated so one disk read serves every waiter.
+// its own LRU under its own mutex, and a miss reads its page while holding
+// that mutex, so a concurrent lookup of the same page waits on the lock and
+// then hits: each page is read once.
 //
 // A shard owns a fixed number of page frames (a page struct and its
-// buffer). A fault that finds the shard full evicts the LRU page and reads
-// into that page's frame, so steady-state faults allocate nothing. That is
-// safe because no reader holds a page buffer outside the shard lock: copyAt
-// copies the requested bytes into the caller's buffer while it holds the
-// lock. Resident plus in-flight buffers stay within the budget, plus one
-// per concurrent fault that found every frame of its shard mid-load.
+// buffer). A miss that finds the shard full evicts the LRU page and reads
+// into that page's frame, so steady-state misses allocate nothing and the
+// buffers never exceed the budget. That is safe because no reader holds a
+// page buffer outside the shard lock: copyAt copies the requested bytes into
+// the caller's buffer while it holds the lock.
 //
 // The shard count adapts to the budget (one shard per resident page up to
 // maxCacheShards), which keeps the byte budget meaningful for the tiny
@@ -45,15 +45,10 @@ const maxCacheShards = 64
 
 type cacheShard struct {
 	mu sync.Mutex
-	// loaded is broadcast whenever a fault finishes, for the readers
-	// waiting on a page another reader is loading.
-	loaded sync.Cond
 
 	maxFrames int // page frames the budget allows this shard
-	frames    int // frames it owns: resident pages plus in-flight loads
+	frames    int // frames it owns, one per resident page
 
-	// pages holds resident pages and pages being loaded; only resident
-	// ones are on the LRU list.
 	pages    map[int64]*page
 	head     *page // most recently used
 	tail     *page // least recently used
@@ -62,17 +57,14 @@ type cacheShard struct {
 
 	hits      int64
 	misses    int64
-	dedups    int64
 	evictions int64
 }
 
-// page is one frame. Its fields are guarded by the shard lock, except that
-// the reader loading it owns data until it clears loading.
+// page is one frame; its fields are guarded by the shard lock.
 type page struct {
 	idx        int64
 	data       []byte // page content; capacity is always the page size
 	prev, next *page
-	loading    bool // being read from disk: in pages, not on the LRU list
 }
 
 func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache {
@@ -91,7 +83,6 @@ func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache 
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.loaded.L = &sh.mu
 		sh.maxFrames = int(budget / n / pageSize)
 		sh.pages = make(map[int64]*page)
 	}
@@ -100,92 +91,52 @@ func newPageCache(src io.ReaderAt, pageSize, budget, fileSize int64) *pageCache 
 
 // copyAt copies the bytes of page idx from inPage on into dst and returns
 // how many it copied (fewer than len(dst) when dst runs past the page),
-// loading the page (and evicting within its shard) on a miss. onFault, when
-// non-nil, is called with the stall duration of every cold-path lookup — a
-// disk read on a miss, or the wait on another reader's in-flight load; hits
-// never invoke it, so the hot path stays observer-free.
-func (c *pageCache) copyAt(dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
+// reading the page (and evicting within its shard) on a miss. onFault, when
+// non-nil, is called after the lock is released with the stall of every
+// miss, the disk read included; hits never invoke it, so the hot path stays
+// observer-free. A lookup that waited on the lock for another reader's read
+// of the same page is a hit.
+func (c *pageCache) copyAt(dst []byte, idx, inPage int64, onFault func(time.Duration)) (n int, err error) {
 	sh := &c.shards[idx%int64(len(c.shards))]
 	sh.mu.Lock()
 	p := sh.pages[idx]
-	switch {
-	case p == nil:
-		return c.fault(sh, dst, idx, inPage, onFault)
-	case p.loading:
-		return c.await(sh, dst, idx, inPage, onFault)
+	var start time.Time
+	if p != nil {
+		sh.hits++
+		sh.touch(p)
+	} else {
+		if onFault != nil {
+			start = time.Now()
+		}
+		p, err = c.fault(sh, idx)
 	}
-	sh.hits++
-	sh.touch(p)
-	n, err := p.copyOut(dst, inPage)
+	if err == nil {
+		n, err = p.copyOut(dst, inPage)
+	}
 	sh.mu.Unlock()
 	c.lens.RecordGet(uint64(idx))
+	if !start.IsZero() {
+		onFault(time.Since(start))
+	}
 	return n, err
 }
 
-// fault reads page idx from the file into a frame and copies from it.
-// Called with sh.mu held and idx absent from sh.pages; returns unlocked.
-func (c *pageCache) fault(sh *cacheShard, dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
+// fault reads page idx from the file into a frame and makes it resident. A
+// failed read drops the frame, leaving no trace of the page. Caller holds
+// sh.mu.
+func (c *pageCache) fault(sh *cacheShard, idx int64) (*page, error) {
 	sh.misses++
 	p := sh.takeFrame(c.pageSize)
-	p.idx, p.loading = idx, true
-	sh.pages[idx] = p
-	sh.mu.Unlock()
-
-	c.lens.RecordGet(uint64(idx))
-	var start time.Time
-	if onFault != nil {
-		start = time.Now()
-	}
-	err := c.load(p) // disk I/O outside every lock
-	if onFault != nil {
-		onFault(time.Since(start))
-	}
-
-	var n int
-	sh.mu.Lock()
-	p.loading = false
-	if err != nil {
-		delete(sh.pages, idx)
+	p.idx = idx
+	if err := c.load(p); err != nil {
 		sh.frames--
-	} else {
-		sh.insert(p)
-		n, err = p.copyOut(dst, inPage)
+		return nil, err
 	}
-	sh.loaded.Broadcast()
-	sh.mu.Unlock()
-	return n, err
-}
-
-// await waits for the reader that is loading page idx and copies from the
-// page it inserted. Called with sh.mu held; returns unlocked. The page can
-// already be gone when this reader gets the lock back — evicted by a later
-// fault, or never inserted because its load failed — and then it faults the
-// page in itself, as a lookup of its own.
-func (c *pageCache) await(sh *cacheShard, dst []byte, idx, inPage int64, onFault func(time.Duration)) (int, error) {
-	sh.dedups++
-	var start time.Time
-	if onFault != nil {
-		start = time.Now()
-	}
-	p := sh.pages[idx]
-	for p != nil && p.loading {
-		sh.loaded.Wait()
-		p = sh.pages[idx]
-	}
-	var n int
-	var err error
-	if p != nil {
-		n, err = p.copyOut(dst, inPage)
-	}
-	sh.mu.Unlock()
-	c.lens.RecordGet(uint64(idx))
-	if onFault != nil {
-		onFault(time.Since(start))
-	}
-	if p == nil {
-		return c.copyAt(dst, idx, inPage, onFault)
-	}
-	return n, err
+	sh.pages[idx] = p
+	sh.resident++
+	sh.bytes += int64(len(p.data))
+	sh.pushFront(p)
+	return p, nil
 }
 
 // load reads p's page from the underlying file into p's frame.
@@ -227,31 +178,17 @@ func (c *pageCache) readAt(dst []byte, off int64, onFault func(time.Duration)) e
 	return nil
 }
 
-// takeFrame returns the frame a fault reads into: a new one while the shard
-// is under budget, otherwise the LRU page's, which it evicts. Only when
-// every frame of the shard is itself mid-load does it allocate past the
-// budget; insert sheds that excess. Caller holds sh.mu.
+// takeFrame returns the frame a miss reads into: a new one while the shard
+// is under budget, otherwise the LRU page's, which it evicts. Caller holds
+// sh.mu.
 func (sh *cacheShard) takeFrame(pageSize int64) *page {
-	if sh.frames < sh.maxFrames || sh.tail == nil {
+	if sh.frames < sh.maxFrames {
 		sh.frames++
 		return &page{data: make([]byte, pageSize)}
 	}
 	p := sh.tail
 	sh.evict(p)
 	return p
-}
-
-// insert makes a freshly loaded page resident and, when concurrent faults
-// pushed the shard past its frame budget, evicts LRU pages and drops their
-// frames until it is back within it. Caller holds sh.mu.
-func (sh *cacheShard) insert(p *page) {
-	sh.resident++
-	sh.bytes += int64(len(p.data))
-	sh.pushFront(p)
-	for sh.frames > sh.maxFrames && sh.tail != p {
-		sh.evict(sh.tail)
-		sh.frames--
-	}
 }
 
 func (sh *cacheShard) touch(p *page) {
@@ -302,9 +239,6 @@ type Stats struct {
 	// Hits and Misses count page lookups; a miss is a disk read (a page
 	// fault in the paper's disk-resident experiments).
 	Hits, Misses int64
-	// FaultsDeduped counts lookups that piggybacked on a concurrent fault
-	// of the same page instead of issuing a duplicate disk read.
-	FaultsDeduped int64
 	// Evictions counts pages pushed out by the LRU to stay under budget.
 	Evictions int64
 	// ResidentBytes / ResidentPages describe current occupancy.
@@ -321,7 +255,6 @@ func (c *pageCache) stats() Stats {
 		sh.mu.Lock()
 		st.Hits += sh.hits
 		st.Misses += sh.misses
-		st.FaultsDeduped += sh.dedups
 		st.Evictions += sh.evictions
 		st.ResidentBytes += sh.bytes
 		st.ResidentPages += sh.resident

@@ -13,11 +13,10 @@ import (
 // TestConcurrentReaders drives many Reader views over one store at once —
 // with a cache budget small enough to force constant eviction and refault —
 // and checks every read against the in-memory truth. Run under -race this
-// exercises the sharded page cache's locking, the fault dedup and the reuse
-// of evicted pages' buffers: a reader that copied from a recycled buffer
-// would see another page's bytes. The second input has more readers than
-// the cache has frames, so faults overlap within a shard, allocate past the
-// budget and are shed again.
+// exercises the sharded page cache's locking and the reuse of evicted
+// pages' buffers: a reader that copied from a recycled buffer would see
+// another page's bytes. The second input has more readers than the cache
+// has frames, so lookups of one shard queue on its lock while it reads.
 func TestConcurrentReaders(t *testing.T) {
 	g, err := gen.RMAT(3000, 12000, gen.DefaultRMAT(), 42)
 	if err != nil {
@@ -42,7 +41,6 @@ func TestConcurrentReaders(t *testing.T) {
 			lens := s.AttachLens(cachelens.Config{SampleRate: 1})
 
 			// The budget bounds page buffers at every instant, not just at rest.
-			limit := tc.budget + int64(tc.readers)*pageSize
 			stop := make(chan struct{})
 			sampled := make(chan int64)
 			go func() {
@@ -92,9 +90,8 @@ func TestConcurrentReaders(t *testing.T) {
 			}
 			wg.Wait()
 			close(stop)
-			if peak := <-sampled; peak > limit {
-				t.Errorf("cache owned %d bytes of page buffers at once; budget %d + one page per reader = %d",
-					peak, tc.budget, limit)
+			if peak := <-sampled; peak > tc.budget {
+				t.Errorf("cache owned %d bytes of page buffers at once; budget %d", peak, tc.budget)
 			}
 			close(errs)
 			for msg := range errs {
@@ -104,14 +101,14 @@ func TestConcurrentReaders(t *testing.T) {
 			if st.Hits+st.Misses == 0 {
 				t.Fatal("cache recorded no traffic")
 			}
-			if lookups, sampled := st.Hits+st.Misses+st.FaultsDeduped, lens.Snapshot().SampledAccesses; sampled != lookups {
+			if lookups, sampled := st.Hits+st.Misses, lens.Snapshot().SampledAccesses; sampled != lookups {
 				t.Errorf("lens sampled %d accesses, shards counted %d lookups", sampled, lookups)
 			}
 			if st.ResidentBytes > tc.budget || s.cache.ownedBytes() > tc.budget {
 				t.Errorf("at rest: %d resident bytes, %d owned, budget %d", st.ResidentBytes, s.cache.ownedBytes(), tc.budget)
 			}
-			t.Logf("cache: %d hits, %d misses, %d deduped, %d evictions, %d resident",
-				st.Hits, st.Misses, st.FaultsDeduped, st.Evictions, st.ResidentBytes)
+			t.Logf("cache: %d hits, %d misses, %d evictions, %d resident",
+				st.Hits, st.Misses, st.Evictions, st.ResidentBytes)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package diskgraph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,7 +315,7 @@ func TestNodeTableTouchesNoPage(t *testing.T) {
 
 	lookups := func() int64 {
 		st := s.CacheStats()
-		return st.Hits + st.Misses + st.FaultsDeduped
+		return st.Hits + st.Misses
 	}
 	off := g.Offsets()
 	for v := 0; v < g.NumNodes(); v++ {
@@ -458,9 +460,8 @@ func TestFaultObserver(t *testing.T) {
 		t.Fatal("cold scan reported zero page faults")
 	}
 	st := s.CacheStats()
-	if int64(faults) != st.Misses+st.FaultsDeduped {
-		t.Fatalf("observer saw %d faults, cache counted %d misses + %d dedups",
-			faults, st.Misses, st.FaultsDeduped)
+	if int64(faults) != st.Misses {
+		t.Fatalf("observer saw %d faults, cache counted %d misses", faults, st.Misses)
 	}
 
 	// Warm re-scan: everything resident, the observer must stay silent.
@@ -509,9 +510,9 @@ func TestEvictionCountersAndHWM(t *testing.T) {
 	}
 }
 
-// ownedBytes is what the cache holds in page buffers at one instant:
-// resident pages plus loads in flight. It holds every shard lock at once,
-// because faults move between shards faster than it could visit them.
+// ownedBytes is what the cache holds in page buffers at one instant. It
+// holds every shard lock at once, because faults move between shards faster
+// than it could visit them.
 func (c *pageCache) ownedBytes() int64 {
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
@@ -570,59 +571,121 @@ func TestFaultPathAllocs(t *testing.T) {
 	}
 }
 
-// TestWaiterFindsPageGone: a reader that waited on another reader's load
-// and finds the page no longer in the shard when it gets the lock back (a
-// later fault already evicted it, or the load failed) reads the page itself.
-// The test plays the loading reader by hand to fix that order.
-func TestWaiterFindsPageGone(t *testing.T) {
+// gatedReader is an io.ReaderAt over data that counts its reads and fails
+// them while fail is set. When gate is set, each read reports itself on
+// entered and then waits for gate to close.
+type gatedReader struct {
+	data    []byte
+	gate    chan struct{}
+	entered chan struct{}
+	reads   atomic.Int32
+	fail    atomic.Bool
+}
+
+var errInjected = errors.New("injected read error")
+
+func (r *gatedReader) ReadAt(p []byte, off int64) (int, error) {
+	r.reads.Add(1)
+	if r.gate != nil {
+		r.entered <- struct{}{}
+		<-r.gate
+	}
+	if r.fail.Load() {
+		return 0, errInjected
+	}
+	return bytes.NewReader(r.data).ReadAt(p, off)
+}
+
+// waitForLockWaiter returns once some goroutine is parked on a mutex inside
+// copyAt, read off the goroutine dump.
+func waitForLockWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(dump, "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*pageCache).copyAt") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestColdPageReadOnce: two concurrent lookups of one cold page make one
+// disk read. The second waits on the shard lock while the first reads, then
+// hits; the fault observer sees only the first reader's load.
+func TestColdPageReadOnce(t *testing.T) {
 	data := make([]byte, 100)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	c := newPageCache(bytes.NewReader(data), 10, 10, 100)
-	sh := &c.shards[0]
+	// entered has room for a second read, so a cache that read the page
+	// twice fails the count below instead of hanging.
+	src := &gatedReader{data: data, gate: make(chan struct{}), entered: make(chan struct{}, 2)}
+	c := newPageCache(src, 10, 30, 100)
 
-	sh.mu.Lock()
-	sh.pages[3] = &page{idx: 3, loading: true}
-	sh.frames++
-	sh.mu.Unlock()
-
+	var stalls atomic.Int32
+	observe := func(time.Duration) { stalls.Add(1) }
 	var wg sync.WaitGroup
-	var got [4]byte
-	var n int
-	var waitErr error
-	var stalls int
-	wg.Add(1)
-	go func() {
+	var got [2][4]byte
+	var errs [2]error
+	lookup := func(i int) {
 		defer wg.Done()
-		n, waitErr = c.copyAt(got[:], 3, 2, func(time.Duration) { stalls++ })
-	}()
-	for {
-		sh.mu.Lock()
-		waiting := sh.dedups == 1
-		sh.mu.Unlock()
-		if waiting {
-			break
-		}
-		runtime.Gosched()
+		_, errs[i] = c.copyAt(got[i][:], 3, 2, observe)
 	}
-
-	sh.mu.Lock()
-	delete(sh.pages, 3)
-	sh.frames--
-	sh.loaded.Broadcast()
-	sh.mu.Unlock()
+	wg.Add(2)
+	go lookup(0)
+	<-src.entered // the first lookup holds the lock, mid-read
+	go lookup(1)
+	waitForLockWaiter(t)
+	close(src.gate)
 	wg.Wait()
 
-	if waitErr != nil || n != 4 || got != [4]byte{32, 33, 34, 35} {
-		t.Fatalf("waiter read %v (n=%d, err=%v), want bytes 32..35", got, n, waitErr)
+	for i := range got {
+		if errs[i] != nil || got[i] != [4]byte{32, 33, 34, 35} {
+			t.Fatalf("lookup %d read %v (err %v), want bytes 32..35", i, got[i], errs[i])
+		}
 	}
 	st := c.stats()
-	if st.FaultsDeduped != 1 || st.Misses != 1 || stalls != 2 {
-		t.Fatalf("dedups %d, misses %d, observed stalls %d; want 1, 1, 2", st.FaultsDeduped, st.Misses, stalls)
+	if n := src.reads.Load(); n != 1 || st.Misses != 1 || st.Hits != 1 || stalls.Load() != 1 {
+		t.Fatalf("%d reads, %d misses, %d hits, %d observed stalls; want 1 each", n, st.Misses, st.Hits, stalls.Load())
 	}
-	if owned := c.ownedBytes(); owned != 10 {
-		t.Fatalf("cache owns %d bytes after the refault, want one 10-byte page", owned)
+}
+
+// TestFailedLoadLeavesNothing: a load whose read fails returns the read's
+// error and leaves neither the page nor its frame in the cache, whether the
+// frame was new or recycled from an evicted page; the next lookup of the
+// page reads it again.
+func TestFailedLoadLeavesNothing(t *testing.T) {
+	data := make([]byte, 100)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	src := &gatedReader{data: data}
+	c := newPageCache(src, 10, 10, 100) // one shard of one frame
+	var b [4]byte
+	for _, resident := range []int64{-1, 5} { // none resident (a new frame), then page 5 (its frame recycled)
+		if resident >= 0 {
+			if _, err := c.copyAt(b[:], resident, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.fail.Store(true)
+		if _, err := c.copyAt(b[:], 3, 2, nil); !errors.Is(err, errInjected) {
+			t.Fatalf("failed load returned %v, want the read's error", err)
+		}
+		if st := c.stats(); st.ResidentPages != 0 || st.ResidentBytes != 0 || c.ownedBytes() != 0 {
+			t.Fatalf("after a failed load: %+v, %d bytes owned; want an empty cache", st, c.ownedBytes())
+		}
+		src.fail.Store(false)
+		reads := src.reads.Load()
+		if n, err := c.copyAt(b[:], 3, 2, nil); err != nil || n != 4 || b != [4]byte{32, 33, 34, 35} {
+			t.Fatalf("retry read %v (n=%d, err=%v), want bytes 32..35", b, n, err)
+		}
+		if src.reads.Load() != reads+1 {
+			t.Fatal("the lookup after a failed load did not read the page")
+		}
 	}
 }
 
@@ -664,7 +727,7 @@ func TestStoreLensIntegration(t *testing.T) {
 		if snap.SampleRate != tc.sampleRate {
 			t.Fatalf("effective sample rate %d, want %d", snap.SampleRate, tc.sampleRate)
 		}
-		lookups := st.Hits + st.Misses + st.FaultsDeduped
+		lookups := st.Hits + st.Misses
 		if got := snap.SampledAccesses; tc.sampleRate == 1 && got != lookups || got <= 0 || got > lookups {
 			t.Fatalf("rate %d: lens sampled %d accesses of the cache's %d lookups", tc.sampleRate, got, lookups)
 		}

@@ -14,12 +14,13 @@ import (
 // Store is a read-only disk-resident graph. Its node table (every degree
 // and CSR offset, 16 bytes per node) is read into memory at Open; the
 // adjacency rows are served through a byte-budgeted, lock-striped page
-// cache. It implements graph.Graph. Neighbors returns
-// scratch slices that are overwritten by the next Neighbors call — the same
-// contract the interface documents — so the Store itself serves one reader
-// at a time; concurrent queries each take their own view via NewReader,
-// which shares the page cache (safe for any number of concurrent readers)
-// but owns private scratch buffers.
+// cache that reads a missing page once, under its shard's lock. It
+// implements graph.Graph. Neighbors returns scratch slices that are
+// overwritten by the next Neighbors call — the same contract the interface
+// documents — so the Store itself serves one reader at a time; concurrent
+// queries each take their own view via NewReader, which shares the page
+// cache (safe for any number of concurrent readers) but owns private
+// scratch buffers.
 type Store struct {
 	f     *os.File
 	l     layout
@@ -49,8 +50,8 @@ type Reader struct {
 	scratchW []float64
 	buf      []byte
 
-	// fault, when set, observes every page-fault stall this Reader's reads
-	// incur (cold disk loads and waits on another reader's in-flight load).
+	// fault, when set, observes the stall of every page this Reader's own
+	// lookups read from the file.
 	fault func(time.Duration)
 }
 
@@ -171,8 +172,11 @@ func (r *Reader) Degree(v graph.NodeID) float64 { return r.s.deg[v] }
 // SetFaultObserver installs (or clears, with nil) a callback invoked with
 // the stall duration of every page fault this Reader's reads incur — the
 // hook the serving layer uses to attribute cold-path disk time to a query's
-// trace. The observer runs on the faulting goroutine; keep it cheap. Not
-// safe to call concurrently with reads on the same Reader.
+// trace. It fires only for the pages this Reader reads itself: a lookup that
+// waited on the shard lock while another Reader read the same page is a hit
+// and is not reported. The observer runs on the faulting goroutine after
+// the shard lock is released; keep it cheap. Not safe to call concurrently
+// with reads on the same Reader.
 func (r *Reader) SetFaultObserver(fn func(time.Duration)) { r.fault = fn }
 
 // TopDegrees serves the store's degree index.
@@ -211,9 +215,9 @@ func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 }
 
 // AttachLens enables cache analytics on the page cache: every page lookup
-// from here on (hit, fault or deduplicated wait) reaches a cachelens.Lens
-// once, whose miss-ratio curve and working-set windows are exported through
-// the returned handle. A zero cfg.Capacity is filled from the store's
+// from here on (hit or fault) reaches a cachelens.Lens once, whose
+// miss-ratio curve and working-set windows are exported through the
+// returned handle. A zero cfg.Capacity is filled from the store's
 // geometry: it becomes the page budget (the 1x point of the MRC). Call
 // before serving traffic — attaching is not synchronized with concurrent
 // reads — and Close the returned lens on shutdown when cfg.TickEvery is set.

@@ -188,24 +188,54 @@ func (g *MemGraph) buildTopDegrees() {
 // across MemGraph and live-graph snapshots built over the same degree
 // vector.
 func TopDegreeIndex(degrees []float64) []DegreeEntry {
-	n := len(degrees)
-	k := topDegreeCache
-	if k > n {
-		k = n
+	k := min(len(degrees), topDegreeCache)
+	if k == 0 {
+		return nil
 	}
-	// Partial selection: collect all entries, sort, keep prefix. n is at most
-	// tens of millions and this runs once at construction.
-	entries := make([]DegreeEntry, n)
-	for v := 0; v < n; v++ {
-		entries[v] = DegreeEntry{Node: NodeID(v), Degree: degrees[v]}
+	// top is a heap of the best k seen so far whose root ranks last. A later
+	// node has a larger ID, so it loses every degree tie and replaces the
+	// root only with a strictly larger degree.
+	top := make([]DegreeEntry, k)
+	for v := range top {
+		top[v] = DegreeEntry{Node: NodeID(v), Degree: degrees[v]}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Degree != entries[j].Degree {
-			return entries[i].Degree > entries[j].Degree
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	for v := k; v < len(degrees); v++ {
+		if d := degrees[v]; d > top[0].Degree {
+			top[0] = DegreeEntry{Node: NodeID(v), Degree: d}
+			siftDown(top, 0)
 		}
-		return entries[i].Node < entries[j].Node
-	})
-	return append([]DegreeEntry(nil), entries[:k]...)
+	}
+	sort.Slice(top, func(i, j int) bool { return ranksBefore(top[i], top[j]) })
+	return top
+}
+
+// ranksBefore is the degree index order: degree descending, node ascending.
+func ranksBefore(a, b DegreeEntry) bool {
+	if a.Degree != b.Degree {
+		return a.Degree > b.Degree
+	}
+	return a.Node < b.Node
+}
+
+// siftDown moves h[i] down until neither child ranks after it, restoring
+// a heap whose root ranks last.
+func siftDown(h []DegreeEntry, i int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && ranksBefore(h[last], h[c]) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // Validate checks structural invariants: sorted offsets, in-range targets,

@@ -127,6 +127,34 @@ func TestTopDegrees(t *testing.T) {
 	}
 }
 
+// TestTopDegreeIndexMatchesFullSort: the bounded selection returns exactly
+// the prefix a sort of every node by (degree desc, node asc) gives, on
+// degrees drawn from eight values so that ties cross the cut, and on sizes
+// either side of the index length.
+func TestTopDegreeIndexMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, topDegreeCache - 1, topDegreeCache, topDegreeCache + 1, 20000} {
+		degrees := make([]float64, n)
+		for v := range degrees {
+			degrees[v] = float64(rng.Intn(8)) / 2
+		}
+		want := make([]DegreeEntry, n)
+		for v, d := range degrees {
+			want[v] = DegreeEntry{Node: NodeID(v), Degree: d}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Degree != want[j].Degree {
+				return want[i].Degree > want[j].Degree
+			}
+			return want[i].Node < want[j].Node
+		})
+		want = want[:min(n, topDegreeCache)]
+		if got := TopDegreeIndex(degrees); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: bounded selection differs from the full sort (%d vs %d entries)", n, len(got), len(want))
+		}
+	}
+}
+
 func TestFromCSRRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	g2, err := FromCSR(g.Offsets(), g.Targets(), g.Weights(), nil)

@@ -73,12 +73,10 @@ type metrics struct {
 	lastBatchSurgical atomic.Int64
 	lastBatchRetained atomic.Int64
 
-	lat          obs.Histogram // all executed (non-cache-hit) queries
-	latByMeasure [len(measureLabels)]obs.Histogram
+	latByMeasure [len(measureLabels)]obs.Histogram // executed (non-cache-hit) queries
 }
 
 func (m *metrics) snapshot() Metrics {
-	lat := m.lat.Snapshot()
 	out := Metrics{
 		Shed:                  m.shed.Load(),
 		OK:                    m.ok.Load(),
@@ -94,9 +92,6 @@ func (m *metrics) snapshot() Metrics {
 		CacheRetained:         m.retained.Load(),
 		LastBatchSurgical:     m.lastBatchSurgical.Load(),
 		LastBatchRetained:     m.lastBatchRetained.Load(),
-		P50Micros:             lat.QuantileUS(0.50),
-		P99Micros:             lat.QuantileUS(0.99),
-		Latency:               lat,
 		LatencyByMeasure:      make(map[string]obs.Snapshot),
 	}
 	out.Interrupted = out.Deadline + out.Canceled
@@ -143,15 +138,9 @@ type Metrics struct {
 	// visited-per-query is the paper's locality metric, so the ratio
 	// VisitedTotal/Served tracks how local production traffic actually is.
 	IterationsTotal, VisitedTotal, SweepsTotal int64
-	// P50Micros / P99Micros are conservative (round-up) latency quantiles
-	// over all executed (non-cache-hit) queries, kept for compatibility
-	// with the pre-histogram snapshot. Unlike the old ring-buffer window
-	// they cover the pool's lifetime.
-	P50Micros, P99Micros int64
-	// Latency is the full log-bucketed latency histogram; LatencyByMeasure
-	// splits it per measure label ("php", "ei", "dht", "tht", "rwr",
-	// "unified"), omitting labels with no observations.
-	Latency          obs.Snapshot
+	// LatencyByMeasure holds the log-bucketed latency histograms of
+	// executed (non-cache-hit) queries per measure label ("php", "ei",
+	// "dht", "tht", "rwr", "unified"), omitting labels with no observations.
 	LatencyByMeasure map[string]obs.Snapshot
 	// QueueDepth is the current number of queries waiting for a slot;
 	// QueueCap its bound; Workers the slot count (1 on a backend without

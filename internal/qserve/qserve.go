@@ -482,7 +482,6 @@ func (p *Pool) finish(j *job, f finished) {
 		m.hit.Add(1)
 		m.hitByMeasure[slot].Add(1)
 	default:
-		m.lat.Observe(f.elapsed)
 		m.latByMeasure[slot].Observe(f.elapsed)
 		m.iterations.Add(int64(f.iters))
 		m.visited.Add(int64(f.visited))

@@ -96,8 +96,9 @@ func TestTopKBatchHappyPath(t *testing.T) {
 	}
 }
 
-// TestTopKBatchPerQueryError: an out-of-range node fails its own slot with
-// a 200 response; its neighbors still get answers.
+// TestTopKBatchPerQueryError: an out-of-range node fails its own slot, with
+// the 400 /v1/topk would have answered, in a 200 response; its neighbors
+// still get answers.
 func TestTopKBatchPerQueryError(t *testing.T) {
 	ts := newTestServer(t)
 	var body v1BatchBody
@@ -109,10 +110,10 @@ func TestTopKBatchPerQueryError(t *testing.T) {
 	if body.Errors != 1 {
 		t.Fatalf("errors=%d, want 1", body.Errors)
 	}
-	if body.Results[0].Error != "" || len(body.Results[0].Results) != 3 {
+	if body.Results[0].Error != "" || body.Results[0].Status != 0 || len(body.Results[0].Results) != 3 {
 		t.Fatalf("good slot poisoned: %+v", body.Results[0])
 	}
-	if body.Results[1].Error == "" || len(body.Results[1].Results) != 0 {
+	if body.Results[1].Error == "" || body.Results[1].Status != http.StatusBadRequest || len(body.Results[1].Results) != 0 {
 		t.Fatalf("bad slot did not fail: %+v", body.Results[1])
 	}
 }
@@ -278,8 +279,8 @@ func TestV1BatchOverDo(t *testing.T) {
 					if slot.Error == "" && len(slot.Results) == 0 {
 						t.Fatalf("slot %d is empty", i)
 					}
-					if slot.Error != "" && !strings.Contains(slot.Error, core.ErrDeadline.Error()) {
-						t.Fatalf("slot %d: %q, want a deadline error", i, slot.Error)
+					if slot.Error != "" && (!strings.Contains(slot.Error, core.ErrDeadline.Error()) || slot.Status != http.StatusGatewayTimeout) {
+						t.Fatalf("slot %d: %q (status %d), want a deadline error with 504", i, slot.Error, slot.Status)
 					}
 				}
 			},
@@ -301,8 +302,8 @@ func TestV1BatchOverDo(t *testing.T) {
 					t.Fatal("no slot hit the 1ms pool timeout")
 				}
 				for i, slot := range body.Results {
-					if slot.Error != "" && !strings.Contains(slot.Error, core.ErrDeadline.Error()) {
-						t.Fatalf("slot %d: %q, want a deadline error", i, slot.Error)
+					if slot.Error != "" && (!strings.Contains(slot.Error, core.ErrDeadline.Error()) || slot.Status != http.StatusGatewayTimeout) {
+						t.Fatalf("slot %d: %q (status %d), want a deadline error with 504", i, slot.Error, slot.Status)
 					}
 				}
 			},
@@ -314,8 +315,8 @@ func TestV1BatchOverDo(t *testing.T) {
 			body:     `"queries":[1,2,3,4]`,
 			check: func(t *testing.T, _ *httptest.Server, _ string, body v1BatchBody) {
 				for i, slot := range body.Results {
-					if slot.Error != qserve.ErrClosed.Error() {
-						t.Fatalf("slot %d: %q, want %q", i, slot.Error, qserve.ErrClosed)
+					if slot.Error != qserve.ErrClosed.Error() || slot.Status != http.StatusServiceUnavailable {
+						t.Fatalf("slot %d: %q (status %d), want %q with 503", i, slot.Error, slot.Status, qserve.ErrClosed)
 					}
 				}
 			},
@@ -361,8 +362,8 @@ func TestV1BatchOverDo(t *testing.T) {
 			body:     `"queries":[5,6,7]`,
 			check: func(t *testing.T, _ *httptest.Server, _ string, body v1BatchBody) {
 				for i, slot := range body.Results {
-					if slot.Error != qserve.ErrOverloaded.Error() {
-						t.Fatalf("slot %d: %q, want %q", i, slot.Error, qserve.ErrOverloaded)
+					if slot.Error != qserve.ErrOverloaded.Error() || slot.Status != http.StatusTooManyRequests {
+						t.Fatalf("slot %d: %q (status %d), want %q with 429", i, slot.Error, slot.Status, qserve.ErrOverloaded)
 					}
 				}
 			},

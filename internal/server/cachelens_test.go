@@ -122,7 +122,6 @@ func TestCacheLensMetrics(t *testing.T) {
 	want := map[string]int64{
 		"page_hits":      st.Hits,
 		"page_faults":    st.Misses,
-		"faults_deduped": st.FaultsDeduped,
 		"evictions":      st.Evictions,
 		"resident_bytes": st.ResidentBytes,
 		"resident_pages": int64(st.ResidentPages),
@@ -176,7 +175,7 @@ func TestCacheLensMetrics(t *testing.T) {
 	if body.CacheAnalytics == nil || body.CacheAnalytics.PageCache == nil || body.CacheAnalytics.ResultCache == nil {
 		t.Fatalf("cache_analytics incomplete: %+v", body.CacheAnalytics)
 	}
-	if got, want := body.CacheAnalytics.PageCache.SampledAccesses, st.Hits+st.Misses+st.FaultsDeduped; got != want {
+	if got, want := body.CacheAnalytics.PageCache.SampledAccesses, st.Hits+st.Misses; got != want {
 		t.Fatalf("page lens sampled %d accesses at rate 1, page cache counted %d lookups", got, want)
 	}
 }

@@ -110,10 +110,6 @@ var metricTable = []metricRow{
 		func(c *scrape) float64 { return float64(c.m.VisitedTotal) }},
 	{"", "engine_sweeps", "flos_engine_sweeps_total", nil, "Bound-solver relaxations across all searches.", counter,
 		func(c *scrape) float64 { return float64(c.m.SweepsTotal) }},
-	{"", "latency_p50_us", "", nil, "", gauge,
-		func(c *scrape) float64 { return float64(c.m.P50Micros) }},
-	{"", "latency_p99_us", "", nil, "", gauge,
-		func(c *scrape) float64 { return float64(c.m.P99Micros) }},
 	{"", "queue_depth", "flos_queue_depth", nil, "Admitted queries waiting for a slot.", gauge,
 		func(c *scrape) float64 { return float64(c.m.QueueDepth) }},
 	{"", "queue_cap", "flos_queue_capacity", nil, "Admission queue bound.", gauge,
@@ -174,8 +170,6 @@ var metricTable = []metricRow{
 		func(c *scrape) float64 { return float64(c.disk.Hits) }},
 	{"disk", "page_faults", "flos_page_cache_faults_total", nil, "Page faults (disk reads).", counter,
 		func(c *scrape) float64 { return float64(c.disk.Misses) }},
-	{"disk", "faults_deduped", "flos_page_cache_faults_deduped_total", nil, "Lookups that waited on a concurrent fault of the same page instead of reading it again.", counter,
-		func(c *scrape) float64 { return float64(c.disk.FaultsDeduped) }},
 	{"disk", "evictions", "flos_page_cache_evictions_total", nil, "Pages evicted by LRU to stay under budget.", counter,
 		func(c *scrape) float64 { return float64(c.disk.Evictions) }},
 	{"disk", "resident_bytes", "flos_page_cache_resident_bytes", nil, "Resident page bytes.", gauge,

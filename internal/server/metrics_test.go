@@ -26,7 +26,6 @@ type metricsDoc struct {
 	AnytimePartial int64                         `json:"queries_anytime_partial"`
 	Iterations     int64                         `json:"engine_iterations"`
 	VisitedNodes   int64                         `json:"engine_visited_nodes"`
-	P50Micros      int64                         `json:"latency_p50_us"`
 	Workers        int                           `json:"workers"`
 	QueueCap       int                           `json:"queue_cap"`
 	CacheHits      int64                         `json:"cache_hits"`

@@ -316,10 +316,11 @@ type v1BatchRequestBody struct {
 }
 
 // v1BatchSlotBody is one query's slot: results plus its certification, or
-// that query's error.
+// that query's error and the status /v1/topk would have answered it with.
 type v1BatchSlotBody struct {
 	Query         graph.NodeID        `json:"query"`
 	Error         string              `json:"error,omitempty"`
+	Status        int                 `json:"status,omitempty"`
 	Exact         bool                `json:"exact,omitempty"`
 	Cached        bool                `json:"cached,omitempty"`
 	Visited       int                 `json:"visited,omitempty"`
@@ -406,6 +407,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		slot := v1BatchSlotBody{Query: q}
 		if errs[i] != nil {
 			slot.Error = errs[i].Error()
+			slot.Status = queryStatus(errs[i])
 			body.Errors++
 		} else {
 			res := resps[i].TopK

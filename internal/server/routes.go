@@ -28,7 +28,9 @@
 //	                        single round trip; mode/epsilon/deadline in the
 //	                        body apply to every member. The response carries
 //	                        one slot per query with either results and their
-//	                        certification or that query's error. Members run
+//	                        certification or that query's error and the
+//	                        status /v1/topk would have answered it with
+//	                        (400, 429, 503, 504 or 500). Members run
 //	                        as single queries, at most min(workers, queue) at
 //	                        a time; a member shed by other clients' load and
 //	                        the unstarted members of a canceled batch fail
@@ -371,24 +373,35 @@ func badRequest(w http.ResponseWriter, format string, args ...interface{}) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeQueryError maps a pool/engine error onto an HTTP status via the
-// typed sentinels (errors.Is): invalid options or query node → 400,
-// overload → 429, deadline → 504, cancellation/shutdown or a failed storage
-// read → 503, anything else → 500.
-func writeQueryError(w http.ResponseWriter, err error) {
+// queryStatus maps a pool/engine error onto an HTTP status via the typed
+// sentinels (errors.Is): invalid options or query node → 400, overload →
+// 429, deadline → 504, cancellation/shutdown or a failed storage read →
+// 503, anything else → 500. A failed /v1/topk answers with it and a failed
+// batch member's slot carries it.
+func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrInvalidOptions), errors.Is(err, core.ErrInvalidQuery):
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return http.StatusBadRequest
 	case errors.Is(err, qserve.ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "server overloaded, retry later"})
+		return http.StatusTooManyRequests
 	case errors.Is(err, core.ErrDeadline):
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
+		return http.StatusGatewayTimeout
 	case errors.Is(err, core.ErrCanceled), errors.Is(err, qserve.ErrClosed), errors.Is(err, graph.ErrStorage):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		return http.StatusServiceUnavailable
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return http.StatusInternalServerError
 	}
+}
+
+// writeQueryError answers a failed query with its queryStatus; an overload
+// also carries Retry-After.
+func writeQueryError(w http.ResponseWriter, err error) {
+	status, msg := queryStatus(err), err.Error()
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+		msg = "server overloaded, retry later"
+	}
+	writeJSON(w, status, errorBody{Error: msg})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
