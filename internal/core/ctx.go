@@ -69,9 +69,10 @@ func interrupted(ctxErr error, visited, iterations, sweeps int) *Interrupted {
 	return &Interrupted{Cause: cause, Visited: visited, Iterations: iterations, Sweeps: sweeps}
 }
 
-// TopKCtx is TopK with cancellation: the search checks ctx at every local
-// expansion and returns an *Interrupted (wrapping ErrCanceled or
-// ErrDeadline) as soon as the context fires. Iterations are small — one
+// TopKCtx is TopK with cancellation: the search checks ctx, and its
+// deadline against the clock, at every local expansion and returns an
+// *Interrupted (wrapping ErrCanceled or ErrDeadline) as soon as the context
+// fires or the deadline passes. Iterations are small — one
 // boundary-batch expansion plus an incremental bound re-solve — so the
 // response to cancellation is prompt even on large graphs.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"flos/internal/graph"
@@ -34,9 +35,11 @@ import (
 // is valid, because every coordinate relaxation of the monotone upper-bound
 // map F keeps x ≥ PHP (PHP ≤ F(PHP) by Lemmas 3–4). The trivial start, 1,
 // would set off a relaxation cascade through the neighborhood on every
-// visit. The same fact caps the node for the rest of the query: its upper
-// bound never rises above that r_d (ubCap), which is what keeps a newly
-// visited node from loosening the certification gap (DESIGN.md §5).
+// visit. A relaxation never raises an upper bound: both the old value and
+// the relaxed one are valid, so the solver keeps the smaller. That caps a
+// newly visited node at the r_d it was visited under, which is what keeps it
+// from loosening the certification gap (DESIGN.md §5), and it is the
+// monotonicity the lazy shell bound rests on (shellBound).
 //
 // An engine lives in a Workspace and is reusable: reset prepares it for a
 // new query while keeping every slice's backing storage and logically
@@ -53,9 +56,6 @@ type phpEngine struct {
 	// bnd[2i], upper bound at bnd[2i+1]. Use lbAt/ubAt outside hot loops.
 	bnd []float64
 	rd  float64 // dummy-node value
-	// ubCap[i] is the r_d local node i was visited under, a ceiling on its
-	// upper bound for the rest of the query.
-	ubCap []float64
 
 	// Worklist state for the residual-driven bound solver: one queue per
 	// bound side, with membership bitmaps and per-node accumulated input
@@ -70,15 +70,20 @@ type phpEngine struct {
 	// The shell, the unvisited neighbors of S, as the shell bound reads it
 	// (see shellBound). A node gets a shell slot when a neighbor is
 	// visited; the slot rides the dense index (nodeIndex.putShell) until
-	// the node itself is visited, which kills it. touched lists the slots
-	// an evaluation wrote. Each visited node keeps its edges to shell
-	// slots, in adjacency order, as the run out[outOff[i]:outOff[i]+outLen[i]],
-	// so an evaluation reads no index.
-	shell          []shellSlot
-	touched        []int32
-	out            []shellEdge
-	outOff, outLen []int32
+	// the node itself is visited, which kills it. A slot's S-edges are a
+	// chain through sEdges in the order they joined S. dirty lists the
+	// slots that gained an edge since the last evaluation; every other live
+	// slot sits in the key bucket of its last exact ratio, linked through
+	// the slot array from bucketHead, with bucketBits marking the non-empty
+	// buckets.
+	shell      []shellSlot
+	sEdges     []shellEdge
+	dirty      []int32
+	bucketHead [shellBuckets]int32
+	bucketBits [shellBuckets / 64]uint64
+	evalGen    uint32 // the shell bound evaluation now running
 
+	shellReads   int // S-edge entries the shell bound read
 	degreeProbes int // Degree reads, repeats included
 
 	// wSbar serves the RWR stopping rule's w(S̄) guard: the largest degree
@@ -115,9 +120,13 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, p measure.Params, opt O
 	e.inQUB = e.inQUB[:0]
 	e.pendLB = e.pendLB[:0]
 	e.pendUB = e.pendUB[:0]
-	e.ubCap = e.ubCap[:0]
-	e.shell = e.shell[:0]
-	e.out, e.outOff, e.outLen = e.out[:0], e.outOff[:0], e.outLen[:0]
+	e.shell, e.sEdges, e.dirty = e.shell[:0], e.sEdges[:0], e.dirty[:0]
+	for b := range e.bucketHead {
+		e.bucketHead[b] = -1
+	}
+	clear(e.bucketBits[:])
+	e.evalGen = 0
+	e.shellReads = 0
 	e.rd = 1
 	e.degreeProbes = 0
 	e.capProbes = opt.CaptureFootprint
@@ -132,16 +141,15 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, p measure.Params, opt O
 
 // visit pulls node v into S: the substrate maintains the visited-set and
 // frontier bookkeeping and wires the transition entries in both directions,
-// then this records v's edges into the shell and seeds the solver
-// worklists. v's upper bound starts at r_d and is capped there (see
-// phpEngine). Precondition: v not visited.
+// then this appends v's edges to its unvisited neighbors' shell slots and
+// seeds the solver worklists. v's upper bound starts at r_d and is capped
+// there (see phpEngine). Precondition: v not visited.
 func (e *phpEngine) visit(v graph.NodeID) {
 	if raw, ok := e.local.slot(v); ok {
-		e.shell[-raw-1].dead = true // v leaves the shell
+		e.killSlot(-raw - 1) // v leaves the shell
 	}
 	li := e.visitCommon(v)
 
-	e.outOff = append(e.outOff, int32(len(e.out)))
 	for k, lu := range e.visitL {
 		if lu >= 0 {
 			continue
@@ -152,14 +160,12 @@ func (e *phpEngine) visit(v graph.NodeID) {
 		if !seen {
 			si = int32(len(e.shell))
 			e.local.putShell(u, si)
-			e.shell = append(e.shell, shellSlot{node: u, deg: -1})
+			e.shell = append(e.shell, shellSlot{node: u, deg: -1, head: -1, tail: -1, prev: unfiled, next: -1})
 		}
-		e.out = append(e.out, shellEdge{si, e.adjW[li][k]})
+		e.addShellEdge(si, li, e.adjW[li][k])
 	}
-	e.outLen = append(e.outLen, int32(len(e.out))-e.outOff[li])
 
 	e.bnd = append(e.bnd, 0, e.rd)
-	e.ubCap = append(e.ubCap, e.rd)
 	e.inQLB = append(e.inQLB, false)
 	e.inQUB = append(e.inQUB, false)
 	e.pendLB = append(e.pendLB, 0)
@@ -215,7 +221,8 @@ func (e *phpEngine) dummyEntry(i int32) float64 {
 // relaxation keeps lb ≤ PHP below and ub ≥ PHP above from any start on the
 // right side. A new node's r_d start is not a super-solution: its own row
 // may relax above r_d when it borders nodes with larger upper bounds, and
-// its cap (ubCap) holds it at r_d, the smaller of two valid bounds.
+// the upper side keeps the smaller of the old and the relaxed value, both
+// valid, so it stays at r_d.
 //
 // The solver is a residual-driven Gauss–Seidel relaxation over worklists
 // rather than full Jacobi sweeps: expansion enqueues exactly the rows whose
@@ -223,9 +230,9 @@ func (e *phpEngine) dummyEntry(i int32) float64 {
 //
 //	r_i ← c·(Σ_j T_ij·r_j + dummy_i·r_d) + e_i
 //
-// (capped at ubCap_i on the upper side) and charges the change to i's
-// local neighbors, which re-enqueue once their accumulated input drift
-// exceeds θ = τ/16. It reaches the same fixpoint as
+// (never above the previous value on the upper side) and charges the
+// change to i's local neighbors, which re-enqueue once their accumulated
+// input drift exceeds θ = τ/16. It reaches the same fixpoint as
 // Algorithm 7's iteration with the same validity argument — but its cost
 // tracks the changed region, not |S|, which matters because FLoS re-solves
 // after every expansion.
@@ -322,10 +329,10 @@ func (e *phpEngine) solve() {
 				}
 				s += e.dummyEntry(i) * e.rd
 				v := e.c * s
-				if v > e.ubCap[i] {
-					v = e.ubCap[i]
+				d := e.bnd[2*i+1] - v
+				if d < 0 {
+					v, d = e.bnd[2*i+1], 0 // an upper bound only falls
 				}
-				d := abs(v - e.bnd[2*i+1])
 				e.bnd[2*i+1] = v
 				if d != 0 {
 					for _, en := range e.rows[i] {
@@ -388,77 +395,195 @@ func (e *phpEngine) updateDummy() {
 //
 //	M ≤ R = max over shell u of c·A_u / ((1−c)·d_u + c·W_u).
 //
-// Every S-neighbor of a shell node is a live boundary node, so one pass over
-// the boundary's shell edges collects W and A, dropping the edges whose far
-// end has been visited since; it costs Σ_{i∈δS} outCnt_i and no row read. A
-// shell node's Degree is read the first time the pass meets it.
+// The maximum is found lazily (CELF): each slot keeps as its key the ratio
+// A_u / ((1−c)·d_u + c·W_u) of its last exact evaluation. Between
+// evaluations every upper bound only falls (solve never raises one), so
+// A_u only falls and a stale key stays an upper bound on the slot's ratio;
+// a new S-edge moves A_u and W_u up, and visit marks that slot dirty. An
+// evaluation recomputes the dirty slots, then the stale members of the
+// highest non-empty bucket, moving down those whose key fell, until that
+// bucket holds only keys computed now: its largest is the maximum. A slot
+// sums its edges in one fixed order, the order they joined S, and every
+// rounded product and partial sum is monotone in the upper bounds, so the
+// stale-key argument holds for the doubles too and R is the exact maximum
+// of the rounded ratios.
 func (e *phpEngine) shellBound() float64 {
-	touched := e.touched[:0]
-	for _, i := range e.bList {
-		if e.outCnt[i] <= 0 {
-			continue
+	e.evalGen++
+	for _, si := range e.dirty {
+		if e.shell[si].node >= 0 { // not visited since it was marked
+			e.rekey(si)
 		}
-		ub := e.bnd[2*i+1]
-		edges := e.out[e.outOff[i] : e.outOff[i]+e.outLen[i]]
-		live := 0
-		for _, x := range edges {
-			sh := &e.shell[x.si]
-			if sh.dead {
-				continue
-			}
-			edges[live] = x
-			live++
-			if sh.w == 0 {
-				touched = append(touched, x.si)
-			}
-			sh.w += x.w
-			sh.a += x.w * ub
-		}
-		e.outLen[i] = int32(live)
 	}
-	r := 0.0
-	for _, si := range touched {
-		sh := &e.shell[si]
-		if sh.deg < 0 {
-			sh.deg = e.g.Degree(sh.node)
-			e.degreeProbes++
-			if e.capProbes {
-				e.probed = append(e.probed, sh.node)
+	e.dirty = e.dirty[:0]
+	for {
+		b := e.topBucket()
+		if b < 0 {
+			return 0 // the shell is empty
+		}
+		r := 0.0
+		for si := e.bucketHead[b]; si >= 0; {
+			sh := &e.shell[si]
+			next := sh.next
+			if sh.gen != e.evalGen {
+				e.rekey(si)
 			}
+			r = max(r, sh.key) // exact now, wherever it is filed
+			si = next
 		}
-		w := sh.w
-		if w > sh.deg {
-			w = sh.deg // rounding: the weight into S is part of the degree
+		if e.bucketHead[b] >= 0 {
+			return e.c * r
 		}
-		// The division runs only for a slot the product test cannot rule
-		// out, and decides: r is the exact maximum of a/den.
-		if den := (1-e.c)*sh.deg + e.c*w; den <= 0 {
-			r = math.Inf(1) // no degree to divide by: R bounds nothing
-		} else if sh.a > r*den*(1-1e-12) {
-			if x := sh.a / den; x > r {
-				r = x
-			}
-		}
-		sh.w, sh.a = 0, 0
 	}
-	e.touched = touched
-	return e.c * r
 }
 
-// shellSlot is one shell node as the shell bound sees it: its degree (−1
-// until first read), the weight of its edges into S and their ub-weighted
-// sum (accumulated per evaluation, 0 between them), and whether it has been
-// visited since.
+// rekey evaluates slot si's ratio exactly, reading its degree the first
+// time, and files the slot under the new key.
+func (e *phpEngine) rekey(si int32) {
+	sh := &e.shell[si]
+	if sh.deg < 0 {
+		sh.deg = e.g.Degree(sh.node)
+		e.degreeProbes++
+		if e.capProbes {
+			e.probed = append(e.probed, sh.node)
+		}
+	}
+	var w, a float64
+	for x := sh.head; x >= 0; {
+		ed := &e.sEdges[x]
+		w += ed.w
+		a += ed.w * e.bnd[2*ed.li+1]
+		x = ed.next
+		e.shellReads++
+	}
+	if w > sh.deg {
+		w = sh.deg // rounding: the weight into S is part of the degree
+	}
+	key := math.Inf(1) // no degree to divide by: R bounds nothing
+	if den := (1-e.c)*sh.deg + e.c*w; den > 0 {
+		key = a / den
+	}
+	sh.gen = e.evalGen
+	b := shellBucket(key)
+	if sh.prev != unfiled {
+		if b == shellBucket(sh.key) {
+			sh.key = key
+			return
+		}
+		e.unlinkSlot(si) // reads the old key's bucket
+	}
+	sh.key = key
+	e.linkSlot(si, b)
+}
+
+// addShellEdge appends the edge from visited node li, of weight w, to slot
+// si's S-edges and marks the slot dirty.
+func (e *phpEngine) addShellEdge(si, li int32, w float64) {
+	x := int32(len(e.sEdges))
+	e.sEdges = append(e.sEdges, shellEdge{li: li, next: -1, w: w})
+	sh := &e.shell[si]
+	if sh.tail >= 0 {
+		e.sEdges[sh.tail].next = x
+	} else {
+		sh.head = x
+	}
+	sh.tail = x
+	if sh.gen != shellDirty {
+		sh.gen = shellDirty
+		e.dirty = append(e.dirty, si)
+	}
+}
+
+// killSlot takes the slot of a node being visited out of the shell.
+func (e *phpEngine) killSlot(si int32) {
+	if e.shell[si].prev != unfiled {
+		e.unlinkSlot(si)
+	}
+	e.shell[si].node = -1
+}
+
+// shellBuckets is the number of key buckets. A key's bucket is its float
+// exponent and top shellMantissaBits mantissa bits, clamped to the range:
+// the bit pattern of a non-negative double orders like its value, so a
+// higher bucket holds only larger keys.
+const (
+	shellBuckets      = 256
+	shellMantissaBits = 2
+	// shellTopKey is the smallest key the top bucket holds. A ratio is at
+	// most 1/c (ub ≤ 1, W_u ≤ d_u), so only a decay below 1/8 files finite
+	// keys there; clamped keys share a bucket, which costs time, not
+	// exactness.
+	shellTopKey = 8.0
+	// shellDirty is the gen of a slot on the dirty list.
+	shellDirty = math.MaxUint32
+	// unfiled is the prev link of a slot in no bucket: one never evaluated,
+	// or one unlinked to move or die.
+	unfiled = -2
+)
+
+var shellBucketBase = int(math.Float64bits(shellTopKey)>>(52-shellMantissaBits)) - (shellBuckets - 1)
+
+func shellBucket(key float64) int {
+	b := int(math.Float64bits(key)>>(52-shellMantissaBits)) - shellBucketBase
+	return min(max(b, 0), shellBuckets-1)
+}
+
+// topBucket returns the highest non-empty bucket, or −1.
+func (e *phpEngine) topBucket() int {
+	for w := len(e.bucketBits) - 1; w >= 0; w-- {
+		if m := e.bucketBits[w]; m != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// linkSlot pushes slot si onto bucket b.
+func (e *phpEngine) linkSlot(si int32, b int) {
+	sh := &e.shell[si]
+	sh.prev, sh.next = -1, e.bucketHead[b]
+	if sh.next >= 0 {
+		e.shell[sh.next].prev = si
+	}
+	e.bucketHead[b] = si
+	e.bucketBits[b/64] |= 1 << (b % 64)
+}
+
+// unlinkSlot removes slot si from the bucket of its key.
+func (e *phpEngine) unlinkSlot(si int32) {
+	sh := &e.shell[si]
+	if sh.prev >= 0 {
+		e.shell[sh.prev].next = sh.next
+	} else {
+		b := shellBucket(sh.key)
+		e.bucketHead[b] = sh.next
+		if sh.next < 0 {
+			e.bucketBits[b/64] &^= 1 << (b % 64)
+		}
+	}
+	if sh.next >= 0 {
+		e.shell[sh.next].prev = sh.prev
+	}
+	sh.prev = unfiled
+}
+
+// shellSlot is one shell node as the shell bound sees it: the node (−1
+// once visited), its degree (−1 until first read), the chain of its edges
+// into S in sEdges (head to tail), its key and the evaluation that computed
+// it (shellDirty while it waits on the dirty list), and its links in the
+// key's bucket (prev is unfiled until its first exact evaluation).
 type shellSlot struct {
-	w, a, deg float64
-	node      graph.NodeID
-	dead      bool
+	key, deg   float64
+	node       graph.NodeID
+	head, tail int32
+	prev, next int32
+	gen        uint32
 }
 
-// shellEdge is one edge from a visited node to shell slot si, of weight w.
+// shellEdge is one edge from visited node li into a shell slot, of weight
+// w; next is the slot's following edge, −1 at the tail.
 type shellEdge struct {
-	si int32
-	w  float64
+	li, next int32
+	w        float64
 }
 
 func abs(x float64) float64 {

@@ -154,8 +154,16 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 		return phaseAt.Sub(prev).Nanoseconds()
 	}
 
+	// The deadline is also read off the clock: a context's timer fires on a
+	// scheduler tick, which can come only after the search ends while every
+	// P runs one.
+	deadline, hasDeadline := ctx.Deadline()
 	for t := 1; ; t++ {
-		if err := ctx.Err(); err != nil {
+		err := ctx.Err()
+		if err == nil && hasDeadline && !time.Now().Before(deadline) {
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
 			// Each goal keeps what it had certified; an open one gets a
 			// best-effort selection with the observables of its last test.
 			// Anytime mode returns that as the answer, the other modes as

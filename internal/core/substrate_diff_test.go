@@ -264,9 +264,12 @@ func TestSubstrateDifferential(t *testing.T) {
 }
 
 // checkShellBound recomputes the shell bound R from scratch, from every
-// unvisited node's full adjacency and Degree rather than from the boundary's
-// rows and the shell slots, and requires shellBound to agree within 1e-12
-// relative. Returns how many shell nodes it saw.
+// unvisited node's full adjacency and Degree rather than from the shell
+// slots and their keys, and requires shellBound to agree within 1e-12
+// relative. A non-empty shell must give a positive R: S lies in q's
+// component, so every upper bound on it is at least a positive PHP, and an
+// R of 0 there means the bounds collapsed with the shell bound, which the
+// comparison alone would not see. Returns how many shell nodes it saw.
 func checkShellBound(t *testing.T, e *phpEngine) int {
 	t.Helper()
 	want, shell := 0.0, 0
@@ -288,6 +291,9 @@ func checkShellBound(t *testing.T, e *phpEngine) int {
 		shell++
 		d := e.g.Degree(u)
 		want = max(want, e.c*a/((1-e.c)*d+e.c*min(w, d)))
+	}
+	if shell > 0 && !(want > 0) {
+		t.Fatalf("|S| = %d: %d shell nodes but a from-scratch R of %g", e.size(), shell, want)
 	}
 	if got := e.shellBound(); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("|S| = %d: shellBound %g, from scratch %g", e.size(), got, want)

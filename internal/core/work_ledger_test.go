@@ -13,11 +13,12 @@ import (
 )
 
 // The work ledger is the one file that pins how much work a search does:
-// visited nodes, iterations and solver relaxations, which repeat exactly, for
-// fixed queries on two generated graphs. Answers and certificates are pinned
-// elsewhere (golden_test.go, driver_paths_test.go); a change that moves the
-// expansion schedule or the solver's relaxation sequence moves this file and
-// nothing else about them. Zero tolerance: regenerate with
+// visited nodes, iterations, solver relaxations and the S-edge entries the
+// shell bound reads, which repeat exactly, for fixed queries on generated
+// graphs. Answers and certificates are pinned elsewhere (golden_test.go,
+// driver_paths_test.go); a change that moves the expansion schedule, the
+// solver's relaxation sequence or the shell bound's evaluation moves this
+// file and nothing else about them. Zero tolerance: regenerate with
 //
 //	FLOS_UPDATE_GOLDEN=1 go test ./internal/core -run TestWorkLedger
 //
@@ -34,22 +35,30 @@ type ledgerRow struct {
 	Visited     int    `json:"visited"`
 	Iterations  int    `json:"iterations"`
 	Relaxations int    `json:"relaxations"`
+	// ShellReads counts the S-edge entries the shell bound read (0 for
+	// THT, which has none).
+	ShellReads int `json:"shell_reads"`
 	// Epsilon is the ModeEpsilon budget; 0 (omitted) is an exact search.
 	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
 func TestWorkLedger(t *testing.T) {
 	var got []ledgerRow
+	ws := NewWorkspace() // the rows read the PHP engine's shell counter
 	recordEps := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int, eps float64) {
 		opt := DefaultOptions(kind, k)
 		if eps > 0 {
 			opt.Mode, opt.Epsilon = ModeEpsilon, eps
 		}
-		res, err := TopKCtx(context.Background(), g, q, opt)
+		res, err := ws.TopK(context.Background(), g, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, ledgerRow{name, seed, k, kind.String(), q, res.Visited, res.Iterations, res.Sweeps, eps})
+		shellReads := 0
+		if kind != measure.THT {
+			shellReads = ws.php.shellReads
+		}
+		got = append(got, ledgerRow{name, seed, k, kind.String(), q, res.Visited, res.Iterations, res.Sweeps, shellReads, eps})
 	}
 	record := func(name string, seed uint64, g graph.Graph, kind measure.Kind, q graph.NodeID, k int) {
 		recordEps(name, seed, g, kind, q, k, 0)

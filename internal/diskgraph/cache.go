@@ -10,6 +10,7 @@ import (
 
 // pageCache is an LRU cache of fixed-size file pages under a byte budget —
 // the module's stand-in for the buffer management a graph database performs.
+// A store's cache pages are its frames (frameSize): one OS page at most.
 // It is safe for concurrent readers: the page space is striped across
 // independently locked shards (page index mod shard count), each shard runs
 // its own LRU under its own mutex, and a miss reads its page while holding

@@ -14,13 +14,13 @@ import (
 // Store is a read-only disk-resident graph. Its node table (every degree
 // and CSR offset, 16 bytes per node) is read into memory at Open; the
 // adjacency rows are served through a byte-budgeted, lock-striped page
-// cache that reads a missing page once, under its shard's lock. It
-// implements graph.Graph. Neighbors returns scratch slices that are
-// overwritten by the next Neighbors call — the same contract the interface
-// documents — so the Store itself serves one reader at a time; concurrent
-// queries each take their own view via NewReader, which shares the page
-// cache (safe for any number of concurrent readers) but owns private
-// scratch buffers.
+// cache, in frames of one OS page at most, that reads a missing frame once,
+// under its shard's lock. It implements graph.Graph. Neighbors returns
+// scratch slices that are overwritten by the next Neighbors call — the same
+// contract the interface documents — so the Store itself serves one reader
+// at a time; concurrent queries each take their own view via NewReader,
+// which shares the page cache (safe for any number of concurrent readers)
+// but owns private scratch buffers.
 type Store struct {
 	f     *os.File
 	l     layout
@@ -122,7 +122,7 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 	s := &Store{
 		f:     f,
 		l:     l,
-		cache: newPageCache(f, pageSz, cacheBytes, l.totalSize),
+		cache: newPageCache(f, frameSize(pageSz), cacheBytes, l.totalSize),
 		top:   graph.TopDegreeIndex(deg),
 		deg:   deg,
 		off:   off,
@@ -130,6 +130,12 @@ func Open(path string, cacheBytes int64) (*Store, error) {
 	s.def.s = s
 	return s, nil
 }
+
+// frameSize is the cache's unit for a store laid out in pageSz pages: one
+// OS page at most, so a miss copies one OS page out of the kernel's cache
+// however large the layout page is. Only the cache reads it; the file
+// format keeps its page size.
+func frameSize(pageSz int64) int64 { return min(pageSz, int64(os.Getpagesize())) }
 
 // Close releases the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
