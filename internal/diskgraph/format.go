@@ -40,8 +40,10 @@ const (
 	// rowEntrySz is one half-edge in a row record: a uint32 target and a
 	// float64 weight.
 	rowEntrySz = 4 + 8
-	// DefaultPageSize is the cache page granularity. 64 KiB approximates a
-	// disk-friendly read unit while keeping small-neighborhood reads cheap.
+	// DefaultPageSize is the page size Create records when given 0. The
+	// recorded size only bounds the cache's frame from above (frameSize),
+	// so a size at or above the OS page changes nothing at run time; the
+	// tests' 512 B to 4 KiB pages give smaller frames.
 	DefaultPageSize = 64 << 10
 )
 
