@@ -1,12 +1,15 @@
 // Package livegraph serves queries while the graph mutates.
 //
-// A LiveGraph owns a chain of immutable CSR snapshots. Writers apply batched
-// edge mutations by producing a new copy-on-write snapshot: only the adjacency
-// rows touched by the batch are re-materialized; every untouched row aliases
-// the parent snapshot's slice (and transitively the original MemGraph's CSR
-// arrays). Readers pin a snapshot with Acquire and run a whole query against
-// that frozen view, so a search never observes a torn topology no matter how
-// many batches writers publish mid-flight.
+// A LiveGraph owns a chain of immutable snapshots. A snapshot keeps its rows
+// in fixed chunks of chunkSize behind a directory of chunk pointers. Writers
+// apply batched edge mutations by producing a new copy-on-write snapshot: the
+// batch copies the directory and each chunk it touches, and re-materializes
+// only the adjacency rows it touches; every untouched chunk is the parent's,
+// and every untouched row aliases the parent snapshot's slice (and
+// transitively the original MemGraph's CSR arrays). Readers pin a snapshot
+// with Acquire and run a whole query against that frozen view, so a search
+// never observes a torn topology no matter how many batches writers publish
+// mid-flight.
 //
 // Reclamation is deferred and non-blocking: a snapshot carries a reference
 // count (one reference held by the LiveGraph while it is current, one per
@@ -17,11 +20,13 @@
 //
 // This is the serving-side realization of the paper's pitch that FLoS,
 // needing no precomputed index, "naturally supports dynamic graphs": a
-// mutation batch costs O(touched rows + n pointer copies), not a rebuild.
+// mutation batch costs O(touched rows + touched chunks + n/chunkSize
+// directory entries), not a rebuild.
 package livegraph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -75,6 +80,25 @@ type EdgeOp struct {
 	W    float64
 }
 
+// chunkSize is how many rows one chunk holds: a batch copies the chunks it
+// touches, 56 KiB each, and a directory of n/chunkSize pointers.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// nodeRow is one node's adjacency, sorted by target, and its weighted degree.
+type nodeRow struct {
+	nbrs []graph.NodeID
+	wts  []float64
+	deg  float64
+}
+
+// chunk holds the rows of chunkSize consecutive nodes; the last chunk of a
+// snapshot may run past its node count, and those rows stay empty.
+type chunk [chunkSize]nodeRow
+
 // Snapshot is one immutable point-in-time view in a LiveGraph's chain. It
 // implements graph.Graph (plus the StableNeighbors and Viewer capabilities),
 // so every search engine runs on it unchanged and may alias its adjacency
@@ -82,16 +106,17 @@ type EdgeOp struct {
 type Snapshot struct {
 	owner  *LiveGraph
 	epoch  uint64
+	n      int
 	nEdges int64
 
-	// Per-node adjacency rows, sorted by target. Untouched rows alias the
-	// parent snapshot's slices; touched rows are freshly materialized copies.
-	nbrs [][]graph.NodeID
-	wts  [][]float64
-	degs []float64
+	// chunks is the row directory: node v's row is
+	// chunks[v>>chunkBits][v&chunkMask]. Untouched chunks are the parent
+	// snapshot's; within a copied chunk, untouched rows alias the parent's
+	// slices and touched rows are freshly materialized copies.
+	chunks []*chunk
 
-	// top is the degree index of graph.TopDegreeIndex over degs, carried
-	// forward from the parent snapshot (see patchTopDegrees).
+	// top is the degree index of graph.TopDegreeIndex over the degrees,
+	// carried forward from the parent snapshot (see patchTopDegrees).
 	top []graph.DegreeEntry
 
 	// refs counts the LiveGraph's "current" reference plus one per pinned
@@ -111,18 +136,32 @@ var (
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // NumNodes returns the (fixed) node count.
-func (s *Snapshot) NumNodes() int { return len(s.degs) }
+func (s *Snapshot) NumNodes() int { return s.n }
 
 // NumEdges returns the undirected edge count of this snapshot.
 func (s *Snapshot) NumEdges() int64 { return s.nEdges }
 
+// row returns v's row. Only Apply and New write through it, to a chunk of
+// the snapshot they are building.
+func (s *Snapshot) row(v graph.NodeID) *nodeRow { return &s.chunks[v>>chunkBits][v&chunkMask] }
+
 // Neighbors returns the adjacency of v as immutable slices, sorted by target.
 func (s *Snapshot) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
-	return s.nbrs[v], s.wts[v]
+	r := s.row(v)
+	return r.nbrs, r.wts
 }
 
 // Degree returns the weighted degree of v.
-func (s *Snapshot) Degree(v graph.NodeID) float64 { return s.degs[v] }
+func (s *Snapshot) Degree(v graph.NodeID) float64 { return s.row(v).deg }
+
+// degrees gathers every node's degree into one n-length slice.
+func (s *Snapshot) degrees() []float64 {
+	degs := make([]float64, s.n)
+	for v := range degs {
+		degs[v] = s.Degree(graph.NodeID(v))
+	}
+	return degs
+}
 
 // TopDegrees returns up to k largest-degree nodes, non-increasing: entry for
 // entry the index MemGraph serves over the same degrees, which keeps the RWR
@@ -203,15 +242,18 @@ func New(base *graph.MemGraph) *LiveGraph {
 	n := base.NumNodes()
 	s := &Snapshot{
 		epoch:  1,
+		n:      n,
 		nEdges: base.NumEdges(),
-		nbrs:   make([][]graph.NodeID, n),
-		wts:    make([][]float64, n),
-		degs:   make([]float64, n),
+		chunks: make([]*chunk, (n+chunkMask)>>chunkBits),
 		top:    base.TopDegrees(n),
 	}
-	for v := 0; v < n; v++ {
-		s.nbrs[v], s.wts[v] = base.Neighbors(graph.NodeID(v))
-		s.degs[v] = base.Degree(graph.NodeID(v))
+	for c := range s.chunks {
+		s.chunks[c] = new(chunk)
+	}
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		r := s.row(v)
+		r.nbrs, r.wts = base.Neighbors(v)
+		r.deg = base.Degree(v)
 	}
 	lg := &LiveGraph{cur: s}
 	s.owner = lg
@@ -325,45 +367,50 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 	next := &Snapshot{
 		owner:  lg,
 		epoch:  parent.epoch + 1,
+		n:      n,
 		nEdges: parent.nEdges,
-		// O(n) outer-array copies; inner rows still alias the parent until
-		// individually CoW'd below.
-		nbrs: append([][]graph.NodeID(nil), parent.nbrs...),
-		wts:  append([][]float64(nil), parent.wts...),
-		degs: append([]float64(nil), parent.degs...),
+		// The directory is copied; every chunk stays the parent's until the
+		// batch first writes to it.
+		chunks: slices.Clone(parent.chunks),
 	}
 
 	cowed := make(map[graph.NodeID]bool, 2*len(ops))
-	cow := func(v graph.NodeID) {
-		if cowed[v] {
-			return
+	// cow returns v's row for writing: on the batch's first write to v's
+	// chunk the chunk is copied (its rows still alias the parent's slices),
+	// and on the first write to v its slices are copied.
+	cow := func(v graph.NodeID) *nodeRow {
+		c := v >> chunkBits
+		if next.chunks[c] == parent.chunks[c] {
+			cp := new(chunk)
+			*cp = *parent.chunks[c]
+			next.chunks[c] = cp
 		}
-		cowed[v] = true
-		next.nbrs[v] = append([]graph.NodeID(nil), next.nbrs[v]...)
-		next.wts[v] = append([]float64(nil), next.wts[v]...)
+		r := &next.chunks[c][v&chunkMask]
+		if !cowed[v] {
+			cowed[v] = true
+			r.nbrs = append([]graph.NodeID(nil), r.nbrs...)
+			r.wts = append([]float64(nil), r.wts...)
+		}
+		return r
 	}
 	// find returns the insertion position of u in v's sorted row and whether
 	// u is present.
 	find := func(v, u graph.NodeID) (int, bool) {
-		row := next.nbrs[v]
+		row := next.row(v).nbrs
 		i := sort.Search(len(row), func(i int) bool { return row[i] >= u })
 		return i, i < len(row) && row[i] == u
 	}
 	insert := func(v, u graph.NodeID, w float64) {
-		cow(v)
+		r := cow(v)
 		i, _ := find(v, u)
-		next.nbrs[v] = append(next.nbrs[v], 0)
-		copy(next.nbrs[v][i+1:], next.nbrs[v][i:])
-		next.nbrs[v][i] = u
-		next.wts[v] = append(next.wts[v], 0)
-		copy(next.wts[v][i+1:], next.wts[v][i:])
-		next.wts[v][i] = w
+		r.nbrs = slices.Insert(r.nbrs, i, u)
+		r.wts = slices.Insert(r.wts, i, w)
 	}
 	remove := func(v, u graph.NodeID) {
-		cow(v)
+		r := cow(v)
 		i, _ := find(v, u)
-		next.nbrs[v] = append(next.nbrs[v][:i], next.nbrs[v][i+1:]...)
-		next.wts[v] = append(next.wts[v][:i], next.wts[v][i+1:]...)
+		r.nbrs = slices.Delete(r.nbrs, i, i+1)
+		r.wts = slices.Delete(r.wts, i, i+1)
 	}
 
 	for i, op := range ops {
@@ -373,20 +420,17 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 		}
 		switch op.Op {
 		case OpAdd, OpSet:
-			if op.W <= 0 {
-				return nil, nil, fmt.Errorf("livegraph: op %d: non-positive weight %g", i, op.W)
+			// The Builder's rule: NaN and +Inf are refused like w <= 0.
+			if !(op.W > 0) || math.IsInf(op.W, 1) {
+				return nil, nil, fmt.Errorf("livegraph: op %d: weight %g is not a positive finite number", i, op.W)
 			}
-			_, exists := find(u, v)
-			if exists {
+			if j, exists := find(u, v); exists {
 				if op.Op == OpAdd {
 					return nil, nil, fmt.Errorf("livegraph: op %d: edge (%d,%d) already exists", i, u, v)
 				}
-				cow(u)
-				cow(v)
-				j, _ := find(u, v)
-				next.wts[u][j] = op.W
+				cow(u).wts[j] = op.W
 				j, _ = find(v, u)
-				next.wts[v][j] = op.W
+				cow(v).wts[j] = op.W
 			} else {
 				insert(u, v, op.W)
 				insert(v, u, op.W)
@@ -411,15 +455,22 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 	for v := range cowed {
 		touched = append(touched, v)
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	slices.Sort(touched)
 	for _, v := range touched {
+		r := next.row(v) // in a chunk this batch copied
 		var sum float64
-		for _, w := range next.wts[v] {
+		for _, w := range r.wts {
 			sum += w
 		}
-		next.degs[v] = sum
+		if math.IsInf(sum, 1) {
+			return nil, nil, fmt.Errorf("livegraph: weighted degree of node %d overflows", v)
+		}
+		r.deg = sum
 	}
-	next.top = patchTopDegrees(parent.top, touched, next.degs)
+	var ok bool
+	if next.top, ok = patchTopDegrees(parent.top, touched, next.Degree); !ok {
+		next.top = graph.TopDegreeIndex(next.degrees())
+	}
 
 	next.refs.Store(1) // the LiveGraph's "current" reference
 	lg.mu.Lock()
@@ -435,14 +486,16 @@ func (lg *LiveGraph) Apply(ops []EdgeOp) (*Snapshot, []graph.NodeID, error) {
 	return next, touched, nil
 }
 
-// patchTopDegrees returns graph.TopDegreeIndex(degs) given old, the index
-// before the nodes in touched (ascending) changed degree: old without the
-// touched nodes, merged with each touched node that now ranks at or before
-// old's last entry. Every untouched node outside old ranks after that entry,
-// so as long as the merge fills len(old) places they are exactly the new
-// index; when it does not (a member fell out of range, and which outsider
-// moves up is not known) the index is rebuilt.
-func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degs []float64) []graph.DegreeEntry {
+// patchTopDegrees returns graph.TopDegreeIndex of the new degrees given old,
+// the index before the nodes in touched (ascending) changed degree: old
+// without the touched nodes, merged with each touched node that now ranks at
+// or before old's last entry. Every untouched node outside old ranks after
+// that entry, so as long as the merge fills len(old) places they are exactly
+// the new index; when it does not (a member fell out of range, and which
+// outsider moves up is not known) ok is false and the caller rebuilds the
+// index. When no touched node is in old or moves into it, old itself is the
+// new index and is returned as is.
+func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degree func(graph.NodeID) float64) (_ []graph.DegreeEntry, ok bool) {
 	before := func(a, b graph.DegreeEntry) bool {
 		if a.Degree != b.Degree {
 			return a.Degree > b.Degree
@@ -451,10 +504,17 @@ func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degs []flo
 	}
 	var moved []graph.DegreeEntry
 	for _, v := range touched {
-		e := graph.DegreeEntry{Node: v, Degree: degs[v]}
+		e := graph.DegreeEntry{Node: v, Degree: degree(v)}
 		if !before(old[len(old)-1], e) {
 			moved = append(moved, e)
 		}
+	}
+	isTouched := func(e graph.DegreeEntry) bool {
+		_, found := slices.BinarySearch(touched, e.Node)
+		return found
+	}
+	if len(moved) == 0 && !slices.ContainsFunc(old, isTouched) {
+		return old, true
 	}
 	slices.SortFunc(moved, func(a, b graph.DegreeEntry) int {
 		if before(a, b) {
@@ -464,7 +524,7 @@ func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degs []flo
 	})
 	out := make([]graph.DegreeEntry, 0, len(old)+len(moved))
 	for _, e := range old {
-		if _, gone := slices.BinarySearch(touched, e.Node); gone {
+		if isTouched(e) {
 			continue
 		}
 		for len(moved) > 0 && before(moved[0], e) {
@@ -475,7 +535,7 @@ func patchTopDegrees(old []graph.DegreeEntry, touched []graph.NodeID, degs []flo
 	}
 	out = append(out, moved...)
 	if len(out) < len(old) {
-		return graph.TopDegreeIndex(degs)
+		return nil, false
 	}
-	return out[:len(old)]
+	return out[:len(old)], true
 }

@@ -1,7 +1,9 @@
 package livegraph
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -102,33 +104,151 @@ func TestApplyCoWOnlyTouchedRows(t *testing.T) {
 	if got, want := s2.Degree(1), s1.Degree(1)+2.5; got != want {
 		t.Fatalf("degree(1) = %g, want %g", got, want)
 	}
+
+	t.Run("chunked", func(t *testing.T) {
+		base, ops, _ := chunkedFixture(t)
+		lg := New(base)
+		s1 := lg.Acquire()
+		defer s1.Release()
+		// A deep copy of every row of the pinned parent, to compare after.
+		type frozen struct {
+			nbrs []graph.NodeID
+			wts  []float64
+			deg  float64
+		}
+		want := make([]frozen, s1.NumNodes())
+		for v := range want {
+			n, w := s1.Neighbors(graph.NodeID(v))
+			want[v] = frozen{slices.Clone(n), slices.Clone(w), s1.Degree(graph.NodeID(v))}
+		}
+
+		s2, touched, err := lg.Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := graph.NodeID(s1.NumNodes() - 1)
+		if !slices.Equal(touched, []graph.NodeID{1023, 1024, last}) {
+			t.Fatalf("touched = %v, want [1023 1024 %d]", touched, last)
+		}
+		if &s1.chunks[0] == &s2.chunks[0] {
+			t.Fatal("the directory is shared with the parent, want a copy")
+		}
+		for c := range s2.chunks {
+			copied := c != 2 // rows 1023, 1024 and n-1 live in chunks 0, 1 and 3
+			if (s1.chunks[c] != s2.chunks[c]) != copied {
+				t.Fatalf("chunk %d: copied=%v, want %v", c, s1.chunks[c] != s2.chunks[c], copied)
+			}
+		}
+		for v := graph.NodeID(0); int(v) < s2.NumNodes(); v++ {
+			n1, w1 := row(s1, v)
+			n2, w2 := row(s2, v)
+			isTouched := slices.Contains(touched, v)
+			if aliased := &n1[0] == &n2[0] && &w1[0] == &w2[0]; aliased == isTouched {
+				t.Fatalf("node %d: row aliases the parent = %v, touched = %v", v, aliased, isTouched)
+			}
+			if !isTouched && s1.Degree(v) != s2.Degree(v) {
+				t.Fatalf("node %d: untouched degree moved %g -> %g", v, s1.Degree(v), s2.Degree(v))
+			}
+		}
+		for v, f := range want {
+			n, w := s1.Neighbors(graph.NodeID(v))
+			if !slices.Equal(n, f.nbrs) || !slices.Equal(w, f.wts) || s1.Degree(graph.NodeID(v)) != f.deg {
+				t.Fatalf("node %d: the pinned parent changed under the batch", v)
+			}
+		}
+	})
+}
+
+// chunkedFixture is a graph of three full chunks and a partial fourth
+// (n = 3·1,024 + 77: a ring plus random chords) with a batch that touches
+// rows 1,023 and 1,024, the two sides of the first chunk boundary, and row
+// n−1 in the partial chunk, by a set, adds, a remove and a set that inserts.
+// rebuilt is a from-scratch build of the topology after the batch.
+func chunkedFixture(t *testing.T) (base *graph.MemGraph, ops []EdgeOp, rebuilt *graph.MemGraph) {
+	t.Helper()
+	const n = 3*chunkSize + 77
+	last := graph.NodeID(n - 1)
+	type edge struct{ u, v graph.NodeID }
+	norm := func(u, v graph.NodeID) edge { return edge{min(u, v), max(u, v)} }
+	w := map[edge]float64{}
+	rng := rand.New(rand.NewSource(3))
+	for v := graph.NodeID(0); v < n; v++ {
+		w[norm(v, (v+1)%n)] = float64(1 + rng.Intn(3))
+	}
+	for len(w) < 3*n {
+		e := norm(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+		if e.u != e.v && e != norm(1024, last) && e != norm(1023, last) {
+			w[e] = float64(1 + rng.Intn(3))
+		}
+	}
+	build := func() *graph.MemGraph {
+		b := graph.NewBuilder(n)
+		for e, x := range w {
+			if err := b.AddEdge(e.u, e.v, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	base = build()
+	ops = []EdgeOp{
+		{Op: OpSet, U: 1023, V: 1024, W: 3.5}, // exists (ring)
+		{Op: OpAdd, U: 1024, V: last, W: 2},
+		{Op: OpAdd, U: 1023, V: last, W: 0.5},
+		{Op: OpRemove, U: last, V: 1023},
+		{Op: OpSet, U: last, V: 1023, W: 4}, // absent again: inserts
+	}
+	w[norm(1023, 1024)] = 3.5
+	w[norm(1024, last)] = 2
+	w[norm(1023, last)] = 4
+	return base, ops, build()
 }
 
 func TestApplyAtomicAbort(t *testing.T) {
-	lg := New(baseGraph(t))
-	before := lg.Stats()
-	// Second op is invalid (edge exists); first op must not leak through.
-	_, _, err := lg.Apply([]EdgeOp{
-		{Op: OpAdd, U: 1, V: 5, W: 1},
-		{Op: OpAdd, U: 0, V: 1, W: 1},
-	})
-	if err == nil {
-		t.Fatal("expected error from invalid batch")
-	}
-	after := lg.Stats()
-	if after != before {
-		t.Fatalf("failed batch changed stats: %+v -> %+v", before, after)
-	}
-	s := lg.Acquire()
-	defer s.Release()
-	if s.Epoch() != 1 {
-		t.Fatalf("failed batch published epoch %d", s.Epoch())
-	}
-	n, _ := row(s, 1)
-	for _, u := range n {
-		if u == 5 {
-			t.Fatal("failed batch leaked edge (1,5)")
+	// The second op of each batch is invalid; the first must not leak through.
+	for _, bad := range []struct {
+		name string
+		op   EdgeOp
+	}{
+		{"edge exists", EdgeOp{Op: OpAdd, U: 0, V: 1, W: 1}},
+		{"zero weight", EdgeOp{Op: OpAdd, U: 2, V: 6, W: 0}},
+		{"NaN weight", EdgeOp{Op: OpAdd, U: 2, V: 6, W: math.NaN()}},
+		{"NaN set", EdgeOp{Op: OpSet, U: 0, V: 1, W: math.NaN()}},
+		{"+Inf weight", EdgeOp{Op: OpSet, U: 2, V: 6, W: math.Inf(1)}},
+		{"-Inf weight", EdgeOp{Op: OpAdd, U: 2, V: 6, W: math.Inf(-1)}},
+		{"degree overflows", EdgeOp{Op: OpSet, U: 1, V: 2, W: math.MaxFloat64}},
+	} {
+		lg := New(baseGraph(t))
+		before := lg.Stats()
+		first := EdgeOp{Op: OpAdd, U: 1, V: 5, W: 1}
+		if bad.name == "degree overflows" {
+			first.W = math.MaxFloat64 // node 1's two heavy edges sum to +Inf
 		}
+		if _, _, err := lg.Apply([]EdgeOp{first, bad.op}); err == nil {
+			t.Fatalf("%s: expected error from invalid batch", bad.name)
+		}
+		after := lg.Stats()
+		if after != before {
+			t.Fatalf("%s: failed batch changed stats: %+v -> %+v", bad.name, before, after)
+		}
+		s := lg.Acquire()
+		if s.Epoch() != 1 {
+			t.Fatalf("%s: failed batch published epoch %d", bad.name, s.Epoch())
+		}
+		n, _ := row(s, 1)
+		for _, u := range n {
+			if u == 5 {
+				t.Fatalf("%s: failed batch leaked edge (1,5)", bad.name)
+			}
+		}
+		if err := mustValidate(s); err != nil {
+			t.Fatalf("%s: %v", bad.name, err)
+		}
+		s.Release()
 	}
 }
 
@@ -229,6 +349,70 @@ func TestMaterializeMatchesSnapshot(t *testing.T) {
 			t.Fatalf("top-degree entry %d: %+v vs %+v", i, st[i], mt[i])
 		}
 	}
+
+	t.Run("chunked", func(t *testing.T) {
+		base, ops, rebuilt := chunkedFixture(t)
+		s, _, err := New(base).Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*graph.MemGraph{m, rebuilt} {
+			if g.NumNodes() != s.NumNodes() || g.NumEdges() != s.NumEdges() {
+				t.Fatalf("size mismatch: %d/%d vs %d/%d", g.NumNodes(), g.NumEdges(), s.NumNodes(), s.NumEdges())
+			}
+			for v := graph.NodeID(0); int(v) < s.NumNodes(); v++ {
+				sn, sw := s.Neighbors(v)
+				gn, gw := g.Neighbors(v)
+				if !slices.Equal(sn, gn) || !slices.Equal(sw, gw) || s.Degree(v) != g.Degree(v) {
+					t.Fatalf("node %d: snapshot row differs from a rebuild", v)
+				}
+			}
+			if !slices.Equal(s.TopDegrees(s.NumNodes()), g.TopDegrees(g.NumNodes())) {
+				t.Fatal("top-degree index differs from a rebuild")
+			}
+		}
+	})
+}
+
+// TestApplyAllocatesTouchedChunksOnly: a one-op batch on a graph of more
+// than 100k nodes allocates less than one n-length array of float64s — the
+// smallest of the three n-length arrays a batch copied when the snapshot
+// kept its rows in flat per-node arrays.
+func TestApplyAllocatesTouchedChunksOnly(t *testing.T) {
+	const n = 100*chunkSize + 5
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		if err := b.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%n), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := New(base)
+	const batches = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		// Set an existing ring edge, spread over the graph; degrees only
+		// rise above the ring's 2, so the degree index is patched, never
+		// rebuilt.
+		v := graph.NodeID(i * 2477 % (n - 1))
+		if _, _, err := lg.Apply([]EdgeOp{{Op: OpSet, U: v, V: v + 1, W: float64(2 + i%2)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / batches
+	if limit := uint64(8 * n); perBatch >= limit {
+		t.Fatalf("a one-op batch allocates %d B, want < %d B (8 B per node)", perBatch, limit)
+	}
+	t.Logf("a one-op batch allocates %d B on %d nodes", perBatch, n)
 }
 
 func TestAliveGaugeAndReclamation(t *testing.T) {
@@ -368,6 +552,7 @@ func TestTopDegreesCarriedForward(t *testing.T) {
 		}
 		lg := New(base)
 
+		rebuilds := 0 // batches whose index patch ran short and was rebuilt
 		for batch := 0; batch < tc.batches; batch++ {
 			var ops []EdgeOp
 			switch {
@@ -406,10 +591,15 @@ func TestTopDegreesCarriedForward(t *testing.T) {
 					}
 				}
 			}
-			snap, _, err := lg.Apply(ops)
+			parent := lg.Acquire()
+			snap, touched, err := lg.Apply(ops)
 			if err != nil {
 				t.Fatalf("n=%d batch %d: %v", tc.n, batch, err)
 			}
+			if _, ok := patchTopDegrees(parent.top, touched, snap.Degree); !ok {
+				rebuilds++
+			}
+			parent.Release()
 			world, err := snap.Materialize()
 			if err != nil {
 				t.Fatal(err)
@@ -424,6 +614,10 @@ func TestTopDegreesCarriedForward(t *testing.T) {
 				}
 				t.Fatalf("n=%d batch %d: %d entries, want %d", tc.n, batch, len(got), len(want))
 			}
+		}
+		t.Logf("n=%d: %d of %d batches rebuilt the index", tc.n, rebuilds, tc.batches)
+		if rebuilds == 0 {
+			t.Fatalf("n=%d: no batch reached the rebuild fallback", tc.n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package qserve
 import (
 	"container/list"
 	"math"
+	"slices"
 	"sync"
 
 	"flos/internal/core"
@@ -11,14 +12,20 @@ import (
 	"flos/internal/obs/cachelens"
 )
 
-// cacheKey identifies one answer. Every option that can change the result
-// participates; the epoch ties the entry to a topology snapshot (Mutate
-// re-keys the entries a batch provably cannot change, see invalidate). The
-// serving mode and ε budget are part of the key because they change what
-// the answer certifies; exactKey exposes the deliberate asymmetry that an
-// exact entry may serve ε/anytime requests (see Pool.prepare).
+// cacheKey identifies one answer: the query it answers and the epoch of the
+// topology snapshot it was computed on. Every option that can change the
+// result participates in the query half, which is also the cache's map key,
+// so one query holds at most one entry and the epoch lives on the entry
+// (Mutate moves a retained entry to the new epoch in place, see invalidate).
+// The serving mode and ε budget are part of the query because they change
+// what the answer certifies; exactKey exposes the deliberate asymmetry that
+// an exact entry may serve ε/anytime requests (see Pool.prepare).
 type cacheKey struct {
-	epoch      uint64
+	epoch uint64
+	queryKey
+}
+
+type queryKey struct {
 	q          graph.NodeID
 	unified    bool
 	kind       measure.Kind
@@ -31,8 +38,7 @@ type cacheKey struct {
 }
 
 func keyOf(epoch uint64, req Request) cacheKey {
-	return cacheKey{
-		epoch:      epoch,
+	return cacheKey{epoch: epoch, queryKey: queryKey{
 		q:          req.Query,
 		unified:    req.Unified,
 		kind:       req.Opt.Measure,
@@ -42,7 +48,7 @@ func keyOf(epoch uint64, req Request) cacheKey {
 		tieEps:     req.Opt.TieEps,
 		mode:       req.Opt.Mode,
 		epsilon:    req.Opt.Epsilon,
-	}
+	}}
 }
 
 // hashKey folds a cacheKey into the uint64 identity the analytics lens
@@ -101,7 +107,7 @@ type resultCache struct {
 	max  int
 	cost int        // Σ entry costs, kept exact by every insert and removal
 	ll   *list.List // front = most recently used; values are *cacheEntry
-	m    map[cacheKey]*list.Element
+	m    map[queryKey]*list.Element
 
 	hits, misses, evictions int64
 
@@ -146,19 +152,25 @@ func newResultCache(max int, lens *cachelens.Lens) *resultCache {
 	return &resultCache{
 		max:  max,
 		ll:   list.New(),
-		m:    make(map[cacheKey]*list.Element, max),
+		m:    make(map[queryKey]*list.Element, max),
 		lens: lens,
 	}
 }
 
+// lookup returns k's entry if the cache holds it at k's epoch.
+func (c *resultCache) lookup(k cacheKey) (*list.Element, bool) {
+	el, ok := c.m[k.queryKey]
+	return el, ok && el.Value.(*cacheEntry).key.epoch == k.epoch
+}
+
 func (c *resultCache) get(k cacheKey) (*Response, bool) {
 	c.mu.Lock()
-	el, ok := c.m[k]
+	el, ok := c.lookup(k)
 	if !ok && k.mode != core.ModeExact {
 		// Exact-serves-ε asymmetry: an exact entry answers the same query in
 		// ε or anytime mode (its gap is 0, within any budget). An ε entry
 		// never serves an exact request — that direction is not probed.
-		el, ok = c.m[exactKey(k)]
+		el, ok = c.lookup(exactKey(k))
 	}
 	var resp *Response
 	if ok {
@@ -179,24 +191,30 @@ func (c *resultCache) put(k cacheKey, resp *Response) {
 
 // putLive stores a response, optionally together with its read footprint so
 // later mutation batches can invalidate it surgically (nil footprint on
-// non-live pools — put delegates here).
+// non-live pools — put delegates here). An answer replaces the query's entry
+// in place when it is at the same or a newer epoch; a straggler, computed on
+// an older snapshot than the resident entry, is dropped.
 func (c *resultCache) putLive(k cacheKey, resp *Response, fp []graph.NodeID, guard float64, guarded bool) {
 	cost := entryCost(resp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
+	if el, ok := c.m[k.queryKey]; ok {
 		e := el.Value.(*cacheEntry)
+		if e.key.epoch > k.epoch {
+			return
+		}
 		c.cost += cost - e.cost
+		e.key.epoch = k.epoch
 		e.resp, e.cost, e.fp, e.guard, e.guarded = resp, cost, fp, guard, guarded
 		c.ll.MoveToFront(el)
 	} else {
-		c.m[k] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, cost: cost, fp: fp, guard: guard, guarded: guarded})
+		c.m[k.queryKey] = c.ll.PushFront(&cacheEntry{key: k, resp: resp, cost: cost, fp: fp, guard: guard, guarded: guarded})
 		c.cost += cost
 	}
 	// An answer larger than the whole cache evicts everything, itself last.
 	for c.cost > c.max {
 		oldest := c.ll.Back()
-		delete(c.m, oldest.Value.(*cacheEntry).key)
+		delete(c.m, oldest.Value.(*cacheEntry).key.queryKey)
 		c.unlink(oldest)
 		c.evictions++
 	}
@@ -215,17 +233,19 @@ func (c *resultCache) unlink(el *list.Element) {
 //
 // Per entry:
 //   - epoch == newEpoch: a query raced ahead and cached against the new
-//     snapshot already — valid, keep.
+//     snapshot already (replacing the older entry in place) — valid, keep.
 //   - epoch == oldEpoch, footprint disjoint from touched and the guard rule
 //     silent: the batch provably cannot change this answer (the search read
 //     none of the mutated rows, probed none of the mutated degrees, and no
-//     degree rose above the certified w(S̄) ceiling) — re-key to newEpoch so
-//     future lookups keep hitting it (retained).
+//     degree rose above the certified w(S̄) ceiling) — stamp it with
+//     newEpoch in place so future lookups keep hitting it (retained).
 //   - epoch == oldEpoch, footprint intersected or guard rule fired: evict
 //     (surgical).
 //   - anything older: straggler from a pre-batch query that finished after a
 //     later batch's walk; it can never be served again — drop (counted as
 //     surgical, it is the same per-entry invalidation).
+//
+// The walk costs O(|T|·log|fp|) per entry and inserts nothing into the map.
 func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.NodeID, maxTouchedDeg float64) (surgical, retained int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -233,30 +253,19 @@ func (c *resultCache) invalidate(oldEpoch, newEpoch uint64, touched []graph.Node
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
 		e := el.Value.(*cacheEntry)
-		if e.key.epoch == newEpoch {
-			continue
-		}
-		stay := e.key.epoch == oldEpoch &&
+		switch {
+		case e.key.epoch == newEpoch: // raced ahead: keep
+		case e.key.epoch == oldEpoch &&
 			e.fp != nil &&
-			!intersectsSorted(e.fp, touched) &&
-			!(e.guarded && maxTouchedDeg > e.guard)
-		if stay {
-			delete(c.m, e.key)
+			!intersectsSorted(touched, e.fp) &&
+			!(e.guarded && maxTouchedDeg > e.guard):
 			e.key.epoch = newEpoch
-			// A raced-ahead query may already hold the new key; keep the
-			// fresher entry and drop this one.
-			if _, dup := c.m[e.key]; dup {
-				c.unlink(el)
-				surgical++
-				continue
-			}
-			c.m[e.key] = el
 			retained++
-			continue
+		default:
+			delete(c.m, e.key.queryKey)
+			c.unlink(el)
+			surgical++
 		}
-		delete(c.m, e.key)
-		c.unlink(el)
-		surgical++
 	}
 	return surgical, retained
 }
@@ -268,16 +277,11 @@ func (c *resultCache) counters() (hits, misses, evictions int64, entries int) {
 }
 
 // intersectsSorted reports whether two ascending NodeID slices share an
-// element (linear merge scan).
+// element: a binary search in b for each element of a, so O(|a|·log|b|),
+// which pays when a is the short one.
 func intersectsSorted(a, b []graph.NodeID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
+	for _, v := range a {
+		if _, found := slices.BinarySearch(b, v); found {
 			return true
 		}
 	}

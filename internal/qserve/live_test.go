@@ -228,7 +228,7 @@ func TestLiveGoldenEquivalence(t *testing.T) {
 // sample of responses (cache hits included) with a full global-iteration
 // certification against the frozen copy of each response's epoch. This is
 // the -race CI stress: it exercises pinning, surgical invalidation,
-// and re-keying all racing each other.
+// and epoch re-stamping all racing each other.
 func TestMutateUnderTrafficStress(t *testing.T) {
 	const n = 1200
 	base := liveTestGraph(t, n, 3600, 9)
@@ -339,7 +339,7 @@ func TestMutateUnderTrafficStress(t *testing.T) {
 
 // TestSurgicalInvalidationDisjointRetains checks the core cache contract: a
 // mutation batch disjoint from every cached footprint retains the entries
-// (re-keyed to the new epoch, still serving hits), while a batch touching a
+// (moved to the new epoch in place, still serving hits), while a batch touching a
 // footprint evicts exactly those entries and the recompute is a cold search
 // on the new snapshot.
 func TestSurgicalInvalidationDisjointRetains(t *testing.T) {

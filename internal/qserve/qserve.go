@@ -274,7 +274,7 @@ func (p *Pool) Epoch() uint64 { return p.epoch.Load() }
 // new snapshot, and surgically invalidates the result cache: an entry is
 // evicted only if the batch touched a node in its recorded read footprint
 // (or, for RWR-guarded entries, raised a touched node's degree above the
-// certified w(S̄) ceiling); every other entry is re-keyed to the new epoch
+// certified w(S̄) ceiling); every other entry moves to the new epoch in place
 // and keeps serving hits.
 //
 // Returns the new epoch. The batch is atomic: on error nothing is published
