@@ -139,6 +139,15 @@ func (e *phpEngine) reset(g graph.Graph, q graph.NodeID, p measure.Params, opt O
 	e.wSbar = newWSbarGuard(g)
 }
 
+// usedBytes counts the engine's slices for Workspace.UsedBytes. The degree
+// index behind wSbar belongs to the graph.
+func (e *phpEngine) usedBytes() int {
+	return e.localSearch.usedBytes() + bytesOf(e.bnd) +
+		bytesOf(e.queueLB) + bytesOf(e.queueUB) + bytesOf(e.inQLB) + bytesOf(e.inQUB) +
+		bytesOf(e.pendLB) + bytesOf(e.pendUB) +
+		bytesOf(e.shell) + bytesOf(e.sEdges) + bytesOf(e.dirty) + bytesOf(e.probed)
+}
+
 // visit pulls node v into S: the substrate maintains the visited-set and
 // frontier bookkeeping and wires the transition entries in both directions,
 // then this appends v's edges to its unvisited neighbors' shell slots and

@@ -58,11 +58,18 @@ func NewQuerier(g graph.Graph, opt Options) (*Querier, error) {
 	return qr, nil
 }
 
+// put returns w to the pool, trimmed to what a typical search needs
+// (Workspace.Trim).
+func (qr *Querier) put(w *querierWS) {
+	w.ws = w.ws.Trim()
+	qr.pool.Put(w)
+}
+
 // TopK answers one query on the TopKCtx contract, reusing pooled engine
 // state.
 func (qr *Querier) TopK(ctx context.Context, q graph.NodeID) (*Result, error) {
 	w := qr.pool.Get().(*querierWS)
-	defer qr.pool.Put(w)
+	defer qr.put(w)
 	if !qr.viewer {
 		qr.mu.Lock()
 		defer qr.mu.Unlock()
@@ -74,7 +81,7 @@ func (qr *Querier) TopK(ctx context.Context, q graph.NodeID) (*Result, error) {
 // pooled engine state.
 func (qr *Querier) Unified(ctx context.Context, q graph.NodeID) (*UnifiedResult, error) {
 	w := qr.pool.Get().(*querierWS)
-	defer qr.pool.Put(w)
+	defer qr.put(w)
 	if !qr.viewer {
 		qr.mu.Lock()
 		defer qr.mu.Unlock()

@@ -232,3 +232,63 @@ func TestWarmPathAllocCeiling(t *testing.T) {
 		t.Logf("%v: warm Querier.TopK: %.1f allocs/op (ceiling %d)", kind, allocs, ceiling)
 	}
 }
+
+// TestQuerierReleaseTrims: a Querier runs Workspace.Trim before it returns
+// a workspace to its pool. A search over WorkspaceCap (exact THT top-200
+// over 6,000 nodes) leaves a pooled workspace under the cap that keeps the
+// node index's backing array; on the exact top-200 shape (Erdős
+// G(2,000, 10,000), seed 11, PHP, RWR and THT in turn) the workspace is
+// never trimmed. The workspace is taken from the pool once and handed to
+// put directly, so the test does not depend on what sync.Pool keeps.
+func TestQuerierReleaseTrims(t *testing.T) {
+	ctx := context.Background()
+	t.Run("over the cap", func(t *testing.T) {
+		g, err := gen.Erdos(6000, 30000, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qr, err := NewQuerier(g, DefaultOptions(measure.THT, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := qr.pool.Get().(*querierWS)
+		if _, err := w.ws.TopK(ctx, w.g, 100, qr.opt); err != nil {
+			t.Fatal(err)
+		}
+		ws, x := w.ws, *w.ws.index()
+		qr.put(w)
+		if w.ws == ws {
+			t.Fatalf("a workspace that used %d bytes went back untrimmed", ws.UsedBytes())
+		}
+		if used := w.ws.UsedBytes(); used > WorkspaceCap {
+			t.Fatalf("the pooled workspace keeps %d bytes in use, cap %d", used, WorkspaceCap)
+		}
+		if y := w.ws.index(); y == nil || &y.gen[0] != &x.gen[0] || &y.idx[0] != &x.idx[0] {
+			t.Fatal("the trimmed workspace lost the node index")
+		}
+	})
+	t.Run("exact top-200 shape", func(t *testing.T) {
+		g, err := gen.Erdos(2000, 10000, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qrs [3]*Querier
+		for i, kind := range []measure.Kind{measure.PHP, measure.RWR, measure.THT} {
+			if qrs[i], err = NewQuerier(g, DefaultOptions(kind, 200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := qrs[0].pool.Get().(*querierWS)
+		ws := w.ws
+		for i := range 12 {
+			qr := qrs[i%3]
+			if _, err := w.ws.TopK(ctx, w.g, graph.NodeID(37*i%2000), qr.opt); err != nil {
+				t.Fatal(err)
+			}
+			qr.put(w)
+			if w.ws != ws {
+				t.Fatalf("query %d: the workspace was trimmed on the exact top-200 shape", i)
+			}
+		}
+	})
+}

@@ -120,6 +120,21 @@ func (s *localSearch) resetCommon(g graph.Graph, q graph.NodeID) {
 	s.sweeps = 0
 }
 
+// usedBytes counts the substrate's slices for Workspace.UsedBytes: the
+// index is left out, and so are adjacency rows that alias the graph's own
+// storage.
+func (s *localSearch) usedBytes() int {
+	n := bytesOf(s.nodes) + bytesOf(s.adjN) + bytesOf(s.adjW) +
+		bytesOf(s.deg) + bytesOf(s.inW) + bytesOf(s.outCnt) + rowBytes(s.rows) +
+		bytesOf(s.bList) + bytesOf(s.iList) + bytesOf(s.visitL) +
+		bytesOf(s.pickBuf) + bytesOf(s.pickOut) + bytesOf(s.candBuf) + bytesOf(s.incBuf) +
+		bytesOf(s.selOut) + bytesOf(s.selOut2) + bytesOf(s.inSel) + bytesOf(s.addedBuf)
+	if !s.stable {
+		n += rowBytes(s.adjN) - bytesOf(s.adjN) + rowBytes(s.adjW) - bytesOf(s.adjW)
+	}
+	return n
+}
+
 // visitCommon pulls node v into S: queries its adjacency, computes the
 // degree split, wires v's transition entries in both directions, and
 // maintains the boundary/interior bookkeeping. The engine's own pass runs

@@ -93,6 +93,13 @@ func (e *thtEngine) reset(g graph.Graph, q graph.NodeID, L int) {
 	e.visit(q)
 }
 
+// usedBytes counts the engine's slices for Workspace.UsedBytes.
+func (e *thtEngine) usedBytes() int {
+	return e.localSearch.usedBytes() + bytesOf(e.dist) +
+		rowBytes(e.lbL) + rowBytes(e.ubL) + rowBytes(e.inQ) + rowBytes(e.queue) +
+		bytesOf(e.floorL) + bytesOf(e.distQ)
+}
+
 // visit pulls node v into S: the substrate maintains the visited-set and
 // frontier bookkeeping and wires the transition entries in both
 // directions, then this appends the level-bound rows and maintains the

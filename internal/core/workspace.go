@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"unsafe"
 
 	"flos/internal/graph"
 	"flos/internal/measure"
@@ -112,12 +113,27 @@ type scored struct {
 // across queries, graphs, measures, and option sets freely: every query
 // resets the state it needs, and results never alias workspace memory.
 //
+// A workspace holds one node index, owned by whichever engine ran last:
+// phpFor and thtFor move it to the engine about to run, and its generation
+// keeps counting across the move, so the other engine's old stamps stay
+// stale.
+//
 // A reused workspace produces byte-identical results and work counters to
 // a fresh one; only the allocation profile differs.
 type Workspace struct {
 	php *phpEngine
 	tht *thtEngine
 }
+
+// WorkspaceCap is the most bytes a pooled workspace keeps in use between
+// searches, node index excluded (see Trim). It is per workspace, not a
+// share of a pool-wide budget, which would shrink with the worker count. A
+// search uses about 1.3 KB per visited node on a MemGraph and 1.5 KB on a
+// disk store (ε = 1e-3 queries on Erdős G(100k, 1M)): a median ε-PHP
+// search there uses about 0.3 MB and an ε-RWR one 0.8 MB, and about 2 % of
+// the RWR searches pass the cap. Exact top-200 searches over a whole
+// 2,000-node graph stay under it, THT (0.93 MB) and PHP (0.84 MB) together.
+const WorkspaceCap = 2 << 20
 
 // NewWorkspace returns an empty workspace; engines are materialized lazily
 // on first use per family.
@@ -129,14 +145,74 @@ func (ws *Workspace) phpFor(g graph.Graph, q graph.NodeID, p measure.Params, opt
 	if ws.php == nil {
 		ws.php = new(phpEngine)
 	}
+	ws.moveIndex(&ws.php.local)
 	ws.php.reset(g, q, p, opt)
 	return ws.php
 }
 
+// index returns the engine index that holds the workspace's node arrays,
+// or nil before the first search.
+func (ws *Workspace) index() *nodeIndex {
+	if ws.php != nil && ws.php.local.gen != nil {
+		return &ws.php.local
+	}
+	if ws.tht != nil && ws.tht.local.gen != nil {
+		return &ws.tht.local
+	}
+	return nil
+}
+
+// moveIndex hands the workspace's node index to the engine index to.
+func (ws *Workspace) moveIndex(to *nodeIndex) {
+	if from := ws.index(); from != nil && from != to {
+		*to, *from = *from, nodeIndex{}
+	}
+}
+
+// indexOnly returns a workspace holding nothing but ws's node index, the
+// one piece of state sized to the graph rather than to a search.
+func (ws *Workspace) indexOnly() *Workspace {
+	x := ws.index()
+	if x == nil {
+		return NewWorkspace()
+	}
+	return &Workspace{php: &phpEngine{localSearch: localSearch{local: *x}}}
+}
+
+// UsedBytes returns the bytes the engines' slices held in use when their
+// last searches ended: every slice's length times its element size, inner
+// rows included, adjacency copies only on a backend without
+// graph.StableNeighbors. The node index is left out. It costs O(|S|) of
+// the searches it counts, never a walk over retained capacity.
+func (ws *Workspace) UsedBytes() int {
+	n := 0
+	if ws.php != nil {
+		n += ws.php.usedBytes()
+	}
+	if ws.tht != nil {
+		n += ws.tht.usedBytes()
+	}
+	return n
+}
+
+// Trim readies ws to go back to a pool. A workspace whose engines used
+// more than WorkspaceCap bytes gives back its search-sized slices: Trim
+// returns a workspace that keeps only ws's node index, so a pooled
+// workspace costs what a typical search needs, not the largest search it
+// ran, and the next search does not allocate the 8 B-per-node index
+// again. Otherwise Trim returns ws. Either way the next answer and its work
+// counters are those of a fresh workspace.
+func (ws *Workspace) Trim() *Workspace {
+	if ws.UsedBytes() <= WorkspaceCap {
+		return ws
+	}
+	return ws.indexOnly()
+}
+
 // recoverStorage is deferred by every search. It turns a panic that wraps
 // graph.ErrStorage (a backend's failed read) into *err and drops the
-// engines the search left mid-update; any other panic is a bug and is
-// re-raised.
+// engines the search left mid-update, keeping only the node index; any
+// other panic is a bug and is re-raised.
 func (ws *Workspace) recoverStorage(err *error) {
 	r := recover()
 	if r == nil {
@@ -146,7 +222,7 @@ func (ws *Workspace) recoverStorage(err *error) {
 	if !ok || !errors.Is(e, graph.ErrStorage) {
 		panic(r)
 	}
-	*ws = Workspace{}
+	*ws = *ws.indexOnly()
 	*err = e
 }
 
@@ -155,6 +231,23 @@ func (ws *Workspace) thtFor(g graph.Graph, q graph.NodeID, L int) *thtEngine {
 	if ws.tht == nil {
 		ws.tht = new(thtEngine)
 	}
+	ws.moveIndex(&ws.tht.local)
 	ws.tht.reset(g, q, L)
 	return ws.tht
+}
+
+// bytesOf returns the bytes s holds in use: its length times its element
+// size.
+func bytesOf[T any](s []T) int {
+	var z T
+	return len(s) * int(unsafe.Sizeof(z))
+}
+
+// rowBytes is bytesOf for a slice of rows, the rows in use included.
+func rowBytes[T any](rows [][]T) int {
+	n := bytesOf(rows)
+	for _, r := range rows {
+		n += bytesOf(r)
+	}
+	return n
 }

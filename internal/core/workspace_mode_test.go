@@ -136,12 +136,41 @@ func requireSameAsFresh(t *testing.T, label string, ws *Workspace, g graph.Graph
 	}
 }
 
+// indexesOf returns the node indexes ws's engines hold: a workspace keeps
+// exactly one once it has run a search, in the engine that ran last.
+func indexesOf(ws *Workspace) []*nodeIndex {
+	var out []*nodeIndex
+	if ws.php != nil && ws.php.local.gen != nil {
+		out = append(out, &ws.php.local)
+	}
+	if ws.tht != nil && ws.tht.local.gen != nil {
+		out = append(out, &ws.tht.local)
+	}
+	return out
+}
+
+// requireOneIndex fails unless ws holds exactly one node index, sized to n
+// nodes and owned by the engine want.
+func requireOneIndex(t *testing.T, label string, ws *Workspace, n int, want *nodeIndex) *nodeIndex {
+	t.Helper()
+	xs := indexesOf(ws)
+	if len(xs) != 1 {
+		t.Fatalf("%s: workspace holds %d node indexes, want 1", label, len(xs))
+	}
+	if x := xs[0]; x != want || len(x.gen) != n || len(x.idx) != n {
+		t.Fatalf("%s: index in the wrong engine or sized to %d/%d nodes, want %d", label, len(x.idx), len(x.gen), n)
+	}
+	return xs[0]
+}
+
 // TestWorkspaceGenerationWrap: with the dense index the only index, the
-// wraparound of its generation counter is its only full clear. A used
-// Workspace whose PHP and THT counters sit at the last generation must wrap
-// on their next queries, re-zero the stamps its first queries left at
-// generation 1, and answer PHP, RWR, THT and unified queries bit-identically
-// to a fresh Workspace; so must one that moves to a larger graph and back.
+// wraparound of its generation counter is its only full clear. The PHP and
+// THT engines share one index, moved to whichever runs, so after PHP → THT
+// → PHP a workspace holds one n-sized index at generation 3. At the last
+// generation it must wrap on the next query, re-zero the stamps both
+// engines' first queries left at generations 1–3, and answer PHP, RWR, THT
+// and unified queries bit-identically to a fresh Workspace; so must one
+// that moves to a larger graph and back.
 func TestWorkspaceGenerationWrap(t *testing.T) {
 	small := randomConnected(t, 150, 320, 5)
 	large := randomConnected(t, 400, 900, 9)
@@ -153,23 +182,24 @@ func TestWorkspaceGenerationWrap(t *testing.T) {
 
 	t.Run("wrap", func(t *testing.T) {
 		ws := NewWorkspace()
-		// Generation 1 of both engines stamps the nodes these queries visit.
-		for _, kind := range []measure.Kind{measure.PHP, measure.THT} {
+		// Generations 1–3 stamp the nodes these queries visit.
+		for _, kind := range []measure.Kind{measure.PHP, measure.THT, measure.PHP} {
 			if _, err := ws.TopK(context.Background(), small, 3, testOptions(kind, 6)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if ws.php.local.cur != 1 || ws.tht.local.cur != 1 {
-			t.Fatalf("first queries ran at generations %d/%d, want 1/1", ws.php.local.cur, ws.tht.local.cur)
+		x := requireOneIndex(t, "after PHP, THT, PHP", ws, small.NumNodes(), &ws.php.local)
+		if x.cur != 3 {
+			t.Fatalf("first queries ended at generation %d, want 3", x.cur)
 		}
-		ws.php.local.cur = math.MaxUint32
-		ws.tht.local.cur = math.MaxUint32
+		x.cur = math.MaxUint32
 		for pass, q := range []graph.NodeID{3, 70, 149} {
 			for _, qu := range queries {
 				requireSameAsFresh(t, fmt.Sprintf("q=%d %v unified=%v", q, qu.kind, qu.unified), ws, small, q, qu.kind, qu.unified)
 			}
-			if pass == 0 && (ws.php.local.cur != 3 || ws.tht.local.cur != 1) {
-				t.Fatalf("after the wrap the generations are %d/%d, want 3/1", ws.php.local.cur, ws.tht.local.cur)
+			x := requireOneIndex(t, fmt.Sprintf("pass %d", pass), ws, small.NumNodes(), &ws.php.local)
+			if pass == 0 && x.cur != 4 {
+				t.Fatalf("after the wrap the generation is %d, want 4", x.cur)
 			}
 		}
 	})
@@ -183,8 +213,6 @@ func TestWorkspaceGenerationWrap(t *testing.T) {
 				}
 			}
 		}
-		if n := len(ws.php.local.gen); n != large.NumNodes() {
-			t.Fatalf("PHP index sized to %d nodes, want %d", n, large.NumNodes())
-		}
+		requireOneIndex(t, "after resizing", ws, large.NumNodes(), &ws.php.local)
 	})
 }

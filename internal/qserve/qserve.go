@@ -363,18 +363,20 @@ func (p *Pool) Do(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 
-	visited := -1 // stays -1 when the search panics
+	ran := false // stays false when the search panics
 	defer func() {
-		// A search that panicked may have left the workspace mid-update, and
-		// one past trimVisited left it holding arrays of that size: either
-		// way the slot starts over with an empty workspace.
-		if visited < 0 || visited > trimVisited {
+		// A search that panicked may have left the workspace mid-update, so
+		// the slot starts over with an empty one. Any other keeps what a
+		// typical search needs (core.Workspace.Trim).
+		if ran {
+			s.ws = s.ws.Trim()
+		} else {
 			s.ws = core.NewWorkspace()
 		}
 		p.slots <- s
 	}()
-	var resp *Response
-	resp, visited, err = p.run(s, j)
+	resp, err := p.run(s, j)
+	ran = true
 	return resp, err
 }
 
@@ -543,14 +545,6 @@ func (p *Pool) finish(j *job, f finished) {
 	}
 }
 
-// trimVisited is the search size past which a slot starts over with an
-// empty workspace. A workspace keeps its arrays at the size of the largest
-// search it has run, about half a kilobyte per visited node on top of its
-// dense node indexes (8 B per graph node per engine), so one graph-draining
-// query would otherwise hold tens of megabytes per slot for the life of
-// the process.
-const trimVisited = 1 << 14
-
 // multiTracer fans iteration records out to every attached core.Tracer —
 // the caller's tracer, the flight recorder's sampler, and the span bridge's
 // phase accumulator — so recording a query never hides its trajectory from
@@ -587,9 +581,8 @@ type faultObserved interface {
 	SetFaultObserver(func(time.Duration))
 }
 
-// run executes one admitted job on slot s and returns its answer and how
-// many nodes the search visited.
-func (p *Pool) run(s *slot, j *job) (*Response, int, error) {
+// run executes one admitted job on slot s and returns its answer.
+func (p *Pool) run(s *slot, j *job) (*Response, error) {
 	g := s.g
 	if j.snap != nil {
 		// Live pool: the whole query runs against the snapshot pinned at
@@ -719,7 +712,7 @@ func (p *Pool) run(s *slot, j *job) (*Response, int, error) {
 	}
 	p.finish(j, f)
 	if err != nil {
-		return nil, f.visited, err
+		return nil, err
 	}
 	if p.cache != nil && j.cached && !f.partial {
 		// Results are immutable once returned; the cache shares them. An
@@ -734,7 +727,7 @@ func (p *Pool) run(s *slot, j *job) (*Response, int, error) {
 			p.cache.put(j.key, resp)
 		}
 	}
-	return resp, f.visited, nil
+	return resp, nil
 }
 
 // footprintOf assembles the cache-entry invalidation state from a completed

@@ -372,8 +372,9 @@ func (g *panicGraph) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 }
 
 // TestPanickingSearchCostsOneQuery: a search that panics panics in Do's
-// caller, and the pool's one slot comes back with a workspace that answers
-// the next queries exactly like a fresh search.
+// caller, and the pool's one slot comes back with an empty workspace, not
+// the one the search may have left mid-update, which answers the next
+// queries exactly like a fresh search.
 func TestPanickingSearchCostsOneQuery(t *testing.T) {
 	g := diagGraph(t)
 	pg := &panicGraph{Graph: g}
@@ -382,6 +383,7 @@ func TestPanickingSearchCostsOneQuery(t *testing.T) {
 
 	x := Request{Query: 100, Opt: core.DefaultOptions(measure.PHP, 5)}
 	pg.left = 10
+	before := slotWorkspaces(pool)[0]
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -390,6 +392,9 @@ func TestPanickingSearchCostsOneQuery(t *testing.T) {
 		}()
 		_, _ = pool.Do(context.Background(), x)
 	}()
+	if ws := slotWorkspaces(pool)[0]; ws == before || indexArray(t, ws) != 0 {
+		t.Fatal("the slot kept the workspace of the search that panicked")
+	}
 	for _, q := range []graph.NodeID{200, 100} {
 		req := Request{Query: q, Opt: x.Opt}
 		resp, err := pool.Do(context.Background(), req)
