@@ -39,7 +39,7 @@ func main() {
 		graphPath = flag.String("graph", "", "text edge-list file (u v [w] per line)")
 		binPath   = flag.String("bin", "", "binary CSR graph file")
 		storePath = flag.String("store", "", "disk-resident store file")
-		cacheMB   = flag.Int64("cache", 64, "page-cache budget for -store, MiB")
+		cacheMB   = flag.Int64("cache", 64, "pinned-row budget for -store, MiB")
 		q         = flag.Int("q", -1, "query node id")
 		k         = flag.Int("k", 10, "number of neighbors")
 		meas      = flag.String("measure", "php", "php | ei | dht | tht | rwr")

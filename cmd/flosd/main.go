@@ -23,10 +23,11 @@
 // query pool's slots (internal/qserve): -workers sets how many queries run
 // at once, -queue how many may wait to run before overload is shed with
 // 429, -cache the result-cache capacity, and -timeout the per-query
-// deadline. Disk-resident stores are served concurrently through the
-// lock-striped page cache; -pagecache bounds its page buffers, and the
-// store's node table (16 B per node) is read at start-up outside that
-// budget.
+// deadline. Disk-resident stores are served concurrently with one read
+// per visited row, exactly the row's bytes; -pagecache is a budget of
+// pinned hub rows, the longest rows first, each held in memory from its
+// first read on and served without a file read after that. The store's
+// node table (16 B per node) is read at start-up outside that budget.
 //
 // -live wraps an in-memory graph (-graph or -bin) in a live-graph snapshot
 // chain: POST /v1/graph/edges applies atomic mutation batches while queries
@@ -49,11 +50,12 @@
 // as a span tree even at -trace-sample 0. The slow threshold is shared with
 // -slow-latency.
 //
-// Cache analytics are on by default (-cachelens=false disables): the page
-// cache (-store) and the result cache each get a lens maintaining online
-// miss-ratio curves at 0.25x..4x capacity via SHARDS-style sampling and
-// 1m/10m working-set estimates — exported as flos_pagecache_* /
-// flos_result_cache_* gauges and GET /debug/flos/cache.
+// Cache analytics are on by default (-cachelens=false disables): a
+// store's row lookups (-store; capacity = its pinned rows) and the result
+// cache each get a lens maintaining online miss-ratio curves at
+// 0.25x..4x capacity via SHARDS-style sampling and 1m/10m working-set
+// estimates — exported as flos_pagecache_* / flos_result_cache_* gauges
+// and GET /debug/flos/cache.
 //
 // SIGTERM or SIGINT drains the server: it stops accepting connections,
 // lets running requests answer, closes the store and exits 0.
@@ -103,7 +105,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.graph, "graph", "", "text edge-list file")
 	fs.StringVar(&c.bin, "bin", "", "binary CSR graph file")
 	fs.StringVar(&c.store, "store", "", "disk-resident store file")
-	fs.Int64Var(&c.pageCacheMiB, "pagecache", 256, "page-cache budget for -store, MiB; the store's node table, 16 B per node, is held outside it")
+	fs.Int64Var(&c.pageCacheMiB, "pagecache", 256, "pinned-row budget for -store, MiB: the longest rows, kept in memory from their first read; the store's node table, 16 B per node, is held outside it")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.BoolVar(&c.live, "live", false, "serve a mutable live graph: accept POST /v1/graph/edges (requires -graph or -bin)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug | info | warn | error")
@@ -229,8 +231,8 @@ func main() {
 		logger.Info("diagnostics", "ring", cfg.rec.Size, "head_rate", cfg.traceSample)
 	}
 
-	// Cache analytics: attach a lens to the page cache (disk stores) and the
-	// result cache before any traffic flows. A 10s tick drives the working-set
+	// Cache analytics: attach a lens to the store's row lookups (disk stores)
+	// and the result cache before any traffic flows. A 10s tick drives the working-set
 	// windows.
 	if cfg.cacheLens {
 		const lensTick = 10 * time.Second

@@ -46,7 +46,7 @@ func TestValidate(t *testing.T) {
 		{[]string{"-bin", "g.bin", "-store", "g.flos"}, "exactly one of -graph, -bin, -store"},
 		{[]string{"-store", "g.flos", "-live"}, "-live requires an in-memory graph"},
 		{[]string{"-store", "g.flos", "-pagecache", "0"}, "-pagecache must be positive"},
-		{[]string{"-bin", "g.bin", "-pagecache", "0"}, ""}, // only a store has a page cache
+		{[]string{"-bin", "g.bin", "-pagecache", "0"}, ""}, // only a store pins rows
 		{[]string{"-bin", "g.bin", "-trace-sample", "1.5"}, "-trace-sample must be in [0, 1]"},
 		{[]string{"-bin", "g.bin", "-trace-sample", "-0.1"}, "-trace-sample must be in [0, 1]"},
 		{[]string{"-bin", "g.bin", "-maxk", "0", "-maxbatch", "0", "-max-deadline", "0"}, ""}, // zero = default

@@ -1,12 +1,12 @@
 // Diskresident: the paper's Section 6.4 scenario — exact kNN queries
-// against a graph that lives on disk behind a small page cache.
+// against a graph that lives on disk, read one row per visited node.
 //
-// The example generates an R-MAT graph, writes it into the paged store
-// format, reopens it with a deliberately tiny cache budget (so most of the
-// graph can never be resident), and answers FLoS queries for PHP and RWR.
+// The example generates an R-MAT graph, writes it into the store format,
+// reopens it with a deliberately tiny budget of pinned hub rows (so most of
+// the graph is never in memory), and answers FLoS queries for PHP and RWR.
 // Because FLoS only ever asks for the neighborhoods it visits, queries
-// complete after touching a few hundred pages of a file that is orders of
-// magnitude larger than the cache.
+// complete after reading a few hundred rows of a file that is orders of
+// magnitude larger than the budget.
 //
 // Run: go run ./examples/diskresident
 package main
@@ -61,14 +61,14 @@ func main() {
 	}
 	g = nil
 
-	// 4 MiB cache against a ~130 MB file: everything must page.
+	// 4 MiB of pinned rows against a ~130 MB file: most visits read the file.
 	const cacheBudget = 4 << 20
 	store, err := flos.OpenDiskGraph(path, cacheBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer store.Close()
-	fmt.Printf("store reopened with a %d MiB page cache (%.1f%% of the file)\n\n",
+	fmt.Printf("store reopened with %d MiB of pinned rows (%.1f%% of the file)\n\n",
 		cacheBudget>>20, 100*float64(cacheBudget)/float64(fi.Size()))
 
 	for _, m := range []flos.Measure{flos.PHP, flos.RWR} {
@@ -80,7 +80,7 @@ func main() {
 				log.Fatal(err)
 			}
 			after := store.CacheStats()
-			fmt.Printf("%-4v query %-8d: %8s, visited %5d/%d nodes (%.4f%%), %d page misses, exact=%v\n",
+			fmt.Printf("%-4v query %-8d: %8s, visited %5d/%d nodes (%.4f%%), %d file row reads, exact=%v\n",
 				m, q, time.Since(start).Round(time.Microsecond), res.Visited, nodes,
 				100*float64(res.Visited)/float64(nodes),
 				after.Misses-before.Misses, res.Exact)
@@ -88,7 +88,7 @@ func main() {
 	}
 
 	st := store.CacheStats()
-	fmt.Printf("\ncache totals: %d hits, %d misses, %.1f KB resident (budget %d KB)\n",
+	fmt.Printf("\nrow totals: %d pinned hits, %d file reads, %.1f KB pinned (budget %d KB)\n",
 		st.Hits, st.Misses, float64(st.ResidentBytes)/1e3, cacheBudget>>10)
 	fmt.Println("exact answers from a disk-resident graph without ever loading it")
 }

@@ -19,8 +19,9 @@
 //	}
 //
 // Graphs can live in memory (LoadEdgeList, NewGraphBuilder, the Generate*
-// functions) or on disk behind a byte-budgeted page cache (CreateDiskGraph
-// / OpenDiskGraph); the search code is identical over both.
+// functions) or on disk, read one row per visited node with a byte budget
+// of pinned hub rows (CreateDiskGraph / OpenDiskGraph); the search code is
+// identical over both.
 package flos
 
 import (
@@ -44,7 +45,8 @@ type NodeID = graph.NodeID
 // MemGraph is the in-memory CSR graph.
 type MemGraph = graph.MemGraph
 
-// DiskGraph is the disk-resident paged graph store.
+// DiskGraph is the disk-resident graph store: one file read per visited
+// row, except the hub rows its budget pins in memory.
 type DiskGraph = diskgraph.Store
 
 // Builder accumulates edges for an in-memory graph.
@@ -196,7 +198,7 @@ func UnifiedTopKCtx(ctx context.Context, g Graph, q NodeID, opt Options) (*Unifi
 }
 
 // DiskGraphReader is an independent concurrent-safe view of a DiskGraph:
-// readers share the store's lock-striped page cache but own the scratch
+// readers share the store's node table and pinned rows but own the scratch
 // buffers Neighbors returns. Obtain one per goroutine with
 // (*DiskGraph).NewReader when querying a disk store concurrently.
 type DiskGraphReader = diskgraph.Reader
@@ -285,14 +287,16 @@ const (
 // writes afterwards.
 func NewLiveGraph(g *MemGraph) *LiveGraph { return livegraph.New(g) }
 
-// CreateDiskGraph writes g into the paged disk-store format.
+// CreateDiskGraph writes g into the disk-store format.
 func CreateDiskGraph(path string, g *MemGraph) error {
 	return diskgraph.Create(path, g, 0)
 }
 
-// OpenDiskGraph opens a disk store with the given page-cache budget in
-// bytes (0 = 64 MiB). The store's node table, 16 bytes per node, is read
-// into memory at open, outside that budget.
+// OpenDiskGraph opens a disk store with a budget of cacheBytes bytes of
+// pinned rows (0 = 64 MiB): the longest rows, each kept in memory from its
+// first read on. Every other visit reads its row from the file. The
+// store's node table, 16 bytes per node, is read into memory at open,
+// outside that budget.
 func OpenDiskGraph(path string, cacheBytes int64) (*DiskGraph, error) {
 	return diskgraph.Open(path, cacheBytes)
 }

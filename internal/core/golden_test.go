@@ -211,8 +211,8 @@ func requireGolden(t *testing.T, label string, want, got goldenRanking) {
 	}
 }
 
-// diskVariant writes g to a disk store and opens it with a small page cache,
-// so the engine runs the defensive-copy (unstable neighbors) path.
+// diskVariant writes g to a disk store and opens it with a small pinned-row
+// budget, so the engine runs the defensive-copy (unstable neighbors) path.
 func diskVariant(t *testing.T, g *graph.MemGraph) graph.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.flos")

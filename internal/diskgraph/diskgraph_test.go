@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +70,7 @@ func TestRoundTripLargerWithTinyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeStore(t, g, 1024)
-	// Budget of 4 pages: constant eviction pressure.
+	// A 4 KiB budget pins a few rows; the rest come from the file.
 	s, err := Open(path, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +94,10 @@ func TestRoundTripLargerWithTinyCache(t *testing.T) {
 	}
 	st := s.CacheStats()
 	if st.Misses == 0 {
-		t.Error("tiny cache never missed?")
+		t.Error("a 4 KiB budget served every row from memory")
 	}
-	if st.ResidentBytes > 4096+1024 {
-		t.Errorf("resident %d bytes over budget", st.ResidentBytes)
+	if st.ResidentBytes > 4096 {
+		t.Errorf("pinned %d bytes, over the budget", st.ResidentBytes)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestOpenRejectsOldFormat(t *testing.T) {
 }
 
 // TestRowsStraddlePages round-trips a graph whose row records cross page
-// boundaries, at two page sizes and through a cache of two pages, including
+// boundaries, at two page sizes and with a budget of two pages, including
 // a zero-degree node in the middle and the last node (whose row ends the
 // file).
 func TestRowsStraddlePages(t *testing.T) {
@@ -285,19 +285,20 @@ func TestCorruptOffsets(t *testing.T) {
 }
 
 // TestNodeTableTouchesNoPage: degrees and offsets are read into memory at
-// Open, so a degree probe never reaches the page cache or the fault
-// observer, and a visit costs exactly the page lookups its row spans.
+// Open, so a degree probe reads no row and never reaches the fault
+// observer, and a visit to a non-empty row is exactly one row lookup.
 func TestNodeTableTouchesNoPage(t *testing.T) {
 	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pageSize = 512
-	s, err := Open(writeStore(t, g, pageSize), pageSize) // a one-page budget
+	s, err := Open(writeStore(t, g, 512), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	src := &countingReader{src: s.src}
+	s.src = src
 	r := s.NewReader()
 	faults := 0
 	r.SetFaultObserver(func(time.Duration) { faults++ })
@@ -307,29 +308,21 @@ func TestNodeTableTouchesNoPage(t *testing.T) {
 			t.Fatalf("degree mismatch at %d", v)
 		}
 	}
-	if st := s.CacheStats(); st != (Stats{}) {
-		t.Fatalf("degree probes reached the page cache: %+v", st)
-	}
-	if faults != 0 {
-		t.Fatalf("degree probes invoked the fault observer %d times", faults)
+	if st := s.CacheStats(); st != (Stats{}) || len(src.reads) != 0 || faults != 0 {
+		t.Fatalf("degree probes read rows: %+v, %d file reads, %d observed", st, len(src.reads), faults)
 	}
 
-	lookups := func() int64 {
-		st := s.CacheStats()
-		return st.Hits + st.Misses
-	}
 	off := g.Offsets()
 	for v := 0; v < g.NumNodes(); v++ {
-		lo := s.l.rowsOff + off[v]*rowEntrySz
-		hi := s.l.rowsOff + off[v+1]*rowEntrySz
 		var want int64
-		if hi > lo {
-			want = (hi-1)/pageSize - lo/pageSize + 1
+		if off[v+1] > off[v] {
+			want = 1
 		}
-		before := lookups()
+		before := s.CacheStats()
 		r.Neighbors(graph.NodeID(v))
-		if got := lookups() - before; got != want {
-			t.Fatalf("node %d: row [%d,%d) cost %d page lookups, want %d", v, lo, hi, got, want)
+		after := s.CacheStats()
+		if got := after.Hits + after.Misses - before.Hits - before.Misses; got != want {
+			t.Fatalf("node %d: %d half-edges cost %d row lookups, want %d", v, off[v+1]-off[v], got, want)
 		}
 	}
 }
@@ -343,7 +336,7 @@ func TestFLoSOnDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeStore(t, g, 8192)
-	s, err := Open(path, 64<<10) // 64 KiB: heavy eviction, real paging
+	s, err := Open(path, 64<<10) // 64 KiB: hub rows pinned, the rest read from the file
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,68 +365,12 @@ func TestFLoSOnDiskStore(t *testing.T) {
 		}
 	}
 	st := s.CacheStats()
-	t.Logf("cache: %d hits, %d misses, %d resident bytes", st.Hits, st.Misses, st.ResidentBytes)
+	t.Logf("rows: %d pinned hits, %d file reads, %d pinned bytes", st.Hits, st.Misses, st.ResidentBytes)
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	// Direct cache exercise: 10-byte pages over a 100-byte reader, 30-byte
-	// budget → at most 3 resident pages.
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	c := newPageCache(bytes.NewReader(data), 10, 30, 100)
-	for i := 0; i < 10; i++ {
-		var b [10]byte
-		if err := c.readAt(b[:], int64(i)*10, nil); err != nil {
-			t.Fatal(err)
-		}
-		if b[0] != byte(i*10) {
-			t.Fatalf("page %d content wrong", i)
-		}
-	}
-	st := c.stats()
-	if st.ResidentPages > 3 {
-		t.Fatalf("%d resident pages with 3-page budget", st.ResidentPages)
-	}
-	if st.Misses != 10 {
-		t.Fatalf("misses = %d, want 10 cold loads", st.Misses)
-	}
-	// Re-read last three pages: all hits.
-	for i := 7; i < 10; i++ {
-		var b [10]byte
-		if err := c.readAt(b[:], int64(i)*10, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.stats().Hits; got != 3 {
-		t.Fatalf("hits = %d, want 3", got)
-	}
-}
-
-func TestCacheSpanningRead(t *testing.T) {
-	data := make([]byte, 64)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	c := newPageCache(bytes.NewReader(data), 16, 64, 64)
-	got := make([]byte, 40)
-	if err := c.readAt(got, 12, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != byte(12+i) {
-			t.Fatalf("byte %d = %d, want %d", i, got[i], 12+i)
-		}
-	}
-	if err := c.readAt(make([]byte, 8), 60, nil); err == nil {
-		t.Fatal("read past EOF accepted")
-	}
-}
-
-// TestFaultObserver verifies the Reader-level page-fault hook: cold reads
-// invoke it with a positive stall duration, warm reads never invoke it, and
-// observer counts line up with the cache's miss counters.
+// TestFaultObserver verifies the Reader-level fault hook: file reads invoke
+// it with a non-negative stall duration, reads of filled pinned rows never
+// invoke it, and observer counts line up with the store's file reads.
 func TestFaultObserver(t *testing.T) {
 	g := gen.PaperExample()
 	path := writeStore(t, g, 512)
@@ -458,14 +395,14 @@ func TestFaultObserver(t *testing.T) {
 		r.Degree(graph.NodeID(v))
 	}
 	if faults == 0 {
-		t.Fatal("cold scan reported zero page faults")
+		t.Fatal("cold scan reported no file reads")
 	}
 	st := s.CacheStats()
 	if int64(faults) != st.Misses {
-		t.Fatalf("observer saw %d faults, cache counted %d misses", faults, st.Misses)
+		t.Fatalf("observer saw %d faults, the store counted %d file reads", faults, st.Misses)
 	}
 
-	// Warm re-scan: everything resident, the observer must stay silent.
+	// Warm re-scan: every row is pinned and filled, the observer stays silent.
 	before := faults
 	for v := 0; v < g.NumNodes(); v++ {
 		r.Neighbors(graph.NodeID(v))
@@ -480,265 +417,339 @@ func TestFaultObserver(t *testing.T) {
 	r.Neighbors(0)
 }
 
-// TestEvictionCountersAndHWM: a cache too small for its file reports LRU
-// evictions, one per fault beyond the pages still resident, and the
-// resident pages' high-water mark, read after every access, is the budget.
-func TestEvictionCountersAndHWM(t *testing.T) {
-	data := make([]byte, 100)
-	c := newPageCache(bytes.NewReader(data), 10, 30, 100)
-	hwm := 0
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < 10; i++ {
-			var b [10]byte
-			if err := c.readAt(b[:], int64(i)*10, nil); err != nil {
-				t.Fatal(err)
-			}
-			hwm = max(hwm, c.stats().ResidentPages)
-		}
-	}
-	if hwm != 3 {
-		t.Fatalf("resident pages peaked at %d; want the 3-page budget", hwm)
-	}
-	st := c.stats()
-	if st.Evictions == 0 {
-		t.Fatal("10 pages through a 3-page budget evicted nothing")
-	}
-	if st.Evictions != st.Misses-int64(st.ResidentPages) {
-		t.Fatalf("evictions %d != misses %d - resident %d", st.Evictions, st.Misses, st.ResidentPages)
-	}
-	if st.ResidentPages != 3 || st.ResidentBytes != 30 {
-		t.Fatalf("%d pages, %d bytes resident; want the 3-page budget full", st.ResidentPages, st.ResidentBytes)
-	}
-}
-
-// ownedBytes is what the cache holds in page buffers at one instant. It
-// holds every shard lock at once, because faults move between shards faster
-// than it could visit them.
-func (c *pageCache) ownedBytes() int64 {
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-	}
-	var frames int64
-	for i := range c.shards {
-		frames += int64(c.shards[i].frames)
-		c.shards[i].mu.Unlock()
-	}
-	return frames * c.pageSize
-}
-
-// sizeReader is an io.ReaderAt that records the largest read it served.
-type sizeReader struct {
+// countingReader is an io.ReaderAt over src that records every read it
+// serves and fails them while fail is set. When gate is set, the first read
+// at gateOff reports itself on entered and then waits for gate to close.
+type countingReader struct {
 	src     io.ReaderAt
-	reads   int
-	largest int
-}
-
-func (r *sizeReader) ReadAt(p []byte, off int64) (int, error) {
-	r.reads++
-	r.largest = max(r.largest, len(p))
-	return r.src.ReadAt(p, off)
-}
-
-// TestMissReadsOneOSPage: on a store laid out in pages of two OS pages, a
-// cache miss reads one OS page at most, however many of the store's rows
-// straddle a frame edge, and the rows it serves are the graph's.
-func TestMissReadsOneOSPage(t *testing.T) {
-	g, err := gen.RMAT(3000, 12000, gen.DefaultRMAT(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pageSize := 2 * os.Getpagesize()
-	s, err := Open(writeStore(t, g, pageSize), 4*int64(pageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	src := &sizeReader{src: s.cache.src}
-	s.cache.src = src
-	for v := 0; v < g.NumNodes(); v++ {
-		u := graph.NodeID(v * 997 % g.NumNodes())
-		gotN, gotW := s.Neighbors(u)
-		wantN, wantW := g.Neighbors(u)
-		if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotW, wantW) {
-			t.Fatalf("node %d: row %v %v, want %v %v", u, gotN, gotW, wantN, wantW)
-		}
-	}
-	if st := s.CacheStats(); src.reads == 0 || int64(src.reads) != st.Misses {
-		t.Fatalf("%d reads for %d misses; want one read per miss, and some", src.reads, st.Misses)
-	}
-	if page := os.Getpagesize(); src.largest > page {
-		t.Fatalf("a miss read %d bytes; an OS page is %d", src.largest, page)
-	}
-}
-
-// TestFaultPathAllocs: once the cache is full, a fault reads into the frame
-// of the page it evicts, so a scan that faults thousands of times allocates
-// no page buffers and the cache never owns more than its budget.
-func TestFaultPathAllocs(t *testing.T) {
-	g, err := gen.RMAT(3000, 12000, gen.DefaultRMAT(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pageSize, budget = 8192, 4 * 8192
-	s, err := Open(writeStore(t, g, pageSize), budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.FileSize() < 8*budget {
-		t.Fatalf("file of %d bytes is too small for a %d-byte cache to keep faulting", s.FileSize(), budget)
-	}
-	r := s.NewReader()
-	scan := func() {
-		for v := 0; v < g.NumNodes(); v++ {
-			// Stride across the file so consecutive reads land on different pages.
-			r.Neighbors(graph.NodeID(v * 997 % g.NumNodes()))
-		}
-	}
-	scan() // fills the frames and grows the reader's scratch buffers
-
-	var before, after runtime.MemStats
-	faults := s.CacheStats().Misses
-	runtime.ReadMemStats(&before)
-	scan()
-	runtime.ReadMemStats(&after)
-	faults = s.CacheStats().Misses - faults
-	if faults < 1000 {
-		t.Fatalf("only %d faults in the measured scan", faults)
-	}
-	if perFault := float64(after.TotalAlloc-before.TotalAlloc) / float64(faults); perFault >= 256 {
-		t.Errorf("%.0f bytes allocated per fault over %d faults; a page buffer is %d", perFault, faults, pageSize)
-	}
-	if owned := s.cache.ownedBytes(); owned > budget {
-		t.Errorf("cache owns %d bytes of page buffers, budget %d", owned, budget)
-	}
-	if st := s.CacheStats(); st.ResidentBytes > budget {
-		t.Errorf("%d resident bytes, budget %d", st.ResidentBytes, budget)
-	}
-}
-
-// gatedReader is an io.ReaderAt over data that counts its reads and fails
-// them while fail is set. When gate is set, each read reports itself on
-// entered and then waits for gate to close.
-type gatedReader struct {
-	data    []byte
+	mu      sync.Mutex
+	reads   []span
+	gateOff int64
 	gate    chan struct{}
 	entered chan struct{}
-	reads   atomic.Int32
 	fail    atomic.Bool
 }
 
+// span is one read: its file offset and length.
+type span struct{ off, n int64 }
+
 var errInjected = errors.New("injected read error")
 
-func (r *gatedReader) ReadAt(p []byte, off int64) (int, error) {
-	r.reads.Add(1)
-	if r.gate != nil {
+func (r *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	r.mu.Lock()
+	r.reads = append(r.reads, span{off, int64(len(p))})
+	gate := r.gate
+	if off != r.gateOff {
+		gate = nil
+	} else {
+		r.gate = nil
+	}
+	r.mu.Unlock()
+	if gate != nil {
 		r.entered <- struct{}{}
-		<-r.gate
+		<-gate
 	}
 	if r.fail.Load() {
 		return 0, errInjected
 	}
-	return bytes.NewReader(r.data).ReadAt(p, off)
+	return r.src.ReadAt(p, off)
 }
 
-// waitForLockWaiter returns once some goroutine is parked on a mutex inside
-// copyAt, read off the goroutine dump.
-func waitForLockWaiter(t *testing.T) {
+func (r *countingReader) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.reads)
+}
+
+// sameRow fails t unless v's row from the store is g's.
+func sameRow(t *testing.T, g *graph.MemGraph, v graph.NodeID, gotN []graph.NodeID, gotW []float64) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
-	for {
-		dump := string(buf[:runtime.Stack(buf, true)])
-		for _, g := range strings.Split(dump, "\n\n") {
-			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*pageCache).copyAt") {
-				return
+	if wantN, wantW := g.Neighbors(v); !slices.Equal(gotN, wantN) || !slices.Equal(gotW, wantW) {
+		t.Fatalf("node %d: row %v %v, want %v %v", v, gotN, gotW, wantN, wantW)
+	}
+}
+
+// TestUnpinnedRowIsOneExactRead: with nothing pinned, a visit is one ReadAt
+// of exactly the row's bytes, and an empty row reads nothing.
+func TestUnpinnedRowIsOneExactRead(t *testing.T) {
+	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(writeStore(t, g, 512), rowEntrySz-1) // no row fits
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if len(s.pin.state) != 0 {
+		t.Fatalf("an %d-byte budget pinned %d rows", rowEntrySz-1, len(s.pin.state))
+	}
+	src := &countingReader{src: s.src}
+	s.src = src
+	r := s.NewReader()
+	off := g.Offsets()
+	var rows int64
+	for v := 0; v < g.NumNodes(); v++ {
+		before := src.count()
+		gotN, gotW := r.Neighbors(graph.NodeID(v))
+		sameRow(t, g, graph.NodeID(v), gotN, gotW)
+		reads := src.reads[before:]
+		if cnt := off[v+1] - off[v]; cnt == 0 {
+			if len(reads) != 0 {
+				t.Fatalf("empty row of node %d read %v", v, reads)
+			}
+		} else if want := (span{s.l.rowsOff + off[v]*rowEntrySz, cnt * rowEntrySz}); len(reads) != 1 || reads[0] != want {
+			t.Fatalf("node %d: reads %v, want one of %v", v, reads, want)
+		} else {
+			rows++
+		}
+	}
+	if st := s.CacheStats(); st.Hits != 0 || st.Misses != rows {
+		t.Fatalf("%+v, want %d misses and no hits", st, rows)
+	}
+}
+
+// TestPinnedSetFollowsBudget: the pinned rows are the longest rows, ties by
+// ascending ID, up to the first one that would overflow the budget; their
+// bytes stay within it, filled or not; every pinned row's slot holds its
+// own length; and two Opens of one file pin the same set.
+func TestPinnedSetFollowsBudget(t *testing.T) {
+	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeStore(t, g, 512)
+	off := g.Offsets()
+	rowLen := func(v int) int64 { return off[v+1] - off[v] }
+	// before reports whether u precedes v in pinning order.
+	before := func(u, v int) bool { return rowLen(u) > rowLen(v) || rowLen(u) == rowLen(v) && u < v }
+	for _, budget := range []int64{600, 4 << 10, 64 << 10, 1 << 20} {
+		s, err := Open(path, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Open(path, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.pin.bits, again.pin.bits) || !reflect.DeepEqual(s.pin.start, again.pin.start) {
+			t.Fatalf("budget %d: two Opens pinned different rows", budget)
+		}
+		again.Close()
+
+		var pinnedBytes int64
+		lastPinned, firstOut := -1, -1 // the last pinned row and the first eligible one left out, in pinning order
+		for v := 0; v < g.NumNodes(); v++ {
+			i := s.pin.slot(graph.NodeID(v))
+			if i < 0 {
+				if l := rowLen(v); l > 0 && l*rowEntrySz <= budget && (firstOut < 0 || before(v, firstOut)) {
+					firstOut = v
+				}
+				continue
+			}
+			if nb, _ := s.pin.row(i); int64(len(nb)) != rowLen(v) || rowLen(v) == 0 {
+				t.Fatalf("budget %d: node %d has %d half-edges, its slot %d", budget, v, rowLen(v), len(nb))
+			}
+			pinnedBytes += rowLen(v) * rowEntrySz
+			if lastPinned < 0 || before(lastPinned, v) {
+				lastPinned = v
 			}
 		}
-		runtime.Gosched()
+		if pinnedBytes > budget || lastPinned < 0 {
+			t.Fatalf("budget %d: %d rows pin %d bytes", budget, len(s.pin.state), pinnedBytes)
+		}
+		if firstOut >= 0 && (before(firstOut, lastPinned) || pinnedBytes+rowLen(firstOut)*rowEntrySz <= budget) {
+			t.Fatalf("budget %d: node %d (%d half-edges) left out while node %d (%d) is pinned with %d bytes",
+				budget, firstOut, rowLen(firstOut), lastPinned, rowLen(lastPinned), pinnedBytes)
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			s.Neighbors(graph.NodeID(v))
+		}
+		if st := s.CacheStats(); st.ResidentBytes != pinnedBytes || st.PinnedRows != len(s.pin.state) {
+			t.Fatalf("budget %d: filled %+v, chose %d rows of %d bytes", budget, st, len(s.pin.state), pinnedBytes)
+		}
+		s.Close()
 	}
 }
 
-// TestColdPageReadOnce: two concurrent lookups of one cold page make one
-// disk read. The second waits on the shard lock while the first reads, then
-// hits; the fault observer sees only the first reader's load.
-func TestColdPageReadOnce(t *testing.T) {
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i)
+// pinnedStore opens g's store with a budget that pins every row and swaps
+// in a countingReader.
+func pinnedStore(t *testing.T, g *graph.MemGraph) (*Store, *countingReader) {
+	t.Helper()
+	s, err := Open(writeStore(t, g, 512), 1<<30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// entered has room for a second read, so a cache that read the page
-	// twice fails the count below instead of hanging.
-	src := &gatedReader{data: data, gate: make(chan struct{}), entered: make(chan struct{}, 2)}
-	c := newPageCache(src, 10, 30, 100)
+	t.Cleanup(func() { s.Close() })
+	src := &countingReader{src: s.src, gateOff: -1}
+	s.src = src
+	return s, src
+}
 
-	var stalls atomic.Int32
-	observe := func(time.Duration) { stalls.Add(1) }
-	var wg sync.WaitGroup
-	var got [2][4]byte
-	var errs [2]error
-	lookup := func(i int) {
-		defer wg.Done()
-		_, errs[i] = c.copyAt(got[i][:], 3, 2, observe)
+// TestPinnedRowFirstFill: a reader that finds a pinned row mid-fill reads
+// the file itself instead of waiting, and once the fill is published no
+// reader reads that row from the file again.
+func TestPinnedRowFirstFill(t *testing.T) {
+	g, err := gen.RMAT(500, 2000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Add(2)
-	go lookup(0)
-	<-src.entered // the first lookup holds the lock, mid-read
-	go lookup(1)
-	waitForLockWaiter(t)
-	close(src.gate)
-	wg.Wait()
+	s, src := pinnedStore(t, g)
+	hub := g.TopDegrees(1)[0].Node
+	src.gateOff = s.l.rowsOff + g.Offsets()[hub]*rowEntrySz
+	src.gate, src.entered = make(chan struct{}), make(chan struct{}, 1)
+	gate := src.gate
 
-	for i := range got {
-		if errs[i] != nil || got[i] != [4]byte{32, 33, 34, 35} {
-			t.Fatalf("lookup %d read %v (err %v), want bytes 32..35", i, got[i], errs[i])
+	a, b := s.NewReader(), s.NewReader()
+	var aN []graph.NodeID
+	var aW []float64
+	filled := make(chan struct{})
+	go func() {
+		defer close(filled)
+		aN, aW = a.Neighbors(hub)
+	}()
+	<-src.entered // a owns the slot, mid-read
+	if st := s.pin.state[s.pin.slot(hub)].Load(); st != slotFilling {
+		t.Fatalf("slot state %d while its first read runs, want filling", st)
+	}
+	read := make(chan struct{})
+	var bN []graph.NodeID
+	var bW []float64
+	go func() {
+		defer close(read)
+		bN, bW = b.Neighbors(hub)
+	}()
+	select {
+	case <-read:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a reader waited on a slot being filled")
+	}
+	sameRow(t, g, hub, bN, bW)
+	close(gate)
+	<-filled
+	sameRow(t, g, hub, aN, aW)
+	if n := src.count(); n != 2 {
+		t.Fatalf("%d file reads for a fill and one concurrent read, want 2", n)
+	}
+	for range 3 {
+		for _, r := range []*Reader{a, b, s.NewReader()} {
+			gotN, gotW := r.Neighbors(hub)
+			sameRow(t, g, hub, gotN, gotW)
 		}
 	}
-	st := c.stats()
-	if n := src.reads.Load(); n != 1 || st.Misses != 1 || st.Hits != 1 || stalls.Load() != 1 {
-		t.Fatalf("%d reads, %d misses, %d hits, %d observed stalls; want 1 each", n, st.Misses, st.Hits, stalls.Load())
+	if n, st := src.count(), s.CacheStats(); n != 2 || st != (Stats{Hits: 9, Misses: 2, ResidentBytes: int64(len(aN)) * rowEntrySz, PinnedRows: 1}) {
+		t.Fatalf("after the fill: %d file reads, %+v", n, st)
 	}
 }
 
-// TestFailedLoadLeavesNothing: a load whose read fails returns the read's
-// error and leaves neither the page nor its frame in the cache, whether the
-// frame was new or recycled from an evicted page; the next lookup of the
-// page reads it again.
-func TestFailedLoadLeavesNothing(t *testing.T) {
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i)
+// TestPinnedRowConcurrentFirstReads: readers racing over cold pinned rows
+// fill each slot exactly once, read each row from the file at most once per
+// reader, and read nothing from the file once every slot is ready.
+func TestPinnedRowConcurrentFirstReads(t *testing.T) {
+	g, err := gen.RMAT(1000, 4000, gen.DefaultRMAT(), 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	src := &gatedReader{data: data}
-	c := newPageCache(src, 10, 10, 100) // one shard of one frame
-	var b [4]byte
-	for _, resident := range []int64{-1, 5} { // none resident (a new frame), then page 5 (its frame recycled)
-		if resident >= 0 {
-			if _, err := c.copyAt(b[:], resident, 0, nil); err != nil {
-				t.Fatal(err)
+	s, src := pinnedStore(t, g)
+	const readers = 4
+	scan := func() {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := s.NewReader()
+				<-start
+				for i := range g.NumNodes() {
+					v := graph.NodeID((i + w) % g.NumNodes()) // neighbouring readers collide on neighbouring rows
+					gotN, gotW := r.Neighbors(v)
+					if wantN, wantW := g.Neighbors(v); !slices.Equal(gotN, wantN) || !slices.Equal(gotW, wantW) {
+						t.Errorf("reader %d node %d: wrong row", w, v)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	scan()
+	if st := s.CacheStats(); st.PinnedRows != len(s.pin.state) || int(st.Misses) > readers*len(s.pin.state) {
+		t.Fatalf("%+v: %d slots, want each filled once and read at most once per reader", st, len(s.pin.state))
+	}
+	reads := src.count()
+	scan()
+	if n := src.count(); n != reads {
+		t.Fatalf("a scan over ready slots read the file %d times", n-reads)
+	}
+}
+
+// TestFailedFillLeavesSlotEmpty: a pinned row whose first read fails fails
+// its caller with graph.ErrStorage and leaves the slot empty, so the next
+// read tries the file again and fills it.
+func TestFailedFillLeavesSlotEmpty(t *testing.T) {
+	g := gen.PaperExample()
+	s, src := pinnedStore(t, g)
+	src.fail.Store(true)
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, graph.ErrStorage) || !errors.Is(err, errInjected) {
+				t.Fatalf("failed fill panicked with %v, want ErrStorage wrapping the read's error", err)
 			}
-		}
-		src.fail.Store(true)
-		if _, err := c.copyAt(b[:], 3, 2, nil); !errors.Is(err, errInjected) {
-			t.Fatalf("failed load returned %v, want the read's error", err)
-		}
-		if st := c.stats(); st.ResidentPages != 0 || st.ResidentBytes != 0 || c.ownedBytes() != 0 {
-			t.Fatalf("after a failed load: %+v, %d bytes owned; want an empty cache", st, c.ownedBytes())
-		}
-		src.fail.Store(false)
-		reads := src.reads.Load()
-		if n, err := c.copyAt(b[:], 3, 2, nil); err != nil || n != 4 || b != [4]byte{32, 33, 34, 35} {
-			t.Fatalf("retry read %v (n=%d, err=%v), want bytes 32..35", b, n, err)
-		}
-		if src.reads.Load() != reads+1 {
-			t.Fatal("the lookup after a failed load did not read the page")
-		}
+		}()
+		s.Neighbors(0)
+	}()
+	if st := s.pin.state[s.pin.slot(0)].Load(); st != slotEmpty || s.CacheStats().PinnedRows != 0 {
+		t.Fatalf("after a failed fill: slot state %d, %+v", st, s.CacheStats())
+	}
+	src.fail.Store(false)
+	gotN, gotW := s.Neighbors(0)
+	sameRow(t, g, 0, gotN, gotW)
+	if n, st := src.count(), s.CacheStats(); n != 2 || st.PinnedRows != 1 || s.pin.state[s.pin.slot(0)].Load() != slotReady {
+		t.Fatalf("retry: %d file reads, %+v", n, st)
 	}
 }
 
-// TestStoreLensIntegration attaches an analytics lens to a store with a
-// deliberately undersized cache and checks the exported snapshot: geometry
-// auto-fill (capacity from budget), access accounting that matches the
-// cache's own counters, and a full miss-ratio curve.
+// TestWarmNeighborsAllocs: once a reader's scratch has grown and the pinned
+// rows are filled, Neighbors allocates nothing, pinned or read from the
+// file, with a fault observer attached or not.
+func TestWarmNeighborsAllocs(t *testing.T) {
+	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(writeStore(t, g, 512), 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.NewReader()
+	scan := func() {
+		for v := 0; v < g.NumNodes(); v++ {
+			r.Neighbors(graph.NodeID(v * 997 % g.NumNodes()))
+		}
+	}
+	scan()
+	if st := s.CacheStats(); st.PinnedRows == 0 || st.Misses <= int64(st.PinnedRows) {
+		t.Fatalf("%+v: the scan needs pinned and unpinned rows", st)
+	}
+	var faults int
+	for _, observe := range []func(time.Duration){nil, func(time.Duration) { faults++ }} {
+		r.SetFaultObserver(observe)
+		if a := testing.AllocsPerRun(3, scan); a != 0 {
+			t.Errorf("observer %v: %.0f allocations per warm scan", observe != nil, a)
+		}
+	}
+	if faults == 0 {
+		t.Fatal("the observer saw no file reads")
+	}
+}
+
+// TestStoreLensIntegration attaches an analytics lens to a store whose
+// budget pins only part of the file and checks the exported snapshot:
+// geometry auto-fill (capacity = pinned rows), access accounting that
+// matches the store's own row counters, and a full miss-ratio curve.
 func TestStoreLensIntegration(t *testing.T) {
 	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
 	if err != nil {
@@ -746,16 +757,18 @@ func TestStoreLensIntegration(t *testing.T) {
 	}
 	path := writeStore(t, g, 512)
 	for _, tc := range []struct {
-		cacheBytes int64
+		budget     int64
 		sampleRate int // 1: the lens samples every lookup; 4: about one in four
-		pages      int
 	}{
-		{8 << 10, 1, 16},
-		{32 << 10, 4, 64},
+		{8 << 10, 1},
+		{128 << 10, 4},
 	} {
-		s, err := Open(path, tc.cacheBytes) // far smaller than the file: forces eviction
+		s, err := Open(path, tc.budget) // smaller than the file's rows
 		if err != nil {
 			t.Fatal(err)
+		}
+		if slots := len(s.pin.state); slots < 16*tc.sampleRate {
+			t.Fatalf("budget %d pins %d rows; the lens refines its rate below %d rows", tc.budget, slots, 16*tc.sampleRate)
 		}
 		lens := s.AttachLens(cachelens.Config{SampleRate: tc.sampleRate, Seed: 3})
 		if s.Lens() != lens {
@@ -775,49 +788,17 @@ func TestStoreLensIntegration(t *testing.T) {
 		}
 		lookups := st.Hits + st.Misses
 		if got := snap.SampledAccesses; tc.sampleRate == 1 && got != lookups || got <= 0 || got > lookups {
-			t.Fatalf("rate %d: lens sampled %d accesses of the cache's %d lookups", tc.sampleRate, got, lookups)
+			t.Fatalf("rate %d: lens sampled %d accesses of the store's %d lookups", tc.sampleRate, got, lookups)
 		}
-		if st.Evictions == 0 {
-			t.Fatal("undersized cache evicted nothing")
+		if st.Hits == 0 || st.Misses <= int64(st.PinnedRows) {
+			t.Fatalf("%+v: want pinned hits and file reads of unpinned rows", st)
 		}
-		if snap.Capacity != tc.pages {
-			t.Fatalf("auto-filled capacity = %d, want %d pages", snap.Capacity, tc.pages)
+		if snap.Capacity != len(s.pin.state) {
+			t.Fatalf("auto-filled capacity = %d, want %d pinned rows", snap.Capacity, len(s.pin.state))
 		}
 		if len(snap.Curve) != len(cachelens.DefaultScales) {
 			t.Fatalf("curve has %d points", len(snap.Curve))
 		}
 		s.Close()
-	}
-}
-
-// TestAttachLensMarksResidentPages attaches the lens to a cache that
-// already holds pages: the lens sees every lookup of those resident pages
-// made from then on, and none from before.
-func TestAttachLensMarksResidentPages(t *testing.T) {
-	g, err := gen.RMAT(500, 2000, gen.DefaultRMAT(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(writeStore(t, g, 512), 1<<20) // the whole file fits
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	read := func() {
-		for v := 0; v < s.NumNodes(); v++ {
-			s.Neighbors(graph.NodeID(v))
-		}
-	}
-	read()
-	read()
-	before := s.CacheStats()
-	lens := s.AttachLens(cachelens.Config{SampleRate: 1})
-	read()
-	after := s.CacheStats()
-	if after.Misses != before.Misses {
-		t.Fatalf("third pass faulted: %d -> %d misses", before.Misses, after.Misses)
-	}
-	if want, got := after.Hits-before.Hits, lens.Snapshot().SampledAccesses; got != want || got == 0 {
-		t.Fatalf("lens sampled %d accesses; the cache served %d hits since it was attached", got, want)
 	}
 }

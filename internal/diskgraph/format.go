@@ -2,10 +2,11 @@
 // the Neo4j 2.0 store the paper uses in Section 6.4. It keeps the entire
 // graph — degrees, CSR offsets and one adjacency record per node — in a
 // single file. Open reads the node table (degrees and offsets, 16 bytes per
-// node) into memory; the adjacency records, which are what does not fit,
-// are served through an LRU page cache with a hard byte budget, mirroring
-// the paper's "memory usage restricted to 2 GB" setup. The budget bounds
-// page buffers only, so a store holds the budget plus 16 bytes per node.
+// node) into memory; each adjacency record is read from the file when it
+// is visited, one ReadAt of exactly its bytes, except the hub rows a byte
+// budget pins in memory after their first read (the paper's "memory usage
+// restricted to 2 GB" setup). The kernel's page cache and readahead sit
+// under the reads; the store keeps no page cache of its own.
 //
 // The Store satisfies graph.Graph, so FLoS runs on it unmodified: exactly
 // the paper's observation that FLoS "only calls some basic query functions
@@ -31,7 +32,7 @@ import (
 // Node v's row is one contiguous record at rowsOff + 12·offsets[v]: its cnt
 // targets (uint32 each) followed by its cnt weights (float64 each). Open
 // reads the degrees and offsets sections into memory, so a degree probe
-// touches no page and a visit costs one row read, and it builds the
+// reads no row and a visit costs one row read, and it builds the
 // top-degree index from the degrees, so the file stores nothing derived.
 
 const (
@@ -40,10 +41,9 @@ const (
 	// rowEntrySz is one half-edge in a row record: a uint32 target and a
 	// float64 weight.
 	rowEntrySz = 4 + 8
-	// DefaultPageSize is the page size Create records when given 0. The
-	// recorded size only bounds the cache's frame from above (frameSize),
-	// so a size at or above the OS page changes nothing at run time; the
-	// tests' 512 B to 4 KiB pages give smaller frames.
+	// DefaultPageSize is the page size Create records when given 0. Open
+	// validates the recorded size and reads rows without it: a row read is
+	// exactly the row's bytes at any page size.
 	DefaultPageSize = 64 << 10
 )
 

@@ -5,33 +5,36 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"flos/internal/graph"
 	"flos/internal/obs/cachelens"
 )
 
-// Store is a read-only disk-resident graph. Its node table (every degree
-// and CSR offset, 16 bytes per node) is read into memory at Open; the
-// adjacency rows are served through a byte-budgeted, lock-striped page
-// cache, in frames of one OS page at most, that reads a missing frame once,
-// under its shard's lock. It implements graph.Graph. Neighbors returns
-// scratch slices that are overwritten by the next Neighbors call — the same
-// contract the interface documents — so the Store itself serves one reader
-// at a time; concurrent queries each take their own view via NewReader,
-// which shares the page cache (safe for any number of concurrent readers)
-// but owns private scratch buffers.
+// Store is a read-only disk-resident graph implementing graph.Graph. Its
+// node table (every degree and CSR offset, 16 bytes per node) is read into
+// memory at Open, so a visit costs one ReadAt of exactly the row's bytes,
+// or none for a pinned hub row (pinSet) once that row has been read. The
+// Store's own Neighbors reuses one scratch buffer, so it serves one reader
+// at a time; concurrent queries each take a view via NewReader.
 type Store struct {
-	f     *os.File
-	l     layout
-	cache *pageCache
-	top   []graph.DegreeEntry
+	f   *os.File
+	src io.ReaderAt // the rows' source: f, or a test's wrapper of it
+	l   layout
+	top []graph.DegreeEntry
 
 	// deg and off are the node table: deg[v] is v's weighted degree and v's
 	// row is half-edges [off[v], off[v+1]). Open validated off; every Reader
 	// shares both read-only.
 	deg []float64
 	off []int64
+
+	pin          *pinSet
+	hits, misses atomic.Int64
+
+	// lens, when non-nil, samples row lookups keyed by node (AttachLens).
+	lens *cachelens.Lens
 
 	// def is the Store's own reader view, backing the graph.Graph methods
 	// for single-goroutine use.
@@ -41,17 +44,16 @@ type Store struct {
 var _ graph.Graph = (*Store)(nil)
 
 // Reader is an independent view of a Store for one goroutine: it shares the
-// store's page cache and node table but owns the scratch buffers Neighbors
-// returns. Concurrent queries against one Store should each hold their own
-// Reader; the Readers' combined page traffic shares one byte budget.
+// store's node table and pinned rows but owns the scratch buffers Neighbors
+// returns.
 type Reader struct {
 	s        *Store
 	scratchN []graph.NodeID
 	scratchW []float64
 	buf      []byte
 
-	// fault, when set, observes the stall of every page this Reader's own
-	// lookups read from the file.
+	// fault, when set, observes the stall of every row this Reader reads
+	// from the file.
 	fault func(time.Duration)
 }
 
@@ -60,82 +62,61 @@ var _ graph.Graph = (*Reader)(nil)
 // NewReader returns a fresh concurrent-safe view of the store.
 func (s *Store) NewReader() *Reader { return &Reader{s: s} }
 
-// NewView implements graph.Viewer: each view is an independent Reader, so
-// concurrent query executors can parallelize over one Store.
+// NewView implements graph.Viewer: each view is an independent Reader.
 func (s *Store) NewView() graph.Graph { return s.NewReader() }
 
-// NewView implements graph.Viewer by minting a sibling Reader over the same
-// store.
+// NewView implements graph.Viewer with a sibling Reader.
 func (r *Reader) NewView() graph.Graph { return r.s.NewReader() }
 
-// Open maps the store at path with the given cache budget in bytes
-// (0 selects 64 MiB). The header and the node table are read eagerly, and a
-// node table whose offsets do not describe the rows section, or whose
-// degrees are not finite and non-negative, is refused; the top-degree index
-// is built from the degrees, and the rows are paged on demand. The budget
-// bounds page buffers only: the node table's 16 bytes per node sit outside
-// it.
-func Open(path string, cacheBytes int64) (*Store, error) {
-	if cacheBytes <= 0 {
-		cacheBytes = 64 << 20
+// Open opens the store at path with a budget of pinBytes bytes of pinned
+// rows (0 selects 64 MiB). It reads and checks the header and the node
+// table, builds the top-degree index from the degrees and chooses the rows
+// to pin (newPinSet); rows are read on demand. The node table and the
+// pinned index (0.2 B per node plus 12 B per pinned row) sit outside the
+// budget.
+func Open(path string, pinBytes int64) (_ *Store, err error) {
+	if pinBytes <= 0 {
+		pinBytes = 64 << 20
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	hdr := make([]byte, headerFixed)
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
 		return nil, err
 	}
 	switch got := string(hdr[:8]); got {
 	case magic:
 	case "FLOSDSK1", "FLOSDSK2":
-		f.Close()
 		return nil, fmt.Errorf("diskgraph: %s: %s store, which this version no longer reads; rebuild the store from its graph (flosgen -format store, or Create)", path, got)
 	default:
-		f.Close()
 		return nil, fmt.Errorf("diskgraph: %s: bad magic", path)
 	}
-	n := int64(getU64(hdr[8:16]))
-	m2 := int64(getU64(hdr[16:24]))
-	pageSz := int64(getU32(hdr[24:28]))
-	l := newLayout(n, m2, pageSz)
+	l := newLayout(int64(getU64(hdr[8:16])), int64(getU64(hdr[16:24])), int64(getU32(hdr[24:28])))
 	if err := l.validate(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if fi.Size() != l.totalSize {
-		f.Close()
 		return nil, fmt.Errorf("diskgraph: %s: size %d, layout wants %d", path, fi.Size(), l.totalSize)
 	}
 	deg, off, err := readNodeTable(f, l)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("diskgraph: %s: %w", path, err)
 	}
-	s := &Store{
-		f:     f,
-		l:     l,
-		cache: newPageCache(f, frameSize(pageSz), cacheBytes, l.totalSize),
-		top:   graph.TopDegreeIndex(deg),
-		deg:   deg,
-		off:   off,
-	}
+	s := &Store{f: f, src: f, l: l, top: graph.TopDegreeIndex(deg), deg: deg, off: off, pin: newPinSet(off, pinBytes)}
 	s.def.s = s
 	return s, nil
 }
-
-// frameSize is the cache's unit for a store laid out in pageSz pages: one
-// OS page at most, so a miss copies one OS page out of the kernel's cache
-// however large the layout page is. Only the cache reads it; the file
-// format keeps its page size.
-func frameSize(pageSz int64) int64 { return min(pageSz, int64(os.Getpagesize())) }
 
 // Close releases the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
@@ -147,20 +128,13 @@ func (s *Store) NumNodes() int { return int(s.l.n) }
 func (s *Store) NumEdges() int64 { return s.l.m2 / 2 }
 
 // TopDegrees serves the degree index Open built from the node table.
-func (s *Store) TopDegrees(k int) []graph.DegreeEntry {
-	if k > len(s.top) {
-		k = len(s.top)
-	}
-	return s.top[:k]
-}
+func (s *Store) TopDegrees(k int) []graph.DegreeEntry { return s.top[:min(k, len(s.top))] }
 
-// Degree returns the weighted degree of v from the in-memory node table: it
-// touches no page and is safe for concurrent use.
+// Degree returns v's weighted degree from the node table; it reads no row.
 func (s *Store) Degree(v graph.NodeID) float64 { return s.deg[v] }
 
-// Neighbors reads the CSR row of v through the store's default reader. The
-// returned slices are valid until the next Neighbors call on this Store;
-// concurrent callers must use NewReader.
+// Neighbors reads v's row through the store's own Reader; concurrent
+// callers must use NewReader.
 func (s *Store) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	return s.def.Neighbors(v)
 }
@@ -171,77 +145,128 @@ func (r *Reader) NumNodes() int { return r.s.NumNodes() }
 // NumEdges returns the undirected edge count.
 func (r *Reader) NumEdges() int64 { return r.s.NumEdges() }
 
-// Degree returns the weighted degree of v from the store's node table; it
-// never reaches the page cache or the fault observer.
+// Degree returns v's weighted degree from the node table; it reads no row.
 func (r *Reader) Degree(v graph.NodeID) float64 { return r.s.deg[v] }
 
-// SetFaultObserver installs (or clears, with nil) a callback invoked with
-// the stall duration of every page fault this Reader's reads incur — the
-// hook the serving layer uses to attribute cold-path disk time to a query's
-// trace. It fires only for the pages this Reader reads itself: a lookup that
-// waited on the shard lock while another Reader read the same page is a hit
-// and is not reported. The observer runs on the faulting goroutine after
-// the shard lock is released; keep it cheap. Not safe to call concurrently
-// with reads on the same Reader.
+// SetFaultObserver installs (or clears, with nil) a callback invoked on
+// the reading goroutine with the stall of every row this Reader reads from
+// the file, the hook that attributes disk time to a query's trace; pinned
+// reads never invoke it. Not safe concurrently with reads on this Reader.
 func (r *Reader) SetFaultObserver(fn func(time.Duration)) { r.fault = fn }
 
 // TopDegrees serves the store's degree index.
 func (r *Reader) TopDegrees(k int) []graph.DegreeEntry { return r.s.TopDegrees(k) }
 
-// Neighbors reads the CSR row of v, one page-cache read of the bounds the
-// node table gives. The returned slices are valid until the next Neighbors
-// call on this Reader. A row the file no longer yields panics with an error
-// wrapping graph.ErrStorage, which the search workspace returns as the
-// query's error.
+// Neighbors returns v's row, valid until the next call and not to be
+// written: a ready pinned row from memory, any other with one ReadAt. The
+// first read of a pinned row fills its slot; a reader that finds the slot
+// being filled reads the file itself rather than wait. A row the file no
+// longer yields panics with an error wrapping graph.ErrStorage, which the
+// search workspace returns as the query's error.
 func (r *Reader) Neighbors(v graph.NodeID) ([]graph.NodeID, []float64) {
 	s := r.s
-	lo, hi := s.off[v], s.off[v+1]
-	cnt := hi - lo
+	cnt := s.off[v+1] - s.off[v]
+	if cnt == 0 {
+		return r.scratchN[:0], r.scratchW[:0]
+	}
+	s.lens.RecordGet(uint64(v))
+	if i := s.pin.slot(v); i >= 0 {
+		st := &s.pin.state[i]
+		nbrs, ws := s.pin.row(i)
+		if st.Load() == slotReady {
+			s.hits.Add(1)
+			return nbrs, ws
+		}
+		if st.CompareAndSwap(slotEmpty, slotFilling) {
+			if err := r.read(v, nbrs, ws); err != nil {
+				st.Store(slotEmpty)
+				panic(err)
+			}
+			s.pin.filledRows.Add(1)
+			s.pin.filledBytes.Add(cnt * rowEntrySz)
+			st.Store(slotReady)
+			return nbrs, ws
+		}
+	}
 	if int64(cap(r.scratchN)) < cnt {
 		r.scratchN = make([]graph.NodeID, cnt, 2*cnt)
 		r.scratchW = make([]float64, cnt, 2*cnt)
 	}
-	nbrs := r.scratchN[:cnt]
-	ws := r.scratchW[:cnt]
+	nbrs, ws := r.scratchN[:cnt], r.scratchW[:cnt]
+	if err := r.read(v, nbrs, ws); err != nil {
+		panic(err)
+	}
+	return nbrs, ws
+}
 
+// read fills nbrs and ws with v's row from one ReadAt of the row's bytes. A
+// short read is an error wrapping graph.ErrStorage.
+func (r *Reader) read(v graph.NodeID, nbrs []graph.NodeID, ws []float64) error {
+	s := r.s
+	cnt := int64(len(nbrs))
 	need := cnt * rowEntrySz
 	if int64(cap(r.buf)) < need {
 		r.buf = make([]byte, need, 2*need)
 	}
 	row := r.buf[:need]
-	if err := s.cache.readAt(row, s.l.rowsOff+lo*rowEntrySz, r.fault); err != nil {
-		panic(fmt.Errorf("%w: diskgraph: row of node %d: %v", graph.ErrStorage, v, err))
+	var start time.Time
+	if r.fault != nil {
+		start = time.Now()
+	}
+	s.misses.Add(1)
+	n, err := s.src.ReadAt(row, s.l.rowsOff+s.off[v]*rowEntrySz)
+	if r.fault != nil {
+		r.fault(time.Since(start))
+	}
+	if n < len(row) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("%w: diskgraph: row of node %d: %w", graph.ErrStorage, v, err)
 	}
 	tb, wb := row[:cnt*4], row[cnt*4:]
 	for i := range nbrs {
 		nbrs[i] = graph.NodeID(getU32(tb[i*4:]))
 		ws[i] = math.Float64frombits(getU64(wb[i*8:]))
 	}
-	return nbrs, ws
+	return nil
 }
 
-// AttachLens enables cache analytics on the page cache: every page lookup
-// from here on (hit or fault) reaches a cachelens.Lens once, whose
-// miss-ratio curve and working-set windows are exported through the
-// returned handle. A zero cfg.Capacity is filled from the store's
-// geometry: it becomes the page budget (the 1x point of the MRC). Call
-// before serving traffic — attaching is not synchronized with concurrent
-// reads — and Close the returned lens on shutdown when cfg.TickEvery is set.
+// AttachLens samples row lookups into a cachelens.Lens: every Neighbors
+// call of a non-empty row from here on, pinned or not, reaches it once,
+// keyed by node. A zero cfg.Capacity becomes the pinned row count (the 1x
+// point of the MRC). Call before serving traffic, and Close the lens on
+// shutdown when cfg.TickEvery is set.
 func (s *Store) AttachLens(cfg cachelens.Config) *cachelens.Lens {
 	if cfg.Capacity <= 0 {
-		for i := range s.cache.shards {
-			cfg.Capacity += s.cache.shards[i].maxFrames
-		}
+		cfg.Capacity = len(s.pin.state)
 	}
-	s.cache.lens = cachelens.New(cfg)
-	return s.cache.lens
+	s.lens = cachelens.New(cfg)
+	return s.lens
 }
 
 // Lens returns the attached analytics lens, or nil when analytics are off.
-func (s *Store) Lens() *cachelens.Lens { return s.cache.lens }
+func (s *Store) Lens() *cachelens.Lens { return s.lens }
 
-// CacheStats reports page-cache behavior since Open.
-func (s *Store) CacheStats() Stats { return s.cache.stats() }
+// Stats counts the store's row reads since Open: Hits are served by pinned
+// rows, Misses read from the file (one ReadAt each; the paper's page
+// faults). PinnedRows and ResidentBytes count the pinned rows filled so far
+// and their bytes, 12 per half-edge, never more than the budget.
+type Stats struct {
+	Hits, Misses  int64
+	ResidentBytes int64
+	PinnedRows    int
+}
+
+// CacheStats reports the row reads since Open, each counter read on its own.
+func (s *Store) CacheStats() Stats {
+	return Stats{
+		Hits:          s.hits.Load(),
+		Misses:        s.misses.Load(),
+		ResidentBytes: s.pin.filledBytes.Load(),
+		PinnedRows:    int(s.pin.filledRows.Load()),
+	}
+}
 
 // FileSize returns the store's on-disk size in bytes (the paper's Table 7
 // "disk size" column).

@@ -35,8 +35,9 @@ type DegreeEntry struct {
 //
 // Neighbors returns the full adjacency of v: parallel slices of neighbor
 // identifiers and edge weights. Implementations may reuse the returned
-// slices on the next Neighbors call (the disk store serves them from a page
-// cache); callers that need the data beyond the next call must copy it.
+// slices on the next Neighbors call (the disk store decodes rows into a
+// scratch buffer); callers that need the data beyond the next call must
+// copy it, and none may write to them.
 //
 // Degree returns the weighted degree w_v = Σ_{u∈N_v} w_vu. It is a cheap
 // metadata lookup on every implementation, mirroring the degree statistic a
@@ -67,7 +68,7 @@ type Graph interface {
 
 // StableNeighbors is the optional capability of graphs whose Neighbors
 // slices stay valid (and immutable) for the life of the graph, rather than
-// being served from a reusable scratch buffer or page cache. Consumers that
+// being served from a reusable scratch buffer. Consumers that
 // would otherwise defensively copy adjacency — the FLoS engines copy two
 // slices per visited node — may alias the returned slices directly when
 // this capability reports true.

@@ -34,7 +34,7 @@ type FigureConfig struct {
 	WithPrecision bool
 	// TmpDir hosts Figure 13's store files (default: os.TempDir()).
 	TmpDir string
-	// CacheFraction sets the Figure 13 page-cache budget as a fraction of
+	// CacheFraction sets the Figure 13 pinned-row budget as a fraction of
 	// each store's file size (the paper pins 2 GB against 3.1–13.2 GB
 	// stores, i.e. roughly 15–65%).
 	CacheFraction float64
@@ -223,7 +223,7 @@ func Fig13(w io.Writer, cfg FigureConfig) ([]Row, error) {
 			Queries: queries,
 		})
 		stats := store.CacheStats()
-		fmt.Fprintf(w, "-- %s: file %.1f MB, cache %.1f MB, page hits %d misses %d --\n",
+		fmt.Fprintf(w, "-- %s: file %.1f MB, pinned rows %.1f MB, pinned hits %d file reads %d --\n",
 			ds.Name, float64(fileSize)/1e6, float64(cacheBudget)/1e6, stats.Hits, stats.Misses)
 		rows = append(rows, dsRows...)
 		store.Close()

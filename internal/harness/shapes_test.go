@@ -223,7 +223,7 @@ func TestFig9Mini(t *testing.T) {
 	ratiosFall(t, runs, func(ds string, _ int) string { return ds })
 }
 
-// TestFig13Mini: searches served from the paged store return exactly the
+// TestFig13Mini: searches served from the disk store return exactly the
 // in-memory answers, and the visited ratio falls across the four stores. At
 // two queries per store the fall is sampling noise (one query's visited
 // count decides it); at 16 it holds for both FLoS methods.
@@ -231,7 +231,7 @@ func TestFig13Mini(t *testing.T) {
 	figureTest(t)
 	cfg := miniConfig(t)
 	cfg.NumQueries = 16
-	rows := runFigure(t, Fig13, cfg, "Figure 13(a)", "Figure 13(b)", "page hits")
+	rows := runFigure(t, Fig13, cfg, "Figure 13(a)", "Figure 13(b)", "pinned hits")
 	cells := byCell(rows)
 	var runs [][]Row
 	for _, ds := range DiskResident(cfg.DiskScale) {

@@ -1,6 +1,6 @@
 // Package cachelens is the cache-analytics plane shared by the diskgraph
-// page cache and the qserve result cache: it turns a cache's access stream
-// into numbers an operator can size and tier a cache with.
+// store's row lookups and the qserve result cache: it turns a cache's
+// access stream into numbers an operator can size and tier a cache with.
 //
 // A Lens observes the access stream of one cache through one nil-safe hook
 // — RecordGet(key) on every lookup — and maintains, online:
@@ -44,9 +44,9 @@ type Config struct {
 	// SampleRate tracks one key in SampleRate (rounded up to a power of
 	// two). 0 selects 64. 1 tracks everything (exact, for tests).
 	SampleRate int
-	// Capacity is the cache's capacity in entries (resident pages for the
-	// page cache, result entries for the result cache) — the 1x point of
-	// the miss-ratio curve. Required (<=0 selects 1).
+	// Capacity is the cache's capacity in entries (pinned rows for the disk
+	// store, result entries for the result cache) — the 1x point of the
+	// miss-ratio curve. Required (<=0 selects 1).
 	Capacity int
 	// Scales are the capacity multiples the MRC estimates; nil selects
 	// DefaultScales. Must be ascending for the curve to render in order.

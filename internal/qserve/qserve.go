@@ -16,7 +16,7 @@
 // Concurrency over the graph backend rides on the graph.Viewer capability:
 // backends that can mint independent read views (the immutable MemGraph
 // returns itself; the disk store returns per-slot Readers sharing its
-// lock-striped page cache) get one view per slot and queries proceed fully
+// node table and pinned rows) get one view per slot and queries proceed fully
 // in parallel. Any other Graph implementation is assumed
 // non-concurrent-safe and gets one slot (admission, caching and shedding
 // still apply).

@@ -36,7 +36,7 @@ func buildStore(t *testing.T, g *graph.MemGraph, pageSize int, cacheBytes int64)
 // queries at one disk-resident store through a multi-worker pool and
 // verifies every answer is byte-identical to the single-threaded reference
 // on the in-memory graph. Run under -race, this is the subsystem's central
-// exactness-under-concurrency guarantee: the sharded page cache, the
+// exactness-under-concurrency guarantee: the shared pinned rows, the
 // per-worker readers, and the deterministic engine must agree with the
 // serial path bit for bit.
 func TestConcurrentDiskStressMatchesSerial(t *testing.T) {
@@ -90,7 +90,7 @@ func TestConcurrentDiskStressMatchesSerial(t *testing.T) {
 		}
 	}
 	st := store.CacheStats()
-	t.Logf("page cache after stress: %d hits, %d faults", st.Hits, st.Misses)
+	t.Logf("rows after stress: %d pinned hits, %d file reads", st.Hits, st.Misses)
 }
 
 // TestCancellationPrompt proves TopKCtx abandons work as soon as the

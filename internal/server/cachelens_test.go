@@ -12,10 +12,10 @@ import (
 	"flos/internal/obs/cachelens"
 )
 
-// newDiskLensServer builds a server with cfg over a real disk store small
-// enough to evict (8 KiB budget over a 512-byte page file), with analytics
-// lenses on both the page cache and the result cache — the full
-// cache-analytics plane.
+// newDiskLensServer builds a server with cfg over a real disk store whose
+// 8 KiB budget pins a few hub rows and leaves the rest on file, with
+// analytics lenses on both the store's row lookups and the result cache —
+// the full cache-analytics plane.
 func newDiskLensServer(t *testing.T, cfg Config) (*httptest.Server, *Server, *diskgraph.Store) {
 	t.Helper()
 	g, err := gen.RMAT(2000, 8000, gen.DefaultRMAT(), 7)
@@ -40,10 +40,11 @@ func newDiskLensServer(t *testing.T, cfg Config) (*httptest.Server, *Server, *di
 }
 
 // TestCacheLensEndpoint drives disk-backed queries and checks the
-// /debug/flos/cache payload shape: both planes present, the page-cache
-// snapshot carrying a full miss-ratio curve and the working-set windows.
+// /debug/flos/cache payload shape: both planes present, the page_cache
+// (store row) snapshot carrying a full miss-ratio curve, the working-set
+// windows, and the pinned row count as its capacity.
 func TestCacheLensEndpoint(t *testing.T) {
-	ts, _, _ := newDiskLensServer(t, Config{})
+	ts, _, store := newDiskLensServer(t, Config{})
 	for q := 0; q < 24; q++ {
 		if code := getJSON(t, ts.URL+"/v1/topk?q="+strconv.Itoa(q*37)+"&k=5&measure=rwr", nil); code != 200 {
 			t.Fatalf("query %d: code %d", q, code)
@@ -69,8 +70,13 @@ func TestCacheLensEndpoint(t *testing.T) {
 			t.Fatalf("MRC not monotone: %+v", pc.Curve)
 		}
 	}
-	if pc.Capacity != 16 { // 8 KiB budget / 512-byte pages
-		t.Fatalf("page lens capacity %d, want 16", pc.Capacity)
+	// Reading every row fills every pinned row, which counts them.
+	r := store.NewReader()
+	for v := 0; v < store.NumNodes(); v++ {
+		r.Neighbors(int32(v))
+	}
+	if pinned := store.CacheStats().PinnedRows; pc.Capacity != pinned || pinned == 0 {
+		t.Fatalf("page lens capacity %d, want the %d pinned rows", pc.Capacity, pinned)
 	}
 	if len(pc.WorkingSet) != 2 || len(rc.WorkingSet) != 2 {
 		t.Fatalf("working-set windows: page %d, result %d, want 2 each", len(pc.WorkingSet), len(rc.WorkingSet))
@@ -101,7 +107,7 @@ func TestCacheLensDisabled404(t *testing.T) {
 	}
 }
 
-// TestCacheLensMetrics is the page cache's parity test: after traffic on a
+// TestCacheLensMetrics is the disk rows' parity test: after traffic on a
 // store-backed server, every disk row's JSON key, its Prometheus family and
 // Store.CacheStats() read the same number, no series carries a shard label,
 // and the analytics gauges render under both cache prefixes beside them.
@@ -122,11 +128,10 @@ func TestCacheLensMetrics(t *testing.T) {
 	want := map[string]int64{
 		"page_hits":      st.Hits,
 		"page_faults":    st.Misses,
-		"evictions":      st.Evictions,
 		"resident_bytes": st.ResidentBytes,
-		"resident_pages": int64(st.ResidentPages),
+		"pinned_rows":    int64(st.PinnedRows),
 	}
-	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
+	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("traffic exercised too little of the cache: %+v", st)
 	}
 	rows := 0
@@ -176,6 +181,6 @@ func TestCacheLensMetrics(t *testing.T) {
 		t.Fatalf("cache_analytics incomplete: %+v", body.CacheAnalytics)
 	}
 	if got, want := body.CacheAnalytics.PageCache.SampledAccesses, st.Hits+st.Misses; got != want {
-		t.Fatalf("page lens sampled %d accesses at rate 1, page cache counted %d lookups", got, want)
+		t.Fatalf("page lens sampled %d accesses at rate 1, the store counted %d row lookups", got, want)
 	}
 }

@@ -152,9 +152,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// pageLens returns the page cache's analytics lens: attached on the disk
-// store before the server was built, nil for memory-resident graphs or when
-// analytics are off.
+// pageLens returns the disk store's row-lookup lens (the page_cache plane):
+// attached on the store before the server was built, nil for
+// memory-resident graphs or when analytics are off.
 func (s *Server) pageLens() *cachelens.Lens {
 	if s.store == nil {
 		return nil

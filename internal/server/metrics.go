@@ -166,16 +166,14 @@ var metricTable = []metricRow{
 	{"flightrec", "", "flos_flightrec_slow_total", nil, "Queries promoted into the slow-query log.", counter,
 		func(c *scrape) float64 { return float64(c.s.rec.SlowCount()) }},
 
-	{"disk", "page_hits", "flos_page_cache_hits_total", nil, "Page-cache hits.", counter,
+	{"disk", "page_hits", "flos_page_cache_hits_total", nil, "Store row reads served by pinned rows, with no file read.", counter,
 		func(c *scrape) float64 { return float64(c.disk.Hits) }},
-	{"disk", "page_faults", "flos_page_cache_faults_total", nil, "Page faults (disk reads).", counter,
+	{"disk", "page_faults", "flos_page_cache_faults_total", nil, "Store rows read from the file, one read each.", counter,
 		func(c *scrape) float64 { return float64(c.disk.Misses) }},
-	{"disk", "evictions", "flos_page_cache_evictions_total", nil, "Pages evicted by LRU to stay under budget.", counter,
-		func(c *scrape) float64 { return float64(c.disk.Evictions) }},
-	{"disk", "resident_bytes", "flos_page_cache_resident_bytes", nil, "Resident page bytes.", gauge,
+	{"disk", "resident_bytes", "flos_page_cache_resident_bytes", nil, "Bytes of the pinned rows filled so far; never above the pinned-row budget.", gauge,
 		func(c *scrape) float64 { return float64(c.disk.ResidentBytes) }},
-	{"disk", "resident_pages", "flos_page_cache_resident_pages", nil, "Resident pages.", gauge,
-		func(c *scrape) float64 { return float64(c.disk.ResidentPages) }},
+	{"disk", "pinned_rows", "flos_page_cache_pinned_rows", nil, "Pinned rows filled so far.", gauge,
+		func(c *scrape) float64 { return float64(c.disk.PinnedRows) }},
 
 	{"runtime", "goroutines", "go_goroutines", nil, "Number of goroutines.", gauge,
 		func(c *scrape) float64 { return float64(runtime.NumGoroutine()) }},
@@ -279,7 +277,7 @@ func (s *Server) metricsProm(w http.ResponseWriter) {
 		}
 	}
 	if pl := s.pageLens(); pl != nil {
-		lensProm(p, "flos_pagecache", "page cache", pl.Snapshot())
+		lensProm(p, "flos_pagecache", "store row", pl.Snapshot())
 	}
 	if s.resultLens != nil {
 		lensProm(p, "flos_result_cache", "result cache", s.resultLens.Snapshot())

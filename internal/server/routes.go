@@ -9,7 +9,7 @@
 //	GET /stats              graph summary
 //	GET /metrics            Prometheus text exposition (latency histograms
 //	                        per endpoint and per measure, query/outcome/
-//	                        cache/page-cache counters, runtime gauges);
+//	                        cache/store-row counters, runtime gauges);
 //	                        ?format=json returns the JSON snapshot
 //	GET /v1/topk?q=42&k=10&measure=rwr[&c=0.5][&L=10][&tau=1e-5][&trace=1]
 //	                        top-k query; also mode=exact|epsilon|anytime,
@@ -50,8 +50,8 @@
 //	                           counters; ?id=<32-hex trace id> returns that
 //	                           trace's full span tree
 //	GET /debug/flos/cache      cache-analytics snapshots (miss-ratio curves,
-//	                           working-set windows) for the page cache and
-//	                           the result cache
+//	                           working-set windows) for a disk store's row
+//	                           lookups and the result cache
 //
 // trace=1 returns the per-iteration convergence trajectory (visited/
 // boundary/candidate counts, the certification gap, per-phase timings)
@@ -71,8 +71,8 @@
 // into /debug/flos/traces, the slow-query log, and latency exemplars.
 // Query execution is delegated to internal/qserve: each query runs on its
 // handler's goroutine while it holds one of the pool's slots, so queries
-// run concurrently on every backend (disk-resident stores included — their
-// page cache is lock-striped and each slot holds its own reader view),
+// run concurrently on every backend (disk-resident stores included — each
+// slot holds its own reader view and rows are read without a lock),
 // requests beyond the slots and the admission wait are shed with
 // 429 + Retry-After, and each query runs under the pool's deadline as well
 // as the client's connection context. A single query whose search panics
@@ -101,7 +101,7 @@ import (
 // Server wires a graph to HTTP handlers through a query-serving pool.
 type Server struct {
 	g     graph.Graph
-	store *diskgraph.Store // non-nil for disk-resident graphs: /metrics reads page-fault counters
+	store *diskgraph.Store // non-nil for disk-resident graphs: /metrics reads its row-read counters
 	pool  *qserve.Pool
 	log   *slog.Logger
 
@@ -118,7 +118,8 @@ type Server struct {
 	tracer *trace.Tracer
 
 	// resultLens is the result cache's analytics lens (nil when disabled);
-	// the page cache's lens, when attached, is reached through s.store.
+	// a disk store's row-lookup lens, when attached, is reached through
+	// s.store.
 	resultLens *cachelens.Lens
 
 	maxK     int
@@ -174,9 +175,10 @@ type Config struct {
 	Tracer *trace.Tracer
 	// CacheLens, when non-nil, attaches cache analytics to the result cache:
 	// miss-ratio curves and working-set windows, exported as
-	// flos_result_cache_* gauges and GET /debug/flos/cache. The
-	// page cache's lens is attached on the store itself (Store.AttachLens)
-	// before the server is built; the server discovers it there.
+	// flos_result_cache_* gauges and GET /debug/flos/cache. A disk
+	// store's row-lookup lens is attached on the store itself
+	// (Store.AttachLens) before the server is built; the server discovers
+	// it there.
 	CacheLens *cachelens.Lens
 }
 
