@@ -209,7 +209,7 @@ func starOfCliques(t testing.TB, cliques, size int) *graph.MemGraph {
 		}
 		offsets[v+1] = int64(len(targets))
 	}
-	g, err := graph.FromCSR(offsets, targets, weights, nil)
+	g, err := graph.FromCSR(offsets, targets, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func fuzzGraph(data []byte) (*graph.MemGraph, bool) {
 		}
 		offsets[v+1] = int64(len(targets))
 	}
-	g, err := graph.FromCSR(offsets, targets, weights, nil)
+	g, err := graph.FromCSR(offsets, targets, weights)
 	return g, err == nil
 }
 

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -157,7 +159,7 @@ func TestTopDegreeIndexMatchesFullSort(t *testing.T) {
 
 func TestFromCSRRoundTrip(t *testing.T) {
 	g := paperGraph(t)
-	g2, err := FromCSR(g.Offsets(), g.Targets(), g.Weights(), nil)
+	g2, err := FromCSR(g.Offsets(), g.Targets(), g.Weights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +220,85 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameGraph(t, g, g2)
+}
+
+// TestBinaryRoundTripAcrossChunks round-trips arrays longer than one I/O
+// chunk byte for byte, and refuses the file cut short anywhere.
+func TestBinaryRoundTripAcrossChunks(t *testing.T) {
+	g := randomGraph(t, 20000, 60000, 8)
+	if len(g.targets) <= 2*binChunk {
+		t.Fatalf("only %d half edges: the arrays fit in two chunks", len(g.targets))
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	g2, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := WriteBinary(&again, g2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Fatal("rewritten file differs")
+	}
+	for _, cut := range []int{24, 24 + 8*binChunk/2, len(data) - 8*binChunk, len(data) - 1} {
+		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
+			t.Errorf("file cut to %d of %d bytes accepted", cut, len(data))
+		}
+	}
+}
+
+// TestBinaryRejectsBadWeights doctors the weight of edge (0,2) in a
+// serialized 5-node graph: a weight that is not a positive finite number,
+// or a degree that overflows, must not load.
+func TestBinaryRejectsBadWeights(t *testing.T) {
+	g := MustFromEdges(5, 0, 1, 0, 2, 1, 2, 2, 3, 3, 4)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	// Row 0 is [1, 2]: its second entry is the half edge (0,2).
+	weightsAt := 24 + 8*(g.NumNodes()+1) + 4*len(g.targets)
+	entry := int(g.offsets[0]) + 1
+	if g.targets[entry] != 2 {
+		t.Fatalf("entry %d targets %d, want 2", entry, g.targets[entry])
+	}
+	for _, w := range []float64{math.NaN(), -3, 0, math.Inf(1), math.Inf(-1)} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(data[weightsAt+8*entry:], math.Float64bits(w))
+		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("weight %g on edge (0,2) loaded", w)
+		}
+	}
+	data := bytes.Clone(buf.Bytes())
+	for i := 0; i < 2; i++ { // both of node 0's entries: 2·1e308 overflows
+		binary.LittleEndian.PutUint64(data[weightsAt+8*i:], math.Float64bits(1e308))
+	}
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		t.Error("degree overflowing to +Inf loaded")
+	}
+}
+
+// TestFromCSRKeepsLoopsAndParallelEntries: FromCSR refuses bad weights but
+// keeps a self loop and parallel entries as given.
+func TestFromCSRKeepsLoopsAndParallelEntries(t *testing.T) {
+	offsets := []int64{0, 3, 5}
+	targets := []NodeID{0, 1, 1, 0, 0}
+	weights := []float64{0.5, 1, 2, 1, 2}
+	g, err := FromCSR(offsets, targets, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := g.Degree(0); d != 3.5 {
+		t.Errorf("Degree(0) = %g, want 3.5", d)
+	}
+	if nbrs, _ := g.Neighbors(0); !reflect.DeepEqual(nbrs, []NodeID{0, 1, 1}) {
+		t.Errorf("Neighbors(0) = %v", nbrs)
+	}
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {

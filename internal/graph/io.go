@@ -18,6 +18,15 @@ import (
 
 // ReadEdgeList parses a text edge list from r. Missing weights default to 1.
 func ReadEdgeList(r io.Reader) (*MemGraph, error) {
+	b, err := parseEdgeList(r)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// parseEdgeList adds every edge of a text edge list to a growing Builder.
+func parseEdgeList(r io.Reader) (*Builder, error) {
 	b := NewGrowingBuilder()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -57,7 +66,7 @@ func ReadEdgeList(r io.Reader) (*MemGraph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return b.Build()
+	return b, nil
 }
 
 // LoadEdgeList reads a text edge list file; see ReadEdgeList.
@@ -110,86 +119,108 @@ func WriteEdgeList(w io.Writer, g Graph) error {
 
 const csrMagic = "FLOSCSR1"
 
+// binChunk is how many array entries WriteBinary and ReadBinary encode or
+// decode per I/O call.
+const binChunk = 1 << 16
+
 // WriteBinary serializes g in the binary CSR format.
 func WriteBinary(w io.Writer, g *MemGraph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(csrMagic); err != nil {
+	var hdr [len(csrMagic) + 16]byte
+	copy(hdr[:], csrMagic)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumNodes()))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(g.targets)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(g.targets)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if err := writeChunked(w, g.offsets, 8, func(b []byte, o int64) {
+		binary.LittleEndian.PutUint64(b, uint64(o))
+	}); err != nil {
 		return err
 	}
-	var buf [8]byte
-	for _, o := range g.offsets {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
-		if _, err := bw.Write(buf[:]); err != nil {
+	if err := writeChunked(w, g.targets, 4, func(b []byte, t NodeID) {
+		binary.LittleEndian.PutUint32(b, uint32(t))
+	}); err != nil {
+		return err
+	}
+	return writeChunked(w, g.weights, 8, func(b []byte, wt float64) {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(wt))
+	})
+}
+
+// writeChunked encodes xs, size bytes each, and writes binChunk entries per
+// Write call.
+func writeChunked[T any](w io.Writer, xs []T, size int, put func([]byte, T)) error {
+	buf := make([]byte, min(len(xs), binChunk)*size)
+	for len(xs) > 0 {
+		k := min(len(xs), binChunk)
+		for i, x := range xs[:k] {
+			put(buf[i*size:], x)
+		}
+		if _, err := w.Write(buf[:k*size]); err != nil {
 			return err
 		}
+		xs = xs[k:]
 	}
-	for _, t := range g.targets {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(t))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	for _, wt := range g.weights {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(wt))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary.
 func ReadBinary(r io.Reader) (*MemGraph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(csrMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var hdr [len(csrMagic) + 16]byte
+	if _, err := io.ReadFull(r, hdr[:len(csrMagic)]); err != nil {
 		return nil, err
 	}
-	if string(magic) != csrMagic {
+	if magic := hdr[:len(csrMagic)]; string(magic) != csrMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[len(csrMagic):]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:8])
-	m2 := binary.LittleEndian.Uint64(hdr[8:16])
+	n := binary.LittleEndian.Uint64(hdr[8:16])
+	m2 := binary.LittleEndian.Uint64(hdr[16:24])
 	if n == 0 || n > 1<<31 || m2 > 1<<40 {
 		return nil, fmt.Errorf("graph: implausible header n=%d m2=%d", n, m2)
 	}
-	// Grow the arrays chunk by chunk as bytes actually arrive: a hostile
-	// header can declare billions of entries, and allocating up front would
-	// OOM before the truncated body is noticed.
-	const chunk = 1 << 16
-	var buf [8]byte
-	offsets := make([]int64, 0, min64(int64(n)+1, chunk))
-	for i := uint64(0); i <= n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
+	offsets, err := readChunked(r, n+1, 8, func(b []byte) int64 {
+		return int64(binary.LittleEndian.Uint64(b))
+	})
+	if err != nil {
+		return nil, err
+	}
+	targets, err := readChunked(r, m2, 4, func(b []byte) NodeID {
+		return NodeID(binary.LittleEndian.Uint32(b))
+	})
+	if err != nil {
+		return nil, err
+	}
+	weights, err := readChunked(r, m2, 8, func(b []byte) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return FromCSR(offsets, targets, weights)
+}
+
+// readChunked decodes count entries of size bytes each, binChunk entries
+// per read. The result grows as bytes actually arrive: a hostile header can
+// declare billions of entries, and allocating up front would run out of
+// memory before the truncated body is noticed.
+func readChunked[T any](r io.Reader, count uint64, size int, get func([]byte) T) ([]T, error) {
+	first := int(min64(int64(count), binChunk))
+	buf := make([]byte, first*size)
+	xs := make([]T, 0, first)
+	for count > 0 {
+		k := int(min64(int64(count), binChunk))
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
 			return nil, err
 		}
-		offsets = append(offsets, int64(binary.LittleEndian.Uint64(buf[:])))
-	}
-	targets := make([]NodeID, 0, min64(int64(m2), chunk))
-	for i := uint64(0); i < m2; i++ {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, err
+		for i := 0; i < k; i++ {
+			xs = append(xs, get(buf[i*size:]))
 		}
-		targets = append(targets, NodeID(binary.LittleEndian.Uint32(buf[:4])))
+		count -= uint64(k)
 	}
-	weights := make([]float64, 0, min64(int64(m2), chunk))
-	for i := uint64(0); i < m2; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
-		}
-		weights = append(weights, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-	}
-	return FromCSR(offsets, targets, weights, nil)
+	return xs, nil
 }
 
 func min64(a, b int64) int64 {
