@@ -71,19 +71,32 @@ func TestPublicAPIManifest(t *testing.T) {
 }
 
 // buildAPIManifest renders one sorted line per exported symbol of the
-// package in dir (test files excluded).
+// package in dir (test files excluded). A type alias into another package
+// of this module (type X = pkg.Y) is also expanded into Y's exported
+// fields, interface methods and methods, listed under X as if declared
+// here, so a field or method added to or removed from the aliased type
+// changes the manifest too.
 func buildAPIManifest(t *testing.T, dir string) string {
 	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
+	parse := func(dir string) *ast.Package {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) != 1 {
+			t.Fatalf("want one package in %s, got %v", dir, pkgs)
+		}
+		for _, p := range pkgs {
+			return p
+		}
+		return nil
 	}
-	pkg, ok := pkgs["flos"]
-	if !ok {
-		t.Fatalf("package flos not found in %s (got %v)", dir, pkgs)
+	pkg := parse(dir)
+	if pkg.Name != "flos" {
+		t.Fatalf("package flos not found in %s (got %s)", dir, pkg.Name)
 	}
 
 	render := func(n ast.Node) string {
@@ -96,6 +109,110 @@ func buildAPIManifest(t *testing.T, dir string) string {
 	}
 
 	var lines []string
+	// typeBody lists the exported fields or methods of a struct or
+	// interface type under name.
+	typeBody := func(name string, typ ast.Expr) {
+		switch tt := typ.(type) {
+		case *ast.StructType:
+			lines = append(lines, fmt.Sprintf("type %s struct", name))
+			for _, f := range tt.Fields.List {
+				ft := render(f.Type)
+				if len(f.Names) == 0 {
+					// Embedded field: exported iff its type name is.
+					base := strings.TrimPrefix(ft, "*")
+					if i := strings.LastIndex(base, "."); i >= 0 {
+						base = base[i+1:]
+					}
+					if ast.IsExported(base) {
+						lines = append(lines, fmt.Sprintf("type %s struct: %s (embedded)", name, ft))
+					}
+					continue
+				}
+				for _, fn := range f.Names {
+					if fn.IsExported() {
+						lines = append(lines, fmt.Sprintf("type %s struct: %s %s", name, fn.Name, ft))
+					}
+				}
+			}
+		case *ast.InterfaceType:
+			lines = append(lines, fmt.Sprintf("type %s interface", name))
+			for _, m := range tt.Methods.List {
+				mt := render(m.Type)
+				if len(m.Names) == 0 {
+					lines = append(lines, fmt.Sprintf("type %s interface: %s (embedded)", name, mt))
+					continue
+				}
+				for _, mn := range m.Names {
+					if mn.IsExported() {
+						lines = append(lines, fmt.Sprintf("type %s interface: %s%s", name, mn.Name, strings.TrimPrefix(mt, "func")))
+					}
+				}
+			}
+		}
+	}
+	// method renders an exported method of an exported receiver type, the
+	// receiver named as (*as) or (as); with as empty, the receiver's own name.
+	method := func(d *ast.FuncDecl, as string) (recvName, line string) {
+		if !d.Name.IsExported() || d.Recv == nil || len(d.Recv.List) == 0 {
+			return "", ""
+		}
+		rt := render(d.Recv.List[0].Type)
+		recvName = strings.TrimPrefix(rt, "*")
+		if !ast.IsExported(recvName) {
+			return "", ""
+		}
+		if as != "" {
+			rt = strings.TrimSuffix(rt, recvName) + as
+		}
+		// d.Type renders as "func(args) results"; splice the name in.
+		return recvName, "func (" + rt + ") " + d.Name.Name + strings.TrimPrefix(render(d.Type), "func")
+	}
+	// expandAlias lists the shape of the type sel names in another package
+	// of this module under the alias name.
+	parsed := map[string]*ast.Package{}
+	expandAlias := func(file *ast.File, name string, sel *ast.SelectorExpr) {
+		pkgIdent, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return
+		}
+		var path string
+		for _, imp := range file.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			if local == pkgIdent.Name {
+				path = p
+			}
+		}
+		rel, ok := strings.CutPrefix(path, "flos/")
+		if !ok {
+			return // outside this module
+		}
+		target := parsed[rel]
+		if target == nil {
+			target = parse(filepath.Join(dir, rel))
+			parsed[rel] = target
+		}
+		for _, f := range target.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if recv, line := method(d, name); recv == sel.Sel.Name {
+						lines = append(lines, line)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == sel.Sel.Name {
+							typeBody(name, ts.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
@@ -103,19 +220,13 @@ func buildAPIManifest(t *testing.T, dir string) string {
 				if !d.Name.IsExported() {
 					continue
 				}
-				recv := ""
-				if d.Recv != nil && len(d.Recv.List) > 0 {
-					rt := render(d.Recv.List[0].Type)
-					// Skip methods on unexported receivers.
-					if !ast.IsExported(strings.TrimPrefix(rt, "*")) {
-						continue
+				if d.Recv != nil {
+					if _, line := method(d, ""); line != "" {
+						lines = append(lines, line)
 					}
-					recv = "(" + rt + ") "
+					continue
 				}
-				sig := render(d.Type)
-				// d.Type renders as "func(args) results"; splice the name in.
-				sig = "func " + recv + d.Name.Name + strings.TrimPrefix(sig, "func")
-				lines = append(lines, sig)
+				lines = append(lines, "func "+d.Name.Name+strings.TrimPrefix(render(d.Type), "func"))
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch sp := spec.(type) {
@@ -123,51 +234,17 @@ func buildAPIManifest(t *testing.T, dir string) string {
 						if !sp.Name.IsExported() {
 							continue
 						}
-						switch tt := sp.Type.(type) {
-						case *ast.StructType:
-							lines = append(lines, fmt.Sprintf("type %s struct", sp.Name.Name))
-							for _, f := range tt.Fields.List {
-								ft := render(f.Type)
-								if len(f.Names) == 0 {
-									// Embedded field: exported iff its type name is.
-									base := strings.TrimPrefix(ft, "*")
-									if i := strings.LastIndex(base, "."); i >= 0 {
-										base = base[i+1:]
-									}
-									if ast.IsExported(base) {
-										lines = append(lines, fmt.Sprintf("type %s struct: %s (embedded)", sp.Name.Name, ft))
-									}
-									continue
-								}
-								for _, name := range f.Names {
-									if name.IsExported() {
-										lines = append(lines, fmt.Sprintf("type %s struct: %s %s", sp.Name.Name, name.Name, ft))
-									}
-								}
-							}
-						case *ast.InterfaceType:
-							lines = append(lines, fmt.Sprintf("type %s interface", sp.Name.Name))
-							for _, m := range tt.Methods.List {
-								mt := render(m.Type)
-								if len(m.Names) == 0 {
-									lines = append(lines, fmt.Sprintf("type %s interface: %s (embedded)", sp.Name.Name, mt))
-									continue
-								}
-								for _, name := range m.Names {
-									if name.IsExported() {
-										lines = append(lines, fmt.Sprintf("type %s interface: %s%s", sp.Name.Name, name.Name, strings.TrimPrefix(mt, "func")))
-									}
-								}
-							}
+						switch sp.Type.(type) {
+						case *ast.StructType, *ast.InterfaceType:
+							typeBody(sp.Name.Name, sp.Type)
 						default:
-							assign := "="
 							if sp.Assign == token.NoPos {
-								assign = ""
-							}
-							if assign == "" {
 								lines = append(lines, fmt.Sprintf("type %s %s", sp.Name.Name, render(sp.Type)))
-							} else {
-								lines = append(lines, fmt.Sprintf("type %s = %s", sp.Name.Name, render(sp.Type)))
+								continue
+							}
+							lines = append(lines, fmt.Sprintf("type %s = %s", sp.Name.Name, render(sp.Type)))
+							if sel, ok := sp.Type.(*ast.SelectorExpr); ok {
+								expandAlias(file, sp.Name.Name, sel)
 							}
 						}
 					case *ast.ValueSpec:
