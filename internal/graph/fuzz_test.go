@@ -21,6 +21,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("a b c\n")
 	f.Add("0 1\n\n\n2 3 -1\n")
 	f.Add("999999999999 2\n")
+	f.Add("666666660 0\n")
 	f.Add("0 1 1e308\n0 1 1e308\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		// ReadEdgeList is parseEdgeList then Build; the two steps are taken

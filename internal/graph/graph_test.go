@@ -3,9 +3,11 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -206,6 +208,31 @@ func TestEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: want error", in)
 		}
+	}
+}
+
+// TestEdgeListRefusesSparseIDs: a short edge list whose largest node ID
+// names far more nodes than its edges can use is refused before the graph
+// is allocated, and the limit (64 IDs per edge past the first 2^20) is
+// exact.
+func TestEdgeListRefusesSparseIDs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdgeList(strings.NewReader("20000000 0\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "20000000") {
+		t.Fatalf("err = %v, want a refusal naming node ID 20000000", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("refusing an 11-byte edge list allocated %d bytes", alloc)
+	}
+	limit := 64 + 1<<20 // node count accepted for one edge
+	g, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("%d 0\n", limit-1)))
+	if err != nil || g.NumNodes() != limit {
+		t.Fatalf("largest ID %d: err %v, want a graph of %d nodes", limit-1, err, limit)
+	}
+	if _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("%d 0\n", limit))); err == nil {
+		t.Fatalf("largest ID %d accepted for one edge", limit)
 	}
 }
 

@@ -66,6 +66,14 @@ func parseEdgeList(r io.Reader) (*Builder, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// Node IDs are dense, so the largest one sizes the graph, at 16 B per
+	// node before a single edge is placed. Like ReadBinary, which grows its
+	// arrays only as bytes arrive, refuse to allocate far ahead of the
+	// input: past the first 2^20 IDs, more than 64 per edge name a graph of
+	// almost nothing but isolated nodes.
+	if limit := 64*len(b.us) + 1<<20; b.n > limit {
+		return nil, fmt.Errorf("graph: largest node ID %d needs %d nodes, more than the %d accepted for %d edges", b.n-1, b.n, limit, len(b.us))
+	}
 	return b, nil
 }
 
