@@ -225,7 +225,6 @@ func BenchmarkTable3_Trace(b *testing.B) {
 		K:       2,
 		Measure: PHP,
 		Params:  Params{C: 0.8, L: 10, Tau: 1e-8, MaxIter: 100000},
-		TieEps:  1e-9,
 		Tracer:  nopSnapshots{},
 	}
 	for i := 0; i < b.N; i++ {

@@ -114,7 +114,7 @@ func main() {
 		fmt.Printf("unified query %d, k=%d: %s, visited %d nodes, exact=%v\n",
 			*q, *k, time.Since(start), res.Visited, res.Exact)
 		fmt.Println("PHP / EI / DHT ranking:")
-		for i, r := range res.PHPFamily {
+		for i, r := range res.TopK {
 			fmt.Printf("%3d. node %-10d php-score %.6g\n", i+1, r.Node, r.Score)
 		}
 		fmt.Println("RWR ranking:")
@@ -160,7 +160,7 @@ func main() {
 }
 
 // certifyUnified audits both rankings of a unified answer against a full
-// global-iteration solve: PHPFamily as PHP at decay p.C, and RWR as RWR at
+// global-iteration solve: TopK as PHP at decay p.C, and RWR as RWR at
 // restart 1 − p.C, the pairing Theorem 6 gives the one PHP engine that
 // ranked both. The error names the family that failed.
 func certifyUnified(g graph.Graph, q graph.NodeID, res *core.UnifiedResult, p measure.Params, eps float64) error {
@@ -172,7 +172,7 @@ func certifyUnified(g graph.Graph, q graph.NodeID, res *core.UnifiedResult, p me
 		p    measure.Params
 		topK []measure.Ranked
 	}{
-		{"PHP-family", measure.PHP, p, res.PHPFamily},
+		{"PHP-family", measure.PHP, p, res.TopK},
 		{"RWR", measure.RWR, rwr, res.RWR},
 	} {
 		if err := core.Certify(g, q, &core.Result{TopK: fam.topK}, fam.kind, fam.p, eps); err != nil {

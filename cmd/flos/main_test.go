@@ -37,7 +37,7 @@ func TestCertifyUnified(t *testing.T) {
 		p    measure.Params
 		list func(*core.UnifiedResult) []measure.Ranked
 	}{
-		{"PHP-family", measure.PHP, opt.Params, func(r *core.UnifiedResult) []measure.Ranked { return r.PHPFamily }},
+		{"PHP-family", measure.PHP, opt.Params, func(r *core.UnifiedResult) []measure.Ranked { return r.TopK }},
 		{"RWR", measure.RWR, rwr, func(r *core.UnifiedResult) []measure.Ranked { return r.RWR }},
 	} {
 		t.Run(fam.name, func(t *testing.T) {
@@ -46,7 +46,7 @@ func TestCertifyUnified(t *testing.T) {
 				t.Fatal(err)
 			}
 			bad := *res
-			bad.PHPFamily = slices.Clone(res.PHPFamily)
+			bad.TopK = slices.Clone(res.TopK)
 			bad.RWR = slices.Clone(res.RWR)
 			list := fam.list(&bad)
 			outsider := graph.NodeID(-1)

@@ -35,7 +35,6 @@ func ExampleTopK_trace() {
 		K:       2,
 		Measure: flos.PHP,
 		Params:  flos.Params{C: 0.8, L: 10, Tau: 1e-8, MaxIter: 100000},
-		TieEps:  1e-9,
 		Tracer:  sc,
 	}
 	if _, err := flos.TopK(g, 0, opt); err != nil {
@@ -63,7 +62,7 @@ func ExampleUnifiedTopK() {
 		log.Fatal(err)
 	}
 	fmt.Print("PHP family:")
-	for _, r := range res.PHPFamily {
+	for _, r := range res.TopK {
 		fmt.Printf(" %d", r.Node+1)
 	}
 	fmt.Print("\nRWR:       ")

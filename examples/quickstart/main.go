@@ -65,7 +65,6 @@ func main() {
 		K:       2,
 		Measure: flos.PHP,
 		Params:  flos.Params{C: 0.8, L: 10, Tau: 1e-8, MaxIter: 100000},
-		TieEps:  1e-9,
 		Tracer:  sc,
 	}
 	res, err := flos.TopK(g, query, opt)

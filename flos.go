@@ -77,6 +77,10 @@ type Params = measure.Params
 // Options configures a TopK query.
 type Options = core.Options
 
+// TieEps is the separating gap below which every search treats two scores
+// as tied: either side of an exact tie at rank k is a valid answer.
+const TieEps = core.TieEps
+
 // Result is a completed query: the top-k list plus work counters.
 type Result = core.Result
 
@@ -179,11 +183,14 @@ type Querier = core.Querier
 // NewQuerier validates opt once and returns a reusable session over g.
 func NewQuerier(g Graph, opt Options) (*Querier, error) { return core.NewQuerier(g, opt) }
 
-// Interrupted is the error a context-terminated query returns; it carries
-// the partial work counters (Visited, Iterations, Sweeps).
+// Interrupted is the error a context-terminated query returns; its Partial
+// is the in-flight Result, whose counters (Visited, Iterations, Sweeps)
+// are the work done so far.
 type Interrupted = core.Interrupted
 
-// UnifiedResult carries both rankings of a UnifiedTopK query.
+// UnifiedResult carries both rankings of a UnifiedTopK query: the embedded
+// Result is the PHP-family answer with the shared search's counters, and
+// RWR/RWRCert the RWR ranking and its proof.
 type UnifiedResult = core.UnifiedResult
 
 // UnifiedTopK answers both ranking families — PHP/EI/DHT and RWR — with one

@@ -58,8 +58,8 @@ func TestExactCertificationWellFormed(t *testing.T) {
 				if c.Epsilon != 0 {
 					t.Fatalf("%s/%v/q%d: exact certification carries epsilon %g", gc.name, kind, q, c.Epsilon)
 				}
-				if c.Gap < 0 || c.Gap > opt.TieEps {
-					t.Fatalf("%s/%v/q%d: exact gap %g outside [0, TieEps=%g]", gc.name, kind, q, c.Gap, opt.TieEps)
+				if c.Gap < 0 || c.Gap > TieEps {
+					t.Fatalf("%s/%v/q%d: exact gap %g outside [0, TieEps=%g]", gc.name, kind, q, c.Gap, TieEps)
 				}
 				if c.Iterations != res.Iterations {
 					t.Fatalf("%s/%v/q%d: certification iterations %d != result iterations %d",

@@ -30,43 +30,43 @@ var (
 )
 
 // Interrupted is the error returned when a query's context fires before the
-// bounds separate. It records how much work the search had done — the same
-// counters a completed Result carries — so callers can account for (and
-// meter) abandoned queries. Unwrap yields ErrCanceled or ErrDeadline.
+// bounds separate. Its Partial records how much work the search had done —
+// the counters a completed Result carries — so callers can account for
+// (and meter) abandoned queries. Unwrap yields ErrCanceled or ErrDeadline.
 type Interrupted struct {
 	// Cause is ErrCanceled or ErrDeadline.
 	Cause error
-	// Visited is |S| at interruption.
-	Visited int
-	// Iterations counts completed local expansions.
-	Iterations int
-	// Sweeps counts bound-solver relaxations performed.
-	Sweeps int
-	// Partial is the in-flight top-k at interruption time, with
+	// Partial is the in-flight answer at interruption time, with
 	// Certification.Certified=false and the residual gap — the same result
-	// ModeAnytime would have returned instead of this error. Nil only when
-	// interruption preceded the first solver iteration entirely (e.g. a
-	// batch slot that was never started).
+	// ModeAnytime would have returned instead of this error — and the work
+	// counters of the search so far. For a unified query it is
+	// PartialUnified's embedded Result. The engine always sets it; it is nil
+	// only on an Interrupted built for a query that never started (e.g. an
+	// unstarted batch member).
 	Partial *Result
-	// PartialUnified is Partial's counterpart for unified queries.
+	// PartialUnified is the whole in-flight answer of a unified query.
 	PartialUnified *UnifiedResult
 }
 
 func (e *Interrupted) Error() string {
+	p := e.Partial
+	if p == nil {
+		p = &Result{}
+	}
 	return fmt.Sprintf("%v after %d iterations (%d visited, %d sweeps)",
-		e.Cause, e.Iterations, e.Visited, e.Sweeps)
+		e.Cause, p.Iterations, p.Visited, p.Sweeps)
 }
 
 // Unwrap exposes the sentinel for errors.Is.
 func (e *Interrupted) Unwrap() error { return e.Cause }
 
 // interrupted maps a context error onto the typed sentinels.
-func interrupted(ctxErr error, visited, iterations, sweeps int) *Interrupted {
+func interrupted(ctxErr error) *Interrupted {
 	cause := ErrCanceled
 	if errors.Is(ctxErr, context.DeadlineExceeded) {
 		cause = ErrDeadline
 	}
-	return &Interrupted{Cause: cause, Visited: visited, Iterations: iterations, Sweeps: sweeps}
+	return &Interrupted{Cause: cause}
 }
 
 // TopKCtx is TopK with cancellation: the search checks ctx, and its
@@ -108,7 +108,7 @@ func (ws *Workspace) TopK(ctx context.Context, g graph.Graph, q graph.NodeID, op
 		}
 		e := ws.phpFor(g, q, p, opt)
 		out = search(ctx, e, opt, goals[:])
-		if res, err = e.result(opt, &goals[0], out); err != nil {
+		if res, err = e.result(opt, &goals[0], out, true); err != nil {
 			return nil, err
 		}
 	}

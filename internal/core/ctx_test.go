@@ -24,7 +24,7 @@ func TestDeadlineReadOffTheClock(t *testing.T) {
 	for _, kind := range []measure.Kind{measure.PHP, measure.RWR, measure.THT} {
 		_, err := TopKCtx(ctx, g, 0, testOptions(kind, 5))
 		var in *Interrupted
-		if !errors.As(err, &in) || !errors.Is(err, ErrDeadline) || in.Iterations != 0 {
+		if !errors.As(err, &in) || !errors.Is(err, ErrDeadline) || in.Partial.Iterations != 0 {
 			t.Fatalf("%v: err %v, want ErrDeadline before the first iteration", kind, err)
 		}
 	}

@@ -165,30 +165,25 @@ func captureDriverPaths(t *testing.T) []pathRecord {
 				var in *Interrupted
 				if errors.As(err, &in) {
 					rec.Interrupted = in.Cause.Error()
-					rec.InCounters = [3]int{in.Visited, in.Iterations, in.Sweeps}
 					res, ures = in.Partial, in.PartialUnified
+					rec.InCounters = [3]int{res.Visited, res.Iterations, res.Sweeps}
 				} else if err != nil {
 					t.Fatalf("%s: %v", rec.Name, err)
 				}
-				switch {
-				case res != nil:
-					rec.Rankings = []pathRanking{pathRankingOf(res.TopK, res.Certification)}
-					rec.Exact, rec.Visited, rec.Iterations = res.Exact, res.Visited, res.Iterations
-					rec.Sweeps, rec.DegreeProbes = res.Sweeps, res.DegreeProbes
-					rec.VisitedNodes, rec.ProbedNodes = res.VisitedNodes, res.ProbedNodes
-					rec.GuardDegree = math.Float64bits(res.GuardDegree)
-				case ures != nil:
-					rec.Rankings = []pathRanking{
-						pathRankingOf(ures.PHPFamily, ures.PHPCert),
-						pathRankingOf(ures.RWR, ures.RWRCert),
-					}
-					rec.Exact, rec.Visited, rec.Iterations = ures.Exact, ures.Visited, ures.Iterations
-					rec.Sweeps, rec.DegreeProbes = ures.Sweeps, ures.DegreeProbes
-					rec.VisitedNodes, rec.ProbedNodes = ures.VisitedNodes, ures.ProbedNodes
-					rec.GuardDegree = math.Float64bits(ures.GuardDegree)
-				default:
+				if ures != nil {
+					res = &ures.Result
+				}
+				if res == nil {
 					t.Fatalf("%s: no result and no partial (err=%v)", rec.Name, err)
 				}
+				rec.Rankings = []pathRanking{pathRankingOf(res.TopK, res.Certification)}
+				if ures != nil {
+					rec.Rankings = append(rec.Rankings, pathRankingOf(ures.RWR, ures.RWRCert))
+				}
+				rec.Exact, rec.Visited, rec.Iterations = res.Exact, res.Visited, res.Iterations
+				rec.Sweeps, rec.DegreeProbes = res.Sweeps, res.DegreeProbes
+				rec.VisitedNodes, rec.ProbedNodes = res.VisitedNodes, res.ProbedNodes
+				rec.GuardDegree = math.Float64bits(res.GuardDegree)
 				if rec.VisitedNodes == nil {
 					rec.VisitedNodes = []int32{}
 				}

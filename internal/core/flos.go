@@ -15,7 +15,7 @@ import (
 //
 // PHP is bounded natively; EI, DHT and RWR ride on the PHP engine through
 // Theorems 2 and 6; THT uses the finite-horizon engine. The returned set is
-// exact (up to Options.TieEps at score ties) unless MaxVisited fired.
+// exact (up to TieEps at score ties) unless MaxVisited fired.
 //
 // TopK is a thin wrapper over TopKCtx with a background context; it runs in
 // a fresh Workspace, building all engine state (including an index sized
@@ -98,8 +98,9 @@ func (e *phpEngine) ranking(opt Options, g *goal, byScore bool) ([]measure.Ranke
 	return ranked, certification(opt, g, bounds), nil
 }
 
-// result builds the measure-scale Result of a single-measure query.
-func (e *phpEngine) result(opt Options, g *goal, out outcome) (*Result, error) {
+// result builds the measure-scale Result of goal g: its ranking listed by
+// displayed score, or in selection order when byScore is false.
+func (e *phpEngine) result(opt Options, g *goal, out outcome, byScore bool) (*Result, error) {
 	res := newResult(&e.localSearch, opt, out)
 	res.DegreeProbes = e.degreeProbes
 	if opt.CaptureFootprint {
@@ -107,6 +108,6 @@ func (e *phpEngine) result(opt Options, g *goal, out outcome) (*Result, error) {
 		res.GuardDegree = e.lastGuard
 	}
 	var err error
-	res.TopK, res.Certification, err = e.ranking(opt, g, true)
+	res.TopK, res.Certification, err = e.ranking(opt, g, byScore)
 	return res, err
 }

@@ -21,7 +21,6 @@ func testOptions(kind measure.Kind, k int) Options {
 	opt := DefaultOptions(kind, k)
 	opt.Params.Tau = 1e-10
 	opt.Params.MaxIter = 200000
-	opt.TieEps = 1e-9
 	return opt
 }
 
@@ -139,7 +138,6 @@ func TestPaperExampleTable3(t *testing.T) {
 		K:       2,
 		Measure: measure.PHP,
 		Params:  measure.Params{C: 0.8, L: 10, Tau: 1e-10, MaxIter: 100000},
-		TieEps:  1e-9,
 		Tracer:  sc,
 	}
 	res, err := TopK(g, 0, opt)
@@ -543,9 +541,6 @@ func TestTopKInputValidation(t *testing.T) {
 		{"C=NaN", func(o *Options) { o.Params.C = math.NaN() }},
 		{"Tau=NaN", func(o *Options) { o.Params.Tau = math.NaN() }},
 		{"Tau=+Inf", func(o *Options) { o.Params.Tau = math.Inf(1) }},
-		{"TieEps=-1", func(o *Options) { o.TieEps = -1 }},
-		{"TieEps=NaN", func(o *Options) { o.TieEps = math.NaN() }},
-		{"TieEps=+Inf", func(o *Options) { o.TieEps = math.Inf(1) }},
 		{"MaxVisited=-3", func(o *Options) { o.MaxVisited = -3 }},
 		{"Epsilon=NaN", func(o *Options) { o.Mode, o.Epsilon = ModeEpsilon, math.NaN() }},
 		{"Epsilon=+Inf", func(o *Options) { o.Mode, o.Epsilon = ModeEpsilon, math.Inf(1) }},

@@ -152,7 +152,7 @@ func captureGolden(t *testing.T) goldenFile {
 			}
 			gf.Unified = append(gf.Unified, goldenUnified{
 				Graph: gc.name, Query: q,
-				PHP: rankingOf(ur.PHPFamily, ur.PHPCert), RWR: rankingOf(ur.RWR, ur.RWRCert),
+				PHP: rankingOf(ur.TopK, ur.Certification), RWR: rankingOf(ur.RWR, ur.RWRCert),
 			})
 		}
 	}
@@ -341,7 +341,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireGolden(t, label+"/"+v.name+"/php", want.PHP, rankingOf(ur.PHPFamily, ur.PHPCert))
+			requireGolden(t, label+"/"+v.name+"/php", want.PHP, rankingOf(ur.TopK, ur.Certification))
 			requireGolden(t, label+"/"+v.name+"/rwr", want.RWR, rankingOf(ur.RWR, ur.RWRCert))
 			if i == 0 {
 				cold = unifiedWorkOf(ur)

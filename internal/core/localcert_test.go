@@ -17,7 +17,7 @@ import (
 // certified with: TieEps, widened to ε in ModeEpsilon.
 func requireLocalCert(t testing.TB, label string, g graph.Graph, q graph.NodeID, kind measure.Kind, opt Options, visited []graph.NodeID, top []measure.Ranked) {
 	t.Helper()
-	slack := opt.TieEps
+	slack := TieEps
 	if opt.Mode == ModeEpsilon {
 		slack = max(slack, opt.Epsilon)
 	}
@@ -77,7 +77,7 @@ func TestLocalCertificates(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s/unified/eps=%g", bg.name, eps)
-			requireLocalCert(t, label+"/php", bg.g, bg.q, measure.PHP, opt, ur.VisitedNodes, ur.PHPFamily)
+			requireLocalCert(t, label+"/php", bg.g, bg.q, measure.PHP, opt, ur.VisitedNodes, ur.TopK)
 			requireLocalCert(t, label+"/rwr", bg.g, bg.q, measure.RWR, opt, ur.VisitedNodes, ur.RWR)
 		}
 	}

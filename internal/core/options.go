@@ -87,6 +87,12 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("%w: unknown mode %q (want exact|epsilon|anytime)", ErrInvalidOptions, s)
 }
 
+// TieEps relaxes every search's termination inequality: a separating gap
+// below TieEps is treated as an exact tie, either side of which is a valid
+// top-k answer. The paper's strict criterion (TieEps = 0) never terminates
+// on an exact tie before the component is exhausted.
+const TieEps = 1e-9
+
 // Options configures a FLoS query.
 type Options struct {
 	// K is the number of nearest neighbors to return.
@@ -99,11 +105,6 @@ type Options struct {
 	// MaxVisited caps |S| as a safety valve; 0 means no cap. When the cap
 	// fires the result carries Exact=false.
 	MaxVisited int
-	// TieEps relaxes the termination inequality: a separating gap below
-	// TieEps is treated as an exact tie, either side of which is a valid
-	// top-k answer. Zero keeps the paper's strict (and, under exact ties,
-	// non-terminating) criterion; DefaultOptions uses 1e-9.
-	TieEps float64
 	// Mode selects the serving mode (exact, ε-certified, or anytime). The
 	// zero value is ModeExact. ModeExact runs are byte-identical to a build
 	// without serving modes: the mode only widens the termination slack,
@@ -192,7 +193,6 @@ func DefaultOptions(kind measure.Kind, k int) Options {
 		K:       k,
 		Measure: kind,
 		Params:  measure.DefaultParams(),
-		TieEps:  1e-9,
 	}
 }
 
@@ -208,15 +208,12 @@ func (o Options) Validate() error {
 	if o.MaxVisited < 0 {
 		return fmt.Errorf("%w: MaxVisited=%d must be non-negative", ErrInvalidOptions, o.MaxVisited)
 	}
-	// Written so that NaN fails: every comparison with NaN is false.
-	if !(o.TieEps >= 0) || math.IsInf(o.TieEps, 1) {
-		return fmt.Errorf("%w: TieEps=%g must be non-negative and finite", ErrInvalidOptions, o.TieEps)
-	}
 	switch o.Mode {
 	case ModeExact, ModeEpsilon, ModeAnytime:
 	default:
 		return fmt.Errorf("%w: unknown Mode %d", ErrInvalidOptions, int(o.Mode))
 	}
+	// Written so that NaN fails: every comparison with NaN is false.
 	if !(o.Epsilon >= 0) || math.IsInf(o.Epsilon, 1) {
 		return fmt.Errorf("%w: Epsilon=%g must be non-negative and finite", ErrInvalidOptions, o.Epsilon)
 	}

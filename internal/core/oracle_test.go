@@ -124,7 +124,7 @@ func TestBatchedStepsMatchOracle(t *testing.T) {
 							oracle = displayOracle(t, gc.g, q, kind, opt.Params)
 						}
 						c := res.Certification
-						if !c.Certified || len(res.TopK) != k || res.Exact != (mode == ModeExact || c.Gap <= opt.TieEps) {
+						if !c.Certified || len(res.TopK) != k || res.Exact != (mode == ModeExact || c.Gap <= TieEps) {
 							t.Fatalf("%s: certified=%v exact=%v gap=%g with %d results", label, c.Certified, res.Exact, c.Gap, len(res.TopK))
 						}
 						if mode == ModeEpsilon && c.Gap > eps {

@@ -135,7 +135,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 	// Termination slack: TieEps, widened to ε (in the goal's key scale) in
 	// ModeEpsilon. The engines compare against one number either way, so
 	// ModeExact runs the same code path as a build without serving modes.
-	slack := opt.TieEps
+	slack := TieEps
 	if opt.Mode == ModeEpsilon {
 		slack = max(slack, opt.Epsilon)
 	}
@@ -171,7 +171,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 			forceOpen(e, goals, opt.K, t-1, false)
 			out := outcome{iters: t - 1}
 			if opt.Mode != ModeAnytime {
-				out.interrupted = interrupted(err, s.size(), t-1, s.sweeps)
+				out.interrupted = interrupted(err)
 			}
 			return out
 		}
@@ -260,7 +260,7 @@ func search(ctx context.Context, e engine, opt Options, goals []goal) outcome {
 			// certified but not exact: the ranking may differ from the
 			// exact answer by up to ε in the goal's key scale.
 			for i := range goals {
-				if g := &goals[i]; g.gap.valid && measure.CertGap(g.kind, g.gap.kth, g.gap.rest) > opt.TieEps {
+				if g := &goals[i]; g.gap.valid && measure.CertGap(g.kind, g.gap.kth, g.gap.rest) > TieEps {
 					out.exact = false
 				}
 			}

@@ -57,7 +57,7 @@ func TestTracerTrajectoryCertifies(t *testing.T) {
 		if !last.GapValid {
 			t.Fatalf("%v: final entry has no gap: %+v", kind, last)
 		}
-		if last.Gap < -opt.TieEps {
+		if last.Gap < -TieEps {
 			t.Errorf("%v: final gap %g violates the stopping rule (kth=%g rest=%g)",
 				kind, last.Gap, last.KthBound, last.RestBound)
 		}
@@ -97,7 +97,7 @@ func TestTracerUnified(t *testing.T) {
 	if !last.Certified || last.Iteration != res.Iterations || last.Visited != res.Visited {
 		t.Fatalf("final entry %+v vs result iters=%d visited=%d", last, res.Iterations, res.Visited)
 	}
-	if !last.GapValid || last.Gap < -opt.TieEps {
+	if !last.GapValid || last.Gap < -TieEps {
 		t.Fatalf("final gap not certifying: %+v", last)
 	}
 }
@@ -123,7 +123,7 @@ func TestTracerGapConvergesFromViolation(t *testing.T) {
 	if first.Certified {
 		t.Fatalf("first iteration already certified: %+v", first)
 	}
-	if first.GapValid && first.Gap >= -opt.TieEps {
+	if first.GapValid && first.Gap >= -TieEps {
 		t.Fatalf("first iteration gap %g already non-negative yet search continued", first.Gap)
 	}
 }

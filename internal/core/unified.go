@@ -8,35 +8,22 @@ import (
 )
 
 // UnifiedResult is the answer to a multi-measure query: one local search,
-// two certified rankings.
+// two certified rankings. The embedded Result is the PHP-family answer:
+// TopK is the exact top-k under PHP — and, by Theorem 2, under EI and DHT as
+// well (identical node sets; scores are in the PHP scale) — listed in
+// selection order, Certification is its proof, and the work counters and
+// read footprint are those of the one shared search. A unified query always
+// certifies an RWR ranking, so GuardDegree is meaningful whenever the guard
+// was consulted.
 type UnifiedResult struct {
-	// PHPFamily is the exact top-k under PHP — and, by Theorem 2, under EI
-	// and DHT as well (identical node sets; scores are in the PHP scale).
-	PHPFamily []measure.Ranked
+	Result
 	// RWR is the exact top-k under random walk with restart (scores are the
-	// unnormalized w_i·PHP(i) of Theorem 6).
-	RWR []measure.Ranked
-	// Work counters, as in Result.
-	Visited      int
-	Iterations   int
-	Sweeps       int
-	DegreeProbes int
-	Exact        bool
-
-	// PHPCert and RWRCert are the per-family certification blocks: each
-	// family certifies (or fails to) independently, so an interrupted
-	// anytime query can return one certified ranking and one best-effort
-	// one. Bound keys and intervals are in each family's certification-key
-	// scale: PHP-scale proximity for PHPFamily, degree-weighted PHP for RWR.
-	PHPCert Certification
+	// unnormalized w_i·PHP(i) of Theorem 6), and RWRCert its proof block,
+	// in degree-weighted PHP scale. Each family certifies (or fails to)
+	// independently, so an interrupted anytime query can return one
+	// certified ranking and one best-effort one.
+	RWR     []measure.Ranked
 	RWRCert Certification
-
-	// Read footprint, populated only under Options.CaptureFootprint; see
-	// Result for field semantics. A unified query always certifies an RWR
-	// ranking, so GuardDegree is meaningful whenever the guard was consulted.
-	VisitedNodes []graph.NodeID
-	ProbedNodes  []graph.NodeID
-	GuardDegree  float64
 }
 
 // UnifiedTopK answers both ranking families — PHP/EI/DHT and RWR — with a
@@ -79,28 +66,18 @@ func (ws *Workspace) Unified(ctx context.Context, g graph.Graph, q graph.NodeID,
 	goals := [2]goal{{kind: measure.PHP}, {kind: measure.RWR}}
 	out := search(ctx, e, opt, goals[:])
 
-	res := &UnifiedResult{
-		Visited:      e.size(),
-		Iterations:   out.iters,
-		Sweeps:       e.sweeps,
-		DegreeProbes: e.degreeProbes,
-		Exact:        out.exact,
-	}
-	if opt.CaptureFootprint {
-		res.VisitedNodes = append([]graph.NodeID(nil), e.nodes...)
-		res.ProbedNodes = e.probedNodes()
-		res.GuardDegree = e.lastGuard
-	}
 	// Each ranking is listed in selection order, its scores and intervals in
 	// the goal's own key scale: PHP proximity, or degree-weighted PHP.
-	if res.PHPFamily, res.PHPCert, err = e.ranking(opt, &goals[0], false); err != nil {
+	php, err := e.result(opt, &goals[0], out, false)
+	if err != nil {
 		return nil, err
 	}
+	res := &UnifiedResult{Result: *php}
 	if res.RWR, res.RWRCert, err = e.ranking(opt, &goals[1], false); err != nil {
 		return nil, err
 	}
 	if out.interrupted != nil {
-		out.interrupted.PartialUnified = res
+		out.interrupted.Partial, out.interrupted.PartialUnified = &res.Result, res
 		return nil, out.interrupted
 	}
 	return res, nil

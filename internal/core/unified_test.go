@@ -22,7 +22,7 @@ func TestUnifiedMatchesSeparateRuns(t *testing.T) {
 		}
 
 		php := exactScores(t, g, q, measure.PHP, opt.Params)
-		if !measure.SameSetModuloTies(measure.Nodes(uni.PHPFamily), php, q, 7, true, 1e-7) {
+		if !measure.SameSetModuloTies(measure.Nodes(uni.TopK), php, q, 7, true, 1e-7) {
 			t.Errorf("seed %d: unified PHP-family set wrong", seed)
 		}
 		rwrParams := opt.Params
@@ -58,8 +58,8 @@ func TestUnifiedSmallComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !measure.SameSet(measure.Nodes(uni.PHPFamily), []graph.NodeID{1, 2}) {
-		t.Fatalf("PHP family = %v", measure.Nodes(uni.PHPFamily))
+	if !measure.SameSet(measure.Nodes(uni.TopK), []graph.NodeID{1, 2}) {
+		t.Fatalf("PHP family = %v", measure.Nodes(uni.TopK))
 	}
 	if !measure.SameSet(measure.Nodes(uni.RWR), []graph.NodeID{1, 2}) {
 		t.Fatalf("RWR = %v", measure.Nodes(uni.RWR))
@@ -88,7 +88,7 @@ func TestUnifiedMaxVisited(t *testing.T) {
 	if uni.Exact {
 		t.Error("capped unified run claims exactness")
 	}
-	if len(uni.PHPFamily) != 20 || len(uni.RWR) != 20 {
-		t.Errorf("result lengths %d/%d", len(uni.PHPFamily), len(uni.RWR))
+	if len(uni.TopK) != 20 || len(uni.RWR) != 20 {
+		t.Errorf("result lengths %d/%d", len(uni.TopK), len(uni.RWR))
 	}
 }

@@ -245,7 +245,6 @@ func FigTrace(w io.Writer) error {
 		K:       2,
 		Measure: measure.PHP,
 		Params:  measure.Params{C: 0.8, L: 10, Tau: 1e-8, MaxIter: 100000},
-		TieEps:  1e-9,
 		Tracer:  sc,
 	}
 	res, err := core.TopK(g, 0, opt)

@@ -85,7 +85,7 @@ func DefaultMethodConfig() MethodConfig {
 func flosMethod(kind measure.Kind, cfg MethodConfig) Method {
 	ws := core.NewWorkspace()
 	return Method{Name: "FLoS_" + kind.String(), Run: func(g graph.Graph, q graph.NodeID, k int) (Answer, error) {
-		r, err := ws.TopK(context.Background(), g, q, core.Options{K: k, Measure: kind, Params: cfg.Params, TieEps: 1e-9})
+		r, err := ws.TopK(context.Background(), g, q, core.Options{K: k, Measure: kind, Params: cfg.Params})
 		if err != nil {
 			return Answer{}, err
 		}

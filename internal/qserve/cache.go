@@ -32,7 +32,6 @@ type queryKey struct {
 	params     measure.Params
 	k          int
 	maxVisited int
-	tieEps     float64
 	mode       core.Mode
 	epsilon    float64
 }
@@ -45,7 +44,6 @@ func keyOf(epoch uint64, req Request) cacheKey {
 		params:     req.Opt.Params,
 		k:          req.Opt.K,
 		maxVisited: req.Opt.MaxVisited,
-		tieEps:     req.Opt.TieEps,
 		mode:       req.Opt.Mode,
 		epsilon:    req.Opt.Epsilon,
 	}}
@@ -78,7 +76,6 @@ func hashKey(k cacheKey) uint64 {
 	mix(uint64(k.params.MaxIter))
 	mix(uint64(k.k))
 	mix(uint64(k.maxVisited))
-	mix(math.Float64bits(k.tieEps))
 	mix(uint64(k.mode))
 	mix(math.Float64bits(k.epsilon))
 	return h
@@ -122,12 +119,9 @@ const rowsPerUnit = 16
 // entryCost is the capacity resp takes: its result rows, both lists of a
 // unified answer, in units of rowsPerUnit rounded up, at least one.
 func entryCost(resp *Response) int {
-	rows := 0
-	if resp.TopK != nil {
-		rows = len(resp.TopK.TopK)
-	}
+	rows := len(resp.TopK.TopK)
 	if resp.Unified != nil {
-		rows = len(resp.Unified.PHPFamily) + len(resp.Unified.RWR)
+		rows += len(resp.Unified.RWR)
 	}
 	return max(1, (rows+rowsPerUnit-1)/rowsPerUnit)
 }

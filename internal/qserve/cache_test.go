@@ -21,10 +21,9 @@ func cacheState(c *resultCache) (qs []graph.NodeID, rows, cost int) {
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		qs = append(qs, e.key.q)
-		if e.resp.TopK != nil {
-			rows += len(e.resp.TopK.TopK)
-		} else {
-			rows += len(e.resp.Unified.PHPFamily) + len(e.resp.Unified.RWR)
+		rows += len(e.resp.TopK.TopK)
+		if e.resp.Unified != nil {
+			rows += len(e.resp.Unified.RWR)
 		}
 		cost += e.cost
 	}
@@ -78,8 +77,8 @@ func TestResultCacheCountsRows(t *testing.T) {
 			t.Fatalf("after replacing in place: resident %v, want 4 entries led by 39", qs)
 		}
 		// A unified answer counts both of its lists.
-		c.put(key(1, 41), &Response{Unified: &core.UnifiedResult{
-			PHPFamily: make([]measure.Ranked, 200), RWR: make([]measure.Ranked, 200)}})
+		u := &core.UnifiedResult{Result: core.Result{TopK: make([]measure.Ranked, 200)}, RWR: make([]measure.Ranked, 200)}
+		c.put(key(1, 41), &Response{TopK: &u.Result, Unified: u})
 		requireCacheBound(t, c)
 		if e := c.ll.Front().Value.(*cacheEntry); e.cost != 25 {
 			t.Fatalf("unified 200+200 rows costs %d, want 25", e.cost)

@@ -2,6 +2,9 @@ package qserve
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,6 +70,60 @@ func TestOutcomeParityWithCacheHits(t *testing.T) {
 	// Hits never pollute the executed-latency histograms.
 	if n := executedCount(m); n != 3 {
 		t.Errorf("executed histogram count = %d, want 3", n)
+	}
+}
+
+// cancelAfter cancels its query's context once the search has run n
+// iterations, so the interruption lands at the same point on every run.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) ObserveIteration(it core.IterStats) {
+	if it.Iteration == c.n {
+		c.cancel()
+	}
+}
+
+// TestFlightRecordKeepsPartial: an interrupted query's flight record
+// carries the work counters and the in-flight top-k of the *Interrupted's
+// Partial — the PHP-family ranking for a unified query, whose Partial is
+// PartialUnified's embedded Result — and a completed query's record carries
+// no partial.
+func TestFlightRecordKeepsPartial(t *testing.T) {
+	g := diagGraph(t)
+	rec := obs.NewFlightRecorder(obs.RecorderConfig{Size: 8, SlowLatency: -1})
+	pool := New(g, Config{Workers: 1, CacheEntries: -1, Recorder: rec})
+	defer pool.Close()
+	for _, unified := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opt := core.DefaultOptions(measure.RWR, 10)
+		opt.Tracer = &cancelAfter{n: 3, cancel: cancel}
+		_, err := pool.Do(ctx, Request{Query: 100, Opt: opt, Unified: unified})
+		cancel()
+		var in *core.Interrupted
+		if !errors.As(err, &in) || in.Partial == nil || len(in.Partial.TopK) == 0 {
+			t.Fatalf("unified=%v: err %v, want an *Interrupted with a non-empty partial", unified, err)
+		}
+		if unified && (in.PartialUnified == nil || in.Partial != &in.PartialUnified.Result) {
+			t.Fatalf("unified partial is not PartialUnified's embedded Result")
+		}
+		r := rec.Last(1)[0]
+		p := in.Partial
+		if r.Outcome != "canceled" || r.Unified != unified || !slices.Equal(r.PartialTopK, p.TopK) ||
+			r.Iterations != p.Iterations || r.Visited != p.Visited || r.Sweeps != p.Sweeps || r.Exact {
+			t.Fatalf("unified=%v: record %+v does not match the partial %+v", unified, r, p)
+		}
+		if in.Error() != fmt.Sprintf("%v after %d iterations (%d visited, %d sweeps)", core.ErrCanceled, p.Iterations, p.Visited, p.Sweeps) {
+			t.Fatalf("unified=%v: error %q does not read the partial's counters", unified, in.Error())
+		}
+	}
+	if _, err := pool.Do(context.Background(), Request{Query: 100, Opt: core.DefaultOptions(measure.RWR, 10), Unified: true}); err != nil {
+		t.Fatal(err)
+	}
+	if r := rec.Last(1)[0]; r.Outcome != "ok" || r.PartialTopK != nil || !r.Exact {
+		t.Fatalf("completed query's record %+v carries a partial or no certificate", r)
 	}
 }
 

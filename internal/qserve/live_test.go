@@ -295,7 +295,7 @@ func TestMutateUnderTrafficStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if resp.Unified == nil && resp.TopK == nil {
+				if resp.TopK == nil {
 					t.Error("response carries no result")
 					return
 				}
@@ -461,22 +461,21 @@ func TestFootprintIsASet(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				req := Request{Query: lget[i*97%len(lget)], Opt: core.DefaultOptions(kind, 10), Unified: unified}
 				req.Opt.CaptureFootprint = true
-				resp := &Response{}
-				var visited, probed []graph.NodeID
+				var res *core.Result
+				var err error
 				if unified {
-					res, err := core.UnifiedTopK(g, req.Query, req.Opt)
-					if err != nil {
-						t.Fatal(err)
+					var u *core.UnifiedResult
+					if u, err = core.UnifiedTopK(g, req.Query, req.Opt); err == nil {
+						res = &u.Result
 					}
-					resp.Unified, visited, probed = res, res.VisitedNodes, res.ProbedNodes
 				} else {
-					res, err := core.TopK(g, req.Query, req.Opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp.TopK, visited, probed = res, res.VisitedNodes, res.ProbedNodes
+					res, err = core.TopK(g, req.Query, req.Opt)
 				}
-				fp, _, _ := footprintOf(req, resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp, _, _ := footprintOf(req, res)
+				visited, probed := res.VisitedNodes, res.ProbedNodes
 				for what, s := range map[string][]graph.NodeID{"footprint": fp, "ProbedNodes": probed} {
 					for j := 1; j < len(s); j++ {
 						if s[j] <= s[j-1] {

@@ -80,7 +80,7 @@ func TestModeCacheAsymmetry(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatalf("exact request was served from an ε cache entry")
 	}
-	if got := resp.TopK.Certification; got.Mode != core.ModeExact || !got.Certified || got.Gap > exactAfter.Opt.TieEps {
+	if got := resp.TopK.Certification; got.Mode != core.ModeExact || !got.Certified || got.Gap > core.TieEps {
 		t.Fatalf("exact recompute carries wrong certification: %+v", got)
 	}
 

@@ -28,7 +28,6 @@ package qserve
 import (
 	"context"
 	"errors"
-	"log/slog"
 	"runtime"
 	"slices"
 	"sync"
@@ -72,10 +71,6 @@ type Config struct {
 	// Timeout is the per-query wall-clock budget covering queue wait and
 	// execution; 0 means no pool-imposed deadline.
 	Timeout time.Duration
-	// Logger, when non-nil, receives per-query debug records (query node,
-	// measure, latency, outcome) and warn records for shed requests. Nil
-	// keeps the pool silent.
-	Logger *slog.Logger
 	// Recorder, when non-nil, receives one FlightRecord per query outcome —
 	// executed (with a down-sampled convergence trajectory), cache hit, and
 	// shed — and promotes outliers into its slow-query log.
@@ -135,9 +130,11 @@ type Request struct {
 
 // Response is a completed query.
 type Response struct {
-	// TopK is set for single-measure requests.
+	// TopK is set on every answer: for a unified request it is the
+	// PHP-family answer, &Unified.Result, so its counters, certification and
+	// footprint are those of the one shared search.
 	TopK *core.Result
-	// Unified is set for unified requests.
+	// Unified is also set for unified requests; it adds the RWR ranking.
 	Unified *core.UnifiedResult
 	// CacheHit reports that the answer came from the result cache.
 	CacheHit bool
@@ -456,24 +453,34 @@ func (p *Pool) prepare(ctx context.Context, req Request, start time.Time) (*job,
 func (p *Pool) QueueDepth() int { return int(p.waiting.Load()) }
 
 // finished is one query's outcome as finish accounts it. Only executed
-// queries carry work counters; a hit or a shed carries just its status and
+// queries carry a result; a hit or a shed carries just its status and
 // timing.
 type finished struct {
-	status                 string // ok, hit, shed, deadline, canceled or failed
-	start                  time.Time
-	elapsed                time.Duration
-	iters, visited, sweeps int
-	exact                  bool
-	partial                bool // an anytime answer its deadline left uncertified
-	partialTopK            []measure.Ranked
-	sampler                *obs.TraceSampler
+	status  string // ok, hit, shed, deadline, canceled or failed
+	start   time.Time
+	elapsed time.Duration
+	// res is the answer, or an interrupted query's partial: the work
+	// counters, and the in-flight top-k the flight record keeps. Nil when no
+	// search ran or the search failed.
+	res     *core.Result
+	partial bool // an anytime answer its deadline left uncertified
+	sampler *obs.TraceSampler
+}
+
+// work is f's result, or an empty one when no search ran.
+func (f *finished) work() *core.Result {
+	if f.res == nil {
+		return &core.Result{}
+	}
+	return f.res
 }
 
 // finish is the one place a query outcome is accounted: the outcome
-// counters, the executed-latency histograms and work totals, the SLO event,
-// the flight record and the log line.
+// counters, the executed-latency histograms and work totals, the SLO event
+// and the flight record.
 func (p *Pool) finish(j *job, f finished) {
 	slot := metricsSlot(j.req)
+	r := f.work()
 	m := &p.met
 	switch f.status {
 	case "shed":
@@ -485,9 +492,9 @@ func (p *Pool) finish(j *job, f finished) {
 		m.hitByMeasure[slot].Add(1)
 	default:
 		m.latByMeasure[slot].Observe(f.elapsed)
-		m.iterations.Add(int64(f.iters))
-		m.visited.Add(int64(f.visited))
-		m.sweeps.Add(int64(f.sweeps))
+		m.iterations.Add(int64(r.Iterations))
+		m.visited.Add(int64(r.Visited))
+		m.sweeps.Add(int64(r.Sweeps))
 		switch f.status {
 		case "ok":
 			m.ok.Add(1)
@@ -509,20 +516,24 @@ func (p *Pool) finish(j *job, f finished) {
 	}
 	if p.rec != nil {
 		rec := &obs.FlightRecord{
-			ID:          j.req.ID,
-			TraceID:     j.traceID,
-			Start:       f.start,
-			Measure:     measureLabels[slot],
-			Query:       int64(j.req.Query),
-			K:           j.req.Opt.K,
-			Unified:     j.req.Unified,
-			Outcome:     f.status,
-			LatencyUS:   f.elapsed.Microseconds(),
-			Iterations:  f.iters,
-			Visited:     f.visited,
-			Sweeps:      f.sweeps,
-			Exact:       f.exact,
-			PartialTopK: f.partialTopK,
+			ID:         j.req.ID,
+			TraceID:    j.traceID,
+			Start:      f.start,
+			Measure:    measureLabels[slot],
+			Query:      int64(j.req.Query),
+			K:          j.req.Opt.K,
+			Unified:    j.req.Unified,
+			Outcome:    f.status,
+			LatencyUS:  f.elapsed.Microseconds(),
+			Iterations: r.Iterations,
+			Visited:    r.Visited,
+			Sweeps:     r.Sweeps,
+			Exact:      r.Exact,
+		}
+		if f.status == "deadline" || f.status == "canceled" {
+			// What the query had when the context fired (the PHP family for
+			// a unified one).
+			rec.PartialTopK = r.TopK
 		}
 		if f.status != "shed" { // a shed query ran against no epoch
 			rec.Epoch = j.epoch
@@ -532,16 +543,6 @@ func (p *Pool) finish(j *job, f finished) {
 			rec.TraceTotal = f.sampler.Total()
 		}
 		p.rec.Record(rec)
-	}
-	if l := p.cfg.Logger; l != nil {
-		switch f.status {
-		case "shed":
-			l.Warn("query shed", "query", j.req.Query, "queue_cap", p.cfg.QueueDepth)
-		case "hit": // nothing ran
-		default:
-			l.Debug("query executed", "query", j.req.Query, "measure", measureLabels[slot],
-				"k", j.req.Opt.K, "latency", f.elapsed, "outcome", f.status)
-		}
 	}
 }
 
@@ -631,45 +632,28 @@ func (p *Pool) run(s *slot, j *job) (*Response, error) {
 	default:
 		opt.Tracer = tracers
 	}
-	var (
-		resp = &Response{Epoch: j.epoch}
-		err  error
-	)
+	resp := &Response{Epoch: j.epoch}
+	var err error
 	if j.req.Unified {
-		resp.Unified, err = s.ws.Unified(j.ctx, g, j.req.Query, opt)
+		if resp.Unified, err = s.ws.Unified(j.ctx, g, j.req.Query, opt); err == nil {
+			resp.TopK = &resp.Unified.Result
+		}
 	} else {
 		resp.TopK, err = s.ws.TopK(j.ctx, g, j.req.Query, opt)
 	}
-	f := finished{status: "ok", start: start, elapsed: time.Since(start), sampler: s.sampler}
+	f := finished{status: "ok", start: start, elapsed: time.Since(start), res: resp.TopK, sampler: s.sampler}
 	if err != nil {
 		f.status = "failed"
 		var in *core.Interrupted
 		if errors.As(err, &in) {
-			f.iters, f.visited, f.sweeps = in.Iterations, in.Visited, in.Sweeps
-			// Surface the in-flight top-k for the flight record: what the
-			// query had when the context fired (PHP family for unified).
-			if in.Partial != nil {
-				f.partialTopK = in.Partial.TopK
-			} else if in.PartialUnified != nil {
-				f.partialTopK = in.PartialUnified.PHPFamily
-			}
+			f.res = in.Partial
 			f.status = "canceled"
 			if errors.Is(err, core.ErrDeadline) {
 				f.status = "deadline"
 			}
 		}
-	} else {
-		var certified bool
-		if j.req.Unified {
-			f.iters, f.visited, f.sweeps = resp.Unified.Iterations, resp.Unified.Visited, resp.Unified.Sweeps
-			f.exact = resp.Unified.Exact
-			certified = resp.Unified.PHPCert.Certified && resp.Unified.RWRCert.Certified
-		} else {
-			f.iters, f.visited, f.sweeps = resp.TopK.Iterations, resp.TopK.Visited, resp.TopK.Sweeps
-			f.exact = resp.TopK.Exact
-			certified = resp.TopK.Certification.Certified
-		}
-		f.partial = opt.Mode == core.ModeAnytime && !certified
+	} else if opt.Mode == core.ModeAnytime {
+		f.partial = !resp.TopK.Certification.Certified || resp.Unified != nil && !resp.Unified.RWRCert.Certified
 	}
 	if j.trace != nil {
 		// Close out the execute span: outcome, work counters, then the
@@ -677,10 +661,11 @@ func (p *Pool) run(s *slot, j *job) (*Response, error) {
 		// times through IterStats; the totals become contiguous aggregate
 		// spans laid end to end from the execution start — real durations,
 		// synthetic placement.
+		r := f.work()
 		exec.SetAttrs(trace.Str("outcome", f.status),
-			trace.Int("iterations", int64(f.iters)),
-			trace.Int("visited", int64(f.visited)),
-			trace.Int("sweeps", int64(f.sweeps)))
+			trace.Int("iterations", int64(r.Iterations)),
+			trace.Int("visited", int64(r.Visited)),
+			trace.Int("sweeps", int64(r.Sweeps)))
 		if f.status == "failed" {
 			exec.SetError(err.Error())
 		}
@@ -721,7 +706,7 @@ func (p *Pool) run(s *slot, j *job) (*Response, error) {
 		// callers (who may have looser deadlines) would serve interrupted
 		// junk as if it were the query's answer.
 		if p.live != nil {
-			fp, guard, guarded := footprintOf(j.req, resp)
+			fp, guard, guarded := footprintOf(j.req, resp.TopK)
 			p.cache.putLive(j.key, resp, fp, guard, guarded)
 		} else {
 			p.cache.put(j.key, resp)
@@ -735,19 +720,11 @@ func (p *Pool) run(s *slot, j *job) (*Response, error) {
 // probed and then visited appears once) and the RWR guard rule inputs. A
 // unified query always certifies an RWR ranking, so it is guarded; a
 // single-measure query is guarded only under measure.RWR.
-func footprintOf(req Request, resp *Response) (fp []graph.NodeID, guard float64, guarded bool) {
-	var visited, probed []graph.NodeID
-	if resp.Unified != nil {
-		visited, probed, guard = resp.Unified.VisitedNodes, resp.Unified.ProbedNodes, resp.Unified.GuardDegree
-		guarded = true
-	} else if resp.TopK != nil {
-		visited, probed, guard = resp.TopK.VisitedNodes, resp.TopK.ProbedNodes, resp.TopK.GuardDegree
-		guarded = req.Opt.Measure == measure.RWR
-	}
-	fp = make([]graph.NodeID, 0, len(visited)+len(probed))
-	fp = append(append(fp, visited...), probed...)
+func footprintOf(req Request, res *core.Result) (fp []graph.NodeID, guard float64, guarded bool) {
+	fp = make([]graph.NodeID, 0, len(res.VisitedNodes)+len(res.ProbedNodes))
+	fp = append(append(fp, res.VisitedNodes...), res.ProbedNodes...)
 	slices.Sort(fp)
-	return slices.Compact(fp), guard, guarded
+	return slices.Compact(fp), res.GuardDegree, req.Unified || req.Opt.Measure == measure.RWR
 }
 
 // Metrics returns a counters snapshot; see the Metrics type.

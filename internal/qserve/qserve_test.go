@@ -114,7 +114,7 @@ func TestCancellationPrompt(t *testing.T) {
 	if !errors.As(err, &in) {
 		t.Fatalf("err %T does not carry *core.Interrupted", err)
 	}
-	if in.Visited < 1 {
+	if in.Partial.Visited < 1 {
 		t.Errorf("interrupted with no work recorded: %+v", in)
 	}
 	if elapsed > 200*time.Millisecond {

@@ -30,6 +30,14 @@ type rankedBody struct {
 	Score float64      `json:"score"`
 }
 
+// appendRanked appends a ranking to dst in wire form.
+func appendRanked(dst []rankedBody, rs []measure.Ranked) []rankedBody {
+	for _, r := range rs {
+		dst = append(dst, rankedBody(r))
+	}
+	return dst
+}
+
 // queryParams is the option set shared by the three query routes, in wire
 // form: the batch route decodes it from its JSON body, the GET routes fill
 // it from the URL. Nil pointers and empty strings mean "omitted"; the routes
@@ -110,12 +118,13 @@ func (s *Server) options(p queryParams) (opt core.Options, deadline time.Duratio
 	if p.K < 1 || p.K > s.maxK {
 		return opt, 0, fmt.Errorf("k=%d outside [1,%d]", p.K, s.maxK)
 	}
-	opt = core.Options{K: p.K, Params: measure.DefaultParams(), TieEps: 1e-9}
-	if p.Measure != "" { // an omitted measure is PHP, the zero Kind
-		if opt.Measure, err = measure.ParseKind(p.Measure); err != nil {
+	var kind measure.Kind // an omitted measure is PHP, the zero Kind
+	if p.Measure != "" {
+		if kind, err = measure.ParseKind(p.Measure); err != nil {
 			return opt, 0, err
 		}
 	}
+	opt = core.DefaultOptions(kind, p.K)
 	if p.C != nil {
 		opt.Params.C = *p.C
 	}
@@ -164,148 +173,114 @@ func traceIDOf(r *http.Request) string {
 	return ""
 }
 
+// v1Head opens the GET /v1/topk and /v1/unified envelopes: the query, the
+// work counters of its one search and the timing. Measure is the ranked
+// measure of /v1/topk; a unified answer ranks two families and omits it.
+type v1Head struct {
+	APIVersion string       `json:"api_version"`
+	Query      graph.NodeID `json:"query"`
+	Measure    string       `json:"measure,omitempty"`
+	K          int          `json:"k"`
+	Exact      bool         `json:"exact"`
+	Cached     bool         `json:"cached"`
+	Visited    int          `json:"visited"`
+	Iterations int          `json:"iterations"`
+	Epoch      uint64       `json:"epoch,omitempty"`
+	TraceID    string       `json:"trace_id,omitempty"`
+	ElapsedUS  int64        `json:"elapsed_us"`
+}
+
 // v1TopKBody is the GET /v1/topk response envelope. It always carries the
 // certification block — mode, certified flag, the achieved gap, and
 // per-node score intervals for the returned k.
 type v1TopKBody struct {
-	APIVersion    string             `json:"api_version"`
-	Query         graph.NodeID       `json:"query"`
-	Measure       string             `json:"measure"`
-	K             int                `json:"k"`
-	Exact         bool               `json:"exact"`
-	Cached        bool               `json:"cached"`
-	Visited       int                `json:"visited"`
-	Iterations    int                `json:"iterations"`
-	Epoch         uint64             `json:"epoch,omitempty"`
-	TraceID       string             `json:"trace_id,omitempty"`
-	ElapsedUS     int64              `json:"elapsed_us"`
+	v1Head
 	Results       []rankedBody       `json:"results"`
 	Certification core.Certification `json:"certification"`
 	Trace         []core.IterStats   `json:"trace,omitempty"`
-}
-
-func (s *Server) handleV1TopK(w http.ResponseWriter, r *http.Request) {
-	q, p, wantTrace, err := s.parseQuery(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	opt, deadline, err := s.options(p)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	var tc *core.TraceCollector
-	if wantTrace {
-		tc = &core.TraceCollector{}
-		opt.Tracer = tc
-	}
-	ctx, cancel := withDeadline(r.Context(), deadline)
-	defer cancel()
-	start := time.Now()
-	resp, err := s.pool.Do(ctx, qserve.Request{ID: w.Header().Get("X-Request-ID"), Query: q, Opt: opt})
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	res := resp.TopK
-	body := v1TopKBody{
-		APIVersion:    "v1",
-		Query:         q,
-		Measure:       opt.Measure.String(),
-		K:             opt.K,
-		Exact:         res.Exact,
-		Cached:        resp.CacheHit,
-		Visited:       res.Visited,
-		Iterations:    res.Iterations,
-		Epoch:         resp.Epoch,
-		TraceID:       traceIDOf(r),
-		ElapsedUS:     time.Since(start).Microseconds(),
-		Results:       make([]rankedBody, 0, len(res.TopK)),
-		Certification: res.Certification,
-	}
-	if tc != nil {
-		body.Trace = tc.Iters
-	}
-	for _, rk := range res.TopK {
-		body.Results = append(body.Results, rankedBody{Node: rk.Node, Score: rk.Score})
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // v1UnifiedBody is the GET /v1/unified envelope: both family rankings, each
 // with its own certification block (one family can certify before the
 // other, and under anytime interruption they can differ).
 type v1UnifiedBody struct {
-	APIVersion string             `json:"api_version"`
-	Query      graph.NodeID       `json:"query"`
-	K          int                `json:"k"`
-	Exact      bool               `json:"exact"`
-	Cached     bool               `json:"cached"`
-	Visited    int                `json:"visited"`
-	Iterations int                `json:"iterations"`
-	Epoch      uint64             `json:"epoch,omitempty"`
-	TraceID    string             `json:"trace_id,omitempty"`
-	ElapsedUS  int64              `json:"elapsed_us"`
-	PHPFamily  []rankedBody       `json:"php_family"`
-	RWR        []rankedBody       `json:"rwr"`
-	PHPCert    core.Certification `json:"php_certification"`
-	RWRCert    core.Certification `json:"rwr_certification"`
-	Trace      []core.IterStats   `json:"trace,omitempty"`
+	v1Head
+	PHPFamily []rankedBody       `json:"php_family"`
+	RWR       []rankedBody       `json:"rwr"`
+	PHPCert   core.Certification `json:"php_certification"`
+	RWRCert   core.Certification `json:"rwr_certification"`
+	Trace     []core.IterStats   `json:"trace,omitempty"`
 }
 
-func (s *Server) handleV1Unified(w http.ResponseWriter, r *http.Request) {
-	q, p, wantTrace, err := s.parseQuery(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+// handleV1Query answers GET /v1/topk, or GET /v1/unified when unified is
+// set: the same parameters and the same pool call, answered in the route's
+// envelope.
+func (s *Server) handleV1Query(unified bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, p, wantTrace, err := s.parseQuery(r)
+		if err != nil {
+			badRequest(w, "%v", err)
+			return
+		}
+		if unified {
+			// The unified search runs both families; measure= is not one of
+			// its parameters and is ignored like any unknown one.
+			p.Measure = ""
+		}
+		opt, deadline, err := s.options(p)
+		if err != nil {
+			badRequest(w, "%v", err)
+			return
+		}
+		var tc *core.TraceCollector
+		if wantTrace {
+			tc = &core.TraceCollector{}
+			opt.Tracer = tc
+		}
+		ctx, cancel := withDeadline(r.Context(), deadline)
+		defer cancel()
+		start := time.Now()
+		resp, err := s.pool.Do(ctx, qserve.Request{ID: w.Header().Get("X-Request-ID"), Query: q, Opt: opt, Unified: unified})
+		if err != nil {
+			writeQueryError(w, err)
+			return
+		}
+		res := resp.TopK
+		head := v1Head{
+			APIVersion: "v1",
+			Query:      q,
+			K:          opt.K,
+			Exact:      res.Exact,
+			Cached:     resp.CacheHit,
+			Visited:    res.Visited,
+			Iterations: res.Iterations,
+			Epoch:      resp.Epoch,
+			TraceID:    traceIDOf(r),
+			ElapsedUS:  time.Since(start).Microseconds(),
+		}
+		var iters []core.IterStats
+		if tc != nil {
+			iters = tc.Iters
+		}
+		if u := resp.Unified; u != nil {
+			writeJSON(w, http.StatusOK, v1UnifiedBody{
+				v1Head:    head,
+				PHPFamily: appendRanked(nil, res.TopK),
+				RWR:       appendRanked(nil, u.RWR),
+				PHPCert:   res.Certification,
+				RWRCert:   u.RWRCert,
+				Trace:     iters,
+			})
+			return
+		}
+		head.Measure = opt.Measure.String()
+		writeJSON(w, http.StatusOK, v1TopKBody{
+			v1Head:        head,
+			Results:       appendRanked(make([]rankedBody, 0, len(res.TopK)), res.TopK),
+			Certification: res.Certification,
+			Trace:         iters,
+		})
 	}
-	// The unified search runs both families; measure= is not one of its
-	// parameters and is ignored like any unknown one.
-	p.Measure = ""
-	opt, deadline, err := s.options(p)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	var tc *core.TraceCollector
-	if wantTrace {
-		tc = &core.TraceCollector{}
-		opt.Tracer = tc
-	}
-	ctx, cancel := withDeadline(r.Context(), deadline)
-	defer cancel()
-	start := time.Now()
-	resp, err := s.pool.Do(ctx, qserve.Request{ID: w.Header().Get("X-Request-ID"), Query: q, Opt: opt, Unified: true})
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	res := resp.Unified
-	body := v1UnifiedBody{
-		APIVersion: "v1",
-		Query:      q,
-		K:          opt.K,
-		Exact:      res.Exact,
-		Cached:     resp.CacheHit,
-		Visited:    res.Visited,
-		Iterations: res.Iterations,
-		Epoch:      resp.Epoch,
-		TraceID:    traceIDOf(r),
-		ElapsedUS:  time.Since(start).Microseconds(),
-		PHPCert:    res.PHPCert,
-		RWRCert:    res.RWRCert,
-	}
-	if tc != nil {
-		body.Trace = tc.Iters
-	}
-	for _, rk := range res.PHPFamily {
-		body.PHPFamily = append(body.PHPFamily, rankedBody{Node: rk.Node, Score: rk.Score})
-	}
-	for _, rk := range res.RWR {
-		body.RWR = append(body.RWR, rankedBody{Node: rk.Node, Score: rk.Score})
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // v1BatchRequestBody is the POST /v1/topk/batch payload: the queries plus
@@ -416,9 +391,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 			slot.Visited = res.Visited
 			cert := res.Certification
 			slot.Certification = &cert
-			for _, rk := range res.TopK {
-				slot.Results = append(slot.Results, rankedBody{Node: rk.Node, Score: rk.Score})
-			}
+			slot.Results = appendRanked(nil, res.TopK)
 		}
 		body.Results[i] = slot
 	}

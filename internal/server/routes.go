@@ -158,8 +158,8 @@ type Config struct {
 	// MaxDeadline caps the client-requested deadline of /v1 requests; longer
 	// requests are clamped, not rejected (0 = 30s).
 	MaxDeadline time.Duration
-	// Logger receives structured access and query records; nil selects
-	// slog.Default().
+	// Logger receives one structured access record per request, and the
+	// server's warnings and errors; nil selects slog.Default().
 	Logger *slog.Logger
 	// Recorder, when non-nil, is the query flight recorder: the pool records
 	// every outcome into it, outliers are promoted into its slow-query log,
@@ -209,9 +209,9 @@ func New(g graph.Graph, cfg Config) *Server {
 		{"/healthz", s.handleHealth},
 		{"/stats", s.handleStats},
 		{"/metrics", s.handleMetrics},
-		{"/v1/topk", s.handleV1TopK},
+		{"/v1/topk", s.handleV1Query(false)},
 		{"/v1/topk/batch", s.handleV1Batch},
-		{"/v1/unified", s.handleV1Unified},
+		{"/v1/unified", s.handleV1Query(true)},
 		{"/v1/graph/edges", s.handleGraphEdges},
 		{"/debug/flos/slow", s.handleSlow},
 		{"/debug/flos/flightrec", s.handleFlightRec},
@@ -232,7 +232,6 @@ func New(g graph.Graph, cfg Config) *Server {
 		QueueDepth:   cfg.QueueDepth,
 		CacheEntries: cfg.CacheEntries,
 		Timeout:      cfg.Timeout,
-		Logger:       s.log,
 		Recorder:     cfg.Recorder,
 		SLO:          cfg.SLO,
 		CacheLens:    cfg.CacheLens,
